@@ -32,7 +32,7 @@ type AllocatorOptions struct {
 	// KeepWarm keeps at least one replica per task even at zero demand so
 	// the pipeline never goes cold.
 	KeepWarm bool
-	// SolveTimeLimit bounds each MILP solve; zero means 5s. The solver is
+	// SolveTimeLimit bounds each MILP solve; zero means 2s. The solver is
 	// anytime, so hitting the limit degrades optimality, not correctness.
 	SolveTimeLimit time.Duration
 	// DisableReuse turns off the planner's cross-solve memory: the
@@ -689,6 +689,9 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 	var seed []float64
 	relaxX := []float64(nil)
 	if relax.Status == lp.Optimal {
+		// The relaxation is handed to the search as its root below; its
+		// point lives in the workspace, which the LPs in between reuse.
+		relax.X = append([]float64(nil), relax.X...)
 		relaxX = relax.X
 		x, totals := a.ceilReplicas(relaxX, cfgVar)
 		if fits(totals) {
@@ -704,8 +707,11 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 		// slightly conservative feasible point to seed the search. The
 		// first iteration reuses the relaxation already solved above (the
 		// budgets start untightened, so it is the identical LP); later
-		// iterations swap the budgets into the shared model's class rows,
-		// which are restored before the branch-and-bound runs.
+		// iterations swap the budgets into the shared model's class rows and
+		// re-optimise a fork of the relaxation's tableau — only those rows'
+		// right-hand sides changed — and both the rows and the tableau are
+		// restored before the branch-and-bound runs.
+		forked := false
 		budgets := make([]float64, len(a.counts))
 		for cl, n := range a.counts {
 			budgets[cl] = float64(n)
@@ -735,10 +741,14 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 			for cl, row := range clusterRows {
 				prob.Cons[row].RHS = budgets[cl]
 			}
-			x0 = a.relaxOrNil(prob)
+			forked = forked || st.ws.Fork()
+			x0 = a.relaxOrNil(prob, clusterRows, budgets)
 		}
 		for cl, row := range clusterRows {
 			prob.Cons[row].RHS = float64(a.counts[cl])
+		}
+		if forked {
+			st.ws.Swap()
 		}
 	}
 
@@ -807,7 +817,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 	}
 
 	st.milpSolves++
-	res, err := milp.SolveWithOptions(&milp.Problem{LP: prob, Integer: intMask}, opts)
+	res, err := milp.SolveWithOptions(&milp.Problem{LP: prob, Integer: intMask, Root: relax}, opts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -847,10 +857,18 @@ func (a *Allocator) ceilReplicas(x []float64, cfgVar []int) ([]float64, []int) {
 	return out, totals
 }
 
-// relaxOrNil solves the LP relaxation through the shared workspace,
-// returning its point (workspace-owned; valid until the next solve) or nil.
-// Callers hold a.state.mu.
-func (a *Allocator) relaxOrNil(p *lp.Problem) []float64 {
+// relaxOrNil solves the LP relaxation of p through the shared workspace after
+// the given rows took new right-hand sides, returning its point
+// (workspace-owned; valid until the next solve) or nil. It re-optimises the
+// tableau the workspace retains when there is one, and solves from scratch
+// otherwise. Callers hold a.state.mu.
+func (a *Allocator) relaxOrNil(p *lp.Problem, rows []int, rhs []float64) []float64 {
+	if s, ok := a.state.ws.SetRHS(rows, rhs, lp.Options{}); ok && s.Status != lp.IterLimit {
+		if s.Status != lp.Optimal {
+			return nil
+		}
+		return s.X
+	}
 	s, err := lp.SolveWS(p, lp.Options{}, &a.state.ws)
 	if err != nil || s.Status != lp.Optimal {
 		return nil

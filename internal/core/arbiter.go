@@ -107,6 +107,8 @@ type Tenant struct {
 	grant     []int // per-class servers currently granted
 	allocates int
 	truncated int // fresh solves whose branch & bound hit a resource limit
+	bbNodes   int // branch-and-bound nodes explored by fresh solves
+	lpPivots  int // simplex pivots spent by fresh solves
 
 	// Incremental re-solve tracking. lastDesire is the last desire-pass plan
 	// with the quantized buckets and pool caps it was solved under;
@@ -234,6 +236,8 @@ func (t *Tenant) solve(demand float64, caps []int, ratio float64) (*Plan, error)
 	if plan.SolveStats.Truncated {
 		t.truncated++
 	}
+	t.bbNodes += plan.SolveStats.Nodes
+	t.lpPivots += plan.SolveStats.LPIters
 	return plan, nil
 }
 
@@ -341,7 +345,7 @@ type MultiController struct {
 	capChanged bool
 
 	// tel, when non-nil, publishes planner diagnostics (round count, last
-	// round's solve time, per-tenant truncated solves and grants) to a
+	// round's solve time, per-tenant solver effort and grants) to a
 	// telemetry registry — the structured replacement for the LOKI_PROBE
 	// print-based diagnostics in internal/experiments.
 	tel *plannerTelemetry
@@ -351,11 +355,26 @@ type MultiController struct {
 // deltas so the series stay monotone; AtSec carries the planner step counter
 // (the arbiter has no engine clock of its own).
 type plannerTelemetry struct {
-	rounds    *telemetry.Counter
-	roundSec  *telemetry.Gauge
-	truncated []*telemetry.Counter // per tenant, registration order
-	grants    []*telemetry.Gauge   // per tenant, registration order
-	lastTrunc []int
+	rounds   *telemetry.Counter
+	roundSec *telemetry.Gauge
+	// Per tenant, registration order: the solver effort of fresh solves
+	// (truncated searches, branch-and-bound nodes, simplex pivots) and the
+	// standing grant.
+	truncated, nodes, pivots []tenantCounter
+	grants                   []*telemetry.Gauge
+}
+
+// tenantCounter publishes a tenant's running total as a monotone counter.
+type tenantCounter struct {
+	c    *telemetry.Counter
+	last int
+}
+
+func (tc *tenantCounter) publish(at float64, total int) {
+	if d := total - tc.last; d > 0 {
+		tc.c.Add(at, float64(d))
+		tc.last = total
+	}
 }
 
 // CapacityObserver is implemented by controllers that re-plan against live
@@ -400,10 +419,12 @@ func (m *MultiController) ObserveCapacity(liveByClass []int) {
 
 // SetTelemetry points the arbiter at a telemetry registry: every allocation
 // round then publishes loki_planner_rounds_total, loki_planner_round_seconds
-// (last round's wall-clock solve time), and per-tenant
-// loki_planner_truncated_solves_total counters and loki_planner_grant_servers
-// gauges. A nil registry turns publication off. Call after every tenant has
-// been registered.
+// (last round's wall-clock solve time), and per tenant the
+// loki_planner_truncated_solves_total, loki_planner_bb_nodes_total and
+// loki_planner_lp_pivots_total counters (how many fresh solves a resource
+// limit cut short, and the branch-and-bound nodes and simplex pivots fresh
+// solves cost) and the loki_planner_grant_servers gauge. A nil registry turns
+// publication off. Call after every tenant has been registered.
 func (m *MultiController) SetTelemetry(reg *telemetry.Registry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -412,17 +433,19 @@ func (m *MultiController) SetTelemetry(reg *telemetry.Registry) {
 		return
 	}
 	pt := &plannerTelemetry{
-		rounds:    reg.Counter("loki_planner_rounds_total", "Joint allocation rounds executed.", nil),
-		roundSec:  reg.Gauge("loki_planner_round_seconds", "Wall-clock duration of the last allocation round.", nil),
-		lastTrunc: make([]int, len(m.tenants)),
+		rounds:   reg.Counter("loki_planner_rounds_total", "Joint allocation rounds executed.", nil),
+		roundSec: reg.Gauge("loki_planner_round_seconds", "Wall-clock duration of the last allocation round.", nil),
 	}
-	for i, t := range m.tenants {
+	for _, t := range m.tenants {
 		lbl := telemetry.L("tenant", t.Name)
-		pt.truncated = append(pt.truncated,
-			reg.Counter("loki_planner_truncated_solves_total", "MILP solves cut short by a resource limit, per tenant.", lbl))
+		pt.truncated = append(pt.truncated, tenantCounter{last: t.truncated,
+			c: reg.Counter("loki_planner_truncated_solves_total", "MILP solves cut short by a resource limit, per tenant.", lbl)})
+		pt.nodes = append(pt.nodes, tenantCounter{last: t.bbNodes,
+			c: reg.Counter("loki_planner_bb_nodes_total", "Branch-and-bound nodes explored by MILP solves, per tenant.", lbl)})
+		pt.pivots = append(pt.pivots, tenantCounter{last: t.lpPivots,
+			c: reg.Counter("loki_planner_lp_pivots_total", "Simplex pivots spent by MILP solves, per tenant.", lbl)})
 		pt.grants = append(pt.grants,
 			reg.Gauge("loki_planner_grant_servers", "Servers granted in the last allocation round, per tenant.", lbl))
-		pt.lastTrunc[i] = t.truncated
 	}
 	m.tel = pt
 }
@@ -872,10 +895,9 @@ func (m *MultiController) allocateLocked(demands []float64) error {
 		m.tel.rounds.Add(at, 1)
 		m.tel.roundSec.Set(at, time.Since(roundStart).Seconds())
 		for i, t := range m.tenants {
-			if d := t.truncated - m.tel.lastTrunc[i]; d > 0 {
-				m.tel.truncated[i].Add(at, float64(d))
-				m.tel.lastTrunc[i] = t.truncated
-			}
+			m.tel.truncated[i].publish(at, t.truncated)
+			m.tel.nodes[i].publish(at, t.bbNodes)
+			m.tel.pivots[i].publish(at, t.lpPivots)
 			m.tel.grants[i].Set(at, float64(sumInts(grants[i])))
 		}
 	}

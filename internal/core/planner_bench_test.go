@@ -27,7 +27,11 @@ func benchAllocator(b *testing.B, disableReuse bool) *Allocator {
 
 // BenchmarkAllocate measures one uncapped Resource Manager solve over a
 // cycling demand walk — the desire-pass workload — with the planner's
-// cross-solve memory on (the default) and off.
+// cross-solve memory on (the default) and off. Besides the timings it reports
+// the search effort of one untimed pass over the walk on a fresh allocator,
+// as simplex pivots per branch-and-bound node and nodes per solve: the walk's
+// solves are proof-terminated, so these are counts that repeat exactly
+// whatever b.N is, and CI gates on the first (see BENCH_planner.json).
 func BenchmarkAllocate(b *testing.B) {
 	demands := []float64{110, 230, 180, 320, 140, 280}
 	for _, mode := range []struct {
@@ -35,6 +39,17 @@ func BenchmarkAllocate(b *testing.B) {
 		disable bool
 	}{{"reuse", false}, {"cold", true}} {
 		b.Run(mode.name, func(b *testing.B) {
+			census := benchAllocator(b, mode.disable)
+			nodes, pivots := 0, 0
+			for _, d := range demands {
+				plan, err := census.Allocate(d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes += plan.SolveStats.Nodes
+				pivots += plan.SolveStats.LPIters
+			}
+
 			a := benchAllocator(b, mode.disable)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -43,6 +58,8 @@ func BenchmarkAllocate(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(pivots)/float64(nodes), "pivots/node")
+			b.ReportMetric(float64(nodes)/float64(len(demands)), "nodes/solve")
 		})
 	}
 }

@@ -1,6 +1,7 @@
-// Package lp implements a two-phase primal simplex solver for linear
-// programs, with a sparse revised-simplex hot path and a dense tableau
-// fallback.
+// Package lp implements a simplex solver for linear programs: a dense
+// tableau for the small and medium problems that make up most solves, a
+// sparse revised simplex above a size crossover, and dual-simplex
+// re-optimisation of a solved dense tableau.
 //
 // The solver handles problems of the form
 //
@@ -9,18 +10,27 @@
 //	                        x ≥ 0
 //
 // Upper bounds and general variable bounds are expressed as ordinary
-// constraints by the caller (the MILP layer in internal/milp does exactly
-// that for branching bounds).
+// constraints by the caller when a problem is solved from scratch.
 //
-// Both implementations share a Phase-1 artificial-variable start, Dantzig
-// pricing, and an automatic switch to Bland's rule when the pivot sequence
-// degenerates, which guarantees termination. The revised simplex (the
-// default) keeps the constraints as sparse columns and maintains only the
-// m×m basis inverse, which suits the allocator's wide, mostly-zero
-// formulations; the dense tableau remains as the Dense escape hatch and as
-// the automatic fallback whenever the revised path declines to certify an
-// answer (unboundedness, iteration limits, or a failed feasibility
-// re-check).
+// A solve from scratch is two-phase primal simplex — a Phase-1
+// artificial-variable start, Dantzig pricing, and an automatic switch to
+// Bland's rule when the pivot sequence degenerates, which guarantees
+// termination. Below RevisedMinSize (rows × columns) it runs on the dense
+// tableau (tableau.go); at or above it on the revised simplex (revised.go),
+// which keeps the constraints as sparse columns and maintains only the m×m
+// basis inverse, as suits wide, mostly-zero fleet formulations. The dense
+// tableau is also the Dense escape hatch and the automatic fallback whenever
+// the revised path declines to certify an answer (unboundedness, iteration
+// limits, or a failed feasibility re-check).
+//
+// A dense solve through a Workspace leaves its optimal tableau behind, with
+// spare rows and columns. A neighbouring problem — one more variable bound
+// (Workspace.Bound), or different right-hand sides (Workspace.SetRHS) — is
+// then not solved again: the change is written into the tableau in its
+// current basis, which stays dual feasible, and the dual simplex pivots until
+// the right-hand sides are non-negative again, typically a handful of pivots
+// where a fresh solve takes hundreds. Branch and bound (internal/milp)
+// evaluates its child nodes this way and solves from scratch only to restart.
 package lp
 
 import (
@@ -144,6 +154,11 @@ type Solution struct {
 	X         []float64 // primal values, len NumVars (valid when Status == Optimal)
 	Objective float64   // objective value in the problem's own direction
 	Iters     int       // simplex pivots performed across both phases
+
+	// ws and stamp name the workspace tableau that produced the solution,
+	// for Workspace.Holds.
+	ws    *Workspace
+	stamp uint64
 }
 
 // Options tunes the solver.
@@ -180,7 +195,9 @@ func SolveWithOptions(p *Problem, opt Options) (*Solution, error) {
 // Problems at or above the RevisedMinSize crossover run the sparse revised
 // simplex (revised.go); smaller problems, and every solve when the Dense
 // escape hatch is set, use the dense tableau — which is also the automatic
-// fallback whenever the revised path declines to certify its answer.
+// fallback whenever the revised path declines to certify its answer. Only a
+// dense solve that ends Optimal leaves a tableau for the workspace's warm
+// operations; any other solve through ws drops the one it held.
 func SolveWS(p *Problem, opt Options, ws *Workspace) (*Solution, error) {
 	if err := validate(p); err != nil {
 		return nil, err
@@ -188,6 +205,9 @@ func SolveWS(p *Problem, opt Options, ws *Workspace) (*Solution, error) {
 	tol := opt.Tol
 	if tol == 0 {
 		tol = defaultTol
+	}
+	if ws != nil && ws.cur != nil {
+		ws.cur.valid = false
 	}
 	if !Dense && revisedEligible(p) {
 		if sol, ok := solveRevised(p, tol, opt.MaxIter, ws); ok {
@@ -224,22 +244,17 @@ func SolveWS(p *Problem, opt Options, ws *Workspace) (*Solution, error) {
 		return &Solution{Status: Unbounded, Iters: t.iters}, nil
 	}
 
-	var x []float64
+	sol := &Solution{Status: Optimal, Iters: t.iters}
 	if ws != nil {
-		x = ws.solution(p.NumVars)
+		sol.X = ws.solution(p.NumVars)
+		// The optimal tableau stays behind for Bound and SetRHS.
+		t.valid = true
+		sol.ws, sol.stamp = ws, ws.restamp()
 	} else {
-		x = make([]float64, p.NumVars)
+		sol.X = make([]float64, p.NumVars)
 	}
-	for i, bv := range t.basis {
-		if bv < p.NumVars {
-			x[bv] = t.rhs[i]
-		}
-	}
-	obj := 0.0
-	for j, c := range p.Obj {
-		obj += c * x[j]
-	}
-	return &Solution{Status: Optimal, X: x, Objective: obj, Iters: t.iters}, nil
+	sol.Objective = t.point(sol.X)
+	return sol, nil
 }
 
 func validate(p *Problem) error {

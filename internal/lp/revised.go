@@ -142,16 +142,8 @@ func revisedEligible(p *Problem) bool {
 	}
 	m := len(p.Cons)
 	ncols := p.NumVars
-	for _, c := range p.Cons {
-		s := c.Sense
-		if c.RHS < 0 {
-			switch s {
-			case LE:
-				s = GE
-			case GE:
-				s = LE
-			}
-		}
+	for i := range p.Cons {
+		s, _ := normalize(&p.Cons[i])
 		if s != EQ {
 			ncols++
 		}
@@ -233,25 +225,16 @@ func newRevised(p *Problem, tol float64, rb *revisedBuffers, info []rowInfo) *re
 	n := p.NumVars
 
 	nslack, nart, nnz := 0, 0, 0
-	for i, c := range p.Cons {
-		s := c.Sense
-		neg := c.RHS < 0
-		if neg {
-			switch s {
-			case LE:
-				s = GE
-			case GE:
-				s = LE
-			}
-		}
-		info[i] = rowInfo{sense: s, neg: neg}
+	for i := range p.Cons {
+		s, sgn := normalize(&p.Cons[i])
+		info[i] = rowInfo{sense: s, neg: sgn < 0}
 		if s != EQ {
 			nslack++
 		}
 		if s != LE {
 			nart++
 		}
-		nnz += len(c.Terms)
+		nnz += len(p.Cons[i].Terms)
 	}
 
 	r := &revised{

@@ -1,54 +1,43 @@
 package lp
 
-// Workspace holds the reusable buffers of a tableau so that repeated solves
+// Workspace holds the reusable buffers of a solve so that repeated solves
 // (the MILP layer solves one LP relaxation per branch-and-bound node) do not
-// re-allocate the dense working state every time. The zero value is ready to
-// use; buffers grow to the high-water mark of the problems solved through it
-// and are then reused.
+// re-allocate the working state every time. The zero value is ready to use;
+// buffers grow to the high-water mark of the problems solved through it and
+// are then reused.
+//
+// A dense solve that ends Optimal also leaves its final tableau behind — the
+// retained tableau — and the workspace can re-optimise it in place instead
+// of solving a neighbouring problem from scratch: Bound adds one variable
+// bound, SetRHS moves right-hand sides, and both restore feasibility with
+// dual simplex pivots from the retained basis. Fork saves a copy of the
+// retained tableau to the side and Swap exchanges the two, which is how a
+// caller evaluates several neighbours of one solved problem. Solves on the
+// revised path (at or above RevisedMinSize) retain nothing; Warm tells.
 //
 // A Workspace may be reused across problems of different shapes but must not
 // be shared by concurrent solves.
 type Workspace struct {
-	flat  []float64
-	rows  [][]float64
-	rhs   []float64
-	basis []int
-	obj   []float64
-	info  []rowInfo
-	sol   []float64
-	rev   revisedBuffers
+	cur, alt *tableau // retained tableau and the side copy
+	stamps   uint64   // last stamp handed out
+	info     []rowInfo
+	sol      []float64
+	rev      revisedBuffers
 }
 
-// grow returns buffers sized for m rows and ncols columns, zeroing exactly
-// the region a fresh allocation would have zeroed.
-func (w *Workspace) grow(m, ncols, nvars int) (flat []float64, rows [][]float64, rhs []float64, basis []int, obj []float64) {
-	need := m * ncols
-	if cap(w.flat) < need {
-		w.flat = make([]float64, need)
-	} else {
-		w.flat = w.flat[:need]
-		clear(w.flat)
+// retained returns the tableau dense solves build in.
+func (w *Workspace) retained() *tableau {
+	if w.cur == nil {
+		w.cur = &tableau{}
 	}
-	if cap(w.rows) < m {
-		w.rows = make([][]float64, m)
-	} else {
-		w.rows = w.rows[:m]
-	}
-	if cap(w.rhs) < m {
-		w.rhs = make([]float64, m)
-		w.basis = make([]int, m)
-	} else {
-		w.rhs = w.rhs[:m]
-		clear(w.rhs)
-		w.basis = w.basis[:m]
-	}
-	if cap(w.obj) < ncols {
-		w.obj = make([]float64, ncols)
-	} else {
-		w.obj = w.obj[:ncols]
-		clear(w.obj)
-	}
-	return w.flat, w.rows, w.rhs, w.basis, w.obj
+	return w.cur
+}
+
+// restamp gives the retained tableau a fresh identity after it changed.
+func (w *Workspace) restamp() uint64 {
+	w.stamps++
+	w.cur.stamp = w.stamps
+	return w.stamps
 }
 
 // rowInfos returns a scratch slice for per-row sense normalization.
@@ -69,4 +58,100 @@ func (w *Workspace) solution(n int) []float64 {
 	s := w.sol[:n]
 	clear(s)
 	return s
+}
+
+// Warm reports whether the workspace retains an optimal tableau with room
+// for one more bound row, i.e. whether Bound can work.
+func (w *Workspace) Warm() bool {
+	return w.cur != nil && w.cur.valid && w.cur.spare > 0
+}
+
+// Holds reports whether the retained tableau is still the one that produced
+// sol: sol came from this workspace, and every re-optimisation since then
+// happened on the far side of a Fork/Swap pair.
+func (w *Workspace) Holds(sol *Solution) bool {
+	return sol != nil && sol.ws == w && w.cur != nil && w.cur.valid && w.cur.stamp == sol.stamp
+}
+
+// Fork copies the retained tableau to the side, so that the retained one can
+// be re-optimised and the original recovered with Swap. It reports false,
+// doing nothing, when no optimal tableau is retained.
+func (w *Workspace) Fork() bool {
+	if w.cur == nil || !w.cur.valid {
+		return false
+	}
+	if w.alt == nil {
+		w.alt = &tableau{}
+	}
+	w.alt.copyFrom(w.cur)
+	return true
+}
+
+// Swap exchanges the retained tableau with the side copy made by Fork.
+func (w *Workspace) Swap() {
+	w.cur, w.alt = w.alt, w.cur
+}
+
+// Bound adds the bound x_v ≤ bound (sense LE) or x_v ≥ bound (sense GE) to
+// the retained tableau and re-optimises it with the dual simplex: the result
+// is that of solving the retained problem plus the bound from scratch, for
+// the few pivots it takes to repair one violated row. Bounds accumulate. The
+// second result is false — and nothing happens — unless Warm, v is a variable
+// of the retained problem and sense is LE or GE. A result other than Optimal
+// drops the retained tableau. The returned X is owned by the workspace, as
+// with SolveWS.
+func (w *Workspace) Bound(v int, sense Sense, bound float64, opt Options) (Solution, bool) {
+	if !w.Warm() || v < 0 || v >= w.cur.n || sense == EQ {
+		return Solution{}, false
+	}
+	w.cur.addBound(v, sense, bound)
+	return w.reoptimize(opt), true
+}
+
+// SetRHS changes the right-hand sides of the given rows of the retained
+// tableau's problem (indices into its Cons) and re-optimises with the dual
+// simplex. The second result is false — and nothing happens — when no optimal
+// tableau is retained or one of the rows is an equality.
+func (w *Workspace) SetRHS(rows []int, rhs []float64, opt Options) (Solution, bool) {
+	if w.cur == nil || !w.cur.valid {
+		return Solution{}, false
+	}
+	if len(rhs) != len(rows) {
+		return Solution{}, false
+	}
+	for _, i := range rows {
+		if i < 0 || i >= len(w.cur.meta) || w.cur.meta[i].slack < 0 {
+			return Solution{}, false
+		}
+	}
+	for k, i := range rows {
+		w.cur.setRHS(i, rhs[k])
+	}
+	return w.reoptimize(opt), true
+}
+
+// reoptimize runs the dual simplex on the retained tableau and reads the
+// outcome off it.
+func (w *Workspace) reoptimize(opt Options) Solution {
+	t := w.cur
+	maxIter := opt.MaxIter
+	if maxIter == 0 {
+		maxIter = 200*(t.m+t.ncols) + 2000
+	}
+	t.iters = 0
+	sol := Solution{ws: w, stamp: w.restamp()}
+	switch t.dualIterate(maxIter) {
+	case optimal:
+		sol.Status = Optimal
+		sol.X = w.solution(t.n)
+		sol.Objective = t.point(sol.X)
+	case infeasible:
+		sol.Status = Infeasible
+		t.valid = false
+	default:
+		sol.Status = IterLimit
+		t.valid = false
+	}
+	sol.Iters = t.iters
+	return sol
 }

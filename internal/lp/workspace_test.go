@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -117,5 +118,94 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Fatalf("steady-state solve allocates %v objects per run, want ≤ 4", allocs)
+	}
+
+	// A warm node — fork the solved tableau, bound a variable on each side of
+	// its value the way branch and bound evaluates two children, swap back —
+	// allocates nothing at all once both tableaus have grown.
+	sol, err := SolveWS(p, Options{}, ws)
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("reference solve: %v, %v", sol, err)
+	}
+	v, at := 0, 0.0
+	for j, x := range sol.X {
+		if x > at {
+			v, at = j, x
+		}
+	}
+	children := func() {
+		ws.Fork()
+		if _, ok := ws.Bound(v, GE, at/2+1, Options{}); !ok {
+			t.Fatal("Bound refused on a warm workspace")
+		}
+		ws.Swap()
+		ws.Fork()
+		if _, ok := ws.Bound(v, LE, at/2, Options{}); !ok {
+			t.Fatal("Bound refused on a warm workspace")
+		}
+		ws.Swap()
+	}
+	children()
+	if allocs := testing.AllocsPerRun(50, children); allocs != 0 {
+		t.Fatalf("a warm node allocates %v objects, want 0", allocs)
+	}
+}
+
+// TestSetRHSMatchesCold pins the right-hand-side re-optimisation to the cold
+// solver: moving the right-hand sides of inequality rows on a retained
+// tableau must give the status and objective of solving the changed problem
+// from scratch, and equality rows must be refused.
+func TestSetRHSMatchesCold(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ws := &Workspace{}
+	checked := 0
+	for trial := 0; trial < 300; trial++ {
+		p := randomProblem(rng, 2+rng.Intn(10), 1+rng.Intn(8))
+		base, err := SolveWS(p, Options{}, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if base.Status != Optimal {
+			continue
+		}
+		var rows []int
+		var rhs []float64
+		for i, c := range p.Cons {
+			if c.Sense != EQ && rng.Intn(3) == 0 {
+				rows = append(rows, i)
+				rhs = append(rhs, c.RHS+rng.Float64()*6-3)
+			}
+		}
+		for i, c := range p.Cons {
+			if c.Sense == EQ {
+				if _, ok := ws.SetRHS([]int{i}, []float64{c.RHS}, Options{}); ok {
+					t.Fatalf("trial %d: SetRHS accepted equality row %d", trial, i)
+				}
+			}
+		}
+		warm, ok := ws.SetRHS(rows, rhs, Options{})
+		if !ok {
+			t.Fatalf("trial %d: SetRHS refused inequality rows %v", trial, rows)
+		}
+		q := p.Clone()
+		for k, i := range rows {
+			q.Cons[i].RHS = rhs[k]
+		}
+		cold, err := Solve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != cold.Status {
+			t.Fatalf("trial %d: warm %v, cold %v", trial, warm.Status, cold.Status)
+		}
+		if cold.Status == Optimal {
+			checked++
+			if math.Abs(warm.Objective-cold.Objective) > 1e-7 {
+				t.Fatalf("trial %d: warm objective %.12g, cold %.12g", trial, warm.Objective, cold.Objective)
+			}
+		}
+	}
+	if checked < 100 {
+		t.Fatalf("only %d trials compared optimal objectives", checked)
 	}
 }

@@ -8,6 +8,16 @@
 // best incumbent found with a bound on the remaining gap, mirroring how a
 // production controller invokes a commercial solver on a fixed control
 // period.
+//
+// The search is best-bound with plunging. The best open node is popped and
+// its relaxation solved from scratch; from there the search branches in
+// place, evaluating both children by re-optimising the node's tableau with
+// the dual simplex (lp.Workspace.Bound) — a few pivots each instead of a
+// fresh two-phase solve — continuing with one child and parking the other on
+// the heap under its own bound. The from-scratch node solve remains what a
+// popped node, a plunge deeper than the tableau's spare rows, a warm result
+// that fails its residual check, and every problem on the revised LP path
+// (which keeps no tableau) fall back to.
 package milp
 
 import (
@@ -23,6 +33,12 @@ import (
 type Problem struct {
 	LP      *lp.Problem
 	Integer []bool // len LP.NumVars; true marks an integer-constrained variable
+	// Root optionally hands over the LP relaxation of LP when the caller has
+	// already solved it through Options.Workspace. If the workspace still
+	// holds that solve's tableau (lp.Workspace.Holds) the search takes Root
+	// as its root node — Root.X must still be the relaxation point — and
+	// branches from the tableau; otherwise it solves the relaxation itself.
+	Root *lp.Solution
 }
 
 // Status reports the outcome of a solve.
@@ -141,6 +157,11 @@ type Result struct {
 	// timing-dependent; callers that memoize solutions should treat them
 	// as provisional.
 	Truncated bool
+
+	// coldBranchings counts branchings that found no tableau to continue
+	// from and parked both children for cold solves (tests read it to see
+	// the restart path run).
+	coldBranchings int
 }
 
 // Gap returns the relative optimality gap of the result, 0 for a proven
@@ -168,9 +189,11 @@ type node struct {
 	parent *node
 	branch int     // variable the parent branched on (-1 at root)
 	lo, hi float64 // bound override for the branch variable
-	depth  int
-	bound  float64 // LP relaxation objective (in maximize-normalized form)
-	order  int64   // LIFO tie-break: newer nodes first → diving behaviour
+	// bound is the node's LP relaxation objective (maximize-normalized) once
+	// it has been evaluated, and its parent's until then.
+	bound float64
+	frac  int   // variable to branch on next (evaluated, fractional nodes)
+	order int64 // LIFO tie-break: newer nodes first → diving behaviour
 }
 
 // nodeHeap is a max-heap on relaxation bound with LIFO tie-breaking so the
@@ -276,10 +299,15 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 		pruneFloor = warmVal - 1e-7*math.Max(1, math.Abs(warmVal))
 	}
 
+	// The root relaxation: the caller's, when the workspace still holds its
+	// tableau, so that the first branching can start from it.
 	root := &node{branch: -1}
-	sol, err := s.solveNode(root)
-	if err != nil {
-		return nil, err
+	sol := p.Root
+	if !s.ws.Holds(sol) {
+		var err error
+		if sol, err = s.solveNode(root); err != nil {
+			return nil, err
+		}
 	}
 	res.LPIters += sol.Iters
 	switch sol.Status {
@@ -291,13 +319,12 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 	case lp.Unbounded:
 		return &Result{Status: Unbounded, Nodes: 1, LPIters: res.LPIters}, nil
 	case lp.IterLimit:
-		return &Result{Status: NoSolution, Nodes: 1, LPIters: res.LPIters}, nil
+		return &Result{Status: NoSolution, Nodes: 1, LPIters: res.LPIters, Truncated: true}, nil
 	}
 	root.bound = s.sign * sol.Objective
 
 	var order int64
 	h := nodeHeap{root}
-	rootSolutions := map[*node]*lp.Solution{root: sol}
 	nodes := 0
 	provenOptimal := true
 
@@ -309,12 +336,12 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 	lastImprove := 0
 	stallArmed := false
 
-	for len(h) > 0 {
-		if nodes >= maxNodes || (!deadline.IsZero() && time.Now().After(deadline)) {
-			provenOptimal = false
-			res.Truncated = true
-			break
-		}
+	// outOfBudget is consulted before every LP evaluation — a node is one LP
+	// evaluation, whether a cold solve of a popped node or a warm
+	// re-optimisation of a child — and marks the result truncated when a
+	// resource limit says stop.
+	outOfBudget := func() bool {
+		stop := nodes >= maxNodes || (!deadline.IsZero() && time.Now().After(deadline))
 		// Stall cutoff: past the arming delay, a search that has explored
 		// StallNodes nodes without improving its best solution — and whose
 		// plateau dominates its whole history (≥ half of all explored
@@ -324,35 +351,84 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 		// same plateau means the step is (near-)integer-infeasible, and
 		// stopping lets the caller fall through to its next regime instead
 		// of burning the whole control period.
-		if opt.StallNodes > 0 && nodes-lastImprove >= opt.StallNodes && nodes-lastImprove >= nodes/2 {
+		if !stop && opt.StallNodes > 0 && nodes-lastImprove >= opt.StallNodes && nodes-lastImprove >= nodes/2 {
 			if !stallArmed && time.Since(start) >= opt.StallAfter {
 				stallArmed = true
 			}
-			if stallArmed {
-				provenOptimal = false
-				res.Truncated = true
-				break
-			}
+			stop = stallArmed
 		}
-		nd := heap.Pop(&h).(*node)
-		if nd.bound <= math.Max(incumbentVal, pruneFloor)+opt.AbsGap+1e-9 {
-			continue // pruned by bound (or by the warm-start floor)
+		if stop {
+			provenOptimal = false
+			res.Truncated = true
+		}
+		return stop
+	}
+	// prunable reports whether a node with the given bound cannot improve
+	// the incumbent enough to matter: by bound (or the warm-start floor), or
+	// within the relative gap.
+	prunable := func(bound float64) bool {
+		if bound <= math.Max(incumbentVal, pruneFloor)+opt.AbsGap+1e-9 {
+			return true
 		}
 		if opt.RelGap > 0 && incumbentX != nil {
 			denom := math.Max(math.Abs(incumbentVal), 1e-12)
-			if (nd.bound-incumbentVal)/denom <= opt.RelGap {
-				continue
+			return (bound-incumbentVal)/denom <= opt.RelGap
+		}
+		return false
+	}
+	// settle turns a solved relaxation into the node's bound and reports
+	// whether the node stays open; an integer-feasible point that beats the
+	// incumbent is taken on the way.
+	settle := func(nd *node, objective float64, x []float64) bool {
+		bound := s.sign * objective
+		if opt.ObjIntegral {
+			// On integer points the objective is integral, so the best
+			// achievable value below this relaxation bound is its floor.
+			bound = math.Floor(bound + 1e-6)
+		}
+		nd.bound = bound
+		if bound <= math.Max(incumbentVal, pruneFloor)+opt.AbsGap+1e-9 {
+			return false
+		}
+		if nd.frac = s.mostFractional(x); nd.frac >= 0 {
+			return true
+		}
+		if bound > incumbentVal {
+			// The incumbent is valued at the point handed back — integer
+			// variables snapped — not at the relaxation's, which can sit an
+			// ulp away and would let an identical warm start displace it.
+			xr := roundIntegral(x, p.Integer)
+			if val := s.objective(xr); val > incumbentVal {
+				incumbentVal, incumbentX = val, xr
+				if incumbentVal > bestKnown {
+					bestKnown = incumbentVal
+					lastImprove = nodes
+				}
 			}
+		}
+		return false
+	}
+	push := func(nd *node) {
+		order++
+		nd.order = order
+		heap.Push(&h, nd)
+	}
+
+search:
+	for len(h) > 0 {
+		if outOfBudget() {
+			break
+		}
+		nd := heap.Pop(&h).(*node)
+		if prunable(nd.bound) {
+			continue // pruned by bound, by the warm-start floor, or within the gap
 		}
 		nodes++
 
-		sol, cached := rootSolutions[nd]
-		if cached {
-			delete(rootSolutions, nd)
-		} else {
+		// A popped node is solved cold (the root, popped first, already is).
+		if nd != root {
 			var err error
-			sol, err = s.solveNode(nd)
-			if err != nil {
+			if sol, err = s.solveNode(nd); err != nil {
 				return nil, err
 			}
 			res.LPIters += sol.Iters
@@ -365,57 +441,115 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 			// conservative.
 			return &Result{Status: Unbounded, Nodes: nodes, LPIters: res.LPIters}, nil
 		case lp.IterLimit:
+			// The subtree is dropped unexplored: a resource limit, not a proof.
 			provenOptimal = false
+			res.Truncated = true
 			continue
 		}
-		bound := s.sign * sol.Objective
-		if opt.ObjIntegral {
-			// On integer points the objective is integral, so the best
-			// achievable value below this relaxation bound is its floor.
-			bound = math.Floor(bound + 1e-6)
-		}
-		if bound <= math.Max(incumbentVal, pruneFloor)+opt.AbsGap+1e-9 {
+		if !settle(nd, sol.Objective, sol.X) {
 			continue
 		}
+		x := sol.X
 
-		frac := s.mostFractional(sol.X)
-		if frac < 0 {
-			// Integer feasible: new incumbent.
-			if bound > incumbentVal {
-				incumbentVal = bound
-				incumbentX = roundIntegral(sol.X, p.Integer)
-				if incumbentVal > bestKnown {
-					bestKnown = incumbentVal
-					lastImprove = nodes
+		// Plunge: branch on the current node, evaluate both children from
+		// its tableau, keep one and park the other, until the path closes.
+		for {
+			// Early stop on relative gap.
+			if opt.RelGap > 0 && incumbentX != nil {
+				top := nd.bound
+				if len(h) > 0 && h[0].bound > top {
+					top = h[0].bound
+				}
+				denom := math.Max(math.Abs(incumbentVal), 1e-12)
+				if (top-incumbentVal)/denom <= opt.RelGap {
+					provenOptimal = false
+					break search
+				}
+				if prunable(nd.bound) {
+					break // this path is within the gap; others are not
 				}
 			}
-			continue
-		}
 
-		// Early stop on relative gap.
-		if opt.RelGap > 0 && incumbentX != nil {
-			top := bound
-			if len(h) > 0 && h[0].bound > top {
-				top = h[0].bound
-			}
-			denom := math.Abs(incumbentVal)
-			if denom < 1e-12 {
-				denom = 1e-12
-			}
-			if (top-incumbentVal)/denom <= opt.RelGap {
-				provenOptimal = false
+			lo := math.Floor(x[nd.frac])
+			up := &node{parent: nd, branch: nd.frac, lo: lo + 1, hi: math.Inf(1), bound: nd.bound}
+			down := &node{parent: nd, branch: nd.frac, lo: 0, hi: lo, bound: nd.bound}
+			if !s.ws.Warm() {
+				// No tableau to continue from (the revised LP path keeps
+				// none) or no bound row left in it: park both children under
+				// the parent's bound; popping one solves it cold, which
+				// rebuilds the tableau.
+				res.coldBranchings++
+				push(down)
+				push(up) // explore the round-up branch first (dives toward capacity)
 				break
 			}
-		}
 
-		v := sol.X[frac]
-		lo := math.Floor(v)
-		order++
-		down := &node{parent: nd, branch: frac, lo: 0, hi: lo, depth: nd.depth + 1, bound: bound, order: order}
-		order++
-		up := &node{parent: nd, branch: frac, lo: lo + 1, hi: math.Inf(1), depth: nd.depth + 1, bound: bound, order: order}
-		heap.Push(&h, up) // explore the round-up branch first (dives toward capacity)
-		heap.Push(&h, down)
+			// The round-up child goes first: it dives toward capacity, and
+			// an incumbent it finds may close the round-down child unsolved.
+			// It is evaluated on the retained tableau with the parent saved
+			// to the side, then the two swap and the round-down child
+			// overwrites the parent; afterwards the retained tableau is the
+			// round-down child's and the side one the round-up child's.
+			s.ws.Fork()
+			var open [2]*node
+			for k, child := range [2]*node{up, down} {
+				if k == 1 {
+					s.ws.Swap()
+					if prunable(nd.bound) {
+						break
+					}
+				}
+				if outOfBudget() {
+					// Keep what is unevaluated on the heap so the reported
+					// bound still covers it.
+					if open[0] != nil {
+						push(open[0])
+					}
+					if k == 0 {
+						push(up)
+					}
+					push(down)
+					break search
+				}
+				nodes++
+				sense, val := lp.GE, child.lo
+				if k == 1 {
+					sense, val = lp.LE, child.hi
+				}
+				csol, ok := s.ws.Bound(child.branch, sense, val, s.lpOpt)
+				res.LPIters += csol.Iters
+				switch {
+				case !ok || csol.Status == lp.IterLimit || (csol.Status == lp.Optimal && !s.satisfies(csol.X, child)):
+					// The warm path gave no usable answer (iteration limit,
+					// or a point that drifted off the original rows): let a
+					// cold solve have the final word.
+					push(child)
+				case csol.Status == lp.Optimal && settle(child, csol.Objective, csol.X):
+					open[k] = child
+					s.childX[k] = append(s.childX[k][:0], csol.X...)
+				}
+			}
+
+			// Continue with the child of better bound — best-bound order, as
+			// far as a plunge can keep it — and with the round-up child on a
+			// tie, which dives toward capacity. Choosing by bound also keeps
+			// the path independent of the warm-start floor: a child the floor
+			// closes always has the worse bound.
+			k := 0
+			if open[0] == nil || (open[1] != nil && open[1].bound > open[0].bound) {
+				k = 1
+			}
+			if open[k] == nil {
+				break
+			}
+			if open[1-k] != nil {
+				push(open[1-k])
+			}
+			if k == 0 {
+				s.ws.Swap()
+			}
+			nd, x = open[k], s.childX[k]
+		}
 	}
 
 	// A warm start strictly better than anything the search found is the
@@ -475,6 +609,9 @@ type search struct {
 	nodeProb lp.Problem
 	bvars    []varBound
 	terms    []lp.Term
+	// childX keeps the relaxation points of the two children of a branching
+	// (the workspace's own buffer is overwritten by the next LP).
+	childX [2][]float64
 }
 
 // varBound is one collapsed branching interval lo ≤ x_v ≤ hi.
@@ -571,6 +708,24 @@ func (s *search) checkFeasible(x []float64) (float64, bool) {
 			}
 		}
 	}
+	if !s.rowsHold(x) {
+		return 0, false
+	}
+	return s.objective(x), true
+}
+
+// objective returns the maximize-normalized objective of x.
+func (s *search) objective(x []float64) float64 {
+	obj := 0.0
+	for j, c := range s.p.LP.Obj {
+		obj += c * x[j]
+	}
+	return s.sign * obj
+}
+
+// rowsHold reports whether x satisfies every row of the problem to 1e-6.
+func (s *search) rowsHold(x []float64) bool {
+	const tol = 1e-6
 	for _, c := range s.p.LP.Cons {
 		lhs := 0.0
 		for _, t := range c.Terms {
@@ -579,23 +734,38 @@ func (s *search) checkFeasible(x []float64) (float64, bool) {
 		switch c.Sense {
 		case lp.LE:
 			if lhs > c.RHS+tol {
-				return 0, false
+				return false
 			}
 		case lp.GE:
 			if lhs < c.RHS-tol {
-				return 0, false
+				return false
 			}
 		case lp.EQ:
 			if math.Abs(lhs-c.RHS) > tol {
-				return 0, false
+				return false
 			}
 		}
 	}
-	obj := 0.0
-	for j, c := range s.p.LP.Obj {
-		obj += c * x[j]
+	return true
+}
+
+// satisfies is the residual check on a warm re-optimisation: the point must
+// hold on the original rows and on the node's whole bound chain, none of
+// which the re-optimised tableau has seen in their original form since the
+// last cold solve.
+func (s *search) satisfies(x []float64, nd *node) bool {
+	const tol = 1e-6
+	for _, v := range x {
+		if v < -tol {
+			return false
+		}
 	}
-	return s.sign * obj, true
+	for n := nd; n.branch >= 0; n = n.parent {
+		if v := x[n.branch]; v < n.lo-tol || v > n.hi+tol {
+			return false
+		}
+	}
+	return s.rowsHold(x)
 }
 
 // roundIntegral snaps near-integral values exactly onto integers so

@@ -190,6 +190,37 @@ func TestNodeLimitReturnsFeasibleOrNoSolution(t *testing.T) {
 	}
 }
 
+// TestIterLimitIsTruncation: a node relaxation that runs out of simplex
+// iterations is a resource limit like the clock or the node budget — the
+// subtree under it goes unexplored — so the result must say Truncated, both
+// when the root itself hits the limit and when a deeper node does.
+func TestIterLimitIsTruncation(t *testing.T) {
+	p := hardKnapsack(rand.New(rand.NewSource(6)), 24)
+	root, err := lp.Solve(p.LP)
+	if err != nil || root.Status != lp.Optimal {
+		t.Fatalf("root relaxation: %v, %v", root, err)
+	}
+	solve := func(maxIter int) *Result {
+		r, err := SolveWithOptions(p, Options{LPOptions: lp.Options{MaxIter: maxIter}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	if r := solve(1); r.Status != NoSolution || !r.Truncated {
+		t.Fatalf("root hit the iteration limit: got %v truncated=%v, want no-solution truncated", r.Status, r.Truncated)
+	}
+	// One pivot more than the root needs lets the root through and stops
+	// the cold solves of deeper nodes, which carry more rows.
+	if r := solve(root.Iters + 1); r.Status == Optimal || !r.Truncated {
+		t.Fatalf("deeper nodes hit the iteration limit: got %v truncated=%v, want an unproven truncated result", r.Status, r.Truncated)
+	}
+	if r := solve(0); r.Status != Optimal || r.Truncated {
+		t.Fatalf("default iteration budget: got %v truncated=%v, want optimal", r.Status, r.Truncated)
+	}
+}
+
 func TestTimeLimitHonored(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 24
@@ -266,6 +297,37 @@ func bruteForceILP(p *lp.Problem, ub int) (float64, bool) {
 	return best, found
 }
 
+// agreesWithBruteForce solves the pure-integer program p, whose variables
+// are bounded by ub, and compares the outcome with exhaustive enumeration.
+func agreesWithBruteForce(t *testing.T, seed int64, p *lp.Problem, ub int) (*Result, bool) {
+	r, err := Solve(&Problem{LP: p, Integer: allInt(p.NumVars)})
+	if err != nil {
+		t.Logf("seed %d: %v", seed, err)
+		return nil, false
+	}
+	want, found := bruteForceILP(p, ub)
+	switch r.Status {
+	case Optimal:
+		if !found {
+			t.Logf("seed %d: solver optimal %g, brute force found nothing", seed, r.Objective)
+			return r, false
+		}
+		if math.Abs(r.Objective-want) > 1e-5 {
+			t.Logf("seed %d: solver %g vs brute force %g (x=%v)", seed, r.Objective, want, r.X)
+			return r, false
+		}
+	case Infeasible:
+		if found {
+			t.Logf("seed %d: solver infeasible, brute force found %g", seed, want)
+			return r, false
+		}
+	default:
+		t.Logf("seed %d: unexpected status %v", seed, r.Status)
+		return r, false
+	}
+	return r, true
+}
+
 // TestAgainstBruteForceILP cross-checks branch and bound against exhaustive
 // enumeration on random small pure-integer programs.
 func TestAgainstBruteForceILP(t *testing.T) {
@@ -296,35 +358,43 @@ func TestAgainstBruteForceILP(t *testing.T) {
 			}
 			p.AddConstraint(terms, lp.Sense(rng.Intn(3)), float64(rng.Intn(17)-4))
 		}
-		r, err := Solve(&Problem{LP: p, Integer: allInt(n)})
-		if err != nil {
-			t.Logf("seed %d: %v", seed, err)
-			return false
-		}
-		want, found := bruteForceILP(p, ub)
-		switch r.Status {
-		case Optimal:
-			if !found {
-				t.Logf("seed %d: solver optimal %g, brute force found nothing", seed, r.Objective)
-				return false
-			}
-			if math.Abs(r.Objective-want) > 1e-5 {
-				t.Logf("seed %d: solver %g vs brute force %g (x=%v)", seed, r.Objective, want, r.X)
-				return false
-			}
-		case Infeasible:
-			if found {
-				t.Logf("seed %d: solver infeasible, brute force found %g", seed, want)
-				return false
-			}
-		default:
-			t.Logf("seed %d: unexpected status %v", seed, r.Status)
-			return false
-		}
-		return true
+		_, ok := agreesWithBruteForce(t, seed, p, ub)
+		return ok
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+
+	// Deep instances: an equality knapsack over six variables in [0,7] with
+	// two-digit coprime-ish weights and values that track them. The
+	// relaxation is fractional in one variable at a time and the equality
+	// row is hit by few integer points, so plunges run past the sixteen bound
+	// rows a tableau can absorb and the search has to restart from cold node
+	// solves — the path the small instances above never reach.
+	restarts := 0
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, ub := 6, 7
+		p := lp.NewProblem(n)
+		p.Maximize = true
+		terms := make([]lp.Term, n)
+		sum := 0.0
+		for j := 0; j < n; j++ {
+			w := float64(11 + rng.Intn(40))
+			p.Obj[j] = w + float64(rng.Intn(3))
+			terms[j] = lp.Term{Var: j, Coef: w}
+			sum += w * float64(ub)
+			p.AddConstraint([]lp.Term{{Var: j, Coef: 1}}, lp.LE, float64(ub))
+		}
+		p.AddConstraint(terms, lp.EQ, math.Floor(sum/2)+1)
+		r, ok := agreesWithBruteForce(t, seed, p, ub)
+		if !ok {
+			t.Fatalf("deep instance %d disagrees with brute force", seed)
+		}
+		restarts += r.coldBranchings
+	}
+	if restarts == 0 {
+		t.Fatal("no deep instance exhausted the tableau's spare bound rows; the cold-restart path went untested")
 	}
 }
 

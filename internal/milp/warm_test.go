@@ -185,21 +185,31 @@ func BenchmarkMILPSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// pivots/node and nodes/solve are counts, not timings: the instance is
+	// proof-terminated, so they repeat exactly from run to run.
+	effort := func(b *testing.B, r *Result) {
+		b.ReportMetric(float64(r.LPIters)/float64(r.Nodes), "pivots/node")
+		b.ReportMetric(float64(r.Nodes), "nodes/solve")
+	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
+		var r *Result
 		for i := 0; i < b.N; i++ {
-			if _, err := Solve(p); err != nil {
+			if r, err = Solve(p); err != nil {
 				b.Fatal(err)
 			}
 		}
+		effort(b, r)
 	})
 	b.Run("warm", func(b *testing.B) {
 		opts := Options{WarmStarts: [][]float64{full.X}}
 		b.ReportAllocs()
+		var r *Result
 		for i := 0; i < b.N; i++ {
-			if _, err := SolveWithOptions(p, opts); err != nil {
+			if r, err = SolveWithOptions(p, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
+		effort(b, r)
 	})
 }

@@ -194,6 +194,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`loki_worker_up{class="default",tenant="traffic",worker="0"} 1`,
 		`loki_planner_rounds_total`,
 		`loki_planner_grant_servers{tenant="traffic"}`,
+		`loki_planner_bb_nodes_total{tenant="traffic"}`,
+		`loki_planner_lp_pivots_total{tenant="traffic"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition lacks %q", want)

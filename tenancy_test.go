@@ -51,10 +51,15 @@ func TestSinglePipelineParityWithSeedBehavior(t *testing.T) {
 			tr:   loki.RampTrace(100, 900, 16, 5),
 			opts: []loki.Option{loki.WithServers(10), loki.WithSeed(7), loki.WithPolicy(loki.PerTaskPolicy),
 				loki.WithSolveTimeLimit(10 * time.Second)},
-			accuracy: 0.926743384192844, viol: 0.09052684269803529,
+			// Re-recorded once when branch and bound began re-optimising node
+			// relaxations from the parent's basis: the accuracy-scaling
+			// searches stop at a different, equally valid plan inside their
+			// 1% gap (accuracy 0.92674 → 0.92624, violations 0.09053 →
+			// 0.08570, both within 0.01 of the previous recording).
+			accuracy: 0.9262447672072975, viol: 0.08569640845951695,
 			meanSrv: 9.080459770114942, minSrv: 7.241379310344827, maxSrv: 10,
-			meanLat: 87080850 * time.Nanosecond,
-			arr:     39955, comp: 36338, late: 449, drop: 3168, rer: 0,
+			meanLat: 86589981 * time.Nanosecond,
+			arr:     39955, comp: 36531, late: 449, drop: 2975, rer: 0,
 		},
 	}
 	for _, c := range cases {
