@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"loki/internal/lp"
@@ -35,14 +34,15 @@ type AllocatorOptions struct {
 	// SolveTimeLimit bounds each MILP solve; zero means 2s. The solver is
 	// anytime, so hitting the limit degrades optimality, not correctness.
 	SolveTimeLimit time.Duration
-	// DisableReuse turns off the planner's cross-solve memory: the
-	// (demand, step) LP model memo and the warm-start seeds carried from
-	// one adaptation round to the next. Solves whose searches terminate
-	// deterministically (optimality proof or gap test) return identical
-	// plans either way — reuse only changes how fast they get there and
-	// which incumbent a time-limited search has in hand when truncated.
-	// The escape hatch exists for A/B measurement and for the public
-	// WithPlannerCache(false) option.
+	// DisableReuse turns off the planner's cross-solve memory: every solve
+	// builds its step model afresh instead of patching the allocator's
+	// standing one, and no warm-start seed is carried from one adaptation
+	// round to the next. Solves whose searches terminate deterministically
+	// (optimality proof or gap test) return identical plans either way —
+	// reuse only changes how fast they get there and which incumbent a
+	// time-limited search has in hand when truncated. The escape hatch
+	// exists for A/B measurement and for the public WithPlannerCache(false)
+	// option.
 	DisableReuse bool
 	// DisableStall turns off the wall-clock stall cutoff, letting every
 	// search run its full time budget. Solves whose natural duration falls
@@ -79,7 +79,7 @@ type Allocator struct {
 	sinks       []pipeline.TaskID
 	pathsBySink [][]int // path indices grouped by terminal sink
 
-	// state is the reusable solving machinery (model memo, warm starts,
+	// state is the reusable solving machinery (step models, warm starts,
 	// tableau workspace), shared with every Capped view. Its mutex makes
 	// the allocator safe for concurrent use.
 	state *solverState
@@ -396,10 +396,10 @@ func (a *Allocator) Allocate(demand float64) (*Plan, error) {
 // bounded to caps (one entry per hardware class, in class order). The
 // configuration graph, paths, and solving machinery are shared (they depend
 // only on the SLO, not the cluster size), so the view is cheap: a capped
-// solve reuses the parent's built LP model for the same demand and step and
-// only swaps the per-class capacity rows' right-hand sides, rather than
-// rebuilding the whole formulation. Multi-tenant arbitration uses it to
-// re-solve a pipeline inside its granted partition of the shared pool.
+// solve runs on the parent's step models, where a view's counts are only the
+// per-class capacity rows' right-hand sides, written before each solve like
+// the demand. Multi-tenant arbitration uses it to re-solve a pipeline inside
+// its granted partition of the shared pool.
 func (a *Allocator) Capped(caps []int) *Allocator {
 	b := *a
 	b.counts = append([]int(nil), caps...)
@@ -617,40 +617,23 @@ const (
 	stepHardwareSat
 )
 
-// solveStep solves one of the three MILPs against the memoized step model.
-// Variable layout:
-//
-//	[0, P)      c_p   continuous path flows
-//	[P]         f     served fraction (step 3 only; fixed 1 otherwise)
-//	[P+1, ...)  n_u   integer replica counts per used config
+// solveStep solves one of the step MILPs on the allocator's step model (see
+// stepModel for the variable layout), patched for this demand and this
+// view's class counts.
 func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error) {
 	st := a.state
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
-	bl := a.builtFor(demand, step)
-	useCfg, cfgVar, nvars, clusterRows, prob := bl.useCfg, bl.cfgVar, bl.nvars, bl.clusterRows, bl.prob
-	// The memoized model is shared across per-class caps (Capped views); only
-	// the class capacity rows' RHS differ between them, so swap them in.
-	for cl, row := range clusterRows {
-		prob.Cons[row].RHS = float64(a.counts[cl])
-	}
-
-	P := len(a.paths)
-	fVar := P
-
-	intMask := make([]bool, nvars)
-	for _, vi := range cfgVar {
-		if vi >= 0 {
-			intMask[vi] = true
-		}
-	}
+	m := a.modelFor(step)
+	m.set(demand, a.counts)
+	prob, cfgVar, clusterRows := m.prob, m.cfgVar, m.clusterRows
 
 	mkPlan := func(x []float64, stats SolveStats) *Plan {
-		plan := a.extractPlan(x, useCfg, cfgVar, fVar, demand, step)
+		plan := a.extractPlan(x, m, demand, step)
 		stats.Step = int(step)
 		stats.Paths = len(a.paths)
-		stats.Vars = nvars
+		stats.Vars = prob.NumVars
 		stats.Constraints = len(prob.Cons)
 		plan.SolveStats = stats
 		// Every extracted point is integer-feasible for its model, which
@@ -744,9 +727,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 			forked = forked || st.ws.Fork()
 			x0 = a.relaxOrNil(prob, clusterRows, budgets)
 		}
-		for cl, row := range clusterRows {
-			prob.Cons[row].RHS = float64(a.counts[cl])
-		}
+		m.budget(a.counts)
 		if forked {
 			st.ws.Swap()
 		}
@@ -765,7 +746,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 	// verifies against the new demand and cap (and prunes the tree from
 	// node one) or is silently dropped.
 	if !a.Opts.DisableReuse {
-		if wx := st.lastX[step]; len(wx) == nvars {
+		if wx := st.lastX[step]; wx != nil {
 			opts.WarmStarts = [][]float64{wx}
 		}
 	}
@@ -779,7 +760,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 	// change which of several near-optimal plans a deterministic run
 	// returns; those searches run unseeded to keep plans reproducible.
 	if step == stepHardware && !a.priced {
-		if gx := a.greedySeed(demand, step, bl); gx != nil {
+		if gx := a.greedySeed(demand, step, m); gx != nil {
 			opts.WarmStarts = append(opts.WarmStarts, gx)
 		}
 	}
@@ -794,9 +775,22 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 	// opts out explicitly, and DisableReuse turns the cutoff off with the
 	// rest of the fast path, so the escape hatch recovers the exhaustive
 	// (full-budget) solver exactly.
+	//
+	// The cost-minimizing hardware step (priced fleets) is cut at its first
+	// such plateau, with no arming delay: its dollar objective has no
+	// integral bound to close the gap with, so it always ends on the cutoff,
+	// and the mixed-fleet experiment's threshold rests on what the search
+	// holds there. Run until the clock arms, a model this small reaches the
+	// dollar optimum, whose slow-class small-batch packing serves the same
+	// cost per query at 0.80 attainment instead of 0.89 (ARCHITECTURE.md,
+	// "Planner performance"). Counting nodes rather than milliseconds also
+	// makes these plans the same on every machine.
 	if !a.Opts.DisableReuse && !a.Opts.DisableStall {
 		opts.StallAfter = opts.TimeLimit / 4
 		opts.StallNodes = 96
+		if step == stepHardware && a.priced {
+			opts.StallAfter = 0
+		}
 	}
 	if step == stepHardware && !a.priced {
 		// Minimize an integer count: bounds round to whole servers. (On a
@@ -817,7 +811,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 	}
 
 	st.milpSolves++
-	res, err := milp.SolveWithOptions(&milp.Problem{LP: prob, Integer: intMask, Root: relax}, opts)
+	res, err := milp.SolveWithOptions(&milp.Problem{LP: prob, Integer: m.integer, Root: relax}, opts)
 	if err != nil {
 		return nil, false, err
 	}
@@ -876,303 +870,8 @@ func (a *Allocator) relaxOrNil(p *lp.Problem, rows []int, rhs []float64) []float
 	return s.X
 }
 
-// buildLP constructs the LP for one step. It returns the set of usable
-// configs, the variable index of each config's replica count (-1 if the
-// config is not usable in this step), the variable count, the per-class
-// capacity row indices, and the problem.
-func (a *Allocator) buildLP(demand float64, step stepKind) (useCfg []bool, cfgVar []int, nvars int, clusterRows []int, prob *lp.Problem) {
-	g := a.Meta.Graph()
-	P := len(a.paths)
-	fVar := P
-
-	// Step 1 admits only each task's most accurate variant (Eq. 8-10).
-	bestVariant := make([]int, len(g.Tasks))
-	for i := range g.Tasks {
-		bestVariant[i] = g.Tasks[i].MostAccurate()
-	}
-	fixedVariants := step == stepHardware || step == stepHardwareSat
-	saturating := step == stepSaturation || step == stepHardwareSat
-	usable := func(c *config) bool {
-		return !fixedVariants || c.variant == bestVariant[c.task]
-	}
-
-	useCfg = make([]bool, len(a.cfgs))
-	usablePath := make([]bool, P)
-	for pi := range a.paths {
-		ok := true
-		for _, ci := range a.paths[pi].cfgs {
-			if !usable(&a.cfgs[ci]) {
-				ok = false
-				break
-			}
-		}
-		usablePath[pi] = ok
-		if ok {
-			for _, ci := range a.paths[pi].cfgs {
-				useCfg[ci] = true
-			}
-		}
-	}
-
-	cfgVar = make([]int, len(a.cfgs))
-	nvars = P + 1
-	for ci := range a.cfgs {
-		if useCfg[ci] {
-			cfgVar[ci] = nvars
-			nvars++
-		} else {
-			cfgVar[ci] = -1
-		}
-	}
-
-	prob = lp.NewProblem(nvars)
-
-	// Flow conservation per sink: Σ_{p∈P_s} c_p = f (Σ c_p = 1 when f is
-	// pinned). Unusable paths are forced to zero flow.
-	for _, pidx := range a.pathsBySink {
-		terms := make([]lp.Term, 0, len(pidx)+1)
-		for _, pi := range pidx {
-			if usablePath[pi] {
-				terms = append(terms, lp.Term{Var: pi, Coef: 1})
-			} else {
-				prob.AddConstraint([]lp.Term{{Var: pi, Coef: 1}}, lp.LE, 0)
-			}
-		}
-		terms = append(terms, lp.Term{Var: fVar, Coef: -1})
-		prob.AddConstraint(terms, lp.EQ, 0)
-	}
-	if saturating {
-		prob.AddConstraint([]lp.Term{{Var: fVar, Coef: 1}}, lp.LE, 1)
-	} else {
-		prob.AddConstraint([]lp.Term{{Var: fVar, Coef: 1}}, lp.EQ, 1)
-	}
-
-	// Flow consistency at shared config prefixes: a request visits the
-	// tasks above a branch point once, so the fraction of traffic that
-	// follows a given sequence of configurations down to a branching task
-	// must be the same no matter which sink's path family measures it.
-	// (Per-prefix equality is strictly stronger than per-config equality
-	// and is what makes the per-sink capacity accounting in Eq. 2 well
-	// defined, because the workload multiplier m(p, hop) depends on the
-	// whole prefix.) A prefix with usable continuations toward one sink but
-	// none toward another is forced to zero flow: deploying it would doom
-	// the unreachable sink's sub-requests to SLO violations.
-	type prefixKey struct {
-		hop  int
-		last int // config id at the prefix's final hop
-		key  string
-	}
-	prefixSinks := map[prefixKey]map[int][]lp.Term{}
-	var keyBuf []byte
-	for pi := range a.paths {
-		if !usablePath[pi] {
-			continue
-		}
-		pth := &a.paths[pi]
-		keyBuf = keyBuf[:0]
-		for h, ci := range pth.cfgs {
-			keyBuf = append(keyBuf, byte(ci), byte(ci>>8), byte(ci>>16))
-			k := prefixKey{hop: h, last: ci, key: string(keyBuf)}
-			m := prefixSinks[k]
-			if m == nil {
-				m = map[int][]lp.Term{}
-				prefixSinks[k] = m
-			}
-			m[pth.sink] = append(m[pth.sink], lp.Term{Var: pi, Coef: 1})
-		}
-	}
-	// Sinks reachable from each task (over usable paths) determine where
-	// equality rows are needed.
-	taskSinks := make([]map[int]bool, len(g.Tasks))
-	for i := range taskSinks {
-		taskSinks[i] = map[int]bool{}
-	}
-	for pi := range a.paths {
-		if !usablePath[pi] {
-			continue
-		}
-		for _, ci := range a.paths[pi].cfgs {
-			taskSinks[a.cfgs[ci].task][a.paths[pi].sink] = true
-		}
-	}
-	// Emit the consistency rows in a deterministic order (sorted prefix
-	// keys, then ascending sink): constraint row order decides simplex
-	// tie-breaks, and iterating the map directly would randomize which of
-	// several equally optimal vertices a solve returns from one model
-	// build to the next.
-	prefixKeys := make([]prefixKey, 0, len(prefixSinks))
-	for k := range prefixSinks {
-		prefixKeys = append(prefixKeys, k)
-	}
-	sort.Slice(prefixKeys, func(i, j int) bool {
-		a, b := prefixKeys[i], prefixKeys[j]
-		if a.hop != b.hop {
-			return a.hop < b.hop
-		}
-		if a.last != b.last {
-			return a.last < b.last
-		}
-		return a.key < b.key
-	})
-	for _, k := range prefixKeys {
-		perSink := prefixSinks[k]
-		reachable := taskSinks[a.cfgs[k.last].task]
-		if len(reachable) < 2 {
-			continue
-		}
-		ref := -1
-		for s := range reachable {
-			if ref < 0 || s < ref {
-				ref = s
-			}
-		}
-		refTerms := perSink[ref] // nil means flow 0 through this prefix
-		for s := 0; s < len(a.sinks); s++ {
-			if s == ref || !reachable[s] {
-				continue
-			}
-			terms := perSink[s]
-			if len(refTerms) == 0 && len(terms) == 0 {
-				continue
-			}
-			row := append(append([]lp.Term(nil), refTerms...), negate(terms)...)
-			prob.AddConstraint(row, lp.EQ, 0)
-		}
-	}
-
-	// Capacity (Eq. 2): demand arriving at each config, accounted through
-	// its task's canonical sink (the smallest sink with usable paths
-	// through the task — the same reference the consistency rows use, so
-	// the decomposition is well defined), must not exceed its replicas'
-	// aggregate throughput.
-	for ci := range a.cfgs {
-		if !useCfg[ci] {
-			continue
-		}
-		c := &a.cfgs[ci]
-		canon := -1
-		for s := range taskSinks[c.task] {
-			if canon < 0 || s < canon {
-				canon = s
-			}
-		}
-		var terms []lp.Term
-		if canon >= 0 {
-			for _, pi := range a.pathsBySink[canon] {
-				if !usablePath[pi] {
-					continue
-				}
-				pth := &a.paths[pi]
-				for h, pci := range pth.cfgs {
-					if pci == ci {
-						terms = append(terms, lp.Term{Var: pi, Coef: demand * pth.mults[h]})
-					}
-				}
-			}
-		}
-		terms = append(terms, lp.Term{Var: cfgVar[ci], Coef: -c.qps})
-		prob.AddConstraint(terms, lp.LE, 0)
-	}
-
-	// Cluster size (Eq. 3), one capacity row per hardware class: the
-	// replicas hosted on a class must fit that class's server count. On a
-	// homogeneous cluster this is the classic single cluster-size row.
-	clusterRows = make([]int, len(a.classes))
-	for cl := range a.classes {
-		var clusterTerms []lp.Term
-		for ci := range a.cfgs {
-			if useCfg[ci] && a.cfgs[ci].class == cl {
-				clusterTerms = append(clusterTerms, lp.Term{Var: cfgVar[ci], Coef: 1})
-			}
-		}
-		clusterRows[cl] = prob.AddConstraint(clusterTerms, lp.LE, float64(a.counts[cl]))
-	}
-
-	// Keep-warm: at least one replica per task.
-	if a.Opts.KeepWarm {
-		for i := range g.Tasks {
-			var terms []lp.Term
-			for _, ci := range a.byTask[i] {
-				if useCfg[ci] {
-					terms = append(terms, lp.Term{Var: cfgVar[ci], Coef: 1})
-				}
-			}
-			if len(terms) > 0 {
-				prob.AddConstraint(terms, lp.GE, 1)
-			}
-		}
-	}
-
-	// Objective.
-	switch step {
-	case stepHardware:
-		// Minimize active servers (Eq. 11). On a priced fleet the weight is
-		// each class's dollar rate instead — the INFaaS-style cost-aware
-		// variant — with a tiny per-replica epsilon so even a zero-cost
-		// class never deploys replicas for free. A fleet with no costs at
-		// all keeps the classic unit weights bit for bit.
-		prob.Maximize = false
-		for ci := range a.cfgs {
-			if useCfg[ci] {
-				w := 1.0
-				if a.priced {
-					w = a.classes[a.cfgs[ci].class].CostPerHour + serverCostEps
-				}
-				prob.SetObjectiveTerm(cfgVar[ci], w)
-			}
-		}
-	case stepAccuracy, stepSaturation, stepHardwareSat:
-		// Maximize system accuracy (Eq. 12): the sink-averaged,
-		// flow-weighted end-to-end accuracy. Saturation adds a large
-		// reward on the served fraction, making the objective
-		// lexicographic: serve as much as possible, then as accurately as
-		// possible. On a priced fleet a small per-replica cost penalty
-		// breaks ties between accuracy-equivalent deployments toward the
-		// cheaper classes; its scale keeps any induced accuracy loss well
-		// inside the solver's 1% gap tolerance, and zero-cost fleets add no
-		// terms at all.
-		prob.Maximize = true
-		w := 1.0 / float64(len(a.sinks))
-		for pi := range a.paths {
-			if usablePath[pi] {
-				prob.SetObjectiveTerm(pi, w*a.paths[pi].acc)
-			}
-		}
-		if a.priced {
-			for ci := range a.cfgs {
-				if useCfg[ci] {
-					cost := a.classes[a.cfgs[ci].class].CostPerHour + serverCostEps
-					prob.SetObjectiveTerm(cfgVar[ci], -accuracyCostEps*cost)
-				}
-			}
-		}
-		if saturating {
-			prob.SetObjectiveTerm(fVar, 1000)
-		}
-	}
-	return useCfg, cfgVar, nvars, clusterRows, prob
-}
-
-// serverCostEps keeps every replica weakly penalized in the cost-aware
-// hardware-scaling objective, so a class priced at zero is still never
-// deployed gratuitously; accuracyCostEps scales the cost tie-breaker mixed
-// into the accuracy-scaling objective (small enough that trading real
-// accuracy for cost stays inside the solver's gap tolerance).
-const (
-	serverCostEps   = 1e-6
-	accuracyCostEps = 1e-4
-)
-
-func negate(terms []lp.Term) []lp.Term {
-	out := make([]lp.Term, len(terms))
-	for i, t := range terms {
-		out[i] = lp.Term{Var: t.Var, Coef: -t.Coef}
-	}
-	return out
-}
-
 // extractPlan converts a solver point into a Plan.
-func (a *Allocator) extractPlan(x []float64, useCfg []bool, cfgVar []int, fVar int, demand float64, step stepKind) *Plan {
+func (a *Allocator) extractPlan(x []float64, m *stepModel, demand float64, step stepKind) *Plan {
 	plan := &Plan{
 		Demand:         demand,
 		ServedFraction: 1,
@@ -1184,15 +883,15 @@ func (a *Allocator) extractPlan(x []float64, useCfg []bool, cfgVar []int, fVar i
 		plan.Mode = AccuracyScaling
 	case stepSaturation, stepHardwareSat:
 		plan.Mode = Saturated
-		plan.ServedFraction = x[fVar]
+		plan.ServedFraction = x[m.fVar]
 	}
 
 	plan.ServersByClass = make([]int, len(a.classes))
-	for ci := range a.cfgs {
-		if !useCfg[ci] {
+	for ci, vi := range m.cfgVar {
+		if vi < 0 {
 			continue
 		}
-		n := int(math.Round(x[cfgVar[ci]]))
+		n := int(math.Round(x[vi]))
 		if n <= 0 {
 			continue
 		}
@@ -1217,10 +916,11 @@ func (a *Allocator) extractPlan(x []float64, useCfg []bool, cfgVar []int, fVar i
 	g := a.Meta.Graph()
 	accSum, flowSum := 0.0, 0.0
 	for pi, pth := range a.paths {
-		frac := x[pi]
-		if frac < 1e-9 {
+		vi := m.pathVar[pi]
+		if vi < 0 || x[vi] < 1e-9 {
 			continue
 		}
+		frac := x[vi]
 		tasks := make([]pipeline.TaskID, len(pth.cfgs))
 		variants := make([]int, len(pth.cfgs))
 		batches := make([]int, len(pth.cfgs))
@@ -1244,9 +944,10 @@ func (a *Allocator) extractPlan(x []float64, useCfg []bool, cfgVar []int, fVar i
 	return plan
 }
 
-// MaxCapacity estimates the largest demand (QPS) the cluster can fully serve
-// by bisecting on Allocate feasibility at the given accuracy floor. It is
-// used by the Figure-1 capacity analysis.
+// MaxCapacity estimates the largest demand (QPS) in [lo, hi] the cluster can
+// fully serve, by bisecting on whether Allocate returns an unsaturated plan
+// (under the allocator's own MinPathAccuracy, if any). Admission-fronted
+// tenants take it as their planning demand cap.
 func (a *Allocator) MaxCapacity(lo, hi float64) float64 {
 	for i := 0; i < 24 && hi-lo > 0.5; i++ {
 		mid := (lo + hi) / 2

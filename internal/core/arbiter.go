@@ -187,6 +187,14 @@ func encodeCaps(caps []int) string {
 	return b.String()
 }
 
+// maxCachedPlans bounds a tenant's plan cache. Grant vectors on a contended
+// multi-class pool do not repeat, so over the life of a serving process the
+// keys never stop coming; the map is cleared wholesale when full rather than
+// tracking recency. The bound is far above what a run revisits: no tier-1
+// test and none of the plan-fleet, plan-milp and sim-shared benchmark
+// workloads reaches 32 entries in one tenant.
+const maxCachedPlans = 256
+
 // legacyBucketRatio is the single-pipeline plan-cache granularity (≈4%).
 // It predates the threshold-consistent quantization and is kept for the
 // single-tenant paths so their seeded runs stay bit-for-bit reproducible
@@ -230,6 +238,9 @@ func (t *Tenant) solve(demand float64, caps []int, ratio float64) (*Plan, error)
 		return nil, err
 	}
 	if !t.CacheDisabled {
+		if len(t.cache) >= maxCachedPlans {
+			clear(t.cache)
+		}
 		t.cache[key] = cachedPlan{plan: plan, fineBucket: fine}
 	}
 	t.allocates++

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -229,3 +231,52 @@ func TestMultiControllerValidation(t *testing.T) {
 type plannerOnly struct{}
 
 func (plannerOnly) Allocate(float64) (*Plan, error) { return &Plan{}, nil }
+
+// cappedStub is a planner that costs nothing and remembers how often it ran.
+type cappedStub struct{ calls int }
+
+func (p *cappedStub) Allocate(demand float64) (*Plan, error) {
+	p.calls++
+	return &Plan{Demand: demand}, nil
+}
+
+func (p *cappedStub) AllocateCapped(demand float64, caps []int) (*Plan, error) {
+	p.calls++
+	return &Plan{Demand: demand, ServersByClass: append([]int(nil), caps...)}, nil
+}
+
+// A tenant's plan cache is keyed by (demand bucket, grant vector), and on a
+// contended multi-class pool grant vectors do not repeat: over a long
+// drifting walk the cache must stay within its bound, and keep answering
+// repeats from memory after it has been cleared.
+func TestTenantCacheIsBounded(t *testing.T) {
+	stub := &cappedStub{}
+	tn := &Tenant{Name: "drift", Alloc: stub}
+	rng := rand.New(rand.NewSource(23))
+	demand := 400.0
+	caps := []int{40, 80, 80}
+	seen := map[tenantPlanKey]bool{}
+	for round := 0; round < 6000; round++ {
+		demand = math.Min(math.Max(demand*(0.97+0.06*rng.Float64()), 50), 5000)
+		for cl := range caps {
+			caps[cl] = max(1, caps[cl]+rng.Intn(5)-2)
+		}
+		if _, err := tn.solve(demand, caps, 1.2); err != nil {
+			t.Fatal(err)
+		}
+		seen[planKey(demandBucket(demand, 1.2), caps)] = true
+		if len(tn.cache) > maxCachedPlans {
+			t.Fatalf("round %d: plan cache holds %d entries, bound %d", round, len(tn.cache), maxCachedPlans)
+		}
+	}
+	if len(seen) < 4*maxCachedPlans {
+		t.Fatalf("walk visited %d distinct keys; it must overflow the bound (%d) several times to test it", len(seen), maxCachedPlans)
+	}
+	calls := stub.calls
+	if _, err := tn.solve(demand, caps, 1.2); err != nil {
+		t.Fatal(err)
+	}
+	if stub.calls != calls {
+		t.Fatal("repeating the last solve reached the planner: the cache stopped answering")
+	}
+}

@@ -10,7 +10,7 @@ import (
 // config path per sink — consistent at shared tasks, so every consistency
 // constraint holds by construction — and sizes replica counts by ceiling
 // division, producing an integer-feasible point in the step model's exact
-// variable layout. solveStep hands that point to the branch and bound as a
+// column layout. solveStep hands that point to the branch and bound as a
 // warm start (where the MILP's contract guarantees it never displaces an
 // equally good search result), and the arbiter's greedy-replace budget can
 // use the same machinery to refresh a barely-moved tenant's plan without any
@@ -22,35 +22,32 @@ import (
 // MILP runs unseeded.
 const greedyAttemptBudget = 2048
 
-// greedySeed builds an integer-feasible point for the (demand, step) model in
-// bl's variable layout ([0,P) path flows, [P] the served fraction f, replica
-// counts above). It returns nil when no fitting path combination was found
-// within the attempt budget; callers treat that as "no seed", never as proof
-// of infeasibility. Deterministic for a given (demand, step, model).
-func (a *Allocator) greedySeed(demand float64, step stepKind, bl *builtLP) []float64 {
+// greedySeed builds an integer-feasible point for the step's model at the
+// given demand and this view's class counts, in m's column layout. It reads
+// only the layout, so m need not have been set for the demand. It returns nil
+// when no fitting path combination was found within the attempt budget;
+// callers treat that as "no seed", never as proof of infeasibility.
+// Deterministic for a given (demand, step, counts).
+func (a *Allocator) greedySeed(demand float64, step stepKind, m *stepModel) []float64 {
 	fixedCost := step == stepHardware || step == stepHardwareSat
 
 	// Estimated cost per path at full demand: fractional replicas weighted by
 	// class dollar rate on priced fleets. This orders candidates; exact
 	// integer sizing happens in greedyAssemble.
 	cost := make([]float64, len(a.paths))
-	usable := make([]bool, len(a.paths))
 	for pi := range a.paths {
+		if m.pathVar[pi] < 0 {
+			continue
+		}
 		pth := &a.paths[pi]
-		ok := true
 		c := 0.0
 		for h, ci := range pth.cfgs {
-			if bl.cfgVar[ci] < 0 {
-				ok = false
-				break
-			}
 			w := 1.0
 			if a.priced {
 				w = a.classes[a.cfgs[ci].class].CostPerHour + serverCostEps
 			}
 			c += w * demand * pth.mults[h] / a.cfgs[ci].qps
 		}
-		usable[pi] = ok
 		cost[pi] = c
 	}
 
@@ -61,7 +58,7 @@ func (a *Allocator) greedySeed(demand float64, step stepKind, bl *builtLP) []flo
 	cands := make([][]int, len(a.sinks))
 	for s := range a.sinks {
 		for _, pi := range a.pathsBySink[s] {
-			if usable[pi] {
+			if m.pathVar[pi] >= 0 {
 				cands[s] = append(cands[s], pi)
 			}
 		}
@@ -93,7 +90,7 @@ func (a *Allocator) greedySeed(demand float64, step stepKind, bl *builtLP) []flo
 	var pick func(s int) []float64
 	pick = func(s int) []float64 {
 		if s == len(a.sinks) {
-			return a.greedyAssemble(demand, step, bl, chosen)
+			return a.greedyAssemble(demand, step, m, chosen)
 		}
 		for _, pi := range cands[s] {
 			if attempts >= greedyAttemptBudget {
@@ -132,10 +129,8 @@ func (a *Allocator) greedySeed(demand float64, step stepKind, bl *builtLP) []flo
 
 // greedyAssemble sizes a chosen path combo into a full solution vector, or
 // nil when no served fraction makes its replicas fit the per-class budgets.
-func (a *Allocator) greedyAssemble(demand float64, step stepKind, bl *builtLP, chosen []int) []float64 {
+func (a *Allocator) greedyAssemble(demand float64, step stepKind, m *stepModel, chosen []int) []float64 {
 	saturating := step == stepSaturation || step == stepHardwareSat
-	P := len(a.paths)
-	fVar := P
 
 	// Demand arriving at each chosen config at f=1. The combo is consistent
 	// at shared tasks, so every chosen path that visits a config reports the
@@ -166,7 +161,7 @@ func (a *Allocator) greedyAssemble(demand float64, step stepKind, bl *builtLP, c
 				continue
 			}
 			for _, ci := range a.byTask[t] {
-				if bl.cfgVar[ci] >= 0 {
+				if m.cfgVar[ci] >= 0 {
 					used[ci] = true
 					break
 				}
@@ -175,7 +170,7 @@ func (a *Allocator) greedyAssemble(demand float64, step stepKind, bl *builtLP, c
 	}
 
 	try := func(f float64) ([]float64, bool) {
-		x := make([]float64, bl.nvars)
+		x := make([]float64, m.prob.NumVars)
 		totals := make([]int, len(a.classes))
 		for ci := range a.cfgs {
 			if !used[ci] {
@@ -188,7 +183,7 @@ func (a *Allocator) greedyAssemble(demand float64, step stepKind, bl *builtLP, c
 			if n < 0 {
 				n = 0
 			}
-			x[bl.cfgVar[ci]] = float64(n)
+			x[m.cfgVar[ci]] = float64(n)
 			totals[a.cfgs[ci].class] += n
 		}
 		for cl, n := range totals {
@@ -196,9 +191,9 @@ func (a *Allocator) greedyAssemble(demand float64, step stepKind, bl *builtLP, c
 				return nil, false
 			}
 		}
-		x[fVar] = f
+		x[m.fVar] = f
 		for _, pi := range chosen {
-			x[pi] = f
+			x[m.pathVar[pi]] = f
 		}
 		return x, true
 	}
@@ -267,15 +262,12 @@ func (a *Allocator) GreedyAllocate(demand float64, caps []int) (*Plan, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, step := range []stepKind{stepHardware, stepAccuracy} {
-		bl := al.builtFor(d, step)
-		for cl, row := range bl.clusterRows {
-			bl.prob.Cons[row].RHS = float64(al.counts[cl])
-		}
-		x := al.greedySeed(d, step, bl)
+		m := al.modelFor(step)
+		x := al.greedySeed(d, step, m)
 		if x == nil {
 			continue
 		}
-		plan := al.extractPlan(x, bl.useCfg, bl.cfgVar, len(al.paths), d, step)
+		plan := al.extractPlan(x, m, d, step)
 		plan.SolveStats = SolveStats{Step: int(step), Greedy: true}
 		st.greedyPlans++
 		return plan, true

@@ -9,29 +9,27 @@ import (
 	"loki/internal/milp"
 )
 
-// greedySeedFor builds the (demand, step) model and runs the greedy first
-// pass against it, returning the model and the seed (nil when the greedy
-// found no fitting combo).
-func greedySeedFor(t *testing.T, a *Allocator, demand float64, step stepKind) (*builtLP, []float64) {
+// greedySeedFor sets the step's model for the demand and runs the greedy
+// first pass against it, returning the model and the seed (nil when the
+// greedy found no fitting combo).
+func greedySeedFor(t *testing.T, a *Allocator, demand float64, step stepKind) (*stepModel, []float64) {
 	t.Helper()
 	st := a.state
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	bl := a.builtFor(demand, step)
-	for cl, row := range bl.clusterRows {
-		bl.prob.Cons[row].RHS = float64(a.counts[cl])
-	}
-	return bl, a.greedySeed(demand, step, bl)
+	m := a.modelFor(step)
+	m.set(demand, a.counts)
+	return m, a.greedySeed(demand, step, m)
 }
 
 // verifyModelPoint checks x against every constraint of the step model, the
 // integrality of every replica-count variable, and the per-class server
 // budgets.
-func verifyModelPoint(t *testing.T, a *Allocator, bl *builtLP, x []float64) {
+func verifyModelPoint(t *testing.T, a *Allocator, m *stepModel, x []float64) {
 	t.Helper()
 	const tol = 1e-6
-	if len(x) != bl.nvars {
-		t.Fatalf("seed has %d vars, model has %d", len(x), bl.nvars)
+	if len(x) != m.prob.NumVars {
+		t.Fatalf("seed has %d vars, model has %d", len(x), m.prob.NumVars)
 	}
 	for j, v := range x {
 		if v < -tol {
@@ -39,7 +37,7 @@ func verifyModelPoint(t *testing.T, a *Allocator, bl *builtLP, x []float64) {
 		}
 	}
 	totals := make([]int, len(a.classes))
-	for ci, vi := range bl.cfgVar {
+	for ci, vi := range m.cfgVar {
 		if vi < 0 {
 			continue
 		}
@@ -54,7 +52,7 @@ func verifyModelPoint(t *testing.T, a *Allocator, bl *builtLP, x []float64) {
 			t.Fatalf("class %d uses %d replicas, budget %d", cl, n, a.counts[cl])
 		}
 	}
-	for i, c := range bl.prob.Cons {
+	for i, c := range m.prob.Cons {
 		lhs := 0.0
 		for _, tm := range c.Terms {
 			lhs += tm.Coef * x[tm.Var]
@@ -92,12 +90,12 @@ func TestGreedySeedFeasible(t *testing.T) {
 	for _, tc := range allocs {
 		for _, d := range []float64{0, 35, 90, 180, 400, 900} {
 			for _, step := range steps {
-				bl, x := greedySeedFor(t, tc.a, d, step)
+				m, x := greedySeedFor(t, tc.a, d, step)
 				if x == nil {
 					continue
 				}
 				seeded++
-				verifyModelPoint(t, tc.a, bl, x)
+				verifyModelPoint(t, tc.a, m, x)
 			}
 		}
 	}
@@ -114,18 +112,12 @@ func TestGreedyWarmStartProofParity(t *testing.T) {
 	a := treeAllocator(t, 20, 0.250)
 	seeded := false
 	for _, d := range []float64{40, 110, 230} {
-		bl, gx := greedySeedFor(t, a, d, stepHardware)
+		m, gx := greedySeedFor(t, a, d, stepHardware)
 		if gx == nil {
 			continue
 		}
 		seeded = true
-		mask := make([]bool, bl.nvars)
-		for _, vi := range bl.cfgVar {
-			if vi >= 0 {
-				mask[vi] = true
-			}
-		}
-		prob := &milp.Problem{LP: bl.prob, Integer: mask}
+		prob := &milp.Problem{LP: m.prob, Integer: m.integer}
 		cold, err := milp.SolveWithOptions(prob, milp.Options{ObjIntegral: true})
 		if err != nil {
 			t.Fatal(err)

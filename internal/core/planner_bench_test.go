@@ -123,8 +123,8 @@ func TestTenantCacheHitNoAlloc(t *testing.T) {
 
 // BenchmarkAllocateCapped measures capped re-solves at a fixed demand over
 // cycling server budgets — the contention workload the arbiter generates —
-// which is where the (demand, step) model memo pays: only the cluster
-// row's RHS changes between iterations on the reuse path.
+// where only the cluster row's RHS changes between iterations on the reuse
+// path, while the cold path builds a step model per solve.
 func BenchmarkAllocateCapped(b *testing.B) {
 	caps := []int{12, 14, 10, 16, 13}
 	for _, mode := range []struct {

@@ -50,7 +50,7 @@ func TestCappedSolveReusesBuiltModel(t *testing.T) {
 	}
 }
 
-// TestReusePreservesPlans drives the warm/memoized allocator and a
+// TestReusePreservesPlans drives the warm, model-reusing allocator and a
 // from-scratch one through the same demand walk (all solves deterministic —
 // generous time limit) and requires identical plans throughout, including
 // capped re-solves. This is the allocator-level statement of the PR's

@@ -8,22 +8,22 @@ import (
 
 // solverState is the Allocator's reusable solving machinery, shared between
 // an allocator and every Capped view derived from it (the views differ only
-// in the per-class server bounds, which are RHS values). It memoizes built
-// LP models per (demand, step) — the arbiter's capacity-splitting loop
-// solves the same demand under several grant vectors, and only the class
-// capacity rows' RHS differ between those solves — remembers the last
-// solution per optimization step as a warm start for the next adaptation
-// round, and recycles the LP tableau buffers across every solve.
+// in the per-class server bounds, which are RHS values). It holds one step
+// model per optimization step, built the first time the step is solved and
+// from then on patched in place for each solve's demand and class counts;
+// the last solution per step, as a warm start for the next adaptation
+// round; and the LP tableau buffers, recycled across every solve.
 //
 // All access is serialized by mu, which makes an Allocator (and its capped
-// views) safe for concurrent use; the multi-tenant arbiter's parallel
+// views) safe for concurrent use — and is what lets a solve rewrite the
+// shared model's coefficients; the multi-tenant arbiter's parallel
 // per-tenant solves rely on tenants owning distinct allocators, so the lock
 // is uncontended on the hot path.
 type solverState struct {
-	mu    sync.Mutex
-	ws    lp.Workspace
-	built map[builtKey]*builtLP
-	lastX map[stepKind][]float64
+	mu     sync.Mutex
+	ws     lp.Workspace
+	models [stepHardwareSat + 1]*stepModel // by stepKind; nil until first use
+	lastX  map[stepKind][]float64
 
 	milpSolves  int
 	modelBuilds int
@@ -31,43 +31,17 @@ type solverState struct {
 	greedyPlans int
 }
 
-// builtKey identifies a built LP model: the exact demand (capacity-row
-// coefficients scale with it) and the optimization step (variable layout and
-// objective). The per-class server bounds are deliberately absent — they are
-// swapped on the shared model per solve.
-type builtKey struct {
-	demand float64
-	step   stepKind
-}
-
-// builtLP is one constructed step model plus the metadata needed to extract
-// plans from its solution vectors.
-type builtLP struct {
-	useCfg      []bool
-	cfgVar      []int
-	nvars       int
-	clusterRows []int // per-class capacity rows, in class order
-	prob        *lp.Problem
-}
-
-// maxBuiltModels bounds the model memo; demand levels churn continuously in
-// a serving system, so the map is cleared wholesale when full rather than
-// tracking recency.
-const maxBuiltModels = 64
-
 func newSolverState() *solverState {
-	return &solverState{
-		built: map[builtKey]*builtLP{},
-		lastX: map[stepKind][]float64{},
-	}
+	return &solverState{lastX: map[stepKind][]float64{}}
 }
 
 // SolverPerf aggregates the allocator's solver-level effort counters.
 type SolverPerf struct {
 	// MILPSolves counts branch-and-bound invocations.
 	MILPSolves int
-	// ModelBuilds and ModelReuses count LP model constructions and
-	// (demand, step) memo hits.
+	// ModelBuilds counts step-model constructions — in steady state one per
+	// optimization step the allocator has ever solved — and ModelReuses the
+	// solves and greedy passes that found their step's model already built.
 	ModelBuilds, ModelReuses int
 	// GreedyPlans counts plans served by the greedy pass alone (no branch
 	// and bound at all) through GreedyAllocate.
@@ -87,25 +61,20 @@ func (a *Allocator) Perf() SolverPerf {
 	}
 }
 
-// builtFor returns the memoized model for (demand, step), building it on a
-// miss. Callers hold st.mu.
-func (a *Allocator) builtFor(demand float64, step stepKind) *builtLP {
+// modelFor returns the step's model, building it on first use (or on every
+// call under DisableReuse). The model's demand coefficients and class
+// budgets are whatever the last solve left; callers that hand it to a solver
+// call set first. Callers hold st.mu.
+func (a *Allocator) modelFor(step stepKind) *stepModel {
 	st := a.state
-	key := builtKey{demand: demand, step: step}
-	if !a.Opts.DisableReuse {
-		if bl, ok := st.built[key]; ok {
-			st.modelReuses++
-			return bl
-		}
+	if m := st.models[step]; m != nil {
+		st.modelReuses++
+		return m
 	}
-	useCfg, cfgVar, nvars, clusterRows, prob := a.buildLP(demand, step)
-	bl := &builtLP{useCfg: useCfg, cfgVar: cfgVar, nvars: nvars, clusterRows: clusterRows, prob: prob}
+	m := a.buildStepModel(step)
 	st.modelBuilds++
 	if !a.Opts.DisableReuse {
-		if len(st.built) >= maxBuiltModels {
-			clear(st.built)
-		}
-		st.built[key] = bl
+		st.models[step] = m
 	}
-	return bl
+	return m
 }

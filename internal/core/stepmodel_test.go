@@ -1,0 +1,284 @@
+package core
+
+import (
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"loki/internal/lp"
+	"loki/internal/pipeline"
+	"loki/internal/profiles"
+)
+
+// pinAllocator is the fixture of the pin tests below: one of the two paper
+// pipelines on 20 homogeneous servers, or the plan-fleet cell's 3-class
+// traffic chain on 1,000. Solve limits are generous and the stall cutoff is
+// off, so every step-1 search ends by proof.
+func pinAllocator(t testing.TB, name string) *Allocator {
+	t.Helper()
+	opts := AllocatorOptions{
+		Servers: 20, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
+		SolveTimeLimit: 30 * time.Second, DisableStall: true,
+	}
+	var g *pipeline.Graph
+	var meta *MetadataStore
+	switch name {
+	case "traffic-analysis", "social-media":
+		g = profiles.TrafficTree()
+		if name == "social-media" {
+			g = profiles.SocialMedia()
+		}
+		meta = NewMetadataStore(g, (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches), 0.250, profiles.Batches)
+	case "fleet-chain":
+		g = profiles.TrafficChain()
+		classes := []profiles.Class{
+			{Name: "fast", Count: 200, Speed: 2.0},
+			{Name: "mid", Count: 400, Speed: 1.0},
+			{Name: "slow", Count: 400, Speed: 0.5},
+		}
+		prof := (&profiles.Profiler{Seed: 11}).ProfileGraphClasses(g, profiles.Batches, classes)
+		meta = NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
+		opts.Servers = 1000
+	default:
+		t.Fatalf("unknown pin allocator %q", name)
+	}
+	a, err := NewAllocator(meta, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// hashProblem is FNV-1a over everything a solver reads of p, in order: the
+// column count, direction and objective, then per row the sense, right-hand
+// side and each term's column and coefficient bits.
+func hashProblem(p *lp.Problem) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		for i := range buf {
+			buf[i] = byte(v >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	put(uint64(p.NumVars))
+	if p.Maximize {
+		put(1)
+	} else {
+		put(0)
+	}
+	for _, c := range p.Obj {
+		put(math.Float64bits(c))
+	}
+	put(uint64(len(p.Cons)))
+	for _, c := range p.Cons {
+		put(uint64(c.Sense))
+		put(math.Float64bits(c.RHS))
+		put(uint64(len(c.Terms)))
+		for _, t := range c.Terms {
+			put(uint64(t.Var))
+			put(math.Float64bits(t.Coef))
+		}
+	}
+	return h.Sum64()
+}
+
+// setModel returns a's model of the step, set for the demand and a's counts.
+func setModel(a *Allocator, demand float64, step stepKind) *stepModel {
+	a.state.mu.Lock()
+	defer a.state.mu.Unlock()
+	m := a.modelFor(step)
+	m.set(demand, a.counts)
+	return m
+}
+
+// The accuracy-scaling and saturation models of the benchmark pipelines have
+// no unusable path, so compacting the layout must not move a bit of them: the
+// admission cap (MaxCapacity) and every recorded golden past the hardware
+// limit depend on which vertex those searches stop at. The hashes were
+// recorded from the per-(demand, step) builder this model replaced, at the
+// commit before it was removed. Each demand is hashed on one model, patched
+// from the previous demand, and again on a fresh one.
+func TestStepModelsMatchRecordedHashes(t *testing.T) {
+	type pin struct {
+		demand           float64
+		rows, vars       int
+		accuracy, satur8 uint64
+	}
+	pins := map[string][]pin{
+		"traffic-analysis": {
+			{150, 65, 319, 0xd7d480942e038708, 0x5bf8a3bd864772ad},
+			{611.5, 65, 319, 0xe5779ea9332a1090, 0x9d92ab60bb171fad},
+			{1437.25, 65, 319, 0xc7730bfb49c4b938, 0x67b406531b3c72d5},
+		},
+		"social-media": {
+			{150, 74, 258, 0x196b3ad6b80c6e69, 0xb8fe4844adcac110},
+			{611.5, 74, 258, 0x3d003e4539e849f7, 0xc982919cca6e73d2},
+			{1437.25, 74, 258, 0xd517d814b0b2c4dd, 0x4212c4f7e73ab1a8},
+		},
+		"fleet-chain": {
+			{910, 128, 635, 0x5df28dfd5ecaa9aa, 0xd8285439c9411b63},
+		},
+	}
+	for name, ps := range pins {
+		a := pinAllocator(t, name)
+		for _, p := range ps {
+			for step, want := range map[stepKind]uint64{stepAccuracy: p.accuracy, stepSaturation: p.satur8} {
+				patched := setModel(a, p.demand, step).prob
+				fresh := a.buildStepModel(step)
+				fresh.set(p.demand, a.counts)
+				for how, prob := range map[string]*lp.Problem{"patched": patched, "fresh": fresh.prob} {
+					if len(prob.Cons) != p.rows || prob.NumVars != p.vars {
+						t.Errorf("%s step %d demand %v (%s): %d rows × %d columns, recorded %d × %d",
+							name, step, p.demand, how, len(prob.Cons), prob.NumVars, p.rows, p.vars)
+					}
+					if got := hashProblem(prob); got != want {
+						t.Errorf("%s step %d demand %v (%s): model hash %#x, recorded %#x",
+							name, step, p.demand, how, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The hardware-scaling model sheds its unusable paths — 497 of the fleet
+// cell's 513 — and must still prove the same optimum: the server count over
+// a 40-point demand sweep equals what the padded model proved at the commit
+// before it was removed (-1: the demand does not fit at full accuracy). The
+// sizes pin the compaction itself.
+func TestHardwareOptimumMatchesRecorded(t *testing.T) {
+	pins := []struct {
+		name       string
+		lo, hi     float64
+		rows, vars int
+		servers    [40]int
+	}{
+		{"traffic-analysis", 10, 700, 18, 16, [40]int{
+			3, 3, 3, 4, 4, 4, 5, 6, 6, 7, 7, 7, 9, 10, 10, 10, 11, 11, 11, 12,
+			13, 13, 14, 14, 15, 16, 16, 17, 18, 18, 18, 19, 19, 19, -1, -1, -1, -1, -1, -1}},
+		{"social-media", 10, 700, 16, 15, [40]int{
+			2, 2, 2, 3, 3, 3, 3, 4, 5, 5, 5, 6, 6, 6, 7, 7, 8, 8, 9, 9,
+			9, 10, 10, 11, 11, 12, 12, 12, 13, 13, 13, 14, 15, 15, 15, 16, 16, 16, 17, 17}},
+		{"fleet-chain", 50, 30000, 23, 33, [40]int{
+			2, 11, 22, 32, 42, 52, 62, 72, 82, 92, 102, 112, 122, 132, 142, 153, 162, 173, 182, 193,
+			205, 225, 245, 266, 286, 307, 327, 347, 367, 387, 408, 428, 449, 468, 489, 509, 529, 550, 570, 590}},
+	}
+	for _, p := range pins {
+		a := pinAllocator(t, p.name)
+		for i, want := range p.servers {
+			d := p.lo + (p.hi-p.lo)*float64(i)/39
+			plan, ok, err := a.solveStep(d, stepHardware)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := -1
+			if ok {
+				got = plan.ServersUsed
+				if !plan.SolveStats.Proven {
+					t.Errorf("%s demand %.1f: step-1 optimum not proven", p.name, d)
+				}
+			}
+			if got != want {
+				t.Errorf("%s demand %.1f: step-1 optimum %d servers, recorded %d", p.name, d, got, want)
+			}
+		}
+		if prob := setModel(a, p.lo, stepHardware).prob; len(prob.Cons) != p.rows || prob.NumVars != p.vars {
+			t.Errorf("%s step-1 model is %d rows × %d columns, want %d × %d",
+				p.name, len(prob.Cons), prob.NumVars, p.rows, p.vars)
+		}
+	}
+}
+
+// http-overload's operating point is its admission cap, MaxCapacity, which
+// depends on which accuracy-scaling searches find an incumbent inside the
+// serving solve limit. The options are tenancy.go's.
+func TestMaxCapacityPinned(t *testing.T) {
+	g := profiles.TrafficTree()
+	meta := NewMetadataStore(g, (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches), 0.250, profiles.Batches)
+	a, err := NewAllocator(meta, AllocatorOptions{
+		Servers: 20, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
+		SolveTimeLimit: 500 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.MaxCapacity(0, 20000); math.Abs(got-1513) > 1 {
+		t.Fatalf("MaxCapacity = %.2f qps, want 1513 ± 1", got)
+	}
+}
+
+// Steady state: once a step has been solved, no demand, grant or greedy pass
+// builds a model again.
+func TestStepModelsBuiltOnce(t *testing.T) {
+	for _, name := range []string{"traffic-analysis", "fleet-chain"} {
+		a := pinAllocator(t, name)
+		a.Opts.SolveTimeLimit = 500 * time.Millisecond
+		a.Opts.DisableStall = false
+		full := append([]int(nil), a.counts...)
+		// First use of every step: hardware scaling, accuracy scaling,
+		// saturation (a pool one server above the keep-warm minimum).
+		tight := make([]int, len(full))
+		tight[len(tight)-1] = len(a.byTask) + 1
+		for _, warm := range []struct {
+			demand float64
+			caps   []int
+		}{{100, full}, {100000, full}, {100000, tight}} {
+			if _, err := a.AllocateCapped(warm.demand, warm.caps); err != nil {
+				t.Fatal(err)
+			}
+		}
+		builds := a.Perf().ModelBuilds
+		if builds != 3 {
+			t.Fatalf("%s: %d models built for three steps", name, builds)
+		}
+		rng := rand.New(rand.NewSource(17))
+		for i := 0; i < 200; i++ {
+			demand := 20 + 600*rng.Float64()
+			caps := make([]int, len(full))
+			for cl, n := range full {
+				caps[cl] = n/2 + rng.Intn(n/2+1)
+			}
+			var err error
+			switch i % 3 {
+			case 0:
+				_, err = a.Allocate(demand)
+			case 1:
+				_, err = a.AllocateCapped(demand, caps)
+			default:
+				a.GreedyAllocate(demand, caps)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := a.Perf().ModelBuilds; got != builds {
+			t.Errorf("%s: 200 solves at fresh demands and grants built %d more models", name, got-builds)
+		}
+	}
+}
+
+// A greedy-served call allocates the plan and the greedy pass's scratch (27
+// objects on the fleet cell when this was written), nothing that scales with
+// a model build — 737 with the per-demand builder this model replaced.
+func TestGreedyAllocateAllocs(t *testing.T) {
+	a := pinAllocator(t, "fleet-chain")
+	caps := []int{40, 80, 80}
+	if _, ok := a.GreedyAllocate(700, caps); !ok {
+		t.Fatal("greedy pass found no plan on the fleet cell")
+	}
+	demand := 700.0
+	allocs := testing.AllocsPerRun(50, func() {
+		demand *= 1.003
+		if plan, ok := a.GreedyAllocate(demand, caps); !ok || !plan.SolveStats.Greedy {
+			t.Fatal("greedy pass stopped serving")
+		}
+	})
+	const ceiling = 40
+	if allocs > ceiling {
+		t.Fatalf("GreedyAllocate: %.0f allocations per call, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("GreedyAllocate: %.0f allocations per call", allocs)
+}

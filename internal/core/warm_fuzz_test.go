@@ -35,8 +35,9 @@ func FuzzStepModelWarmBounds(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, pipe, step uint8, demand uint16, script []byte) {
 		a := allocs[int(pipe)%len(allocs)]
-		_, _, _, _, prob := a.buildLP(float64(demand), steps[int(step)%len(steps)])
-		if err := lptest.CheckWarm(prob, script); err != nil {
+		m := a.buildStepModel(steps[int(step)%len(steps)])
+		m.set(float64(demand), a.counts)
+		if err := lptest.CheckWarm(m.prob, script); err != nil {
 			t.Fatalf("pipeline %d step %d demand %d: %v", int(pipe)%len(allocs), int(step)%len(steps), demand, err)
 		}
 	})

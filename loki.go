@@ -333,7 +333,7 @@ func WithMinAccuracy(a float64) Option { return func(c *config) { c.minAcc = a }
 
 // WithPlannerCache toggles the Resource Manager's fast planning path
 // (default on): the per-pipeline plan cache over quantized demand levels,
-// the memoized LP models that capped re-solves share with the desire pass,
+// the step models every solve of a pipeline patches instead of rebuilding,
 // the warm-start seeds carried from one adaptation round to the next, and
 // the stall cutoff on wall-clock-budgeted searches. Proof-terminated
 // solves return identical plans either way; gap-terminated solves follow

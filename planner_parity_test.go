@@ -9,7 +9,7 @@ import (
 )
 
 // TestPlannerFastPathParity pins the fast planning path (plan cache, model
-// memo, warm starts, parallel per-tenant solves — all default-on) to the
+// reuse, warm starts, parallel per-tenant solves — all default-on) to the
 // sequential from-scratch path on the golden serving scenarios: the whole
 // Report, time series included, must be byte-identical with and without the
 // escape hatches. These scenarios keep every MILP in its deterministic
