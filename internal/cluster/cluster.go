@@ -73,9 +73,10 @@ type Cluster struct {
 	g       *pipeline.Graph
 	rng     *rand.Rand
 	workers []*worker
+	rec     *core.Reconciler // which spec sits on which physical worker
+	names   [][]string       // [task][variant] → "task/variant", the telemetry row's label
 	logical map[core.WorkerID]*worker
 	routes  *core.Routes
-	plan    *core.Plan
 
 	backupLeft map[core.WorkerID]float64
 	minTail    []float64 // per task: fastest possible time to finish its subtree
@@ -111,11 +112,11 @@ type worker struct {
 	swapUntil float64
 	qcap      int
 
-	// Fault state: a down worker is invisible to plan claiming and active
-	// counts; gen increments on every crash so a stale completion closure
-	// can tell its batch died with the old incarnation.
-	down bool
-	gen  int
+	// Fault state: whether the worker is down is the Reconciler's to know
+	// (it skips down workers when placing); gen increments on every crash so
+	// a stale completion closure can tell its batch died with the old
+	// incarnation.
+	gen int
 
 	// Heartbeat accumulators: inputs executed and outputs emitted.
 	hbIn, hbOut int
@@ -163,6 +164,8 @@ func New(eng *sim.Engine, meta *core.MetadataStore, pol policy.Policy, col *metr
 		Metrics:    col,
 		g:          meta.Graph(),
 		rng:        rand.New(rand.NewSource(opts.Seed)),
+		rec:        core.NewReconciler(opts.Classes),
+		names:      core.AssignedNames(meta.Graph()),
 		logical:    map[core.WorkerID]*worker{},
 		backupLeft: map[core.WorkerID]float64{},
 	}
@@ -210,15 +213,7 @@ func New(eng *sim.Engine, meta *core.MetadataStore, pol policy.Policy, col *metr
 }
 
 // ActiveServers returns the number of workers currently hosting a model.
-func (c *Cluster) ActiveServers() int {
-	n := 0
-	for _, w := range c.workers {
-		if w.spec != nil {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cluster) ActiveServers() int { return c.rec.Placed() }
 
 // ActiveByClass returns the number of workers currently hosting a model in
 // each hardware class, in class order.
@@ -260,70 +255,34 @@ func (c *Cluster) FlushTaskArrivals() []int {
 }
 
 // ApplyPlan reconfigures the cluster to a new plan and routing tables (the
-// Resource Manager adjusting worker↔variant assignments, §3). Workers that
-// keep their exact configuration are untouched; workers that change variant
-// or batch size stall for SwapLatencySec; workers whose task changes also
-// forfeit their queued requests.
+// Resource Manager adjusting worker↔variant assignments, §3). Placement is
+// core.Reconciler's (shared with the wall-clock engine): workers that keep
+// their exact configuration are untouched and unchanged replicas keep serving
+// through the reconfiguration. What is simulated here is the effect on each
+// worker that held or receives a spec: a change of variant or batch size
+// stalls it for SwapLatencySec, and a change of task (or a shutdown) also
+// forfeits its queued requests.
 func (c *Cluster) ApplyPlan(plan *core.Plan, routes *core.Routes) {
 	now := c.Eng.Now()
-	c.plan = plan
 	c.routes = routes
 
-	key := func(s *core.WorkerSpec) string {
-		return fmt.Sprintf("%d/%d/%d/%d", s.Task, s.Variant, s.MaxBatch, s.Class)
-	}
-	// Claim physical workers whose current config matches a spec, so
-	// unchanged replicas keep serving through the reconfiguration. A spec
-	// only ever lands on a worker of its own hardware class — swaps happen
-	// within a class, never across.
-	claimed := make([]bool, len(c.workers))
-	assign := make([]*core.WorkerSpec, len(c.workers))
-	var unmatched []*core.WorkerSpec
-	for i := range routes.Specs {
-		s := &routes.Specs[i]
-		found := false
-		for wi, w := range c.workers {
-			if !claimed[wi] && !w.down && w.spec != nil && key(w.spec) == key(s) {
-				claimed[wi] = true
-				assign[wi] = s
-				found = true
-				break
-			}
-		}
-		if !found {
-			unmatched = append(unmatched, s)
-		}
-	}
-	for _, s := range unmatched {
-		for wi, w := range c.workers {
-			if !claimed[wi] && !w.down && w.class == s.Class {
-				claimed[wi] = true
-				assign[wi] = s
-				break
-			}
-		}
-	}
-
-	c.logical = make(map[core.WorkerID]*worker, len(routes.Specs))
-	for wi, w := range c.workers {
-		ns := assign[wi]
-		if ns != nil {
-			c.logical[ns.ID] = w
-		}
-		switch {
-		case ns == nil && w.spec == nil:
-			// stays idle
-		case ns == nil:
+	clear(c.logical)
+	for _, wi := range c.rec.Reconcile(routes.Specs) {
+		w, ns := c.workers[wi], c.rec.Held(wi)
+		if ns == nil {
 			// Server shut down (hardware scaling): queued requests at a
 			// vanishing worker are lost.
 			c.dropQueue(w)
 			w.spec = nil
-		case w.spec == nil || key(w.spec) != key(ns):
+			c.Opts.Telemetry.SetAssigned(now, w.phys, "")
+			continue
+		}
+		c.logical[ns.ID] = w
+		if w.spec == nil || !core.SameConfig(w.spec, ns) {
 			// New model (or batch limit) must be loaded.
 			if w.spec != nil && w.spec.Task != ns.Task {
 				c.dropQueue(w)
 			}
-			w.spec = ns
 			if c.Opts.SwapLatencySec > 0 {
 				w.swapUntil = now + c.Opts.SwapLatencySec
 				c.TotalSwaps++
@@ -331,32 +290,20 @@ func (c *Cluster) ApplyPlan(plan *core.Plan, routes *core.Routes) {
 				wq := w
 				c.Eng.At(w.swapUntil, func() { c.tryStart(wq) })
 			}
-			c.tryStart(w)
-		default:
-			w.spec = ns // same config, possibly new ID
-			c.tryStart(w)
 		}
-		if w.spec != nil {
-			w.qcap = c.queueCap(w.spec)
-		}
-		c.Opts.Telemetry.SetAssigned(now, w.phys, c.assignedName(w.spec))
+		w.spec = ns // same config: possibly a new ID
+		c.tryStart(w)
+		w.qcap = ns.QueueCap(c.Opts.QueueFactor, c.Opts.SLOSec)
+		c.Opts.Telemetry.SetAssigned(now, w.phys, c.names[ns.Task][ns.Variant])
 	}
 
 	// Refresh rerouting capacity from the new backup tables.
-	c.backupLeft = map[core.WorkerID]float64{}
+	clear(c.backupLeft)
 	for _, entries := range routes.Backup {
 		for _, e := range entries {
 			c.backupLeft[e.Worker] = e.Leftover
 		}
 	}
-}
-
-func (c *Cluster) queueCap(s *core.WorkerSpec) int {
-	byRate := int(math.Ceil(c.Opts.QueueFactor * s.QPS * c.Opts.SLOSec))
-	if m := 2 * s.MaxBatch; byRate < m {
-		byRate = m
-	}
-	return byRate
 }
 
 func (c *Cluster) dropQueue(w *worker) {
@@ -367,25 +314,15 @@ func (c *Cluster) dropQueue(w *worker) {
 	c.Opts.Telemetry.QueueCleared(c.Eng.Now(), w.phys)
 }
 
-// assignedName renders a spec as "task/variant" for the telemetry row, or ""
-// for an idle worker.
-func (c *Cluster) assignedName(s *core.WorkerSpec) string {
-	if s == nil {
-		return ""
-	}
-	return fmt.Sprintf("%s/%d", c.g.Tasks[s.Task].Name, s.Variant)
-}
-
 // SetWorkerDown crashes physical worker phys: queued requests are lost, the
 // in-flight batch (if any) is discarded when its completion timer fires, the
 // worker leaves the logical route table, and it stops counting toward class
 // capacity until SetWorkerUp. Idempotent.
 func (c *Cluster) SetWorkerDown(phys int) {
-	w := c.workers[phys]
-	if w.down {
+	if !c.rec.SetDown(phys, true) {
 		return
 	}
-	w.down = true
+	w := c.workers[phys]
 	w.gen++ // in-flight batch, if any, dies with the old incarnation
 	if w.spec != nil {
 		if c.logical[w.spec.ID] == w {
@@ -403,7 +340,7 @@ func (c *Cluster) SetWorkerDown(phys int) {
 // SetWorkerUp brings a crashed worker back as an idle server; the next
 // ApplyPlan may claim it again. Idempotent.
 func (c *Cluster) SetWorkerUp(phys int) {
-	c.workers[phys].down = false
+	c.rec.SetDown(phys, false)
 	c.Opts.Telemetry.SetDown(c.Eng.Now(), phys, false)
 }
 
@@ -477,7 +414,7 @@ func (c *Cluster) deliver(sub *subrequest, target core.WorkerID) {
 // that takes min(queue, maxBatch) requests immediately.
 func (c *Cluster) tryStart(w *worker) {
 	now := c.Eng.Now()
-	if w.busy || w.down || w.spec == nil || now < w.swapUntil || len(w.queue) == 0 {
+	if w.busy || w.spec == nil || now < w.swapUntil || len(w.queue) == 0 {
 		return
 	}
 	b := len(w.queue)

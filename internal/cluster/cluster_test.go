@@ -225,7 +225,7 @@ func TestQueueCapBoundsQueues(t *testing.T) {
 	if r.cl.DropsQueueFull == 0 {
 		t.Fatal("no queue-full drops under 10× overload")
 	}
-	cap0 := r.cl.queueCap(&core.WorkerSpec{QPS: 160, MaxBatch: 4})
+	cap0 := (&core.WorkerSpec{QPS: 160, MaxBatch: 4}).QueueCap(r.cl.Opts.QueueFactor, r.cl.Opts.SLOSec)
 	if maxQ > cap0 {
 		t.Fatalf("queue grew to %d, cap %d", maxQ, cap0)
 	}

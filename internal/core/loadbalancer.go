@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sort"
 
 	"loki/internal/pipeline"
@@ -29,6 +30,13 @@ type WorkerSpec struct {
 	LatencySec float64
 	Accuracy   float64
 	BudgetSec  float64
+}
+
+// QueueCap bounds a worker's queue at factor × QPS × SLO requests, and at
+// least two full batches; a request beyond it is hopeless and dropped at
+// enqueue.
+func (s *WorkerSpec) QueueCap(factor, sloSec float64) int {
+	return max(int(math.Ceil(factor*s.QPS*sloSec)), 2*s.MaxBatch)
 }
 
 // ExpandPlan flattens a plan into one WorkerSpec per replica, assigning

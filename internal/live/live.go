@@ -83,6 +83,8 @@ type Engine struct {
 	routes       *core.Routes
 	logical      map[core.WorkerID]*worker
 	workers      []*worker
+	rec          *core.Reconciler // which spec sits on which physical worker
+	names        [][]string       // [task][variant] → "task/variant", the telemetry row's label
 	backupLeft   map[core.WorkerID]float64
 	minTail      []float64
 	arrivals     int
@@ -124,11 +126,11 @@ type worker struct {
 	hbIn      int
 	hbOut     int
 
-	// Fault state (guarded by e.mu): a down worker is skipped by plan
-	// claiming; gen increments on every crash so the worker goroutine can
-	// tell that the batch it just executed died with the old incarnation.
-	down bool
-	gen  int
+	// Fault state (guarded by e.mu): whether the worker is down is the
+	// Reconciler's to know (it skips down workers when placing); gen
+	// increments on every crash so the worker goroutine can tell that the
+	// batch it just executed died with the old incarnation.
+	gen int
 }
 
 type rootReq struct {
@@ -181,6 +183,8 @@ func New(meta *core.MetadataStore, pol policy.Policy, col *metrics.Collector, op
 		opts:       opts,
 		g:          meta.Graph(),
 		rng:        rand.New(rand.NewSource(opts.Seed)),
+		rec:        core.NewReconciler(opts.Classes),
+		names:      core.AssignedNames(meta.Graph()),
 		logical:    map[core.WorkerID]*worker{},
 		backupLeft: map[core.WorkerID]float64{},
 	}
@@ -237,72 +241,40 @@ func (e *Engine) sleepScaled(d float64) {
 }
 
 // ApplyPlan installs a plan and routing tables (Controller publish target).
+// Placement is core.Reconciler's, shared with the simulator; this engine's
+// effects on each worker that held or receives a spec are to abandon its queue
+// when its task changes or it shuts down, and to wake its goroutine.
 func (e *Engine) ApplyPlan(plan *core.Plan, routes *core.Routes) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	now := e.now()
 	e.routes = routes
 
-	key := func(s *core.WorkerSpec) string {
-		return fmt.Sprintf("%d/%d/%d/%d", s.Task, s.Variant, s.MaxBatch, s.Class)
-	}
-	claimed := make([]bool, len(e.workers))
-	assign := make([]*core.WorkerSpec, len(e.workers))
-	var unmatched []*core.WorkerSpec
-	for i := range routes.Specs {
-		s := &routes.Specs[i]
-		found := false
-		for wi, w := range e.workers {
-			if !claimed[wi] && !w.down && w.spec != nil && key(w.spec) == key(s) {
-				claimed[wi] = true
-				assign[wi] = s
-				found = true
-				break
-			}
-		}
-		if !found {
-			unmatched = append(unmatched, s)
-		}
-	}
-	for _, s := range unmatched {
-		for wi, w := range e.workers {
-			if !claimed[wi] && !w.down && w.class == s.Class {
-				claimed[wi] = true
-				assign[wi] = s
-				break
-			}
-		}
-	}
-	e.logical = make(map[core.WorkerID]*worker, len(routes.Specs))
-	for wi, w := range e.workers {
-		ns := assign[wi]
-		if ns != nil {
-			e.logical[ns.ID] = w
-		}
-		if ns == nil && w.spec != nil {
+	clear(e.logical)
+	for _, wi := range e.rec.Reconcile(routes.Specs) {
+		w, ns := e.workers[wi], e.rec.Held(wi)
+		if w.spec != nil && (ns == nil || w.spec.Task != ns.Task) {
 			for _, sub := range w.queue {
 				e.abandonLocked(sub)
 			}
 			w.queue = nil
-			e.opts.Telemetry.QueueCleared(e.now(), w.phys)
+			e.opts.Telemetry.QueueCleared(now, w.phys)
 		}
-		if ns != nil && w.spec != nil && w.spec.Task != ns.Task {
-			for _, sub := range w.queue {
-				e.abandonLocked(sub)
-			}
-			w.queue = nil
-			e.opts.Telemetry.QueueCleared(e.now(), w.phys)
+		if ns == nil {
+			w.spec = nil
+			e.opts.Telemetry.SetAssigned(now, w.phys, "")
+			continue
 		}
-		if ns != nil && w.spec != nil && (w.spec.Task != ns.Task || w.spec.Variant != ns.Variant) {
-			e.opts.Telemetry.Swap(e.now(), w.phys)
+		if w.spec != nil && (w.spec.Task != ns.Task || w.spec.Variant != ns.Variant) {
+			e.opts.Telemetry.Swap(now, w.phys)
 		}
+		e.logical[ns.ID] = w
 		w.spec = ns
-		if ns != nil {
-			w.qcap = queueCap(e.opts, ns)
-			w.cond.Signal()
-		}
-		e.opts.Telemetry.SetAssigned(e.now(), w.phys, e.assignedName(ns))
+		w.qcap = ns.QueueCap(e.opts.QueueFactor, e.opts.SLOSec)
+		w.cond.Signal()
+		e.opts.Telemetry.SetAssigned(now, w.phys, e.names[ns.Task][ns.Variant])
 	}
-	e.backupLeft = map[core.WorkerID]float64{}
+	clear(e.backupLeft)
 	for _, entries := range routes.Backup {
 		for _, b := range entries {
 			e.backupLeft[b.Worker] = b.Leftover
@@ -310,34 +282,18 @@ func (e *Engine) ApplyPlan(plan *core.Plan, routes *core.Routes) {
 	}
 }
 
-// assignedName renders a spec as "task/variant" for the telemetry row, or ""
-// for an idle worker.
-func (e *Engine) assignedName(s *core.WorkerSpec) string {
-	if s == nil {
-		return ""
-	}
-	return fmt.Sprintf("%s/%d", e.g.Tasks[s.Task].Name, s.Variant)
-}
-
-func queueCap(o Options, s *core.WorkerSpec) int {
-	byRate := int(math.Ceil(o.QueueFactor * s.QPS * o.SLOSec))
-	if m := 2 * s.MaxBatch; byRate < m {
-		byRate = m
-	}
-	return byRate
+// Hosted returns the spec physical worker phys hosts, nil when idle or down.
+func (e *Engine) Hosted(phys int) *core.WorkerSpec {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.workers[phys].spec
 }
 
 // ActiveServers counts workers hosting a model.
 func (e *Engine) ActiveServers() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := 0
-	for _, w := range e.workers {
-		if w.spec != nil {
-			n++
-		}
-	}
-	return n
+	return e.rec.Placed()
 }
 
 // ActiveByClass counts workers hosting a model in each hardware class, in
@@ -362,11 +318,10 @@ func (e *Engine) ActiveByClass() []int {
 func (e *Engine) SetWorkerDown(phys int) {
 	e.mu.Lock()
 	w := e.workers[phys]
-	if w.down {
+	if !e.rec.SetDown(phys, true) {
 		e.mu.Unlock()
 		return
 	}
-	w.down = true
 	w.gen++ // the executing batch, if any, dies with the old incarnation
 	if w.spec != nil {
 		if e.logical[w.spec.ID] == w {
@@ -387,7 +342,7 @@ func (e *Engine) SetWorkerDown(phys int) {
 // ApplyPlan may claim it again. Idempotent.
 func (e *Engine) SetWorkerUp(phys int) {
 	e.mu.Lock()
-	e.workers[phys].down = false
+	e.rec.SetDown(phys, false)
 	e.mu.Unlock()
 	e.opts.Telemetry.SetDown(e.now(), phys, false)
 }

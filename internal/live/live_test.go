@@ -1,6 +1,7 @@
 package live
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -76,5 +77,80 @@ func TestLiveEngineRejectsZeroServers(t *testing.T) {
 	meta := core.NewMetadataStore(g, prof, 0.250, profiles.Batches)
 	if _, err := New(meta, policy.NoDrop{}, nil, Options{}); err == nil {
 		t.Fatal("want error for zero servers")
+	}
+}
+
+// TestRepublishWhileServing publishes alternating plans, crashes and recovers
+// a worker, and submits requests from several goroutines at once against a
+// running engine: ApplyPlan reuses the Reconciler's scratch and the engine's
+// route maps across publishes, and everything it touches must be under e.mu.
+// Run it with -race (CI does, and -short keeps it). It asserts conservation,
+// not latency.
+func TestRepublishWhileServing(t *testing.T) {
+	g := profiles.TrafficChain()
+	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
+	meta := core.NewMetadataStore(g, prof, 0.250, profiles.Batches)
+	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
+		Servers: 12, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30, SolveTimeLimit: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routes []*core.Routes
+	for _, demand := range []float64{120, 200} {
+		plan, err := alloc.Allocate(demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes = append(routes, core.MostAccurateFirst(g, core.ExpandPlan(plan), demand*1.3, meta.MultFactor))
+	}
+	eng, err := New(meta, policy.Opportunistic{}, metrics.NewCollector(5, 12), Options{
+		Servers: 12, SLOSec: 0.250, NetLatencySec: 0.002, Seed: 3, TimeScale: 0.02,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.ApplyPlan(nil, routes[0])
+	if err := eng.Start(nil); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for k := 0; k < 3; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_ = eng.Submit() // never shed: no admission controller is armed
+					time.Sleep(200 * time.Microsecond)
+				}
+			}
+		}()
+	}
+	for i := 1; i <= 300; i++ {
+		eng.ApplyPlan(nil, routes[i%2])
+		switch i % 10 {
+		case 3:
+			eng.SetWorkerDown(i % 12)
+		case 7:
+			eng.SetWorkerUp((i - 4) % 12)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(stop)
+	wg.Wait()
+	if err := eng.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	injected, completed, dropped, _, _ := eng.Totals()
+	if injected == 0 || injected != completed+dropped {
+		t.Fatalf("conservation: injected %d, completed %d + dropped %d", injected, completed, dropped)
+	}
+	if got, want := eng.ActiveServers(), len(routes[0].Specs); got != want {
+		t.Fatalf("%d servers active after the last publish, plan has %d replicas", got, want)
 	}
 }

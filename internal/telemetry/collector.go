@@ -303,7 +303,8 @@ func (c *Collector) SetSpeed(now float64, worker int, factor float64) {
 }
 
 // SetDown records a worker going down (true) or recovering (false). Going
-// down also clears queue and in-flight state, mirroring the engines.
+// down also clears assignment, queue and in-flight state, mirroring the
+// engines (which do not revisit the worker at the next publish).
 func (c *Collector) SetDown(now float64, worker int, down bool) {
 	if c == nil {
 		return
@@ -314,6 +315,7 @@ func (c *Collector) SetDown(now float64, worker int, down bool) {
 		up := 1.0
 		if down {
 			up = 0
+			ws.row.Assigned = ""
 			ws.row.QueueDepth = 0
 			ws.row.InFlightBatch = 0
 			ws.busySince = -1
