@@ -251,8 +251,13 @@ func BenchmarkMultiTenantContention(b *testing.B) {
 // cycling demand walk. The hetero MILP carries one capacity row per class
 // and |classes|× the configurations, so its solve time bounds the cost of
 // the hardware-class refactor; milp_solves counts branch-and-bound
-// invocations per iteration. The recorded baseline lives in
-// BENCH_hetero.json.
+// invocations per iteration. One untimed pass over the walk on a fresh
+// allocator takes the census of the plans' final solves: pivots/node (node
+// relaxations re-optimised warm cost tens of pivots, solved from scratch
+// hundreds), nodes/solve, and truncated_share, the share a resource limit
+// stopped — on the priced fleet that includes every plan the hardware step
+// returns, which is cut at its first plateau on purpose. The recorded
+// baseline lives in BENCH_hetero.json.
 func BenchmarkHeteroAllocate(b *testing.B) {
 	fleets := []struct {
 		name    string
@@ -271,13 +276,31 @@ func BenchmarkHeteroAllocate(b *testing.B) {
 			g := profiles.TrafficTree()
 			prof := (&profiles.Profiler{}).ProfileGraphClasses(g, profiles.Batches, f.classes)
 			meta := core.NewMetadataStoreHetero(g, f.classes, prof, 0.250, profiles.Batches)
-			alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-				NetLatencySec: 0.002, KeepWarm: true,
-				Headroom: 0.30, SolveTimeLimit: 2 * time.Second,
-			})
-			if err != nil {
-				b.Fatal(err)
+			newAlloc := func() *core.Allocator {
+				a, err := core.NewAllocator(meta, core.AllocatorOptions{
+					NetLatencySec: 0.002, KeepWarm: true,
+					Headroom: 0.30, SolveTimeLimit: 2 * time.Second,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return a
 			}
+			nodes, pivots, truncated := 0, 0, 0
+			census := newAlloc()
+			for _, d := range demands {
+				plan, err := census.Allocate(d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes += plan.SolveStats.Nodes
+				pivots += plan.SolveStats.LPIters
+				if plan.SolveStats.Truncated {
+					truncated++
+				}
+			}
+
+			alloc := newAlloc()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -286,6 +309,9 @@ func BenchmarkHeteroAllocate(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(alloc.Perf().MILPSolves)/float64(b.N), "milp_solves")
+			b.ReportMetric(float64(pivots)/float64(nodes), "pivots/node")
+			b.ReportMetric(float64(nodes)/float64(len(demands)), "nodes/solve")
+			b.ReportMetric(float64(truncated)/float64(len(demands)), "truncated_share")
 		})
 	}
 }

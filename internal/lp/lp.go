@@ -1,7 +1,5 @@
-// Package lp implements a simplex solver for linear programs: a dense
-// tableau for the small and medium problems that make up most solves, a
-// sparse revised simplex above a size crossover, and dual-simplex
-// re-optimisation of a solved dense tableau.
+// Package lp implements a simplex solver for linear programs on a dense
+// tableau, with dual-simplex re-optimisation of a solved tableau.
 //
 // The solver handles problems of the form
 //
@@ -12,19 +10,13 @@
 // Upper bounds and general variable bounds are expressed as ordinary
 // constraints by the caller when a problem is solved from scratch.
 //
-// A solve from scratch is two-phase primal simplex — a Phase-1
-// artificial-variable start, Dantzig pricing, and an automatic switch to
-// Bland's rule when the pivot sequence degenerates, which guarantees
-// termination. Below RevisedMinSize (rows × columns) it runs on the dense
-// tableau (tableau.go); at or above it on the revised simplex (revised.go),
-// which keeps the constraints as sparse columns and maintains only the m×m
-// basis inverse, as suits wide, mostly-zero fleet formulations. The dense
-// tableau is also the Dense escape hatch and the automatic fallback whenever
-// the revised path declines to certify an answer (unboundedness, iteration
-// limits, or a failed feasibility re-check).
+// A solve from scratch is two-phase primal simplex on the dense tableau
+// (tableau.go) — a Phase-1 artificial-variable start, Dantzig pricing, and an
+// automatic switch to Bland's rule when the pivot sequence degenerates, which
+// guarantees termination.
 //
-// A dense solve through a Workspace leaves its optimal tableau behind, with
-// spare rows and columns. A neighbouring problem — one more variable bound
+// A solve through a Workspace leaves its optimal tableau behind, with spare
+// rows and columns. A neighbouring problem — one more variable bound
 // (Workspace.Bound), or different right-hand sides (Workspace.SetRHS) — is
 // then not solved again: the change is written into the tableau in its
 // current basis, which stays dual feasible, and the dual simplex pivots until
@@ -192,12 +184,8 @@ func SolveWithOptions(p *Problem, opt Options) (*Solution, error) {
 // and is only valid until the next solve through it; callers that keep the
 // point must copy it. A nil ws allocates fresh buffers (and a fresh X).
 //
-// Problems at or above the RevisedMinSize crossover run the sparse revised
-// simplex (revised.go); smaller problems, and every solve when the Dense
-// escape hatch is set, use the dense tableau — which is also the automatic
-// fallback whenever the revised path declines to certify its answer. Only a
-// dense solve that ends Optimal leaves a tableau for the workspace's warm
-// operations; any other solve through ws drops the one it held.
+// A solve through ws that ends Optimal leaves its tableau for the workspace's
+// warm operations; any other outcome drops the one it held.
 func SolveWS(p *Problem, opt Options, ws *Workspace) (*Solution, error) {
 	if err := validate(p); err != nil {
 		return nil, err
@@ -206,15 +194,6 @@ func SolveWS(p *Problem, opt Options, ws *Workspace) (*Solution, error) {
 	if tol == 0 {
 		tol = defaultTol
 	}
-	if ws != nil && ws.cur != nil {
-		ws.cur.valid = false
-	}
-	if !Dense && revisedEligible(p) {
-		if sol, ok := solveRevised(p, tol, opt.MaxIter, ws); ok {
-			return sol, nil
-		}
-	}
-
 	t := newTableau(p, tol, ws)
 	maxIter := opt.MaxIter
 	if maxIter == 0 {

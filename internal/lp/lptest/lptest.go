@@ -82,7 +82,7 @@ func CheckWarm(p *lp.Problem, script []byte) error {
 				return nil
 			}
 			if !ws.Warm() {
-				return nil // revised path: nothing to re-optimise
+				return fmt.Errorf("step %d: optimal cold restart left no warm tableau", step)
 			}
 		}
 

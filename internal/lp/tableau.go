@@ -87,13 +87,6 @@ const (
 	infeasible
 )
 
-// rowInfo records how a constraint row is normalized: its effective sense
-// after flipping rows with negative RHS.
-type rowInfo struct {
-	sense Sense
-	neg   bool
-}
-
 // normalize returns the constraint's sense once its RHS is made non-negative,
 // and the sign (±1) that normalization multiplies the row by.
 func normalize(c *Constraint) (Sense, float64) {

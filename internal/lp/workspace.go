@@ -6,26 +6,23 @@ package lp
 // buffers grow to the high-water mark of the problems solved through it and
 // are then reused.
 //
-// A dense solve that ends Optimal also leaves its final tableau behind — the
+// A solve that ends Optimal also leaves its final tableau behind — the
 // retained tableau — and the workspace can re-optimise it in place instead
 // of solving a neighbouring problem from scratch: Bound adds one variable
 // bound, SetRHS moves right-hand sides, and both restore feasibility with
 // dual simplex pivots from the retained basis. Fork saves a copy of the
 // retained tableau to the side and Swap exchanges the two, which is how a
-// caller evaluates several neighbours of one solved problem. Solves on the
-// revised path (at or above RevisedMinSize) retain nothing; Warm tells.
+// caller evaluates several neighbours of one solved problem.
 //
 // A Workspace may be reused across problems of different shapes but must not
 // be shared by concurrent solves.
 type Workspace struct {
 	cur, alt *tableau // retained tableau and the side copy
 	stamps   uint64   // last stamp handed out
-	info     []rowInfo
 	sol      []float64
-	rev      revisedBuffers
 }
 
-// retained returns the tableau dense solves build in.
+// retained returns the tableau solves build in.
 func (w *Workspace) retained() *tableau {
 	if w.cur == nil {
 		w.cur = &tableau{}
@@ -38,14 +35,6 @@ func (w *Workspace) restamp() uint64 {
 	w.stamps++
 	w.cur.stamp = w.stamps
 	return w.stamps
-}
-
-// rowInfos returns a scratch slice for per-row sense normalization.
-func (w *Workspace) rowInfos(m int) []rowInfo {
-	if cap(w.info) < m {
-		w.info = make([]rowInfo, m)
-	}
-	return w.info[:m]
 }
 
 // solution returns a zeroed primal-solution buffer of length n. The buffer

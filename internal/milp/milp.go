@@ -15,9 +15,8 @@
 // the dual simplex (lp.Workspace.Bound) — a few pivots each instead of a
 // fresh two-phase solve — continuing with one child and parking the other on
 // the heap under its own bound. The from-scratch node solve remains what a
-// popped node, a plunge deeper than the tableau's spare rows, a warm result
-// that fails its residual check, and every problem on the revised LP path
-// (which keeps no tableau) fall back to.
+// popped node, a plunge deeper than the tableau's spare rows and a warm
+// result that fails its residual check fall back to.
 package milp
 
 import (
@@ -158,8 +157,8 @@ type Result struct {
 	// as provisional.
 	Truncated bool
 
-	// coldBranchings counts branchings that found no tableau to continue
-	// from and parked both children for cold solves (tests read it to see
+	// coldBranchings counts branchings that found no spare bound row in the
+	// tableau and parked both children for cold solves (tests read it to see
 	// the restart path run).
 	coldBranchings int
 }
@@ -474,8 +473,7 @@ search:
 			up := &node{parent: nd, branch: nd.frac, lo: lo + 1, hi: math.Inf(1), bound: nd.bound}
 			down := &node{parent: nd, branch: nd.frac, lo: 0, hi: lo, bound: nd.bound}
 			if !s.ws.Warm() {
-				// No tableau to continue from (the revised LP path keeps
-				// none) or no bound row left in it: park both children under
+				// No bound row left in the tableau: park both children under
 				// the parent's bound; popping one solves it cold, which
 				// rebuilds the tableau.
 				res.coldBranchings++
