@@ -36,6 +36,16 @@ func (l *eventLog) snapshot() []string {
 // It returns the per-pipeline reports and the observed fault events.
 func chaosReports(t *testing.T, seed int64, tiered bool) (map[string]*loki.Report, []string) {
 	t.Helper()
+	return chaosRun(t, seed, tiered, loki.FaultEvent{
+		At: 12 * time.Second, Kind: loki.FaultOutage,
+		Class: "spot", RecoverAfter: 12 * time.Second,
+	})
+}
+
+// chaosRun plays the chaos scenario's two tenants, pool and trace under the
+// given fault schedule.
+func chaosRun(t *testing.T, seed int64, tiered bool, faults ...loki.FaultEvent) (map[string]*loki.Report, []string) {
+	t.Helper()
 	var log eventLog
 	ms, err := loki.NewMulti(
 		loki.WithSeed(seed),
@@ -49,10 +59,7 @@ func chaosReports(t *testing.T, seed int64, tiered bool) (map[string]*loki.Repor
 		// admission shedding are arbiter-level and identical under it.
 		loki.WithBaseline(loki.BaselineInferLine),
 		loki.WithSolveTimeLimit(10*time.Second),
-		loki.WithFaults(loki.FaultEvent{
-			At: 12 * time.Second, Kind: loki.FaultOutage,
-			Class: "spot", RecoverAfter: 12 * time.Second,
-		}),
+		loki.WithFaults(faults...),
 		loki.WithFaultObserver(log.observe),
 	)
 	if err != nil {
@@ -110,6 +117,60 @@ func TestFaultDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(ev1[0], "outage spot") || !strings.Contains(ev1[1], "recover spot") {
 		t.Errorf("unexpected event log: %v", ev1)
+	}
+}
+
+// chaosPin is the part of a chaos run's Report pinned to recorded values.
+type chaosPin struct {
+	Arrivals, Completed, Late, Dropped, Shed int64
+	Accuracy                                 float64
+	LatencyP99                               time.Duration
+}
+
+func pinOf(r *loki.Report) chaosPin {
+	return chaosPin{r.Arrivals, r.Completed, r.Late, r.Dropped, r.Shed, r.Accuracy, r.LatencyP99}
+}
+
+// TestChaosMatchesRecordedRuns pins two fault schedules to the reports the
+// simulator produced before its request path recycled subrequests and
+// batches. An object released while still referenced misbehaves the same way
+// on every run, so TestFaultDeterminism cannot see it; a recorded run can.
+// The outage loses a spot batch mid-execution and clears queues; the crash
+// plus straggler schedule lands batch completions on a crashed worker's
+// stale generation.
+func TestChaosMatchesRecordedRuns(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("two full chaos runs; skipped in -short and race builds")
+	}
+	crashStraggle, err := loki.ParseFaults("crash@8s:n=3:recover=6s,straggle@5s:n=2:factor=0.25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		faults []loki.FaultEvent
+		want   map[string]chaosPin
+	}{
+		{"outage", nil, map[string]chaosPin{
+			"gold": {Arrivals: 3740, Completed: 3578, Late: 131, Dropped: 31, Shed: 5, Accuracy: 1, LatencyP99: 429217557},
+			"free": {Arrivals: 3465, Completed: 2611, Late: 643, Dropped: 211, Shed: 300, Accuracy: 1, LatencyP99: 801585365},
+		}},
+		{"crash+straggle", crashStraggle, map[string]chaosPin{
+			"gold": {Arrivals: 3745, Completed: 3614, Late: 130, Dropped: 1, Shed: 0, Accuracy: 1, LatencyP99: 427999999},
+			"free": {Arrivals: 3573, Completed: 3119, Late: 432, Dropped: 22, Shed: 192, Accuracy: 1, LatencyP99: 766381578},
+		}},
+	} {
+		var reps map[string]*loki.Report
+		if tc.faults == nil {
+			reps, _ = chaosReports(t, 11, true)
+		} else {
+			reps, _ = chaosRun(t, 11, true, tc.faults...)
+		}
+		for name, want := range tc.want {
+			if got := pinOf(reps[name]); got != want {
+				t.Errorf("%s %s: got %#v, want %#v", tc.name, name, got, want)
+			}
+		}
 	}
 }
 

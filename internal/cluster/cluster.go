@@ -86,6 +86,16 @@ type Cluster struct {
 	nextRootID   int64
 	inflight     int
 
+	// ctx is the one policy context every forward fills; its FindBackup is
+	// bound once, in New.
+	ctx policy.Context
+	// Free lists of released request-path objects. They start empty, grow
+	// to the run's high-water mark and die with the cluster; the single
+	// event goroutine means they need no lock.
+	freeRoots   []*rootRequest
+	freeSubs    []*subrequest
+	freeBatches []*batch
+
 	// Totals for invariant checks and reporting.
 	TotalInjected  int64
 	TotalCompleted int64
@@ -114,7 +124,7 @@ type worker struct {
 
 	// Fault state: whether the worker is down is the Reconciler's to know
 	// (it skips down workers when placing); gen increments on every crash so
-	// a stale completion closure can tell its batch died with the old
+	// a stale batch completion can tell its batch died with the old
 	// incarnation.
 	gen int
 
@@ -133,11 +143,28 @@ type rootRequest struct {
 	tr          *telemetry.ReqTrace // nil unless sampled
 }
 
+// subrequest is one query of a root request on its way to, or waiting at, a
+// worker of one task. Subrequests are recycled through the cluster's free
+// list; arrive is bound once, when the object is first made.
 type subrequest struct {
 	root     *rootRequest
 	task     pipeline.TaskID
 	acc      float64 // product of variant accuracies before this task
 	enqueued float64
+	target   core.WorkerID // the logical worker the network hop delivers to
+	arrive   func()        // c.arrive(s)
+}
+
+// batch is one execution on a worker, with what it captured at start:
+// reconfiguration must not affect a running batch, and a crash mid-batch
+// (a new gen) discards its results. Batches are recycled like subrequests.
+type batch struct {
+	w     *worker
+	spec  *core.WorkerSpec
+	gen   int
+	start float64
+	subs  []*subrequest
+	done  func() // c.batchDone(b)
 }
 
 // New creates a cluster on the given engine.
@@ -168,16 +195,23 @@ func New(eng *sim.Engine, meta *core.MetadataStore, pol policy.Policy, col *metr
 		names:      core.AssignedNames(meta.Graph()),
 		logical:    map[core.WorkerID]*worker{},
 		backupLeft: map[core.WorkerID]float64{},
+		workers:    make([]*worker, opts.Servers),
 	}
+	c.ctx.FindBackup = c.findBackup
 	// Physical workers are laid out class by class: the first
-	// Classes[0].Count servers belong to class 0, and so on.
+	// Classes[0].Count servers belong to class 0, and so on. They live in
+	// one slab, so a large pool costs two allocations, not one per worker.
+	slab := make([]worker, opts.Servers)
+	phys := 0
 	for cl, class := range opts.Classes {
 		speed := class.Speed
 		if speed == 0 {
 			speed = 1.0
 		}
 		for i := 0; i < class.Count; i++ {
-			c.workers = append(c.workers, &worker{phys: len(c.workers), class: cl, speed: speed, baseSpeed: speed})
+			slab[phys] = worker{phys: phys, class: cl, speed: speed, baseSpeed: speed}
+			c.workers[phys] = &slab[phys]
+			phys++
 		}
 	}
 	c.taskArrivals = make([]int, len(c.g.Tasks))
@@ -306,11 +340,13 @@ func (c *Cluster) ApplyPlan(plan *core.Plan, routes *core.Routes) {
 	}
 }
 
+// dropQueue abandons every queued request; the queue keeps its capacity.
 func (c *Cluster) dropQueue(w *worker) {
 	for _, sub := range w.queue {
 		c.abandon(sub)
 	}
-	w.queue = nil
+	clear(w.queue)
+	w.queue = w.queue[:0]
 	c.Opts.Telemetry.QueueCleared(c.Eng.Now(), w.phys)
 }
 
@@ -363,11 +399,10 @@ func (c *Cluster) InjectRequest() {
 		c.Metrics.Arrival(now)
 	}
 	c.nextRootID++
-	root := &rootRequest{
-		id:       c.nextRootID,
-		arrived:  now,
-		deadline: now + c.Opts.SLOSec,
-	}
+	root := c.newRoot()
+	root.id = c.nextRootID
+	root.arrived = now
+	root.deadline = now + c.Opts.SLOSec
 	root.tr = c.Opts.Tracer.Start(root.id, now)
 	c.inflight++
 
@@ -383,31 +418,94 @@ func (c *Cluster) InjectRequest() {
 		return
 	}
 	root.outstanding = 1
-	sub := &subrequest{root: root, task: 0, acc: 1}
-	c.deliver(sub, target)
+	c.deliver(c.newSub(root, 0, 1), target)
+}
+
+// newRoot takes a zeroed root request from the free list, or makes one.
+func (c *Cluster) newRoot() *rootRequest {
+	n := len(c.freeRoots)
+	if n == 0 {
+		return &rootRequest{}
+	}
+	r := c.freeRoots[n-1]
+	c.freeRoots = c.freeRoots[:n-1]
+	return r
+}
+
+// releaseRoot zeroes a finished root request and returns it.
+func (c *Cluster) releaseRoot(r *rootRequest) {
+	*r = rootRequest{}
+	c.freeRoots = append(c.freeRoots, r)
+}
+
+// newSub takes a subrequest from the free list, or makes one and binds its
+// arrival callback.
+func (c *Cluster) newSub(root *rootRequest, task pipeline.TaskID, acc float64) *subrequest {
+	var s *subrequest
+	if n := len(c.freeSubs); n > 0 {
+		s = c.freeSubs[n-1]
+		c.freeSubs = c.freeSubs[:n-1]
+	} else {
+		s = &subrequest{}
+		s.arrive = func() { c.arrive(s) }
+	}
+	s.root, s.task, s.acc = root, task, acc
+	return s
+}
+
+// releaseSub returns a subrequest whose last reference has died.
+func (c *Cluster) releaseSub(s *subrequest) {
+	s.root = nil
+	c.freeSubs = append(c.freeSubs, s)
+}
+
+// newBatch takes a batch from the free list, or makes one and binds its
+// completion callback.
+func (c *Cluster) newBatch() *batch {
+	n := len(c.freeBatches)
+	if n == 0 {
+		b := &batch{}
+		b.done = func() { c.batchDone(b) }
+		return b
+	}
+	b := c.freeBatches[n-1]
+	c.freeBatches = c.freeBatches[:n-1]
+	return b
+}
+
+// releaseBatch returns a finished batch; its subs buffer keeps its capacity.
+func (c *Cluster) releaseBatch(b *batch) {
+	clear(b.subs)
+	b.subs = b.subs[:0]
+	b.w, b.spec = nil, nil
+	c.freeBatches = append(c.freeBatches, b)
 }
 
 // deliver moves a subrequest to a logical worker after one network hop.
 func (c *Cluster) deliver(sub *subrequest, target core.WorkerID) {
-	c.Eng.After(c.Opts.NetLatencySec, func() {
-		w := c.logical[target]
-		if w == nil || w.spec == nil || w.spec.Task != sub.task {
-			// The worker was reassigned while the request was in flight.
-			c.DropsStale++
-			c.abandon(sub)
-			return
-		}
-		if len(w.queue) >= w.qcap {
-			c.DropsQueueFull++
-			c.abandon(sub) // queue overflow
-			return
-		}
-		sub.enqueued = c.Eng.Now()
-		c.taskArrivals[sub.task]++
-		w.queue = append(w.queue, sub)
-		c.Opts.Telemetry.Enqueue(sub.enqueued, w.phys)
-		c.tryStart(w)
-	})
+	sub.target = target
+	c.Eng.After(c.Opts.NetLatencySec, sub.arrive)
+}
+
+// arrive enqueues a subrequest at the end of its network hop.
+func (c *Cluster) arrive(sub *subrequest) {
+	w := c.logical[sub.target]
+	if w == nil || w.spec == nil || w.spec.Task != sub.task {
+		// The worker was reassigned while the request was in flight.
+		c.DropsStale++
+		c.abandon(sub)
+		return
+	}
+	if len(w.queue) >= w.qcap {
+		c.DropsQueueFull++
+		c.abandon(sub) // queue overflow
+		return
+	}
+	sub.enqueued = c.Eng.Now()
+	c.taskArrivals[sub.task]++
+	w.queue = append(w.queue, sub)
+	c.Opts.Telemetry.Enqueue(sub.enqueued, w.phys)
+	c.tryStart(w)
 }
 
 // tryStart begins a batch if the worker is free: a work-conserving policy
@@ -417,63 +515,72 @@ func (c *Cluster) tryStart(w *worker) {
 	if w.busy || w.spec == nil || now < w.swapUntil || len(w.queue) == 0 {
 		return
 	}
-	b := len(w.queue)
-	if b > w.spec.MaxBatch {
-		b = w.spec.MaxBatch
+	n := len(w.queue)
+	if n > w.spec.MaxBatch {
+		n = w.spec.MaxBatch
 	}
-	batch := append([]*subrequest(nil), w.queue[:b]...)
-	w.queue = w.queue[b:]
+	b := c.newBatch()
+	b.w, b.spec, b.gen, b.start = w, w.spec, w.gen, now
+	b.subs = append(b.subs, w.queue[:n]...)
+	// Shift the rest of the queue to the front, keeping its buffer.
+	rest := copy(w.queue, w.queue[n:])
+	clear(w.queue[rest:])
+	w.queue = w.queue[:rest]
 	w.busy = true
-	spec := w.spec // capture: reconfiguration must not affect a running batch
-	gen := w.gen   // capture: a crash mid-batch discards the results
-	startT := now
-	c.Opts.Telemetry.BatchStart(now, w.phys, b)
+	c.Opts.Telemetry.BatchStart(now, w.phys, n)
 
-	v := &c.g.Tasks[spec.Task].Variants[spec.Variant]
-	lat := v.Latency(b) / w.speed
+	v := &c.g.Tasks[b.spec.Task].Variants[b.spec.Variant]
+	lat := v.Latency(n) / w.speed
 	if c.Opts.ExecJitter > 0 {
 		lat *= 1 + c.Opts.ExecJitter*(2*c.rng.Float64()-1)
 	}
-	c.Eng.After(lat, func() {
-		if w.gen != gen {
-			// The worker crashed while this batch was executing: the
-			// results never materialize and the roots are lost. (The crash
-			// already cleared the worker's telemetry in-flight state.)
-			c.DropsFault += int64(len(batch))
-			for _, sub := range batch {
-				c.abandon(sub)
+	c.Eng.After(lat, b.done)
+}
+
+// batchDone ends a batch's execution: its requests complete and the worker
+// takes its next batch.
+func (c *Cluster) batchDone(b *batch) {
+	w, spec := b.w, b.spec
+	if w.gen != b.gen {
+		// The worker crashed while this batch was executing: the results
+		// never materialize and the roots are lost. (The crash already
+		// cleared the worker's telemetry in-flight state.)
+		c.DropsFault += int64(len(b.subs))
+		for _, sub := range b.subs {
+			c.abandon(sub)
+		}
+		c.releaseBatch(b)
+		return
+	}
+	w.busy = false
+	endT := c.Eng.Now()
+	c.Opts.Telemetry.BatchEnd(endT, w.phys, len(b.subs))
+	if c.Opts.Tracer != nil {
+		for _, sub := range b.subs {
+			if sub.root.tr != nil {
+				c.Opts.Tracer.AddSpan(sub.root.tr, telemetry.Span{
+					Stage:       c.g.Tasks[spec.Task].Name,
+					Worker:      w.phys,
+					Class:       c.Opts.Classes[w.class].Name,
+					EnqueuedSec: sub.enqueued,
+					StartSec:    b.start,
+					EndSec:      endT,
+					Batch:       len(b.subs),
+				})
 			}
-			return
 		}
-		w.busy = false
-		endT := c.Eng.Now()
-		c.Opts.Telemetry.BatchEnd(endT, w.phys, len(batch))
-		if c.Opts.Tracer != nil {
-			for _, sub := range batch {
-				if sub.root.tr != nil {
-					c.Opts.Tracer.AddSpan(sub.root.tr, telemetry.Span{
-						Stage:       c.g.Tasks[spec.Task].Name,
-						Worker:      w.phys,
-						Class:       c.Opts.Classes[w.class].Name,
-						EnqueuedSec: sub.enqueued,
-						StartSec:    startT,
-						EndSec:      endT,
-						Batch:       len(batch),
-					})
-				}
-			}
-		}
-		for _, sub := range batch {
-			c.completeAt(sub, w, spec)
-		}
-		c.tryStart(w)
-	})
+	}
+	for _, sub := range b.subs {
+		c.completeAt(sub, w, spec)
+	}
+	c.releaseBatch(b)
+	c.tryStart(w)
 }
 
 // completeAt handles one request finishing execution at a worker: record the
 // variant's accuracy, emit intermediate queries to children (with sampled
 // multiplicative factors), run the drop policy per branch, and detect sink
-// completions.
+// completions. The subrequest is released afterwards.
 func (c *Cluster) completeAt(sub *subrequest, w *worker, spec *core.WorkerSpec) {
 	now := c.Eng.Now()
 	task := &c.g.Tasks[spec.Task]
@@ -499,9 +606,11 @@ func (c *Cluster) completeAt(sub *subrequest, w *worker, spec *core.WorkerSpec) 
 	}
 	w.hbOut += totalOut
 
-	sub.root.outstanding--
-	if sub.root.outstanding == 0 {
-		c.finish(sub.root)
+	root := sub.root
+	c.releaseSub(sub)
+	root.outstanding--
+	if root.outstanding == 0 {
+		c.finish(root)
 	}
 }
 
@@ -562,20 +671,18 @@ func (c *Cluster) forward(sub *subrequest, spec *core.WorkerSpec, childTask pipe
 		nextExec = tw.spec.LatencySec
 	}
 
-	ctx := policy.Context{
-		Now:         now,
-		Deadline:    sub.root.deadline,
-		EnteredTask: sub.enqueued,
-		Budget:      spec.BudgetSec,
-		HasNext:     true,
-		NextTask:    childTask,
-		NextIsSink:  len(c.g.Tasks[childTask].Children) == 0,
-		NextExec:    nextExec,
-		NetLatency:  c.Opts.NetLatencySec,
-		MinTail:     c.minTail[childTask],
-		FindBackup:  c.findBackup,
-	}
-	d := c.Policy.OnTaskComplete(&ctx)
+	ctx := &c.ctx
+	ctx.Now = now
+	ctx.Deadline = sub.root.deadline
+	ctx.EnteredTask = sub.enqueued
+	ctx.Budget = spec.BudgetSec
+	ctx.HasNext = true
+	ctx.NextTask = childTask
+	ctx.NextIsSink = len(c.g.Tasks[childTask].Children) == 0
+	ctx.NextExec = nextExec
+	ctx.NetLatency = c.Opts.NetLatencySec
+	ctx.MinTail = c.minTail[childTask]
+	d := c.Policy.OnTaskComplete(ctx)
 	if d.Drop {
 		c.DropsPolicy++
 		sub.root.dropped = true
@@ -586,8 +693,7 @@ func (c *Cluster) forward(sub *subrequest, spec *core.WorkerSpec, childTask pipe
 		c.TotalRerouted++
 	}
 	sub.root.outstanding++
-	child := &subrequest{root: sub.root, task: childTask, acc: acc}
-	c.deliver(child, target)
+	c.deliver(c.newSub(sub.root, childTask, acc), target)
 }
 
 // findBackup implements the §5.2 backup-table lookup: the most accurate
@@ -605,19 +711,23 @@ func (c *Cluster) findBackup(task pipeline.TaskID, maxExec float64) (core.Worker
 	return 0, false
 }
 
-// abandon drops one subrequest (queue overflow, lost worker, or no route).
+// abandon drops one subrequest (queue overflow, lost worker, or no route)
+// and releases it.
 func (c *Cluster) abandon(sub *subrequest) {
-	sub.root.dropped = true
-	sub.root.outstanding--
-	if sub.root.outstanding == 0 {
-		c.finish(sub.root)
+	root := sub.root
+	c.releaseSub(sub)
+	root.dropped = true
+	root.outstanding--
+	if root.outstanding == 0 {
+		c.finish(root)
 	}
 }
 
-// finish closes out a root request and records its outcome.
+// finish closes out a root request, records its outcome and releases it.
 func (c *Cluster) finish(root *rootRequest) {
 	now := c.Eng.Now()
 	c.inflight--
+	defer c.releaseRoot(root)
 	if root.dropped {
 		c.TotalDropped++
 		if c.Metrics != nil {

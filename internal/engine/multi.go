@@ -395,27 +395,17 @@ func (m *multiSimulated) FeedAll(traces []*trace.Trace) error {
 		}
 	}
 
-	// Arrivals: per tenant, lazily chained Poisson events on the shared
-	// clock keep the event heap small.
+	// Arrivals: one lazy chain per tenant on the shared clock.
 	for i, tr := range traces {
 		if tr == nil {
 			continue
 		}
 		cl := m.cls[i]
-		arrivals := tr.Arrivals(m.arrRngs[i])
-		var schedule func(j int)
-		schedule = func(j int) {
-			if j >= len(arrivals) {
-				return
+		chainArrivals(m.eng, start, tr.Arrivals(m.arrRngs[i]), func() {
+			if ok, _ := m.admit(i); ok {
+				cl.InjectRequest()
 			}
-			m.eng.At(start+arrivals[j], func() {
-				if ok, _ := m.admit(i); ok {
-					cl.InjectRequest()
-				}
-				schedule(j + 1)
-			})
-		}
-		schedule(0)
+		})
 	}
 
 	// Per-second housekeeping: every tenant's demand report, heartbeat, and

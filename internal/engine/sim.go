@@ -88,19 +88,7 @@ func (s *simulated) Feed(tr *trace.Trace) error {
 	start := s.eng.Now()
 	end := start + tr.Duration()
 
-	// Arrivals: lazily chained Poisson events keep the event heap small.
-	arrivals := tr.Arrivals(s.arrRng)
-	var scheduleArrival func(i int)
-	scheduleArrival = func(i int) {
-		if i >= len(arrivals) {
-			return
-		}
-		s.eng.At(start+arrivals[i], func() {
-			s.cl.InjectRequest()
-			scheduleArrival(i + 1)
-		})
-	}
-	scheduleArrival(0)
+	chainArrivals(s.eng, start, tr.Arrivals(s.arrRng), s.cl.InjectRequest)
 
 	// Per-second housekeeping: demand reports, heartbeats, reactive
 	// reallocation, demand sampling.
@@ -139,6 +127,26 @@ func (s *simulated) Feed(tr *trace.Trace) error {
 	s.eng.Run(end)
 	s.eng.RunAll()
 	return s.stepErr
+}
+
+// chainArrivals plays arrivals (offsets from start) on eng as a lazy chain:
+// each arrival event calls inject and then schedules the next arrival, so
+// one event per trace is pending at a time and the event heap stays small.
+// One callback serves the whole chain.
+func chainArrivals(eng *sim.Engine, start float64, arrivals []float64, inject func()) {
+	next := 0
+	var fire func()
+	scheduleNext := func() {
+		if next < len(arrivals) {
+			eng.At(start+arrivals[next], fire)
+			next++
+		}
+	}
+	fire = func() {
+		inject()
+		scheduleNext()
+	}
+	scheduleNext()
 }
 
 func (s *simulated) housekeep(now, rateQPS float64) {

@@ -1,0 +1,220 @@
+package sim
+
+import (
+	"container/heap"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// refEngine is the container/heap event queue Engine replaced, kept as the
+// reference its typed heap must agree with event for event.
+type refEngine struct {
+	h       refHeap
+	now     float64
+	seq     uint64
+	stopped bool
+	events  uint64
+}
+
+type refHeap []event
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(event)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	n := len(old)
+	it := old[n-1]
+	old[n-1] = event{}
+	*h = old[:n-1]
+	return it
+}
+
+func (e *refEngine) Now() float64   { return e.now }
+func (e *refEngine) Events() uint64 { return e.events }
+func (e *refEngine) Pending() int   { return len(e.h) }
+func (e *refEngine) Stop()          { e.stopped = true }
+
+func (e *refEngine) At(t float64, fn func()) {
+	if t < e.now {
+		panic("sim: event scheduled in the past")
+	}
+	e.seq++
+	heap.Push(&e.h, event{at: t, seq: e.seq, fn: fn})
+}
+
+func (e *refEngine) After(delay float64, fn func()) {
+	if delay < 0 {
+		delay = 0
+	}
+	e.At(e.now+delay, fn)
+}
+
+func (e *refEngine) Run(until float64) {
+	e.stopped = false
+	for len(e.h) > 0 && !e.stopped {
+		if e.h[0].at > until {
+			break
+		}
+		ev := heap.Pop(&e.h).(event)
+		e.now = ev.at
+		e.events++
+		ev.fn()
+	}
+	if until > e.now {
+		e.now = until
+	}
+}
+
+func (e *refEngine) RunAll() {
+	e.stopped = false
+	for len(e.h) > 0 && !e.stopped {
+		ev := heap.Pop(&e.h).(event)
+		e.now = ev.at
+		e.events++
+		ev.fn()
+	}
+}
+
+// scheduler is the method set the script drives on both engines.
+type scheduler interface {
+	At(t float64, fn func())
+	After(delay float64, fn func())
+	Run(until float64)
+	RunAll()
+	Stop()
+	Now() float64
+	Events() uint64
+	Pending() int
+}
+
+// step is one observable moment of a played script: an event firing, the
+// state after a Run, RunAll or the final drain, or a rejected past-time At.
+type step struct {
+	kind    byte // 'f' fire, 'r' Run, 'a' RunAll, 'd' drain, 'p' past At
+	id      int  // the fired event, in scheduling order
+	now     float64
+	pending int
+	events  uint64
+	panic   any
+}
+
+// play interprets script against e and logs every observable step. Offsets
+// are multiples of a quarter second drawn from five values, so exact-time
+// ties are dense. Fired events read the script too, so an event fired out of
+// order changes everything that follows; at most maxEvents events are ever
+// scheduled.
+func play(script []byte, e scheduler) []step {
+	const maxEvents = 1000
+	var log []step
+	pos, scheduled := 0, 0
+	next := func() (byte, bool) {
+		if pos >= len(script) {
+			return 0, false
+		}
+		pos++
+		return script[pos-1], true
+	}
+	offset := func(b byte) float64 { return float64(b%5) * 0.25 }
+	var schedule func(abs bool, off float64)
+	fire := func(id int) func() {
+		return func() {
+			log = append(log, step{kind: 'f', id: id, now: e.Now()})
+			b, ok := next()
+			if !ok {
+				return
+			}
+			switch b % 8 {
+			case 0, 1: // a child at an offset
+				schedule(b%2 == 0, offset(b>>3))
+			case 2: // two children at the same instant
+				schedule(false, offset(b>>3))
+				schedule(true, offset(b>>3))
+			case 3:
+				e.Stop()
+			}
+		}
+	}
+	schedule = func(abs bool, off float64) {
+		if scheduled >= maxEvents {
+			return
+		}
+		scheduled++
+		if abs {
+			e.At(e.Now()+off, fire(scheduled))
+		} else {
+			e.After(off, fire(scheduled))
+		}
+	}
+	report := func(kind byte) {
+		log = append(log, step{kind: kind, now: e.Now(), pending: e.Pending(), events: e.Events()})
+	}
+	for {
+		b, ok := next()
+		if !ok {
+			break
+		}
+		arg, _ := next()
+		switch b % 7 {
+		case 0, 1:
+			schedule(true, offset(arg))
+		case 2:
+			schedule(false, offset(arg)-0.25) // a negative delay clamps to now
+		case 3:
+			for i := 0; i <= int(arg%4); i++ {
+				schedule(true, offset(arg))
+			}
+		case 4:
+			e.Run(e.Now() + offset(arg))
+			report('r')
+		case 5:
+			e.RunAll()
+			report('a')
+		case 6:
+			if e.Now() > 0 {
+				func() {
+					defer func() { log = append(log, step{kind: 'p', now: e.Now(), panic: recover()}) }()
+					e.At(e.Now()-0.25, func() {})
+				}()
+			}
+		}
+	}
+	e.RunAll()
+	report('d')
+	return log
+}
+
+// FuzzEventOrder plays byte-scripted schedules through Engine and the
+// container/heap reference and requires the same firing order, clock and
+// queue state at every step.
+func FuzzEventOrder(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0})                   // six events at t=0
+	f.Add([]byte{3, 3, 3, 3, 3, 7, 4, 2, 3, 3, 4, 1, 5, 0, 6, 0, 2, 0, 5, 0}) // tie bursts, Run, past At
+	f.Add([]byte{0, 3, 1, 3, 4, 3, 0, 3, 4, 0, 4, 4, 2, 9, 5, 0, 3, 3, 5, 0}) // Run(until) on tie times
+	for i := 0; i < 16; i++ {
+		rng := rand.New(rand.NewSource(int64(i)))
+		script := make([]byte, 32+24*i)
+		rng.Read(script)
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		got := play(script, &Engine{})
+		want := play(script, &refEngine{})
+		if !reflect.DeepEqual(got, want) {
+			for i := 0; i < len(got) && i < len(want); i++ {
+				if got[i] != want[i] {
+					t.Fatalf("step %d: typed heap %+v, container/heap %+v", i, got[i], want[i])
+				}
+			}
+			t.Fatalf("typed heap logged %d steps, container/heap %d", len(got), len(want))
+		}
+	})
+}

@@ -6,8 +6,6 @@
 // methodology, not just approximates it.
 package sim
 
-import "container/heap"
-
 // Event is a scheduled callback.
 type event struct {
 	at  float64
@@ -15,30 +13,22 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by time, then by scheduling order.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = event{}
-	*h = old[:n-1]
-	return it
+	return a.seq < b.seq
 }
 
 // Engine runs events in virtual-time order. Time is in seconds. The zero
 // value is ready to use.
+//
+// The queue is a binary min-heap on a plain []event, sifted with the same
+// comparisons container/heap makes, so events are stored and fired exactly
+// as a container/heap queue would, without boxing each one in an interface.
 type Engine struct {
-	h       eventHeap
+	h       []event
 	now     float64
 	seq     uint64
 	stopped bool
@@ -58,7 +48,7 @@ func (e *Engine) At(t float64, fn func()) {
 		panic("sim: event scheduled in the past")
 	}
 	e.seq++
-	heap.Push(&e.h, event{at: t, seq: e.seq, fn: fn})
+	e.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn delay seconds from now.
@@ -81,10 +71,7 @@ func (e *Engine) Run(until float64) {
 		if e.h[0].at > until {
 			break
 		}
-		ev := heap.Pop(&e.h).(event)
-		e.now = ev.at
-		e.events++
-		ev.fn()
+		e.fire()
 	}
 	if until > e.now {
 		e.now = until
@@ -96,12 +83,64 @@ func (e *Engine) Run(until float64) {
 func (e *Engine) RunAll() {
 	e.stopped = false
 	for len(e.h) > 0 && !e.stopped {
-		ev := heap.Pop(&e.h).(event)
-		e.now = ev.at
-		e.events++
-		ev.fn()
+		e.fire()
 	}
 }
 
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.h) }
+
+// fire pops the earliest event, advances the clock to it and runs it.
+func (e *Engine) fire() {
+	ev := e.pop()
+	e.now = ev.at
+	e.events++
+	ev.fn()
+}
+
+// push appends ev and sifts it up past every parent it precedes.
+func (e *Engine) push(ev event) {
+	h := append(e.h, ev)
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !ev.before(&h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = ev
+	e.h = h
+}
+
+// pop removes the root and sifts the last event down from the root, taking
+// the right child only when it strictly precedes the left.
+func (e *Engine) pop() event {
+	h := e.h
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the callback reference
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			j := 2*i + 1
+			if j >= n {
+				break
+			}
+			if r := j + 1; r < n && h[r].before(&h[j]) {
+				j = r
+			}
+			if !h[j].before(&last) {
+				break
+			}
+			h[i] = h[j]
+			i = j
+		}
+		h[i] = last
+	}
+	e.h = h
+	return top
+}
