@@ -361,25 +361,22 @@ func (a *Allocator) build() {
 // possible fraction of demand when even full accuracy scaling cannot keep
 // up.
 func (a *Allocator) Allocate(demand float64) (*Plan, error) {
-	d := demand * (1 + a.Opts.Headroom)
-	if d < 0 {
-		d = 0
-	}
+	d := a.provisioned(demand)
 
 	// Step 1: hardware scaling with the most accurate variants only.
-	if plan, ok, err := a.solveStep(d, stepHardware); err != nil {
+	if plan, ok, err := a.solveStep(d, stepHardware, goalOptimize); err != nil {
 		return nil, err
 	} else if ok {
 		return plan, nil
 	}
 	// Step 2: accuracy scaling across the whole cluster.
-	if plan, ok, err := a.solveStep(d, stepAccuracy); err != nil {
+	if plan, ok, err := a.solveStep(d, stepAccuracy, goalOptimize); err != nil {
 		return nil, err
 	} else if ok {
 		return plan, nil
 	}
 	// Step 3: saturation — maximize the served fraction.
-	plan, ok, err := a.solveStep(d, stepSaturation)
+	plan, ok, err := a.solveStep(d, stepSaturation, goalOptimize)
 	if err != nil {
 		return nil, err
 	}
@@ -390,6 +387,29 @@ func (a *Allocator) Allocate(demand float64) (*Plan, error) {
 		return a.greedyPlan(d), nil
 	}
 	return plan, nil
+}
+
+// provisioned is the demand the allocator plans for: the estimate inflated by
+// the headroom, never negative.
+func (a *Allocator) provisioned(demand float64) float64 {
+	d := demand * (1 + a.Opts.Headroom)
+	if d < 0 {
+		d = 0
+	}
+	return d
+}
+
+// servable reports whether Allocate(demand) returns an unsaturated plan,
+// doing only the work that decides it: steps 1 and 2 as feasibility probes,
+// never step 3.
+func (a *Allocator) servable(demand float64) (bool, error) {
+	d := a.provisioned(demand)
+	for _, step := range []stepKind{stepHardware, stepAccuracy} {
+		if _, ok, err := a.solveStep(d, step, goalFeasible); err != nil || ok {
+			return ok, err
+		}
+	}
+	return false, nil
 }
 
 // Capped returns a view of the allocator whose per-class server counts are
@@ -586,16 +606,13 @@ func (a *Allocator) greedyPlan(demand float64) *Plan {
 // fraction at fixed accuracy using the whole cluster. Loki itself never
 // calls this; internal/baselines does.
 func (a *Allocator) AllocateHardwareOnly(demand float64) (*Plan, error) {
-	d := demand * (1 + a.Opts.Headroom)
-	if d < 0 {
-		d = 0
-	}
-	if plan, ok, err := a.solveStep(d, stepHardware); err != nil {
+	d := a.provisioned(demand)
+	if plan, ok, err := a.solveStep(d, stepHardware, goalOptimize); err != nil {
 		return nil, err
 	} else if ok {
 		return plan, nil
 	}
-	plan, ok, err := a.solveStep(d, stepHardwareSat)
+	plan, ok, err := a.solveStep(d, stepHardwareSat, goalOptimize)
 	if err != nil {
 		return nil, err
 	}
@@ -617,10 +634,31 @@ const (
 	stepHardwareSat
 )
 
+// solveGoal is what a solveStep call has to establish.
+type solveGoal int8
+
+const (
+	// goalOptimize searches for the step's optimum, to its gap tolerance,
+	// and returns it as a plan.
+	goalOptimize solveGoal = iota
+	// goalFeasible only decides whether goalOptimize would return a plan,
+	// and stops as soon as that is known: at an infeasible relaxation, at a
+	// rounded seed (which guarantees a plan), or at the first integer point
+	// of a branch and bound that, up to that point, visits the same nodes
+	// in the same order under the same limits as the full search. It
+	// returns no plan.
+	goalFeasible
+	// goalUncut searches as goalOptimize does but without the wall-clock
+	// stall cutoff, so that, short of the time limit, the point it records
+	// as the step's warm start does not depend on the host's speed. (The
+	// priced hardware step keeps its cutoff, which counts nodes only.)
+	goalUncut
+)
+
 // solveStep solves one of the step MILPs on the allocator's step model (see
 // stepModel for the variable layout), patched for this demand and this
 // view's class counts.
-func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error) {
+func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*Plan, bool, error) {
 	st := a.state
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -629,21 +667,25 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 	m.set(demand, a.counts)
 	prob, cfgVar, clusterRows := m.prob, m.cfgVar, m.clusterRows
 
-	mkPlan := func(x []float64, stats SolveStats) *Plan {
+	// found returns an integer-feasible point the step settled on: as a plan
+	// when optimizing, as a bare verdict when probing.
+	found := func(x []float64, stats SolveStats) (*Plan, bool, error) {
+		// Every such point is integer-feasible for its model, which makes
+		// it the natural warm start for the next solve of the same step (it
+		// is re-verified against the new demand and cap before use).
+		if !a.Opts.DisableReuse {
+			st.lastX[step] = append([]float64(nil), x...)
+		}
+		if goal == goalFeasible {
+			return nil, true, nil
+		}
 		plan := a.extractPlan(x, m, demand, step)
 		stats.Step = int(step)
 		stats.Paths = len(a.paths)
 		stats.Vars = prob.NumVars
 		stats.Constraints = len(prob.Cons)
 		plan.SolveStats = stats
-		// Every extracted point is integer-feasible for its model, which
-		// makes it the natural warm start for the next round's solve of
-		// the same step (it is re-verified against the new demand and cap
-		// before use).
-		if !a.Opts.DisableReuse {
-			st.lastX[step] = append([]float64(nil), x...)
-		}
-		return plan
+		return plan, true, nil
 	}
 
 	relax, err := lp.SolveWS(prob, lp.Options{}, &st.ws)
@@ -660,7 +702,8 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 	// flows (plus, on priced fleets, a cost term the rounding can only
 	// overestimate within the gap tolerance), so a fitting rounded point is
 	// outright optimal; for step 1 it seeds the branch and bound with a
-	// strong incumbent.
+	// strong incumbent. Either way it guarantees the step a plan, which is
+	// all a probe asks.
 	fits := func(totals []int) bool {
 		for cl, n := range totals {
 			if n > a.counts[cl] {
@@ -678,8 +721,8 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 		relaxX = relax.X
 		x, totals := a.ceilReplicas(relaxX, cfgVar)
 		if fits(totals) {
-			if step != stepHardware && !a.priced {
-				return mkPlan(x, SolveStats{Nodes: 1, LPIters: relax.Iters, Proven: true}), true, nil
+			if (step != stepHardware && !a.priced) || goal == goalFeasible {
+				return found(x, SolveStats{Nodes: 1, LPIters: relax.Iters, Proven: true})
 			}
 			seed = x
 		}
@@ -731,6 +774,9 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 		if forked {
 			st.ws.Swap()
 		}
+		if seed != nil && goal == goalFeasible {
+			return found(seed, SolveStats{})
+		}
 	}
 
 	opts := milp.Options{
@@ -744,9 +790,13 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 	// Warm-start the search from the previous round's solution of the same
 	// step: the variable layout per step is fixed, so the old point either
 	// verifies against the new demand and cap (and prunes the tree from
-	// node one) or is silently dropped.
-	if !a.Opts.DisableReuse {
-		if wx := st.lastX[step]; wx != nil {
+	// node one) or is silently dropped. A probe takes it as the search's
+	// incumbent instead: one that verifies decides the probe before the
+	// first node, exactly as it would rescue the full search at its end.
+	if wx := st.lastX[step]; wx != nil && !a.Opts.DisableReuse {
+		if goal == goalFeasible {
+			opts.Incumbent = wx
+		} else {
 			opts.WarmStarts = [][]float64{wx}
 		}
 	}
@@ -790,6 +840,8 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 		opts.StallNodes = 96
 		if step == stepHardware && a.priced {
 			opts.StallAfter = 0
+		} else if goal == goalUncut {
+			opts.StallNodes = 0
 		}
 	}
 	if step == stepHardware && !a.priced {
@@ -809,26 +861,36 @@ func (a *Allocator) solveStep(demand float64, step stepKind) (*Plan, bool, error
 		// differences far below profiling noise.
 		opts.RelGap = 0.01
 	}
+	if goal == goalFeasible {
+		// An infinite gap closes the search at its first integer point;
+		// until then the gap test never fires, so the probe walks the full
+		// search's nodes in the full search's order.
+		opts.RelGap = math.Inf(1)
+	}
 
 	st.milpSolves++
 	res, err := milp.SolveWithOptions(&milp.Problem{LP: prob, Integer: m.integer, Root: relax}, opts)
 	if err != nil {
 		return nil, false, err
 	}
+	st.nodes += res.Nodes
+	if res.Truncated {
+		st.truncated++
+	}
 	switch res.Status {
 	case milp.Infeasible:
 		return nil, false, nil
 	case milp.Optimal, milp.Feasible:
-		return mkPlan(res.X, SolveStats{
+		return found(res.X, SolveStats{
 			Nodes: res.Nodes, LPIters: res.LPIters,
 			Proven: res.Status == milp.Optimal, Truncated: res.Truncated,
-		}), true, nil
+		})
 	default:
 		// Search budget exhausted without an incumbent. Fall back to the
 		// heuristic seed when we have one; otherwise report infeasible-for-
 		// this-step so Allocate falls through to the next regime.
 		if seed != nil {
-			return mkPlan(seed, SolveStats{Nodes: res.Nodes, LPIters: res.LPIters, Truncated: true}), true, nil
+			return found(seed, SolveStats{Nodes: res.Nodes, LPIters: res.LPIters, Truncated: true})
 		}
 		return nil, false, nil
 	}
@@ -944,19 +1006,72 @@ func (a *Allocator) extractPlan(x []float64, m *stepModel, demand float64, step 
 	return plan
 }
 
-// MaxCapacity estimates the largest demand (QPS) in [lo, hi] the cluster can
-// fully serve, by bisecting on whether Allocate returns an unsaturated plan
-// (under the allocator's own MinPathAccuracy, if any). Admission-fronted
-// tenants take it as their planning demand cap.
+// maxCapacityDoublings bounds how often MaxCapacity doubles its upper end. A
+// finite cluster saturates long before: it only guards the loop.
+const maxCapacityDoublings = 32
+
+// MaxCapacity estimates the largest demand (QPS) at or above lo the cluster
+// can fully serve (under the allocator's own MinPathAccuracy, if any), to
+// within 0.5 qps. Admission-fronted tenants take it as their planning demand
+// cap.
+//
+// It bisects on the verdict rule "Allocate(d) returns an unsaturated plan",
+// and each probe decides only that: step 1, then step 2, each stopped at
+// whatever settles it — an infeasible relaxation, a rounded seed, or the
+// first integer point of a branch and bound that walks the full search's
+// nodes in its order under its limits. The saturation step never runs: when
+// steps 1 and 2 find no plan the verdict is "saturated" whatever step 3
+// would return. The probes run one at a time, so a verdict never depends on
+// another probe's CPU use through the stall clock.
+//
+// hi is where the bisection starts, not a ceiling. When every probe succeeds
+// and hi itself is servable, the bisection continues on [hi, 2·hi] — the
+// probes a plain bisection of [lo, 2·hi] would make after its first. Once
+// any probe fails the sequence is exactly a plain bisection of [lo, hi], so
+// a capacity below the starting hi is found as before.
+//
+// A probe's point is only a first integer point, often a rounded seed from a
+// lower demand, and it stays behind as the step's warm start. The plan at the
+// capacity itself is a search that finds its own first incumbent only about
+// when the stall cutoff arms, so from such a warm start that plan would turn
+// on the host's speed. MaxCapacity therefore ends with one full solve at the
+// capacity it returns, without the stall cutoff, and leaves its optimum as
+// the warm start instead, as the bisection over full Allocate calls used to.
+// That solve is bounded by SolveTimeLimit like any other: about 0.2 s of
+// the ≈0.6 s traffic-analysis takes on 20 servers.
 func (a *Allocator) MaxCapacity(lo, hi float64) float64 {
-	for i := 0; i < 24 && hi-lo > 0.5; i++ {
-		mid := (lo + hi) / 2
-		plan, err := a.Allocate(mid)
-		if err == nil && plan.Mode != Saturated {
-			lo = mid
-		} else {
-			hi = mid
+	capacity := a.bisectCapacity(lo, hi)
+	if !a.Opts.DisableReuse {
+		d := a.provisioned(capacity)
+		for _, step := range []stepKind{stepHardware, stepAccuracy} {
+			if _, ok, err := a.solveStep(d, step, goalUncut); err != nil || ok {
+				break
+			}
 		}
 	}
-	return lo
+	return capacity
+}
+
+// bisectCapacity is MaxCapacity's bisection over feasibility probes.
+func (a *Allocator) bisectCapacity(lo, hi float64) float64 {
+	for doublings := 0; ; doublings++ {
+		probes, capped := 0, false
+		for ; probes < 24 && hi-lo > 0.5; probes++ {
+			mid := (lo + hi) / 2
+			if ok, err := a.servable(mid); err == nil && ok {
+				lo = mid
+			} else {
+				hi, capped = mid, true
+			}
+		}
+		if capped || probes == 0 || doublings == maxCapacityDoublings {
+			return lo
+		}
+		// Every probe succeeded, so the capacity is within 0.5 qps of hi or
+		// beyond it: probe hi itself, and when it holds, go on above it.
+		if ok, err := a.servable(hi); err != nil || !ok {
+			return lo
+		}
+		lo, hi = hi, 2*hi
+	}
 }

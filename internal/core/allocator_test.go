@@ -393,3 +393,69 @@ func TestBudgetsAreTwiceBatchLatency(t *testing.T) {
 		}
 	}
 }
+
+// A capacity probe returns exactly Allocate's verdict, "an unsaturated plan",
+// while doing only the work that decides it. Each side runs on its own fresh
+// allocator with the serving options, so each carries only its own warm
+// starts, over demands straddling the configuration's capacity. A truncated
+// search makes a verdict timing-dependent when it ends with nothing: the
+// probe's (which stops at its first integer point anyway), or one of
+// Allocate's steps 1 and 2 on the way to a saturated plan. Such demands are
+// skipped. A step-2 search cut after its first incumbent, or a step-3
+// search, cannot change Allocate's verdict.
+func TestCapacityProbeAgreesWithAllocate(t *testing.T) {
+	cases := []struct {
+		name     string
+		servers  int
+		caps     []int // nil: the uncapped allocator
+		capacity float64
+		factors  []float64
+	}{
+		{"traffic-analysis", 20, nil, 1513, []float64{0.5, 0.9, 1.1, 1.3}},
+		{"chain-3class", 60, nil, 5423, []float64{0.5, 0.8, 0.9, 1.1, 1.2, 1.5}},
+		{"chain-3class", 60, []int{6, 12, 12}, 2550, []float64{0.5, 0.8, 0.9, 1.1, 1.2, 1.5}},
+	}
+	decided := 0
+	for _, c := range cases {
+		probe := capacityAllocator(t, c.name, c.servers, 0)
+		full := capacityAllocator(t, c.name, c.servers, 0)
+		view := probe
+		if c.caps != nil {
+			view = probe.Capped(c.caps)
+		}
+		for _, f := range c.factors {
+			d := f * c.capacity
+			probeCut, fullCut := probe.Perf().Truncated, full.Perf().Truncated
+			got, err := view.servable(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var plan *Plan
+			if c.caps != nil {
+				plan, err = full.AllocateCapped(d, c.caps)
+			} else {
+				plan, err = full.Allocate(d)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plan.Mode != Saturated
+			probeCut = probe.Perf().Truncated - probeCut
+			fullCut = full.Perf().Truncated - fullCut
+			if plan.SolveStats.Step == int(stepSaturation) && plan.SolveStats.Truncated {
+				fullCut--
+			}
+			t.Logf("%s caps %v at %.0f qps: probe %v (cut %d), Allocate %v (cut %d)", c.name, c.caps, d, got, probeCut, plan.Mode, fullCut)
+			if probeCut > 0 || (!want && fullCut > 0) {
+				continue
+			}
+			decided++
+			if got != want {
+				t.Errorf("%s caps %v at %.1f qps: probe says servable=%v, Allocate returned %v", c.name, c.caps, d, got, plan.Mode)
+			}
+		}
+	}
+	if decided < 12 {
+		t.Fatalf("only %d demands were decided without truncation, want at least 12", decided)
+	}
+}

@@ -64,6 +64,27 @@ func BenchmarkAllocate(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxCapacity measures the admission-cap bisection a front-door
+// tenant runs at control-plane build time: traffic-analysis on 20 servers
+// with the serving options, on a fresh allocator each time, as MultiSystem
+// builds one. Besides the time it reports the branch-and-bound solves and
+// nodes the probes and the closing solve at the cap spent.
+func BenchmarkMaxCapacity(b *testing.B) {
+	solves, nodes := 0, 0
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		a := capacityAllocator(b, "traffic-analysis", 20, 0)
+		b.StartTimer()
+		a.MaxCapacity(0, 20000)
+		p := a.Perf()
+		solves += p.MILPSolves
+		nodes += p.Nodes
+	}
+	b.ReportMetric(float64(solves)/float64(b.N), "milp_solves/op")
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+}
+
 // The tenant plan cache key is a value type packing up to maxKeyClasses
 // per-class caps inline; building it must not allocate — at fleet scale every
 // tenant constructs one per round, and the old string-concat key put that on

@@ -26,6 +26,8 @@ type solverState struct {
 	lastX  map[stepKind][]float64
 
 	milpSolves  int
+	nodes       int
+	truncated   int
 	modelBuilds int
 	modelReuses int
 	greedyPlans int
@@ -37,8 +39,10 @@ func newSolverState() *solverState {
 
 // SolverPerf aggregates the allocator's solver-level effort counters.
 type SolverPerf struct {
-	// MILPSolves counts branch-and-bound invocations.
-	MILPSolves int
+	// MILPSolves counts branch-and-bound invocations, Nodes the nodes they
+	// explored, and Truncated those a resource limit (wall clock, node
+	// budget, stall cutoff) stopped before a deterministic end.
+	MILPSolves, Nodes, Truncated int
 	// ModelBuilds counts step-model constructions — in steady state one per
 	// optimization step the allocator has ever solved — and ModelReuses the
 	// solves and greedy passes that found their step's model already built.
@@ -55,6 +59,8 @@ func (a *Allocator) Perf() SolverPerf {
 	defer st.mu.Unlock()
 	return SolverPerf{
 		MILPSolves:  st.milpSolves,
+		Nodes:       st.nodes,
+		Truncated:   st.truncated,
 		ModelBuilds: st.modelBuilds,
 		ModelReuses: st.modelReuses,
 		GreedyPlans: st.greedyPlans,

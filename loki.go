@@ -716,7 +716,9 @@ func PlanFor(p *Pipeline, demandQPS float64, opts ...Option) (*Plan, error) {
 }
 
 // MaxCapacity estimates the largest demand (QPS) the cluster can fully serve
-// with accuracy scaling enabled.
+// with accuracy scaling enabled, to within 0.5 qps. There is no ceiling: the
+// search starts on [0, 20000] and doubles its upper end while the cluster
+// keeps up.
 func MaxCapacity(p *Pipeline, opts ...Option) (float64, error) {
 	_, alloc, err := newAllocStack(p, buildConfig(opts))
 	if err != nil {

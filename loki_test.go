@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"loki"
+	"loki/internal/core"
 )
 
 func TestServeQuickstart(t *testing.T) {
@@ -90,6 +91,27 @@ func TestMaxCapacityExceedsHardwareLimit(t *testing.T) {
 	// beyond (Figure 1's whole point).
 	if maxCap < 1000 {
 		t.Fatalf("max capacity = %.0f, want >1000 QPS with accuracy scaling", maxCap)
+	}
+}
+
+// MaxCapacity has no ceiling: a pool large enough to serve more than 20,000
+// qps (the bisection's starting upper end) reports its real capacity, and
+// just below it the planner still serves the whole demand.
+func TestMaxCapacityBeyondStartingRange(t *testing.T) {
+	pipe := loki.TrafficAnalysisPipeline()
+	maxCap, err := loki.MaxCapacity(pipe, loki.WithServers(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maxCap <= 20000 {
+		t.Fatalf("max capacity of 300 servers = %.2f qps, want above 20000", maxCap)
+	}
+	plan, err := loki.PlanFor(pipe, 0.99*maxCap, loki.WithServers(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Mode == core.Saturated {
+		t.Fatalf("plan at 0.99 × capacity (%.0f qps) is saturated", 0.99*maxCap)
 	}
 }
 
