@@ -14,23 +14,14 @@ import (
 	"loki/internal/telemetry"
 )
 
-// Control is the engine-facing controller surface: the serving backends
-// drive whichever controller they are given through this interface, so the
-// single-pipeline Controller and the multi-tenant MultiController are
-// interchangeable behind an engine's housekeeping loop.
-type Control interface {
-	// Step runs one Resource Manager invocation; force skips the
-	// change-threshold check (used on the periodic interval).
-	Step(force bool) error
-	// Rebalance refreshes routing tables against the standing plan(s)
-	// without re-solving any MILP.
-	Rebalance()
+// Planner produces a resource allocation plan for a demand estimate. The
+// MILP-based Allocator is Loki's planner; the baselines in
+// internal/baselines (InferLine-like hardware scaling, Proteus-like
+// pipeline-agnostic accuracy scaling) plug in here too, so every approach
+// runs on the identical serving substrate.
+type Planner interface {
+	Allocate(demand float64) (*Plan, error)
 }
-
-var (
-	_ Control = (*Controller)(nil)
-	_ Control = (*MultiController)(nil)
-)
 
 // CappedPlanner is a Planner that can additionally solve under a temporary
 // server budget smaller than its configured cluster size. The
@@ -63,8 +54,11 @@ type Tenant struct {
 	// pool the share applies per hardware class: the floor is a slice of
 	// every class, so the guarantee covers fast hardware too.
 	MinShare float64
-	// RouteHeadroom inflates the demand handed to MostAccurateFirst, as in
-	// Controller.RouteHeadroom.
+	// RouteHeadroom inflates the demand handed to MostAccurateFirst, so the
+	// greedy fill loads every worker to 1/(1+RouteHeadroom) of its profiled
+	// capacity instead of exactly 100%. Batch queues at critical load build
+	// unbounded waits; this is the slack that keeps queueing delay inside
+	// the SLO/2 allowance. Should match the allocator's Headroom.
 	RouteHeadroom float64
 	// ForecastHorizonSec is how far ahead this tenant's forecaster is
 	// consulted when planning (zero means DefaultForecastHorizonSec).
@@ -196,10 +190,22 @@ func encodeCaps(caps []int) string {
 const maxCachedPlans = 256
 
 // legacyBucketRatio is the single-pipeline plan-cache granularity (≈4%).
-// It predates the threshold-consistent quantization and is kept for the
-// single-tenant paths so their seeded runs stay bit-for-bit reproducible
+// It predates the threshold-consistent quantization and is kept for
+// one-tenant controllers so their seeded runs stay bit-for-bit reproducible
 // against the recorded goldens.
 const legacyBucketRatio = 1.04
+
+// demandBucket quantizes demand geometrically for plan caching: two demands
+// share a bucket when they differ by less than roughly ratio-1 (relative).
+// One-tenant controllers use the fine legacyBucketRatio; with several
+// tenants the buckets widen to the adaptation threshold — see
+// MultiController.bucketRatio.
+func demandBucket(d, ratio float64) int {
+	if d < 1 {
+		return 0
+	}
+	return int(math.Round(math.Log(d) / math.Log(ratio)))
+}
 
 // solve runs the tenant's planner through its plan cache, quantizing demand
 // at the given geometric ratio. A nil caps vector solves at the planner's
@@ -388,16 +394,10 @@ func (tc *tenantCounter) publish(at float64, total int) {
 	}
 }
 
-// CapacityObserver is implemented by controllers that re-plan against live
-// (post-fault) capacity. The serving engines push per-class up-server counts
-// here whenever a fault event fires or recovers.
-type CapacityObserver interface {
-	ObserveCapacity(liveByClass []int)
-}
-
 // ObserveCapacity installs the pool's current per-class up-server counts
 // (clamped to the static class sizes) and schedules a re-allocation on the
-// next controller step. Observing full capacity again drops the override, so
+// next controller step. The serving engines call it whenever a fault event
+// fires or recovers. Observing full capacity again drops the override, so
 // fault-free operation stays on the legacy code path.
 func (m *MultiController) ObserveCapacity(liveByClass []int) {
 	m.mu.Lock()

@@ -48,7 +48,7 @@ func TestControllerPlansAgainstPrediction(t *testing.T) {
 	fc := &stubForecaster{}
 	meta.SetForecaster(fc)
 	rec := &recordingPlanner{servers: 4}
-	c := NewController(meta, rec, nil)
+	c := oneTenant(t, meta, rec, nil)
 
 	meta.ObserveDemand(100)
 	fc.pred = 400 // spike forecast: plan for the prediction
@@ -77,7 +77,7 @@ func TestPredictionTriggersEarlyReallocation(t *testing.T) {
 	fc := &stubForecaster{pred: 100}
 	meta.SetForecaster(fc)
 	rec := &recordingPlanner{servers: 2}
-	c := NewController(meta, rec, nil)
+	c := oneTenant(t, meta, rec, nil)
 
 	meta.ObserveDemand(100)
 	if err := c.Step(true); err != nil {

@@ -158,6 +158,17 @@ func TestExpandPlanAssignsDenseIDs(t *testing.T) {
 	}
 }
 
+// oneTenant wires a planner into a one-tenant MultiController over a
+// 20-server pool, the control path every single-pipeline run takes.
+func oneTenant(t *testing.T, meta *MetadataStore, alloc Planner, publish func(*Plan, *Routes)) *MultiController {
+	t.Helper()
+	m, err := NewMultiController(20, []*Tenant{{Name: "pipeline", Meta: meta, Alloc: alloc, Publish: publish}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestControllerCachesPlansByDemandBucket(t *testing.T) {
 	g := profiles.TrafficChain()
 	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
@@ -169,7 +180,7 @@ func TestControllerCachesPlansByDemandBucket(t *testing.T) {
 		t.Fatal(err)
 	}
 	published := 0
-	ctrl := NewController(meta, alloc, func(*Plan, *Routes) { published++ })
+	ctrl := oneTenant(t, meta, alloc, func(*Plan, *Routes) { published++ })
 	meta.ObserveDemand(400)
 	if err := ctrl.Step(true); err != nil {
 		t.Fatal(err)
@@ -206,7 +217,7 @@ func TestControllerReactiveThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl := NewController(meta, alloc, nil)
+	ctrl := oneTenant(t, meta, alloc, nil)
 	meta.ObserveDemand(400)
 	if err := ctrl.Step(true); err != nil {
 		t.Fatal(err)
@@ -220,7 +231,7 @@ func TestControllerReactiveThreshold(t *testing.T) {
 	if ctrl.Allocates() != base {
 		t.Fatal("reactive step reallocated on a small drift")
 	}
-	if ctrl.Plan() == nil || ctrl.Routes() == nil {
+	if ctrl.PlanOf(0) == nil || ctrl.RoutesOf(0) == nil {
 		t.Fatal("controller lost its standing plan")
 	}
 }

@@ -1,27 +1,16 @@
-// Package engine defines the common serving-backend abstraction behind the
-// public loki.System API. A backend hosts the worker pool: it accepts plan
-// publications from the core.Controller, admits requests (one at a time via
-// Submit or as a whole arrival process via Feed), and runs the per-second
-// housekeeping loop (demand reports, heartbeats, controller steps) that the
-// paper's Controller relies on. Two implementations exist: the discrete-event
-// simulator (internal/sim + internal/cluster, virtual time) and the
-// wall-clock prototype (internal/live, real goroutine workers). Everything
-// above this interface — loki.System, loki.Serve, internal/experiments.Run —
-// is backend-agnostic.
+// Package engine is the serving backend behind the public loki.System API
+// and internal/experiments.Run. A backend hosts the worker pool of one or
+// more pipelines: it accepts plan publications from the core.MultiController,
+// admits requests (one at a time via Submit or as whole arrival processes via
+// FeedAll), and runs the per-second housekeeping loop (demand reports,
+// heartbeats, controller steps) that the paper's Controller relies on. Two
+// implementations of MultiEngine exist: the discrete-event simulator
+// (internal/sim + internal/cluster, virtual time) and the wall-clock
+// prototype (internal/live, real goroutine workers). A single pipeline is a
+// one-tenant MultiEngine; everything above this package is backend-agnostic.
 package engine
 
-import (
-	"errors"
-	"fmt"
-
-	"loki/internal/core"
-	"loki/internal/metrics"
-	"loki/internal/pipeline"
-	"loki/internal/policy"
-	"loki/internal/profiles"
-	"loki/internal/telemetry"
-	"loki/internal/trace"
-)
+import "errors"
 
 // Stats are cumulative request totals of a backend. Injected counts root
 // requests admitted; every injected request eventually lands in exactly one
@@ -37,65 +26,6 @@ type Stats struct {
 	Shed      int64
 }
 
-// Config assembles the pieces every backend needs. Meta, Policy, and
-// Collector are required; the scalar knobs fall back to the paper's defaults
-// where zero.
-type Config struct {
-	Meta      *core.MetadataStore
-	Policy    policy.Policy
-	Collector *metrics.Collector
-
-	Servers int
-	// Classes partitions the pool into hardware classes (see
-	// cluster.Options.Classes). Nil means one homogeneous "default" class
-	// of Servers workers at speed 1.0.
-	Classes        []profiles.Class
-	SLOSec         float64
-	NetLatencySec  float64
-	Seed           int64
-	SwapLatencySec float64
-	ExecJitter     float64
-	QueueFactor    float64
-
-	RMIntervalSec float64 // Resource Manager period (paper: 10 s)
-	LBIntervalSec float64 // Load Balancer refresh period
-
-	// TimeScale compresses the wall-clock backend's real time
-	// (wall = profiled × TimeScale); ignored by the simulator.
-	TimeScale float64
-
-	// OnTaskDemand, when non-nil, receives per-task arrival counts every
-	// housekeeping second (the Proteus-like baseline scales each task
-	// against this history).
-	OnTaskDemand func(task pipeline.TaskID, count float64)
-
-	// Telemetry, when non-nil, is the per-worker collector the backend feeds
-	// with enqueue/batch/swap/fault events (see internal/telemetry). Nil
-	// disables collection.
-	Telemetry *telemetry.Collector
-	// Tracer, when non-nil, samples requests into span trees.
-	Tracer *telemetry.Tracer
-}
-
-func (c *Config) defaults() error {
-	if c.Meta == nil {
-		return errors.New("engine: Config.Meta is required")
-	}
-	if c.Policy == nil {
-		c.Policy = policy.Opportunistic{}
-	}
-	if c.Collector == nil {
-		return errors.New("engine: Config.Collector is required")
-	}
-	if c.RMIntervalSec == 0 {
-		c.RMIntervalSec = 10
-	}
-	if c.LBIntervalSec == 0 {
-		c.LBIntervalSec = 1
-	}
-	return nil
-}
-
 // Lifecycle errors shared by both backends.
 var (
 	ErrNotStarted = errors.New("engine: not started")
@@ -109,59 +39,3 @@ const (
 	KindSimulated Kind = iota
 	KindWallclock
 )
-
-// New builds the backend of the given kind. This is the single constructor
-// behind loki.System and internal/experiments.Run.
-func New(k Kind, cfg Config) (Engine, error) {
-	switch k {
-	case KindSimulated:
-		return NewSimulated(cfg)
-	case KindWallclock:
-		return NewWallclock(cfg)
-	default:
-		return nil, fmt.Errorf("engine: unknown kind %d", k)
-	}
-}
-
-// Engine is a serving backend. The lifecycle is
-// Start → {Submit | Feed}* → Stop; Stop drains in-flight requests and is
-// idempotent. ApplyPlan may be called at any point after construction (the
-// Controller publishes through it, including for the pre-warm plan installed
-// before Start).
-type Engine interface {
-	// ApplyPlan installs a plan and routing tables (the Controller's
-	// publish target).
-	ApplyPlan(plan *core.Plan, routes *core.Routes)
-
-	// Start launches the backend's workers and housekeeping. The given
-	// controller is stepped on its periodic intervals until Stop.
-	Start(ctrl *core.Controller) error
-
-	// Submit admits a single request at the backend's current time. On the
-	// simulated backend the request is processed when virtual time next
-	// advances (a Feed or Stop call).
-	Submit() error
-
-	// Feed plays a trace's Poisson arrival process, blocking until the last
-	// arrival has been admitted — in virtual time on the simulator, in
-	// (scaled) wall time on the live backend.
-	Feed(tr *trace.Trace) error
-
-	// Stop drains in-flight requests and shuts the backend down.
-	Stop() error
-
-	// Stats returns cumulative request totals.
-	Stats() Stats
-
-	// Now returns the backend's time in seconds since Start (virtual or
-	// scaled wall time).
-	Now() float64
-
-	// ActiveServers counts workers currently hosting a model.
-	ActiveServers() int
-
-	// ActiveByClass counts workers currently hosting a model in each
-	// hardware class, in class order (a single-element slice on
-	// homogeneous pools).
-	ActiveByClass() []int
-}

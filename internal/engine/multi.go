@@ -81,8 +81,8 @@ type MultiConfig struct {
 	// pool. Event times are anchored to the start of the first FeedAll (the
 	// simulator schedules them as virtual-time events, the wall-clock
 	// backend as scaled timers from Start). Every fault updates each
-	// tenant's MetadataStore live counts and, when the controller
-	// implements core.CapacityObserver, triggers a re-plan within a round.
+	// tenant's MetadataStore live counts and, through the controller's
+	// ObserveCapacity, triggers a re-plan within a round.
 	Faults *fault.Schedule
 
 	// OnFault, when non-nil, observes every fault and recovery event with
@@ -118,10 +118,12 @@ func (c *MultiConfig) defaults() error {
 	return nil
 }
 
-// MultiEngine is a serving backend hosting several pipelines on one shared
-// pool and clock. Tenants are addressed by their index in
-// MultiConfig.Tenants. The lifecycle mirrors Engine:
-// Start → {Submit | Feed | FeedAll}* → Stop.
+// MultiEngine is a serving backend hosting one or more pipelines on one
+// shared pool and clock. Tenants are addressed by their index in
+// MultiConfig.Tenants. The lifecycle is Start → {Submit | FeedAll}* → Stop;
+// Stop drains in-flight requests and is idempotent. ApplyPlan may be called
+// at any point after construction (the controller publishes through it,
+// including for the pre-warm plan installed before Start).
 type MultiEngine interface {
 	// ApplyPlan installs one tenant's plan and routing tables (the joint
 	// controller's per-tenant publish target).
@@ -129,10 +131,11 @@ type MultiEngine interface {
 
 	// Start launches workers and housekeeping; the given controller is
 	// stepped jointly on the periodic intervals until Stop.
-	Start(ctrl core.Control) error
+	Start(ctrl *core.MultiController) error
 
 	// Submit admits a single request for one tenant at the backend's
-	// current time.
+	// current time. On the simulated backend the request is processed when
+	// virtual time next advances (a FeedAll or Stop call).
 	Submit(tenant int) error
 
 	// FeedAll plays one trace per tenant (indexed like MultiConfig.Tenants;
@@ -159,8 +162,8 @@ type MultiEngine interface {
 	ActiveByClass(tenant int) []int
 }
 
-// NewMulti builds the multi-tenant backend of the given kind — the shared
-// constructor behind loki.MultiSystem and the multi-tenant experiments.
+// NewMulti builds the backend of the given kind — the one constructor
+// behind loki.System, loki.MultiSystem and every experiment.
 func NewMulti(k Kind, cfg MultiConfig) (MultiEngine, error) {
 	switch k {
 	case KindSimulated:
@@ -175,13 +178,13 @@ func NewMulti(k Kind, cfg MultiConfig) (MultiEngine, error) {
 // multiSimulated hosts one cluster.Cluster per tenant on a single
 // discrete-event clock. Virtual time advances only inside FeedAll and Stop,
 // so the adapter must be driven from one goroutine. Seeds are offset per
-// tenant (tenant i: cluster Seed+1+2i, arrivals Seed+2+2i) so tenant 0 of a
-// one-tenant system reproduces the single-pipeline backend bit for bit.
+// tenant (tenant i: cluster Seed+1+2i, arrivals Seed+2+2i), so tenant 0 keeps
+// the seeds a one-pipeline run has always drawn.
 type multiSimulated struct {
 	cfg  MultiConfig
 	eng  *sim.Engine
 	cls  []*cluster.Cluster
-	ctrl core.Control
+	ctrl *core.MultiController
 
 	arrRngs []*rand.Rand
 	started bool
@@ -291,8 +294,8 @@ func (m *multiSimulated) publishLive() {
 	for i := range m.cfg.Tenants {
 		m.cfg.Tenants[i].Meta.SetLiveClassCounts(forMeta)
 	}
-	if co, ok := m.ctrl.(core.CapacityObserver); ok {
-		co.ObserveCapacity(live)
+	if m.ctrl != nil {
+		m.ctrl.ObserveCapacity(live)
 	}
 }
 
@@ -322,7 +325,7 @@ func (m *multiSimulated) ApplyPlan(tenant int, plan *core.Plan, routes *core.Rou
 	m.cls[tenant].ApplyPlan(plan, routes)
 }
 
-func (m *multiSimulated) Start(ctrl core.Control) error {
+func (m *multiSimulated) Start(ctrl *core.MultiController) error {
 	if m.started {
 		return errors.New("engine: already started")
 	}
@@ -351,8 +354,7 @@ func (m *multiSimulated) Submit(tenant int) error {
 
 // FeedAll schedules every tenant's arrivals plus the shared housekeeping
 // ticks, then runs virtual time through the longest trace and drains
-// in-flight requests. With a single tenant this is exactly the event program
-// of the single-pipeline simulated backend.
+// in-flight requests.
 func (m *multiSimulated) FeedAll(traces []*trace.Trace) error {
 	if !m.started {
 		return ErrNotStarted
@@ -454,6 +456,26 @@ func (m *multiSimulated) FeedAll(traces []*trace.Trace) error {
 	return m.stepErr
 }
 
+// chainArrivals plays arrivals (offsets from start) on eng as a lazy chain:
+// each arrival event calls inject and then schedules the next arrival, so
+// one event per trace is pending at a time and the event heap stays small.
+// One callback serves the whole chain.
+func chainArrivals(eng *sim.Engine, start float64, arrivals []float64, inject func()) {
+	next := 0
+	var fire func()
+	scheduleNext := func() {
+		if next < len(arrivals) {
+			eng.At(start+arrivals[next], fire)
+			next++
+		}
+	}
+	fire = func() {
+		inject()
+		scheduleNext()
+	}
+	scheduleNext()
+}
+
 func (m *multiSimulated) housekeepTenant(i int, now, rateQPS float64) {
 	t := &m.cfg.Tenants[i]
 	cl := m.cls[i]
@@ -502,7 +524,7 @@ func (m *multiSimulated) ActiveByClass(tenant int) []int { return m.cls[tenant].
 // multiWallclock hosts one live.Engine per tenant. Real time is naturally
 // shared, so tenant engines run their own goroutine workers and FeedAll
 // plays the traces concurrently. Only tenant 0's housekeeping loop drives
-// the joint controller (the others pass a nil control), so the
+// the joint controller (the others start with a nil controller), so the
 // MultiController is stepped exactly once per interval.
 type multiWallclock struct {
 	cfg MultiConfig
@@ -515,7 +537,7 @@ type multiWallclock struct {
 	// controller observing capacity, and the injector goroutine lifecycle.
 	fp        *faultPool
 	timeline  []fault.Timed
-	ctrl      core.Control
+	ctrl      *core.MultiController
 	faultDone chan struct{}
 	faultWG   sync.WaitGroup
 }
@@ -611,8 +633,8 @@ func (m *multiWallclock) publishLive() {
 	for i := range m.cfg.Tenants {
 		m.cfg.Tenants[i].Meta.SetLiveClassCounts(forMeta)
 	}
-	if co, ok := m.ctrl.(core.CapacityObserver); ok {
-		co.ObserveCapacity(live)
+	if m.ctrl != nil {
+		m.ctrl.ObserveCapacity(live)
 	}
 }
 
@@ -650,14 +672,14 @@ func (m *multiWallclock) ApplyPlan(tenant int, plan *core.Plan, routes *core.Rou
 	m.es[tenant].ApplyPlan(plan, routes)
 }
 
-func (m *multiWallclock) Start(ctrl core.Control) error {
+func (m *multiWallclock) Start(ctrl *core.MultiController) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.started {
 		return errors.New("engine: already started")
 	}
 	for i, e := range m.es {
-		var c core.Control
+		var c *core.MultiController
 		if i == 0 {
 			c = ctrl
 		}

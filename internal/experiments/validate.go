@@ -65,8 +65,8 @@ func Validate(cfg ValidateConfig) (*ValidationResult, error) {
 
 	start := time.Now()
 
-	// The two runs differ only in the backend behind the shared
-	// engine.Engine interface; every other knob is identical.
+	// The two runs differ only in the engine.MultiEngine kind; every other
+	// knob is identical.
 	simRes, err := Run(RunConfig{
 		Graph: g, Trace: tr, Approach: Loki, Backend: Simulated,
 		Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed,

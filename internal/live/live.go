@@ -95,7 +95,7 @@ type Engine struct {
 	stopped      bool
 
 	// Lifecycle state between Start and Stop.
-	ctrl      core.Control
+	ctrl      *core.MultiController
 	arrRng    *rand.Rand
 	done      chan struct{}
 	workersWG sync.WaitGroup
@@ -363,12 +363,11 @@ func (e *Engine) SetWorkerSpeedFactor(phys int, factor float64) {
 // (per-second demand reports, heartbeats, reactive and periodic controller
 // steps). The engine then accepts Submit and Feed until Stop.
 //
-// ctrl is any core.Control — the single-pipeline Controller or the
-// multi-tenant MultiController. A nil ctrl runs demand reports and
-// heartbeats but no controller stepping; a multi-tenant harness passes nil
-// for all but one member engine so the joint controller is stepped exactly
-// once per interval.
-func (e *Engine) Start(ctrl core.Control) error {
+// ctrl is the controller whose tenants this engine serves. A nil ctrl runs
+// demand reports and heartbeats but no controller stepping; a multi-tenant
+// harness passes nil for all but one member engine so the joint controller
+// is stepped exactly once per interval.
+func (e *Engine) Start(ctrl *core.MultiController) error {
 	e.mu.Lock()
 	if e.started {
 		e.mu.Unlock()
@@ -564,20 +563,6 @@ func (e *Engine) Stop() error {
 	e.mu.Unlock()
 	e.workersWG.Wait()
 	return err
-}
-
-// Serve drives the engine over a workload trace, blocking until the trace
-// finishes and in-flight requests drain. The controller is stepped on its
-// periodic intervals exactly as in the simulator. It is Start → Feed → Stop.
-func (e *Engine) Serve(tr *trace.Trace, ctrl core.Control) error {
-	if err := e.Start(ctrl); err != nil {
-		return err
-	}
-	if err := e.Feed(tr); err != nil {
-		e.Stop()
-		return err
-	}
-	return e.Stop()
 }
 
 // Now returns the scaled seconds since Start (0 before the first Start).
