@@ -75,11 +75,21 @@ type Cluster struct {
 	workers []*worker
 	rec     *core.Reconciler // which spec sits on which physical worker
 	names   [][]string       // [task][variant] → "task/variant", the telemetry row's label
-	logical map[core.WorkerID]*worker
 	routes  *core.Routes
+	hop     *sim.Lane // the network hop every delivery rides
 
-	backupLeft map[core.WorkerID]float64
-	minTail    []float64 // per task: fastest possible time to finish its subtree
+	// The routes compiled by ApplyPlan into slices indexed by WorkerID (spec
+	// IDs are dense, so each is sized by the largest one): the worker hosting
+	// each spec, whether routes.Tables holds a table for it, its entries for
+	// each child task at perChild[id*len(tasks)+child], and its leftover
+	// capacity for rerouting.
+	logical    []*worker
+	hasTable   []bool
+	perChild   [][]core.RouteEntry
+	backupLeft []float64
+
+	minTail []float64     // per task: fastest possible time to finish its subtree
+	fanout  [][][]float64 // [task][variant][child]: exp(-mean fan-out), poisson's threshold
 
 	arrivals     int   // since the last FlushDemand
 	taskArrivals []int // per-task enqueues since the last FlushTaskArrivals
@@ -184,18 +194,17 @@ func New(eng *sim.Engine, meta *core.MetadataStore, pol policy.Policy, col *metr
 		opts.QueueFactor = 2.0
 	}
 	c := &Cluster{
-		Eng:        eng,
-		Meta:       meta,
-		Opts:       opts,
-		Policy:     pol,
-		Metrics:    col,
-		g:          meta.Graph(),
-		rng:        rand.New(rand.NewSource(opts.Seed)),
-		rec:        core.NewReconciler(opts.Classes),
-		names:      core.AssignedNames(meta.Graph()),
-		logical:    map[core.WorkerID]*worker{},
-		backupLeft: map[core.WorkerID]float64{},
-		workers:    make([]*worker, opts.Servers),
+		Eng:     eng,
+		Meta:    meta,
+		Opts:    opts,
+		Policy:  pol,
+		Metrics: col,
+		g:       meta.Graph(),
+		rng:     rand.New(rand.NewSource(opts.Seed)),
+		rec:     core.NewReconciler(opts.Classes),
+		names:   core.AssignedNames(meta.Graph()),
+		hop:     eng.NewLane(opts.NetLatencySec),
+		workers: make([]*worker, opts.Servers),
 	}
 	c.ctx.FindBackup = c.findBackup
 	// Physical workers are laid out class by class: the first
@@ -215,6 +224,18 @@ func New(eng *sim.Engine, meta *core.MetadataStore, pol policy.Policy, col *metr
 		}
 	}
 	c.taskArrivals = make([]int, len(c.g.Tasks))
+	c.fanout = make([][][]float64, len(c.g.Tasks))
+	for t := range c.g.Tasks {
+		task := &c.g.Tasks[t]
+		c.fanout[t] = make([][]float64, len(task.Variants))
+		for v := range task.Variants {
+			thr := make([]float64, len(task.Children))
+			for i, child := range task.Children {
+				thr[i] = poissonThreshold(task.Variants[v].MultFactor * child.BranchRatio)
+			}
+			c.fanout[t][v] = thr
+		}
+	}
 
 	// minTail[t]: network hop + fastest execution of t (over every hardware
 	// class) + deepest child tail — the optimistic remaining latency the
@@ -299,8 +320,8 @@ func (c *Cluster) FlushTaskArrivals() []int {
 func (c *Cluster) ApplyPlan(plan *core.Plan, routes *core.Routes) {
 	now := c.Eng.Now()
 	c.routes = routes
+	c.compileRoutes(routes)
 
-	clear(c.logical)
 	for _, wi := range c.rec.Reconcile(routes.Specs) {
 		w, ns := c.workers[wi], c.rec.Held(wi)
 		if ns == nil {
@@ -330,14 +351,56 @@ func (c *Cluster) ApplyPlan(plan *core.Plan, routes *core.Routes) {
 		w.qcap = ns.QueueCap(c.Opts.QueueFactor, c.Opts.SLOSec)
 		c.Opts.Telemetry.SetAssigned(now, w.phys, c.names[ns.Task][ns.Variant])
 	}
+}
 
-	// Refresh rerouting capacity from the new backup tables.
-	clear(c.backupLeft)
+// compileRoutes sizes the WorkerID-indexed slices for routes and fills the
+// routing tables and rerouting capacities; ApplyPlan fills logical. The
+// slices keep their capacity across publishes and are cleared in full, so
+// nothing of a larger previous plan survives.
+func (c *Cluster) compileRoutes(routes *core.Routes) {
+	n := 0 // one past the largest WorkerID the routes name
+	for i := range routes.Specs {
+		n = max(n, int(routes.Specs[i].ID)+1)
+	}
+	for id := range routes.Tables {
+		n = max(n, int(id)+1)
+	}
+	for _, entries := range routes.Backup {
+		for _, e := range entries {
+			n = max(n, int(e.Worker)+1)
+		}
+	}
+	nt := len(c.g.Tasks)
+	c.logical = resize(c.logical, n)
+	c.hasTable = resize(c.hasTable, n)
+	c.perChild = resize(c.perChild, n*nt)
+	c.backupLeft = resize(c.backupLeft, n)
+	for id, t := range routes.Tables {
+		if t == nil {
+			continue
+		}
+		c.hasTable[id] = true
+		for child, entries := range t.PerChild {
+			if int(child) < nt {
+				c.perChild[int(id)*nt+int(child)] = entries
+			}
+		}
+	}
 	for _, entries := range routes.Backup {
 		for _, e := range entries {
 			c.backupLeft[e.Worker] = e.Leftover
 		}
 	}
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	clear(s)
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // dropQueue abandons every queued request; the queue keeps its capacity.
@@ -361,8 +424,8 @@ func (c *Cluster) SetWorkerDown(phys int) {
 	w := c.workers[phys]
 	w.gen++ // in-flight batch, if any, dies with the old incarnation
 	if w.spec != nil {
-		if c.logical[w.spec.ID] == w {
-			delete(c.logical, w.spec.ID)
+		if c.workerAt(w.spec.ID) == w {
+			c.logical[w.spec.ID] = nil
 		}
 		w.spec = nil
 	}
@@ -484,12 +547,21 @@ func (c *Cluster) releaseBatch(b *batch) {
 // deliver moves a subrequest to a logical worker after one network hop.
 func (c *Cluster) deliver(sub *subrequest, target core.WorkerID) {
 	sub.target = target
-	c.Eng.After(c.Opts.NetLatencySec, sub.arrive)
+	c.hop.After(sub.arrive)
+}
+
+// workerAt returns the worker hosting spec id, nil when none does or the
+// current routes do not name id.
+func (c *Cluster) workerAt(id core.WorkerID) *worker {
+	if uint(id) >= uint(len(c.logical)) {
+		return nil
+	}
+	return c.logical[id]
 }
 
 // arrive enqueues a subrequest at the end of its network hop.
 func (c *Cluster) arrive(sub *subrequest) {
-	w := c.logical[sub.target]
+	w := c.workerAt(sub.target)
 	if w == nil || w.spec == nil || w.spec.Task != sub.task {
 		// The worker was reassigned while the request was in flight.
 		c.DropsStale++
@@ -595,12 +667,12 @@ func (c *Cluster) completeAt(sub *subrequest, w *worker, spec *core.WorkerSpec) 
 	}
 
 	table := c.tableFor(w, spec)
+	thr := c.fanout[spec.Task][spec.Variant]
 	totalOut := 0
-	for _, child := range task.Children {
-		mean := c.g.Tasks[spec.Task].Variants[spec.Variant].MultFactor * child.BranchRatio
-		k := c.poisson(mean)
+	for i, child := range task.Children {
+		k := c.poisson(thr[i])
 		totalOut += k
-		for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
 			c.forward(sub, spec, child.Task, table, acc, now)
 		}
 	}
@@ -614,20 +686,33 @@ func (c *Cluster) completeAt(sub *subrequest, w *worker, spec *core.WorkerSpec) 
 	}
 }
 
-// tableFor resolves the routing table for queries leaving a worker. A batch
-// captures its spec at start, so after a reconfiguration the spec's logical
-// ID may be stale; prefer the worker's current table when it still serves
-// the same task.
-func (c *Cluster) tableFor(w *worker, spec *core.WorkerSpec) *core.WorkerTable {
-	if c.routes == nil {
+// tableFor resolves which spec's routing table serves queries leaving a
+// worker, or -1 when none does. A batch captures its spec at start, so after
+// a reconfiguration the spec's logical ID may be stale; prefer the worker's
+// current table when it still serves the same task.
+func (c *Cluster) tableFor(w *worker, spec *core.WorkerSpec) core.WorkerID {
+	if w.spec != nil && w.spec.Task == spec.Task && c.tableExists(w.spec.ID) {
+		return w.spec.ID
+	}
+	if c.tableExists(spec.ID) {
+		return spec.ID
+	}
+	return -1
+}
+
+// tableExists reports whether the current routes hold a table for spec id.
+func (c *Cluster) tableExists(id core.WorkerID) bool {
+	return uint(id) < uint(len(c.hasTable)) && c.hasTable[id]
+}
+
+// childRoutes returns spec id's route entries for child, as
+// routes.Tables[id].PerChild[child] holds them; nil when id is -1 or the
+// routes hold nothing there.
+func (c *Cluster) childRoutes(id core.WorkerID, child pipeline.TaskID) []core.RouteEntry {
+	if !c.tableExists(id) {
 		return nil
 	}
-	if w.spec != nil && w.spec.Task == spec.Task {
-		if t := c.routes.Tables[w.spec.ID]; t != nil {
-			return t
-		}
-	}
-	return c.routes.Tables[spec.ID]
+	return c.perChild[int(id)*len(c.g.Tasks)+int(child)]
 }
 
 // anyWorkerOf returns some live worker currently serving the task, used as
@@ -641,7 +726,7 @@ func (c *Cluster) anyWorkerOf(task pipeline.TaskID) (core.WorkerID, bool) {
 		if s.Task != task {
 			continue
 		}
-		if w := c.logical[s.ID]; w != nil && w.spec != nil && w.spec.Task == task {
+		if w := c.workerAt(s.ID); w != nil && w.spec != nil && w.spec.Task == task {
 			return s.ID, true
 		}
 	}
@@ -650,12 +735,8 @@ func (c *Cluster) anyWorkerOf(task pipeline.TaskID) (core.WorkerID, bool) {
 
 // forward routes one intermediate query to a child-task worker, applying
 // the early-dropping policy.
-func (c *Cluster) forward(sub *subrequest, spec *core.WorkerSpec, childTask pipeline.TaskID, table *core.WorkerTable, acc float64, now float64) {
-	var entries []core.RouteEntry
-	if table != nil {
-		entries = table.PerChild[childTask]
-	}
-	target, ok := c.pick(entries)
+func (c *Cluster) forward(sub *subrequest, spec *core.WorkerSpec, childTask pipeline.TaskID, table core.WorkerID, acc float64, now float64) {
+	target, ok := c.pick(c.childRoutes(table, childTask))
 	if !ok {
 		// Stale table after a reconfiguration: fall back to any live
 		// worker of the child task before giving up.
@@ -667,7 +748,7 @@ func (c *Cluster) forward(sub *subrequest, spec *core.WorkerSpec, childTask pipe
 		return
 	}
 	nextExec := 0.0
-	if tw := c.logical[target]; tw != nil && tw.spec != nil {
+	if tw := c.workerAt(target); tw != nil && tw.spec != nil {
 		nextExec = tw.spec.LatencySec
 	}
 
@@ -772,12 +853,21 @@ func (c *Cluster) pick(entries []core.RouteEntry) (core.WorkerID, bool) {
 	return 0, false
 }
 
-// poisson samples a Poisson variate (Knuth's method; means here are small).
-func (c *Cluster) poisson(mean float64) int {
+// poissonThreshold is exp(-mean), the threshold poisson samples against;
+// +Inf for a mean ≤ 0, which draws nothing.
+func poissonThreshold(mean float64) float64 {
 	if mean <= 0 {
+		return math.Inf(1)
+	}
+	return math.Exp(-mean)
+}
+
+// poisson samples a Poisson variate by Knuth's method (means here are small)
+// from its poissonThreshold l.
+func (c *Cluster) poisson(l float64) int {
+	if l > 1 {
 		return 0
 	}
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"loki/internal/core"
@@ -119,13 +120,44 @@ func placementSequence(seed int64, classes []profiles.Class, classOf []int, step
 	return seq
 }
 
+// randomTables draws routing tables for specs IDs 0..n-1: some IDs have no
+// table or a nil one, and a table holds entries, an empty list or nothing for
+// each of the tasks, pointing at IDs that may lie past n.
+func randomTables(rng *rand.Rand, n, tasks int) map[core.WorkerID]*core.WorkerTable {
+	tables := map[core.WorkerID]*core.WorkerTable{}
+	for id := 0; id < n; id++ {
+		switch rng.Intn(5) {
+		case 0:
+			continue
+		case 1:
+			tables[core.WorkerID(id)] = nil
+			continue
+		}
+		t := &core.WorkerTable{PerChild: map[pipeline.TaskID][]core.RouteEntry{}}
+		for child := 0; child < tasks; child++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			entries := []core.RouteEntry{}
+			for k := rng.Intn(4); k > 0; k-- {
+				entries = append(entries, core.RouteEntry{Worker: core.WorkerID(rng.Intn(n + 2)), Prob: rng.Float64()})
+			}
+			t.PerChild[pipeline.TaskID(child)] = entries
+		}
+		tables[core.WorkerID(id)] = t
+	}
+	return tables
+}
+
 // TestPlacementMatchesReferenceInBothEngines is the safety net under "the
 // assignment is identical": over seeded sequences of plans with workers
 // crashing, recovering and whole classes going out in between, a bare
 // core.Reconciler, the simulated cluster and the wall-clock engine all put the
 // same spec on the same physical worker as the quadratic loop they used to
 // carry, and the Reconciler reports exactly the workers that held or now hold
-// a spec, in ascending order.
+// a spec, in ascending order. After every publish the cluster's compiled
+// routing answers exactly what the routes' table map holds, for every ID any
+// plan so far has used.
 func TestPlacementMatchesReferenceInBothEngines(t *testing.T) {
 	classes := []profiles.Class{
 		{Name: "fast", Count: 7, Speed: 2}, {Name: "mid", Count: 12, Speed: 1}, {Name: "slow", Count: 9, Speed: 0.5},
@@ -154,6 +186,8 @@ func TestPlacementMatchesReferenceInBothEngines(t *testing.T) {
 		}
 		held := make([]*core.WorkerSpec, len(classOf))
 		down := make([]bool, len(classOf))
+		tableRNG := rand.New(rand.NewSource(seed))
+		idsSeen := 0
 		for n, st := range placementSequence(seed, classes, classOf, 200) {
 			for _, p := range st.down {
 				down[p], held[p] = true, nil
@@ -168,7 +202,7 @@ func TestPlacementMatchesReferenceInBothEngines(t *testing.T) {
 				le.SetWorkerUp(p)
 			}
 			want := referenceAssign(st.specs, held, down, classOf)
-			routes := &core.Routes{Specs: st.specs}
+			routes := &core.Routes{Specs: st.specs, Tables: randomTables(tableRNG, len(st.specs), len(g.Tasks))}
 			touched := rec.Reconcile(st.specs)
 			cl.ApplyPlan(nil, routes)
 			le.ApplyPlan(nil, routes)
@@ -201,8 +235,30 @@ func TestPlacementMatchesReferenceInBothEngines(t *testing.T) {
 					}
 				}
 			}
-			if len(cl.logical) != placed {
-				t.Fatalf("seed %d step %d: cluster's logical table has %d entries for %d placed specs", seed, n, len(cl.logical), placed)
+			mapped := 0
+			for _, w := range cl.logical {
+				if w != nil {
+					mapped++
+				}
+			}
+			if mapped != placed {
+				t.Fatalf("seed %d step %d: cluster's logical table has %d entries for %d placed specs", seed, n, mapped, placed)
+			}
+			idsSeen = max(idsSeen, len(st.specs))
+			for id := core.WorkerID(-1); int(id) <= idsSeen; id++ {
+				table := routes.Tables[id]
+				if got := cl.tableExists(id); got != (table != nil) {
+					t.Fatalf("seed %d step %d: spec %d has a table: compiled %v, map %v", seed, n, id, got, table != nil)
+				}
+				for child := pipeline.TaskID(0); int(child) < len(g.Tasks); child++ {
+					var want []core.RouteEntry
+					if table != nil {
+						want = table.PerChild[child]
+					}
+					if got := cl.childRoutes(id, child); !slices.Equal(got, want) {
+						t.Fatalf("seed %d step %d: spec %d child %d: compiled %v, map %v", seed, n, id, child, got, want)
+					}
+				}
 			}
 			if placed < len(st.specs) {
 				overfull++

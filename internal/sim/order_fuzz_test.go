@@ -8,7 +8,8 @@ import (
 )
 
 // refEngine is the container/heap event queue Engine replaced, kept as the
-// reference its typed heap must agree with event for event.
+// reference its typed heap and lanes must agree with event for event. A lane
+// event is an ordinary After on it, so its one heap holds every event.
 type refEngine struct {
 	h       refHeap
 	now     float64
@@ -57,6 +58,10 @@ func (e *refEngine) After(delay float64, fn func()) {
 	e.At(e.now+delay, fn)
 }
 
+func (e *refEngine) lane(delay float64) func(fn func()) {
+	return func(fn func()) { e.After(delay, fn) }
+}
+
 func (e *refEngine) Run(until float64) {
 	e.stopped = false
 	for len(e.h) > 0 && !e.stopped {
@@ -83,16 +88,40 @@ func (e *refEngine) RunAll() {
 	}
 }
 
-// scheduler is the method set the script drives on both engines.
+// scheduler is the method set the script drives on both engines. lane
+// returns the scheduling function of the lane for delay.
 type scheduler interface {
 	At(t float64, fn func())
 	After(delay float64, fn func())
+	lane(delay float64) func(fn func())
 	Run(until float64)
 	RunAll()
 	Stop()
 	Now() float64
 	Events() uint64
 	Pending() int
+}
+
+// laneEngine drives Engine's lanes and checks that NewLane hands out one lane
+// per distinct delay, a negative delay counting as zero.
+type laneEngine struct {
+	*Engine
+	t     *testing.T
+	lanes map[float64]*Lane
+}
+
+func (e laneEngine) lane(delay float64) func(fn func()) {
+	l, key := e.NewLane(delay), max(delay, 0)
+	if prev, ok := e.lanes[key]; ok && prev != l {
+		e.t.Fatalf("NewLane(%g) returned a second lane for one delay", delay)
+	}
+	for d, other := range e.lanes {
+		if other == l && d != key {
+			e.t.Fatalf("NewLane(%g) returned the lane of delay %g", delay, d)
+		}
+	}
+	e.lanes[key] = l
+	return l.After
 }
 
 // step is one observable moment of a played script: an event firing, the
@@ -107,10 +136,11 @@ type step struct {
 }
 
 // play interprets script against e and logs every observable step. Offsets
-// are multiples of a quarter second drawn from five values, so exact-time
-// ties are dense. Fired events read the script too, so an event fired out of
-// order changes everything that follows; at most maxEvents events are ever
-// scheduled.
+// and lane delays are multiples of a quarter second drawn from a few values,
+// so exact-time ties between heap and lane events are dense. Fired events
+// read the script too, so an event fired out of order changes everything that
+// follows; they also schedule onto lanes and open new lanes mid-run. At most
+// maxEvents events are ever scheduled.
 func play(script []byte, e scheduler) []step {
 	const maxEvents = 1000
 	var log []step
@@ -123,7 +153,11 @@ func play(script []byte, e scheduler) []step {
 		return script[pos-1], true
 	}
 	offset := func(b byte) float64 { return float64(b%5) * 0.25 }
+	// Six lane delays from -0.25 to 1: the negative one shares delay 0's lane.
+	laneDelay := func(b byte) float64 { return float64(b%6)*0.25 - 0.25 }
+	var lanes []func(fn func())
 	var schedule func(abs bool, off float64)
+	var onLane func(k int)
 	fire := func(id int) func() {
 		return func() {
 			log = append(log, step{kind: 'f', id: id, now: e.Now()})
@@ -139,6 +173,11 @@ func play(script []byte, e scheduler) []step {
 				schedule(true, offset(b>>3))
 			case 3:
 				e.Stop()
+			case 4: // a child on an open lane
+				onLane(int(b >> 3))
+			case 5: // a lane opened mid-run, and a child on it
+				lanes = append(lanes, e.lane(laneDelay(b>>3)))
+				onLane(len(lanes) - 1)
 			}
 		}
 	}
@@ -153,6 +192,13 @@ func play(script []byte, e scheduler) []step {
 			e.After(off, fire(scheduled))
 		}
 	}
+	onLane = func(k int) {
+		if len(lanes) == 0 || scheduled >= maxEvents {
+			return
+		}
+		scheduled++
+		lanes[k%len(lanes)](fire(scheduled))
+	}
 	report := func(kind byte) {
 		log = append(log, step{kind: kind, now: e.Now(), pending: e.Pending(), events: e.Events()})
 	}
@@ -162,7 +208,7 @@ func play(script []byte, e scheduler) []step {
 			break
 		}
 		arg, _ := next()
-		switch b % 7 {
+		switch b % 9 {
 		case 0, 1:
 			schedule(true, offset(arg))
 		case 2:
@@ -184,6 +230,12 @@ func play(script []byte, e scheduler) []step {
 					e.At(e.Now()-0.25, func() {})
 				}()
 			}
+		case 7:
+			lanes = append(lanes, e.lane(laneDelay(arg)))
+		case 8:
+			for i := 0; i <= int(arg>>4)%3; i++ { // one to three, for ties within a lane
+				onLane(int(arg))
+			}
 		}
 	}
 	e.RunAll()
@@ -191,14 +243,18 @@ func play(script []byte, e scheduler) []step {
 	return log
 }
 
-// FuzzEventOrder plays byte-scripted schedules through Engine and the
-// container/heap reference and requires the same firing order, clock and
-// queue state at every step.
+// FuzzEventOrder plays byte-scripted schedules through Engine, heap and
+// lanes, and through the container/heap reference, and requires the same
+// firing order, clock and queue state at every step.
 func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0})                   // six events at t=0
-	f.Add([]byte{3, 3, 3, 3, 3, 7, 4, 2, 3, 3, 4, 1, 5, 0, 6, 0, 2, 0, 5, 0}) // tie bursts, Run, past At
-	f.Add([]byte{0, 3, 1, 3, 4, 3, 0, 3, 4, 0, 4, 4, 2, 9, 5, 0, 3, 3, 5, 0}) // Run(until) on tie times
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 0})                    // six events at t=0
+	f.Add([]byte{3, 3, 3, 3, 3, 7, 4, 2, 3, 3, 4, 1, 5, 0, 6, 0, 2, 0, 5, 0})  // tie bursts, Run, past At
+	f.Add([]byte{0, 3, 1, 3, 4, 3, 0, 3, 4, 0, 4, 4, 2, 9, 5, 0, 3, 3, 5, 0})  // Run(until) on tie times
+	f.Add([]byte{7, 0, 7, 1, 8, 0, 8, 0, 2, 1, 5, 0})                          // lanes for -0.25 and 0: one lane
+	f.Add([]byte{7, 2, 0, 1, 8, 32, 3, 1, 8, 0, 4, 1, 7, 3, 8, 1, 4, 0, 5, 0}) // lane and heap events tied at 0.25
+	f.Add([]byte{7, 4, 8, 0, 8, 0, 0, 0, 4, 0, 4, 2, 8, 17, 4, 4, 5, 0})       // Run(until) short of queued lane events
+	f.Add([]byte{7, 2, 0, 0, 8, 0, 4, 1, 0, 4, 0, 37, 0, 45, 5, 0})            // fired events open lanes and Stop
 	for i := 0; i < 16; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
 		script := make([]byte, 32+24*i)
@@ -206,15 +262,15 @@ func FuzzEventOrder(f *testing.F) {
 		f.Add(script)
 	}
 	f.Fuzz(func(t *testing.T, script []byte) {
-		got := play(script, &Engine{})
+		got := play(script, laneEngine{Engine: &Engine{}, t: t, lanes: map[float64]*Lane{}})
 		want := play(script, &refEngine{})
 		if !reflect.DeepEqual(got, want) {
 			for i := 0; i < len(got) && i < len(want); i++ {
 				if got[i] != want[i] {
-					t.Fatalf("step %d: typed heap %+v, container/heap %+v", i, got[i], want[i])
+					t.Fatalf("step %d: Engine %+v, container/heap %+v", i, got[i], want[i])
 				}
 			}
-			t.Fatalf("typed heap logged %d steps, container/heap %d", len(got), len(want))
+			t.Fatalf("Engine logged %d steps, container/heap %d", len(got), len(want))
 		}
 	})
 }

@@ -55,35 +55,82 @@ type workerState struct {
 	busyAccum  float64 // busy seconds accumulated inside the current window
 	servedWin  int64   // sub-requests completed inside the current window
 	lastSample float64 // engine time of the previous Sample call
-
-	// registry handles (all nil when the collector runs registry-less)
-	gQueue, gInflight, gOcc, gQPS, gSpeed, gUp *Gauge
-	cServed, cBatches, cSwaps                  *Counter
 }
 
 // Collector maintains per-worker state for one tenant's pool, fed by engine
-// events (enqueue, batch start/end, swap, fault, assignment) and sampled
-// once per engine-clock second into registry gauges. It is safe for
-// concurrent use and, with reg == nil, runs registry-less (rows only).
+// events (enqueue, batch start/end, swap, fault, assignment) and windowed once
+// per engine-clock second by Sample. The rows are the state: an event touches
+// only its worker's row, and the registry folds the rows into their series
+// when it is read. It is safe for concurrent use and, with reg == nil, runs
+// registry-less (rows only).
 type Collector struct {
 	mu      sync.Mutex
 	tenant  string
-	workers []*workerState
+	workers []workerState
+	now     float64 // the latest engine time an event or Sample carried
 
-	// Aggregate exposition (pools past the worker-metrics limit): classOf
-	// maps worker index to its classAgg entry; nil aggs means full
-	// per-worker series.
-	classOf []int
-	aggs    []*classAgg
+	// Exposition (nil without a registry): the series sets the rows fold
+	// into, one per worker or, past the worker-metrics limit, one per class;
+	// setOf maps a worker to its set.
+	sets  []seriesSet
+	setOf []int
 }
 
-// classAgg is one hardware class's aggregate registry series, used instead of
-// per-worker series when the pool exceeds the worker-metrics limit.
-type classAgg struct {
-	count                       int
-	gWorkers, gQueue, gInflight *Gauge
-	gOcc, gQPS, gSpeed, gLive   *Gauge
-	cServed, cBatches, cSwaps   *Counter
+// The folded series of one set, by position.
+const (
+	sQueue = iota
+	sInflight
+	sOccupancy
+	sServedQPS
+	sSpeed
+	sLive
+	sServed
+	sBatches
+	sSwaps
+	nSeries
+)
+
+// seriesSet is one worker's loki_worker_* series, or one class's loki_class_*
+// aggregate over its size workers.
+type seriesSet struct {
+	size   int
+	series [nSeries]*series
+}
+
+// foldedSeries names each folded series in both exposition modes. Aggregates
+// sum their workers' values, except occupancy and speed, which are means.
+var foldedSeries = [nSeries]struct {
+	kind               Kind
+	worker, workerHelp string
+	class, classHelp   string
+}{
+	sQueue: {KindGauge,
+		"loki_worker_queue_depth", "Queued sub-requests per worker.",
+		"loki_class_queue_depth", "Queued sub-requests summed over the class's workers."},
+	sInflight: {KindGauge,
+		"loki_worker_inflight_batch", "Size of the batch currently executing (0 when idle).",
+		"loki_class_inflight_batch", "In-flight batch sizes summed over the class's workers."},
+	sOccupancy: {KindGauge,
+		"loki_worker_occupancy", "Fraction of the last sample window spent executing.",
+		"loki_class_occupancy", "Mean occupancy over the class's workers."},
+	sServedQPS: {KindGauge,
+		"loki_worker_served_qps", "Sub-requests completed per second over the last sample window.",
+		"loki_class_served_qps", "Served QPS summed over the class's workers."},
+	sSpeed: {KindGauge,
+		"loki_worker_speed_factor", "Effective speed multiplier (1 = nominal; <1 = straggler).",
+		"loki_class_speed_factor", "Mean effective speed multiplier over the class's workers."},
+	sLive: {KindGauge,
+		"loki_worker_up", "1 while the worker is live, 0 while down.",
+		"loki_class_live", "Live workers in the class."},
+	sServed: {KindCounter,
+		"loki_worker_served_total", "Lifetime sub-requests completed per worker.",
+		"loki_class_served_total", "Lifetime sub-requests completed, summed over the class's workers."},
+	sBatches: {KindCounter,
+		"loki_worker_batches_total", "Lifetime batches executed per worker.",
+		"loki_class_batches_total", "Lifetime batches executed, summed over the class's workers."},
+	sSwaps: {KindCounter,
+		"loki_worker_swaps_total", "Model swaps charged to this worker.",
+		"loki_class_swaps_total", "Model swaps, summed over the class's workers."},
 }
 
 // DefaultWorkerMetricsLimit is the pool size past which a collector stops
@@ -111,85 +158,115 @@ func WithWorkerMetricsLimit(n int) CollectorOption {
 
 // NewCollector builds a collector for a pool laid out as classes in order
 // (worker indices 0..n-1 span the classes' counts, matching both engines'
-// physical numbering). reg may be nil to collect rows without exposition.
+// physical numbering) and registers it with reg, which folds its rows into
+// their series at every read. reg may be nil to collect rows without
+// exposition.
 func NewCollector(reg *Registry, tenant string, classes []WorkerClass, opts ...CollectorOption) *Collector {
 	cfg := collectorConfig{workerLimit: DefaultWorkerMetricsLimit}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	total := 0
-	for _, cl := range classes {
-		total += cl.Count
-	}
-	aggregate := reg != nil && cfg.workerLimit > 0 && total > cfg.workerLimit
-
 	c := &Collector{tenant: tenant}
-	phys := 0
 	for _, cl := range classes {
-		var ag *classAgg
+		for i := 0; i < cl.Count; i++ {
+			c.workers = append(c.workers, workerState{
+				row:       WorkerRow{Worker: len(c.workers), Class: cl.Name, SpeedFactor: 1, Live: true},
+				busySince: -1,
+			})
+		}
+	}
+	if reg == nil {
+		return c
+	}
+	aggregate := cfg.workerLimit > 0 && len(c.workers) > cfg.workerLimit
+	for _, cl := range classes {
 		if aggregate {
 			lbl := L("tenant", tenant, "class", cl.Name)
-			ag = &classAgg{
-				count:     cl.Count,
-				gWorkers:  reg.Gauge("loki_class_workers", "Workers in this class (aggregate exposition past the worker-metrics limit).", lbl),
-				gQueue:    reg.Gauge("loki_class_queue_depth", "Queued sub-requests summed over the class's workers.", lbl),
-				gInflight: reg.Gauge("loki_class_inflight_batch", "In-flight batch sizes summed over the class's workers.", lbl),
-				gOcc:      reg.Gauge("loki_class_occupancy", "Mean occupancy over the class's workers.", lbl),
-				gQPS:      reg.Gauge("loki_class_served_qps", "Served QPS summed over the class's workers.", lbl),
-				gSpeed:    reg.Gauge("loki_class_speed_factor", "Mean effective speed multiplier over the class's workers.", lbl),
-				gLive:     reg.Gauge("loki_class_live", "Live workers in the class.", lbl),
-				cServed:   reg.Counter("loki_class_served_total", "Lifetime sub-requests completed, summed over the class's workers.", lbl),
-				cBatches:  reg.Counter("loki_class_batches_total", "Lifetime batches executed, summed over the class's workers.", lbl),
-				cSwaps:    reg.Counter("loki_class_swaps_total", "Model swaps, summed over the class's workers.", lbl),
-			}
-			ag.gWorkers.Set(0, float64(cl.Count))
-			ag.gSpeed.Set(0, 1)
-			ag.gLive.Set(0, float64(cl.Count))
-			c.aggs = append(c.aggs, ag)
+			reg.Gauge("loki_class_workers", "Workers in this class (aggregate exposition past the worker-metrics limit).", lbl).Set(0, float64(cl.Count))
+			c.addSet(reg, cl.Count, lbl, true)
 		}
 		for i := 0; i < cl.Count; i++ {
-			ws := &workerState{
-				row:       WorkerRow{Worker: phys, Class: cl.Name, SpeedFactor: 1, Live: true},
-				busySince: -1,
+			if !aggregate {
+				c.addSet(reg, 1, L("tenant", tenant, "class", cl.Name, "worker", strconv.Itoa(len(c.setOf))), false)
 			}
-			switch {
-			case aggregate:
-				// Counters are exact: every worker in the class shares the
-				// class series, so event-time increments accumulate there.
-				// Gauges stay nil (no-op on events) and are folded from the
-				// rows once per Sample instead.
-				ws.cServed = ag.cServed
-				ws.cBatches = ag.cBatches
-				ws.cSwaps = ag.cSwaps
-				c.classOf = append(c.classOf, len(c.aggs)-1)
-			case reg != nil:
-				lbl := L("tenant", tenant, "class", cl.Name, "worker", strconv.Itoa(phys))
-				ws.gQueue = reg.Gauge("loki_worker_queue_depth", "Queued sub-requests per worker.", lbl)
-				ws.gInflight = reg.Gauge("loki_worker_inflight_batch", "Size of the batch currently executing (0 when idle).", lbl)
-				ws.gOcc = reg.Gauge("loki_worker_occupancy", "Fraction of the last sample window spent executing.", lbl)
-				ws.gQPS = reg.Gauge("loki_worker_served_qps", "Sub-requests completed per second over the last sample window.", lbl)
-				ws.gSpeed = reg.Gauge("loki_worker_speed_factor", "Effective speed multiplier (1 = nominal; <1 = straggler).", lbl)
-				ws.gUp = reg.Gauge("loki_worker_up", "1 while the worker is live, 0 while down.", lbl)
-				ws.cServed = reg.Counter("loki_worker_served_total", "Lifetime sub-requests completed per worker.", lbl)
-				ws.cBatches = reg.Counter("loki_worker_batches_total", "Lifetime batches executed per worker.", lbl)
-				ws.cSwaps = reg.Counter("loki_worker_swaps_total", "Model swaps charged to this worker.", lbl)
-				ws.gSpeed.Set(0, 1)
-				ws.gUp.Set(0, 1)
-			}
-			c.workers = append(c.workers, ws)
-			phys++
+			c.setOf = append(c.setOf, len(c.sets)-1)
 		}
 	}
+	reg.mu.Lock()
+	reg.collectors = append(reg.collectors, c)
+	reg.mu.Unlock()
 	return c
 }
 
-// at bounds-checks a worker index; events for unknown workers are dropped
-// rather than panicking inside an engine's hot path.
-func (c *Collector) at(worker int) *workerState {
-	if c == nil || worker < 0 || worker >= len(c.workers) {
+// addSet registers one series set labeled lbl over size workers, under the
+// class names when class is set.
+func (c *Collector) addSet(reg *Registry, size int, lbl Labels, class bool) {
+	set := seriesSet{size: size}
+	for k, f := range foldedSeries {
+		name, help := f.worker, f.workerHelp
+		if class {
+			name, help = f.class, f.classHelp
+		}
+		set.series[k] = reg.lookup(name, help, f.kind, nil, lbl)
+	}
+	c.sets = append(c.sets, set)
+}
+
+// fold writes the rows into their series sets, holding the collector's lock
+// and then the registry's. The registry calls it before every read.
+func (c *Collector) fold(r *Registry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range c.sets {
+		for _, s := range c.sets[i].series {
+			s.value = 0
+		}
+	}
+	for i := range c.workers {
+		row := &c.workers[i].row
+		live := 0.0
+		if row.Live {
+			live = 1
+		}
+		vals := [nSeries]float64{
+			sQueue:     float64(row.QueueDepth),
+			sInflight:  float64(row.InFlightBatch),
+			sOccupancy: row.Occupancy,
+			sServedQPS: row.ServedQPS,
+			sSpeed:     row.SpeedFactor,
+			sLive:      live,
+			sServed:    float64(row.ServedTotal),
+			sBatches:   float64(row.BatchesTotal),
+			sSwaps:     float64(row.SwapsTotal),
+		}
+		set := &c.sets[c.setOf[i]]
+		for k, v := range vals {
+			set.series[k].value += v
+		}
+	}
+	for i := range c.sets {
+		set := &c.sets[i]
+		if set.size > 0 {
+			set.series[sOccupancy].value /= float64(set.size)
+			set.series[sSpeed].value /= float64(set.size)
+		}
+		for _, s := range set.series {
+			s.atSec = c.now
+		}
+	}
+}
+
+// at advances the collector's clock to now and bounds-checks a worker index;
+// events for unknown workers are dropped rather than panicking inside an
+// engine's hot path. The caller holds c.mu.
+func (c *Collector) at(now float64, worker int) *workerState {
+	c.now = max(c.now, now)
+	if worker < 0 || worker >= len(c.workers) {
 		return nil
 	}
-	return c.workers[worker]
+	return &c.workers[worker]
 }
 
 // Enqueue records that one sub-request joined a worker's queue.
@@ -198,9 +275,8 @@ func (c *Collector) Enqueue(now float64, worker int) {
 		return
 	}
 	c.mu.Lock()
-	if ws := c.at(worker); ws != nil {
+	if ws := c.at(now, worker); ws != nil {
 		ws.row.QueueDepth++
-		ws.gQueue.Set(now, float64(ws.row.QueueDepth))
 	}
 	c.mu.Unlock()
 }
@@ -212,15 +288,10 @@ func (c *Collector) BatchStart(now float64, worker, batch int) {
 		return
 	}
 	c.mu.Lock()
-	if ws := c.at(worker); ws != nil {
-		ws.row.QueueDepth -= batch
-		if ws.row.QueueDepth < 0 {
-			ws.row.QueueDepth = 0
-		}
+	if ws := c.at(now, worker); ws != nil {
+		ws.row.QueueDepth = max(ws.row.QueueDepth-batch, 0)
 		ws.row.InFlightBatch = batch
 		ws.busySince = now
-		ws.gQueue.Set(now, float64(ws.row.QueueDepth))
-		ws.gInflight.Set(now, float64(batch))
 	}
 	c.mu.Unlock()
 }
@@ -232,7 +303,7 @@ func (c *Collector) BatchEnd(now float64, worker, served int) {
 		return
 	}
 	c.mu.Lock()
-	if ws := c.at(worker); ws != nil {
+	if ws := c.at(now, worker); ws != nil {
 		if ws.busySince >= 0 {
 			ws.busyAccum += now - ws.busySince
 			ws.busySince = -1
@@ -241,9 +312,6 @@ func (c *Collector) BatchEnd(now float64, worker, served int) {
 		ws.row.BatchesTotal++
 		ws.row.ServedTotal += int64(served)
 		ws.servedWin += int64(served)
-		ws.gInflight.Set(now, 0)
-		ws.cBatches.Add(now, 1)
-		ws.cServed.Add(now, float64(served))
 	}
 	c.mu.Unlock()
 }
@@ -255,9 +323,8 @@ func (c *Collector) QueueCleared(now float64, worker int) {
 		return
 	}
 	c.mu.Lock()
-	if ws := c.at(worker); ws != nil {
+	if ws := c.at(now, worker); ws != nil {
 		ws.row.QueueDepth = 0
-		ws.gQueue.Set(now, 0)
 	}
 	c.mu.Unlock()
 }
@@ -268,9 +335,8 @@ func (c *Collector) Swap(now float64, worker int) {
 		return
 	}
 	c.mu.Lock()
-	if ws := c.at(worker); ws != nil {
+	if ws := c.at(now, worker); ws != nil {
 		ws.row.SwapsTotal++
-		ws.cSwaps.Add(now, 1)
 	}
 	c.mu.Unlock()
 }
@@ -282,7 +348,7 @@ func (c *Collector) SetAssigned(now float64, worker int, assigned string) {
 		return
 	}
 	c.mu.Lock()
-	if ws := c.at(worker); ws != nil {
+	if ws := c.at(now, worker); ws != nil {
 		ws.row.Assigned = assigned
 	}
 	c.mu.Unlock()
@@ -295,9 +361,8 @@ func (c *Collector) SetSpeed(now float64, worker int, factor float64) {
 		return
 	}
 	c.mu.Lock()
-	if ws := c.at(worker); ws != nil {
+	if ws := c.at(now, worker); ws != nil {
 		ws.row.SpeedFactor = factor
-		ws.gSpeed.Set(now, factor)
 	}
 	c.mu.Unlock()
 }
@@ -310,33 +375,30 @@ func (c *Collector) SetDown(now float64, worker int, down bool) {
 		return
 	}
 	c.mu.Lock()
-	if ws := c.at(worker); ws != nil {
+	if ws := c.at(now, worker); ws != nil {
 		ws.row.Live = !down
-		up := 1.0
 		if down {
-			up = 0
 			ws.row.Assigned = ""
 			ws.row.QueueDepth = 0
 			ws.row.InFlightBatch = 0
 			ws.busySince = -1
-			ws.gQueue.Set(now, 0)
-			ws.gInflight.Set(now, 0)
 		}
-		ws.gUp.Set(now, up)
 	}
 	c.mu.Unlock()
 }
 
 // Sample closes the current window at engine time now: occupancy and served
-// QPS are computed over [lastSample, now] and published to the registry,
-// then the window resets. Engines call this from their once-per-second
-// housekeeping alongside the existing metrics sampling.
+// QPS are computed over [lastSample, now] into the rows, then the window
+// resets. Engines call this from their once-per-second housekeeping
+// alongside the existing metrics sampling.
 func (c *Collector) Sample(now float64) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	for _, ws := range c.workers {
+	c.now = max(c.now, now)
+	for i := range c.workers {
+		ws := &c.workers[i]
 		win := now - ws.lastSample
 		busy := ws.busyAccum
 		if ws.busySince >= 0 { // batch still running: charge the elapsed part
@@ -356,41 +418,6 @@ func (c *Collector) Sample(now float64) {
 		ws.busyAccum = 0
 		ws.servedWin = 0
 		ws.lastSample = now
-		ws.gOcc.Set(now, occ)
-		ws.gQPS.Set(now, qps)
-	}
-	if c.aggs != nil {
-		// Aggregate exposition: fold the per-worker rows into one series set
-		// per class. Queue/in-flight/liveness gauges refresh here (once per
-		// sample) instead of per event — the cardinality trade the
-		// worker-metrics limit buys.
-		type fold struct {
-			queue, inflight, live int
-			occ, qps, speed       float64
-		}
-		folds := make([]fold, len(c.aggs))
-		for i, ws := range c.workers {
-			f := &folds[c.classOf[i]]
-			f.queue += ws.row.QueueDepth
-			f.inflight += ws.row.InFlightBatch
-			if ws.row.Live {
-				f.live++
-			}
-			f.occ += ws.row.Occupancy
-			f.qps += ws.row.ServedQPS
-			f.speed += ws.row.SpeedFactor
-		}
-		for i, ag := range c.aggs {
-			f := folds[i]
-			ag.gQueue.Set(now, float64(f.queue))
-			ag.gInflight.Set(now, float64(f.inflight))
-			ag.gLive.Set(now, float64(f.live))
-			ag.gQPS.Set(now, f.qps)
-			if ag.count > 0 {
-				ag.gOcc.Set(now, f.occ/float64(ag.count))
-				ag.gSpeed.Set(now, f.speed/float64(ag.count))
-			}
-		}
 	}
 	c.mu.Unlock()
 }
@@ -403,8 +430,8 @@ func (c *Collector) Rows() []WorkerRow {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]WorkerRow, len(c.workers))
-	for i, ws := range c.workers {
-		out[i] = ws.row
+	for i := range c.workers {
+		out[i] = c.workers[i].row
 	}
 	return out
 }

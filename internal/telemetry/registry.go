@@ -132,8 +132,9 @@ type family struct {
 // "telemetry off" value: handle constructors on nil return nil handles whose
 // methods are no-ops.
 type Registry struct {
-	mu       sync.Mutex
-	families map[string]*family
+	mu         sync.Mutex
+	families   map[string]*family
+	collectors []*Collector // folded into their series before every read
 }
 
 // NewRegistry creates an empty metric registry.
@@ -273,7 +274,8 @@ type Point struct {
 	Sum   float64
 	Count uint64
 	// AtSec is the engine-clock time of the last update (virtual seconds on
-	// the simulator, scaled wall seconds on the live engine).
+	// the simulator, scaled wall seconds on the live engine); a collector's
+	// series carry the time of its latest event or Sample.
 	AtSec float64
 }
 
@@ -283,6 +285,7 @@ func (r *Registry) Gather() []Point {
 	if r == nil {
 		return nil
 	}
+	r.foldCollectors()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []Point
@@ -316,6 +319,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
 	}
+	r.foldCollectors()
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
 	for name := range r.families {
@@ -353,6 +357,18 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	r.mu.Unlock()
 	io.WriteString(w, b.String())
+}
+
+// foldCollectors brings every registered collector's series up to its rows.
+// It runs before a read takes the registry's lock, because each fold takes
+// its collector's lock and then the registry's.
+func (r *Registry) foldCollectors() {
+	r.mu.Lock()
+	cols := r.collectors
+	r.mu.Unlock()
+	for _, c := range cols {
+		c.fold(r)
+	}
 }
 
 // withLE splices the le label into an encoded label set.

@@ -2,8 +2,14 @@ package telemetry
 
 import (
 	"bytes"
+	"io"
+	"math"
+	"math/rand"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestRegistryExpositionDeterministic(t *testing.T) {
@@ -241,5 +247,179 @@ func TestCollectorWorkerMetricsLimit(t *testing.T) {
 	reg2.WritePrometheus(&b2)
 	if !strings.Contains(b2.String(), `loki_worker_up{class="gpu",tenant="ten",worker="0"}`) {
 		t.Fatalf("unlimited collector lost per-worker series:\n%s", b2.String())
+	}
+}
+
+// The rows are the state and a scrape folds them, so with no Sample between
+// events a scrape reads the current queue depth and in-flight batch, in both
+// exposition modes.
+func TestCollectorScrapeIsCurrent(t *testing.T) {
+	for _, tc := range []struct {
+		limit          int
+		queue, inbatch string
+	}{
+		{0, `loki_worker_queue_depth{class="gpu",tenant="ten",worker="1"} 2`, `loki_worker_inflight_batch{class="gpu",tenant="ten",worker="1"} 3`},
+		{1, `loki_class_queue_depth{class="gpu",tenant="ten"} 2`, `loki_class_inflight_batch{class="gpu",tenant="ten"} 3`},
+	} {
+		reg := NewRegistry()
+		c := NewCollector(reg, "ten", []WorkerClass{{Name: "gpu", Count: 2}}, WithWorkerMetricsLimit(tc.limit))
+		c.Sample(1)
+		for i := 0; i < 5; i++ {
+			c.Enqueue(1.1, 1)
+		}
+		c.BatchStart(1.2, 1, 3)
+		var b bytes.Buffer
+		reg.WritePrometheus(&b)
+		for _, want := range []string{tc.queue, tc.inbatch} {
+			if !strings.Contains(b.String(), want) {
+				t.Errorf("limit %d: scrape lacks %q in:\n%s", tc.limit, want, b.String())
+			}
+		}
+		for _, p := range reg.Gather() {
+			if strings.Contains(p.Name, "queue_depth") && p.AtSec != 1.2 {
+				t.Errorf("limit %d: %s%s stamped at %v, want the last event's 1.2", tc.limit, p.Name, p.Labels, p.AtSec)
+			}
+		}
+	}
+}
+
+// playEvents drives one seeded script of every collector hook, with a Sample
+// every 50 events, into each of the collectors.
+func playEvents(seed int64, workers int, cols ...*Collector) {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 1; i <= 2000; i++ {
+		now, w := float64(i)*0.01, rng.Intn(workers)
+		op, arg := rng.Intn(8), rng.Intn(4)
+		for _, c := range cols {
+			switch op {
+			case 0, 1:
+				c.Enqueue(now, w)
+			case 2:
+				c.BatchStart(now, w, 1+arg)
+			case 3:
+				c.BatchEnd(now, w, arg)
+			case 4:
+				c.QueueCleared(now, w)
+			case 5:
+				c.Swap(now, w)
+			case 6:
+				c.SetSpeed(now, w, []float64{0.25, 0.5, 1, 1}[arg])
+			case 7:
+				c.SetDown(now, w, arg == 0)
+			}
+			if i%50 == 0 {
+				c.Sample(now)
+			}
+		}
+	}
+}
+
+// An aggregate-mode collector's loki_class_* series equal the per-class sums
+// of a per-worker collector's loki_worker_* series on the same events, and
+// the per-class means for occupancy and speed.
+func TestAggregateFoldMatchesPerWorkerSums(t *testing.T) {
+	classes := []WorkerClass{{Name: "gpu", Count: 4}, {Name: "cpu", Count: 3}}
+	regW, regA := NewRegistry(), NewRegistry()
+	perWorker := NewCollector(regW, "ten", classes, WithWorkerMetricsLimit(0))
+	agg := NewCollector(regA, "ten", classes, WithWorkerMetricsLimit(1))
+	playEvents(5, 7, perWorker, agg)
+
+	classOf := regexp.MustCompile(`class="([^"]*)"`)
+	sums := map[string]float64{} // class family name + labels → summed worker value
+	for _, p := range regW.Gather() {
+		if !strings.HasPrefix(p.Name, "loki_worker_") {
+			continue
+		}
+		name := map[string]string{"loki_worker_up": "loki_class_live"}[p.Name]
+		if name == "" {
+			name = "loki_class_" + strings.TrimPrefix(p.Name, "loki_worker_")
+		}
+		sums[name+`{class="`+classOf.FindStringSubmatch(p.Labels)[1]+`",tenant="ten"}`] += p.Value
+	}
+	count := map[string]float64{"gpu": 4, "cpu": 3}
+	checked := 0
+	for _, p := range regA.Gather() {
+		if strings.HasPrefix(p.Name, "loki_worker_") {
+			t.Fatalf("aggregate collector exposes %s", p.Name)
+		}
+		if !strings.HasPrefix(p.Name, "loki_class_") || p.Name == "loki_class_workers" {
+			continue
+		}
+		want := sums[p.Name+p.Labels]
+		if p.Name == "loki_class_occupancy" || p.Name == "loki_class_speed_factor" {
+			want /= count[classOf.FindStringSubmatch(p.Labels)[1]]
+		}
+		if math.Abs(p.Value-want) > 1e-9 {
+			t.Errorf("%s%s = %v, per-worker fold gives %v", p.Name, p.Labels, p.Value, want)
+		}
+		checked++
+	}
+	if checked != 2*nSeries {
+		t.Fatalf("compared %d aggregate series, want %d", checked, 2*nSeries)
+	}
+	if sums[`loki_class_served_total{class="gpu",tenant="ten"}`] == 0 || sums[`loki_class_occupancy{class="cpu",tenant="ten"}`] == 0 {
+		t.Fatalf("the script left the compared series empty: %v", sums)
+	}
+}
+
+// TestCollectorConcurrentScrape drives events on two collectors of one
+// registry from four goroutines while two more scrape, as the wall-clock
+// engine's workers do while /metrics is read; run it with -race. A final
+// scrape's counters equal the rows' totals.
+func TestCollectorConcurrentScrape(t *testing.T) {
+	reg := NewRegistry()
+	cols := []*Collector{
+		NewCollector(reg, "a", []WorkerClass{{Name: "gpu", Count: 6}}),
+		NewCollector(reg, "b", []WorkerClass{{Name: "gpu", Count: 6}}, WithWorkerMetricsLimit(2)),
+	}
+	deadline := time.Now().Add(500 * time.Millisecond)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := cols[g%2]
+			for i := 0; time.Now().Before(deadline); i++ {
+				now, w := float64(i)*1e-3, (g+i)%6
+				c.Enqueue(now, w)
+				c.BatchStart(now, w, 1)
+				c.BatchEnd(now, w, 1)
+				if i%100 == 0 {
+					c.Swap(now, w)
+					c.Sample(now)
+				}
+			}
+		}(g)
+	}
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				if s == 0 {
+					reg.WritePrometheus(io.Discard)
+				} else {
+					reg.Gather()
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+
+	tenantOf := regexp.MustCompile(`tenant="([^"]*)"`)
+	served := map[string]float64{}
+	for _, p := range reg.Gather() {
+		if p.Name == "loki_worker_served_total" || p.Name == "loki_class_served_total" {
+			served[tenantOf.FindStringSubmatch(p.Labels)[1]] += p.Value
+		}
+	}
+	for _, c := range cols {
+		var rows int64
+		for _, r := range c.Rows() {
+			rows += r.ServedTotal
+		}
+		if got := served[c.tenant]; got != float64(rows) || rows == 0 {
+			t.Errorf("tenant %s: exposed served total %v, rows hold %d", c.tenant, got, rows)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package loki_test
 
 import (
 	"bytes"
+	"hash/fnv"
 	"net/http/httptest"
 	"reflect"
 	"regexp"
@@ -135,6 +136,25 @@ func TestTelemetryDeterminism(t *testing.T) {
 	}
 	if a.report.LatencyP50 <= 0 || a.report.LatencyP99 < a.report.LatencyP50 {
 		t.Errorf("latency quantiles implausible: p50=%v p99=%v", a.report.LatencyP50, a.report.LatencyP99)
+	}
+}
+
+// recordedWorkerExpositionHash is the FNV-1a hash of telemetryRun(t, 7)'s
+// loki_worker_* exposition as the collector rendered it when it still pushed
+// every event into the registry. Folding the rows at scrape time must render
+// the same bytes.
+const recordedWorkerExpositionHash = 0xb311f27d90b48ecc
+
+// TestWorkerExpositionMatchesRecorded pins the per-worker exposition of one
+// seeded fault run to its recorded hash.
+func TestWorkerExpositionMatchesRecorded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full serving run; skipped in -short")
+	}
+	h := fnv.New64a()
+	h.Write([]byte(telemetryRun(t, 7).expo))
+	if got := h.Sum64(); got != recordedWorkerExpositionHash {
+		t.Errorf("worker exposition hash = %#x, want %#x", got, uint64(recordedWorkerExpositionHash))
 	}
 }
 
