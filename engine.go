@@ -1,8 +1,9 @@
 package loki
 
-// EngineKind selects the serving backend behind a System. Both backends run
-// the identical Resource Manager, Load Balancer, routing tables, and drop
-// policies; they differ only in how time passes and how workers execute.
+// EngineKind selects the serving backend behind a System. Both backends are
+// one discrete-event serving engine with the identical Resource Manager,
+// Load Balancer, routing tables, and drop policies; they differ only in how
+// time passes.
 type EngineKind int
 
 // The values mirror internal/engine.Kind one-to-one.
@@ -11,10 +12,11 @@ const (
 	// determinism for a fixed seed, and runs as fast as events can be
 	// processed. The default.
 	Simulated EngineKind = iota
-	// Wallclock is the real-time engine: goroutine workers whose inference
-	// occupies them for the profiled batch latency in (scaled) wall time —
-	// the paper's prototype role in the §6.2 simulator-validation
-	// experiment.
+	// Wallclock is the simulator paced by the wall clock: every event fires
+	// when (scaled) wall time reaches it, so a batch occupies its worker for
+	// the profiled latency in real time, and requests may be submitted
+	// concurrently — the paper's prototype role in the §6.2
+	// simulator-validation experiment. Latencies are engine time.
 	Wallclock
 )
 

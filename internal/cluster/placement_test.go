@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"loki/internal/core"
-	"loki/internal/live"
 	"loki/internal/pipeline"
 	"loki/internal/policy"
 	"loki/internal/profiles"
@@ -149,16 +148,15 @@ func randomTables(rng *rand.Rand, n, tasks int) map[core.WorkerID]*core.WorkerTa
 	return tables
 }
 
-// TestPlacementMatchesReferenceInBothEngines is the safety net under "the
-// assignment is identical": over seeded sequences of plans with workers
-// crashing, recovering and whole classes going out in between, a bare
-// core.Reconciler, the simulated cluster and the wall-clock engine all put the
-// same spec on the same physical worker as the quadratic loop they used to
-// carry, and the Reconciler reports exactly the workers that held or now hold
-// a spec, in ascending order. After every publish the cluster's compiled
-// routing answers exactly what the routes' table map holds, for every ID any
-// plan so far has used.
-func TestPlacementMatchesReferenceInBothEngines(t *testing.T) {
+// TestPlacementMatchesReference is the safety net under "the assignment is
+// identical": over seeded sequences of plans with workers crashing,
+// recovering and whole classes going out in between, a bare core.Reconciler
+// and the cluster both put the same spec on the same physical worker as the
+// quadratic loop they used to carry, and the Reconciler reports exactly the
+// workers that held or now hold a spec, in ascending order. After every
+// publish the cluster's compiled routing answers exactly what the routes'
+// table map holds, for every ID any plan so far has used.
+func TestPlacementMatchesReference(t *testing.T) {
 	classes := []profiles.Class{
 		{Name: "fast", Count: 7, Speed: 2}, {Name: "mid", Count: 12, Speed: 1}, {Name: "slow", Count: 9, Speed: 0.5},
 	}
@@ -179,11 +177,6 @@ func TestPlacementMatchesReferenceInBothEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Never started: ApplyPlan and the fault calls need no goroutines.
-		le, err := live.New(meta, policy.NoDrop{}, nil, live.Options{Classes: classes, SLOSec: 0.250})
-		if err != nil {
-			t.Fatal(err)
-		}
 		held := make([]*core.WorkerSpec, len(classOf))
 		down := make([]bool, len(classOf))
 		tableRNG := rand.New(rand.NewSource(seed))
@@ -193,19 +186,16 @@ func TestPlacementMatchesReferenceInBothEngines(t *testing.T) {
 				down[p], held[p] = true, nil
 				rec.SetDown(p, true)
 				cl.SetWorkerDown(p)
-				le.SetWorkerDown(p)
 			}
 			for _, p := range st.up {
 				down[p] = false
 				rec.SetDown(p, false)
 				cl.SetWorkerUp(p)
-				le.SetWorkerUp(p)
 			}
 			want := referenceAssign(st.specs, held, down, classOf)
 			routes := &core.Routes{Specs: st.specs, Tables: randomTables(tableRNG, len(st.specs), len(g.Tasks))}
 			touched := rec.Reconcile(st.specs)
 			cl.ApplyPlan(nil, routes)
-			le.ApplyPlan(nil, routes)
 
 			inTouched := make([]bool, len(classOf))
 			for i, p := range touched {
@@ -221,9 +211,6 @@ func TestPlacementMatchesReferenceInBothEngines(t *testing.T) {
 				}
 				if got := cl.workers[p].spec; got != w {
 					t.Fatalf("seed %d step %d worker %d: cluster holds %+v, reference %+v", seed, n, p, got, w)
-				}
-				if got := le.Hosted(p); got != w {
-					t.Fatalf("seed %d step %d worker %d: live engine holds %+v, reference %+v", seed, n, p, got, w)
 				}
 				if (held[p] != nil || w != nil) != inTouched[p] {
 					t.Fatalf("seed %d step %d worker %d: held before %v, holds now %v, but touched=%v", seed, n, p, held[p] != nil, w != nil, inTouched[p])

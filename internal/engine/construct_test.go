@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"loki/internal/core"
+	"loki/internal/fault"
 	"loki/internal/metrics"
 	"loki/internal/profiles"
 )
@@ -44,5 +45,41 @@ func TestNewMultiAllocatesPerTenantNotPerWorker(t *testing.T) {
 	}
 	if n := len(m.ActiveByClass(tenants - 1)); n != len(classes) {
 		t.Fatalf("tenant %d reports %d classes, want %d", tenants-1, n, len(classes))
+	}
+}
+
+// TestNewMultiRejectsBadConfig feeds both kinds configurations they must
+// refuse at construction.
+func TestNewMultiRejectsBadConfig(t *testing.T) {
+	g := profiles.TrafficChain()
+	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
+	meta := core.NewMetadataStore(g, prof, 0.250, profiles.Batches)
+	col := metrics.NewCollector(5, 10)
+	tenant := TenantConfig{Meta: meta, Collector: col, SLOSec: 0.250}
+	cases := []struct {
+		name string
+		cfg  MultiConfig
+	}{
+		{"no tenants", MultiConfig{Servers: 10}},
+		{"no metadata store", MultiConfig{Servers: 10, Tenants: []TenantConfig{{Collector: col}}}},
+		{"no collector", MultiConfig{Servers: 10, Tenants: []TenantConfig{{Meta: meta}}}},
+		{"zero servers", MultiConfig{Tenants: []TenantConfig{tenant}}},
+		{"servers disagree with classes", MultiConfig{
+			Servers: 10, Classes: []profiles.Class{{Name: "a", Count: 4, Speed: 1}}, Tenants: []TenantConfig{tenant},
+		}},
+		{"fault on an unknown class", MultiConfig{
+			Servers: 10, Tenants: []TenantConfig{tenant},
+			Faults: &fault.Schedule{Events: []fault.Event{{At: 1, Kind: fault.Crash, Class: "nope", N: 1}}},
+		}},
+	}
+	for _, kind := range kinds {
+		for _, tc := range cases {
+			if _, err := NewMulti(kind, tc.cfg); err == nil {
+				t.Errorf("%s accepted %s", kindName(kind), tc.name)
+			}
+		}
+	}
+	if _, err := NewMulti(Kind(7), MultiConfig{Servers: 10, Tenants: []TenantConfig{tenant}}); err == nil {
+		t.Error("unknown kind accepted")
 	}
 }

@@ -3,11 +3,13 @@
 // more pipelines: it accepts plan publications from the core.MultiController,
 // admits requests (one at a time via Submit or as whole arrival processes via
 // FeedAll), and runs the per-second housekeeping loop (demand reports,
-// heartbeats, controller steps) that the paper's Controller relies on. Two
-// implementations of MultiEngine exist: the discrete-event simulator
-// (internal/sim + internal/cluster, virtual time) and the wall-clock
-// prototype (internal/live, real goroutine workers). A single pipeline is a
-// one-tenant MultiEngine; everything above this package is backend-agnostic.
+// heartbeats, controller steps) that the paper's Controller relies on. One
+// implementation of MultiEngine serves both kinds: an internal/cluster per
+// tenant on one internal/sim clock. KindSimulated runs that clock in virtual
+// time; KindWallclock paces it by the scaled wall clock, with one pacer
+// goroutine firing events as they fall due and one step goroutine making the
+// controller calls. A single pipeline is a one-tenant MultiEngine; everything
+// above this package is backend-agnostic.
 package engine
 
 import "errors"

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"loki/internal/core"
 	"loki/internal/fault"
 	"loki/internal/ingress"
-	"loki/internal/live"
 	"loki/internal/metrics"
 	"loki/internal/pipeline"
 	"loki/internal/policy"
@@ -32,6 +32,8 @@ type TenantConfig struct {
 
 	// OnTaskDemand receives this tenant's per-task arrival counts every
 	// housekeeping second (the Proteus-like baseline's per-task history).
+	// On the wall-clock kind it runs under the backend's lock, so it must
+	// not call back into the backend.
 	OnTaskDemand func(task pipeline.TaskID, count float64)
 
 	// Admission, when non-nil, fronts every injection path of this tenant
@@ -73,21 +75,22 @@ type MultiConfig struct {
 	RMIntervalSec  float64
 	LBIntervalSec  float64
 
-	// TimeScale compresses the wall-clock backend's real time; ignored by
-	// the simulator.
+	// TimeScale is the wall-clock backend's pace: one engine second takes
+	// TimeScale wall seconds (zero means 1). Ignored by the simulator.
 	TimeScale float64
 
 	// Faults, when non-nil, is the fault schedule injected into the shared
-	// pool. Event times are anchored to the start of the first FeedAll (the
-	// simulator schedules them as virtual-time events, the wall-clock
-	// backend as scaled timers from Start). Every fault updates each
-	// tenant's MetadataStore live counts and, through the controller's
-	// ObserveCapacity, triggers a re-plan within a round.
+	// pool. Both kinds schedule it as engine events, anchored to the start of
+	// the first FeedAll on the simulator and to Start on the wall-clock
+	// backend. Every fault updates each tenant's MetadataStore live counts
+	// and, through the controller's ObserveCapacity, triggers a re-plan
+	// within a round.
 	Faults *fault.Schedule
 
 	// OnFault, when non-nil, observes every fault and recovery event with
 	// the backend's time and a human-readable description (the lokiserve
-	// status line).
+	// status line). On the wall-clock kind it runs under the backend's
+	// lock, so it must not call back into the backend.
 	OnFault func(timeSec float64, desc string)
 
 	Tenants []TenantConfig
@@ -129,8 +132,9 @@ type MultiEngine interface {
 	// controller's per-tenant publish target).
 	ApplyPlan(tenant int, plan *core.Plan, routes *core.Routes)
 
-	// Start launches workers and housekeeping; the given controller is
-	// stepped jointly on the periodic intervals until Stop.
+	// Start begins serving; the given controller is stepped jointly on the
+	// periodic intervals until Stop. A nil controller serves the standing
+	// plans without stepping.
 	Start(ctrl *core.MultiController) error
 
 	// Submit admits a single request for one tenant at the backend's
@@ -140,12 +144,12 @@ type MultiEngine interface {
 
 	// FeedAll plays one trace per tenant (indexed like MultiConfig.Tenants;
 	// nil entries idle) as concurrent Poisson arrival processes on the
-	// shared clock, blocking until the last arrival of the longest trace
-	// has been admitted.
+	// shared clock, blocking until the clock reaches the end of the longest
+	// trace, so its last arrival has been admitted.
 	FeedAll(traces []*trace.Trace) error
 
-	// Stop drains in-flight requests of every tenant and shuts the backend
-	// down.
+	// Stop refuses new work, drains in-flight requests of every tenant and
+	// shuts the backend down.
 	Stop() error
 
 	// Stats returns one tenant's cumulative request totals.
@@ -163,50 +167,19 @@ type MultiEngine interface {
 }
 
 // NewMulti builds the backend of the given kind — the one constructor
-// behind loki.System, loki.MultiSystem and every experiment.
+// behind loki.System, loki.MultiSystem and every experiment. Both kinds are
+// the same backend, one cluster.Cluster per tenant on one sim.Engine; the
+// wall-clock kind adds a pacer that fires the engine's events as the scaled
+// wall clock reaches them (see wall).
 func NewMulti(k Kind, cfg MultiConfig) (MultiEngine, error) {
-	switch k {
-	case KindSimulated:
-		return newMultiSimulated(cfg)
-	case KindWallclock:
-		return newMultiWallclock(cfg)
-	default:
+	if k != KindSimulated && k != KindWallclock {
 		return nil, fmt.Errorf("engine: unknown kind %d", k)
 	}
-}
-
-// multiSimulated hosts one cluster.Cluster per tenant on a single
-// discrete-event clock. Virtual time advances only inside FeedAll and Stop,
-// so the adapter must be driven from one goroutine. Seeds are offset per
-// tenant (tenant i: cluster Seed+1+2i, arrivals Seed+2+2i), so tenant 0 keeps
-// the seeds a one-pipeline run has always drawn.
-type multiSimulated struct {
-	cfg  MultiConfig
-	eng  *sim.Engine
-	cls  []*cluster.Cluster
-	ctrl *core.MultiController
-
-	arrRngs []*rand.Rand
-	started bool
-	stopped bool
-	stepErr error
-
-	shed      []int64 // cumulative per-tenant shed counts
-	shedFlush []int64 // shed since the last housekeeping flush (offered demand)
-
-	// Fault injection: the pool-level fault state, the compiled timeline,
-	// and whether FeedAll has armed it (events anchor to the first feed).
-	fp          *faultPool
-	timeline    []fault.Timed
-	faultsArmed bool
-}
-
-func newMultiSimulated(cfg MultiConfig) (MultiEngine, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
 	eng := &sim.Engine{}
-	m := &multiSimulated{cfg: cfg, eng: eng}
+	m := &multi{cfg: cfg, eng: eng}
 	for i, t := range cfg.Tenants {
 		cl, err := cluster.New(eng, t.Meta, t.Policy, t.Collector, cluster.Options{
 			Servers:        cfg.Servers,
@@ -227,6 +200,7 @@ func newMultiSimulated(cfg MultiConfig) (MultiEngine, error) {
 	}
 	m.shed = make([]int64, len(cfg.Tenants))
 	m.shedFlush = make([]int64, len(cfg.Tenants))
+	m.feeds = make([]feed, len(cfg.Tenants))
 	if cfg.Faults != nil {
 		m.fp = newFaultPool(cfg.Servers, cfg.Classes)
 		tl, err := compileFaults(cfg.Faults, m.fp)
@@ -235,14 +209,206 @@ func newMultiSimulated(cfg MultiConfig) (MultiEngine, error) {
 		}
 		m.timeline = tl
 	}
+	if k == KindWallclock {
+		m.wall = newWall(cfg.TimeScale)
+	}
 	return m, nil
+}
+
+// multi hosts one cluster.Cluster per tenant on a single discrete-event
+// clock. Seeds are offset per tenant (tenant i: cluster Seed+1+2i, arrivals
+// Seed+2+2i), so tenant 0 keeps the seeds a one-pipeline run has always
+// drawn.
+//
+// On the simulator (wall nil) virtual time advances only inside FeedAll and
+// Stop, so the backend must be driven from one goroutine and takes no lock.
+// On the wall-clock kind every method holds wall.mu and first runs the engine
+// up to the scaled wall clock; between them the pacer fires events on time.
+type multi struct {
+	cfg  MultiConfig
+	eng  *sim.Engine
+	cls  []*cluster.Cluster
+	ctrl *core.MultiController
+
+	arrRngs []*rand.Rand
+	started bool
+	stopped bool
+	stepErr error
+
+	shed      []int64 // cumulative per-tenant shed counts
+	shedFlush []int64 // shed since the last housekeeping flush (offered demand)
+	feeds     []feed  // per tenant: the trace its demand samples read
+
+	// Fault injection: the pool-level fault state, the compiled timeline,
+	// and whether it has been scheduled.
+	fp          *faultPool
+	timeline    []fault.Timed
+	faultsArmed bool
+
+	wall *wall // nil on the simulator
+}
+
+// feed is the trace a tenant was last fed and the engine time it started.
+type feed struct {
+	tr    *trace.Trace
+	start float64
+}
+
+// wall paces the wall-clock kind: engine time t falls due TimeScale·t wall
+// seconds after Start. Two goroutines run from Start until Stop's drain ends.
+// The pacer fires due events under mu, then sleeps until the next one or a
+// wake. The step goroutine makes the controller calls that ticks and faults
+// hand it: a controller step publishes through ApplyPlan, which takes mu, so
+// it never runs under mu, and serving goes on during a solve.
+type wall struct {
+	mu      sync.Mutex
+	scale   float64
+	t0      time.Time
+	running bool    // holders of mu catch the engine up to the wall clock
+	sleepAt float64 // the engine time the pacer sleeps until
+
+	wake    chan struct{}     // the pacer should look at the queue again
+	calls   chan func() error // controller calls for the step goroutine; see newWall
+	quit    chan struct{}     // closed when Stop begins
+	paced   chan struct{}     // closed when the pacer has drained and exited
+	stepped chan struct{}     // closed when the step goroutine has exited
+}
+
+func newWall(scale float64) *wall {
+	if scale <= 0 {
+		scale = 1
+	}
+	return &wall{
+		scale:   scale,
+		sleepAt: math.Inf(1),
+		wake:    make(chan struct{}, 1),
+		// Ticks queue about two calls per engine second, so 64 lets a
+		// solve run some thirty seconds long before the ticks it spans
+		// are skipped rather than queued.
+		calls:   make(chan func() error, 64),
+		quit:    make(chan struct{}),
+		paced:   make(chan struct{}),
+		stepped: make(chan struct{}),
+	}
+}
+
+// now is the engine time the wall clock has reached.
+func (w *wall) now() float64 { return time.Since(w.t0).Seconds() / w.scale }
+
+func (w *wall) kick() {
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+}
+
+// lock takes the wall-clock kind's lock and runs the engine up to the wall
+// clock, so the caller acts at the current instant. A no-op on the simulator.
+func (m *multi) lock() {
+	if w := m.wall; w != nil {
+		w.mu.Lock()
+		if w.running {
+			m.eng.Run(w.now())
+		}
+	}
+}
+
+// unlock wakes the pacer if the caller queued an event before the one it
+// sleeps until, and releases the lock.
+func (m *multi) unlock() {
+	if w := m.wall; w != nil {
+		if at, ok := m.eng.NextAt(); ok && at < w.sleepAt {
+			w.kick()
+		}
+		w.mu.Unlock()
+	}
+}
+
+// pace fires the engine's events as the wall clock reaches them, until Stop
+// has begun and no tenant has a request in flight.
+func (m *multi) pace() {
+	w := m.wall
+	defer close(w.paced)
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	for {
+		w.mu.Lock()
+		m.eng.Run(w.now())
+		if m.stopped && m.drained() {
+			w.running = false
+			w.mu.Unlock()
+			return
+		}
+		// The ticks reschedule themselves without end, so an event is
+		// always pending.
+		w.sleepAt, _ = m.eng.NextAt()
+		w.mu.Unlock()
+		timer.Reset(time.Until(w.t0.Add(time.Duration(w.sleepAt * w.scale * float64(time.Second)))))
+		select {
+		case <-timer.C:
+		case <-w.wake:
+		}
+	}
+}
+
+// runCalls makes the controller calls control hands over, until the pacer
+// exits.
+func (m *multi) runCalls() {
+	w := m.wall
+	defer close(w.stepped)
+	for {
+		select {
+		case call := <-w.calls:
+			err := call()
+			w.mu.Lock()
+			m.keepErr(err)
+			w.mu.Unlock()
+		case <-w.paced:
+			return
+		}
+	}
+}
+
+func (m *multi) drained() bool {
+	for _, cl := range m.cls {
+		if cl.Inflight() > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// control makes one controller call: inline on the simulator, through the
+// step goroutine on the wall-clock kind. A controller so far behind that the
+// queue is full skips the call; the next tick asks again.
+func (m *multi) control(call func() error) {
+	if m.ctrl == nil {
+		return
+	}
+	if m.wall == nil {
+		m.keepErr(call())
+		return
+	}
+	select {
+	case m.wall.calls <- call:
+	default:
+	}
+}
+
+// keepErr records the first controller error, which FeedAll (simulator) and
+// Stop return.
+func (m *multi) keepErr(err error) {
+	if err != nil && m.stepErr == nil {
+		m.stepErr = err
+	}
 }
 
 // Fail, Recover, Slow, and Restore implement fault.Target on the shared
 // pool: victims are chosen once at the pool level and applied to every
 // tenant's cluster (each models the same physical machines), then the live
 // per-class counts are pushed to the metadata stores and the controller.
-func (m *multiSimulated) Fail(class, n int) []int {
+// They run as fault events, under the wall-clock kind's lock.
+func (m *multi) Fail(class, n int) []int {
 	phys := m.fp.pickFail(class, n)
 	for _, cl := range m.cls {
 		for _, p := range phys {
@@ -253,7 +419,7 @@ func (m *multiSimulated) Fail(class, n int) []int {
 	return phys
 }
 
-func (m *multiSimulated) Recover(phys []int) {
+func (m *multi) Recover(phys []int) {
 	m.fp.recover(phys)
 	for _, cl := range m.cls {
 		for _, p := range phys {
@@ -263,7 +429,7 @@ func (m *multiSimulated) Recover(phys []int) {
 	m.publishLive()
 }
 
-func (m *multiSimulated) Slow(class, n int, factor float64) []int {
+func (m *multi) Slow(class, n int, factor float64) []int {
 	phys := m.fp.pickSlow(class, n)
 	for _, cl := range m.cls {
 		for _, p := range phys {
@@ -273,7 +439,7 @@ func (m *multiSimulated) Slow(class, n int, factor float64) []int {
 	return phys
 }
 
-func (m *multiSimulated) Restore(phys []int) {
+func (m *multi) Restore(phys []int) {
 	m.fp.restore(phys)
 	for _, cl := range m.cls {
 		for _, p := range phys {
@@ -285,7 +451,7 @@ func (m *multiSimulated) Restore(phys []int) {
 // publishLive pushes the pool's per-class up counts to every tenant's
 // MetadataStore (Snapshot reports them) and to the controller when it
 // re-plans against live capacity.
-func (m *multiSimulated) publishLive() {
+func (m *multi) publishLive() {
 	live := m.fp.live()
 	var forMeta []int
 	if m.fp.anyDown() {
@@ -294,16 +460,30 @@ func (m *multiSimulated) publishLive() {
 	for i := range m.cfg.Tenants {
 		m.cfg.Tenants[i].Meta.SetLiveClassCounts(forMeta)
 	}
-	if m.ctrl != nil {
-		m.ctrl.ObserveCapacity(live)
+	m.control(func() error { m.ctrl.ObserveCapacity(live); return nil })
+}
+
+// armFaults schedules the fault timeline from start, once.
+func (m *multi) armFaults(start float64) {
+	if len(m.timeline) == 0 || m.faultsArmed {
+		return
+	}
+	m.faultsArmed = true
+	for _, tc := range m.timeline {
+		m.eng.At(start+tc.At, func() {
+			desc := tc.Fire(m)
+			if m.cfg.OnFault != nil {
+				m.cfg.OnFault(m.eng.Now(), desc)
+			}
+		})
 	}
 }
 
-// admit consults tenant i's admission controller at the current virtual
+// admit consults tenant i's admission controller at the current engine
 // instant. A refused request is shed: counted, reported to the collector, and
 // folded into the next demand observation (housekeepTenant), but never
 // injected. Tenants without a controller always admit.
-func (m *multiSimulated) admit(i int) (ok bool, retryAfterSec float64) {
+func (m *multi) admit(i int) (ok bool, retryAfterSec float64) {
 	t := &m.cfg.Tenants[i]
 	if t.Admission == nil {
 		return true, 0
@@ -321,11 +501,18 @@ func (m *multiSimulated) admit(i int) (ok bool, retryAfterSec float64) {
 	return false, retry
 }
 
-func (m *multiSimulated) ApplyPlan(tenant int, plan *core.Plan, routes *core.Routes) {
+func (m *multi) ApplyPlan(tenant int, plan *core.Plan, routes *core.Routes) {
+	m.lock()
 	m.cls[tenant].ApplyPlan(plan, routes)
+	m.unlock()
 }
 
-func (m *multiSimulated) Start(ctrl *core.MultiController) error {
+// Start begins serving. On the wall-clock kind the fault timeline and the
+// housekeeping ticks start here and run until Stop, and so do the pacer and
+// the step goroutine.
+func (m *multi) Start(ctrl *core.MultiController) error {
+	m.lock()
+	defer m.unlock()
 	if m.started {
 		return errors.New("engine: already started")
 	}
@@ -335,10 +522,20 @@ func (m *multiSimulated) Start(ctrl *core.MultiController) error {
 	for i := range m.cls {
 		m.arrRngs[i] = rand.New(rand.NewSource(m.cfg.Seed + 2 + 2*int64(i)))
 	}
+	if w := m.wall; w != nil {
+		m.armFaults(m.eng.Now())
+		m.startTicks(math.Inf(1))
+		w.t0 = time.Now()
+		w.running = true
+		go m.pace()
+		go m.runCalls()
+	}
 	return nil
 }
 
-func (m *multiSimulated) Submit(tenant int) error {
+func (m *multi) Submit(tenant int) error {
+	m.lock()
+	defer m.unlock()
 	if !m.started {
 		return ErrNotStarted
 	}
@@ -352,18 +549,47 @@ func (m *multiSimulated) Submit(tenant int) error {
 	return nil
 }
 
-// FeedAll schedules every tenant's arrivals plus the shared housekeeping
-// ticks, then runs virtual time through the longest trace and drains
-// in-flight requests.
-func (m *multiSimulated) FeedAll(traces []*trace.Trace) error {
+// FeedAll schedules every tenant's arrivals from the current time. The
+// simulator then schedules the housekeeping ticks, runs virtual time through
+// the longest trace and drains in-flight requests; the wall-clock kind, whose
+// ticks run from Start, waits until the engine reaches the trace end.
+func (m *multi) FeedAll(traces []*trace.Trace) error {
+	m.lock()
+	end, err := m.feed(traces)
+	var done chan struct{}
+	if err == nil && m.wall != nil {
+		done = make(chan struct{})
+		m.eng.At(end, func() { close(done) })
+	}
+	m.unlock()
+	if err != nil {
+		return err
+	}
+	if w := m.wall; w != nil {
+		select {
+		case <-done:
+		case <-w.quit:
+		}
+		return nil
+	}
+	m.startTicks(end)
+	m.eng.Run(end)
+	m.eng.RunAll()
+	return m.stepErr
+}
+
+// feed checks traces and schedules them from the current time: the fault
+// timeline on the simulator's first feed, then one arrival chain per tenant.
+// It returns the end of the longest trace.
+func (m *multi) feed(traces []*trace.Trace) (end float64, err error) {
 	if !m.started {
-		return ErrNotStarted
+		return 0, ErrNotStarted
 	}
 	if m.stopped {
-		return ErrStopped
+		return 0, ErrStopped
 	}
 	if len(traces) != len(m.cls) {
-		return fmt.Errorf("engine: FeedAll got %d traces for %d tenants", len(traces), len(m.cls))
+		return 0, fmt.Errorf("engine: FeedAll got %d traces for %d tenants", len(traces), len(m.cls))
 	}
 	start := m.eng.Now()
 	dur := 0.0
@@ -378,82 +604,37 @@ func (m *multiSimulated) FeedAll(traces []*trace.Trace) error {
 		}
 	}
 	if !any {
-		return errors.New("engine: FeedAll needs at least one trace")
+		return 0, errors.New("engine: FeedAll needs at least one trace")
 	}
-	end := start + dur
 
 	// Fault events: anchored to the first feed's start. Recoveries landing
 	// beyond the trace end still fire during the drain (RunAll).
-	if len(m.timeline) > 0 && !m.faultsArmed {
-		m.faultsArmed = true
-		for _, tc := range m.timeline {
-			tc := tc
-			m.eng.At(start+tc.At, func() {
-				desc := tc.Fire(m)
-				if m.cfg.OnFault != nil {
-					m.cfg.OnFault(m.eng.Now(), desc)
-				}
-			})
-		}
+	if m.wall == nil {
+		m.armFaults(start)
 	}
 
-	// Arrivals: one lazy chain per tenant on the shared clock.
+	// Arrivals: one lazy chain per tenant on the shared clock; a Stop under
+	// way refuses the rest. Feeds may overlap on the wall-clock kind, so
+	// there a feed leaves the demand samples of tenants it does not feed
+	// alone.
 	for i, tr := range traces {
+		if tr != nil || m.wall == nil {
+			m.feeds[i] = feed{tr: tr, start: start}
+		}
 		if tr == nil {
 			continue
 		}
 		cl := m.cls[i]
 		chainArrivals(m.eng, start, tr.Arrivals(m.arrRngs[i]), func() {
+			if m.stopped {
+				return
+			}
 			if ok, _ := m.admit(i); ok {
 				cl.InjectRequest()
 			}
 		})
 	}
-
-	// Per-second housekeeping: every tenant's demand report, heartbeat, and
-	// demand sample, then one joint reactive controller step.
-	var secTick func()
-	secTick = func() {
-		now := m.eng.Now()
-		for i := range m.cls {
-			rate := 0.0
-			if traces[i] != nil {
-				rate = traces[i].RateAt(now - start)
-			}
-			m.housekeepTenant(i, now, rate)
-		}
-		if err := m.ctrl.Step(false); err != nil && m.stepErr == nil {
-			m.stepErr = err
-		}
-		if now+1 <= end {
-			m.eng.After(1, secTick)
-		}
-	}
-	m.eng.After(1, secTick)
-
-	var lbTick func()
-	lbTick = func() {
-		m.ctrl.Rebalance()
-		if m.eng.Now()+m.cfg.LBIntervalSec <= end {
-			m.eng.After(m.cfg.LBIntervalSec, lbTick)
-		}
-	}
-	m.eng.After(m.cfg.LBIntervalSec, lbTick)
-
-	var rmTick func()
-	rmTick = func() {
-		if err := m.ctrl.Step(true); err != nil && m.stepErr == nil {
-			m.stepErr = err
-		}
-		if m.eng.Now()+m.cfg.RMIntervalSec <= end {
-			m.eng.After(m.cfg.RMIntervalSec, rmTick)
-		}
-	}
-	m.eng.After(m.cfg.RMIntervalSec, rmTick)
-
-	m.eng.Run(end)
-	m.eng.RunAll()
-	return m.stepErr
+	return start + dur, nil
 }
 
 // chainArrivals plays arrivals (offsets from start) on eng as a lazy chain:
@@ -476,7 +657,53 @@ func chainArrivals(eng *sim.Engine, start float64, arrivals []float64, inject fu
 	scheduleNext()
 }
 
-func (m *multiSimulated) housekeepTenant(i int, now, rateQPS float64) {
+// startTicks schedules the shared housekeeping as engine events: every
+// second each tenant's demand report, heartbeat and demand sample, then one
+// joint reactive controller step; a Load Balancer refresh every
+// LBIntervalSec; a Resource Manager step every RMIntervalSec. No tick is
+// scheduled past end.
+func (m *multi) startTicks(end float64) {
+	reactive := func() error { return m.ctrl.Step(false) }
+	periodic := func() error { return m.ctrl.Step(true) }
+	rebalance := func() error { m.ctrl.Rebalance(); return nil }
+
+	var secTick func()
+	secTick = func() {
+		now := m.eng.Now()
+		for i := range m.cls {
+			rate := 0.0
+			if f := m.feeds[i]; f.tr != nil {
+				rate = f.tr.RateAt(now - f.start)
+			}
+			m.housekeepTenant(i, now, rate)
+		}
+		m.control(reactive)
+		if now+1 <= end {
+			m.eng.After(1, secTick)
+		}
+	}
+	m.eng.After(1, secTick)
+
+	var lbTick func()
+	lbTick = func() {
+		m.control(rebalance)
+		if m.eng.Now()+m.cfg.LBIntervalSec <= end {
+			m.eng.After(m.cfg.LBIntervalSec, lbTick)
+		}
+	}
+	m.eng.After(m.cfg.LBIntervalSec, lbTick)
+
+	var rmTick func()
+	rmTick = func() {
+		m.control(periodic)
+		if m.eng.Now()+m.cfg.RMIntervalSec <= end {
+			m.eng.After(m.cfg.RMIntervalSec, rmTick)
+		}
+	}
+	m.eng.After(m.cfg.RMIntervalSec, rmTick)
+}
+
+func (m *multi) housekeepTenant(i int, now, rateQPS float64) {
 	t := &m.cfg.Tenants[i]
 	cl := m.cls[i]
 	// Offered demand: shed requests never reached the cluster, but the
@@ -493,17 +720,34 @@ func (m *multiSimulated) housekeepTenant(i int, now, rateQPS float64) {
 	cl.Heartbeat()
 }
 
-func (m *multiSimulated) Stop() error {
+// Stop refuses new work and drains in-flight requests: the simulator runs
+// every pending event; the wall-clock kind keeps pacing until no tenant has a
+// request in flight, then stops both its goroutines.
+func (m *multi) Stop() error {
+	m.lock()
 	if !m.started || m.stopped {
 		m.stopped = true
-		return m.stepErr
+		err := m.stepErr
+		m.unlock()
+		return err
 	}
 	m.stopped = true
-	m.eng.RunAll()
+	w := m.wall
+	if w == nil {
+		m.eng.RunAll()
+		return m.stepErr
+	}
+	close(w.quit)
+	w.kick()
+	m.unlock()
+	<-w.paced
+	<-w.stepped // nothing writes stepErr once the step goroutine is done
 	return m.stepErr
 }
 
-func (m *multiSimulated) Stats(tenant int) Stats {
+func (m *multi) Stats(tenant int) Stats {
+	m.lock()
+	defer m.unlock()
 	injected, completed, dropped, rerouted, swaps := m.cls[tenant].Totals()
 	return Stats{
 		Injected:  injected,
@@ -515,252 +759,20 @@ func (m *multiSimulated) Stats(tenant int) Stats {
 	}
 }
 
-func (m *multiSimulated) Now() float64 { return m.eng.Now() }
-
-func (m *multiSimulated) ActiveServers(tenant int) int { return m.cls[tenant].ActiveServers() }
-
-func (m *multiSimulated) ActiveByClass(tenant int) []int { return m.cls[tenant].ActiveByClass() }
-
-// multiWallclock hosts one live.Engine per tenant. Real time is naturally
-// shared, so tenant engines run their own goroutine workers and FeedAll
-// plays the traces concurrently. Only tenant 0's housekeeping loop drives
-// the joint controller (the others start with a nil controller), so the
-// MultiController is stepped exactly once per interval.
-type multiWallclock struct {
-	cfg MultiConfig
-	es  []*live.Engine
-
-	mu      sync.Mutex
-	started bool
-
-	// Fault injection: pool-level fault state, compiled timeline, the
-	// controller observing capacity, and the injector goroutine lifecycle.
-	fp        *faultPool
-	timeline  []fault.Timed
-	ctrl      *core.MultiController
-	faultDone chan struct{}
-	faultWG   sync.WaitGroup
+func (m *multi) Now() float64 {
+	m.lock()
+	defer m.unlock()
+	return m.eng.Now()
 }
 
-func newMultiWallclock(cfg MultiConfig) (MultiEngine, error) {
-	if err := cfg.defaults(); err != nil {
-		return nil, err
-	}
-	m := &multiWallclock{cfg: cfg}
-	for i, t := range cfg.Tenants {
-		e, err := live.New(t.Meta, t.Policy, t.Collector, live.Options{
-			Servers:       cfg.Servers,
-			Classes:       cfg.Classes,
-			SLOSec:        t.SLOSec,
-			NetLatencySec: cfg.NetLatencySec,
-			Seed:          cfg.Seed + 1 + 2*int64(i),
-			TimeScale:     cfg.TimeScale,
-			RMIntervalSec: cfg.RMIntervalSec,
-			LBIntervalSec: cfg.LBIntervalSec,
-			QueueFactor:   cfg.QueueFactor,
-			OnTaskDemand:  t.OnTaskDemand,
-			Admission:     t.Admission,
-			Tier:          t.Tier,
-			Telemetry:     t.Telemetry,
-			Tracer:        t.Tracer,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("engine: tenant %d: %w", i, err)
-		}
-		m.es = append(m.es, e)
-	}
-	if cfg.Faults != nil {
-		m.fp = newFaultPool(cfg.Servers, cfg.Classes)
-		tl, err := compileFaults(cfg.Faults, m.fp)
-		if err != nil {
-			return nil, err
-		}
-		m.timeline = tl
-	}
-	return m, nil
+func (m *multi) ActiveServers(tenant int) int {
+	m.lock()
+	defer m.unlock()
+	return m.cls[tenant].ActiveServers()
 }
 
-// Fail, Recover, Slow, and Restore implement fault.Target — see the
-// simulated twin for the semantics. They are only called from the single
-// fault-injector goroutine, so the pool state needs no extra locking; the
-// per-engine mutations take each engine's own lock.
-func (m *multiWallclock) Fail(class, n int) []int {
-	phys := m.fp.pickFail(class, n)
-	for _, e := range m.es {
-		for _, p := range phys {
-			e.SetWorkerDown(p)
-		}
-	}
-	m.publishLive()
-	return phys
+func (m *multi) ActiveByClass(tenant int) []int {
+	m.lock()
+	defer m.unlock()
+	return m.cls[tenant].ActiveByClass()
 }
-
-func (m *multiWallclock) Recover(phys []int) {
-	m.fp.recover(phys)
-	for _, e := range m.es {
-		for _, p := range phys {
-			e.SetWorkerUp(p)
-		}
-	}
-	m.publishLive()
-}
-
-func (m *multiWallclock) Slow(class, n int, factor float64) []int {
-	phys := m.fp.pickSlow(class, n)
-	for _, e := range m.es {
-		for _, p := range phys {
-			e.SetWorkerSpeedFactor(p, factor)
-		}
-	}
-	return phys
-}
-
-func (m *multiWallclock) Restore(phys []int) {
-	m.fp.restore(phys)
-	for _, e := range m.es {
-		for _, p := range phys {
-			e.SetWorkerSpeedFactor(p, 1)
-		}
-	}
-}
-
-func (m *multiWallclock) publishLive() {
-	live := m.fp.live()
-	var forMeta []int
-	if m.fp.anyDown() {
-		forMeta = live
-	}
-	for i := range m.cfg.Tenants {
-		m.cfg.Tenants[i].Meta.SetLiveClassCounts(forMeta)
-	}
-	if m.ctrl != nil {
-		m.ctrl.ObserveCapacity(live)
-	}
-}
-
-// runFaults fires the compiled timeline on scaled wall time until Stop.
-func (m *multiWallclock) runFaults() {
-	defer m.faultWG.Done()
-	ts := m.cfg.TimeScale
-	if ts == 0 {
-		ts = 1.0
-	}
-	begin := time.Now()
-	for _, tc := range m.timeline {
-		wait := time.Until(begin.Add(time.Duration(tc.At * ts * float64(time.Second))))
-		if wait > 0 {
-			select {
-			case <-m.faultDone:
-				return
-			case <-time.After(wait):
-			}
-		} else {
-			select {
-			case <-m.faultDone:
-				return
-			default:
-			}
-		}
-		desc := tc.Fire(m)
-		if m.cfg.OnFault != nil {
-			m.cfg.OnFault(m.es[0].Now(), desc)
-		}
-	}
-}
-
-func (m *multiWallclock) ApplyPlan(tenant int, plan *core.Plan, routes *core.Routes) {
-	m.es[tenant].ApplyPlan(plan, routes)
-}
-
-func (m *multiWallclock) Start(ctrl *core.MultiController) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.started {
-		return errors.New("engine: already started")
-	}
-	for i, e := range m.es {
-		var c *core.MultiController
-		if i == 0 {
-			c = ctrl
-		}
-		if err := e.Start(c); err != nil {
-			for j := 0; j < i; j++ {
-				m.es[j].Stop()
-			}
-			return err
-		}
-	}
-	m.started = true
-	if len(m.timeline) > 0 {
-		m.ctrl = ctrl
-		m.faultDone = make(chan struct{})
-		m.faultWG.Add(1)
-		go m.runFaults()
-	}
-	return nil
-}
-
-func (m *multiWallclock) Submit(tenant int) error {
-	return m.es[tenant].Submit()
-}
-
-func (m *multiWallclock) FeedAll(traces []*trace.Trace) error {
-	if len(traces) != len(m.es) {
-		return fmt.Errorf("engine: FeedAll got %d traces for %d tenants", len(traces), len(m.es))
-	}
-	any := false
-	for _, tr := range traces {
-		if tr != nil {
-			any = true
-		}
-	}
-	if !any {
-		return errors.New("engine: FeedAll needs at least one trace")
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(traces))
-	for i, tr := range traces {
-		if tr == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, tr *trace.Trace) {
-			defer wg.Done()
-			errs[i] = m.es[i].Feed(tr)
-		}(i, tr)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-func (m *multiWallclock) Stop() error {
-	m.mu.Lock()
-	if m.faultDone != nil {
-		close(m.faultDone)
-		m.faultDone = nil
-	}
-	m.mu.Unlock()
-	m.faultWG.Wait()
-	var errs []error
-	for _, e := range m.es {
-		errs = append(errs, e.Stop())
-	}
-	return errors.Join(errs...)
-}
-
-func (m *multiWallclock) Stats(tenant int) Stats {
-	injected, completed, dropped, rerouted, shed := m.es[tenant].Totals()
-	return Stats{
-		Injected:  injected,
-		Completed: completed,
-		Dropped:   dropped,
-		Rerouted:  rerouted,
-		Shed:      shed,
-	}
-}
-
-func (m *multiWallclock) Now() float64 { return m.es[0].Now() }
-
-func (m *multiWallclock) ActiveServers(tenant int) int { return m.es[tenant].ActiveServers() }
-
-func (m *multiWallclock) ActiveByClass(tenant int) []int { return m.es[tenant].ActiveByClass() }

@@ -51,8 +51,8 @@ const (
 	// Simulated runs on the discrete-event simulator in virtual time
 	// (the default, and what every figure experiment uses).
 	Simulated = engine.KindSimulated
-	// Wallclock runs on the real-time goroutine engine (internal/live),
-	// taking TimeScale × trace-duration of wall time.
+	// Wallclock runs the same simulator paced by the wall clock, taking
+	// TimeScale × trace-duration of wall time.
 	Wallclock = engine.KindWallclock
 )
 

@@ -11,7 +11,7 @@ import (
 	"loki/internal/trace"
 )
 
-// ValidationResult compares the discrete-event simulator against the live
+// ValidationResult compares the discrete-event simulator against the
 // wall-clock engine on the same workload (§6.2's "validating the simulator").
 type ValidationResult struct {
 	Sim  metrics.Summary
@@ -37,8 +37,10 @@ type ValidateConfig struct {
 
 // Validate runs the identical trace through both engines with the same
 // controller configuration and reports the metric deltas. The paper observed
-// 1.2% / 1.8% / 1.5% average differences; ours land in the same
-// few-percent band, dominated by goroutine scheduling jitter.
+// 1.2% / 1.8% / 1.5% average differences. Both kinds here are one serving
+// engine with the same seeds, so the deltas measure control timing alone: on
+// the wall-clock kind a plan lands as late as its solve takes in real time,
+// while the simulator solves in zero virtual time.
 func Validate(cfg ValidateConfig) (*ValidationResult, error) {
 	if cfg.Servers == 0 {
 		cfg.Servers = 20

@@ -14,7 +14,7 @@ import (
 
 // Collector aggregates request outcomes into fixed-width time buckets.
 // All methods are safe for concurrent use, so live readers (System.Report
-// on the wall-clock engine) may summarize while workers record.
+// on the wall-clock engine) may summarize while the engine records.
 type Collector struct {
 	BucketSec float64
 	Servers   int // cluster size, for utilization

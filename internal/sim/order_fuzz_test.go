@@ -43,6 +43,13 @@ func (e *refEngine) Events() uint64 { return e.events }
 func (e *refEngine) Pending() int   { return len(e.h) }
 func (e *refEngine) Stop()          { e.stopped = true }
 
+func (e *refEngine) NextAt() (float64, bool) {
+	if len(e.h) == 0 {
+		return 0, false
+	}
+	return e.h[0].at, true
+}
+
 func (e *refEngine) At(t float64, fn func()) {
 	if t < e.now {
 		panic("sim: event scheduled in the past")
@@ -100,6 +107,7 @@ type scheduler interface {
 	Now() float64
 	Events() uint64
 	Pending() int
+	NextAt() (float64, bool)
 }
 
 // laneEngine drives Engine's lanes and checks that NewLane hands out one lane
@@ -125,9 +133,10 @@ func (e laneEngine) lane(delay float64) func(fn func()) {
 }
 
 // step is one observable moment of a played script: an event firing, the
-// state after a Run, RunAll or the final drain, or a rejected past-time At.
+// state after a Run, RunAll or the final drain, a rejected past-time At, a
+// NextAt peek, or a peek the engine then broke.
 type step struct {
-	kind    byte // 'f' fire, 'r' Run, 'a' RunAll, 'd' drain, 'p' past At
+	kind    byte // 'f' fire, 'r' Run, 'a' RunAll, 'd' drain, 'p' past At, 'n' peek, 'x' broken peek
 	id      int  // the fired event, in scheduling order
 	now     float64
 	pending int
@@ -140,11 +149,14 @@ type step struct {
 // so exact-time ties between heap and lane events are dense. Fired events
 // read the script too, so an event fired out of order changes everything that
 // follows; they also schedule onto lanes and open new lanes mid-run. At most
-// maxEvents events are ever scheduled.
+// maxEvents events are ever scheduled. A peek reads NextAt, which must report
+// a pending event exactly when one is queued, and whose time the next event
+// to fire must carry unless something is scheduled first.
 func play(script []byte, e scheduler) []step {
 	const maxEvents = 1000
 	var log []step
 	pos, scheduled := 0, 0
+	peeking, peekAt := false, 0.0
 	next := func() (byte, bool) {
 		if pos >= len(script) {
 			return 0, false
@@ -160,6 +172,10 @@ func play(script []byte, e scheduler) []step {
 	var onLane func(k int)
 	fire := func(id int) func() {
 		return func() {
+			if peeking && e.Now() != peekAt {
+				log = append(log, step{kind: 'x', id: id, now: e.Now()})
+			}
+			peeking = false
 			log = append(log, step{kind: 'f', id: id, now: e.Now()})
 			b, ok := next()
 			if !ok {
@@ -186,6 +202,7 @@ func play(script []byte, e scheduler) []step {
 			return
 		}
 		scheduled++
+		peeking = false
 		if abs {
 			e.At(e.Now()+off, fire(scheduled))
 		} else {
@@ -197,6 +214,7 @@ func play(script []byte, e scheduler) []step {
 			return
 		}
 		scheduled++
+		peeking = false
 		lanes[k%len(lanes)](fire(scheduled))
 	}
 	report := func(kind byte) {
@@ -208,7 +226,7 @@ func play(script []byte, e scheduler) []step {
 			break
 		}
 		arg, _ := next()
-		switch b % 9 {
+		switch b % 10 {
 		case 0, 1:
 			schedule(true, offset(arg))
 		case 2:
@@ -236,6 +254,13 @@ func play(script []byte, e scheduler) []step {
 			for i := 0; i <= int(arg>>4)%3; i++ { // one to three, for ties within a lane
 				onLane(int(arg))
 			}
+		case 9:
+			at, ok := e.NextAt()
+			log = append(log, step{kind: 'n', now: at, pending: e.Pending()})
+			if ok != (e.Pending() > 0) {
+				log = append(log, step{kind: 'x', now: at, pending: e.Pending()})
+			}
+			peeking, peekAt = ok, at
 		}
 	}
 	e.RunAll()
@@ -255,6 +280,7 @@ func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{7, 2, 0, 1, 8, 32, 3, 1, 8, 0, 4, 1, 7, 3, 8, 1, 4, 0, 5, 0}) // lane and heap events tied at 0.25
 	f.Add([]byte{7, 4, 8, 0, 8, 0, 0, 0, 4, 0, 4, 2, 8, 17, 4, 4, 5, 0})       // Run(until) short of queued lane events
 	f.Add([]byte{7, 2, 0, 0, 8, 0, 4, 1, 0, 4, 0, 37, 0, 45, 5, 0})            // fired events open lanes and Stop
+	f.Add([]byte{9, 0, 7, 2, 0, 3, 8, 0, 9, 0, 4, 4, 9, 0, 5, 0, 9, 0})        // peeks at heap and lane heads, and at nothing
 	for i := 0; i < 16; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))
 		script := make([]byte, 32+24*i)

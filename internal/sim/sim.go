@@ -172,6 +172,16 @@ func (e *Engine) Pending() int {
 	return n
 }
 
+// NextAt returns the time of the earliest pending event, in the heap or a
+// lane, and false when nothing is pending. It is the event Run fires next.
+func (e *Engine) NextAt() (float64, bool) {
+	ev, _ := e.next()
+	if ev == nil {
+		return 0, false
+	}
+	return ev.at, true
+}
+
 // next returns the earliest pending event and the lane it waits in, nil for
 // the heap. The event is nil when nothing is pending.
 func (e *Engine) next() (*event, *Lane) {

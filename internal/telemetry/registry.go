@@ -274,8 +274,8 @@ type Point struct {
 	Sum   float64
 	Count uint64
 	// AtSec is the engine-clock time of the last update (virtual seconds on
-	// the simulator, scaled wall seconds on the live engine); a collector's
-	// series carry the time of its latest event or Sample.
+	// the simulator, scaled wall seconds on the wall-clock engine); a
+	// collector's series carry the time of its latest event or Sample.
 	AtSec float64
 }
 

@@ -26,8 +26,8 @@
 //
 // While running, Snapshot, Plan, and Routes observe the live system state.
 // WithEngine selects the serving backend: the discrete-event simulator
-// (default, virtual time) or the wall-clock engine with real goroutine
-// workers. Serve remains as the one-call batch form — it is exactly
+// (default, virtual time) or the same simulator paced by the wall clock.
+// Serve remains as the one-call batch form — it is exactly
 // New → Feed → Stop → Report.
 //
 // Custom pipelines are assembled with NewPipeline:
@@ -314,6 +314,7 @@ func WithBaseline(b Baseline) Option { return func(c *config) { c.baseline = b }
 func WithHeadroom(h float64) Option { return func(c *config) { c.headroom = h } }
 
 // WithSwapLatency models the model-load pause when a worker changes variant.
+// It applies to both engines.
 func WithSwapLatency(d time.Duration) Option { return func(c *config) { c.swap = d } }
 
 // WithSolveTimeLimit bounds each Resource Manager MILP solve (default 500 ms).
@@ -321,7 +322,8 @@ func WithSolveTimeLimit(d time.Duration) Option {
 	return func(c *config) { c.solveLimit = d }
 }
 
-// WithExecutionJitter adds relative noise to batch execution latencies.
+// WithExecutionJitter adds relative noise to batch execution latencies. It
+// applies to both engines.
 func WithExecutionJitter(j float64) Option { return func(c *config) { c.jitter = j } }
 
 // WithMinAccuracy sets a floor on end-to-end path accuracy: accuracy
