@@ -346,13 +346,14 @@ func BenchmarkFleetRound(b *testing.B) {
 	b.ReportMetric(last.AllocsPerRound, "allocs_per_round")
 }
 
-// BenchmarkIngressOverload runs the HTTP front-door overload sweep per
-// iteration (open vs admission-controlled door, 1x and 2x the measured
-// capacity, wall-clock engine over real sockets) and reports each point's
-// attainment and goodput — the regression canaries for the ingress
-// subsystem: admitted attainment must hold at 2x while the open door rots,
-// and admission goodput at 2x must strictly beat the open door's. The
-// recorded full-sweep baseline lives in BENCH_ingress.json.
+// BenchmarkIngressOverload runs the front-door overload sweep per iteration
+// (open vs admission-controlled door, 1x and 2x the measured capacity, on
+// the simulator through the HTTP path's admission controller) and reports
+// each point's attainment and goodput — the regression canaries for the
+// ingress subsystem: admitted attainment must hold at 2x while the open door
+// rots, and admission goodput at 2x must strictly beat the open door's.
+// BENCH_ingress.json records the earlier socket-based sweep; lokibench's
+// http-overload workload measures the socket path.
 func BenchmarkIngressOverload(b *testing.B) {
 	var last *experiments.IngressResult
 	for i := 0; i < b.N; i++ {

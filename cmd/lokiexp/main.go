@@ -134,7 +134,7 @@ func main() {
 		})
 	}
 	if all || *fig == "ingress" {
-		run("Ingress: admission control under overload (real sockets)", func() error {
+		run("Ingress: admission control under overload", func() error {
 			return ingressFig(*seed, *servers, *sloMs/1000, *quick)
 		})
 	}

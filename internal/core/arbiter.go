@@ -331,14 +331,6 @@ type MultiController struct {
 	// bit-identical to the pre-greedy arbiter.
 	GreedyReplaceBudget int
 
-	// Sequential forces the per-tenant solves of each allocation round to
-	// run one after another instead of fanning out across goroutines. The
-	// grant split is deterministic either way (solves are independent and
-	// results are assembled in registration order); the escape hatch
-	// exists for debugging and for the public WithParallelPlanning(false)
-	// option.
-	Sequential bool
-
 	// OnGrants, when non-nil, observes every joint allocation: the step
 	// counter and the per-tenant server grants (summed across hardware
 	// classes), in registration order. It is called with the controller
@@ -1081,16 +1073,17 @@ func copyOrNil(xs []int) []int {
 	return append([]int(nil), xs...)
 }
 
-// forEachTenant runs fn once per tenant. Unless Sequential is set (or the
-// host has a single execution slot, where fanning out only adds scheduling
-// noise to wall-clock-budgeted solves), calls run concurrently on bounded
-// goroutines — one in flight per tenant, at most GOMAXPROCS at once. fn
-// receives a distinct tenant per call, so per-tenant state (plan cache,
-// allocator) needs no extra locking. The first error in registration order
-// wins.
+// forEachTenant runs fn once per tenant. Unless the host has a single
+// execution slot (where fanning out only adds scheduling noise to
+// wall-clock-budgeted solves) or there is one tenant, calls run concurrently
+// on bounded goroutines — one in flight per tenant, at most GOMAXPROCS at
+// once. The grant split is deterministic either way: results are assembled
+// in registration order. fn receives a distinct tenant per call, so
+// per-tenant state (plan cache, allocator) needs no extra locking. The first
+// error in registration order wins.
 func (m *MultiController) forEachTenant(fn func(i int, t *Tenant) error) error {
 	limit := runtime.GOMAXPROCS(0)
-	if m.Sequential || limit <= 1 || len(m.tenants) <= 1 {
+	if limit <= 1 || len(m.tenants) <= 1 {
 		for i, t := range m.tenants {
 			if err := fn(i, t); err != nil {
 				return err

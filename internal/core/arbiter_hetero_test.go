@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -135,17 +136,18 @@ func TestHeteroIdleClassCapacityIsLent(t *testing.T) {
 }
 
 // The parallel per-tenant solve fan-out produces the same class grants as
-// the sequential path — the hetero analogue of the planner parity contract —
-// and is race-clean when run under -race.
+// the sequential path the arbiter takes at GOMAXPROCS 1 — the hetero
+// analogue of the planner parity contract — and is race-clean when run under
+// -race.
 func TestHeteroParallelMatchesSequential(t *testing.T) {
-	run := func(sequential bool) [][]int {
+	run := func(procs int) [][]int {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		a := heteroTenant(t, "a", 0.4)
 		b := heteroTenant(t, "b", 0.4)
 		m, err := NewMultiController(16, []*Tenant{a, b})
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Sequential = sequential
 		for i := 0; i < 12; i++ {
 			a.Meta.ObserveDemand(1800)
 			b.Meta.ObserveDemand(900)
@@ -155,8 +157,8 @@ func TestHeteroParallelMatchesSequential(t *testing.T) {
 		}
 		return m.ClassGrants()
 	}
-	par := run(false)
-	seq := run(true)
+	par := run(max(runtime.GOMAXPROCS(0), 2))
+	seq := run(1)
 	for i := range par {
 		for c := range par[i] {
 			if par[i][c] != seq[i][c] {

@@ -148,15 +148,16 @@ func TestDemandBucketConsistentWithThreshold(t *testing.T) {
 }
 
 // TestParallelPlanningMatchesSequential drives two identical two-tenant
-// controllers — one fanning solves out across goroutines, one strictly
-// sequential — through the same contended demand walk and requires
-// identical grants and plans at every step. GOMAXPROCS is raised so the
-// parallel path really runs concurrently even on small CI hosts.
+// controllers — one fanning solves out across goroutines, one stepped at
+// GOMAXPROCS 1, where the arbiter solves strictly sequentially — through the
+// same contended demand walk and requires identical grants and plans at
+// every step. GOMAXPROCS is raised for the parallel controller so it really
+// runs concurrently even on small CI hosts.
 func TestParallelPlanningMatchesSequential(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
+	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 
-	build := func(sequential bool) *MultiController {
+	build := func() *MultiController {
 		var tenants []*Tenant
 		for _, name := range []string{"chain-a", "chain-b"} {
 			g := profiles.TrafficChain()
@@ -175,11 +176,10 @@ func TestParallelPlanningMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mc.Sequential = sequential
 		return mc
 	}
-	par := build(false)
-	seq := build(true)
+	par := build()
+	seq := build()
 
 	rng := rand.New(rand.NewSource(4))
 	for step := 0; step < 8; step++ {
@@ -188,6 +188,11 @@ func TestParallelPlanningMatchesSequential(t *testing.T) {
 		d0 := 100 + rng.Float64()*500
 		d1 := 80 + rng.Float64()*300
 		for _, mc := range []*MultiController{par, seq} {
+			procs := 4
+			if mc == seq {
+				procs = 1
+			}
+			runtime.GOMAXPROCS(procs)
 			mc.tenants[0].Meta.ObserveDemand(d0)
 			mc.tenants[1].Meta.ObserveDemand(d1)
 			if err := mc.Step(true); err != nil {

@@ -1,8 +1,9 @@
 // Package engine is the serving backend behind the public loki.System API
-// and internal/experiments.Run. A backend hosts the worker pool of one or
-// more pipelines: it accepts plan publications from the core.MultiController,
-// admits requests (one at a time via Submit or as whole arrival processes via
-// FeedAll), and runs the per-second housekeeping loop (demand reports,
+// and every internal/experiments driver. A backend hosts the worker pool of
+// one or more pipelines: it accepts plan publications from the
+// core.MultiController (retargeting each admission-fronted tenant's front
+// door to the published routes), admits requests (one at a time via Submit
+// or as whole arrival processes via FeedAll), and runs the per-second housekeeping loop (demand reports,
 // heartbeats, controller steps) that the paper's Controller relies on. One
 // implementation of MultiEngine serves both kinds: an internal/cluster per
 // tenant on one internal/sim clock. KindSimulated runs that clock in virtual

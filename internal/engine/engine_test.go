@@ -9,6 +9,7 @@ import (
 
 	"loki/internal/core"
 	"loki/internal/fault"
+	"loki/internal/ingress"
 	"loki/internal/metrics"
 	"loki/internal/policy"
 	"loki/internal/profiles"
@@ -306,5 +307,47 @@ func TestWallclockGoroutinesDoNotScaleWithPool(t *testing.T) {
 	}
 	if grown > 8 {
 		t.Fatalf("Start on a %d-server pool added %d goroutines", servers, grown)
+	}
+}
+
+// TestApplyPlanRetargetsAdmission publishes two plans to an admission-fronted
+// tenant on both kinds: after each, the tenant's admission rate is the
+// published routes' frontend rate scaled by the target utilization, with no
+// further call from the publisher.
+func TestApplyPlanRetargetsAdmission(t *testing.T) {
+	g := profiles.TrafficChain()
+	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
+	meta := core.NewMetadataStore(g, prof, 0.250, profiles.Batches)
+	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
+		Servers: 12, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30, SolveTimeLimit: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var routes []*core.Routes
+	for _, demand := range []float64{120, 300} {
+		plan, err := alloc.Allocate(demand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes = append(routes, core.MostAccurateFirst(g, core.ExpandPlan(plan), demand*1.3, meta.MultFactor))
+	}
+	for _, kind := range kinds {
+		adm := ingress.NewAdmission(ingress.Config{SLOSec: 0.250, TargetUtilization: 0.5})
+		eng, err := NewMulti(kind, MultiConfig{
+			Servers: 12, NetLatencySec: 0.002, Seed: 3, TimeScale: 0.05,
+			Tenants: []TenantConfig{{Meta: meta, Collector: metrics.NewCollector(5, 12), SLOSec: 0.250, Admission: adm}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range routes {
+			eng.ApplyPlan(0, nil, r)
+			want := 0.5 * ingress.FrontendRate(r)
+			if got := adm.Rate(); want == 0 || got != want {
+				t.Errorf("%s: admission rate %.1f after publishing routes of frontend rate %.1f, want %.1f",
+					kindName(kind), got, ingress.FrontendRate(r), want)
+			}
+		}
 	}
 }

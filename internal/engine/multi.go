@@ -39,7 +39,8 @@ type TenantConfig struct {
 	// Admission, when non-nil, fronts every injection path of this tenant
 	// (Submit and FeedAll alike): requests it refuses are shed — counted in
 	// Stats.Shed and the collector's shed series, still part of the observed
-	// demand the planner sees, but never queued.
+	// demand the planner sees, but never queued. ApplyPlan retargets its rate
+	// to the published routes' frontend rate (ingress.FrontendRate).
 	Admission *ingress.Admission
 
 	// Tier is the tenant's service tier, echoed on every shed decision
@@ -128,8 +129,9 @@ func (c *MultiConfig) defaults() error {
 // at any point after construction (the controller publishes through it,
 // including for the pre-warm plan installed before Start).
 type MultiEngine interface {
-	// ApplyPlan installs one tenant's plan and routing tables (the joint
-	// controller's per-tenant publish target).
+	// ApplyPlan installs one tenant's plan and routing tables, and retargets
+	// its admission controller if it has one (the joint controller's
+	// per-tenant publish target).
 	ApplyPlan(tenant int, plan *core.Plan, routes *core.Routes)
 
 	// Start begins serving; the given controller is stepped jointly on the
@@ -501,9 +503,16 @@ func (m *multi) admit(i int) (ok bool, retryAfterSec float64) {
 	return false, retry
 }
 
+// ApplyPlan installs the plan and, for an admission-fronted tenant, retargets
+// its front door at the same instant: the granted capacity is the summed
+// service rate of the root-task replicas just routed. Publications repeat
+// every rebalance, so a steady rate leaves the bucket as it is.
 func (m *multi) ApplyPlan(tenant int, plan *core.Plan, routes *core.Routes) {
 	m.lock()
 	m.cls[tenant].ApplyPlan(plan, routes)
+	if adm := m.cfg.Tenants[tenant].Admission; adm != nil {
+		adm.SetRate(m.eng.Now(), ingress.FrontendRate(routes))
+	}
 	m.unlock()
 }
 

@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"loki/internal/core"
-	"loki/internal/engine"
 	"loki/internal/fault"
-	"loki/internal/ingress"
 	"loki/internal/metrics"
 	"loki/internal/profiles"
 	"loki/internal/trace"
@@ -159,129 +155,45 @@ func (c *ChaosConfig) chaosFaults(kind string, permanent bool) *fault.Schedule {
 var chaosOnGrants func(step int, totals []int)
 
 // chaosRun serves the two-pipeline scenario once on the simulator and
-// returns each tenant's collector series plus the fault events observed.
-func chaosRun(cfg ChaosConfig, tiered bool, sched *fault.Schedule) ([]*metrics.Collector, []metrics.Summary, []string, error) {
-	names := []string{"gold", "free"}
-	tiers := []int{0, 0}
-	if tiered {
-		tiers[0] = 1
-	}
-	classes := []profiles.Class{
-		{Name: "res", Count: cfg.Reserved, Speed: 1.0},
-		{Name: "spot", Count: cfg.Spot, Speed: 1.0},
-	}
-	pool := cfg.Reserved + cfg.Spot
-
-	var events []string
-	prof := &profiles.Profiler{Seed: cfg.Seed}
-	mcfg := engine.MultiConfig{
-		Servers:       pool,
-		Classes:       classes,
-		NetLatencySec: 0.002,
-		Seed:          cfg.Seed,
-		Faults:        sched,
-		OnFault: func(timeSec float64, desc string) {
-			events = append(events, fmt.Sprintf("t=%.0fs %s", timeSec, desc))
-		},
-	}
-	var tenants []*core.Tenant
-	var cols []*metrics.Collector
-	var adms []*ingress.Admission
-	for i, name := range names {
-		g := profiles.TrafficTree()
-		meta := core.NewMetadataStoreHetero(g, classes,
-			prof.ProfileGraphClasses(g, profiles.Batches, classes), cfg.SLOSec, profiles.Batches)
-		alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-			Servers:        pool,
-			NetLatencySec:  0.002,
-			KeepWarm:       true,
-			Headroom:       0.30,
-			SolveTimeLimit: 500 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("experiments: chaos tenant %q: %w", name, err)
-		}
-		// One-second buckets: the windows are scored at fault granularity.
-		col := metrics.NewCollector(1, pool)
-		cols = append(cols, col)
-		adm := ingress.NewAdmission(ingress.Config{
-			SLOSec:            cfg.SLOSec,
-			TargetUtilization: 1 / 1.30,
-		})
-		adms = append(adms, adm)
-		mcfg.Tenants = append(mcfg.Tenants, engine.TenantConfig{
-			Meta: meta, Collector: col, SLOSec: cfg.SLOSec,
-			Tier: tiers[i], Admission: adm,
-		})
-		tenants = append(tenants, &core.Tenant{
-			Name: name, Tier: tiers[i], Meta: meta, Alloc: alloc,
-			RouteHeadroom: 0.30,
-		})
-	}
-
-	eng, err := engine.NewMulti(engine.KindSimulated, mcfg)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for i, t := range tenants {
-		i, adm := i, adms[i]
-		t.Publish = func(plan *core.Plan, routes *core.Routes) {
-			eng.ApplyPlan(i, plan, routes)
-			adm.SetRate(eng.Now(), ingress.FrontendRate(routes))
-		}
-	}
-	ctrl, err := core.NewMultiController(pool, tenants)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ctrl.OnGrants = chaosOnGrants
-
+// returns each tenant's collector plus the fault events observed.
+func chaosRun(cfg ChaosConfig, tiered bool, sched *fault.Schedule) ([]*metrics.Collector, []string, error) {
 	steps := int(cfg.DurSec / 4)
 	tr := trace.Ramp(cfg.QPS, cfg.QPS, steps, 4)
-	for _, t := range tenants {
-		t.Meta.ObserveDemand(cfg.QPS)
+	var tenants []tenantSpec
+	for _, name := range []string{"gold", "free"} {
+		tenants = append(tenants, tenantSpec{name: name, graph: profiles.TrafficTree(), trace: tr, admission: true})
 	}
-	if err := ctrl.Step(true); err != nil {
-		return nil, nil, nil, err
+	if tiered {
+		tenants[0].tier = 1
 	}
-	if err := eng.Start(ctrl); err != nil {
-		return nil, nil, nil, err
+	var events []string
+	s, err := serve(RunConfig{
+		Classes: []profiles.Class{
+			{Name: "res", Count: cfg.Reserved, Speed: 1.0},
+			{Name: "spot", Count: cfg.Spot, Speed: 1.0},
+		},
+		SLOSec: cfg.SLOSec,
+		Seed:   cfg.Seed,
+		// One-second buckets: the windows are scored at fault granularity.
+		BucketSec: 1,
+	}, tenants, sched, func(timeSec float64, desc string) {
+		events = append(events, fmt.Sprintf("t=%.0fs %s", timeSec, desc))
+	}, chaosOnGrants)
+	if err != nil {
+		return nil, nil, err
 	}
-	if err := eng.FeedAll([]*trace.Trace{tr, tr}); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := eng.Stop(); err != nil {
-		return nil, nil, nil, err
-	}
-	sums := make([]metrics.Summary, len(cols))
-	for i, col := range cols {
-		sums[i] = col.Summarize()
-	}
-	return cols, sums, events, nil
+	return s.cols, events, nil
 }
 
-// windowScore aggregates one window of a series into attainment, goodput
-// ratio, and shed share.
-func windowScore(series []metrics.Point, start, end float64) ChaosWindow {
-	arr, viol, shed := 0, 0, 0
-	for _, p := range series {
-		if p.TimeSec < start || p.TimeSec >= end {
-			continue
-		}
-		arr += p.Arrivals
-		viol += p.Violations
-		shed += p.Shed
+// score is the window as a ChaosWindow: attainment, goodput ratio and shed
+// share of the offered load.
+func (w windowSum) score() ChaosWindow {
+	c := ChaosWindow{Attainment: w.attainment(), GoodputRatio: 1}
+	if offered := w.arrivals + w.shed; offered > 0 {
+		c.GoodputRatio = float64(w.arrivals-w.violations) / float64(offered)
+		c.ShedPct = 100 * float64(w.shed) / float64(offered)
 	}
-	w := ChaosWindow{Attainment: 1, GoodputRatio: 1}
-	offered := arr + shed
-	if arr > 0 {
-		w.Attainment = 1 - float64(viol)/float64(arr)
-	}
-	if offered > 0 {
-		w.GoodputRatio = float64(arr-viol) / float64(offered)
-		w.ShedPct = 100 * float64(shed) / float64(offered)
-	}
-	return w
+	return c
 }
 
 // Chaos runs the full fault × tiering grid on the simulator. Every cell
@@ -297,19 +209,19 @@ func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	for _, kind := range kinds {
 		for _, tiered := range []bool{true, false} {
-			cols, sums, events, err := chaosRun(cfg, tiered, cfg.chaosFaults(kind, false))
+			cols, events, err := chaosRun(cfg, tiered, cfg.chaosFaults(kind, false))
 			if err != nil {
 				return nil, err
 			}
 			// During-oracle: the same fault, active from the start and
 			// never recovered — a control plane with nothing stale to
 			// unlearn in the during window.
-			oCols, _, _, err := chaosRun(cfg, tiered, cfg.chaosFaults(kind, true))
+			oCols, _, err := chaosRun(cfg, tiered, cfg.chaosFaults(kind, true))
 			if err != nil {
 				return nil, err
 			}
 			// After-oracle: no fault at all, scored in the after window.
-			cCols, _, _, err := chaosRun(cfg, tiered, nil)
+			cCols, _, err := chaosRun(cfg, tiered, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -323,12 +235,12 @@ func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
 				cell.Tenants = append(cell.Tenants, ChaosTenant{
 					Name:         name,
 					Tier:         tiers[i],
-					Before:       windowScore(s, b0, b1),
-					During:       windowScore(s, d0, d1),
-					After:        windowScore(s, a0, a1),
-					OracleDuring: windowScore(oCols[i].Series(), d0, d1),
-					OracleAfter:  windowScore(cCols[i].Series(), a0, a1),
-					Summary:      sums[i],
+					Before:       window(s, b0, b1).score(),
+					During:       window(s, d0, d1).score(),
+					After:        window(s, a0, a1).score(),
+					OracleDuring: window(oCols[i].Series(), d0, d1).score(),
+					OracleAfter:  window(cCols[i].Series(), a0, a1).score(),
+					Summary:      cols[i].Summarize(),
 				})
 			}
 			res.Cells = append(res.Cells, cell)

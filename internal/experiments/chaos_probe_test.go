@@ -30,7 +30,7 @@ func TestChaosGrantProbe(t *testing.T) {
 		chaosOnGrants = func(step int, totals []int) {
 			lines = append(lines, fmt.Sprintf("step=%d totals=%v", step, totals))
 		}
-		cols, sums, events, err := chaosRun(cfg, tiered, cfg.chaosFaults("outage", false))
+		cols, events, err := chaosRun(cfg, tiered, cfg.chaosFaults("outage", false))
 		chaosOnGrants = nil
 		if err != nil {
 			t.Fatal(err)
@@ -40,11 +40,11 @@ func TestChaosGrantProbe(t *testing.T) {
 			t.Logf("  %s", l)
 		}
 		b0, b1, d0, d1, a0, a1 := cfg.windows()
-		for i, s := range sums {
-			series := cols[i].Series()
-			bw := windowScore(series, b0, b1)
-			dw := windowScore(series, d0, d1)
-			aw := windowScore(series, a0, a1)
+		for i, col := range cols {
+			s, series := col.Summarize(), col.Series()
+			bw := window(series, b0, b1).score()
+			dw := window(series, d0, d1).score()
+			aw := window(series, a0, a1).score()
 			t.Logf("  tenant=%d before=%.4f during=%.4f(shed%%=%.1f) after=%.4f | viol=%.4f shed=%d late=%d dropped=%d completed=%d",
 				i, bw.Attainment, dw.Attainment, dw.ShedPct, aw.Attainment,
 				s.ViolationRatio, s.Shed, s.Late, s.Dropped, s.Completed)

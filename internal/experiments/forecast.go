@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"loki/internal/core"
-	"loki/internal/engine"
 	"loki/internal/forecast"
 	"loki/internal/metrics"
 	"loki/internal/profiles"
@@ -212,85 +210,22 @@ func Forecast(cfg ForecastConfig) ([]*ForecastResult, error) {
 
 // serveWithForecaster plays one trace through a fresh single-tenant stack
 // with the given forecaster installed (nil = reactive) and returns the run
-// summary plus SLO attainment over [winStart, winEnd).
+// summary plus SLO attainment and arrivals over [winStart, winEnd).
 func serveWithForecaster(cfg *ForecastConfig, tr *trace.Trace, fc forecast.Forecaster, winStart, winEnd float64) (metrics.Summary, float64, int, error) {
-	g := profiles.TrafficTree()
-	prof := (&profiles.Profiler{Seed: cfg.Seed}).ProfileGraph(g, profiles.Batches)
-	meta := core.NewMetadataStore(g, prof, cfg.SLOSec, profiles.Batches)
-	if fc != nil {
-		meta.SetForecaster(fc)
-	}
-	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers:        cfg.Servers,
-		NetLatencySec:  0.002,
-		KeepWarm:       true,
-		Headroom:       0.30,
-		SolveTimeLimit: 500 * time.Millisecond,
-	})
+	s, err := serve(RunConfig{
+		Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, SwapLatencySec: cfg.SwapSec,
+		// Buckets aligned to the trace step so the spike window cuts cleanly.
+		BucketSec: cfg.StepSec,
+	}, []tenantSpec{{
+		name: "pipeline", graph: profiles.TrafficTree(), trace: tr,
+		forecaster: fc, horizonSec: cfg.HorizonSec,
+	}}, nil, nil, nil)
 	if err != nil {
 		return metrics.Summary{}, 0, 0, err
 	}
-	// Buckets aligned to the trace step so the spike window cuts cleanly.
-	col := metrics.NewCollector(cfg.StepSec, cfg.Servers)
-	eng, err := engine.NewMulti(engine.KindSimulated, engine.MultiConfig{
-		Servers:        cfg.Servers,
-		NetLatencySec:  0.002,
-		Seed:           cfg.Seed,
-		SwapLatencySec: cfg.SwapSec,
-		Tenants:        []engine.TenantConfig{{Meta: meta, Collector: col, SLOSec: cfg.SLOSec}},
-	})
-	if err != nil {
-		return metrics.Summary{}, 0, 0, err
-	}
-	tenant := &core.Tenant{
-		Name: "pipeline", Meta: meta, Alloc: alloc,
-		RouteHeadroom:      0.30,
-		ForecastHorizonSec: cfg.HorizonSec,
-		Publish: func(plan *core.Plan, routes *core.Routes) {
-			eng.ApplyPlan(0, plan, routes)
-		},
-	}
-	ctrl, err := core.NewMultiController(cfg.Servers, []*core.Tenant{tenant})
-	if err != nil {
-		return metrics.Summary{}, 0, 0, err
-	}
-	meta.ObserveDemand(tr.QPS[0])
-	if err := ctrl.Step(true); err != nil {
-		return metrics.Summary{}, 0, 0, err
-	}
-	if err := eng.Start(ctrl); err != nil {
-		return metrics.Summary{}, 0, 0, err
-	}
-	if err := eng.FeedAll([]*trace.Trace{tr}); err != nil {
-		return metrics.Summary{}, 0, 0, err
-	}
-	if err := eng.Stop(); err != nil {
-		return metrics.Summary{}, 0, 0, err
-	}
-	att, arr := windowAttainment(col.Series(), winStart, winEnd)
-	return col.Summarize(), att, arr, nil
-}
-
-// windowAttainment aggregates SLO attainment over buckets whose start lies
-// in [start, end). Both counts are attributed by *arrival* time —
-// Point.Violations charges a late/dropped request to the bucket it arrived
-// in — so the ratio is exact and request-weighted: a request that arrives at
-// the crest but completes late just past the window edge still counts
-// against the window it arrived in.
-func windowAttainment(series []metrics.Point, start, end float64) (float64, int) {
-	arrivals := 0
-	violations := 0
-	for _, p := range series {
-		if p.TimeSec < start || p.TimeSec >= end {
-			continue
-		}
-		arrivals += p.Arrivals
-		violations += p.Violations
-	}
-	if arrivals == 0 {
-		return 1, 0
-	}
-	return 1 - float64(violations)/float64(arrivals), arrivals
+	col := s.cols[0]
+	w := window(col.Series(), winStart, winEnd)
+	return col.Summarize(), w.attainment(), w.arrivals, nil
 }
 
 // offlineMAE replays the trace's true per-second rates through a fresh

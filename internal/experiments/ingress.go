@@ -1,16 +1,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"math/rand"
-	"net/http/httptest"
 	"strings"
-	"time"
 
 	"loki/internal/core"
-	"loki/internal/engine"
-	"loki/internal/ingress"
 	"loki/internal/metrics"
 	"loki/internal/policy"
 	"loki/internal/profiles"
@@ -18,12 +12,12 @@ import (
 )
 
 // IngressConfig describes the overload-shedding experiment: the traffic
-// chain serves an open-loop HTTP load swept from below to far past its
-// measured capacity, once with the front door wide open (every request
-// admitted — today's trace-fed behaviour) and once with per-tenant admission
-// control armed. The whole sweep runs on the wall-clock engine over real
-// sockets — the load generator and the serving system only meet at the HTTP
-// boundary, exactly as lokiload meets lokiserve.
+// chain serves an open-loop load swept from below to far past its measured
+// capacity, once with the front door wide open (every request admitted —
+// today's trace-fed behaviour) and once with per-tenant admission control
+// armed. The sweep runs on the simulator through the same admission
+// controller the HTTP front door uses; lokibench's http-overload workload
+// measures the same door over real sockets.
 type IngressConfig struct {
 	Servers int
 	SLOSec  float64
@@ -32,12 +26,10 @@ type IngressConfig struct {
 	// capacity (MaxCapacity of the planner's own allocator).
 	Mults []float64
 	// DurSec is the seconds of load per sweep point; WarmupSec buckets at
-	// the head of each point are excluded from attainment and goodput (plan
-	// priming and socket ramp).
+	// the head of each point are excluded from attainment and goodput (the
+	// fresh token bucket's burst).
 	DurSec    float64
 	WarmupSec float64
-	// Conns bounds the load generator's in-flight requests per point.
-	Conns int
 }
 
 func (c *IngressConfig) defaults() {
@@ -60,9 +52,6 @@ func (c *IngressConfig) defaults() {
 		// start-up transient instead of steady state.
 		c.WarmupSec = 5
 	}
-	if c.Conns == 0 {
-		c.Conns = 256
-	}
 }
 
 // IngressPoint is one sweep point: one offered rate served through one front
@@ -71,16 +60,14 @@ type IngressPoint struct {
 	Mult       float64
 	OfferedQPS float64
 	Admission  bool
-	// Load is the client-side view: what the generator sent and what came
-	// back (202 / 429 / errors).
-	Load ingress.LoadResult
 	// Attainment is the SLO attainment of admitted requests after warmup —
 	// with admission off every request is admitted, so this is the
 	// all-requests attainment the no-front-door system delivers.
 	Attainment float64
 	// GoodputQPS is the mean rate of on-time completions after warmup.
 	GoodputQPS float64
-	// ShedRate is the shed fraction of the offered load (client-observed).
+	// ShedRate is the shed fraction of the offered load (Summary.Shed over
+	// Summary.Arrivals plus Summary.Shed).
 	ShedRate float64
 	Summary  metrics.Summary
 }
@@ -96,8 +83,9 @@ type IngressResult struct {
 	Admitted []IngressPoint
 }
 
-// Ingress runs the overload sweep. Wall-clock time: each point costs DurSec
-// real seconds, so the default config runs ~2×4×20s plus drains.
+// Ingress runs the overload sweep on the simulator: no sockets and no wall
+// clock, so the points do not depend on host load beyond the planner's
+// wall-clock-limited solves.
 func Ingress(cfg IngressConfig) (*IngressResult, error) {
 	cfg.defaults()
 	capacity, err := measureCapacity(&cfg)
@@ -125,165 +113,75 @@ func Ingress(cfg IngressConfig) (*IngressResult, error) {
 // measureCapacity asks a fresh allocator for the largest demand the cluster
 // can fully serve — the 1× anchor of the sweep.
 func measureCapacity(cfg *IngressConfig) (float64, error) {
-	g := profiles.TrafficTree()
-	prof := (&profiles.Profiler{Seed: cfg.Seed}).ProfileGraph(g, profiles.Batches)
-	meta := core.NewMetadataStore(g, prof, cfg.SLOSec, profiles.Batches)
-	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers:        cfg.Servers,
-		NetLatencySec:  0.002,
-		KeepWarm:       true,
-		Headroom:       0.30,
-		SolveTimeLimit: 500 * time.Millisecond,
-	})
+	rc := RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed}
+	rc.defaults()
+	_, planner, _, err := rc.planFor(profiles.TrafficTree(), Loki)
 	if err != nil {
 		return 0, err
 	}
-	return alloc.MaxCapacity(0, 20000), nil
+	return planner.(*core.Allocator).MaxCapacity(0, 20000), nil
 }
 
-// serveIngressPoint stands up a fresh single-tenant wall-clock stack behind
-// an ingress HTTP server and drives it at the offered rate over real sockets
-// for DurSec, returning the point's client- and server-side outcomes.
+// serveIngressPoint serves DurSec of Poisson load at the offered rate through
+// a fresh single-tenant stack, its front door open or admission-controlled,
+// and returns the point's outcome.
 //
 // Both arms run the NoDrop completion policy: the baseline must actually
 // exhibit queueing-then-missing — excess arrivals rotting in the queue past
 // their SLO — which is exactly what admission control prevents. The §5.2
 // early-drop triage is a different, downstream mechanism with its own
 // ablation (Figure 7); leaving it on here would conflate the two.
+//
+// Both arms also plan for at most the pool's SLO-feasible capacity, so the
+// data plane is identical and the front door is the only variable. With
+// admission the cap is what production uses (tenancy wires it whenever a
+// gate is armed): the plan stays feasible — SLO-honest batches — and the
+// excess is the gate's to shed. For the open baseline the cap is what makes
+// it the queueing-then-missing door: excess arrivals pile up behind a
+// capacity-sized plan and rot past the SLO. Uncapped, the planner would
+// instead absorb overload with a saturated throughput-optimal plan — a
+// different overload response (degraded accuracy, ~53% attainment at any
+// load) that conflates planning policy with the admission mechanism this
+// sweep isolates.
+//
+// The stack is pre-warmed at the offered rate, so the sweep measures
+// steady-state shedding, not cold-start planning lag.
 func serveIngressPoint(cfg *IngressConfig, capacity, offered float64, withAdmission bool) (IngressPoint, error) {
-	g := profiles.TrafficTree()
-	prof := (&profiles.Profiler{Seed: cfg.Seed}).ProfileGraph(g, profiles.Batches)
-	meta := core.NewMetadataStore(g, prof, cfg.SLOSec, profiles.Batches)
-	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers:        cfg.Servers,
-		NetLatencySec:  0.002,
-		KeepWarm:       true,
-		Headroom:       0.30,
-		SolveTimeLimit: 500 * time.Millisecond,
-	})
+	s, err := serve(RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, BucketSec: 1}, []tenantSpec{{
+		name: "pipeline", graph: profiles.TrafficTree(), trace: trace.Ramp(offered, offered, 1, cfg.DurSec),
+		policy: policy.NoDrop{}, admission: withAdmission, demandCap: capacity,
+	}}, nil, nil, nil)
 	if err != nil {
 		return IngressPoint{}, err
 	}
-	var adm *ingress.Admission
-	if withAdmission {
-		// Granted routes carry the 0.30 route headroom; admit at the demand
-		// the plan was sized for, not its throughput ceiling.
-		adm = ingress.NewAdmission(ingress.Config{SLOSec: cfg.SLOSec, TargetUtilization: 1 / 1.30})
-	}
-	col := metrics.NewCollector(1.0, cfg.Servers)
-	eng, err := engine.NewMulti(engine.KindWallclock, engine.MultiConfig{
-		Servers:       cfg.Servers,
-		NetLatencySec: 0.002,
-		Seed:          cfg.Seed,
-		TimeScale:     1.0, // admission rates are per engine second; keep them equal to the socket clock's
-		Tenants: []engine.TenantConfig{{
-			Meta: meta, Collector: col, SLOSec: cfg.SLOSec, Admission: adm,
-			Policy: policy.NoDrop{},
-		}},
-	})
-	if err != nil {
-		return IngressPoint{}, err
-	}
-	tenant := &core.Tenant{
-		Name: "pipeline", Meta: meta, Alloc: alloc,
-		RouteHeadroom: 0.30,
-		Publish: func(plan *core.Plan, routes *core.Routes) {
-			eng.ApplyPlan(0, plan, routes)
-			if adm != nil {
-				adm.SetRate(eng.Now(), ingress.FrontendRate(routes))
-			}
-		},
-	}
-	// Both arms plan for at most the pool's SLO-feasible capacity, so the
-	// data plane is identical and the front door is the only variable. With
-	// admission the cap is what production uses (tenancy wires it whenever a
-	// gate is armed): the plan stays feasible — SLO-honest batches — and the
-	// excess is the gate's to shed. For the open baseline the cap is what
-	// makes it the ISSUE's queueing-then-missing door: excess arrivals pile
-	// up behind a capacity-sized plan and rot past the SLO. Uncapped, the
-	// planner would instead absorb overload with a saturated throughput-
-	// optimal plan — a different overload response (degraded accuracy, ~53%
-	// attainment at any load) that conflates planning policy with the
-	// admission mechanism this sweep isolates.
-	tenant.DemandCapQPS = capacity
-	ctrl, err := core.NewMultiController(cfg.Servers, []*core.Tenant{tenant})
-	if err != nil {
-		return IngressPoint{}, err
-	}
-	// Pre-warm to the offered rate so the sweep measures steady-state
-	// shedding, not cold-start planning lag (MaxCapacity caps what the plan
-	// can actually grant).
-	meta.ObserveDemand(offered)
-	if err := ctrl.Step(true); err != nil {
-		return IngressPoint{}, err
-	}
-	if err := eng.Start(ctrl); err != nil {
-		return IngressPoint{}, err
-	}
-
-	srv := httptest.NewServer(ingress.NewServer(ingress.ServerConfig{
-		Pipelines: []string{"pipeline"},
-		Submit:    func(ctx context.Context, _ string) error { return eng.Submit(0) },
-		Snapshot:  func(string) (any, error) { return eng.Stats(0), nil },
-	}))
-	lg := &ingress.LoadGen{BaseURL: srv.URL, Pipeline: "pipeline", Conns: cfg.Conns, Client: srv.Client()}
-	load, runErr := lg.Run(context.Background(),
-		trace.Ramp(offered, offered, 1, cfg.DurSec), rand.New(rand.NewSource(cfg.Seed+1)))
-	srv.Close()
-	if err := eng.Stop(); err != nil {
-		return IngressPoint{}, err
-	}
-	if runErr != nil {
-		return IngressPoint{}, runErr
-	}
-
-	att, _ := windowAttainment(col.Series(), cfg.WarmupSec, cfg.DurSec)
+	col := s.cols[0]
+	w := window(col.Series(), cfg.WarmupSec, cfg.DurSec)
 	p := IngressPoint{
 		OfferedQPS: offered,
 		Admission:  withAdmission,
-		Load:       load,
-		Attainment: att,
-		GoodputQPS: windowGoodput(col.Series(), cfg.WarmupSec, cfg.DurSec),
+		Attainment: w.attainment(),
+		GoodputQPS: w.meanGoodput(),
 		Summary:    col.Summarize(),
 	}
-	if n := load.Accepted + load.Shed; n > 0 {
-		p.ShedRate = float64(load.Shed) / float64(n)
+	if n := p.Summary.Arrivals + p.Summary.Shed; n > 0 {
+		p.ShedRate = float64(p.Summary.Shed) / float64(n)
 	}
 	return p, nil
 }
 
-// windowGoodput averages on-time completions per second over buckets whose
-// start lies in [start, end) — the steady-state goodput, excluding both the
-// warmup head and the post-load drain tail.
-func windowGoodput(series []metrics.Point, start, end float64) float64 {
-	n := 0
-	sum := 0.0
-	for _, p := range series {
-		if p.TimeSec < start || p.TimeSec >= end {
-			continue
-		}
-		sum += p.GoodputQPS
-		n++
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
 // FormatIngress renders the sweep: one row per (mode, multiplier) with the
-// client-side outcome counts and the server-side attainment/goodput, then
-// the pairwise admission-vs-baseline deltas the experiment exists to show.
+// offered and shed counts and the attainment/goodput after warmup, then the
+// pairwise admission-vs-baseline deltas the experiment exists to show.
 func FormatIngress(r *IngressResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "measured capacity %.0f qps, SLO %.0f ms\n", r.CapacityQPS, r.SLOSec*1000)
-	fmt.Fprintf(&b, "  %-10s %6s %9s %8s %8s %7s %10s %10s %9s\n",
-		"front door", "mult", "offered", "sent", "shed", "shed-%", "attainment", "goodput", "maxlag-s")
+	fmt.Fprintf(&b, "  %-10s %6s %9s %8s %8s %7s %10s %10s\n",
+		"front door", "mult", "offered", "sent", "shed", "shed-%", "attainment", "goodput")
 	rows := func(name string, pts []IngressPoint) {
 		for _, p := range pts {
-			fmt.Fprintf(&b, "  %-10s %5.2gx %7.0f/s %8d %8d %6.1f%% %10.4f %8.0f/s %9.2f\n",
-				name, p.Mult, p.OfferedQPS, p.Load.Sent, p.Load.Shed, 100*p.ShedRate,
-				p.Attainment, p.GoodputQPS, p.Load.MaxLagSec)
+			fmt.Fprintf(&b, "  %-10s %5.2gx %7.0f/s %8d %8d %6.1f%% %10.4f %8.0f/s\n",
+				name, p.Mult, p.OfferedQPS, p.Summary.Arrivals+p.Summary.Shed, p.Summary.Shed, 100*p.ShedRate,
+				p.Attainment, p.GoodputQPS)
 		}
 	}
 	rows("open", r.Baseline)

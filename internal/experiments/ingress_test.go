@@ -8,12 +8,8 @@ import (
 // capacity-matched data plane, admission control must keep the admitted
 // population's SLO attainment at the baseline's healthy-load level while the
 // open door's queues rot, and its goodput under 2x overload must strictly
-// beat the open door's. Wall-clock: the sweep costs 4 points x DurSec real
-// seconds over real sockets.
+// beat the open door's. The sweep runs on the simulator.
 func TestIngressShedBeatsQueueRot(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-clock HTTP sweep")
-	}
 	r, err := Ingress(IngressConfig{
 		Seed:  11,
 		Mults: []float64{1.0, 2.0},

@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
-	"loki/internal/core"
-	"loki/internal/engine"
 	"loki/internal/metrics"
-	"loki/internal/pipeline"
 	"loki/internal/profiles"
 	"loki/internal/trace"
 )
@@ -85,92 +81,28 @@ type MultiTenantResult struct {
 func MultiTenant(cfg MultiTenantConfig) (*MultiTenantResult, error) {
 	cfg.defaults()
 
-	specs := []struct {
-		name  string
-		graph func() *pipeline.Graph
-		peak  float64
-		share float64
-	}{
-		{"traffic", profiles.TrafficTree, cfg.PeakA, cfg.ShareA},
-		{"social", profiles.SocialMedia, cfg.PeakB, cfg.ShareB},
-	}
-
-	prof := &profiles.Profiler{Seed: cfg.Seed}
-	mcfg := engine.MultiConfig{
-		Servers:       cfg.Servers,
-		NetLatencySec: 0.002,
-		Seed:          cfg.Seed,
-	}
-	var tenants []*core.Tenant
-	var cols []*metrics.Collector
-	for _, sp := range specs {
-		g := sp.graph()
-		meta := core.NewMetadataStore(g, prof.ProfileGraph(g, profiles.Batches), cfg.SLOSec, profiles.Batches)
-		alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-			Servers:        cfg.Servers,
-			NetLatencySec:  0.002,
-			KeepWarm:       true,
-			Headroom:       0.30,
-			SolveTimeLimit: 500 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: tenant %q: %w", sp.name, err)
-		}
-		col := metrics.NewCollector(30, cfg.Servers)
-		cols = append(cols, col)
-		mcfg.Tenants = append(mcfg.Tenants, engine.TenantConfig{
-			Meta: meta, Collector: col, SLOSec: cfg.SLOSec,
-		})
-		tenants = append(tenants, &core.Tenant{
-			Name: sp.name, Meta: meta, Alloc: alloc,
-			MinShare: sp.share, RouteHeadroom: 0.30,
-		})
-	}
-
-	eng, err := engine.NewMulti(engine.KindSimulated, mcfg)
-	if err != nil {
-		return nil, err
-	}
-	for i, t := range tenants {
-		i := i
-		t.Publish = func(plan *core.Plan, routes *core.Routes) { eng.ApplyPlan(i, plan, routes) }
-	}
-	ctrl, err := core.NewMultiController(cfg.Servers, tenants)
-	if err != nil {
-		return nil, err
-	}
-	res := &MultiTenantResult{}
-	ctrl.OnGrants = func(step int, grants []int) {
-		res.GrantHistory = append(res.GrantHistory, grants)
-	}
-
 	trA := trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(cfg.PeakA)
 	if cfg.SpikeMult > 1 {
 		trA = trA.WithSpike(0.4, 0.2, cfg.SpikeMult)
 	}
 	trB := trace.TwitterLike(cfg.Seed+1, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(cfg.PeakB)
+	tenants := []tenantSpec{
+		{name: "traffic", graph: profiles.TrafficTree(), trace: trA, share: cfg.ShareA},
+		{name: "social", graph: profiles.SocialMedia(), trace: trB, share: cfg.ShareB},
+	}
 
-	// Pre-warm for the opening rates, then serve both traces concurrently.
-	tenants[0].Meta.ObserveDemand(trA.QPS[0])
-	tenants[1].Meta.ObserveDemand(trB.QPS[0])
-	if err := ctrl.Step(true); err != nil {
-		return nil, err
-	}
-	if err := eng.Start(ctrl); err != nil {
-		return nil, err
-	}
-	if err := eng.FeedAll([]*trace.Trace{trA, trB}); err != nil {
-		return nil, err
-	}
-	if err := eng.Stop(); err != nil {
+	res := &MultiTenantResult{}
+	s, err := serve(RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed}, tenants, nil, nil,
+		func(step int, grants []int) { res.GrantHistory = append(res.GrantHistory, grants) })
+	if err != nil {
 		return nil, err
 	}
 
-	final := ctrl.Grants()
-	for i, sp := range specs {
+	final := s.ctrl.Grants()
+	for i, ts := range tenants {
 		out := TenantOutcome{
-			Name:       sp.name,
-			Summary:    cols[i].Summarize(),
+			Name:       ts.name,
+			Summary:    s.cols[i].Summarize(),
 			FinalGrant: final[i],
 		}
 		for _, row := range res.GrantHistory {
@@ -184,7 +116,7 @@ func MultiTenant(cfg MultiTenantConfig) (*MultiTenantResult, error) {
 		}
 		res.Tenants = append(res.Tenants, out)
 	}
-	res.Allocates = ctrl.Allocates()
+	res.Allocates = s.ctrl.Allocates()
 	return res, nil
 }
 

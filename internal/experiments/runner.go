@@ -1,8 +1,12 @@
-// Package experiments assembles full serving runs — pipeline, workload
-// trace, controller (Loki or a baseline), cluster — and the per-figure
-// drivers that regenerate every table and figure of the paper's evaluation
-// (§6). The CLIs in cmd/ and the benchmarks in bench_test.go are thin
-// wrappers over this package.
+// Package experiments assembles full serving runs — pipelines, workload
+// traces, planners (Loki or a baseline), one shared engine and controller —
+// and the per-figure drivers that regenerate every table and figure of the
+// paper's evaluation (§6). Every driver that serves traffic, from the paper
+// figures to the chaos, forecast, multi-tenant and ingress experiments, goes
+// through one assembly (serve), so all approaches and scenarios run on the
+// identical serving substrate; they differ only in their tenants and
+// pool-level knobs. The CLIs in cmd/ and the benchmarks in bench_test.go are
+// thin wrappers over this package.
 package experiments
 
 import (
@@ -12,6 +16,9 @@ import (
 	"loki/internal/baselines"
 	"loki/internal/core"
 	"loki/internal/engine"
+	"loki/internal/fault"
+	"loki/internal/forecast"
+	"loki/internal/ingress"
 	"loki/internal/metrics"
 	"loki/internal/pipeline"
 	"loki/internal/policy"
@@ -168,26 +175,73 @@ func NewPlanner(ap Approach, meta *core.MetadataStore, aopts core.AllocatorOptio
 
 // Run executes one serving run on the configured backend — the
 // discrete-event simulator in virtual time by default, or the wall-clock
-// prototype. The pipeline is the one tenant of a MultiController on a
-// one-tenant MultiEngine, the same stack loki.System serves on; only the
-// engine kind differs between the backends.
+// prototype. The pipeline is the one tenant of the stack serve assembles, the
+// same stack loki.System serves on; only the engine kind differs between the
+// backends.
 func Run(cfg RunConfig) (*RunResult, error) {
-	cfg.defaults()
-	if err := cfg.Graph.Validate(); err != nil {
+	s, err := serve(cfg, []tenantSpec{{
+		name: cfg.Graph.Name, graph: cfg.Graph, trace: cfg.Trace,
+		approach: cfg.Approach, policy: cfg.Policy,
+	}}, nil, nil, nil)
+	if err != nil {
 		return nil, err
 	}
+	st := s.stats[0]
+	return &RunResult{
+		Name:      fmt.Sprintf("%s/%s", cfg.Graph.Name, cfg.Approach),
+		Approach:  cfg.Approach,
+		Summary:   s.cols[0].Summarize(),
+		Series:    s.cols[0].Series(),
+		Allocates: s.ctrl.Allocates(),
+		Injected:  st.Injected,
+		Completed: st.Completed,
+		Dropped:   st.Dropped,
+		Rerouted:  st.Rerouted,
+		Swaps:     st.Swaps,
+	}, nil
+}
 
+// tenantSpec is one pipeline of a serving run: what it serves, how it is
+// planned, and what guards its front door.
+type tenantSpec struct {
+	name     string
+	graph    *pipeline.Graph
+	trace    *trace.Trace
+	approach Approach
+	policy   policy.Policy // nil means opportunistic rerouting
+	share    float64       // guaranteed pool fraction under contention
+	tier     int
+	// forecaster, when non-nil, has the tenant plan for the demand it
+	// predicts horizonSec ahead.
+	forecaster forecast.Forecaster
+	horizonSec float64
+	// admission arms a token-bucket front door that follows the granted
+	// capacity; demandCap, when positive, caps the demand the tenant plans
+	// for.
+	admission bool
+	demandCap float64
+}
+
+// served is what a serve call leaves behind: each tenant's collector and
+// request totals, in tenant order, and the controller that planned the run.
+type served struct {
+	cols  []*metrics.Collector
+	stats []engine.Stats
+	ctrl  *core.MultiController
+}
+
+// planFor profiles g for cfg's pool and builds its Metadata Store and the
+// approach's planner (see NewPlanner).
+func (cfg *RunConfig) planFor(g *pipeline.Graph, ap Approach) (*core.MetadataStore, core.Planner, *baselines.Proteus, error) {
 	pr := &profiles.Profiler{Jitter: cfg.ProfileJitter, Seed: cfg.Seed}
 	var meta *core.MetadataStore
 	if len(cfg.Classes) > 0 {
-		meta = core.NewMetadataStoreHetero(cfg.Graph, cfg.Classes,
-			pr.ProfileGraphClasses(cfg.Graph, profiles.Batches, cfg.Classes), cfg.SLOSec, profiles.Batches)
+		meta = core.NewMetadataStoreHetero(g, cfg.Classes,
+			pr.ProfileGraphClasses(g, profiles.Batches, cfg.Classes), cfg.SLOSec, profiles.Batches)
 	} else {
-		meta = core.NewMetadataStore(cfg.Graph, pr.ProfileGraph(cfg.Graph, profiles.Batches),
-			cfg.SLOSec, profiles.Batches)
+		meta = core.NewMetadataStore(g, pr.ProfileGraph(g, profiles.Batches), cfg.SLOSec, profiles.Batches)
 	}
-
-	aopts := core.AllocatorOptions{
+	planner, proteus, err := NewPlanner(ap, meta, core.AllocatorOptions{
 		Servers:         cfg.Servers,
 		NetLatencySec:   cfg.NetLatencySec,
 		KeepWarm:        true,
@@ -195,29 +249,22 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		MinPathAccuracy: cfg.MinAccuracy,
 		SolveTimeLimit:  cfg.SolveTimeLimit,
 		DisableStall:    cfg.DisableStall,
-	}
-	planner, proteus, err := NewPlanner(cfg.Approach, meta, aopts)
-	if err != nil {
-		return nil, err
-	}
+	})
+	return meta, planner, proteus, err
+}
 
-	col := metrics.NewCollector(cfg.BucketSec, cfg.Servers)
-	if len(cfg.Classes) > 0 {
-		names := make([]string, len(cfg.Classes))
-		costs := make([]float64, len(cfg.Classes))
-		for i, cl := range cfg.Classes {
-			names[i] = cl.Name
-			costs[i] = cl.CostPerHour
-		}
-		col.SetClasses(names, costs)
-	}
-	// A one-tenant pool is not shared, so Proteus's pipeline-agnostic
-	// per-task scaling stays legal here.
-	tcfg := engine.TenantConfig{Meta: meta, Policy: cfg.Policy, Collector: col, SLOSec: cfg.SLOSec}
-	if proteus != nil {
-		tcfg.OnTaskDemand = proteus.ObserveTaskDemand
-	}
-	eng, err := engine.NewMulti(cfg.Backend, engine.MultiConfig{
+// serve is the one serving stack behind every experiment. cfg carries the
+// pool-level knobs (its Graph, Trace, Approach and Policy are the tenants'
+// business); each tenant gets a Metadata Store, a planner and a collector,
+// all tenants share one MultiEngine of cfg.Backend and one MultiController.
+// The stack is pre-warmed at each trace's opening rate, fed every trace
+// concurrently and drained. faults, onFault and onGrants are optional
+// pool-level hooks: a fault schedule, its event observer and the
+// controller's per-allocation grant observer.
+func serve(cfg RunConfig, tenants []tenantSpec, faults *fault.Schedule,
+	onFault func(timeSec float64, desc string), onGrants func(step int, grants []int)) (*served, error) {
+	cfg.defaults()
+	mcfg := engine.MultiConfig{
 		Servers:        cfg.Servers,
 		Classes:        cfg.Classes,
 		NetLatencySec:  cfg.NetLatencySec,
@@ -228,32 +275,78 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		RMIntervalSec:  cfg.RMIntervalSec,
 		LBIntervalSec:  cfg.LBIntervalSec,
 		TimeScale:      cfg.TimeScale,
-		Tenants:        []engine.TenantConfig{tcfg},
-	})
+		Faults:         faults,
+		OnFault:        onFault,
+	}
+	var names []string
+	var costs []float64
+	for _, cl := range cfg.Classes {
+		names = append(names, cl.Name)
+		costs = append(costs, cl.CostPerHour)
+	}
+	s := &served{}
+	var ctenants []*core.Tenant
+	var traces []*trace.Trace
+	for _, ts := range tenants {
+		if err := ts.graph.Validate(); err != nil {
+			return nil, err
+		}
+		meta, planner, proteus, err := cfg.planFor(ts.graph, ts.approach)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: tenant %q: %w", ts.name, err)
+		}
+		if ts.forecaster != nil {
+			meta.SetForecaster(ts.forecaster)
+		}
+		col := metrics.NewCollector(cfg.BucketSec, cfg.Servers)
+		if len(cfg.Classes) > 0 {
+			col.SetClasses(names, costs)
+		}
+		tcfg := engine.TenantConfig{Meta: meta, Policy: ts.policy, Collector: col, SLOSec: cfg.SLOSec, Tier: ts.tier}
+		// Proteus's pipeline-agnostic per-task scaling is only legal on a
+		// pool nobody shares; Run is its one caller.
+		if proteus != nil {
+			tcfg.OnTaskDemand = proteus.ObserveTaskDemand
+		}
+		if ts.admission {
+			// Granted routes carry the 0.30 route headroom; admit at the
+			// demand the plan was sized for, not its throughput ceiling.
+			tcfg.Admission = ingress.NewAdmission(ingress.Config{SLOSec: cfg.SLOSec, TargetUtilization: 1 / 1.30})
+		}
+		mcfg.Tenants = append(mcfg.Tenants, tcfg)
+		ctenants = append(ctenants, &core.Tenant{
+			Name: ts.name, Tier: ts.tier, Meta: meta, Alloc: planner,
+			MinShare:           ts.share,
+			RouteHeadroom:      cfg.Headroom,
+			ForecastHorizonSec: ts.horizonSec,
+			DemandCapQPS:       ts.demandCap,
+		})
+		s.cols = append(s.cols, col)
+		traces = append(traces, ts.trace)
+	}
+	eng, err := engine.NewMulti(cfg.Backend, mcfg)
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := core.NewMultiController(cfg.Servers, []*core.Tenant{{
-		Name: cfg.Graph.Name, Meta: meta, Alloc: planner,
-		RouteHeadroom: cfg.Headroom,
-		Publish: func(plan *core.Plan, routes *core.Routes) {
-			eng.ApplyPlan(0, plan, routes)
-		},
-	}})
-	if err != nil {
+	for i, t := range ctenants {
+		t.Publish = func(plan *core.Plan, routes *core.Routes) { eng.ApplyPlan(i, plan, routes) }
+	}
+	if s.ctrl, err = core.NewMultiController(cfg.Servers, ctenants); err != nil {
 		return nil, err
 	}
+	s.ctrl.OnGrants = onGrants
 
-	// Pre-warm: allocate for the trace's opening demand before traffic.
-	meta.ObserveDemand(cfg.Trace.QPS[0])
-	if err := ctrl.Step(true); err != nil {
+	// Pre-warm: allocate for each trace's opening demand before traffic.
+	for i, t := range ctenants {
+		t.Meta.ObserveDemand(traces[i].QPS[0])
+	}
+	if err := s.ctrl.Step(true); err != nil {
 		return nil, err
 	}
-
-	if err := eng.Start(ctrl); err != nil {
+	if err := eng.Start(s.ctrl); err != nil {
 		return nil, err
 	}
-	feedErr := eng.FeedAll([]*trace.Trace{cfg.Trace})
+	feedErr := eng.FeedAll(traces)
 	stopErr := eng.Stop()
 	if feedErr != nil {
 		return nil, feedErr
@@ -261,18 +354,52 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	if stopErr != nil {
 		return nil, stopErr
 	}
+	for i := range tenants {
+		s.stats = append(s.stats, eng.Stats(i))
+	}
+	return s, nil
+}
 
-	st := eng.Stats(0)
-	return &RunResult{
-		Name:      fmt.Sprintf("%s/%s", cfg.Graph.Name, cfg.Approach),
-		Approach:  cfg.Approach,
-		Summary:   col.Summarize(),
-		Series:    col.Series(),
-		Allocates: ctrl.Allocates(),
-		Injected:  st.Injected,
-		Completed: st.Completed,
-		Dropped:   st.Dropped,
-		Rerouted:  st.Rerouted,
-		Swaps:     st.Swaps,
-	}, nil
+// windowSum totals a series' buckets whose start lies in [start, end).
+// Arrivals and violations are both attributed by arrival time —
+// Point.Violations charges a late or dropped request to the bucket it
+// arrived in — so ratios of the two are exact and request-weighted: a
+// request that arrives at the crest but completes late just past the window
+// edge still counts against the window it arrived in.
+type windowSum struct {
+	arrivals, violations, shed int
+	buckets                    int
+	goodputQPS                 float64 // summed over the buckets
+}
+
+func window(series []metrics.Point, start, end float64) windowSum {
+	var w windowSum
+	for _, p := range series {
+		if p.TimeSec < start || p.TimeSec >= end {
+			continue
+		}
+		w.arrivals += p.Arrivals
+		w.violations += p.Violations
+		w.shed += p.Shed
+		w.goodputQPS += p.GoodputQPS
+		w.buckets++
+	}
+	return w
+}
+
+// attainment is the SLO attainment of the requests that arrived in the
+// window (1 when none did).
+func (w windowSum) attainment() float64 {
+	if w.arrivals == 0 {
+		return 1
+	}
+	return 1 - float64(w.violations)/float64(w.arrivals)
+}
+
+// meanGoodput is the mean per-bucket rate of on-time completions.
+func (w windowSum) meanGoodput() float64 {
+	if w.buckets == 0 {
+		return 0
+	}
+	return w.goodputQPS / float64(w.buckets)
 }

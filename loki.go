@@ -203,10 +203,9 @@ type config struct {
 	// (zero then means unlimited rather than the collector default).
 	workerMetricsLimit int
 	workerMetricsSet   bool
-	// Zero values mean "on": the fast planning path is the default and
-	// these record the escape hatches.
-	plannerCacheOff     bool
-	parallelPlanningOff bool
+	// The zero value means "on": the fast planning path is the default and
+	// this records the escape hatch.
+	plannerCacheOff bool
 }
 
 // headroomOrDefault returns the configured over-provisioning factor, falling
@@ -345,17 +344,6 @@ func WithMinAccuracy(a float64) Option { return func(c *config) { c.minAcc = a }
 // from-scratch, full-budget escape hatch for measurement and debugging.
 func WithPlannerCache(on bool) Option {
 	return func(c *config) { c.plannerCacheOff = !on }
-}
-
-// WithParallelPlanning toggles the multi-tenant arbiter's per-tenant solve
-// fan-out (default on): each adaptation round's desire pass and capped
-// re-solves run on bounded goroutines (at most GOMAXPROCS in flight), since
-// every pipeline's MILP is independent. The grant split across pipelines is
-// deterministic either way — wants are gathered at a barrier and split with
-// the same arithmetic. Single-pipeline systems have nothing to fan out;
-// WithParallelPlanning(false) forces strictly sequential solves.
-func WithParallelPlanning(on bool) Option {
-	return func(c *config) { c.parallelPlanningOff = !on }
 }
 
 // WithAdmission arms per-pipeline admission control and load shedding

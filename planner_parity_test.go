@@ -2,6 +2,7 @@ package loki_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,10 +10,11 @@ import (
 )
 
 // TestPlannerFastPathParity pins the fast planning path (plan cache, model
-// reuse, warm starts, parallel per-tenant solves — all default-on) to the
-// sequential from-scratch path on the golden serving scenarios: the whole
-// Report, time series included, must be byte-identical with and without the
-// escape hatches. These scenarios keep every MILP in its deterministic
+// reuse, warm starts — all default-on) to the from-scratch path on the
+// golden serving scenarios: the whole Report, time series included, must be
+// byte-identical with and without the WithPlannerCache escape hatch. One
+// pipeline never fans its solves out, so parallelism is the multi-tenant
+// test's half. These scenarios keep every MILP in its deterministic
 // regime (terminated by proof or gap test, never by the wall clock), which
 // is exactly where the fast path promises to change nothing but speed.
 func TestPlannerFastPathParity(t *testing.T) {
@@ -49,7 +51,7 @@ func TestPlannerFastPathParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			coldOpts := append(append([]loki.Option{}, c.opts...),
-				loki.WithPlannerCache(false), loki.WithParallelPlanning(false))
+				loki.WithPlannerCache(false))
 			cold, err := loki.Serve(c.pipe, c.tr, coldOpts...)
 			if err != nil {
 				t.Fatal(err)
@@ -64,21 +66,22 @@ func TestPlannerFastPathParity(t *testing.T) {
 // TestPlannerFastPathParityMultiTenant runs the parallelism half of the
 // contract through the multi-tenant arbiter (two pipelines, shared pool):
 // fanned-out per-tenant solves must produce byte-identical per-pipeline
-// reports to strictly sequential ones. The WithPlannerCache hatch is
+// reports to strictly sequential ones, which the arbiter runs when
+// GOMAXPROCS is 1. The WithPlannerCache hatch is
 // deliberately not part of this comparison: on a shared pool the plan cache
 // quantizes demand at the arbiter's adaptation threshold, so disabling it
 // legitimately re-solves demands the cached path coalesces — a policy
 // difference, not a solver one (the solver-level reuse parity is pinned by
 // TestReusePreservesPlans in internal/core).
 func TestPlannerFastPathParityMultiTenant(t *testing.T) {
-	run := func(hatches ...loki.Option) map[string]*loki.Report {
+	run := func(procs int) map[string]*loki.Report {
 		t.Helper()
-		opts := append([]loki.Option{
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		sys, err := loki.NewMulti(
 			loki.WithServers(20),
 			loki.WithSeed(11),
-			loki.WithSolveTimeLimit(10 * time.Second),
-		}, hatches...)
-		sys, err := loki.NewMulti(opts...)
+			loki.WithSolveTimeLimit(10*time.Second),
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,8 +112,8 @@ func TestPlannerFastPathParityMultiTenant(t *testing.T) {
 		return out
 	}
 
-	fast := run()
-	sequential := run(loki.WithParallelPlanning(false))
+	fast := run(max(runtime.GOMAXPROCS(0), 2))
+	sequential := run(1)
 	for name, fr := range fast {
 		if !reflect.DeepEqual(fr, sequential[name]) {
 			t.Errorf("pipeline %q: parallel planning diverged from sequential\nparallel:   %v\nsequential: %v", name, fr, sequential[name])

@@ -371,24 +371,15 @@ func (m *MultiSystem) buildLocked() error {
 			ForecastHorizonSec: t.fcHorizon,
 			DemandCapQPS:       demandCap,
 			CacheDisabled:      m.cfg.plannerCacheOff,
-			Publish: func(plan *core.Plan, routes *core.Routes) {
-				eng.ApplyPlan(i, plan, routes)
-				if adm != nil {
-					// The admission target follows every publication: the
-					// granted capacity is the summed service rate of the
-					// root-task replicas just routed. Publications repeat
-					// every rebalance, so SetRate must be (and is) a no-op
-					// at a steady rate.
-					adm.SetRate(eng.Now(), ingress.FrontendRate(routes))
-				}
-			},
+			// The engine retargets the admission controller on every
+			// publication.
+			Publish: func(plan *core.Plan, routes *core.Routes) { eng.ApplyPlan(i, plan, routes) },
 		}
 	}
 	ctrl, err := core.NewMultiController(m.cfg.servers, ctenants)
 	if err != nil {
 		return err
 	}
-	ctrl.Sequential = m.cfg.parallelPlanningOff
 	ctrl.SetTelemetry(m.reg)
 	m.eng = eng
 	m.ctrl = ctrl
