@@ -1,5 +1,7 @@
 package loki
 
+import "loki/internal/engine"
+
 // EngineKind selects the serving backend behind a System. Both backends are
 // one discrete-event serving engine with the identical Resource Manager,
 // Load Balancer, routing tables, and drop policies; they differ only in how
@@ -33,9 +35,9 @@ func (k EngineKind) String() string {
 }
 
 // WithEngine selects the serving backend (default Simulated).
-func WithEngine(k EngineKind) Option { return func(c *config) { c.engine = k } }
+func WithEngine(k EngineKind) Option { return func(c *config) { c.pool.Backend = engine.Kind(k) } }
 
 // WithTimeScale compresses the Wallclock engine's real time: wall-clock
 // duration = profiled duration × scale. 1.0 runs in real time; 0.1 runs a
 // ten-minute trace in one minute. Ignored by the Simulated engine.
-func WithTimeScale(scale float64) Option { return func(c *config) { c.timeScale = scale } }
+func WithTimeScale(scale float64) Option { return func(c *config) { c.pool.TimeScale = scale } }

@@ -115,7 +115,7 @@ func WithForecastEnvelope(on bool) ForecastOption {
 // On a MultiSystem this sets the default that WithPipelineForecaster
 // overrides per pipeline.
 func WithForecaster(kind ForecasterKind, opts ...ForecastOption) Option {
-	return func(c *config) { c.fc = newForecastConfig(kind, opts) }
+	return func(c *config) { c.tenant.fc = newForecastConfig(kind, opts) }
 }
 
 // WithPipelineForecaster sets this pipeline's demand forecaster, overriding

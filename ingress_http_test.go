@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -244,5 +245,49 @@ func TestIngressHTTPTwoTenants(t *testing.T) {
 	if hot.Shed != hotShed.Load() || hot.Admitted != hotOK.Load() {
 		t.Fatalf("hot report admitted=%d shed=%d, want %d/%d",
 			hot.Admitted, hot.Shed, hotOK.Load(), hotShed.Load())
+	}
+}
+
+// The front door's pipeline table is fixed when the first HTTP request
+// mounts it, so that request closes registration: a pipeline added later
+// could never be reached, and AddPipeline must refuse it rather than accept
+// a pipeline that answers 404 for the life of the server.
+func TestHTTPClosesRegistration(t *testing.T) {
+	ms, err := loki.NewMulti(loki.WithServers(8), loki.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ms.Stop()
+	if err := ms.AddPipeline("a", loki.TrafficChainPipeline()); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	ms.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET /healthz = %d, want 200", rec.Code)
+	}
+	err = ms.AddPipeline("b", loki.TrafficChainPipeline())
+	if err == nil || !strings.Contains(err.Error(), "registration is closed") {
+		t.Fatalf("AddPipeline after the first HTTP request = %v, want the registration-closed error", err)
+	}
+}
+
+// WithHeadroom sets the admission target with the planning headroom: the
+// front door admits at 1/(1+headroom) of the granted rate, the demand the
+// plan was sized for.
+func TestAdmissionTargetFollowsHeadroom(t *testing.T) {
+	sys, err := loki.New(loki.TrafficChainPipeline(), loki.WithServers(8), loki.WithSeed(1),
+		loki.WithAdmission(true), loki.WithHeadroom(0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	if err := sys.Feed(loki.RampTrace(100, 100, 3, 2)); err != nil {
+		t.Fatal(err)
+	}
+	granted := sys.GrantedRate()
+	want := granted / 1.5
+	if got := sys.Snapshot().GrantedRateQPS; granted <= 0 || math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("admission target %g with granted rate %g, want %g (granted/(1+0.5))", got, granted, want)
 	}
 }

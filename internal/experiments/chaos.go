@@ -7,6 +7,7 @@ import (
 	"loki/internal/fault"
 	"loki/internal/metrics"
 	"loki/internal/profiles"
+	"loki/internal/stack"
 	"loki/internal/trace"
 )
 
@@ -40,6 +41,10 @@ type ChaosConfig struct {
 	Faults []string
 	// Quick shrinks the run for smoke passes.
 	Quick bool
+	// capacity is one tenant's measured capacity on the healthy pool, set
+	// by Chaos: every run caps both admission-fronted tenants' planning
+	// demand at it. Zero leaves each tenant's allocator to measure its own.
+	capacity float64
 }
 
 func (c *ChaosConfig) defaults() {
@@ -150,6 +155,20 @@ func (c *ChaosConfig) chaosFaults(kind string, permanent bool) *fault.Schedule {
 	return &fault.Schedule{Events: []fault.Event{ev}}
 }
 
+// run is the pool every run of the grid serves on: reserved plus spot.
+func (c *ChaosConfig) run() RunConfig {
+	return RunConfig{
+		Classes: []profiles.Class{
+			{Name: "res", Count: c.Reserved, Speed: 1.0},
+			{Name: "spot", Count: c.Spot, Speed: 1.0},
+		},
+		SLOSec: c.SLOSec,
+		Seed:   c.Seed,
+		// One-second buckets: the windows are scored at fault granularity.
+		BucketSec: 1,
+	}
+}
+
 // chaosOnGrants, when set by a test, observes every joint allocation of a
 // chaos run (step, per-tenant granted-server totals).
 var chaosOnGrants func(step int, totals []int)
@@ -159,30 +178,28 @@ var chaosOnGrants func(step int, totals []int)
 func chaosRun(cfg ChaosConfig, tiered bool, sched *fault.Schedule) ([]*metrics.Collector, []string, error) {
 	steps := int(cfg.DurSec / 4)
 	tr := trace.Ramp(cfg.QPS, cfg.QPS, steps, 4)
-	var tenants []tenantSpec
+	var tenants []stack.Spec
 	for _, name := range []string{"gold", "free"} {
-		tenants = append(tenants, tenantSpec{name: name, graph: profiles.TrafficTree(), trace: tr, admission: true})
+		tenants = append(tenants, stack.Spec{Name: name, Graph: profiles.TrafficTree(), Admission: true, DemandCapQPS: cfg.capacity})
 	}
 	if tiered {
-		tenants[0].tier = 1
+		tenants[0].Tier = 1
 	}
 	var events []string
-	s, err := serve(RunConfig{
-		Classes: []profiles.Class{
-			{Name: "res", Count: cfg.Reserved, Speed: 1.0},
-			{Name: "spot", Count: cfg.Spot, Speed: 1.0},
-		},
-		SLOSec: cfg.SLOSec,
-		Seed:   cfg.Seed,
-		// One-second buckets: the windows are scored at fault granularity.
-		BucketSec: 1,
-	}, tenants, sched, func(timeSec float64, desc string) {
-		events = append(events, fmt.Sprintf("t=%.0fs %s", timeSec, desc))
-	}, chaosOnGrants)
+	s, err := serve(cfg.run(), tenants, []*trace.Trace{tr, tr}, func(p *stack.Pool) {
+		p.Faults, p.OnGrants = sched, chaosOnGrants
+		p.OnFault = func(timeSec float64, desc string) {
+			events = append(events, fmt.Sprintf("t=%.0fs %s", timeSec, desc))
+		}
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return s.cols, events, nil
+	cols := make([]*metrics.Collector, len(s.Tenants))
+	for i, t := range s.Tenants {
+		cols[i] = t.Col
+	}
+	return cols, events, nil
 }
 
 // score is the window as a ChaosWindow: attainment, goodput ratio and shed
@@ -201,6 +218,12 @@ func (w windowSum) score() ChaosWindow {
 // seed, so main-vs-oracle gaps measure adaptation lag, not workload noise.
 func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg.defaults()
+	// One capacity measurement serves the whole grid (each tenant measuring
+	// its own would cost a MaxCapacity solve per tenant per run).
+	var err error
+	if cfg.capacity, err = measureCapacity(cfg.run()); err != nil {
+		return nil, err
+	}
 	b0, b1, d0, d1, a0, a1 := cfg.windows()
 	res := &ChaosResult{}
 	kinds := cfg.Faults

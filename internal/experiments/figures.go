@@ -10,6 +10,7 @@ import (
 	"loki/internal/pipeline"
 	"loki/internal/policy"
 	"loki/internal/profiles"
+	"loki/internal/stack"
 	"loki/internal/trace"
 )
 
@@ -49,13 +50,9 @@ type Fig1Result struct {
 // phases of Figure 1.
 func Figure1(servers int, sloSec float64, steps int) (*Fig1Result, error) {
 	g := profiles.TrafficChain()
-	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
-	meta := core.NewMetadataStore(g, prof, sloSec, profiles.Batches)
-	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers: servers, NetLatencySec: 0.002, KeepWarm: true,
-		Headroom: 0.30, SolveTimeLimit: time.Second,
-		DisableStall: true, // capacity probes prefer exhaustive solves
-	})
+	// Capacity probes prefer exhaustive solves: no stall cutoff.
+	pool := RunConfig{Servers: servers, SolveTimeLimit: time.Second, DisableStall: true}.pool()
+	alloc, err := stack.New(pool).Allocator(g, sloSec)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"loki/internal/core"
 	"loki/internal/profiles"
+	"loki/internal/stack"
 )
 
 // The fleet experiment measures the planner's scaling story end to end: a
@@ -88,27 +89,18 @@ func fleetClasses(servers, classes int) []profiles.Class {
 }
 
 // fleetController stands up one cell: T chain-pipeline tenants sharing an
-// S-server pool. Profiling runs once per cell; every tenant gets its own
-// metadata store and allocator (the arbiter's parallel desire pass relies on
-// tenants owning distinct solvers).
+// S-server pool, each planned by its own serving-stack allocator (the
+// arbiter's parallel desire pass relies on tenants owning distinct solvers).
+// The controller alone is measured, so no engine is built.
 func fleetController(servers, tenants, classes int, sloSec float64, budget int) (*core.MultiController, []*core.Tenant, error) {
-	cls := fleetClasses(servers, classes)
-	g := profiles.TrafficChain()
-	prof := (&profiles.Profiler{}).ProfileGraphClasses(g, profiles.Batches, cls)
+	s := stack.New(RunConfig{Classes: fleetClasses(servers, classes), SolveTimeLimit: 2 * time.Second}.pool())
 	ts := make([]*core.Tenant, tenants)
 	for i := range ts {
-		meta := core.NewMetadataStoreHetero(g, cls, prof, sloSec, profiles.Batches)
-		alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-			NetLatencySec: 0.002, KeepWarm: true,
-			Headroom: 0.30, SolveTimeLimit: 2 * time.Second,
-		})
+		alloc, err := s.Allocator(profiles.TrafficChain(), sloSec)
 		if err != nil {
 			return nil, nil, err
 		}
-		ts[i] = &core.Tenant{
-			Name: fmt.Sprintf("t%02d", i), Meta: meta, Alloc: alloc,
-			RouteHeadroom: 0.30,
-		}
+		ts[i] = &core.Tenant{Name: fmt.Sprintf("t%02d", i), Meta: alloc.Meta, Alloc: alloc, RouteHeadroom: s.Headroom}
 	}
 	m, err := core.NewMultiController(servers, ts)
 	if err != nil {

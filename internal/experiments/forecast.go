@@ -9,6 +9,7 @@ import (
 	"loki/internal/forecast"
 	"loki/internal/metrics"
 	"loki/internal/profiles"
+	"loki/internal/stack"
 	"loki/internal/trace"
 )
 
@@ -216,14 +217,13 @@ func serveWithForecaster(cfg *ForecastConfig, tr *trace.Trace, fc forecast.Forec
 		Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, SwapLatencySec: cfg.SwapSec,
 		// Buckets aligned to the trace step so the spike window cuts cleanly.
 		BucketSec: cfg.StepSec,
-	}, []tenantSpec{{
-		name: "pipeline", graph: profiles.TrafficTree(), trace: tr,
-		forecaster: fc, horizonSec: cfg.HorizonSec,
-	}}, nil, nil, nil)
+	}, []stack.Spec{{
+		Name: "pipeline", Graph: profiles.TrafficTree(), Forecaster: fc, HorizonSec: cfg.HorizonSec,
+	}}, []*trace.Trace{tr}, nil)
 	if err != nil {
 		return metrics.Summary{}, 0, 0, err
 	}
-	col := s.cols[0]
+	col := s.Tenants[0].Col
 	w := window(col.Series(), winStart, winEnd)
 	return col.Summarize(), w.attainment(), w.arrivals, nil
 }

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"loki/internal/core"
 	"loki/internal/metrics"
 	"loki/internal/policy"
 	"loki/internal/profiles"
+	"loki/internal/stack"
 	"loki/internal/trace"
 )
 
@@ -88,7 +88,7 @@ type IngressResult struct {
 // wall-clock-limited solves.
 func Ingress(cfg IngressConfig) (*IngressResult, error) {
 	cfg.defaults()
-	capacity, err := measureCapacity(&cfg)
+	capacity, err := measureCapacity(RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -110,16 +110,16 @@ func Ingress(cfg IngressConfig) (*IngressResult, error) {
 	return res, nil
 }
 
-// measureCapacity asks a fresh allocator for the largest demand the cluster
-// can fully serve — the 1× anchor of the sweep.
-func measureCapacity(cfg *IngressConfig) (float64, error) {
-	rc := RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed}
+// measureCapacity asks a fresh allocator for the largest demand the
+// traffic-analysis pipeline can fully serve on rc's pool: the 1× anchor of
+// the ingress sweep, and the chaos grid's demand cap.
+func measureCapacity(rc RunConfig) (float64, error) {
 	rc.defaults()
-	_, planner, _, err := rc.planFor(profiles.TrafficTree(), Loki)
+	alloc, err := stack.New(rc.pool()).Allocator(profiles.TrafficTree(), rc.SLOSec)
 	if err != nil {
 		return 0, err
 	}
-	return planner.(*core.Allocator).MaxCapacity(0, 20000), nil
+	return alloc.MaxCapacity(0, 20000), nil
 }
 
 // serveIngressPoint serves DurSec of Poisson load at the offered rate through
@@ -134,8 +134,8 @@ func measureCapacity(cfg *IngressConfig) (float64, error) {
 //
 // Both arms also plan for at most the pool's SLO-feasible capacity, so the
 // data plane is identical and the front door is the only variable. With
-// admission the cap is what production uses (tenancy wires it whenever a
-// gate is armed): the plan stays feasible — SLO-honest batches — and the
+// admission the cap is what production uses (the serving stack caps every
+// gated tenant): the plan stays feasible — SLO-honest batches — and the
 // excess is the gate's to shed. For the open baseline the cap is what makes
 // it the queueing-then-missing door: excess arrivals pile up behind a
 // capacity-sized plan and rot past the SLO. Uncapped, the planner would
@@ -147,14 +147,14 @@ func measureCapacity(cfg *IngressConfig) (float64, error) {
 // The stack is pre-warmed at the offered rate, so the sweep measures
 // steady-state shedding, not cold-start planning lag.
 func serveIngressPoint(cfg *IngressConfig, capacity, offered float64, withAdmission bool) (IngressPoint, error) {
-	s, err := serve(RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, BucketSec: 1}, []tenantSpec{{
-		name: "pipeline", graph: profiles.TrafficTree(), trace: trace.Ramp(offered, offered, 1, cfg.DurSec),
-		policy: policy.NoDrop{}, admission: withAdmission, demandCap: capacity,
-	}}, nil, nil, nil)
+	s, err := serve(RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, BucketSec: 1}, []stack.Spec{{
+		Name: "pipeline", Graph: profiles.TrafficTree(), Policy: policy.NoDrop{},
+		Admission: withAdmission, DemandCapQPS: capacity,
+	}}, []*trace.Trace{trace.Ramp(offered, offered, 1, cfg.DurSec)}, nil)
 	if err != nil {
 		return IngressPoint{}, err
 	}
-	col := s.cols[0]
+	col := s.Tenants[0].Col
 	w := window(col.Series(), cfg.WarmupSec, cfg.DurSec)
 	p := IngressPoint{
 		OfferedQPS: offered,

@@ -6,6 +6,7 @@ import (
 
 	"loki/internal/metrics"
 	"loki/internal/profiles"
+	"loki/internal/stack"
 	"loki/internal/trace"
 )
 
@@ -86,23 +87,25 @@ func MultiTenant(cfg MultiTenantConfig) (*MultiTenantResult, error) {
 		trA = trA.WithSpike(0.4, 0.2, cfg.SpikeMult)
 	}
 	trB := trace.TwitterLike(cfg.Seed+1, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(cfg.PeakB)
-	tenants := []tenantSpec{
-		{name: "traffic", graph: profiles.TrafficTree(), trace: trA, share: cfg.ShareA},
-		{name: "social", graph: profiles.SocialMedia(), trace: trB, share: cfg.ShareB},
+	tenants := []stack.Spec{
+		{Name: "traffic", Graph: profiles.TrafficTree(), Share: cfg.ShareA},
+		{Name: "social", Graph: profiles.SocialMedia(), Share: cfg.ShareB},
 	}
 
 	res := &MultiTenantResult{}
-	s, err := serve(RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed}, tenants, nil, nil,
-		func(step int, grants []int) { res.GrantHistory = append(res.GrantHistory, grants) })
+	s, err := serve(RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed}, tenants, []*trace.Trace{trA, trB},
+		func(p *stack.Pool) {
+			p.OnGrants = func(step int, grants []int) { res.GrantHistory = append(res.GrantHistory, grants) }
+		})
 	if err != nil {
 		return nil, err
 	}
 
-	final := s.ctrl.Grants()
-	for i, ts := range tenants {
+	final := s.Ctrl.Grants()
+	for i, t := range s.Tenants {
 		out := TenantOutcome{
-			Name:       ts.name,
-			Summary:    s.cols[i].Summarize(),
+			Name:       t.Name,
+			Summary:    t.Col.Summarize(),
 			FinalGrant: final[i],
 		}
 		for _, row := range res.GrantHistory {
@@ -116,7 +119,7 @@ func MultiTenant(cfg MultiTenantConfig) (*MultiTenantResult, error) {
 		}
 		res.Tenants = append(res.Tenants, out)
 	}
-	res.Allocates = s.ctrl.Allocates()
+	res.Allocates = s.Ctrl.Allocates()
 	return res, nil
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"loki/internal/core"
 	"loki/internal/profiles"
+	"loki/internal/stack"
 )
 
 // RuntimeResult reproduces §6.5: the wall-clock cost of one Resource
@@ -26,15 +27,10 @@ type RuntimeResult struct {
 // (paper: MILP ≈ 500 ms with Gurobi, Load Balancer ≈ 0.15 ms).
 func Runtime(servers int, sloSec float64) (*RuntimeResult, error) {
 	g := profiles.TrafficTree()
-	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
-	meta := core.NewMetadataStore(g, prof, sloSec, profiles.Batches)
-	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers: servers, NetLatencySec: 0.002, KeepWarm: true,
-		Headroom: 0.30, SolveTimeLimit: 2 * time.Second,
-		// Measure the full optimizer, not the stall-truncated serving
-		// variant: the paper's §6.5 numbers are per-solve costs.
-		DisableStall: true,
-	})
+	// Measure the full optimizer, not the stall-truncated serving variant:
+	// the paper's §6.5 numbers are per-solve costs.
+	pool := RunConfig{Servers: servers, SolveTimeLimit: 2 * time.Second, DisableStall: true}.pool()
+	alloc, err := stack.New(pool).Allocator(g, sloSec)
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +57,7 @@ func Runtime(servers int, sloSec float64) (*RuntimeResult, error) {
 	const reps = 200
 	for i := 0; i < reps; i++ {
 		t0 := time.Now()
-		core.MostAccurateFirst(g, specs, 900, meta.MultFactor)
+		core.MostAccurateFirst(g, specs, 900, alloc.Meta.MultFactor)
 		us := float64(time.Since(t0).Nanoseconds()) / 1000
 		if i < 10 {
 			res.LBMicros = append(res.LBMicros, us)

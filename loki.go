@@ -59,11 +59,13 @@ import (
 	"time"
 
 	"loki/internal/core"
+	"loki/internal/engine"
 	"loki/internal/fault"
 	"loki/internal/metrics"
 	"loki/internal/pipeline"
 	"loki/internal/policy"
 	"loki/internal/profiles"
+	"loki/internal/stack"
 	"loki/internal/telemetry"
 	"loki/internal/trace"
 )
@@ -156,7 +158,8 @@ func FlashCrowdTrace(baseQPS float64, steps int, stepSec, startFrac, durFrac, mu
 // Baseline selects an alternative resource-management strategy for Serve.
 type Baseline int
 
-// Baselines from §6.1. BaselineNone runs Loki itself.
+// Baselines from §6.1. BaselineNone runs Loki itself. The values mirror the
+// serving stack's approaches one to one.
 const (
 	BaselineNone      Baseline = iota // Loki: hardware + accuracy scaling
 	BaselineInferLine                 // hardware scaling only, fixed variants
@@ -171,57 +174,22 @@ const (
 // individual pipelines.
 type Option func(*config)
 
+// config is the pool the options describe, with the serving stack's own
+// knobs, plus the per-pipeline defaults and the switches only the public
+// package reads.
 type config struct {
-	servers    int
-	hardware   []HardwareClass
-	slo        time.Duration
-	netLatency time.Duration
-	seed       int64
-	pol        Policy
-	baseline   Baseline
-	headroom   float64
-	swap       time.Duration
-	solveLimit time.Duration
-	jitter     float64
-	minAcc     float64
-	engine     EngineKind
-	timeScale  float64
-	fc         forecastConfig
-	admission  bool
-	faults     []FaultEvent
-	onFault    func(timeSec float64, event string)
+	pool   stack.Pool
+	tenant pipelineConfig
 	// telemetryOff records WithTelemetry(false): the per-worker collectors,
 	// the metric registry, and the request tracer are all skipped.
 	telemetryOff bool
-	// traceProb is the request-tracing sample probability; traceSet records
-	// an explicit WithTraceSampling (zero then means "trace nothing" rather
-	// than the 1/64 default).
-	traceProb float64
-	traceSet  bool
-	// workerMetricsLimit caps per-worker /metrics cardinality (see
-	// WithWorkerMetricsLimit); workerMetricsSet records an explicit option
-	// (zero then means unlimited rather than the collector default).
-	workerMetricsLimit int
-	workerMetricsSet   bool
-	// The zero value means "on": the fast planning path is the default and
-	// this records the escape hatch.
-	plannerCacheOff bool
-}
-
-// headroomOrDefault returns the configured over-provisioning factor, falling
-// back to the paper's 0.30 default.
-func (c config) headroomOrDefault() float64 {
-	if c.headroom == 0 {
-		return 0.30
-	}
-	return c.headroom
 }
 
 // WithServers sets the cluster size (default 20, the paper's testbed). On a
 // MultiSystem this is the shared pool every registered pipeline draws from.
 // WithHardware supersedes it: with explicit hardware classes the pool size
 // is the classes' total count.
-func WithServers(n int) Option { return func(c *config) { c.servers = n } }
+func WithServers(n int) Option { return func(c *config) { c.pool.Servers = n } }
 
 // HardwareClass describes one class of a heterogeneous cluster: Count
 // servers of the same accelerator generation, each executing at Speed × the
@@ -230,12 +198,7 @@ func WithServers(n int) Option { return func(c *config) { c.servers = n } }
 // accounting for the class). The Resource Manager plans replicas per
 // (variant, batch, class), keeps one capacity constraint per class, and the
 // engines swap models only within a class.
-type HardwareClass struct {
-	Name        string
-	Count       int
-	Speed       float64
-	CostPerHour float64
-}
+type HardwareClass = profiles.Class
 
 // WithHardware declares the cluster's hardware classes, replacing the
 // homogeneous pool of WithServers with a mixed fleet. The pool size becomes
@@ -252,7 +215,7 @@ type HardwareClass struct {
 // the fleet's dollar rate instead of its server count (INFaaS-style), and
 // Report gains ServerCostHours/CostPerQuery.
 func WithHardware(classes ...HardwareClass) Option {
-	return func(c *config) { c.hardware = append([]HardwareClass(nil), classes...) }
+	return func(c *config) { c.pool.Classes = append([]HardwareClass(nil), classes...) }
 }
 
 // ParseHardware parses a fleet specification of the form
@@ -260,35 +223,25 @@ func WithHardware(classes ...HardwareClass) Option {
 // entries, each with an optional fourth @cost-per-hour part
 // ("a100:4@2.0@3.5") — as accepted by the serving CLIs' -hardware flag. An
 // empty spec returns nil (keep the homogeneous default).
-func ParseHardware(spec string) ([]HardwareClass, error) {
-	classes, err := profiles.ParseClasses(spec)
-	if err != nil || classes == nil {
-		return nil, err
-	}
-	out := make([]HardwareClass, len(classes))
-	for i, cl := range classes {
-		out[i] = HardwareClass{Name: cl.Name, Count: cl.Count, Speed: cl.Speed, CostPerHour: cl.CostPerHour}
-	}
-	return out, nil
-}
+func ParseHardware(spec string) ([]HardwareClass, error) { return profiles.ParseClasses(spec) }
 
 // WithSLO sets the end-to-end latency SLO (default 250 ms). On a
 // MultiSystem it is the default for pipelines that do not set their own via
 // WithPipelineSLO. The SLO shapes planning, not just measurement: the
 // Resource Manager prunes configuration paths whose latency cannot fit it,
 // so an SLO no variant combination can meet fails at construction.
-func WithSLO(d time.Duration) Option { return func(c *config) { c.slo = d } }
+func WithSLO(d time.Duration) Option { return func(c *config) { c.tenant.SLOSec = d.Seconds() } }
 
 // WithNetworkLatency sets the per-hop communication latency (default 2 ms).
 func WithNetworkLatency(d time.Duration) Option {
-	return func(c *config) { c.netLatency = d }
+	return func(c *config) { c.pool.NetLatencySec = d.Seconds() }
 }
 
 // WithSeed fixes all stochastic choices (profiling noise, routing draws,
 // Poisson arrivals and fan-out). On the Simulated engine a fixed seed makes
 // whole runs bit-for-bit reproducible; multi-tenant systems derive disjoint
 // per-pipeline RNG streams from it.
-func WithSeed(s int64) Option { return func(c *config) { c.seed = s } }
+func WithSeed(s int64) Option { return func(c *config) { c.pool.Seed = s } }
 
 // WithPolicy selects the early-dropping policy (default opportunistic
 // rerouting). The policy is a serving-time mechanism and composes freely
@@ -296,7 +249,7 @@ func WithSeed(s int64) Option { return func(c *config) { c.seed = s } }
 // strategy, while the policy governs what workers do with straggling
 // requests under whichever plan is standing. On a MultiSystem it is the
 // default that WithPipelinePolicy overrides per pipeline.
-func WithPolicy(p Policy) Option { return func(c *config) { c.pol = p } }
+func WithPolicy(p Policy) Option { return func(c *config) { c.tenant.Policy = p } }
 
 // WithBaseline serves with a baseline planning strategy instead of Loki's
 // MILP (see Baseline). Only the planner changes — engine, routing, drop
@@ -304,33 +257,37 @@ func WithPolicy(p Policy) Option { return func(c *config) { c.pol = p } }
 // §6 comparisons apples-to-apples. On a MultiSystem it is the default that
 // WithPipelineBaseline overrides per pipeline; note BaselineProteus cannot
 // share a pool (it has no capped solve).
-func WithBaseline(b Baseline) Option { return func(c *config) { c.baseline = b } }
+func WithBaseline(b Baseline) Option {
+	return func(c *config) { c.tenant.Approach = stack.Approach(b) }
+}
 
 // WithHeadroom sets the capacity over-provisioning factor (default 0.30).
 // It inflates both the demand the Resource Manager plans for and the demand
 // the Load Balancer routes for, keeping batch-queue waits inside the SLO/2
 // allowance at critical load.
-func WithHeadroom(h float64) Option { return func(c *config) { c.headroom = h } }
+func WithHeadroom(h float64) Option { return func(c *config) { c.pool.Headroom = h } }
 
 // WithSwapLatency models the model-load pause when a worker changes variant.
 // It applies to both engines.
-func WithSwapLatency(d time.Duration) Option { return func(c *config) { c.swap = d } }
+func WithSwapLatency(d time.Duration) Option {
+	return func(c *config) { c.pool.SwapLatencySec = d.Seconds() }
+}
 
 // WithSolveTimeLimit bounds each Resource Manager MILP solve (default 500 ms).
 func WithSolveTimeLimit(d time.Duration) Option {
-	return func(c *config) { c.solveLimit = d }
+	return func(c *config) { c.pool.SolveTimeLimit = d }
 }
 
 // WithExecutionJitter adds relative noise to batch execution latencies. It
 // applies to both engines.
-func WithExecutionJitter(j float64) Option { return func(c *config) { c.jitter = j } }
+func WithExecutionJitter(j float64) Option { return func(c *config) { c.pool.ExecJitter = j } }
 
 // WithMinAccuracy sets a floor on end-to-end path accuracy: accuracy
 // scaling never routes queries through variant combinations below it (§1
 // notes deployments usually impose a minimum acceptable accuracy, which
 // bounds how far accuracy scaling may go). Demand beyond the floored
 // capacity is shed instead.
-func WithMinAccuracy(a float64) Option { return func(c *config) { c.minAcc = a } }
+func WithMinAccuracy(a float64) Option { return func(c *config) { c.pool.MinAccuracy = a } }
 
 // WithPlannerCache toggles the Resource Manager's fast planning path
 // (default on): the per-pipeline plan cache over quantized demand levels,
@@ -343,7 +300,7 @@ func WithMinAccuracy(a float64) Option { return func(c *config) { c.minAcc = a }
 // timing-dependent in both modes. WithPlannerCache(false) is the
 // from-scratch, full-budget escape hatch for measurement and debugging.
 func WithPlannerCache(on bool) Option {
-	return func(c *config) { c.plannerCacheOff = !on }
+	return func(c *config) { c.pool.CacheOff = !on }
 }
 
 // WithAdmission arms per-pipeline admission control and load shedding
@@ -357,7 +314,7 @@ func WithPlannerCache(on bool) Option {
 // queue past their SLO. Shed requests still count toward the demand the
 // planner observes, so a shedding system scales up and the admitted rate
 // follows.
-func WithAdmission(on bool) Option { return func(c *config) { c.admission = on } }
+func WithAdmission(on bool) Option { return func(c *config) { c.tenant.Admission = on } }
 
 // WithTelemetry toggles the telemetry plane (default on): per-worker
 // collectors fed by the serving engines (queue depth, occupancy, in-flight
@@ -377,7 +334,7 @@ func WithTelemetry(on bool) Option { return func(c *config) { c.telemetryOff = !
 // sampled set is deterministic for a fixed seed. Zero traces nothing;
 // WithTelemetry(false) disables tracing regardless.
 func WithTraceSampling(p float64) Option {
-	return func(c *config) { c.traceProb = p; c.traceSet = true }
+	return func(c *config) { c.pool.TraceProb = p }
 }
 
 // WithWorkerMetricsLimit sets the largest tenant pool that still gets
@@ -387,7 +344,9 @@ func WithTraceSampling(p float64) Option {
 // exposition cardinality bounded at fleet scale while Snapshot.Workers
 // retains full per-worker detail.
 func WithWorkerMetricsLimit(n int) Option {
-	return func(c *config) { c.workerMetricsLimit = n; c.workerMetricsSet = true }
+	return func(c *config) {
+		c.pool.CollectorOpts = []telemetry.CollectorOption{telemetry.WithWorkerMetricsLimit(n)}
+	}
 }
 
 // WorkerStatus is one worker's live telemetry row: queue depth, in-flight
@@ -462,7 +421,7 @@ type FaultEvent struct {
 //	    At: 30 * time.Second, Kind: loki.FaultOutage,
 //	    Class: "spot", RecoverAfter: 20 * time.Second})
 func WithFaults(events ...FaultEvent) Option {
-	return func(c *config) { c.faults = append([]FaultEvent(nil), events...) }
+	return func(c *config) { c.pool.Faults = faultSchedule(events) }
 }
 
 // ParseFaults parses the CLI fault grammar accepted by the serving CLIs'
@@ -497,16 +456,16 @@ func ParseFaults(spec string) ([]FaultEvent, error) {
 // (the serving CLIs log these in the status line). The callback may fire
 // from an engine goroutine; it must not call back into the system.
 func WithFaultObserver(fn func(timeSec float64, event string)) Option {
-	return func(c *config) { c.onFault = fn }
+	return func(c *config) { c.pool.OnFault = fn }
 }
 
-// faultSchedule converts the configured events to the internal schedule.
-func (c config) faultSchedule() *fault.Schedule {
-	if len(c.faults) == 0 {
+// faultSchedule converts public fault events to the internal schedule.
+func faultSchedule(events []FaultEvent) *fault.Schedule {
+	if len(events) == 0 {
 		return nil
 	}
 	s := &fault.Schedule{}
-	for _, e := range c.faults {
+	for _, e := range events {
 		s.Events = append(s.Events, fault.Event{
 			At:           e.At.Seconds(),
 			Kind:         fault.Kind(e.Kind),
@@ -599,11 +558,13 @@ func (r *Report) String() string {
 
 func buildConfig(opts []Option) config {
 	c := config{
-		servers:    20,
-		slo:        250 * time.Millisecond,
-		netLatency: 2 * time.Millisecond,
-		pol:        OpportunisticPolicy,
-		solveLimit: 500 * time.Millisecond,
+		pool: stack.Pool{
+			MultiConfig:    engine.MultiConfig{Servers: 20, NetLatencySec: 0.002},
+			SolveTimeLimit: 500 * time.Millisecond,
+			BucketSec:      30,
+			TraceProb:      1.0 / 64,
+		},
+		tenant: pipelineConfig{Spec: stack.Spec{SLOSec: 0.250, Policy: OpportunisticPolicy}},
 	}
 	for _, o := range opts {
 		o(&c)
@@ -630,75 +591,40 @@ func Serve(p *Pipeline, tr *Trace, opts ...Option) (*Report, error) {
 	return sys.Report(), nil
 }
 
-// resolvedClasses maps the config's hardware onto the internal class set:
-// the explicit WithHardware fleet, or the homogeneous default of one class
-// holding all WithServers servers. It also returns the pool's total size.
-func (c config) resolvedClasses() ([]profiles.Class, int, error) {
-	if len(c.hardware) == 0 {
-		return profiles.DefaultClasses(c.servers), c.servers, nil
+// newStack returns an empty serving stack over the configured pool: the
+// WithHardware fleet (validated) or the homogeneous default of one class
+// holding all WithServers servers, with the paper's 0.30 headroom unless
+// WithHeadroom set one. Telemetry is off until the caller sets the stack's
+// Registry.
+func (c config) newStack() (*stack.Stack, error) {
+	p := c.pool
+	if p.Headroom == 0 {
+		p.Headroom = 0.30
 	}
-	classes := make([]profiles.Class, len(c.hardware))
-	for i, h := range c.hardware {
-		classes[i] = profiles.Class{Name: h.Name, Count: h.Count, Speed: h.Speed, CostPerHour: h.CostPerHour}
+	if len(p.Classes) > 0 {
+		if err := profiles.ValidateClasses(p.Classes); err != nil {
+			return nil, err
+		}
 	}
-	if err := profiles.ValidateClasses(classes); err != nil {
-		return nil, 0, err
-	}
-	return classes, profiles.TotalCount(classes), nil
+	return stack.New(p), nil
 }
 
-// telemetryClasses maps the internal hardware classes onto the telemetry
-// collector's worker layout (name and count per class, in class order —
-// matching the engines' physical worker numbering).
-func telemetryClasses(classes []profiles.Class) []telemetry.WorkerClass {
-	out := make([]telemetry.WorkerClass, len(classes))
-	for i, cl := range classes {
-		out[i] = telemetry.WorkerClass{Name: cl.Name, Count: cl.Count}
-	}
-	return out
-}
-
-// metaAndOpts builds the Model Profiler → Metadata Store stage shared by
-// every entry point, plus the allocator options derived from the config.
-// Every hardware class is profiled separately (per-class latency curves),
-// and the allocator sizes itself from the class counts.
-func metaAndOpts(p *Pipeline, c config) (*core.MetadataStore, core.AllocatorOptions, error) {
-	classes, total, err := c.resolvedClasses()
+// allocator builds the MILP allocator the capacity-planning entry points
+// query: the planner a Loki tenant of the configured pool plans with.
+func allocator(p *Pipeline, opts []Option) (*core.Allocator, error) {
+	c := buildConfig(opts)
+	s, err := c.newStack()
 	if err != nil {
-		return nil, core.AllocatorOptions{}, err
+		return nil, err
 	}
-	prof := (&profiles.Profiler{Seed: c.seed}).ProfileGraphClasses(p, profiles.Batches, classes)
-	meta := core.NewMetadataStoreHetero(p, classes, prof, c.slo.Seconds(), profiles.Batches)
-	return meta, core.AllocatorOptions{
-		Servers:         total,
-		NetLatencySec:   c.netLatency.Seconds(),
-		KeepWarm:        true,
-		Headroom:        c.headroomOrDefault(),
-		MinPathAccuracy: c.minAcc,
-		SolveTimeLimit:  c.solveLimit,
-		DisableReuse:    c.plannerCacheOff,
-	}, nil
-}
-
-// newAllocStack builds the full MetadataStore + MILP Allocator stack used by
-// the capacity-planning entry points.
-func newAllocStack(p *Pipeline, c config) (*core.MetadataStore, *core.Allocator, error) {
-	meta, aopts, err := metaAndOpts(p, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	alloc, err := core.NewAllocator(meta, aopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return meta, alloc, nil
+	return s.Allocator(p, c.tenant.SLOSec)
 }
 
 // PlanFor runs the Resource Manager once for a demand level, returning the
 // optimal allocation plan (useful for capacity planning without a full
 // serving run).
 func PlanFor(p *Pipeline, demandQPS float64, opts ...Option) (*Plan, error) {
-	_, alloc, err := newAllocStack(p, buildConfig(opts))
+	alloc, err := allocator(p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -710,7 +636,7 @@ func PlanFor(p *Pipeline, demandQPS float64, opts ...Option) (*Plan, error) {
 // search starts on [0, 20000] and doubles its upper end while the cluster
 // keeps up.
 func MaxCapacity(p *Pipeline, opts ...Option) (float64, error) {
-	_, alloc, err := newAllocStack(p, buildConfig(opts))
+	alloc, err := allocator(p, opts)
 	if err != nil {
 		return 0, err
 	}

@@ -8,9 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"loki/internal/baselines"
-	"loki/internal/core"
-	"loki/internal/experiments"
 	"loki/internal/ingress"
 )
 
@@ -57,25 +54,6 @@ const defaultPipeline = "default"
 // running Feed.
 type System struct {
 	ms *MultiSystem
-}
-
-// approachFor maps the public Baseline knob onto the experiments wiring.
-func approachFor(b Baseline) experiments.Approach {
-	switch b {
-	case BaselineInferLine:
-		return experiments.InferLine
-	case BaselineProteus:
-		return experiments.Proteus
-	default:
-		return experiments.Loki
-	}
-}
-
-// newPlannerFor builds a tenant's planner for the selected strategy; the
-// Proteus return is non-nil only for that baseline (its per-task demand
-// observer must be wired into the engine).
-func newPlannerFor(b Baseline, meta *core.MetadataStore, aopts core.AllocatorOptions) (core.Planner, *baselines.Proteus, error) {
-	return experiments.NewPlanner(approachFor(b), meta, aopts)
 }
 
 // New stands up a serving system for the pipeline: it profiles the model

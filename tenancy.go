@@ -11,10 +11,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"loki/internal/core"
-	"loki/internal/engine"
 	"loki/internal/ingress"
 	"loki/internal/metrics"
+	"loki/internal/stack"
 	"loki/internal/telemetry"
 )
 
@@ -22,16 +21,12 @@ import (
 // that was never registered with AddPipeline.
 var ErrUnknownPipeline = errors.New("loki: unknown pipeline")
 
-// pipelineConfig holds the per-pipeline knobs of a multi-tenant System.
-// Zero values inherit the system-wide Option defaults.
+// pipelineConfig is one pipeline's tenant spec as the options describe it:
+// the system-wide Options set the spec every pipeline starts from, and
+// AddPipeline's PipelineOptions override it per pipeline.
 type pipelineConfig struct {
-	slo      time.Duration
-	pol      Policy
-	share    float64
-	baseline Baseline
-	baseSet  bool
-	fc       forecastConfig
-	tier     int
+	stack.Spec
+	fc forecastConfig
 }
 
 // PipelineOption configures one pipeline registered with
@@ -43,13 +38,13 @@ type PipelineOption func(*pipelineConfig)
 // WithPipelineSLO sets this pipeline's end-to-end latency SLO, overriding
 // the system-wide WithSLO default.
 func WithPipelineSLO(d time.Duration) PipelineOption {
-	return func(c *pipelineConfig) { c.slo = d }
+	return func(c *pipelineConfig) { c.SLOSec = d.Seconds() }
 }
 
 // WithPipelinePolicy sets this pipeline's early-dropping policy, overriding
 // the system-wide WithPolicy default.
 func WithPipelinePolicy(p Policy) PipelineOption {
-	return func(c *pipelineConfig) { c.pol = p }
+	return func(c *pipelineConfig) { c.Policy = p }
 }
 
 // WithShare guarantees this pipeline a minimum fraction of the server pool
@@ -58,7 +53,7 @@ func WithPipelinePolicy(p Policy) PipelineOption {
 // idle pipeline's guarantee is lent to whoever needs it and reclaimed on the
 // next adaptation round.
 func WithShare(f float64) PipelineOption {
-	return func(c *pipelineConfig) { c.share = f }
+	return func(c *pipelineConfig) { c.Share = f }
 }
 
 // WithPipelineBaseline plans this pipeline with a baseline strategy instead
@@ -66,7 +61,7 @@ func WithShare(f float64) PipelineOption {
 // shared pool the baseline must support capped solves (BaselineInferLine
 // does; BaselineProteus is single-tenant only).
 func WithPipelineBaseline(b Baseline) PipelineOption {
-	return func(c *pipelineConfig) { c.baseline = b; c.baseSet = true }
+	return func(c *pipelineConfig) { c.Approach = stack.Approach(b) }
 }
 
 // WithTier assigns this pipeline a service tier and, when slo is positive,
@@ -80,34 +75,11 @@ func WithPipelineBaseline(b Baseline) PipelineOption {
 // uniform tiers the split is bit-identical to the tier-free system.
 func WithTier(tier int, slo time.Duration) PipelineOption {
 	return func(c *pipelineConfig) {
-		c.tier = tier
+		c.Tier = tier
 		if slo > 0 {
-			c.slo = slo
+			c.SLOSec = slo.Seconds()
 		}
 	}
-}
-
-// msTenant is one registered pipeline with its per-tenant control-plane
-// pieces (built eagerly by AddPipeline so configuration errors surface
-// there).
-type msTenant struct {
-	name    string
-	pipe    *Pipeline
-	pcfg    pipelineConfig
-	meta    *core.MetadataStore
-	planner core.Planner
-	col     *metrics.Collector
-	ecfg    engine.TenantConfig
-	// adm is the pipeline's admission controller (nil unless WithAdmission
-	// armed one); its target rate is refreshed on every plan publication.
-	adm *ingress.Admission
-	// fcHorizon is the resolved forecast planning horizon in seconds.
-	fcHorizon float64
-	// tel and tracer are the pipeline's telemetry collector and request
-	// tracer, built in buildLocked (nil under WithTelemetry(false); tracer
-	// also nil at sample probability zero).
-	tel    *telemetry.Collector
-	tracer *telemetry.Tracer
 }
 
 // MultiSystem serves several pipelines on one shared server pool. Register
@@ -118,26 +90,25 @@ type msTenant struct {
 // guarantees hold under contention. Each pipeline keeps its own routing
 // tables, metrics, and Report.
 //
-// The first injection freezes registration and stands the control plane up;
-// the same engine-threading rules as System apply (single goroutine on the
-// Simulated engine, concurrent use on Wallclock).
+// The first injection (or the first HTTP request) freezes registration, and
+// the first injection stands the control plane up; the same engine-threading
+// rules as System apply (single goroutine on the Simulated engine,
+// concurrent use on Wallclock).
 type MultiSystem struct {
 	cfg config
 
-	mu         sync.Mutex
-	byName     map[string]int
-	tenants    []*msTenant
+	mu     sync.Mutex
+	byName map[string]int
+	// st is the serving stack: each registered pipeline's tenant, built by
+	// AddPipeline, and the shared engine and joint controller, built on the
+	// first injection. Its Registry is the telemetry plane's metric registry
+	// (nil under WithTelemetry(false)).
+	st         *stack.Stack
+	closed     bool // registration closed
 	built      bool
 	primed     bool
 	engStarted bool
 	stopped    bool
-
-	eng  engine.MultiEngine
-	ctrl *core.MultiController
-
-	// reg is the telemetry plane's metric registry, shared by every tenant's
-	// collector and the joint planner (nil under WithTelemetry(false)).
-	reg *telemetry.Registry
 
 	// HTTP front door state (see ServeHTTP and Drain). draining is atomic so
 	// the handler's fast path never takes m.mu.
@@ -152,27 +123,24 @@ type MultiSystem struct {
 // policy, baseline) that AddPipeline's PipelineOptions may override.
 func NewMulti(opts ...Option) (*MultiSystem, error) {
 	c := buildConfig(opts)
-	// With explicit hardware classes the pool size is their total count;
-	// validate the fleet here so a bad WithHardware fails at construction.
-	if _, total, err := c.resolvedClasses(); err != nil {
+	st, err := c.newStack()
+	if err != nil {
 		return nil, err
-	} else if len(c.hardware) > 0 {
-		c.servers = total
 	}
-	if c.servers <= 0 {
-		return nil, fmt.Errorf("loki: multi-tenant pool needs a positive server count, got %d", c.servers)
+	if st.Servers <= 0 {
+		return nil, fmt.Errorf("loki: multi-tenant pool needs a positive server count, got %d", st.Servers)
 	}
-	m := &MultiSystem{cfg: c, byName: map[string]int{}}
 	if !c.telemetryOff {
-		m.reg = telemetry.NewRegistry()
+		st.Registry = telemetry.NewRegistry()
 	}
-	return m, nil
+	return &MultiSystem{cfg: c, byName: map[string]int{}, st: st}, nil
 }
 
 // AddPipeline registers a pipeline under a unique name. It validates the
 // pipeline, profiles its variants, and builds its planner immediately, so
 // infeasible configurations (for example an SLO no variant can meet) fail
-// here. Registration closes once traffic has been injected.
+// here. Registration closes once traffic has been injected or the HTTP front
+// door has served a request.
 func (m *MultiSystem) AddPipeline(name string, p *Pipeline, opts ...PipelineOption) error {
 	if name == "" {
 		return fmt.Errorf("loki: pipeline needs a name")
@@ -183,97 +151,37 @@ func (m *MultiSystem) AddPipeline(name string, p *Pipeline, opts ...PipelineOpti
 	if p == nil {
 		return fmt.Errorf("loki: nil pipeline")
 	}
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	pc := pipelineConfig{}
+	pc := m.cfg.tenant
+	pc.Name, pc.Graph = name, p
 	for _, o := range opts {
 		o(&pc)
 	}
-	if pc.slo == 0 {
-		pc.slo = m.cfg.slo
+	if pc.SLOSec == 0 {
+		pc.SLOSec = m.cfg.tenant.SLOSec
 	}
-	if pc.pol == nil {
-		pc.pol = m.cfg.pol
+	if pc.Policy == nil {
+		pc.Policy = m.cfg.tenant.Policy
 	}
-	if !pc.baseSet {
-		pc.baseline = m.cfg.baseline
+	if pc.Share < 0 || pc.Share >= 1 {
+		return fmt.Errorf("loki: pipeline %q share %.3f outside [0,1)", name, pc.Share)
 	}
-	if !pc.fc.set {
-		pc.fc = m.cfg.fc
+	if pc.Tier < 0 {
+		return fmt.Errorf("loki: pipeline %q tier %d is negative", name, pc.Tier)
 	}
-	if pc.share < 0 || pc.share >= 1 {
-		return fmt.Errorf("loki: pipeline %q share %.3f outside [0,1)", name, pc.share)
-	}
-	if pc.tier < 0 {
-		return fmt.Errorf("loki: pipeline %q tier %d is negative", name, pc.tier)
-	}
+	pc.Forecaster, pc.HorizonSec = pc.fc.build(), pc.fc.horizonSec()
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.built {
+	if m.closed {
 		return fmt.Errorf("loki: pipeline registration is closed once traffic has been injected")
 	}
 	if _, dup := m.byName[name]; dup {
 		return fmt.Errorf("loki: pipeline %q already registered", name)
 	}
-
-	tc := m.cfg
-	tc.slo = pc.slo
-	meta, aopts, err := metaAndOpts(p, tc)
-	if err != nil {
+	if _, err := m.st.Add(pc.Spec); err != nil {
 		return err
 	}
-	if f := pc.fc.build(); f != nil {
-		meta.SetForecaster(f)
-	}
-	planner, proteus, err := newPlannerFor(pc.baseline, meta, aopts)
-	if err != nil {
-		return err
-	}
-	col := metrics.NewCollector(30, m.cfg.servers)
-	// Arm per-class occupancy (and, when priced, cost) accounting on
-	// heterogeneous or priced fleets; the plain homogeneous zero-cost path
-	// keeps its recorded reports bit for bit.
-	if classes := meta.Classes(); len(classes) > 1 || classes[0].CostPerHour > 0 {
-		names := make([]string, len(classes))
-		costs := make([]float64, len(classes))
-		for i, cl := range classes {
-			names[i] = cl.Name
-			costs[i] = cl.CostPerHour
-		}
-		col.SetClasses(names, costs)
-	}
-	t := &msTenant{
-		name:      name,
-		pipe:      p,
-		pcfg:      pc,
-		meta:      meta,
-		planner:   planner,
-		col:       col,
-		fcHorizon: pc.fc.horizonSec(),
-		ecfg: engine.TenantConfig{
-			Meta:      meta,
-			Policy:    pc.pol,
-			Collector: col,
-			SLOSec:    pc.slo.Seconds(),
-			Tier:      pc.tier,
-		},
-	}
-	if proteus != nil {
-		t.ecfg.OnTaskDemand = proteus.ObserveTaskDemand
-	}
-	if m.cfg.admission {
-		t.adm = ingress.NewAdmission(ingress.Config{
-			SLOSec: pc.slo.Seconds(),
-			// Granted routes carry the planner's headroom-inflated ceiling;
-			// admit at the demand the plan was actually sized for.
-			TargetUtilization: 1 / (1 + m.cfg.headroomOrDefault()),
-		})
-		t.ecfg.Admission = t.adm
-	}
-	m.byName[name] = len(m.tenants)
-	m.tenants = append(m.tenants, t)
+	m.byName[name] = len(m.st.Tenants) - 1
 	return nil
 }
 
@@ -281,9 +189,13 @@ func (m *MultiSystem) AddPipeline(name string, p *Pipeline, opts ...PipelineOpti
 func (m *MultiSystem) Pipelines() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, len(m.tenants))
-	for i, t := range m.tenants {
-		out[i] = t.name
+	return m.namesLocked()
+}
+
+func (m *MultiSystem) namesLocked() []string {
+	out := make([]string, len(m.st.Tenants))
+	for i, t := range m.st.Tenants {
+		out[i] = t.Name
 	}
 	return out
 }
@@ -296,130 +208,20 @@ func (m *MultiSystem) buildLocked() error {
 	if m.built {
 		return nil
 	}
-	if len(m.tenants) == 0 {
+	if len(m.st.Tenants) == 0 {
 		return fmt.Errorf("loki: no pipelines registered")
 	}
-	classes, _, err := m.cfg.resolvedClasses()
-	if err != nil {
+	if err := m.st.Build(); err != nil {
 		return err
 	}
-	mc := engine.MultiConfig{
-		Servers:        m.cfg.servers,
-		Classes:        classes,
-		NetLatencySec:  m.cfg.netLatency.Seconds(),
-		Seed:           m.cfg.seed,
-		SwapLatencySec: m.cfg.swap.Seconds(),
-		ExecJitter:     m.cfg.jitter,
-		TimeScale:      m.cfg.timeScale,
-		Faults:         m.cfg.faultSchedule(),
-		OnFault:        m.cfg.onFault,
-	}
-	for i, t := range m.tenants {
-		if m.reg != nil {
-			// The collector mirrors the engine's physical worker layout
-			// (class by class, in class order); the tracer samples from its
-			// own seeded stream, disjoint from the per-tenant cluster
-			// (seed+1+2i) and arrival (seed+2+2i) streams, so telemetry
-			// never perturbs serving.
-			var colOpts []telemetry.CollectorOption
-			if m.cfg.workerMetricsSet {
-				colOpts = append(colOpts, telemetry.WithWorkerMetricsLimit(m.cfg.workerMetricsLimit))
-			}
-			t.tel = telemetry.NewCollector(m.reg, t.name, telemetryClasses(classes), colOpts...)
-			prob := m.cfg.traceProb
-			if !m.cfg.traceSet {
-				prob = 1.0 / 64
-			}
-			t.tracer = telemetry.NewTracer(t.name, prob, m.cfg.seed+9001+2*int64(i))
-			t.ecfg.Telemetry = t.tel
-			t.ecfg.Tracer = t.tracer
-		}
-		mc.Tenants = append(mc.Tenants, t.ecfg)
-	}
-	eng, err := engine.NewMulti(engine.Kind(m.cfg.engine), mc)
-	if err != nil {
-		return err
-	}
-	ctenants := make([]*core.Tenant, len(m.tenants))
-	for i, t := range m.tenants {
-		i, adm := i, t.adm
-		// An admission-fronted tenant never has to plan for overload: the
-		// front door sheds whatever the pool cannot serve within the SLO, so
-		// cap its planning demand at that capacity. Without the cap an
-		// overload pushes the planner into a saturated throughput-optimal
-		// plan whose oversized batches miss the SLO by construction, and
-		// admission throttling arrivals into such a plan only starves its
-		// batches. MaxCapacity bisects with feasibility probes, about 16 on
-		// a 20-server pool, most decided by one LP relaxation and a few by a
-		// branch and bound stopped at its first integer point, then solves
-		// the capacity itself in full for the warm start this tenant's
-		// first plans fall back on (≈0.6 s in all for traffic-analysis);
-		// it runs once, here, at control-plane build time.
-		var demandCap float64
-		if adm != nil {
-			if alloc, ok := t.planner.(*core.Allocator); ok {
-				demandCap = alloc.MaxCapacity(0, 20000)
-			}
-		}
-		ctenants[i] = &core.Tenant{
-			Name:               t.name,
-			Tier:               t.pcfg.tier,
-			Meta:               t.meta,
-			Alloc:              t.planner,
-			MinShare:           t.pcfg.share,
-			RouteHeadroom:      m.cfg.headroomOrDefault(),
-			ForecastHorizonSec: t.fcHorizon,
-			DemandCapQPS:       demandCap,
-			CacheDisabled:      m.cfg.plannerCacheOff,
-			// The engine retargets the admission controller on every
-			// publication.
-			Publish: func(plan *core.Plan, routes *core.Routes) { eng.ApplyPlan(i, plan, routes) },
-		}
-	}
-	ctrl, err := core.NewMultiController(m.cfg.servers, ctenants)
-	if err != nil {
-		return err
-	}
-	ctrl.SetTelemetry(m.reg)
-	m.eng = eng
-	m.ctrl = ctrl
-	m.built = true
+	m.built, m.closed = true, true
 	return nil
 }
 
-// primeLocked runs the first joint allocation if none has happened yet.
-// openQPS seeds each tenant's demand estimate (nil or zero entries allocate
-// keep-warm minimal plans).
-func (m *MultiSystem) primeLocked(openQPS []float64) error {
-	if m.primed {
-		return nil
-	}
-	for i, t := range m.tenants {
-		if openQPS != nil && openQPS[i] > 0 {
-			t.meta.ObserveDemand(openQPS[i])
-		}
-	}
-	if err := m.ctrl.Step(true); err != nil {
-		return err
-	}
-	m.primed = true
-	return nil
-}
-
-// startLocked launches the engine on the first injection (after priming).
-func (m *MultiSystem) startLocked() error {
-	if m.engStarted {
-		return nil
-	}
-	if err := m.eng.Start(m.ctrl); err != nil {
-		return err
-	}
-	m.engStarted = true
-	return nil
-}
-
-// admit is the shared build→prime→start preamble of every injection path.
-// Callers hold m.mu.
+// admit is the shared build→prime→start preamble of every injection path:
+// the first call runs the first joint allocation, with openQPS (nil or
+// non-positive entries plan keep-warm minimal plans) seeding each tenant's
+// demand estimate, then launches the engine. Callers hold m.mu.
 func (m *MultiSystem) admit(openQPS []float64) error {
 	if m.stopped {
 		return ErrStopped
@@ -427,10 +229,19 @@ func (m *MultiSystem) admit(openQPS []float64) error {
 	if err := m.buildLocked(); err != nil {
 		return err
 	}
-	if err := m.primeLocked(openQPS); err != nil {
-		return err
+	if !m.primed {
+		if err := m.st.Prime(openQPS); err != nil {
+			return err
+		}
+		m.primed = true
 	}
-	return m.startLocked()
+	if !m.engStarted {
+		if err := m.st.Start(); err != nil {
+			return err
+		}
+		m.engStarted = true
+	}
+	return nil
 }
 
 func (m *MultiSystem) index(name string) (int, error) {
@@ -439,6 +250,17 @@ func (m *MultiSystem) index(name string) (int, error) {
 		return 0, fmt.Errorf("%w %q", ErrUnknownPipeline, name)
 	}
 	return i, nil
+}
+
+// lookup resolves a pipeline name to its index and tenant; built reports
+// whether the shared engine and controller exist yet.
+func (m *MultiSystem) lookup(name string) (i int, t *stack.Tenant, built bool, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if i, err = m.index(name); err != nil {
+		return 0, nil, false, err
+	}
+	return i, m.st.Tenants[i], m.built, nil
 }
 
 // Submit admits one request for the named pipeline at the system's current
@@ -456,7 +278,7 @@ func (m *MultiSystem) Submit(ctx context.Context, pipeline string) error {
 	if err != nil {
 		return err
 	}
-	return m.eng.Submit(i)
+	return m.st.Eng.Submit(i)
 }
 
 // Feed plays a workload trace through the named pipeline, blocking until
@@ -468,21 +290,7 @@ func (m *MultiSystem) Feed(pipeline string, tr *Trace) error {
 	if tr == nil || len(tr.QPS) == 0 {
 		return fmt.Errorf("loki: empty trace")
 	}
-	m.mu.Lock()
-	i, err := m.index(pipeline)
-	var traces []*Trace
-	if err == nil {
-		traces = make([]*Trace, len(m.tenants))
-		traces[i] = tr
-		open := make([]float64, len(m.tenants))
-		open[i] = tr.QPS[0]
-		err = m.admit(open)
-	}
-	m.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return m.eng.FeedAll(traces)
+	return m.FeedAll(map[string]*Trace{pipeline: tr})
 }
 
 // FeedAll plays one trace per named pipeline concurrently on the shared
@@ -493,8 +301,8 @@ func (m *MultiSystem) FeedAll(traces map[string]*Trace) error {
 		return fmt.Errorf("loki: FeedAll needs at least one trace")
 	}
 	m.mu.Lock()
-	arr := make([]*Trace, len(m.tenants))
-	open := make([]float64, len(m.tenants))
+	arr := make([]*Trace, len(m.st.Tenants))
+	open := make([]float64, len(m.st.Tenants))
 	var err error
 	for name, tr := range traces {
 		var i int
@@ -515,7 +323,7 @@ func (m *MultiSystem) FeedAll(traces map[string]*Trace) error {
 	if err != nil {
 		return err
 	}
-	return m.eng.FeedAll(arr)
+	return m.st.Eng.FeedAll(arr)
 }
 
 // Stop gracefully drains in-flight requests of every pipeline and shuts the
@@ -533,95 +341,77 @@ func (m *MultiSystem) Stop() error {
 	if !started {
 		return nil
 	}
-	return m.eng.Stop()
+	return m.st.Eng.Stop()
 }
 
 // Snapshot returns live counters for the named pipeline without disturbing
 // the run (zeros before the first injection).
 func (m *MultiSystem) Snapshot(pipeline string) (Snapshot, error) {
-	m.mu.Lock()
-	i, err := m.index(pipeline)
-	built := m.built
-	var t *msTenant
-	if err == nil {
-		t = m.tenants[i]
-	}
-	m.mu.Unlock()
-	if err != nil {
+	i, t, built, err := m.lookup(pipeline)
+	if err != nil || !built {
 		return Snapshot{}, err
 	}
-	if !built {
-		return Snapshot{}, nil
-	}
-	st := m.eng.Stats(i)
+	st := m.st.Eng.Stats(i)
 	snap := Snapshot{
-		TimeSec:         m.eng.Now(),
+		TimeSec:         m.st.Eng.Now(),
 		Arrivals:        st.Injected,
 		Completed:       st.Completed,
 		Dropped:         st.Dropped,
 		Rerouted:        st.Rerouted,
 		Shed:            st.Shed,
 		InFlight:        st.Injected - st.Completed - st.Dropped,
-		ActiveServers:   m.eng.ActiveServers(i),
-		GrantedServers:  m.ctrl.Grants()[i],
-		Allocates:       m.ctrl.AllocatesOf(i),
-		ObservedDemand:  t.meta.LastObservedDemand(),
-		PredictedDemand: t.meta.PredictedDemand(t.fcHorizon),
+		ActiveServers:   m.st.Eng.ActiveServers(i),
+		GrantedServers:  m.st.Ctrl.Grants()[i],
+		Allocates:       m.st.Ctrl.AllocatesOf(i),
+		ObservedDemand:  t.Meta.LastObservedDemand(),
+		PredictedDemand: t.Meta.PredictedDemand(t.HorizonSec),
 	}
-	if t.adm != nil {
-		snap.AdmittedQPS, snap.ShedQPS = t.adm.Rates(snap.TimeSec)
-		snap.GrantedRateQPS = t.adm.Rate()
+	if t.Adm != nil {
+		snap.AdmittedQPS, snap.ShedQPS = t.Adm.Rates(snap.TimeSec)
+		snap.GrantedRateQPS = t.Adm.Rate()
 	}
-	snap.Workers = t.tel.Rows()
-	live := t.meta.LiveClassCounts()
+	snap.Workers = t.Tel.Rows()
+	live := t.Meta.LiveClassCounts()
 	for _, n := range live {
 		snap.LiveServers += n
 	}
-	if classes := t.meta.Classes(); len(classes) > 1 {
-		active := m.eng.ActiveByClass(i)
-		grants := m.ctrl.ClassGrants()[i]
-		snap.ActiveServersByClass = map[string]int{}
-		snap.GrantedServersByClass = map[string]int{}
-		snap.LiveServersByClass = map[string]int{}
-		for c, cl := range classes {
-			if c < len(active) {
-				snap.ActiveServersByClass[cl.Name] = active[c]
-			}
-			if c < len(grants) {
-				snap.GrantedServersByClass[cl.Name] = grants[c]
-			}
-			if c < len(live) {
-				snap.LiveServersByClass[cl.Name] = live[c]
-			}
-		}
+	if classes := t.Meta.Classes(); len(classes) > 1 {
+		snap.ActiveServersByClass = byClass(classes, m.st.Eng.ActiveByClass(i))
+		snap.GrantedServersByClass = byClass(classes, m.st.Ctrl.ClassGrants()[i])
+		snap.LiveServersByClass = byClass(classes, live)
 	}
 	return snap, nil
+}
+
+// byClass keys per-class counts by class name.
+func byClass(classes []HardwareClass, counts []int) map[string]int {
+	out := make(map[string]int, len(classes))
+	for c, cl := range classes {
+		if c < len(counts) {
+			out[cl.Name] = counts[c]
+		}
+	}
+	return out
 }
 
 // Plan returns the named pipeline's standing allocation plan (nil before
 // the first allocation).
 func (m *MultiSystem) Plan(pipeline string) (*Plan, error) {
-	m.mu.Lock()
-	i, err := m.index(pipeline)
-	built := m.built
-	m.mu.Unlock()
+	i, _, built, err := m.lookup(pipeline)
 	if err != nil || !built {
 		return nil, err
 	}
-	return m.ctrl.PlanOf(i), nil
+	return m.st.Ctrl.PlanOf(i), nil
 }
 
 // Routes returns the named pipeline's standing routing tables (nil before
 // the first allocation).
 func (m *MultiSystem) Routes(pipeline string) (*Routes, error) {
-	m.mu.Lock()
-	i, err := m.index(pipeline)
-	built := m.built
-	m.mu.Unlock()
+	i, _, built, err := m.lookup(pipeline)
 	if err != nil || !built {
 		return nil, err
 	}
-	return m.ctrl.RoutesOf(i), nil
+	return m.st.Ctrl.RoutesOf(i), nil
 }
 
 // Grants returns the servers currently granted to each pipeline by the
@@ -629,16 +419,13 @@ func (m *MultiSystem) Routes(pipeline string) (*Routes, error) {
 func (m *MultiSystem) Grants() map[string]int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]int, len(m.tenants))
-	if !m.built {
-		for _, t := range m.tenants {
-			out[t.name] = 0
-		}
-		return out
+	g := make([]int, len(m.st.Tenants))
+	if m.built {
+		g = m.st.Ctrl.Grants()
 	}
-	g := m.ctrl.Grants()
-	for i, t := range m.tenants {
-		out[t.name] = g[i]
+	out := make(map[string]int, len(g))
+	for i, t := range m.st.Tenants {
+		out[t.Name] = g[i]
 	}
 	return out
 }
@@ -649,14 +436,11 @@ func (m *MultiSystem) Grants() map[string]int {
 // admits at. Zero before the first allocation; available with or without
 // WithAdmission.
 func (m *MultiSystem) GrantedRate(pipeline string) (float64, error) {
-	m.mu.Lock()
-	i, err := m.index(pipeline)
-	built := m.built
-	m.mu.Unlock()
+	i, _, built, err := m.lookup(pipeline)
 	if err != nil || !built {
 		return 0, err
 	}
-	return ingress.FrontendRate(m.ctrl.RoutesOf(i)), nil
+	return ingress.FrontendRate(m.st.Ctrl.RoutesOf(i)), nil
 }
 
 // ServeHTTP exposes the system over HTTP (the ingress front door):
@@ -674,18 +458,22 @@ func (m *MultiSystem) GrantedRate(pipeline string) (float64, error) {
 // virtual time does not advance between requests on the Simulated engine.
 func (m *MultiSystem) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m.httpOnce.Do(func() {
+		// The front door's pipeline table is fixed here, so registration
+		// closes with it: a pipeline added later would answer 404 forever.
+		m.mu.Lock()
+		m.closed = true
+		names := m.namesLocked()
+		m.mu.Unlock()
 		var metricsFn func(io.Writer)
-		if reg := m.reg; reg != nil {
+		if reg := m.st.Registry; reg != nil {
 			metricsFn = func(w io.Writer) { reg.WritePrometheus(w) }
 		}
 		m.httpSrv = ingress.NewServer(ingress.ServerConfig{
-			Pipelines: m.Pipelines(),
+			Pipelines: names,
 			Submit:    m.Submit,
-			Snapshot: func(pipeline string) (any, error) {
-				return m.Snapshot(pipeline)
-			},
-			Draining: m.draining.Load,
-			Metrics:  metricsFn,
+			Snapshot:  func(pipeline string) (any, error) { return m.Snapshot(pipeline) },
+			Draining:  m.draining.Load,
+			Metrics:   metricsFn,
 		})
 	})
 	m.httpSrv.ServeHTTP(w, r)
@@ -701,9 +489,7 @@ func (m *MultiSystem) Drain() { m.draining.Store(true) }
 // Report summarizes the named pipeline's run so far with the §6.1 metrics,
 // labeled with the pipeline name.
 func (m *MultiSystem) Report(pipeline string) (*Report, error) {
-	m.mu.Lock()
-	i, err := m.index(pipeline)
-	m.mu.Unlock()
+	i, _, _, err := m.lookup(pipeline)
 	if err != nil {
 		return nil, err
 	}
@@ -712,19 +498,18 @@ func (m *MultiSystem) Report(pipeline string) (*Report, error) {
 
 func (m *MultiSystem) reportOf(i int) *Report {
 	m.mu.Lock()
-	t := m.tenants[i]
-	built := m.built
-	eng := m.eng
+	t := m.st.Tenants[i]
+	eng := m.st.Eng // nil until the first injection
 	m.mu.Unlock()
-	sum := t.col.Summarize()
+	sum := t.Col.Summarize()
 	var rerouted int64
-	if built {
+	if eng != nil {
 		rerouted = eng.Stats(i).Rerouted
 	}
 	r := summaryToReport(sum, rerouted)
-	r.Pipeline = t.name
-	r.Series = t.col.Series()
-	r.Stages = t.tracer.StageSummary()
+	r.Pipeline = t.Name
+	r.Series = t.Col.Series()
+	r.Stages = t.Tracer.StageSummary()
 	return r
 }
 
@@ -733,7 +518,7 @@ func (m *MultiSystem) reportOf(i int) *Report {
 // programmatic access (Gather) or Prometheus-text rendering
 // (WritePrometheus — the bytes GET /metrics serves). Nil under
 // WithTelemetry(false).
-func (m *MultiSystem) Telemetry() *TelemetryRegistry { return m.reg }
+func (m *MultiSystem) Telemetry() *TelemetryRegistry { return m.st.Registry }
 
 // WriteTraces writes every pipeline's sampled request traces as indented
 // JSON: an array with one {tenant, stages, traces} object per registered
@@ -743,11 +528,11 @@ func (m *MultiSystem) Telemetry() *TelemetryRegistry { return m.reg }
 // The serving CLIs expose this as lokiserve -trace-out.
 func (m *MultiSystem) WriteTraces(w io.Writer) error {
 	m.mu.Lock()
-	tenants := append([]*msTenant(nil), m.tenants...)
+	tenants := append([]*stack.Tenant(nil), m.st.Tenants...)
 	m.mu.Unlock()
 	exports := make([]json.RawMessage, 0, len(tenants))
 	for _, t := range tenants {
-		b, err := t.tracer.ExportJSON()
+		b, err := t.Tracer.ExportJSON()
 		if err != nil {
 			return err
 		}
@@ -764,7 +549,7 @@ func (m *MultiSystem) WriteTraces(w io.Writer) error {
 // Reports returns every pipeline's Report, keyed by name.
 func (m *MultiSystem) Reports() map[string]*Report {
 	m.mu.Lock()
-	n := len(m.tenants)
+	n := len(m.st.Tenants)
 	m.mu.Unlock()
 	out := make(map[string]*Report, n)
 	for i := 0; i < n; i++ {
@@ -782,15 +567,14 @@ func (m *MultiSystem) Reports() map[string]*Report {
 // Reports, so mixed-tenant numbers are never silently summed.
 func (m *MultiSystem) AggregateReport() *Report {
 	m.mu.Lock()
-	tenants := append([]*msTenant(nil), m.tenants...)
-	built := m.built
-	eng := m.eng
+	tenants := append([]*stack.Tenant(nil), m.st.Tenants...)
+	eng := m.st.Eng
 	m.mu.Unlock()
 	sums := make([]metrics.Summary, len(tenants))
 	var rerouted int64
 	for i, t := range tenants {
-		sums[i] = t.col.Summarize()
-		if built {
+		sums[i] = t.Col.Summarize()
+		if eng != nil {
 			rerouted += eng.Stats(i).Rerouted
 		}
 	}
