@@ -616,7 +616,9 @@ func (m *MultiController) Tenants() int { return len(m.tenants) }
 // Step runs one joint Resource Manager invocation across all tenants:
 // estimate each tenant's demand, rerun the capacity-splitting outer loop if
 // forced or any tenant's demand moved past the threshold, and publish every
-// tenant's plan and routing tables.
+// tenant's plan and routing tables. The route builds fan out across tenants
+// like the solves; the plans reach the engines afterwards, in registration
+// order (publishAll).
 func (m *MultiController) Step(force bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -658,8 +660,8 @@ func (m *MultiController) Step(force bool) error {
 	m.capChanged = false
 	for i, t := range m.tenants {
 		t.planDmd = demands[i]
-		t.publish(demands[i])
 	}
+	m.publishAll(demands)
 	return nil
 }
 
@@ -1390,13 +1392,23 @@ func dedupInts(xs []int) []int {
 	return out
 }
 
-// publish rebuilds one tenant's routing tables for the given demand and
-// pushes plan+routes to its engine. Callers hold the controller lock.
-func (t *Tenant) publish(demand float64) {
-	specs := ExpandPlan(t.plan)
-	t.routes = MostAccurateFirst(t.Meta.Graph(), specs, demand*(1+t.RouteHeadroom), t.Meta.MultFactor)
-	if t.Publish != nil {
-		t.Publish(t.plan, t.routes)
+// publishAll rebuilds the routing tables of every tenant holding a plan, at
+// demands[i], fanned out like the solves (a route build touches only its
+// tenant's state), then pushes plan and routes to the engines in
+// registration order, after the barrier: the engines see the same ApplyPlan
+// sequence as from a serial round. Callers hold the controller lock.
+func (m *MultiController) publishAll(demands []float64) {
+	_ = m.forEachTenant(func(i int, t *Tenant) error {
+		if t.plan != nil {
+			specs := ExpandPlan(t.plan)
+			t.routes = MostAccurateFirst(t.Meta.Graph(), specs, demands[i]*(1+t.RouteHeadroom), t.Meta.MultFactor)
+		}
+		return nil
+	})
+	for _, t := range m.tenants {
+		if t.plan != nil && t.Publish != nil {
+			t.Publish(t.plan, t.routes)
+		}
 	}
 }
 
@@ -1406,12 +1418,13 @@ func (t *Tenant) publish(demand float64) {
 func (m *MultiController) Rebalance() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, t := range m.tenants {
-		if t.plan == nil {
-			continue
+	demands := make([]float64, len(m.tenants))
+	for i, t := range m.tenants {
+		if t.plan != nil {
+			demands[i] = t.planningDemand()
 		}
-		t.publish(t.planningDemand())
 	}
+	m.publishAll(demands)
 }
 
 // PlanOf returns tenant i's standing plan (nil before the first Step).

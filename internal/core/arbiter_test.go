@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -278,5 +281,97 @@ func TestTenantCacheIsBounded(t *testing.T) {
 	}
 	if stub.calls != calls {
 		t.Fatal("repeating the last solve reached the planner: the cache stopped answering")
+	}
+}
+
+// Tenants sharing one *pipeline.Graph and one set of profile tables, as on
+// plan-fleet, build their routes concurrently on the publish fan-out. Over
+// forced steps with the greedy-replace budget on, each followed by a
+// Rebalance, a controller fanning out publishes the same plans and routes,
+// in registration order, as one stepped at GOMAXPROCS 1, where every
+// fan-out runs serially. Under -race this checks that the concurrent route
+// builds share nothing mutable.
+func TestSharedGraphRoundMatchesSequential(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+
+	const tenants, rounds = 4, 8
+	g := profiles.TrafficChain()
+	classes := []profiles.Class{
+		{Name: "fast", Count: 8, Speed: 2.0},
+		{Name: "mid", Count: 16, Speed: 1.0},
+		{Name: "slow", Count: 16, Speed: 0.5},
+	}
+	prof := (&profiles.Profiler{Seed: 11}).ProfileGraphClasses(g, profiles.Batches, classes)
+	type publication struct {
+		tenant int
+		plan   *Plan
+		routes *Routes
+	}
+	build := func(log *[]publication) *MultiController {
+		ts := make([]*Tenant, tenants)
+		for i := range ts {
+			meta := NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
+			alloc, err := NewAllocator(meta, AllocatorOptions{
+				NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
+				SolveTimeLimit: 30 * time.Second, DisableStall: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts[i] = &Tenant{
+				Name: fmt.Sprintf("t%d", i), Meta: meta, Alloc: alloc, RouteHeadroom: 0.30,
+				Publish: func(plan *Plan, routes *Routes) {
+					*log = append(*log, publication{i, plan, routes})
+				},
+			}
+		}
+		mc, err := NewMultiController(40, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc.GreedyReplaceBudget = tenants
+		return mc
+	}
+	var parLog, seqLog []publication
+	par, seq := build(&parLog), build(&seqLog)
+
+	rng := rand.New(rand.NewSource(3))
+	levels := []float64{60, 90, 120, 150}
+	for round := 0; round < rounds; round++ {
+		for i := range levels {
+			levels[i] *= 1 + 0.08*rng.Float64() - 0.04
+		}
+		for _, c := range []struct {
+			mc    *MultiController
+			procs int
+		}{{par, 4}, {seq, 1}} {
+			runtime.GOMAXPROCS(c.procs)
+			for i, tn := range c.mc.tenants {
+				for k := 0; k < 8; k++ {
+					tn.Meta.ObserveDemand(levels[i])
+				}
+			}
+			if err := c.mc.Step(true); err != nil {
+				t.Fatal(err)
+			}
+			c.mc.Rebalance()
+		}
+	}
+	if par.GreedyReplaced() == 0 {
+		t.Fatal("no plan was replaced greedily; the budget is not exercised")
+	}
+	if len(parLog) != 2*rounds*tenants || len(seqLog) != len(parLog) {
+		t.Fatalf("%d and %d publications, want %d each", len(parLog), len(seqLog), 2*rounds*tenants)
+	}
+	for k, p := range parLog {
+		s := seqLog[k]
+		if p.tenant != k%tenants || s.tenant != p.tenant {
+			t.Fatalf("publication %d went to tenants %d and %d, want %d (registration order)", k, p.tenant, s.tenant, k%tenants)
+		}
+		comparePlans(t, fmt.Sprintf("publication %d", k), levels[p.tenant], p.plan, s.plan)
+		if !reflect.DeepEqual(p.routes, s.routes) {
+			t.Fatalf("publication %d (tenant %d): routes differ from the sequential controller's", k, p.tenant)
+		}
 	}
 }

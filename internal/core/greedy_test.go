@@ -2,6 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -275,4 +278,134 @@ func TestArbiterGreedyReplaceBudget(t *testing.T) {
 	if perf.GreedyPlans == 0 && t1[1].Alloc.(*Allocator).Perf().GreedyPlans == 0 {
 		t.Fatal("GreedyReplaced > 0 but no allocator counted a greedy plan")
 	}
+}
+
+// referenceGreedyOrder is the greedy pass's candidate order computed the way
+// it was before the order was cached on the step model: every usable path
+// costed at the call's demand, each sink's candidates stably sorted by
+// (accuracy unless the step fixes the variants, cost, path index).
+func referenceGreedyOrder(a *Allocator, demand float64, step stepKind, m *stepModel) [][]int {
+	fixedCost := step == stepHardware || step == stepHardwareSat
+	cost := make([]float64, len(a.paths))
+	for pi := range a.paths {
+		if m.pathVar[pi] < 0 {
+			continue
+		}
+		pth := &a.paths[pi]
+		c := 0.0
+		for h, ci := range pth.cfgs {
+			w := 1.0
+			if a.priced {
+				w = a.classes[a.cfgs[ci].class].CostPerHour + serverCostEps
+			}
+			c += w * demand * pth.mults[h] / a.cfgs[ci].qps
+		}
+		cost[pi] = c
+	}
+	cands := make([][]int, len(a.sinks))
+	for s := range a.sinks {
+		for _, pi := range a.pathsBySink[s] {
+			if m.pathVar[pi] >= 0 {
+				cands[s] = append(cands[s], pi)
+			}
+		}
+		c := cands[s]
+		sort.SliceStable(c, func(x, y int) bool {
+			px, py := c[x], c[y]
+			if !fixedCost && a.paths[px].acc != a.paths[py].acc {
+				return a.paths[px].acc > a.paths[py].acc
+			}
+			if cost[px] != cost[py] {
+				return cost[px] < cost[py]
+			}
+			return px < py
+		})
+	}
+	return cands
+}
+
+// The candidate order cached on the step model is the order the per-call
+// sort gives, and the greedy pass returns the point it returned: on the two
+// paper pipelines, the 3-class fleet chain and a priced 2-class pool, at
+// zero demand and on a grid past each pool's capacity, for every step, on
+// the full pool and on capped views.
+func TestGreedyOrderMatchesPerCallSort(t *testing.T) {
+	priced := heteroTenant(t, "priced", 0).Alloc.(*Allocator)
+	if !priced.priced {
+		t.Fatal("the 2-class fixture is not priced")
+	}
+	fixtures := []struct {
+		name string
+		a    *Allocator
+		top  float64 // past the pool's capacity
+	}{
+		{"traffic-analysis", pinAllocator(t, "traffic-analysis"), 3000},
+		{"social-media", pinAllocator(t, "social-media"), 7000},
+		{"fleet-chain", pinAllocator(t, "fleet-chain"), 60000},
+		{"priced-2class", priced, 1200},
+	}
+	demands := func(top float64) []float64 {
+		ds := []float64{0, 1e-3, 0.5, 1}
+		for d := 2.0; d < top; d *= 1.37 {
+			ds = append(ds, d, d*1.003)
+		}
+		return append(ds, top)
+	}
+	steps := []stepKind{stepHardware, stepAccuracy, stepSaturation, stepHardwareSat}
+	rng := rand.New(rand.NewSource(5))
+	seeded := 0
+	for _, fx := range fixtures {
+		views := []*Allocator{fx.a}
+		for len(views) < 3 {
+			caps := make([]int, len(fx.a.counts))
+			for cl, n := range fx.a.counts {
+				caps[cl] = rng.Intn(n + 1)
+			}
+			if fx.a.checkCaps(caps) == nil {
+				views = append(views, fx.a.Capped(caps))
+			}
+		}
+		for _, al := range views {
+			for _, step := range steps {
+				for _, d := range demands(fx.top) {
+					st := al.state
+					st.mu.Lock()
+					m := al.modelFor(step)
+					want := referenceGreedyOrder(al, d, step, m)
+					got := al.greedyCandidates(d, step, m)
+					wantX := al.greedySearch(d, step, m, want)
+					gotX := al.greedySeed(d, step, m)
+					st.mu.Unlock()
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s caps %v step %d demand %v: candidate order differs from the per-call sort",
+							fx.name, al.counts, step, d)
+					}
+					if !samePoint(gotX, wantX) {
+						t.Fatalf("%s caps %v step %d demand %v: greedy point %v, per-call sort gives %v",
+							fx.name, al.counts, step, d, gotX, wantX)
+					}
+					if gotX != nil {
+						seeded++
+					}
+				}
+			}
+		}
+	}
+	if seeded == 0 {
+		t.Fatal("no fixture produced a greedy point")
+	}
+}
+
+// samePoint reports whether two solution vectors are identical bit for bit
+// (both nil counts as identical).
+func samePoint(x, y []float64) bool {
+	if (x == nil) != (y == nil) || len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
 }

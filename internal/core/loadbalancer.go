@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"loki/internal/pipeline"
 )
@@ -42,7 +43,14 @@ func (s *WorkerSpec) QueueCap(factor, sloSec float64) int {
 // ExpandPlan flattens a plan into one WorkerSpec per replica, assigning
 // dense worker IDs.
 func ExpandPlan(plan *Plan) []WorkerSpec {
-	var specs []WorkerSpec
+	n := 0
+	for _, a := range plan.Assignments {
+		n += max(a.Replicas, 0)
+	}
+	if n == 0 {
+		return nil
+	}
+	specs := make([]WorkerSpec, 0, n)
 	for _, a := range plan.Assignments {
 		for r := 0; r < a.Replicas; r++ {
 			specs = append(specs, WorkerSpec{
@@ -115,22 +123,34 @@ func MostAccurateFirst(g *pipeline.Graph, specs []WorkerSpec, demand float64,
 		incoming float64
 		capacity float64 // remaining unallocated QPS
 	}
-	byTask := make([][]*state, len(g.Tasks))
+	// One slab of worker states, sorted by task and, within a task, most
+	// accurate first (then fastest, then lowest ID: a total order);
+	// byTask[t] is task t's run of it.
+	states := make([]state, len(specs))
 	for i := range specs {
-		s := &state{spec: &specs[i], capacity: specs[i].QPS}
-		byTask[s.spec.Task] = append(byTask[s.spec.Task], s)
+		states[i] = state{spec: &specs[i], capacity: specs[i].QPS}
 	}
-	for _, ws := range byTask {
-		sort.Slice(ws, func(i, j int) bool {
-			a, b := ws[i].spec, ws[j].spec
-			if a.Accuracy != b.Accuracy {
-				return a.Accuracy > b.Accuracy
-			}
-			if a.QPS != b.QPS {
-				return a.QPS > b.QPS
-			}
-			return a.ID < b.ID
-		})
+	slices.SortFunc(states, func(x, y state) int {
+		a, b := x.spec, y.spec
+		switch {
+		case a.Task != b.Task:
+			return cmp.Compare(a.Task, b.Task)
+		case a.Accuracy != b.Accuracy:
+			return cmp.Compare(b.Accuracy, a.Accuracy)
+		case a.QPS != b.QPS:
+			return cmp.Compare(b.QPS, a.QPS)
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	byTask := make([][]state, len(g.Tasks))
+	for lo := 0; lo < len(states); {
+		task := states[lo].spec.Task
+		hi := lo + 1
+		for hi < len(states) && states[hi].spec.Task == task {
+			hi++
+		}
+		byTask[task] = states[lo:hi:hi]
+		lo = hi
 	}
 
 	routes := &Routes{
@@ -138,14 +158,17 @@ func MostAccurateFirst(g *pipeline.Graph, specs []WorkerSpec, demand float64,
 		Tables: make(map[WorkerID]*WorkerTable, len(specs)),
 		Backup: make(map[pipeline.TaskID][]BackupEntry),
 	}
+	tables := make([]WorkerTable, len(specs))
 	for i := range specs {
-		routes.Tables[specs[i].ID] = &WorkerTable{PerChild: map[pipeline.TaskID][]RouteEntry{}}
+		tables[i].PerChild = make(map[pipeline.TaskID][]RouteEntry, len(g.Tasks[specs[i].Task].Children))
+		routes.Tables[specs[i].ID] = &tables[i]
 	}
 
 	// fill assigns `amount` of demand to the task's workers most accurate
 	// first, returning the route entries with probabilities relative to
-	// `amount`. Overflow beyond total capacity is spread proportionally to
-	// worker capacity.
+	// `amount`. A task's workers are distinct, so no worker appears twice.
+	// The entries of every fill share one slab, each capped to its own run.
+	slab := make([]RouteEntry, 0, 2*len(specs))
 	fill := func(task pipeline.TaskID, amount float64) []RouteEntry {
 		ws := byTask[task]
 		if len(ws) == 0 {
@@ -157,9 +180,10 @@ func MostAccurateFirst(g *pipeline.Graph, specs []WorkerSpec, demand float64,
 			ws[0].incoming += amount
 			return []RouteEntry{{Worker: ws[0].spec.ID, Prob: 1}}
 		}
-		var entries []RouteEntry
+		start := len(slab)
 		remaining := amount
-		for _, w := range ws {
+		for i := range ws {
+			w := &ws[i]
 			if remaining <= 1e-12 {
 				break
 			}
@@ -173,7 +197,7 @@ func MostAccurateFirst(g *pipeline.Graph, specs []WorkerSpec, demand float64,
 			w.capacity -= routed
 			w.incoming += routed
 			remaining -= routed
-			entries = append(entries, RouteEntry{Worker: w.spec.ID, Prob: routed / amount})
+			slab = append(slab, RouteEntry{Worker: w.spec.ID, Prob: routed / amount})
 		}
 		// Overload: probabilities sum below 1 and the remainder is left
 		// unrouted. The unroutable share is shed at the routing point
@@ -181,7 +205,10 @@ func MostAccurateFirst(g *pipeline.Graph, specs []WorkerSpec, demand float64,
 		// spread over already-full queues, which would push every queued
 		// request past its deadline and turn a capacity shortfall into a
 		// total outage.
-		return mergeEntries(entries)
+		if len(slab) == start {
+			return nil
+		}
+		return slab[start:len(slab):len(slab)]
 	}
 
 	routes.Frontend = fill(0, demand)
@@ -191,18 +218,19 @@ func MostAccurateFirst(g *pipeline.Graph, specs []WorkerSpec, demand float64,
 		for _, w := range byTask[task] {
 			for _, child := range t.Children {
 				out := w.incoming * multFactor(task, w.spec.Variant) * child.BranchRatio
-				entries := fill(child.Task, out)
-				routes.Tables[w.spec.ID].PerChild[child.Task] = entries
+				routes.Tables[w.spec.ID].PerChild[child.Task] = fill(child.Task, out)
 			}
 		}
 	}
 
-	// Backup tables: workers with leftover capacity, most accurate first.
+	// Backup tables: workers with leftover capacity, most accurate first,
+	// each task's run in one slab.
+	backup := make([]BackupEntry, 0, len(specs))
 	for task := range g.Tasks {
-		var b []BackupEntry
+		start := len(backup)
 		for _, w := range byTask[task] {
 			if w.capacity > 1e-9 {
-				b = append(b, BackupEntry{
+				backup = append(backup, BackupEntry{
 					Worker:   w.spec.ID,
 					Leftover: w.capacity,
 					ExecSec:  w.spec.LatencySec,
@@ -210,34 +238,25 @@ func MostAccurateFirst(g *pipeline.Graph, specs []WorkerSpec, demand float64,
 				})
 			}
 		}
-		sort.Slice(b, func(i, j int) bool {
-			if b[i].Accuracy != b[j].Accuracy {
-				return b[i].Accuracy > b[j].Accuracy
+		b := backup[start:len(backup):len(backup)]
+		// Not a total order: the replicas of one config tie, and the routes
+		// keep the order pdqsort leaves them in under this comparison.
+		slices.SortFunc(b, func(x, y BackupEntry) int {
+			switch {
+			case x.Accuracy > y.Accuracy:
+				return -1
+			case x.Accuracy != y.Accuracy:
+				return 1
+			case x.ExecSec < y.ExecSec:
+				return -1
+			case x.ExecSec > y.ExecSec:
+				return 1
 			}
-			return b[i].ExecSec < b[j].ExecSec
+			return 0
 		})
 		if len(b) > 0 {
 			routes.Backup[pipeline.TaskID(task)] = b
 		}
 	}
 	return routes
-}
-
-// mergeEntries coalesces duplicate workers (a worker can receive both a
-// capacity share and an overflow share).
-func mergeEntries(entries []RouteEntry) []RouteEntry {
-	if len(entries) < 2 {
-		return entries
-	}
-	idx := map[WorkerID]int{}
-	out := entries[:0]
-	for _, e := range entries {
-		if j, ok := idx[e.Worker]; ok {
-			out[j].Prob += e.Prob
-			continue
-		}
-		idx[e.Worker] = len(out)
-		out = append(out, e)
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -236,13 +237,84 @@ func TestControllerReactiveThreshold(t *testing.T) {
 	}
 }
 
-func TestMergeEntriesCoalescesDuplicates(t *testing.T) {
-	in := []RouteEntry{{Worker: 1, Prob: 0.3}, {Worker: 2, Prob: 0.2}, {Worker: 1, Prob: 0.1}}
-	out := mergeEntries(in)
-	if len(out) != 2 {
-		t.Fatalf("got %d entries, want 2", len(out))
+// fleetChainPlan is an allocator plan on the plan-fleet cell's 3-class
+// traffic chain at the given demand.
+func fleetChainPlan(t *testing.T, demand float64) (*Allocator, *Plan) {
+	t.Helper()
+	a := pinAllocator(t, "fleet-chain")
+	plan, err := a.Allocate(demand)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out[0].Worker != 1 || math.Abs(out[0].Prob-0.4) > 1e-12 {
-		t.Fatalf("merged entry = %+v", out[0])
+	return a, plan
+}
+
+// Every table MostAccurateFirst builds on a fleet plan is a sub-distribution
+// over distinct workers of the task it routes to: no worker twice,
+// probabilities in (0, 1] summing to at most one. At normal, overload and
+// zero demand.
+func TestMostAccurateFirstTablesAreSubDistributions(t *testing.T) {
+	for _, demand := range []float64{400, 2500} {
+		a, plan := fleetChainPlan(t, demand)
+		g := a.Meta.Graph()
+		specs := ExpandPlan(plan)
+		for _, routed := range []float64{demand * 1.3, demand * 4, 0} {
+			routes := MostAccurateFirst(g, specs, routed, a.Meta.MultFactor)
+			check := func(what string, task pipeline.TaskID, entries []RouteEntry) {
+				t.Helper()
+				seen := map[WorkerID]bool{}
+				sum := 0.0
+				for _, e := range entries {
+					if seen[e.Worker] {
+						t.Fatalf("demand %v routed at %v: %s names worker %d twice: %v", demand, routed, what, e.Worker, entries)
+					}
+					seen[e.Worker] = true
+					if specs[e.Worker].Task != task {
+						t.Fatalf("demand %v routed at %v: %s routes task %d to worker %d of task %d", demand, routed, what, task, e.Worker, specs[e.Worker].Task)
+					}
+					if e.Prob <= 0 || e.Prob > 1 {
+						t.Fatalf("demand %v routed at %v: %s entry %+v outside (0, 1]", demand, routed, what, e)
+					}
+					sum += e.Prob
+				}
+				if sum > 1+1e-9 {
+					t.Fatalf("demand %v routed at %v: %s probabilities sum to %v", demand, routed, what, sum)
+				}
+			}
+			check("frontend", 0, routes.Frontend)
+			for id, table := range routes.Tables {
+				for child, entries := range table.PerChild {
+					check(fmt.Sprintf("worker %d's table for task %d", id, child), child, entries)
+				}
+			}
+		}
+	}
+}
+
+// Allocation pins on an 8-worker fleet plan: the route build allocates a
+// fixed set of slabs and maps (59 objects when every worker state, table and
+// merged fill had its own), and a greedy-served call its search scratch and
+// the plan (26 when each call costed and sorted every candidate path).
+func TestFleetRoundAllocs(t *testing.T) {
+	a, plan := fleetChainPlan(t, 400)
+	g := a.Meta.Graph()
+	specs := ExpandPlan(plan)
+	if len(specs) != 8 {
+		t.Fatalf("fixture plan has %d workers, want 8", len(specs))
+	}
+	if _, ok := a.GreedyAllocate(400, nil); !ok {
+		t.Fatal("greedy pass found no plan on the fleet cell")
+	}
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		fn      func()
+	}{
+		{"MostAccurateFirst", 22, func() { MostAccurateFirst(g, specs, 400*1.3, a.Meta.MultFactor) }},
+		{"GreedyAllocate", 17, func() { a.GreedyAllocate(400, nil) }},
+	} {
+		if got := testing.AllocsPerRun(50, c.fn); got > c.ceiling {
+			t.Errorf("%s: %.0f allocations per call, ceiling %.0f", c.name, got, c.ceiling)
+		}
 	}
 }

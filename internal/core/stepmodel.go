@@ -30,6 +30,11 @@ type stepModel struct {
 
 	clusterRows []int // per-class capacity rows, in class order
 	demandTerms []demandTerm
+
+	// greedy is the greedy pass's candidate order per sink, built on the
+	// first greedy call (greedyCandidates); costs is that call's scratch.
+	greedy [][]int
+	costs  []float64
 }
 
 // demandTerm locates one capacity-row coefficient demand × mult.
