@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -104,27 +106,37 @@ type Tenant struct {
 	bbNodes   int // branch-and-bound nodes explored by fresh solves
 	lpPivots  int // simplex pivots spent by fresh solves
 
-	// Incremental re-solve tracking. lastDesire is the last desire-pass plan
-	// with the quantized buckets and pool caps it was solved under;
-	// cappedPlan records whether the standing plan came from a capped
-	// re-solve inside a grant. A tenant whose planning demand stayed in its
-	// bucket with everything else unchanged is "clean" for the round: the
-	// arbiter reuses its plans verbatim — bit-identical to what the plan
-	// cache would return — without touching the cache or the solver.
-	lastDesire     *Plan
-	desireBucket   int
-	desireFine     int
-	lastDesireCaps []int
+	// Incremental re-solve tracking. desire is the last desire-pass plan and
+	// desireKey the plan-cache key (quantized demand, pool caps) it was solved
+	// under; cappedPlan records whether the standing plan came from a capped
+	// re-solve inside a grant. A tenant whose key is unchanged and whose
+	// desire plan is still reusable is "clean" for the round: the arbiter
+	// reuses its plans verbatim — bit-identical to what the plan cache would
+	// return — without touching the cache or the solver.
+	desire         cachedPlan
+	desireKey      tenantPlanKey
 	cappedPlan     bool
 	greedyReplaced int // MILP solves replaced by the greedy pass
 }
 
-// cachedPlan is one plan-cache entry plus the fine-granularity demand
-// bucket it was solved in, which gates reuse of truncated plans.
+// cachedPlan is one solved plan plus the fine-granularity demand bucket it
+// was solved in, which gates reuse of provisional plans.
 type cachedPlan struct {
 	plan *Plan
 	// fineBucket is demandBucket(demand, legacyBucketRatio) at solve time.
 	fineBucket int
+}
+
+// reusable is the one reuse rule of the plan cache and of the arbiter's
+// dirty check: the plan answers a later solve under the same key, except
+// that a provisional plan — a search a resource limit truncated, or the
+// greedy pass alone — is reused only within the fine legacy bucket it was
+// solved in. Wide threshold-quantized buckets then never pin a degraded plan
+// across a whole demand band: once demand drifts a few percent the solve is
+// retried (warm-started from the provisional plan, so quality only ratchets
+// up).
+func (e cachedPlan) reusable(fine int) bool {
+	return e.plan != nil && (!(e.plan.SolveStats.Truncated || e.plan.SolveStats.Greedy) || e.fineBucket == fine)
 }
 
 // maxKeyClasses is how many hardware classes a plan-cache key holds inline.
@@ -210,28 +222,15 @@ func demandBucket(d, ratio float64) int {
 // solve runs the tenant's planner through its plan cache, quantizing demand
 // at the given geometric ratio. A nil caps vector solves at the planner's
 // own full cluster size; a non-nil per-class grant vector requires the
-// CappedPlanner solve. When CacheDisabled is set every call solves fresh.
-// Safe for concurrent use across distinct tenants (each tenant owns its
-// cache); callers serialize calls for the same tenant.
+// CappedPlanner solve. When CacheDisabled is set nothing enters the cache,
+// so every call solves fresh. Safe for concurrent use across distinct
+// tenants (each tenant owns its cache); callers serialize calls for the same
+// tenant.
 func (t *Tenant) solve(demand float64, caps []int, ratio float64) (*Plan, error) {
-	if t.cache == nil {
-		t.cache = map[tenantPlanKey]cachedPlan{}
-	}
 	key := planKey(demandBucket(demand, ratio), caps)
 	fine := demandBucket(demand, legacyBucketRatio)
-	if !t.CacheDisabled {
-		if e, ok := t.cache[key]; ok {
-			// A plan whose search was truncated by a resource limit is
-			// provisional: it is reused only within the fine legacy bucket
-			// it was solved in, so wide threshold-quantized buckets never
-			// pin a timing-degraded plan across a whole demand band — once
-			// demand drifts a few percent the solve is retried (warm-
-			// started from the provisional plan, so quality only ratchets
-			// up). Deterministically terminated plans get the full bucket.
-			if !e.plan.SolveStats.Truncated || e.fineBucket == fine {
-				return e.plan, nil
-			}
-		}
+	if e, ok := t.cache[key]; ok && e.reusable(fine) {
+		return e.plan, nil
 	}
 	var plan *Plan
 	var err error
@@ -244,6 +243,9 @@ func (t *Tenant) solve(demand float64, caps []int, ratio float64) (*Plan, error)
 		return nil, err
 	}
 	if !t.CacheDisabled {
+		if t.cache == nil {
+			t.cache = map[tenantPlanKey]cachedPlan{}
+		}
 		if len(t.cache) >= maxCachedPlans {
 			clear(t.cache)
 		}
@@ -296,20 +298,26 @@ func (t *Tenant) planningDemand() float64 {
 
 // MultiController is the multi-tenant Resource Manager: it arbitrates one
 // shared server pool across several pipelines. Each adaptation round runs a
-// capacity-splitting outer loop around per-tenant MILP solves:
+// capacity-splitting outer loop around per-tenant MILP solves, as passes
+// over one round value (see allocateLocked):
 //
-//  1. Desire pass — every tenant solves unconstrained (cap = whole pool) for
-//     its own demand estimate; the plan's server count is what the tenant
-//     "wants".
-//  2. If the wants fit the pool, everyone gets their unconstrained plan —
-//     this is the common case, and it is what lets a traffic spike in one
-//     pipeline steal servers another pipeline is not using.
-//  3. Otherwise the pool is contended: every tenant is granted
-//     min(want, floor) where floor is its guaranteed share, the leftover is
-//     split across still-hungry tenants proportionally to unmet want
-//     (largest-remainder rounding), and each constrained tenant re-solves
-//     inside its grant — degrading to accuracy scaling or saturation within
-//     its partition rather than starving a neighbour.
+//  1. Desire — every tenant solves unconstrained (cap = the whole pool) for
+//     its own demand; the plan's per-class server count is what the tenant
+//     "wants". If the wants fit every class, everyone gets their
+//     unconstrained plan — the common case, and what lets a traffic spike in
+//     one pipeline steal servers another pipeline is not using.
+//  2. Split — otherwise every tenant is granted min(want, floor) of each
+//     class, where floor is its guaranteed share, and the leftover is split
+//     across still-hungry tenants proportionally to unmet want
+//     (largest-remainder rounding). Distinct tiers split tenant totals in
+//     strict tier order instead and pack them contiguously along the classes.
+//  3. Lend slack — idle servers of every class go to the cut tenants.
+//  4. Keep-warm repair — a grant too small for one replica per task claims
+//     servers up to its floors from tenants above theirs.
+//  5. Capped re-solve — each cut tenant re-solves inside its grant,
+//     degrading to accuracy scaling or saturation within its partition
+//     rather than starving a neighbour.
+//  6. Commit — plans and grants become the standing ones.
 //
 // The sum of grants never exceeds the pool, so the per-tenant engines'
 // active workers always fit the shared cluster.
@@ -486,11 +494,15 @@ func (m *MultiController) bucketRatio() float64 {
 	if len(m.tenants) == 1 {
 		return legacyBucketRatio
 	}
-	thr := m.ReallocateThreshold
-	if thr == 0 {
-		thr = 0.2
+	return 1 + m.threshold()
+}
+
+// threshold is ReallocateThreshold with its default applied.
+func (m *MultiController) threshold() float64 {
+	if m.ReallocateThreshold == 0 {
+		return 0.2
 	}
-	return 1 + thr
+	return m.ReallocateThreshold
 }
 
 // NewMultiController validates the tenant set against the pool and wires
@@ -552,41 +564,17 @@ func NewMultiController(pool int, tenants []*Tenant) (*MultiController, error) {
 	}
 	minTotal := 0
 	floorTotal := make([]int, len(classes))
+	order := largestFirst(counts)
 	for _, t := range tenants {
 		share := t.MinShare
 		if share == 0 {
 			share = implicit
 		}
-		// WithShare floors apply per class: the guarantee is a slice of
-		// every class, so a guaranteed tenant keeps access to fast hardware
-		// under contention, not just to some servers somewhere.
-		t.floorByClass = make([]int, len(classes))
-		floorSum := 0
-		for c := range classes {
-			t.floorByClass[c] = int(math.Floor(share * float64(counts[c])))
-			floorSum += t.floorByClass[c]
-		}
-		// Keep-warm raise: the floor total must hold one replica per task.
-		// Raise class floors where capacity remains, visiting the largest
-		// classes first (ties by index): small-share tenants' keep-warm
-		// replicas then land on the roomy classes instead of piling onto a
-		// scarce fast class and spuriously oversubscribing its floors.
 		warm := len(t.Meta.Graph().Tasks)
-		order := make([]int, len(classes))
-		for c := range order {
-			order[c] = c
-		}
-		sort.SliceStable(order, func(x, y int) bool { return counts[order[x]] > counts[order[y]] })
-		for _, c := range order {
-			for t.floorByClass[c] < counts[c] && floorSum < warm {
-				t.floorByClass[c]++
-				floorSum++
-			}
-		}
-		if floorSum < warm {
+		t.floorByClass = shareFloor(share, counts, order, warm)
+		if sumInts(t.floorByClass) < warm {
 			return nil, fmt.Errorf("core: tenant %q cannot keep %d tasks warm within the pool", t.Name, warm)
 		}
-		t.cache = map[tenantPlanKey]cachedPlan{}
 		minTotal += warm
 		for c := range classes {
 			floorTotal[c] += t.floorByClass[c]
@@ -605,6 +593,26 @@ func NewMultiController(pool int, tenants []*Tenant) (*MultiController, error) {
 		}
 	}
 	return &MultiController{pool: pool, classes: classes, counts: counts, tenants: tenants}, nil
+}
+
+// shareFloor resolves a tenant's contention floor per class. WithShare
+// floors apply per class: the guarantee is a slice of every class, so a
+// guaranteed tenant keeps access to fast hardware under contention, not just
+// to some servers somewhere. The keep-warm raise then lifts the floor total
+// to one replica per task where capacity remains, visiting the classes in
+// order (largest first): small-share tenants' keep-warm replicas land on the
+// roomy classes instead of piling onto a scarce fast class and spuriously
+// oversubscribing its floors. The total stays below warm only when the
+// classes cannot hold it.
+func shareFloor(share float64, counts, order []int, warm int) []int {
+	floor := make([]int, len(counts))
+	for c, n := range counts {
+		floor[c] = int(math.Floor(share * float64(n)))
+	}
+	for _, c := range order {
+		floor[c] += max(0, min(counts[c]-floor[c], warm-sumInts(floor)))
+	}
+	return floor
 }
 
 // Pool returns the shared pool size.
@@ -633,10 +641,7 @@ func (m *MultiController) Step(force bool) error {
 		demands[i] = t.planningDemand()
 	}
 
-	thr := m.ReallocateThreshold
-	if thr == 0 {
-		thr = 0.2
-	}
+	thr := m.threshold()
 	if !force {
 		// A capacity change (crash, outage, recovery) counts as movement:
 		// the arbiter re-plans against the live pool within a round.
@@ -665,280 +670,198 @@ func (m *MultiController) Step(force bool) error {
 	return nil
 }
 
-// allocateLocked is the capacity-splitting outer loop over per-class grant
-// vectors. Both solve passes fan out across tenants — each tenant's MILP is
-// independent of the others' — while the grant split between them stays
-// deterministic: per-class wants are gathered at a barrier, each class is
-// split with the same largest-remainder arithmetic as ever, idle capacity in
-// uncontended classes is lent to the constrained tenants (so a pipeline cut
-// on fast hardware may substitute slow hardware in its capped re-solve), and
-// results are assembled in registration order.
+// allocateLocked runs one round as passes over a fresh round value, in this
+// order: desire, then — only when some class is contended — split, lend
+// slack, keep-warm repair and capped re-solve, then commit. Both solve passes
+// fan out across tenants (each tenant's MILP is independent of the others')
+// while the grant passes between them run serially on the gathered wants,
+// so a round's outcome does not depend on the fan-out.
 func (m *MultiController) allocateLocked(demands []float64) error {
 	var roundStart time.Time
 	if m.tel != nil {
 		roundStart = time.Now()
 	}
-	ratio := m.bucketRatio()
-	counts := m.liveCountsLocked()
-	nc := len(counts)
+	r := m.newRound(demands)
+	if err := r.desire(); err != nil {
+		return err
+	}
+	if r.contended() {
+		r.split()
+		r.lendSlack()
+		r.ensureWarm()
+		if err := r.resolve(); err != nil {
+			return err
+		}
+	}
+	r.commit(roundStart)
+	return nil
+}
 
-	// Desire pass: unconstrained solves at the planner's full cluster size
-	// (= the whole pool). While a fault holds servers down the pass is
-	// capped at the live per-class counts instead: a desire solved against
-	// the healthy pool shape would keep wanting the dead class (leaving the
-	// surviving classes formally uncontended and the tier ordering idle)
-	// where the same demand re-aimed at the survivors makes the real
-	// contention — and the tier-ordered split of it — visible. With every
-	// server up desireCaps stays nil and the pass is bit-identical to the
-	// fault-free system.
-	var desireCaps []int
+// round is one allocation round: the inputs every pass reads and the
+// per-tenant wants, grants and plans the passes write in turn. The grant
+// passes (split, lendSlack, ensureWarm) read nothing but its slices.
+type round struct {
+	m       *MultiController
+	demands []float64 // per tenant: planning demand
+	ratio   float64   // plan-cache bucket ratio
+	counts  []int     // live servers per class
+	// caps bounds the desire pass. With every server up it is nil: the
+	// tenants solve at the planner's full cluster size (= the whole pool),
+	// bit-identical to the fault-free system. While a fault holds servers
+	// down it is the live counts: a desire solved against the healthy pool
+	// shape would keep wanting the dead class (leaving the surviving classes
+	// formally uncontended and the tier ordering idle), where the same
+	// demand re-aimed at the survivors makes the real contention — and the
+	// tier-ordered split of it — visible.
+	caps   []int
+	floors [][]int // per tenant: contention floor per class
+	warms  []int   // per tenant: task count, the keep-warm minimum
+	tiers  []int   // per tenant: degradation tier
+
+	// dirty marks the tenants whose desire plan is solved again, greedy the
+	// ones whose solves the greedy pass replaces, constrained the ones
+	// granted less than they want in some class.
+	dirty, greedy, constrained []bool
+	wants, grants              [][]int // per tenant: servers per class
+	plans                      []*Plan
+	// packed is set when distinct tiers packed the grants contiguously: a
+	// capped re-solve then also tries its grant without the smallest class.
+	packed bool
+}
+
+// newRound gathers a round's inputs, marks the dirty tenants and picks the
+// greedy replacements.
+func (m *MultiController) newRound(demands []float64) *round {
+	n := len(m.tenants)
+	flags := make([]bool, 3*n)
+	r := &round{m: m, demands: demands, ratio: m.bucketRatio(), counts: m.liveCountsLocked(),
+		floors: make([][]int, n), warms: make([]int, n), tiers: make([]int, n),
+		dirty: flags[:n], greedy: flags[n : 2*n], constrained: flags[2*n:], plans: make([]*Plan, n)}
 	if m.live != nil {
-		desireCaps = counts
+		r.caps = r.counts
 	}
-
 	// Dirty tracking: a tenant re-solves only when something that feeds its
-	// plan actually moved — the quantized demand bucket (the fine legacy
-	// bucket too for provisional truncated/greedy plans, mirroring the plan
-	// cache's reuse gate), the pool caps the desire pass runs under, or a
-	// disabled cache. Clean tenants reuse last round's plans verbatim, which
-	// is bit-identical to the cache hit the solve would have returned.
-	dirty := make([]bool, len(m.tenants))
+	// plan moved — the plan-cache key (quantized demand, desire caps), the
+	// reusability of its last desire plan, or a disabled cache. Clean
+	// tenants reuse last round's plans verbatim, which is bit-identical to
+	// the cache hit the solve would have returned.
 	for i, t := range m.tenants {
-		provisional := t.lastDesire != nil &&
-			(t.lastDesire.SolveStats.Truncated || t.lastDesire.SolveStats.Greedy)
-		dirty[i] = t.CacheDisabled || t.lastDesire == nil ||
-			!equalInts(t.lastDesireCaps, desireCaps) ||
-			demandBucket(demands[i], ratio) != t.desireBucket ||
-			(provisional && demandBucket(demands[i], legacyBucketRatio) != t.desireFine)
+		r.floors[i], r.warms[i], r.tiers[i] = t.floorByClass, len(t.Meta.Graph().Tasks), t.Tier
+		key, fine := r.desireKey(i)
+		r.dirty[i] = t.CacheDisabled || key != t.desireKey || !t.desire.reusable(fine)
 	}
-	// Greedy-replace pass, decided before the fan-out so the budget is spent
+	// Greedy replacements, picked before the fan-out so the budget is spent
 	// in registration order: dirty tenants whose demand moved less than one
-	// cache bucket get the greedy first pass instead of a full MILP solve.
-	useGreedy := make([]bool, len(m.tenants))
-	if budget := m.GreedyReplaceBudget; budget > 0 {
-		width := ratio - 1
-		for i, t := range m.tenants {
-			if budget == 0 {
-				break
-			}
-			if !dirty[i] || t.plan == nil || t.moved(demands[i], width) {
-				continue
-			}
-			if _, ok := t.Alloc.(GreedyPlanner); !ok {
-				continue
-			}
-			useGreedy[i] = true
+	// cache bucket get the greedy pass instead of a full MILP solve.
+	budget := m.GreedyReplaceBudget
+	for i, t := range m.tenants {
+		if budget <= 0 {
+			break
+		}
+		if !r.dirty[i] || t.plan == nil || t.moved(demands[i], r.ratio-1) {
+			continue
+		}
+		if _, ok := t.Alloc.(GreedyPlanner); ok {
+			r.greedy[i] = true
 			budget--
 		}
 	}
+	return r
+}
 
-	wants := make([][]int, len(m.tenants))
-	plans := make([]*Plan, len(m.tenants))
-	err := m.forEachTenant(func(i int, t *Tenant) error {
-		if desireCaps != nil && sumInts(desireCaps) < len(t.Meta.Graph().Tasks) {
-			// The whole live pool is below this tenant's keep-warm
-			// minimum — no feasible plan exists for anyone; serve an
-			// idle plan until servers recover.
-			plans[i] = &Plan{}
+// desireKey is tenant i's desire-pass plan-cache key and fine legacy bucket.
+func (r *round) desireKey(i int) (tenantPlanKey, int) {
+	return planKey(demandBucket(r.demands[i], r.ratio), r.caps), demandBucket(r.demands[i], legacyBucketRatio)
+}
+
+// desire solves every dirty tenant at the desire caps, reuses the clean
+// tenants' last desire plans, and records each plan's servers per class as
+// the tenant's want. Until a split says otherwise the grants are the wants.
+func (r *round) desire() error {
+	err := r.m.forEachTenant(func(i int, t *Tenant) error {
+		if !r.dirty[i] {
+			r.plans[i] = t.desire.plan
 			return nil
 		}
-		if !dirty[i] {
-			plans[i] = t.lastDesire
-			return nil
+		plan, err := r.solve(i, r.caps)
+		if err != nil {
+			return fmt.Errorf("core: tenant %q allocation: %w", t.Name, err)
 		}
-		var plan *Plan
-		if useGreedy[i] {
-			if gp, ok := t.Alloc.(GreedyPlanner).GreedyAllocate(demands[i], desireCaps); ok {
-				plan = gp
-				t.greedyReplaced++
-			}
+		r.plans[i] = plan
+		// An idle plan is never recorded, so the tenant stays dirty until
+		// the pool recovers.
+		if !r.idle(i, r.caps) {
+			key, fine := r.desireKey(i)
+			t.desire, t.desireKey = cachedPlan{plan: plan, fineBucket: fine}, key
 		}
-		if plan == nil {
-			var err error
-			plan, err = t.solve(demands[i], desireCaps, ratio)
-			if err != nil {
-				return fmt.Errorf("core: tenant %q allocation: %w", t.Name, err)
-			}
-		}
-		plans[i] = plan
-		t.lastDesire = plan
-		t.desireBucket = demandBucket(demands[i], ratio)
-		t.desireFine = demandBucket(demands[i], legacyBucketRatio)
-		t.lastDesireCaps = copyOrNil(desireCaps)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	for i, plan := range plans {
-		wants[i] = m.classWants(plan)
+	r.wants = rows(len(r.plans), len(r.counts))
+	for i, plan := range r.plans {
+		classWants(plan, r.wants[i])
 	}
-	contended := false
-	for c := 0; c < nc; c++ {
-		total := 0
-		for i := range wants {
-			total += wants[i][c]
-		}
-		if total > counts[c] {
-			contended = true
-		}
-	}
-
-	grants := make([][]int, len(m.tenants))
-	for i := range grants {
-		grants[i] = append([]int(nil), wants[i]...)
-	}
-	constrained := make([]bool, len(m.tenants))
-	if contended {
-		// Split every class across tenants: min(want, floor) plus a
-		// largest-remainder share of the class's leftover. When tenants
-		// carry distinct tiers the split instead runs on tenant totals with
-		// strict tier precedence and packs classes contiguously, so a
-		// squeezed tier is left with one plannable block instead of
-		// fragments of every class.
-		tiers := make([]int, len(m.tenants))
-		distinct := false
-		for i, t := range m.tenants {
-			tiers[i] = t.Tier
-			if t.Tier != m.tenants[0].Tier {
-				distinct = true
-			}
-		}
-		if distinct {
-			floors := make([][]int, len(m.tenants))
-			for i, t := range m.tenants {
-				floors[i] = t.floorByClass
-			}
-			grants = packTiered(counts, wants, floors, tiers)
-		} else {
-			for c := 0; c < nc; c++ {
-				wantsC := make([]int, len(m.tenants))
-				floorsC := make([]int, len(m.tenants))
-				for i, t := range m.tenants {
-					wantsC[i] = wants[i][c]
-					floorsC[i] = t.floorByClass[c]
-				}
-				grantsC := splitPoolTiered(counts[c], wantsC, floorsC, tiers)
-				for i := range m.tenants {
-					grants[i][c] = grantsC[i]
-				}
-			}
-		}
-		for i := range m.tenants {
-			for c := 0; c < nc; c++ {
-				if grants[i][c] < wants[i][c] {
-					constrained[i] = true
-				}
-			}
-		}
-		m.lendSlack(counts, grants, constrained)
-		m.ensureWarm(counts, grants, wants, constrained)
-		err := m.forEachTenant(func(i int, t *Tenant) error {
-			if !constrained[i] {
-				return nil
-			}
-			// Clean tenant, same grant as last round, standing plan already
-			// solved inside it: reuse verbatim. (The cache would return the
-			// identical plan; this skips the lookups and the dropFragment
-			// retry.)
-			if !dirty[i] && t.cappedPlan && t.plan != nil && equalInts(grants[i], t.grant) {
-				plans[i] = t.plan
-				return nil
-			}
-			if sumInts(grants[i]) < len(t.Meta.Graph().Tasks) {
-				// An outage can shrink the pool below the joint keep-warm
-				// minimum; no feasible plan fits this grant. Publish an
-				// idle plan rather than keeping a stale one: a stale plan
-				// keeps routing onto capacity that is dead or granted to
-				// higher tiers, so its queries drop at dark queues, while
-				// an idle plan drives the tenant's admission rate to zero
-				// and its traffic sheds gracefully (429 + Retry-After)
-				// until recovery re-plans it.
-				plans[i] = &Plan{}
-				return nil
-			}
-			var plan *Plan
-			if useGreedy[i] {
-				if gp, ok := t.Alloc.(GreedyPlanner).GreedyAllocate(demands[i], grants[i]); ok {
-					plan = gp
-					t.greedyReplaced++
-				}
-			}
-			if plan == nil {
-				var err error
-				plan, err = t.solve(demands[i], grants[i], ratio)
-				if err != nil {
-					return fmt.Errorf("core: tenant %q capped allocation (%v servers): %w", t.Name, grants[i], err)
-				}
-				if distinct {
-					plan = t.dropFragment(plan, demands[i], grants[i], ratio)
-				}
-			}
-			plans[i] = plan
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	for i, t := range m.tenants {
-		t.plan = plans[i]
-		t.grant = grants[i]
-		t.cappedPlan = constrained[i]
-	}
-	if m.OnGrants != nil {
-		totals := make([]int, len(m.tenants))
-		for i := range m.tenants {
-			totals[i] = sumInts(grants[i])
-		}
-		m.OnGrants(m.steps, totals)
-	}
-	if m.tel != nil {
-		// AtSec carries the planner step counter; the round-duration gauge is
-		// the only wall-clock (nondeterministic) value published here.
-		at := float64(m.steps)
-		m.tel.rounds.Add(at, 1)
-		m.tel.roundSec.Set(at, time.Since(roundStart).Seconds())
-		for i, t := range m.tenants {
-			m.tel.truncated[i].publish(at, t.truncated)
-			m.tel.nodes[i].publish(at, t.bbNodes)
-			m.tel.pivots[i].publish(at, t.lpPivots)
-			m.tel.grants[i].Set(at, float64(sumInts(grants[i])))
-		}
-	}
+	r.grants = r.wants
 	return nil
 }
 
-// classWants returns a plan's per-class server demand as a vector sized to
-// the pool's class set, falling back to summing assignments for planners
-// that do not fill ServersByClass (hand-built or baseline plans on the
-// homogeneous path).
-func (m *MultiController) classWants(plan *Plan) []int {
-	out := make([]int, len(m.counts))
-	if len(plan.ServersByClass) == len(out) {
-		copy(out, plan.ServersByClass)
-		return out
-	}
-	for _, a := range plan.Assignments {
-		c := a.Class
-		if c < 0 || c >= len(out) {
-			c = 0
+// contended reports whether the wants oversubscribe some class.
+func (r *round) contended() bool {
+	for c, n := range r.counts {
+		total := 0
+		for _, w := range r.wants {
+			total += w[c]
 		}
-		out[c] += a.Replicas
+		if total > n {
+			return true
+		}
 	}
-	return out
+	return false
+}
+
+// split grants every class across tenants: min(want, floor) plus a
+// largest-remainder share of the class's leftover (splitPool). When tenants
+// carry distinct tiers the split instead runs on tenant totals with strict
+// tier precedence and packs classes contiguously (packTiered), so a squeezed
+// tier is left with one plannable block instead of fragments of every class.
+// A tenant granted less than it wants in some class becomes constrained.
+func (r *round) split() {
+	r.packed = slices.ContainsFunc(r.tiers, func(t int) bool { return t != r.tiers[0] })
+	if r.packed {
+		r.grants = packTiered(r.counts, r.wants, r.floors, r.tiers)
+	} else {
+		n := len(r.wants)
+		r.grants = rows(n, len(r.counts))
+		wantsC, floorsC := make([]int, n), make([]int, n)
+		for c, count := range r.counts {
+			for i := range r.wants {
+				wantsC[i], floorsC[i] = r.wants[i][c], r.floors[i][c]
+			}
+			for i, g := range splitPool(count, wantsC, floorsC) {
+				r.grants[i][c] = g
+			}
+		}
+	}
+	for i, g := range r.grants {
+		for c := range g {
+			if g[c] < r.wants[i][c] {
+				r.constrained[i] = true
+			}
+		}
+	}
 }
 
 // lendSlack distributes every class's unallocated servers across the
 // constrained tenants (largest remainder of an equal split, ties broken by
-// registration order) and then, as a last resort, raises any constrained
-// tenant whose total grant dropped below its keep-warm minimum from whatever
-// class capacity remains. Idle hardware is never stranded while some tenant
-// is being cut — the vector analogue of "an idle tenant's guarantee is lent
-// to whoever wants it".
-func (m *MultiController) lendSlack(counts []int, grants [][]int, constrained []bool) {
+// registration order). Idle hardware is never stranded while some tenant is
+// being cut — the vector analogue of "an idle tenant's guarantee is lent to
+// whoever wants it" — so a pipeline cut on fast hardware may substitute slow
+// hardware in its capped re-solve.
+func (r *round) lendSlack() {
 	nHungry := 0
-	for _, c := range constrained {
+	for _, c := range r.constrained {
 		if c {
 			nHungry++
 		}
@@ -946,23 +869,22 @@ func (m *MultiController) lendSlack(counts []int, grants [][]int, constrained []
 	if nHungry == 0 {
 		return
 	}
-	for c := range counts {
-		free := counts[c]
-		for i := range grants {
-			free -= grants[i][c]
+	for c := range r.counts {
+		free := r.counts[c]
+		for _, g := range r.grants {
+			free -= g[c]
 		}
 		if free <= 0 {
 			continue
 		}
-		each := free / nHungry
-		rem := free - each*nHungry
-		for i := range grants {
-			if !constrained[i] {
+		each, rem := free/nHungry, free%nHungry
+		for i, g := range r.grants {
+			if !r.constrained[i] {
 				continue
 			}
-			grants[i][c] += each
+			g[c] += each
 			if rem > 0 {
-				grants[i][c]++
+				g[c]++
 				rem--
 			}
 		}
@@ -978,71 +900,172 @@ func (m *MultiController) lendSlack(counts []int, grants [][]int, constrained []
 // servers first, then servers granted to other tenants *above their own
 // floors* (largest excess first, lowest index on ties) — only in classes
 // where the tenant is still below its floor, and never pushes a donor below
-// its floors or its own keep-warm minimum; the floor validation in
-// NewMultiController guarantees that much capacity exists. Shrunk donors are
-// marked constrained so they re-solve inside their reduced vectors.
-func (m *MultiController) ensureWarm(counts []int, grants [][]int, wants [][]int, constrained []bool) {
-	warms := make([]int, len(m.tenants))
-	for i, t := range m.tenants {
-		warms[i] = len(t.Meta.Graph().Tasks)
-	}
-	for i, t := range m.tenants {
-		need := warms[i] - sumInts(grants[i])
+// its floors or its own keep-warm minimum. Shrunk donors are marked
+// constrained so they re-solve inside their reduced vectors. Floors that fit
+// the pool do not always make the repair succeed: the spare servers can sit
+// in classes where the tenant already holds its floor, while the tenants in
+// the classes it may claim hold no more than their floors or task counts.
+// Such a tenant keeps a grant below its task count and is served an idle
+// plan for the round.
+func (r *round) ensureWarm() {
+	for i, gi := range r.grants {
+		need := r.warms[i] - sumInts(gi)
 		if need <= 0 {
 			continue
 		}
-		constrained[i] = true
-		for c := 0; c < len(counts) && need > 0; c++ {
-			claim := t.floorByClass[c] - grants[i][c]
-			if claim > need {
-				claim = need
-			}
+		r.constrained[i] = true
+		for c := 0; c < len(r.counts) && need > 0; c++ {
+			claim := min(r.floors[i][c]-gi[c], need)
 			if claim <= 0 {
 				continue
 			}
-			free := counts[c]
-			for j := range grants {
-				free -= grants[j][c]
+			free := r.counts[c]
+			for _, g := range r.grants {
+				free -= g[c]
 			}
-			if free > claim {
-				free = claim
-			}
-			if free > 0 {
-				grants[i][c] += free
+			if free = min(free, claim); free > 0 {
+				gi[c] += free
 				need -= free
 				claim -= free
 			}
 			for claim > 0 {
 				donor, excess := -1, 0
-				for j := range m.tenants {
+				for j, g := range r.grants {
 					if j == i {
 						continue
 					}
-					e := grants[j][c] - m.tenants[j].floorByClass[c]
-					if spare := sumInts(grants[j]) - warms[j]; spare < e {
-						e = spare
-					}
-					if e > excess {
+					if e := min(g[c]-r.floors[j][c], sumInts(g)-r.warms[j]); e > excess {
 						donor, excess = j, e
 					}
 				}
 				if donor < 0 {
 					break
 				}
-				d := excess
-				if d > claim {
-					d = claim
-				}
-				grants[donor][c] -= d
-				grants[i][c] += d
+				d := min(excess, claim)
+				r.grants[donor][c] -= d
+				gi[c] += d
 				need -= d
 				claim -= d
-				if grants[donor][c] < wants[donor][c] {
-					constrained[donor] = true
+				if r.grants[donor][c] < r.wants[donor][c] {
+					r.constrained[donor] = true
 				}
 			}
 		}
 	}
+}
+
+// resolve re-solves every constrained tenant inside its grant.
+func (r *round) resolve() error {
+	return r.m.forEachTenant(func(i int, t *Tenant) error {
+		if !r.constrained[i] {
+			return nil
+		}
+		// Clean tenant, same grant as last round, standing plan already
+		// solved inside it: reuse verbatim. (The cache would return the
+		// identical plan; this skips the lookups and the dropFragment
+		// retry.)
+		if !r.dirty[i] && t.cappedPlan && t.plan != nil && slices.Equal(r.grants[i], t.grant) {
+			r.plans[i] = t.plan
+			return nil
+		}
+		plan, err := r.solve(i, r.grants[i])
+		if err != nil {
+			return fmt.Errorf("core: tenant %q capped allocation (%v servers): %w", t.Name, r.grants[i], err)
+		}
+		r.plans[i] = plan
+		return nil
+	})
+}
+
+// solve is the one solve path of both passes: it plans tenant i inside caps
+// (nil: the planner's whole cluster) — idle when caps cannot keep the
+// tenant's tasks warm, by the greedy pass when the round picked the tenant
+// for one and it fits, otherwise by the planner through the plan cache,
+// retried without the smallest class of a packed grant.
+func (r *round) solve(i int, caps []int) (*Plan, error) {
+	t := r.m.tenants[i]
+	if r.idle(i, caps) {
+		return &Plan{}, nil
+	}
+	if r.greedy[i] {
+		if plan, ok := t.Alloc.(GreedyPlanner).GreedyAllocate(r.demands[i], caps); ok {
+			t.greedyReplaced++
+			return plan, nil
+		}
+	}
+	plan, err := t.solve(r.demands[i], caps, r.ratio)
+	if err != nil || !r.packed {
+		return plan, err
+	}
+	return t.dropFragment(plan, r.demands[i], caps, r.ratio), nil
+}
+
+// idle reports whether caps hold fewer servers than tenant i has tasks. An
+// outage can shrink the pool below the joint keep-warm minimum, and then no
+// feasible plan fits: the tenant serves an idle plan rather than a stale
+// one. A stale plan keeps routing onto capacity that is dead or granted to
+// higher tiers, so its queries drop at dark queues, while an idle plan
+// drives the tenant's admission rate to zero and its traffic sheds
+// gracefully (429 + Retry-After) until recovery re-plans it.
+func (r *round) idle(i int, caps []int) bool {
+	return caps != nil && sumInts(caps) < r.warms[i]
+}
+
+// commit makes the round's plans and grants the standing ones and reports
+// them to OnGrants and the telemetry registry.
+func (r *round) commit(start time.Time) {
+	m := r.m
+	for i, t := range m.tenants {
+		t.plan, t.grant, t.cappedPlan = r.plans[i], r.grants[i], r.constrained[i]
+	}
+	if m.OnGrants != nil {
+		totals := make([]int, len(m.tenants))
+		for i, g := range r.grants {
+			totals[i] = sumInts(g)
+		}
+		m.OnGrants(m.steps, totals)
+	}
+	if m.tel != nil {
+		// AtSec carries the planner step counter; the round-duration gauge is
+		// the only wall-clock (nondeterministic) value published here.
+		at := float64(m.steps)
+		m.tel.rounds.Add(at, 1)
+		m.tel.roundSec.Set(at, time.Since(start).Seconds())
+		for i, t := range m.tenants {
+			m.tel.truncated[i].publish(at, t.truncated)
+			m.tel.nodes[i].publish(at, t.bbNodes)
+			m.tel.pivots[i].publish(at, t.lpPivots)
+			m.tel.grants[i].Set(at, float64(sumInts(r.grants[i])))
+		}
+	}
+}
+
+// classWants writes a plan's per-class server demand into out, sized to the
+// pool's class set, falling back to summing assignments for planners that
+// do not fill ServersByClass (hand-built or baseline plans on the
+// homogeneous path).
+func classWants(plan *Plan, out []int) {
+	if len(plan.ServersByClass) == len(out) {
+		copy(out, plan.ServersByClass)
+		return
+	}
+	for _, a := range plan.Assignments {
+		c := a.Class
+		if c < 0 || c >= len(out) {
+			c = 0
+		}
+		out[c] += a.Replicas
+	}
+}
+
+// rows returns n zeroed rows of width nc carved from one allocation.
+func rows(n, nc int) [][]int {
+	slab := make([]int, n*nc)
+	out := make([][]int, n)
+	for i := range out {
+		out[i] = slab[i*nc : (i+1)*nc : (i+1)*nc]
+	}
+	return out
 }
 
 func sumInts(xs []int) int {
@@ -1051,28 +1074,6 @@ func sumInts(xs []int) int {
 		n += x
 	}
 	return n
-}
-
-// equalInts reports element-wise equality, distinguishing nil from non-nil
-// (a nil caps vector means an uncapped solve, not a zero-length one).
-func equalInts(a, b []int) bool {
-	if (a == nil) != (b == nil) || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// copyOrNil clones a slice, preserving nil.
-func copyOrNil(xs []int) []int {
-	if xs == nil {
-		return nil
-	}
-	return append([]int(nil), xs...)
 }
 
 // forEachTenant runs fn once per tenant. Unless the host has a single
@@ -1119,133 +1120,69 @@ func (m *MultiController) forEachTenant(fn func(i int, t *Tenant) error) error {
 
 // splitPool splits one capacity pool (the whole cluster, or one hardware
 // class of it): each tenant gets min(want, floor), then the leftover is
-// split across still-hungry tenants proportionally to unmet want, with
-// largest-remainder rounding (ties broken by registration order, for
-// determinism).
+// split across still-hungry tenants proportionally to unmet want. When the
+// pool cannot cover even the min(want, floor) grants, it is apportioned
+// across them instead. Both splits use apportion's largest-remainder
+// rounding.
 func splitPool(pool int, wants, floors []int) []int {
+	mins := make([]int, len(wants))
+	unmet := make([]int, len(wants))
+	fit := 0
+	for i, w := range wants {
+		mins[i] = min(w, floors[i])
+		unmet[i] = w - mins[i]
+		fit += mins[i]
+	}
+	if fit >= pool {
+		return apportion(pool, mins)
+	}
+	for i, g := range apportion(pool-fit, unmet) {
+		mins[i] += g
+	}
+	return mins
+}
+
+// splitPoolTiered is splitPool with tier-ordered degradation: tiers take
+// strict precedence, so a higher tier's full want is served before any
+// lower tier sees a server, and under a shortage the damage concentrates on
+// the lowest tiers — they shed at the front door while the high tiers keep
+// their SLOs. Peers within one tier share what the higher tiers left by
+// splitPool; with a single tier it is splitPool.
+func splitPoolTiered(pool int, wants, floors, tiers []int) []int {
 	grants := make([]int, len(wants))
-	left := pool
-	unmetSum := 0
-	for i := range wants {
-		g := wants[i]
-		if g > floors[i] {
-			g = floors[i]
+	wantsL, floorsL := make([]int, len(wants)), make([]int, len(wants))
+	for _, lv := range tierLevels(tiers) {
+		for i := range wants {
+			wantsL[i], floorsL[i] = 0, 0
+			if tiers[i] == lv {
+				wantsL[i], floorsL[i] = wants[i], floors[i]
+			}
 		}
-		grants[i] = g
-		left -= g
-		unmetSum += wants[i] - g
-	}
-	if left <= 0 || unmetSum == 0 {
-		return grants
-	}
-	type frac struct {
-		idx int
-		rem float64
-	}
-	fracs := make([]frac, 0, len(wants))
-	used := 0
-	for i := range wants {
-		unmet := wants[i] - grants[i]
-		if unmet <= 0 {
-			continue
-		}
-		quota := float64(left) * float64(unmet) / float64(unmetSum)
-		whole := int(math.Floor(quota))
-		if whole > unmet {
-			whole = unmet
-		}
-		grants[i] += whole
-		used += whole
-		fracs = append(fracs, frac{idx: i, rem: quota - float64(whole)})
-	}
-	sort.SliceStable(fracs, func(a, b int) bool { return fracs[a].rem > fracs[b].rem })
-	for _, f := range fracs {
-		if used >= left {
-			break
-		}
-		if grants[f.idx] < wants[f.idx] {
-			grants[f.idx]++
-			used++
+		for i, g := range splitPool(pool, wantsL, floorsL) {
+			grants[i] += g
+			pool -= g
 		}
 	}
 	return grants
 }
 
-// splitPoolTiered is splitPool with tier-ordered degradation. When every
-// tenant carries the same tier and the floors fit the pool (the fault-free
-// default), it delegates to splitPool so existing runs stay bit-identical.
-// Otherwise tiers take strict precedence: a higher tier's full want is
-// served before any lower tier sees a server, so under a shortage the
-// damage concentrates on the lowest tiers — they shed at the front door
-// while the high tiers keep their SLOs. Peers within one tier share by the
-// same floor-then-largest-remainder arithmetic as splitPool; when what
-// remains for a tier cannot even cover its floors, the remainder is
-// apportioned across those floors.
-func splitPoolTiered(pool int, wants, floors, tiers []int) []int {
-	uniform := true
-	for _, t := range tiers {
-		if t != tiers[0] {
-			uniform = false
-			break
-		}
-	}
-	fit := 0
-	for i := range wants {
-		f := wants[i]
-		if f > floors[i] {
-			f = floors[i]
-		}
-		fit += f
-	}
-	if uniform && fit <= pool {
-		return splitPool(pool, wants, floors)
-	}
+// tierLevels returns the distinct tiers, highest first.
+func tierLevels(tiers []int) []int {
+	levels := slices.Clone(tiers)
+	slices.Sort(levels)
+	slices.Reverse(levels)
+	return slices.Compact(levels)
+}
 
-	levels := append([]int(nil), tiers...)
-	sort.Sort(sort.Reverse(sort.IntSlice(levels)))
-	levels = dedupInts(levels)
-
-	grants := make([]int, len(wants))
-	left := pool
-	for _, lv := range levels {
-		if left <= 0 {
-			break
-		}
-		var idxs, wantsL, floorsL []int
-		for i := range wants {
-			if tiers[i] != lv {
-				continue
-			}
-			idxs = append(idxs, i)
-			wantsL = append(wantsL, wants[i])
-			floorsL = append(floorsL, floors[i])
-		}
-		var grantsL []int
-		switch {
-		case sumInts(wantsL) <= left:
-			grantsL = wantsL
-		default:
-			fitL := 0
-			mins := make([]int, len(wantsL))
-			for k := range wantsL {
-				mins[k] = wantsL[k]
-				if mins[k] > floorsL[k] {
-					mins[k] = floorsL[k]
-				}
-				fitL += mins[k]
-			}
-			if fitL >= left {
-				grantsL = apportion(left, mins)
-			} else {
-				grantsL = splitPool(left, wantsL, floorsL)
-			}
-		}
-		for k, g := range grantsL {
-			grants[idxs[k]] = g
-		}
-		left -= sumInts(grantsL)
+// largestFirst returns the class indices ordered by server count, largest
+// first (ties by index).
+func largestFirst(counts []int) []int {
+	order := make([]int, len(counts))
+	for c := range order {
+		order[c] = c
 	}
-	return grants
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(counts[b], counts[a]) })
+	return order
 }
 
 // dropFragment retries an under-serving capped solve without the grant's
@@ -1273,7 +1210,7 @@ func (t *Tenant) dropFragment(plan *Plan, demand float64, caps []int, ratio floa
 	if nonzero < 2 {
 		return plan
 	}
-	alt := append([]int(nil), caps...)
+	alt := slices.Clone(caps)
 	alt[small] = 0
 	altPlan, err := t.solve(demand, alt, ratio)
 	if err != nil || altPlan.ServedFraction <= plan.ServedFraction {
@@ -1301,22 +1238,10 @@ func packTiered(counts []int, wants [][]int, floors [][]int, tiers []int) [][]in
 	}
 	totals := splitPoolTiered(sumInts(counts), totalWants, totalFloors, tiers)
 
-	order := make([]int, len(counts))
-	for c := range order {
-		order[c] = c
-	}
-	sort.SliceStable(order, func(a, b int) bool { return counts[order[a]] > counts[order[b]] })
-
-	levels := append([]int(nil), tiers...)
-	sort.Sort(sort.Reverse(sort.IntSlice(levels)))
-	levels = dedupInts(levels)
-
-	remaining := append([]int(nil), counts...)
-	grants := make([][]int, len(wants))
-	for i := range grants {
-		grants[i] = make([]int, len(counts))
-	}
-	for _, lv := range levels {
+	order := largestFirst(counts)
+	remaining := slices.Clone(counts)
+	grants := rows(len(wants), len(counts))
+	for _, lv := range tierLevels(tiers) {
 		for i := range wants {
 			if tiers[i] != lv {
 				continue
@@ -1337,8 +1262,8 @@ func packTiered(counts []int, wants [][]int, floors [][]int, tiers []int) [][]in
 }
 
 // apportion distributes up to total units across recipients proportionally
-// to their weights (never exceeding a recipient's weight), with the same
-// largest-remainder rounding and tie-breaking as splitPool.
+// to their weights (never exceeding a recipient's weight), with
+// largest-remainder rounding: ties go to the lower index, for determinism.
 func apportion(total int, weights []int) []int {
 	out := make([]int, len(weights))
 	sumW := sumInts(weights)
@@ -1376,17 +1301,6 @@ func apportion(total int, weights []int) []int {
 		if out[f.idx] < weights[f.idx] {
 			out[f.idx]++
 			used++
-		}
-	}
-	return out
-}
-
-// dedupInts collapses runs of equal values in a sorted slice.
-func dedupInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != out[len(out)-1] {
-			out = append(out, x)
 		}
 	}
 	return out
@@ -1491,13 +1405,7 @@ func (m *MultiController) Floors() []int {
 // Allocates returns the total number of MILP invocations (plan-cache
 // misses) across all tenants.
 func (m *MultiController) Allocates() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, t := range m.tenants {
-		n += t.allocates
-	}
-	return n
+	return m.total(func(t *Tenant) int { return t.allocates })
 }
 
 // TruncatedSolves returns the total number of fresh MILP solves whose branch
@@ -1505,23 +1413,22 @@ func (m *MultiController) Allocates() int {
 // same signal the loki_planner_truncated_solves_total telemetry counter
 // publishes per tenant.
 func (m *MultiController) TruncatedSolves() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, t := range m.tenants {
-		n += t.truncated
-	}
-	return n
+	return m.total(func(t *Tenant) int { return t.truncated })
 }
 
 // GreedyReplaced returns the total number of MILP solves replaced by the
 // greedy first pass under the GreedyReplaceBudget, across all tenants.
 func (m *MultiController) GreedyReplaced() int {
+	return m.total(func(t *Tenant) int { return t.greedyReplaced })
+}
+
+// total sums a per-tenant counter across all tenants.
+func (m *MultiController) total(count func(*Tenant) int) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
 	for _, t := range m.tenants {
-		n += t.greedyReplaced
+		n += count(t)
 	}
 	return n
 }

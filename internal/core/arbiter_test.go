@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -372,6 +373,181 @@ func TestSharedGraphRoundMatchesSequential(t *testing.T) {
 		comparePlans(t, fmt.Sprintf("publication %d", k), levels[p.tenant], p.plan, s.plan)
 		if !reflect.DeepEqual(p.routes, s.routes) {
 			t.Fatalf("publication %d (tenant %d): routes differ from the sequential controller's", k, p.tenant)
+		}
+	}
+}
+
+// randomRound draws a contention round the grant passes can meet: floors
+// NewMultiController resolves and accepts (per-class shares raised to the
+// task count, that fit every class), live counts at or below the class
+// sizes, and wants no larger than the live counts that keep every task warm
+// when the live pool can (an idle plan wants nothing).
+func randomRound(rng *rand.Rand) *round {
+	nc, n := 1+rng.Intn(3), 1+rng.Intn(8)
+	for {
+		counts := make([]int, nc)
+		for c := range counts {
+			counts[c] = 1 + rng.Intn(30)
+		}
+		weights := make([]float64, n)
+		sum := 0.0
+		for i := range weights {
+			weights[i] = rng.Float64()
+			sum += weights[i]
+		}
+		reserved := rng.Float64()
+		warms := make([]int, n)
+		floors := make([][]int, n)
+		ok := true
+		for i := range floors {
+			warms[i] = 1 + rng.Intn(4)
+			floors[i] = shareFloor(reserved*weights[i]/sum, counts, largestFirst(counts), warms[i])
+			ok = ok && sumInts(floors[i]) >= warms[i]
+		}
+		for c, count := range counts {
+			for _, f := range floors {
+				count -= f[c]
+			}
+			ok = ok && count >= 0
+		}
+		if !ok || sumInts(warms) > sumInts(counts) {
+			continue
+		}
+		live := slices.Clone(counts)
+		if rng.Intn(2) == 0 {
+			for c := range live {
+				live[c] = rng.Intn(counts[c] + 1)
+			}
+		}
+		tiers := make([]int, n)
+		if rng.Intn(2) == 0 {
+			for i := range tiers {
+				tiers[i] = rng.Intn(3)
+			}
+		}
+		wants := rows(n, nc)
+		for i, w := range wants {
+			if sumInts(live) < warms[i] {
+				continue
+			}
+			for c := range w {
+				w[c] = rng.Intn(live[c] + 1)
+			}
+			for c := 0; c < nc && sumInts(w) < warms[i]; c++ {
+				w[c] += min(live[c]-w[c], warms[i]-sumInts(w))
+			}
+		}
+		return &round{counts: live, floors: floors, warms: warms, tiers: tiers,
+			wants: wants, constrained: make([]bool, n)}
+	}
+}
+
+// The grant passes (split → lendSlack → ensureWarm) on random pools: no pass
+// oversubscribes a class or grants a negative count, the split grants no
+// tenant more than it wants, distinct tiers are served strictly in order,
+// and when the live pool covers every floor the keep-warm repair pushes no
+// donor below its floor or task count. A tenant the repair leaves below its
+// task count must have had no donor: in every class where it is below its
+// floor, the class is full and no other tenant holds servers above both its
+// floor there and its own task count. (Such pools exist — the repair only
+// claims classes where the tenant is below its floor — so this asserts the
+// repair exhausted its donors rather than that it always succeeds.)
+func TestArbiterGrantInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for k := 0; k < 50000; k++ {
+		r := randomRound(rng)
+		fail := func(pass, format string, args ...any) {
+			t.Fatalf("pool %d after %s: %s\ncounts %v floors %v warms %v tiers %v\nwants %v grants %v",
+				k, pass, fmt.Sprintf(format, args...), r.counts, r.floors, r.warms, r.tiers, r.wants, r.grants)
+		}
+		fits := func(pass string) {
+			for c, n := range r.counts {
+				used := 0
+				for i, g := range r.grants {
+					if g[c] < 0 {
+						fail(pass, "tenant %d holds %d servers of class %d", i, g[c], c)
+					}
+					used += g[c]
+				}
+				if used > n {
+					fail(pass, "class %d grants %d of %d live servers", c, used, n)
+				}
+			}
+		}
+		tierOrder := func(pass string) {
+			for i, g := range r.grants {
+				for j, w := range r.wants {
+					if r.tiers[j] > r.tiers[i] && sumInts(g) > 0 && sumInts(r.grants[j]) < sumInts(w) {
+						fail(pass, "tier %d tenant %d holds servers while tier %d tenant %d wants more", r.tiers[i], i, r.tiers[j], j)
+					}
+				}
+			}
+		}
+
+		r.split()
+		fits("split")
+		for i, g := range r.grants {
+			if r.packed {
+				if sumInts(g) > sumInts(r.wants[i]) {
+					fail("split", "tenant %d granted more than it wants", i)
+				}
+				continue
+			}
+			for c := range g {
+				if g[c] > r.wants[i][c] {
+					fail("split", "tenant %d granted more than it wants of class %d", i, c)
+				}
+			}
+		}
+		if r.packed {
+			tierOrder("split")
+		}
+		r.lendSlack()
+		fits("lendSlack")
+		if r.packed {
+			tierOrder("lendSlack")
+		}
+		before := make([][]int, len(r.grants))
+		for i, g := range r.grants {
+			before[i] = slices.Clone(g)
+		}
+		r.ensureWarm()
+		fits("ensureWarm")
+		covered := true
+		for c, n := range r.counts {
+			floors := 0
+			for _, f := range r.floors {
+				floors += f[c]
+			}
+			covered = covered && floors <= n
+		}
+		if !covered {
+			continue
+		}
+		for i, g := range r.grants {
+			for c := range g {
+				if g[c] < before[i][c] && (g[c] < r.floors[i][c] || sumInts(g) < r.warms[i]) {
+					fail("ensureWarm", "donor %d pushed below its floor or task count in class %d", i, c)
+				}
+			}
+			if sumInts(g) >= r.warms[i] {
+				continue
+			}
+			for c := range g {
+				if g[c] >= r.floors[i][c] {
+					continue
+				}
+				used := 0
+				for j, d := range r.grants {
+					used += d[c]
+					if j != i && d[c] > r.floors[j][c] && sumInts(d) > r.warms[j] {
+						fail("ensureWarm", "tenant %d left below its task count while tenant %d could give class %d", i, j, c)
+					}
+				}
+				if used < r.counts[c] {
+					fail("ensureWarm", "tenant %d left below its task count beside free class %d servers", i, c)
+				}
+			}
 		}
 	}
 }

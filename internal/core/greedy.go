@@ -311,10 +311,7 @@ func (a *Allocator) GreedyAllocate(demand float64, caps []int) (*Plan, bool) {
 		}
 		al = a.Capped(caps)
 	}
-	d := demand * (1 + al.Opts.Headroom)
-	if d < 0 {
-		d = 0
-	}
+	d := al.provisioned(demand)
 	st := al.state
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -81,30 +81,25 @@ type RunConfig struct {
 func (cfg *RunConfig) defaults() {
 	// With Classes set, the serving stack sizes the pool from them.
 	if cfg.Servers == 0 {
-		cfg.Servers = 20
+		cfg.Servers = stack.DefaultServers
 	}
 	if cfg.SLOSec == 0 {
-		cfg.SLOSec = 0.250
+		cfg.SLOSec = stack.DefaultSLOSec
 	}
 	if cfg.NetLatencySec == 0 {
-		cfg.NetLatencySec = 0.002
+		cfg.NetLatencySec = stack.DefaultNetLatencySec
 	}
 	// RMIntervalSec, LBIntervalSec, and Policy default inside
 	// engine.NewMulti — the one authoritative site for the engine-level
 	// knobs.
 	if cfg.BucketSec == 0 {
-		cfg.BucketSec = 30
+		cfg.BucketSec = stack.DefaultBucketSec
 	}
 	if cfg.SolveTimeLimit == 0 {
-		cfg.SolveTimeLimit = 500 * time.Millisecond
+		cfg.SolveTimeLimit = stack.DefaultSolveTimeLimit
 	}
 	if cfg.Headroom == 0 {
-		// Provisioning 30% above the demand estimate keeps per-worker
-		// utilization near 0.77, where batch-queue waits stay inside the
-		// SLO/2 allowance. With the calibrated profiles this also puts the
-		// hardware-scaling limit of the traffic pipeline at ≈560 QPS on 20
-		// servers, matching Figure 1.
-		cfg.Headroom = 0.30
+		cfg.Headroom = stack.DefaultHeadroom
 	}
 }
 

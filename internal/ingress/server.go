@@ -136,8 +136,13 @@ func (s *Server) infer(w http.ResponseWriter, r *http.Request) {
 	// The engines carry no request payload, so the body only needs to be
 	// well-formed JSON (or empty); it is read fully to keep the connection
 	// reusable.
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("body exceeds %d bytes", maxBodyBytes)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "unreadable body"})
 		return
 	}

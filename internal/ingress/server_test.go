@@ -79,6 +79,44 @@ func TestInferRejectsMalformedJSON(t *testing.T) {
 	}
 }
 
+func TestInferBodyLimit(t *testing.T) {
+	exact := `{"pad":"` + strings.Repeat("x", maxBodyBytes-len(`{"pad":""}`)) + `"}`
+	for _, c := range []struct {
+		name string
+		body string
+		want int
+	}{
+		{"one byte over", `"` + strings.Repeat("x", maxBodyBytes-1) + `"`, 413},
+		{"valid JSON at the limit", exact, 202},
+		// Valid JSON within the first limit bytes; the garbage past them
+		// must not go unread.
+		{"padded garbage", "{}" + strings.Repeat(" ", maxBodyBytes) + "garbage", 413},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var submits atomic.Int64
+			srv := httptest.NewServer(fakeBackend(nil, &submits, nil))
+			defer srv.Close()
+			resp, err := srv.Client().Post(srv.URL+"/v1/vision/infer", "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Fatalf("%d-byte body: status = %d, want %d", len(c.body), resp.StatusCode, c.want)
+			}
+			if c.want != 202 {
+				var eb errorBody
+				if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error == "" {
+					t.Fatalf("413 body is not an errorBody: %v %+v", err, eb)
+				}
+				if submits.Load() != 0 {
+					t.Fatal("oversized request reached the backend")
+				}
+			}
+		})
+	}
+}
+
 func TestInferUnknownPipeline404(t *testing.T) {
 	srv := httptest.NewServer(fakeBackend(nil, nil, nil))
 	defer srv.Close()

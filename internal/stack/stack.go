@@ -43,6 +43,24 @@ func (a Approach) String() string {
 	return approachNames[a]
 }
 
+// The paper's operating point (§6.1): 20 servers, a 250 ms SLO, 2 ms per
+// network hop, 30-second metric buckets, a 500 ms MILP solve limit and 30 %
+// provisioning headroom. Callers that take a zero value to mean "the paper's
+// setting" fill it from here; each keeps its own rule for which zeros those
+// are.
+const (
+	DefaultServers        = 20
+	DefaultSLOSec         = 0.250
+	DefaultNetLatencySec  = 0.002
+	DefaultBucketSec      = 30
+	DefaultSolveTimeLimit = 500 * time.Millisecond
+	// DefaultHeadroom keeps per-worker utilization near 0.77, where
+	// batch-queue waits stay inside the SLO/2 allowance. With the
+	// calibrated profiles it also puts the hardware-scaling limit of the
+	// traffic pipeline at ≈560 QPS on 20 servers, matching Figure 1.
+	DefaultHeadroom = 0.30
+)
+
 // Pool holds the pool-level knobs of one stack. Every field is an input the
 // caller resolves; beyond sizing the pool from its classes (see New), the
 // stack applies no defaults of its own.

@@ -559,12 +559,12 @@ func (r *Report) String() string {
 func buildConfig(opts []Option) config {
 	c := config{
 		pool: stack.Pool{
-			MultiConfig:    engine.MultiConfig{Servers: 20, NetLatencySec: 0.002},
-			SolveTimeLimit: 500 * time.Millisecond,
-			BucketSec:      30,
+			MultiConfig:    engine.MultiConfig{Servers: stack.DefaultServers, NetLatencySec: stack.DefaultNetLatencySec},
+			SolveTimeLimit: stack.DefaultSolveTimeLimit,
+			BucketSec:      stack.DefaultBucketSec,
 			TraceProb:      1.0 / 64,
 		},
-		tenant: pipelineConfig{Spec: stack.Spec{SLOSec: 0.250, Policy: OpportunisticPolicy}},
+		tenant: pipelineConfig{Spec: stack.Spec{SLOSec: stack.DefaultSLOSec, Policy: OpportunisticPolicy}},
 	}
 	for _, o := range opts {
 		o(&c)
@@ -599,7 +599,7 @@ func Serve(p *Pipeline, tr *Trace, opts ...Option) (*Report, error) {
 func (c config) newStack() (*stack.Stack, error) {
 	p := c.pool
 	if p.Headroom == 0 {
-		p.Headroom = 0.30
+		p.Headroom = stack.DefaultHeadroom
 	}
 	if len(p.Classes) > 0 {
 		if err := profiles.ValidateClasses(p.Classes); err != nil {
