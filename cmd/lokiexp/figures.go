@@ -120,8 +120,8 @@ func hetero(seed int64, sloSec float64, quick bool) error {
 func ingressFig(seed int64, servers int, sloSec float64, quick bool) error {
 	cfg := experiments.IngressConfig{Servers: servers, SLOSec: sloSec, Seed: seed}
 	if quick {
-		// Warmup must outlast the fresh bucket's burst allowance (BurstSec of
-		// capacity) plus the time the plan's headroom needs to drain it, or
+		// Warmup must outlast the fresh bucket's burst allowance (one second
+		// of capacity) plus the time the plan's headroom needs to drain it, or
 		// the quick 2x point measures the start-up transient, not steady state.
 		cfg.Mults = []float64{1.0, 2.0}
 		cfg.DurSec = 8

@@ -359,7 +359,7 @@ func (a *Allocator) build() {
 // demand estimate: hardware scaling first (Eq. 11), accuracy scaling if that
 // is infeasible (Eq. 12), and a saturation fallback that serves the largest
 // possible fraction of demand when even full accuracy scaling cannot keep
-// up.
+// up. When the saturation search finds no point either, the plan is idle.
 func (a *Allocator) Allocate(demand float64) (*Plan, error) {
 	d := a.provisioned(demand)
 
@@ -381,10 +381,7 @@ func (a *Allocator) Allocate(demand float64) (*Plan, error) {
 		return nil, err
 	}
 	if !ok {
-		// Last resort: a greedy bottleneck-proportional plan. Reached only
-		// if even the saturation search exhausts its budget without an
-		// incumbent.
-		return a.greedyPlan(d), nil
+		return idlePlan(d), nil
 	}
 	return plan, nil
 }
@@ -434,7 +431,7 @@ func (a *Allocator) Capped(caps []int) *Allocator {
 // bounded to caps (the CappedPlanner hook for multi-tenant arbitration). The
 // grant vector must have one entry per hardware class and its total must
 // cover one replica per task — below that no plan can serve the pipeline at
-// all, and the saturation fallbacks would overshoot the cap.
+// all.
 func (a *Allocator) AllocateCapped(demand float64, caps []int) (*Plan, error) {
 	if err := a.checkCaps(caps); err != nil {
 		return nil, err
@@ -464,147 +461,11 @@ func (a *Allocator) checkCaps(caps []int) error {
 	return nil
 }
 
-// greedyPlan builds a throughput-first fallback: every task gets its
-// fastest latency-feasible configuration, servers are split proportionally
-// to per-task load, and the served fraction is whatever the bottleneck
-// sustains. It exists so the Resource Manager always returns a usable plan
-// even when the optimizer is starved of time.
-func (a *Allocator) greedyPlan(demand float64) *Plan {
-	g := a.Meta.Graph()
-	// Fastest feasible config per task, reserving one server slot on the
-	// chosen class per task: on a mixed fleet the fastest configs all live
-	// on the fastest class, which may be smaller than the task count, and a
-	// choice the class cannot host would leave replicas unplaced at the
-	// engines. When every class with feasible configs is fully reserved
-	// (cluster smaller than the pipeline), fall back to the overall fastest
-	// — the pre-class behavior.
-	classFree := append([]int(nil), a.counts...)
-	best := make([]int, len(g.Tasks))
-	for i := range g.Tasks {
-		best[i] = -1
-		fastest := -1
-		for _, ci := range a.byTask[i] {
-			if fastest < 0 || a.cfgs[ci].qps > a.cfgs[fastest].qps {
-				fastest = ci
-			}
-			if classFree[a.cfgs[ci].class] <= 0 {
-				continue
-			}
-			if best[i] < 0 || a.cfgs[ci].qps > a.cfgs[best[i]].qps {
-				best[i] = ci
-			}
-		}
-		if best[i] < 0 {
-			best[i] = fastest
-		} else {
-			classFree[a.cfgs[best[i]].class]--
-		}
-	}
-	// Per-task demand multiplier using the chosen variants.
-	load := make([]float64, len(g.Tasks))
-	var walk func(id pipeline.TaskID, mult float64)
-	walk = func(id pipeline.TaskID, mult float64) {
-		load[id] += mult
-		c := &a.cfgs[best[id]]
-		out := mult * a.Meta.MultFactor(id, c.variant)
-		for _, ch := range g.Tasks[id].Children {
-			walk(ch.Task, out*ch.BranchRatio)
-		}
-	}
-	walk(0, 1)
-
-	weight := 0.0
-	for i := range g.Tasks {
-		weight += load[i] / a.cfgs[best[i]].qps
-	}
-	plan := &Plan{Mode: Saturated, Demand: demand, ServedFraction: 1}
-	served := math.Inf(1)
-	counts := make([]int, len(g.Tasks))
-	total := 0
-	for i := range g.Tasks {
-		share := (load[i] / a.cfgs[best[i]].qps) / weight
-		counts[i] = int(math.Max(1, math.Floor(share*float64(a.Opts.Servers))))
-		total += counts[i]
-	}
-	// Rounding the small shares up to one replica can overshoot the budget;
-	// shed replicas from the largest tasks so capped (multi-tenant) plans
-	// never exceed their partition.
-	for total > a.Opts.Servers {
-		biggest := -1
-		for i, n := range counts {
-			if n > 1 && (biggest < 0 || n > counts[biggest]) {
-				biggest = i
-			}
-		}
-		if biggest < 0 {
-			break
-		}
-		counts[biggest]--
-		total--
-	}
-	// The fastest configurations may pile onto one hardware class; shed the
-	// same way per class so the fallback plan respects every class's count.
-	// (On a homogeneous cluster the total shed above already did this.)
-	for cl := range a.classes {
-		for {
-			classTotal := 0
-			for i := range g.Tasks {
-				if a.cfgs[best[i]].class == cl {
-					classTotal += counts[i]
-				}
-			}
-			if classTotal <= a.counts[cl] {
-				break
-			}
-			biggest := -1
-			for i, n := range counts {
-				if a.cfgs[best[i]].class == cl && n > 1 && (biggest < 0 || n > counts[biggest]) {
-					biggest = i
-				}
-			}
-			if biggest < 0 {
-				break
-			}
-			counts[biggest]--
-		}
-	}
-	plan.ServersByClass = make([]int, len(a.classes))
-	for i := range g.Tasks {
-		n := counts[i]
-		c := &a.cfgs[best[i]]
-		plan.Assignments = append(plan.Assignments, Assignment{
-			Task: c.task, Variant: c.variant, MaxBatch: c.batch, Replicas: n,
-			Class: c.class, ClassName: a.classes[c.class].Name,
-			QPS: c.qps, LatencySec: c.lat, Accuracy: c.acc, BudgetSec: 2 * c.lat,
-		})
-		plan.ServersUsed += n
-		plan.ServersByClass[c.class] += n
-		plan.CostPerHour += float64(n) * a.classes[c.class].CostPerHour
-		if cap := float64(n) * c.qps / load[i]; cap < served {
-			served = cap
-		}
-	}
-	if demand > 0 {
-		plan.ServedFraction = math.Min(1, served/demand)
-	}
-	acc := 0.0
-	for _, tp := range g.TaskPaths() {
-		pa := 1.0
-		for _, id := range tp.Tasks {
-			pa *= a.cfgs[best[id]].acc
-		}
-		acc += pa
-	}
-	plan.ExpectedAccuracy = acc / float64(len(g.TaskPaths()))
-	plan.SolveStats = SolveStats{Step: 3}
-	return plan
-}
-
 // AllocateHardwareOnly restricts the allocator to hardware scaling with the
 // most accurate variants, the InferLine-like baseline regime: minimize
 // servers while demand fits, and beyond that serve the largest possible
-// fraction at fixed accuracy using the whole cluster. Loki itself never
-// calls this; internal/baselines does.
+// fraction at fixed accuracy using the whole cluster, or the idle plan when
+// that finds no point. Loki itself never calls this; internal/baselines does.
 func (a *Allocator) AllocateHardwareOnly(demand float64) (*Plan, error) {
 	d := a.provisioned(demand)
 	if plan, ok, err := a.solveStep(d, stepHardware, goalOptimize); err != nil {
@@ -617,7 +478,7 @@ func (a *Allocator) AllocateHardwareOnly(demand float64) (*Plan, error) {
 		return nil, err
 	}
 	if !ok {
-		return a.greedyPlan(d), nil
+		return idlePlan(d), nil
 	}
 	return plan, nil
 }

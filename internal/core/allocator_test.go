@@ -367,20 +367,6 @@ func TestFigure1PhaseBoundaries(t *testing.T) {
 	}
 }
 
-func TestGreedyPlanFallback(t *testing.T) {
-	a := chainAllocator(t, 20, 0.250)
-	plan := a.greedyPlan(5000)
-	if plan.Mode != Saturated {
-		t.Fatalf("mode = %v", plan.Mode)
-	}
-	if plan.ServersUsed == 0 || plan.ServersUsed > 20 {
-		t.Fatalf("greedy plan uses %d servers", plan.ServersUsed)
-	}
-	if plan.ServedFraction <= 0 || plan.ServedFraction > 1 {
-		t.Fatalf("served fraction %g", plan.ServedFraction)
-	}
-}
-
 func TestBudgetsAreTwiceBatchLatency(t *testing.T) {
 	a := chainAllocator(t, 20, 0.250)
 	plan, err := a.Allocate(500)

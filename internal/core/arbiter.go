@@ -322,11 +322,6 @@ func (t *Tenant) planningDemand() float64 {
 // The sum of grants never exceeds the pool, so the per-tenant engines'
 // active workers always fit the shared cluster.
 type MultiController struct {
-	// ReallocateThreshold is the relative demand change (in any tenant)
-	// that triggers re-allocation before the periodic interval elapses.
-	// Zero means 0.2.
-	ReallocateThreshold float64
-
 	// GreedyReplaceBudget, when positive, lets up to that many MILP solves
 	// per round be replaced by the planner's greedy first pass. Eligible are
 	// tenants that need a fresh solve (plan-cache miss: a bucket boundary
@@ -484,7 +479,7 @@ func (m *MultiController) liveCountsLocked() []int {
 // bucketRatio is the plan-cache quantization for this controller's tenants.
 // With a single tenant it is the fine legacy granularity (bit-compatible
 // with the recorded single-pipeline goldens). With several tenants sharing
-// the pool it widens to 1 + ReallocateThreshold, making the cache
+// the pool it widens to 1 + reallocateThreshold, making the cache
 // consistent with the arbiter's own adaptation threshold: a demand the
 // controller would not consider "moved" on an unforced step maps to the
 // bucket of the plan already standing, so periodic forced re-allocations
@@ -494,16 +489,12 @@ func (m *MultiController) bucketRatio() float64 {
 	if len(m.tenants) == 1 {
 		return legacyBucketRatio
 	}
-	return 1 + m.threshold()
+	return 1 + reallocateThreshold
 }
 
-// threshold is ReallocateThreshold with its default applied.
-func (m *MultiController) threshold() float64 {
-	if m.ReallocateThreshold == 0 {
-		return 0.2
-	}
-	return m.ReallocateThreshold
-}
+// reallocateThreshold is the relative demand change (in any tenant) that
+// triggers re-allocation before the periodic interval elapses.
+const reallocateThreshold = 0.2
 
 // NewMultiController validates the tenant set against the pool and wires
 // the arbiter. It fails when the pool cannot hold one replica per task of
@@ -641,7 +632,6 @@ func (m *MultiController) Step(force bool) error {
 		demands[i] = t.planningDemand()
 	}
 
-	thr := m.threshold()
 	if !force {
 		// A capacity change (crash, outage, recovery) counts as movement:
 		// the arbiter re-plans against the live pool within a round.
@@ -650,7 +640,7 @@ func (m *MultiController) Step(force bool) error {
 			if moved {
 				break
 			}
-			if t.plan == nil || t.moved(demands[i], thr) {
+			if t.plan == nil || t.moved(demands[i], reallocateThreshold) {
 				moved = true
 			}
 		}
@@ -985,7 +975,7 @@ func (r *round) resolve() error {
 func (r *round) solve(i int, caps []int) (*Plan, error) {
 	t := r.m.tenants[i]
 	if r.idle(i, caps) {
-		return &Plan{}, nil
+		return idlePlan(r.demands[i]), nil
 	}
 	if r.greedy[i] {
 		if plan, ok := t.Alloc.(GreedyPlanner).GreedyAllocate(r.demands[i], caps); ok {

@@ -262,18 +262,21 @@ func TestHeteroKeepWarmFloorsAvoidScarceClass(t *testing.T) {
 	_ = m
 }
 
-// The greedy last-resort plan respects per-class capacity on a mixed fleet:
-// with a fast class smaller than the task count, the fastest configs cannot
-// all pile onto it — each task reserves a slot on a class that can host it.
-// Regression test for greedyPlan oversubscribing a scarce class.
-func TestHeteroGreedyPlanRespectsClassCounts(t *testing.T) {
-	g := profiles.TrafficTree() // 3 tasks
+// When even the saturation search finds no point inside a grant, the
+// allocator serves the idle plan. A grant of slow servers only, on a class a
+// hundred times slower than the profile, holds no configuration path that
+// fits the SLO: Loki's capped solve and the InferLine baseline's
+// hardware-only path must both come back idle rather than with replicas
+// whose batches outlast the budget, or with more servers than the grant.
+func TestSaturationMissServesIdlePlan(t *testing.T) {
+	g := profiles.TrafficTree()
 	classes := []profiles.Class{
-		{Name: "fast", Count: 2, Speed: 2.0},
-		{Name: "slow", Count: 20, Speed: 0.5},
+		{Name: "fast", Count: 4, Speed: 1.0},
+		{Name: "slow", Count: 20, Speed: 0.01},
 	}
+	const slo = 0.250
 	prof := (&profiles.Profiler{}).ProfileGraphClasses(g, profiles.Batches, classes)
-	meta := NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
+	meta := NewMetadataStoreHetero(g, classes, prof, slo, profiles.Batches)
 	a, err := NewAllocator(meta, AllocatorOptions{
 		NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
 		SolveTimeLimit: time.Second,
@@ -281,19 +284,33 @@ func TestHeteroGreedyPlanRespectsClassCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := a.greedyPlan(5000)
-	byClass := make([]int, len(classes))
-	for _, as := range plan.Assignments {
-		byClass[as.Class] += as.Replicas
+	caps := []int{0, 20}
+	capped, err := a.AllocateCapped(300, caps)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for c, n := range byClass {
-		if n > classes[c].Count {
-			t.Fatalf("greedy plan hosts %d replicas on class %q (capacity %d): %+v",
-				n, classes[c].Name, classes[c].Count, plan.Assignments)
+	hwOnly, err := a.Capped(caps).AllocateHardwareOnly(300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		plan *Plan
+	}{{"AllocateCapped", capped}, {"AllocateHardwareOnly", hwOnly}} {
+		name, plan := tc.name, tc.plan
+		for _, as := range plan.Assignments {
+			if as.LatencySec > slo/2 {
+				t.Errorf("%s: task %d variant %d on %s takes %.3f s a batch, over SLO/2", name, as.Task, as.Variant, as.ClassName, as.LatencySec)
+			}
 		}
-	}
-	if plan.ServersUsed > a.Opts.Servers {
-		t.Fatalf("greedy plan uses %d servers on a %d-server fleet", plan.ServersUsed, a.Opts.Servers)
+		for c, n := range plan.ServersByClass {
+			if n > caps[c] {
+				t.Errorf("%s: %d servers on class %q, over its cap of %d", name, n, classes[c].Name, caps[c])
+			}
+		}
+		if plan.Mode != Saturated || len(plan.Assignments) != 0 || plan.ServersUsed != 0 || plan.ServedFraction != 0 {
+			t.Errorf("%s: want the idle plan (saturated, no assignments, served fraction 0), got %v", name, plan)
+		}
 	}
 }
 

@@ -129,6 +129,14 @@ type SolveStats struct {
 	Greedy bool
 }
 
+// idlePlan is the plan that serves nothing: no replicas, saturated at served
+// fraction 0 for the demand it was asked for. The allocator returns it when
+// even the saturation search finds no point, and the arbiter gives it to a
+// tenant whose grant cannot keep its tasks warm.
+func idlePlan(demand float64) *Plan {
+	return &Plan{Mode: Saturated, Demand: demand}
+}
+
 // Replicas returns the total replica count of the plan.
 func (p *Plan) Replicas() int {
 	n := 0

@@ -141,10 +141,6 @@ func TestDemandBucketConsistentWithThreshold(t *testing.T) {
 	if got := mc2.bucketRatio(); got != 1.2 {
 		t.Fatalf("multi-tenant bucket ratio = %v, want 1.2 (1 + default threshold)", got)
 	}
-	mc2.ReallocateThreshold = 0.1
-	if got := mc2.bucketRatio(); math.Abs(got-1.1) > 1e-12 {
-		t.Fatalf("multi-tenant bucket ratio = %v, want 1.1", got)
-	}
 }
 
 // TestParallelPlanningMatchesSequential drives two identical two-tenant

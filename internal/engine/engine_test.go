@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"loki/internal/metrics"
 	"loki/internal/policy"
 	"loki/internal/profiles"
+	"loki/internal/telemetry"
 	"loki/internal/trace"
 )
 
@@ -35,7 +37,9 @@ type harness struct {
 	meta *core.MetadataStore
 }
 
-func newHarness(t *testing.T, kind Kind, seed int64) harness {
+// newHarness builds a harness; each with function adjusts the backend's
+// configuration before it is built.
+func newHarness(t *testing.T, kind Kind, seed int64, with ...func(*MultiConfig)) harness {
 	t.Helper()
 	g := profiles.TrafficChain()
 	prof := (&profiles.Profiler{Seed: seed}).ProfileGraph(g, profiles.Batches)
@@ -46,7 +50,7 @@ func newHarness(t *testing.T, kind Kind, seed int64) harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := NewMulti(kind, MultiConfig{
+	cfg := MultiConfig{
 		Servers: 10, NetLatencySec: 0.002, Seed: seed, SwapLatencySec: 0.02, TimeScale: 0.05,
 		Tenants: []TenantConfig{{
 			Meta:      meta,
@@ -54,7 +58,11 @@ func newHarness(t *testing.T, kind Kind, seed int64) harness {
 			Collector: metrics.NewCollector(10, 10),
 			SLOSec:    0.250,
 		}},
-	})
+	}
+	for _, w := range with {
+		w(&cfg)
+	}
+	eng, err := NewMulti(kind, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,6 +104,52 @@ func TestSimulatedConservation(t *testing.T) {
 	}
 	if st.Injected != st.Completed+st.Dropped {
 		t.Fatalf("conservation: %d != %d + %d", st.Injected, st.Completed, st.Dropped)
+	}
+}
+
+// A straggler fault runs to its recovery: while it lasts the slowed
+// workers' telemetry rows read its factor, after it every row reads 1 again,
+// and the run conserves requests.
+func TestStragglerRecoveryRestoresSpeed(t *testing.T) {
+	tel := telemetry.NewCollector(nil, "chain", []telemetry.WorkerClass{{Name: profiles.DefaultClassName, Count: 10}})
+	var faults []string
+	var slowed int
+	h := newHarness(t, KindSimulated, 4, func(c *MultiConfig) {
+		c.Tenants[0].Telemetry = tel
+		c.Faults = &fault.Schedule{Events: []fault.Event{{At: 3, Kind: fault.Straggler, N: 3, Factor: 0.25, RecoverAfter: 6}}}
+		c.OnFault = func(_ float64, desc string) {
+			faults = append(faults, desc)
+			if len(faults) == 1 {
+				for _, r := range tel.Rows() {
+					if r.SpeedFactor == 0.25 {
+						slowed++
+					}
+				}
+			}
+		}
+	})
+	if err := h.eng.Start(h.ctrl); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.eng.FeedAll([]*trace.Trace{trace.Ramp(80, 160, 8, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.eng.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if len(faults) != 2 || !strings.HasPrefix(faults[1], "restore") {
+		t.Fatalf("fault events %q, want the straggle and its restore", faults)
+	}
+	if slowed != 3 {
+		t.Fatalf("%d workers read speed factor 0.25 while the straggle lasted, want 3", slowed)
+	}
+	for _, r := range tel.Rows() {
+		if r.SpeedFactor != 1 {
+			t.Fatalf("worker %d reads speed factor %g after the recovery, want 1", r.Worker, r.SpeedFactor)
+		}
+	}
+	if st := h.eng.Stats(0); st.Injected == 0 || st.Injected != st.Completed+st.Dropped {
+		t.Fatalf("conservation: injected %d, completed %d, dropped %d", st.Injected, st.Completed, st.Dropped)
 	}
 }
 

@@ -73,8 +73,6 @@ type MultiConfig struct {
 	SwapLatencySec float64
 	ExecJitter     float64
 	QueueFactor    float64
-	RMIntervalSec  float64
-	LBIntervalSec  float64
 
 	// TimeScale is the wall-clock backend's pace: one engine second takes
 	// TimeScale wall seconds (zero means 1). Ignored by the simulator.
@@ -113,14 +111,15 @@ func (c *MultiConfig) defaults() error {
 			t.Policy = policy.Opportunistic{}
 		}
 	}
-	if c.RMIntervalSec == 0 {
-		c.RMIntervalSec = 10
-	}
-	if c.LBIntervalSec == 0 {
-		c.LBIntervalSec = 1
-	}
 	return nil
 }
+
+// The Resource Manager re-plans every rmIntervalSec (the paper's 10 s) and
+// the Load Balancer refreshes its routes every lbIntervalSec.
+const (
+	rmIntervalSec = 10
+	lbIntervalSec = 1
+)
 
 // MultiEngine is a serving backend hosting one or more pipelines on one
 // shared pool and clock. Tenants are addressed by their index in
@@ -669,7 +668,7 @@ func chainArrivals(eng *sim.Engine, start float64, arrivals []float64, inject fu
 // startTicks schedules the shared housekeeping as engine events: every
 // second each tenant's demand report, heartbeat and demand sample, then one
 // joint reactive controller step; a Load Balancer refresh every
-// LBIntervalSec; a Resource Manager step every RMIntervalSec. No tick is
+// lbIntervalSec; a Resource Manager step every rmIntervalSec. No tick is
 // scheduled past end.
 func (m *multi) startTicks(end float64) {
 	reactive := func() error { return m.ctrl.Step(false) }
@@ -696,20 +695,20 @@ func (m *multi) startTicks(end float64) {
 	var lbTick func()
 	lbTick = func() {
 		m.control(rebalance)
-		if m.eng.Now()+m.cfg.LBIntervalSec <= end {
-			m.eng.After(m.cfg.LBIntervalSec, lbTick)
+		if m.eng.Now()+lbIntervalSec <= end {
+			m.eng.After(lbIntervalSec, lbTick)
 		}
 	}
-	m.eng.After(m.cfg.LBIntervalSec, lbTick)
+	m.eng.After(lbIntervalSec, lbTick)
 
 	var rmTick func()
 	rmTick = func() {
 		m.control(periodic)
-		if m.eng.Now()+m.cfg.RMIntervalSec <= end {
-			m.eng.After(m.cfg.RMIntervalSec, rmTick)
+		if m.eng.Now()+rmIntervalSec <= end {
+			m.eng.After(rmIntervalSec, rmTick)
 		}
 	}
-	m.eng.After(m.cfg.RMIntervalSec, rmTick)
+	m.eng.After(rmIntervalSec, rmTick)
 }
 
 func (m *multi) housekeepTenant(i int, now, rateQPS float64) {

@@ -46,9 +46,9 @@ func (c *IngressConfig) defaults() {
 		c.DurSec = 20
 	}
 	if c.WarmupSec == 0 {
-		// Must outlast the fresh token bucket's burst allowance (BurstSec of
+		// Must outlast the fresh token bucket's burst allowance (one second of
 		// capacity) plus the drain the plan's route headroom affords — about
-		// BurstSec/headroom seconds — or every overloaded point measures the
+		// 1/headroom seconds — or every overloaded point measures the
 		// start-up transient instead of steady state.
 		c.WarmupSec = 5
 	}

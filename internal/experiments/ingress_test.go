@@ -13,7 +13,7 @@ func TestIngressShedBeatsQueueRot(t *testing.T) {
 	r, err := Ingress(IngressConfig{
 		Seed:  11,
 		Mults: []float64{1.0, 2.0},
-		// The warmup window must outlast the fresh bucket's burst (BurstSec
+		// The warmup window must outlast the fresh bucket's burst (one second
 		// of capacity) plus the drain the plan's headroom affords, or the 2x
 		// points measure the start-up transient.
 		DurSec:    8,

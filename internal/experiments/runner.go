@@ -60,8 +60,6 @@ type RunConfig struct {
 	SLOSec         float64
 	NetLatencySec  float64
 	Seed           int64
-	RMIntervalSec  float64 // Resource Manager period (paper: 10 s)
-	LBIntervalSec  float64 // Load Balancer refresh period
 	BucketSec      float64 // metrics bucket width
 	SwapLatencySec float64 // model-load pause on reconfiguration
 	ExecJitter     float64 // relative execution-latency noise
@@ -73,9 +71,8 @@ type RunConfig struct {
 	// every MILP runs its full budget: the choice for experiments that
 	// pick a roomy SolveTimeLimit precisely so results do not depend on
 	// machine load.
-	DisableStall  bool
-	ProfileJitter float64 // measurement noise in the Model Profiler
-	TimeScale     float64 // wall-time compression (Wallclock backend only)
+	DisableStall bool
+	TimeScale    float64 // wall-time compression (Wallclock backend only)
 }
 
 func (cfg *RunConfig) defaults() {
@@ -89,9 +86,8 @@ func (cfg *RunConfig) defaults() {
 	if cfg.NetLatencySec == 0 {
 		cfg.NetLatencySec = stack.DefaultNetLatencySec
 	}
-	// RMIntervalSec, LBIntervalSec, and Policy default inside
-	// engine.NewMulti — the one authoritative site for the engine-level
-	// knobs.
+	// Policy defaults inside engine.NewMulti — the one authoritative site
+	// for the engine-level knobs.
 	if cfg.BucketSec == 0 {
 		cfg.BucketSec = stack.DefaultBucketSec
 	}
@@ -148,12 +144,9 @@ func (cfg RunConfig) pool() stack.Pool {
 			SwapLatencySec: cfg.SwapLatencySec,
 			ExecJitter:     cfg.ExecJitter,
 			QueueFactor:    cfg.QueueFactor,
-			RMIntervalSec:  cfg.RMIntervalSec,
-			LBIntervalSec:  cfg.LBIntervalSec,
 			TimeScale:      cfg.TimeScale,
 		},
 		Backend:        cfg.Backend,
-		ProfileJitter:  cfg.ProfileJitter,
 		Headroom:       cfg.Headroom,
 		MinAccuracy:    cfg.MinAccuracy,
 		SolveTimeLimit: cfg.SolveTimeLimit,

@@ -15,6 +15,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -85,6 +86,11 @@ func (e Event) String() string {
 }
 
 func (e Event) validate() error {
+	for _, x := range []float64{e.At, e.Factor, e.RecoverAfter} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("fault: event %q: times and factor must be finite", e.String())
+		}
+	}
 	if e.At < 0 {
 		return fmt.Errorf("fault: event %q: negative time", e.String())
 	}
@@ -230,11 +236,15 @@ func parseEvent(part string) (Event, error) {
 	return ev, ev.validate()
 }
 
+// parseSeconds reads plain seconds, with or without an "s" suffix and in
+// any form strconv.ParseFloat accepts ("30", "1e-07s", as Event.String
+// renders them), or else a Go duration ("1m30s", "500ms").
 func parseSeconds(s string) (float64, error) {
-	if d, err := time.ParseDuration(s); err == nil {
-		return d.Seconds(), nil
+	if x, err := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64); err == nil {
+		return x, nil
 	}
-	return strconv.ParseFloat(s, 64)
+	d, err := time.ParseDuration(s)
+	return d.Seconds(), err
 }
 
 // Target is the engine-side surface the compiled schedule drives. Fail and

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -54,6 +55,10 @@ func TestParseErrors(t *testing.T) {
 		"crash@5s:recover=-1s",     // negative recover
 		"crash@5s:wat=1",           // unknown key
 		"crash@5s:n",               // missing value
+		"crash@NaN",                // non-finite time
+		"crash@Inf",
+		"crash@5s:recover=NaN",        // non-finite recover
+		"straggle@5s:n=20:factor=NaN", // non-finite factor
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): want error, got nil", spec)
@@ -133,4 +138,46 @@ func TestCompileNil(t *testing.T) {
 	if tl, err := Compile(nil, nil); err != nil || tl != nil {
 		t.Fatalf("nil schedule: want (nil, nil), got (%v, %v)", tl, err)
 	}
+}
+
+// FuzzParse feeds arbitrary specs to the CLI grammar: Parse never panics, an
+// accepted schedule validates with every number finite, and its rendering
+// re-parses to a schedule that renders identically. The seed corpus runs
+// under plain `go test`.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"crash@30s:class=a100:n=2:recover=20s,outage@60s:class=spot:recover=30s,straggle@10s:class=spot:n=4:factor=0.25",
+		"crash@0.0000001",
+		"straggle@1m30s:n=3:factor=0.00001:recover=0.00001",
+		"outage@1e300:n=7",
+		"crash@NaN",
+		"crash@5s:recover=Inf",
+		" , ",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := Parse(spec)
+		if err != nil || s == nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("Parse(%q) accepted a schedule that does not validate: %v", spec, err)
+		}
+		for _, e := range s.Events {
+			for _, x := range []float64{e.At, e.Factor, e.RecoverAfter} {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("Parse(%q) accepted the non-finite number %g: %+v", spec, x, e)
+				}
+			}
+		}
+		text := s.String()
+		again, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse(%q) renders as %q, which does not parse: %v", spec, text, err)
+		}
+		if again.String() != text {
+			t.Fatalf("Parse(%q) renders as %q, which re-renders as %q", spec, text, again.String())
+		}
+	})
 }

@@ -123,16 +123,16 @@ func (b *TokenBucket) Tokens(now float64) float64 {
 // over.
 const rateWindowSec = 5
 
+// burstSec is the token bucket's depth in seconds of target rate: how much
+// of an instantaneous burst is absorbed before rate shedding starts.
+const burstSec = 1.0
+
 // Config tunes one tenant's admission controller. Zero values take the
 // defaults noted on each field.
 type Config struct {
 	// SLOSec is the tenant's end-to-end latency SLO, used to size the
 	// saturation limit and the saturation Retry-After hint. Required.
 	SLOSec float64
-	// BurstSec is the token bucket's depth in seconds of target rate
-	// (default 1.0): how much of an instantaneous burst is absorbed before
-	// rate shedding starts.
-	BurstSec float64
 	// SaturationFactor bounds in-flight work at factor × rate × SLOSec
 	// (default 1.0). By Little's law an in-flight population of rate × SLOSec
 	// is exactly the backlog the granted capacity can drain within one SLO —
@@ -150,9 +150,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.BurstSec == 0 {
-		c.BurstSec = 1.0
-	}
 	if c.SaturationFactor == 0 {
 		c.SaturationFactor = 1.0
 	}
@@ -194,7 +191,7 @@ func NewAdmission(cfg Config) *Admission {
 
 // SetRate retargets the controller to a new granted rate (requests per
 // second) at the given engine time: the rate is scaled by TargetUtilization,
-// the bucket refills at the result with a BurstSec-deep burst allowance, and
+// the bucket refills at the result with a burstSec-deep burst allowance, and
 // the saturation limit becomes SaturationFactor × qps × SLOSec. Called on
 // every plan publication.
 func (a *Admission) SetRate(now, qps float64) {
@@ -205,7 +202,7 @@ func (a *Admission) SetRate(now, qps float64) {
 		qps = 0
 	}
 	a.rate = qps
-	burst := math.Max(qps*a.cfg.BurstSec, 1)
+	burst := math.Max(qps*burstSec, 1)
 	a.tb.SetRate(qps, burst, now)
 	a.maxInFlight = int64(math.Ceil(a.cfg.SaturationFactor * qps * a.cfg.SLOSec))
 	if a.maxInFlight < 1 {

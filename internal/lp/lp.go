@@ -155,13 +155,12 @@ type Solution struct {
 
 // Options tunes the solver.
 type Options struct {
-	// Tol is the feasibility/optimality tolerance. Zero means 1e-9.
-	Tol float64
 	// MaxIter bounds total pivots. Zero means 200*(rows+cols)+2000.
 	MaxIter int
 }
 
-const defaultTol = 1e-9
+// tol is the solver's feasibility and optimality tolerance.
+const tol = 1e-9
 
 // ErrBadProblem reports a structurally invalid problem (e.g. a term indexing
 // a variable outside [0, NumVars)).
@@ -190,11 +189,7 @@ func SolveWS(p *Problem, opt Options, ws *Workspace) (*Solution, error) {
 	if err := validate(p); err != nil {
 		return nil, err
 	}
-	tol := opt.Tol
-	if tol == 0 {
-		tol = defaultTol
-	}
-	t := newTableau(p, tol, ws)
+	t := newTableau(p, ws)
 	maxIter := opt.MaxIter
 	if maxIter == 0 {
 		maxIter = 200*(t.m+t.ncols) + 2000

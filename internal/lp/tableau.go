@@ -27,7 +27,6 @@ type tableau struct {
 	nart    int
 	ncols   int
 	objShif float64
-	tol     float64
 	iters   int
 	// artStart is the first artificial column; artificials are barred from
 	// entering once phase 1 completes.
@@ -105,7 +104,7 @@ func normalize(c *Constraint) (Sense, float64) {
 // newTableau builds the phase-1 tableau of p. With a workspace it is built
 // in the workspace's retained tableau, recycling its buffers and reserving
 // spareBounds bound rows; without one it is a fresh, exactly-sized value.
-func newTableau(p *Problem, tol float64, ws *Workspace) *tableau {
+func newTableau(p *Problem, ws *Workspace) *tableau {
 	m := len(p.Cons)
 	n := p.NumVars
 
@@ -136,7 +135,6 @@ func newTableau(p *Problem, tol float64, ws *Workspace) *tableau {
 		nart:        nart,
 		ncols:       n + nslack + nart,
 		artStart:    n + nslack,
-		tol:         tol,
 		spare:       spare,
 		cost:        p.Obj,
 	}
@@ -271,7 +269,7 @@ func (t *tableau) dropArtificials() {
 		row := t.rows[i]
 		pivotCol := -1
 		for j := 0; j < t.artStart; j++ {
-			if math.Abs(row[j]) > t.tol {
+			if math.Abs(row[j]) > tol {
 				pivotCol = j
 				break
 			}
@@ -302,7 +300,7 @@ func (t *tableau) iterate(maxIter int) iterStatus {
 		if row < 0 {
 			return unbounded
 		}
-		degenerate := t.rhs[row] <= t.tol
+		degenerate := t.rhs[row] <= tol
 		t.pivot(row, col)
 		t.iters++
 		if degenerate {
@@ -325,13 +323,13 @@ func (t *tableau) chooseEntering(bland bool) int {
 	}
 	if bland {
 		for j := 0; j < limit; j++ {
-			if t.obj[j] < -t.tol {
+			if t.obj[j] < -tol {
 				return j
 			}
 		}
 		return -1
 	}
-	best, bestVal := -1, -t.tol
+	best, bestVal := -1, -tol
 	for j := 0; j < limit; j++ {
 		if t.obj[j] < bestVal {
 			bestVal = t.obj[j]
@@ -349,11 +347,11 @@ func (t *tableau) chooseLeaving(col int) int {
 	bestRatio := math.Inf(1)
 	for i := 0; i < t.m; i++ {
 		a := t.rows[i][col]
-		if a <= t.tol {
+		if a <= tol {
 			continue
 		}
 		r := t.rhs[i] / a
-		if r < bestRatio-t.tol || (r < bestRatio+t.tol && (bestRow < 0 || t.basis[i] < t.basis[bestRow])) {
+		if r < bestRatio-tol || (r < bestRatio+tol && (bestRow < 0 || t.basis[i] < t.basis[bestRow])) {
 			bestRatio = r
 			bestRow = i
 		}
@@ -402,7 +400,7 @@ func (t *tableau) pivot(prow, col int) {
 		}
 		row[col] = 0 // exact
 		t.rhs[i] -= f * t.rhs[prow]
-		if t.rhs[i] < 0 && t.rhs[i] > -t.tol {
+		if t.rhs[i] < 0 && t.rhs[i] > -tol {
 			t.rhs[i] = 0
 		}
 	}
@@ -510,11 +508,11 @@ func (t *tableau) dualIterate(maxIter int) iterStatus {
 	artEnd := t.artStart + t.nart
 	for {
 		prow := -1
-		worst := -t.tol
+		worst := -tol
 		for i, b := range t.rhs {
 			// A row still holding an artificial is redundant (all zeros, at
 			// level zero): rounding noise in it is not an infeasibility.
-			if b >= -t.tol || (t.basis[i] >= t.artStart && t.basis[i] < artEnd) {
+			if b >= -tol || (t.basis[i] >= t.artStart && t.basis[i] < artEnd) {
 				continue
 			}
 			if bland {
@@ -536,15 +534,15 @@ func (t *tableau) dualIterate(maxIter int) iterStatus {
 		col := -1
 		bestRatio, bestPiv := math.Inf(1), 0.0
 		for j, a := range t.rows[prow] {
-			if a >= -t.tol || (j >= t.artStart && j < artEnd) {
+			if a >= -tol || (j >= t.artStart && j < artEnd) {
 				continue
 			}
 			d := math.Max(t.obj[j], 0) // dual feasible up to tolerance
 			ratio := d / -a
 			switch {
-			case ratio < bestRatio-t.tol:
+			case ratio < bestRatio-tol:
 				bestRatio, bestPiv, col = ratio, -a, j
-			case !bland && ratio <= bestRatio+t.tol && -a > bestPiv:
+			case !bland && ratio <= bestRatio+tol && -a > bestPiv:
 				bestRatio, bestPiv, col = math.Min(bestRatio, ratio), -a, j
 			}
 		}
@@ -553,7 +551,7 @@ func (t *tableau) dualIterate(maxIter int) iterStatus {
 		}
 		t.pivot(prow, col)
 		t.iters++
-		if bestRatio <= t.tol {
+		if bestRatio <= tol {
 			stall++
 			if stall >= stallLimit {
 				bland = true

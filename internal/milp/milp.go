@@ -84,15 +84,10 @@ type Options struct {
 	// MaxNodes bounds the number of branch-and-bound nodes. Zero means
 	// 200 000.
 	MaxNodes int
-	// IntTol is the integrality tolerance. Zero means 1e-6.
-	IntTol float64
 	// RelGap stops the search once (bestBound-incumbent)/|incumbent| falls
-	// below this value. Zero means prove optimality exactly (up to IntTol).
+	// below this value. Zero means prove optimality exactly (up to the
+	// integrality tolerance intTol).
 	RelGap float64
-	// AbsGap prunes nodes whose bound exceeds the incumbent by at most
-	// this amount — the search stops once no node can improve the
-	// incumbent by more than AbsGap.
-	AbsGap float64
 	// ObjIntegral asserts that the objective takes integer values on every
 	// integer-feasible point (true for pure counting objectives such as
 	// "minimize servers"), which lets the solver round every relaxation
@@ -106,7 +101,7 @@ type Options struct {
 	// remembered from related, earlier solves (e.g. the previous adaptation
 	// round's plan). Every candidate is verified against the current
 	// problem — a point that violates a tightened constraint is silently
-	// dropped. On proof-seeking searches (RelGap and AbsGap both zero) the
+	// dropped. On proof-seeking searches (RelGap zero) the
 	// best feasible candidate becomes a pruning floor from the very first
 	// node; it never displaces an equally good solution found by the
 	// search itself and never participates in the termination tests, so a
@@ -230,10 +225,6 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 	if p.Integer != nil && len(p.Integer) != p.LP.NumVars {
 		return nil, ErrBadProblem
 	}
-	intTol := opt.IntTol
-	if intTol == 0 {
-		intTol = 1e-6
-	}
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
 		maxNodes = 200_000
@@ -244,10 +235,9 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 	}
 
 	s := &search{
-		p:      p,
-		intTol: intTol,
-		lpOpt:  opt.LPOptions,
-		ws:     opt.Workspace,
+		p:     p,
+		lpOpt: opt.LPOptions,
+		ws:    opt.Workspace,
 		// Normalize to maximization internally.
 		sign: 1.0,
 	}
@@ -286,7 +276,7 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 		}
 	}
 	pruneFloor := math.Inf(-1)
-	if warmX != nil && opt.RelGap == 0 && opt.AbsGap == 0 {
+	if warmX != nil && opt.RelGap == 0 {
 		// Floor pruning applies only to proof-seeking searches, and
 		// strictly below the warm value: nodes whose bound ties the warm
 		// start stay open so the search can find its own equally good
@@ -366,7 +356,7 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 	// the incumbent enough to matter: by bound (or the warm-start floor), or
 	// within the relative gap.
 	prunable := func(bound float64) bool {
-		if bound <= math.Max(incumbentVal, pruneFloor)+opt.AbsGap+1e-9 {
+		if bound <= math.Max(incumbentVal, pruneFloor)+1e-9 {
 			return true
 		}
 		if opt.RelGap > 0 && incumbentX != nil {
@@ -386,7 +376,7 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 			bound = math.Floor(bound + 1e-6)
 		}
 		nd.bound = bound
-		if bound <= math.Max(incumbentVal, pruneFloor)+opt.AbsGap+1e-9 {
+		if bound <= math.Max(incumbentVal, pruneFloor)+1e-9 {
 			return false
 		}
 		if nd.frac = s.mostFractional(x); nd.frac >= 0 {
@@ -592,11 +582,14 @@ search:
 	return res, nil
 }
 
+// intTol is the integrality tolerance: a relaxation value within it of an
+// integer counts as integral.
+const intTol = 1e-6
+
 type search struct {
-	p      *Problem
-	intTol float64
-	lpOpt  lp.Options
-	sign   float64 // +1 maximize, -1 minimize (normalizes bounds)
+	p     *Problem
+	lpOpt lp.Options
+	sign  float64 // +1 maximize, -1 minimize (normalizes bounds)
 
 	// Shared node model: cons holds the base rows once, each node appends
 	// its bound rows behind them and truncates back after the solve, and
@@ -674,7 +667,7 @@ func (s *search) solveNode(nd *node) (*lp.Solution, error) {
 // mostFractional returns the integer variable whose relaxation value is
 // farthest from integral, or -1 if all are integral within tolerance.
 func (s *search) mostFractional(x []float64) int {
-	best, bestDist := -1, s.intTol
+	best, bestDist := -1, intTol
 	for j, isInt := range s.p.Integer {
 		if !isInt {
 			continue

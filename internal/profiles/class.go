@@ -2,6 +2,7 @@ package profiles
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -53,7 +54,7 @@ func TotalCount(classes []Class) int {
 }
 
 // ValidateClasses checks a class set: at least one class, unique non-empty
-// names, positive counts and speeds, non-negative costs.
+// names, positive counts, positive finite speeds, non-negative finite costs.
 func ValidateClasses(classes []Class) error {
 	if len(classes) == 0 {
 		return fmt.Errorf("profiles: need at least one hardware class")
@@ -70,11 +71,11 @@ func ValidateClasses(classes []Class) error {
 		if c.Count <= 0 {
 			return fmt.Errorf("profiles: hardware class %q needs a positive count, got %d", c.Name, c.Count)
 		}
-		if c.Speed <= 0 {
-			return fmt.Errorf("profiles: hardware class %q needs a positive speed, got %g", c.Name, c.Speed)
+		if !(c.Speed > 0) || math.IsInf(c.Speed, 1) {
+			return fmt.Errorf("profiles: hardware class %q needs a positive finite speed, got %g", c.Name, c.Speed)
 		}
-		if c.CostPerHour < 0 {
-			return fmt.Errorf("profiles: hardware class %q has negative cost %g", c.Name, c.CostPerHour)
+		if !(c.CostPerHour >= 0) || math.IsInf(c.CostPerHour, 1) {
+			return fmt.Errorf("profiles: hardware class %q needs a non-negative finite cost, got %g", c.Name, c.CostPerHour)
 		}
 	}
 	return nil

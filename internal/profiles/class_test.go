@@ -1,6 +1,7 @@
 package profiles
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -75,9 +76,42 @@ func TestParseClasses(t *testing.T) {
 	if cs, err := ParseClasses("  "); err != nil || cs != nil {
 		t.Fatalf("blank spec: %v, %v", cs, err)
 	}
-	for _, bad := range []string{"a", "a:2", "a:2@0", "a:0@1", "a:2@1,a:3@1", ":2@1"} {
+	for _, bad := range []string{"a", "a:2", "a:2@0", "a:0@1", "a:2@1,a:3@1", ":2@1",
+		"a:4@NaN,b:8@1.0", "a:4@Inf,b:8@1.0", "a:4@2.0@Inf", "a:4@2.0@NaN"} {
 		if _, err := ParseClasses(bad); err == nil {
 			t.Errorf("bad spec %q accepted", bad)
 		}
 	}
+}
+
+// FuzzParseClasses feeds arbitrary fleet specs to the CLI grammar:
+// ParseClasses never panics, and an accepted fleet validates with every
+// speed and cost finite. The seed corpus runs under plain `go test`.
+func FuzzParseClasses(f *testing.F) {
+	for _, spec := range []string{
+		"a100:4@2.0,v100:8@1.0,cpu:16@0.25",
+		"a100:4@2.0@3.5",
+		"a100:4@NaN,v100:8@1.0",
+		"a100:4@Inf,v100:8@1.0",
+		"a100:4@2.0@Inf",
+		"  ",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		classes, err := ParseClasses(spec)
+		if err != nil || classes == nil {
+			return
+		}
+		if err := ValidateClasses(classes); err != nil {
+			t.Fatalf("ParseClasses(%q) accepted a fleet that does not validate: %v", spec, err)
+		}
+		for _, c := range classes {
+			for _, x := range []float64{c.Speed, c.CostPerHour} {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("ParseClasses(%q) accepted the non-finite number %g: %+v", spec, x, c)
+				}
+			}
+		}
+	})
 }

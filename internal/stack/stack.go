@@ -69,8 +69,7 @@ type Pool struct {
 	// nil means one homogeneous "default" class of Servers workers, and
 	// explicit classes set Servers to their total count.
 	engine.MultiConfig
-	Backend       engine.Kind
-	ProfileJitter float64 // measurement noise in the Model Profiler
+	Backend engine.Kind
 
 	// Planner knobs (see core.AllocatorOptions). Headroom is also every
 	// tenant's route headroom, and an admission controller admits at
@@ -159,7 +158,7 @@ func New(p Pool) *Stack {
 // Proteus approach, whose planner additionally needs per-task demand
 // observations (wired to the engine's OnTaskDemand hook by Add).
 func (s *Stack) Planner(g *pipeline.Graph, sloSec float64, ap Approach) (*core.MetadataStore, core.Planner, *baselines.Proteus, error) {
-	prof := (&profiles.Profiler{Jitter: s.ProfileJitter, Seed: s.Seed}).ProfileGraphClasses(g, profiles.Batches, s.Classes)
+	prof := (&profiles.Profiler{}).ProfileGraphClasses(g, profiles.Batches, s.Classes)
 	meta := core.NewMetadataStoreHetero(g, s.Classes, prof, sloSec, profiles.Batches)
 	opts := core.AllocatorOptions{
 		Servers:         s.Servers,
