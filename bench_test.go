@@ -51,7 +51,7 @@ func BenchmarkFigure5TrafficAnalysis(b *testing.B) {
 	var last *experiments.ComparisonResult
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Comparison(experiments.CompareConfig{
-			TrafficNotSocial: true, Seed: 11, TraceSteps: 48, StepSec: 10,
+			TrafficNotSocial: true, Seed: 11, TraceSteps: 48,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -71,7 +71,7 @@ func BenchmarkFigure6SocialMedia(b *testing.B) {
 	var last *experiments.ComparisonResult
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Comparison(experiments.CompareConfig{
-			TrafficNotSocial: false, Seed: 11, TraceSteps: 48, StepSec: 10,
+			TrafficNotSocial: false, Seed: 11, TraceSteps: 48,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -129,11 +129,8 @@ func BenchmarkFigure8SLOSensitivity(b *testing.B) {
 func BenchmarkSimulatorValidation(b *testing.B) {
 	var last *experiments.ValidationResult
 	for i := 0; i < b.N; i++ {
-		// TimeScale 0.5 keeps scheduler jitter and controller wall time
-		// small relative to scaled time; stronger compression inflates the
-		// live engine's violations artificially.
 		r, err := experiments.Validate(experiments.ValidateConfig{
-			Seed: 5, PeakQPS: 350, TraceSteps: 16, StepSec: 4, TimeScale: 0.5,
+			Seed: 5, PeakQPS: 350, TraceSteps: 16, StepSec: 4,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -229,7 +226,6 @@ func BenchmarkMultiTenantContention(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.MultiTenant(experiments.MultiTenantConfig{
 			Servers: 20, Seed: 11, TraceSteps: 24, StepSec: 5,
-			PeakA: 350, PeakB: 250, SpikeMult: 3,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -358,7 +354,7 @@ func BenchmarkIngressOverload(b *testing.B) {
 	var last *experiments.IngressResult
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Ingress(experiments.IngressConfig{
-			Seed: 11, Mults: []float64{1.0, 2.0}, DurSec: 8, WarmupSec: 5,
+			Seed: 11, Mults: []float64{1.0, 2.0}, DurSec: 8,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -453,7 +449,7 @@ func BenchmarkForecastSpike(b *testing.B) {
 	var last []*experiments.ForecastResult
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Forecast(experiments.ForecastConfig{
-			Seed: 11, TraceSteps: 24, StepSec: 10,
+			Seed: 11, TraceSteps: 24,
 		})
 		if err != nil {
 			b.Fatal(err)

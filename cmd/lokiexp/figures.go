@@ -1,174 +1,188 @@
 package main
 
 import (
-	"fmt"
-
 	"loki/internal/experiments"
 )
 
-func figure1(servers int, sloSec float64, quick bool) error {
+// options are the command-line values a figure may read; the README lists
+// which figures read which flag.
+type options struct {
+	seed    int64
+	servers int
+	sloSec  float64
+	quick   bool
+}
+
+// figure is one entry of -fig: its name, the banner printed above its
+// output, and the run that returns the rendered table.
+type figure struct {
+	name, title string
+	run         func(o options) (string, error)
+}
+
+// figures lists every figure in the order -fig all runs them.
+var figures = []figure{
+	{"1", "Figure 1: hardware→accuracy scaling phases", figure1},
+	{"3", "Figure 3: accuracy-throughput tradeoff", figure3},
+	{"5", "Figure 5: traffic-analysis comparison", func(o options) (string, error) { return comparison(true, o) }},
+	{"6", "Figure 6: social-media comparison", func(o options) (string, error) { return comparison(false, o) }},
+	{"7", "Figure 7: early-dropping ablation", figure7},
+	{"8", "Figure 8: SLO sensitivity", figure8},
+	{"hetero", "Hetero: mixed accelerator fleet vs speed-equivalent uniform", hetero},
+	{"fleet", "Fleet: planning rounds at 100-1000 servers, greedy vs MILP-only", fleet},
+	{"multitenant", "Multi-tenant: shared-pool contention", multitenant},
+	{"forecast", "Forecast: reactive vs proactive provisioning", forecastFig},
+	{"ingress", "Ingress: admission control under overload", ingressFig},
+	{"chaos", "Chaos: fault injection, tiers, and degradation order", chaos},
+	{"validate", "§6.2: simulator validation", validate},
+	{"runtime", "§6.5: runtime overhead", runtime},
+}
+
+func figure1(o options) (string, error) {
 	steps := 22
-	if quick {
+	if o.quick {
 		steps = 11
 	}
-	r, err := experiments.Figure1(servers, sloSec, steps)
+	r, err := experiments.Figure1(o.servers, o.sloSec, steps)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatFigure1(r))
-	return nil
+	return experiments.FormatFigure1(r), nil
 }
 
-func figure3() error {
-	fmt.Println(experiments.FormatFigure3(experiments.Figure3()))
-	return nil
+func figure3(options) (string, error) {
+	return experiments.FormatFigure3(experiments.Figure3()), nil
 }
 
-func comparison(traffic bool, seed int64, servers int, sloSec float64, quick bool) error {
+func comparison(traffic bool, o options) (string, error) {
 	steps := 144
-	if quick {
+	if o.quick {
 		steps = 72
 	}
 	r, err := experiments.Comparison(experiments.CompareConfig{
 		TrafficNotSocial: traffic,
-		Servers:          servers,
-		SLOSec:           sloSec,
-		Seed:             seed,
+		Servers:          o.servers,
+		SLOSec:           o.sloSec,
+		Seed:             o.seed,
 		TraceSteps:       steps,
-		StepSec:          10,
 	})
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatComparison(r))
-	return nil
+	return experiments.FormatComparison(r), nil
 }
 
-func figure7(seed int64) error {
-	rows, err := experiments.Figure7(seed)
+func figure7(o options) (string, error) {
+	rows, err := experiments.Figure7(o.seed)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatFigure7(rows))
-	return nil
+	return experiments.FormatFigure7(rows), nil
 }
 
-func figure8(seed int64) error {
-	rows, err := experiments.Figure8(seed, nil)
+func figure8(o options) (string, error) {
+	rows, err := experiments.Figure8(o.seed, nil)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatFigure8(rows))
-	return nil
+	return experiments.FormatFigure8(rows), nil
 }
 
-func validate(seed int64, quick bool) error {
-	cfg := experiments.ValidateConfig{Seed: seed}
-	if quick {
+func validate(o options) (string, error) {
+	cfg := experiments.ValidateConfig{Seed: o.seed}
+	if o.quick {
 		cfg.TraceSteps = 10
 		cfg.StepSec = 4
-		cfg.TimeScale = 0.5
 	}
 	r, err := experiments.Validate(cfg)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatValidation(r))
-	return nil
+	return experiments.FormatValidation(r), nil
 }
 
-func runtime(servers int, sloSec float64) error {
-	r, err := experiments.Runtime(servers, sloSec)
+func runtime(o options) (string, error) {
+	r, err := experiments.Runtime(o.servers, o.sloSec)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatRuntime(r))
-	return nil
+	return experiments.FormatRuntime(r), nil
 }
 
-func forecastFig(seed int64, servers int, sloSec float64, quick bool) error {
+func forecastFig(o options) (string, error) {
 	steps := 36
-	if quick {
+	if o.quick {
 		steps = 24
 	}
 	r, err := experiments.Forecast(experiments.ForecastConfig{
-		Servers: servers, SLOSec: sloSec, Seed: seed,
-		TraceSteps: steps, StepSec: 10,
+		Servers: o.servers, SLOSec: o.sloSec, Seed: o.seed, TraceSteps: steps,
 	})
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatForecast(r))
-	return nil
+	return experiments.FormatForecast(r), nil
 }
 
-func hetero(seed int64, sloSec float64, quick bool) error {
+func hetero(o options) (string, error) {
 	steps, stepSec := 48, 10.0
-	if quick {
+	if o.quick {
 		steps, stepSec = 24, 5.0
 	}
 	r, err := experiments.Hetero(experiments.HeteroConfig{
-		SLOSec: sloSec, Seed: seed, TraceSteps: steps, StepSec: stepSec,
+		SLOSec: o.sloSec, Seed: o.seed, TraceSteps: steps, StepSec: stepSec,
 	})
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatHetero(r))
-	return nil
+	return experiments.FormatHetero(r), nil
 }
 
-func ingressFig(seed int64, servers int, sloSec float64, quick bool) error {
-	cfg := experiments.IngressConfig{Servers: servers, SLOSec: sloSec, Seed: seed}
-	if quick {
-		// Warmup must outlast the fresh bucket's burst allowance (one second
-		// of capacity) plus the time the plan's headroom needs to drain it, or
-		// the quick 2x point measures the start-up transient, not steady state.
+func ingressFig(o options) (string, error) {
+	cfg := experiments.IngressConfig{Servers: o.servers, SLOSec: o.sloSec, Seed: o.seed}
+	if o.quick {
+		// Eight seconds per point still leave three past the driver's
+		// five-second warmup, so the quick 2x point measures steady state.
 		cfg.Mults = []float64{1.0, 2.0}
 		cfg.DurSec = 8
-		cfg.WarmupSec = 5
 	}
 	r, err := experiments.Ingress(cfg)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatIngress(r))
-	return nil
+	return experiments.FormatIngress(r), nil
 }
 
-func chaos(seed int64, sloSec float64, quick bool) error {
+func chaos(o options) (string, error) {
 	r, err := experiments.Chaos(experiments.ChaosConfig{
-		SLOSec: sloSec, Seed: seed, Quick: quick,
+		SLOSec: o.sloSec, Seed: o.seed, Quick: o.quick,
 	})
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatChaos(r))
-	return nil
+	return experiments.FormatChaos(r), nil
 }
 
-func fleet(seed int64, sloSec float64, quick bool) error {
+func fleet(o options) (string, error) {
 	r, err := experiments.Fleet(experiments.FleetConfig{
-		SLOSec: sloSec, Seed: seed, Quick: quick,
+		SLOSec: o.sloSec, Seed: o.seed, Quick: o.quick,
 	})
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatFleet(r))
-	return nil
+	return experiments.FormatFleet(r), nil
 }
 
-func multitenant(seed int64, servers int, sloSec float64, quick bool) error {
+func multitenant(o options) (string, error) {
 	steps := 48
-	if quick {
+	if o.quick {
 		steps = 24
 	}
 	r, err := experiments.MultiTenant(experiments.MultiTenantConfig{
-		Servers: servers, SLOSec: sloSec, Seed: seed,
+		Servers: o.servers, SLOSec: o.sloSec, Seed: o.seed,
 		TraceSteps: steps, StepSec: 10,
 	})
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Println(experiments.FormatMultiTenant(r))
-	return nil
+	return experiments.FormatMultiTenant(r), nil
 }

@@ -29,128 +29,97 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	goruntime "runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
+
+	"loki/internal/stack"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1, 3, 5, 6, 7, 8, hetero, multitenant, fleet, forecast, ingress, chaos, validate, runtime, all")
-	seed := flag.Int64("seed", 11, "random seed")
-	servers := flag.Int("servers", 20, "cluster size")
-	sloMs := flag.Float64("slo", 250, "latency SLO in milliseconds")
-	quick := flag.Bool("quick", false, "smaller traces for a fast pass")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, regenerates the chosen figures onto
+// stdout, and returns the exit status — 2 for a usage error, such as a
+// -fig name not in the figures table.
+func run(args []string, stdout, stderr io.Writer) int {
+	names := make([]string, 0, len(figures)+1)
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	names = append(names, "all")
+	valid := strings.Join(names, ", ")
+
+	fs := flag.NewFlagSet("lokiexp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure to regenerate: "+valid)
+	seed := fs.Int64("seed", 11, "random seed")
+	servers := fs.Int("servers", stack.DefaultServers, "cluster size")
+	sloMs := fs.Float64("slo", 1000*stack.DefaultSLOSec, "latency SLO in milliseconds")
+	quick := fs.Bool("quick", false, "smaller traces for a fast pass")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+
+	var chosen []figure
+	for _, f := range figures {
+		if *fig == "all" || *fig == f.name {
+			chosen = append(chosen, f)
+		}
+	}
+	if len(chosen) == 0 {
+		fmt.Fprintf(stderr, "lokiexp: unknown figure %q; valid: %s\n", *fig, valid)
+		return 2
+	}
+	o := options{seed: *seed, servers: *servers, sloSec: *sloMs / 1000, quick: *quick}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "cpuprofile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			goruntime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				os.Exit(1)
-			}
-		}()
-	}
 
-	run := func(name string, f func() error) {
-		fmt.Printf("==================== %s ====================\n", name)
+	for _, f := range chosen {
+		fmt.Fprintf(stdout, "==================== %s ====================\n", f.title)
 		t0 := time.Now()
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", name, err)
-			os.Exit(1)
+		out, err := f.run(o)
+		if err != nil {
+			fmt.Fprintf(stderr, "%s failed: %v\n", f.title, err)
+			return 1
 		}
-		fmt.Printf("[%s done in %v]\n\n", name, time.Since(t0).Round(time.Millisecond))
+		fmt.Fprintln(stdout, out)
+		fmt.Fprintf(stdout, "[%s done in %v]\n\n", f.title, time.Since(t0).Round(time.Millisecond))
 	}
 
-	all := *fig == "all"
-	if all || *fig == "1" {
-		run("Figure 1: hardware→accuracy scaling phases", func() error {
-			return figure1(*servers, *sloMs/1000, *quick)
-		})
+	if *memprofile != "" {
+		f, err := os.Create(*memprofile)
+		if err != nil {
+			fmt.Fprintf(stderr, "memprofile: %v\n", err)
+			return 1
+		}
+		defer f.Close()
+		goruntime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintf(stderr, "memprofile: %v\n", err)
+			return 1
+		}
 	}
-	if all || *fig == "3" {
-		run("Figure 3: accuracy-throughput tradeoff", figure3)
-	}
-	if all || *fig == "5" {
-		run("Figure 5: traffic-analysis comparison", func() error {
-			return comparison(true, *seed, *servers, *sloMs/1000, *quick)
-		})
-	}
-	if all || *fig == "6" {
-		run("Figure 6: social-media comparison", func() error {
-			return comparison(false, *seed, *servers, *sloMs/1000, *quick)
-		})
-	}
-	if all || *fig == "7" {
-		run("Figure 7: early-dropping ablation", func() error {
-			return figure7(*seed)
-		})
-	}
-	if all || *fig == "8" {
-		run("Figure 8: SLO sensitivity", func() error {
-			return figure8(*seed)
-		})
-	}
-	if all || *fig == "hetero" {
-		run("Hetero: mixed accelerator fleet vs speed-equivalent uniform", func() error {
-			return hetero(*seed, *sloMs/1000, *quick)
-		})
-	}
-	if all || *fig == "fleet" {
-		run("Fleet: planning rounds at 100-1000 servers, greedy vs MILP-only", func() error {
-			return fleet(*seed, *sloMs/1000, *quick)
-		})
-	}
-	if all || *fig == "multitenant" {
-		run("Multi-tenant: shared-pool contention", func() error {
-			return multitenant(*seed, *servers, *sloMs/1000, *quick)
-		})
-	}
-	if all || *fig == "forecast" {
-		run("Forecast: reactive vs proactive provisioning", func() error {
-			return forecastFig(*seed, *servers, *sloMs/1000, *quick)
-		})
-	}
-	if all || *fig == "ingress" {
-		run("Ingress: admission control under overload", func() error {
-			return ingressFig(*seed, *servers, *sloMs/1000, *quick)
-		})
-	}
-	if all || *fig == "chaos" {
-		run("Chaos: fault injection, tiers, and degradation order", func() error {
-			return chaos(*seed, *sloMs/1000, *quick)
-		})
-	}
-	if all || *fig == "validate" {
-		run("§6.2: simulator validation", func() error {
-			return validate(*seed, *quick)
-		})
-	}
-	if all || *fig == "runtime" {
-		run("§6.5: runtime overhead", func() error {
-			return runtime(*servers, *sloMs/1000)
-		})
-	}
+	return 0
 }

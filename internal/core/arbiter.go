@@ -456,19 +456,9 @@ func (m *MultiController) SetTelemetry(reg *telemetry.Registry) {
 	m.tel = pt
 }
 
-// LiveCounts returns the per-class server counts the arbiter currently plans
-// against: the static class sizes, reduced by any observed faults.
-func (m *MultiController) LiveCounts() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.live != nil {
-		return append([]int(nil), m.live...)
-	}
-	return append([]int(nil), m.counts...)
-}
-
-// liveCountsLocked is LiveCounts for callers already holding the lock; it
-// returns the internal slice, which callers must not mutate.
+// liveCountsLocked returns the per-class server counts the arbiter currently
+// plans against: the static class sizes, reduced by any observed faults. The
+// caller holds the lock and must not mutate the returned slice.
 func (m *MultiController) liveCountsLocked() []int {
 	if m.live != nil {
 		return m.live

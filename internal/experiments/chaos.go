@@ -21,20 +21,8 @@ import (
 // the fault active from the start (no stale state to converge from), the
 // after-oracle is a fault-free run.
 type ChaosConfig struct {
-	// Reserved and Spot size the two hardware classes (defaults 12 and 8).
-	Reserved, Spot int
-	SLOSec         float64
-	Seed           int64
-	// QPS is the steady per-pipeline offered load (default 240 — the
-	// two pipelines together run the healthy pool near capacity, so the
-	// spot outage forces a real shortfall).
-	QPS float64
-	// DurSec is the run length; FaultAtSec and FaultDurSec place the fault
-	// (defaults 120, 40, 40).
-	DurSec, FaultAtSec, FaultDurSec float64
-	// CrashN and StraggleN/StraggleFactor shape the partial-fault cells.
-	CrashN, StraggleN int
-	StraggleFactor    float64
+	SLOSec float64
+	Seed   int64
 	// Faults selects which fault kinds to run (subset of "crash",
 	// "outage", "straggle"; empty = all three). The benchmark canary uses
 	// it to run the headline outage cell alone.
@@ -47,40 +35,26 @@ type ChaosConfig struct {
 	capacity float64
 }
 
-func (c *ChaosConfig) defaults() {
-	if c.Reserved == 0 {
-		c.Reserved = 12
-	}
-	if c.Spot == 0 {
-		c.Spot = 8
-	}
-	if c.SLOSec == 0 {
-		c.SLOSec = 0.250
-	}
-	if c.QPS == 0 {
-		c.QPS = 240
-	}
-	if c.DurSec == 0 {
-		c.DurSec = 120
-	}
-	if c.FaultAtSec == 0 {
-		c.FaultAtSec = 40
-	}
-	if c.FaultDurSec == 0 {
-		c.FaultDurSec = 40
-	}
-	if c.CrashN == 0 {
-		c.CrashN = 2
-	}
-	if c.StraggleN == 0 {
-		c.StraggleN = 4
-	}
-	if c.StraggleFactor == 0 {
-		c.StraggleFactor = 0.25
-	}
+// The chaos scenario: a 12-server reserved class and an 8-server spot class,
+// each pipeline offered a steady 240 qps — together the two run the healthy
+// pool near capacity, so the spot outage forces a real shortfall. The crash
+// cell takes 2 spot servers down; the straggle cell slows 4 to a quarter of
+// their speed.
+const (
+	chaosReserved, chaosSpot    = 12, 8
+	chaosQPS                    = 240
+	chaosCrashN, chaosStraggleN = 2, 4
+	chaosStraggleFactor         = 0.25
+)
+
+// timing returns the run length and the fault's start and duration: a
+// 120-second run with the fault over [40, 80), or 60 seconds with it over
+// [20, 40) when Quick.
+func (c *ChaosConfig) timing() (durSec, faultAtSec, faultDurSec float64) {
 	if c.Quick {
-		c.DurSec, c.FaultAtSec, c.FaultDurSec = 60, 20, 20
+		return 60, 20, 20
 	}
+	return 120, 40, 40
 }
 
 // windows returns the three scoring windows: before starts after warmup,
@@ -93,9 +67,10 @@ func (c *ChaosConfig) windows() (b0, b1, d0, d1, a0, a1 float64) {
 	if c.Quick {
 		grace, round = 4, 10
 	}
-	return 10, c.FaultAtSec,
-		c.FaultAtSec + grace, c.FaultAtSec + c.FaultDurSec,
-		c.FaultAtSec + c.FaultDurSec + round, c.DurSec
+	dur, at, length := c.timing()
+	return 10, at,
+		at + grace, at + length,
+		at + length + round, dur
 }
 
 // ChaosWindow is one tenant's score over one window. Attainment is the SLO
@@ -136,7 +111,7 @@ type ChaosResult struct {
 // fault at the start of the run with no recovery — the oracle arm, whose
 // control plane never holds state from a healthier pool.
 func (c *ChaosConfig) chaosFaults(kind string, permanent bool) *fault.Schedule {
-	at, rec := c.FaultAtSec, c.FaultDurSec
+	_, at, rec := c.timing()
 	if permanent {
 		at, rec = 0, 0
 	}
@@ -144,13 +119,13 @@ func (c *ChaosConfig) chaosFaults(kind string, permanent bool) *fault.Schedule {
 	switch kind {
 	case "crash":
 		ev.Kind = fault.Crash
-		ev.N = c.CrashN
+		ev.N = chaosCrashN
 	case "outage":
 		ev.Kind = fault.Outage
 	case "straggle":
 		ev.Kind = fault.Straggler
-		ev.N = c.StraggleN
-		ev.Factor = c.StraggleFactor
+		ev.N = chaosStraggleN
+		ev.Factor = chaosStraggleFactor
 	}
 	return &fault.Schedule{Events: []fault.Event{ev}}
 }
@@ -159,8 +134,8 @@ func (c *ChaosConfig) chaosFaults(kind string, permanent bool) *fault.Schedule {
 func (c *ChaosConfig) run() RunConfig {
 	return RunConfig{
 		Classes: []profiles.Class{
-			{Name: "res", Count: c.Reserved, Speed: 1.0},
-			{Name: "spot", Count: c.Spot, Speed: 1.0},
+			{Name: "res", Count: chaosReserved, Speed: 1.0},
+			{Name: "spot", Count: chaosSpot, Speed: 1.0},
 		},
 		SLOSec: c.SLOSec,
 		Seed:   c.Seed,
@@ -176,8 +151,8 @@ var chaosOnGrants func(step int, totals []int)
 // chaosRun serves the two-pipeline scenario once on the simulator and
 // returns each tenant's collector plus the fault events observed.
 func chaosRun(cfg ChaosConfig, tiered bool, sched *fault.Schedule) ([]*metrics.Collector, []string, error) {
-	steps := int(cfg.DurSec / 4)
-	tr := trace.Ramp(cfg.QPS, cfg.QPS, steps, 4)
+	dur, _, _ := cfg.timing()
+	tr := trace.Ramp(chaosQPS, chaosQPS, int(dur/4), 4)
 	var tenants []stack.Spec
 	for _, name := range []string{"gold", "free"} {
 		tenants = append(tenants, stack.Spec{Name: name, Graph: profiles.TrafficTree(), Admission: true, DemandCapQPS: cfg.capacity})
@@ -217,7 +192,6 @@ func (w windowSum) score() ChaosWindow {
 // serves the same full-load scenario; its oracle arms share the cell's
 // seed, so main-vs-oracle gaps measure adaptation lag, not workload noise.
 func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
-	cfg.defaults()
 	// One capacity measurement serves the whole grid (each tenant measuring
 	// its own would cost a MaxCapacity solve per tenant per run).
 	var err error

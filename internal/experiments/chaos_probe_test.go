@@ -25,7 +25,7 @@ func TestChaosGrantProbe(t *testing.T) {
 	}
 	for _, tiered := range []bool{true, false} {
 		cfg := ChaosConfig{Quick: true, Seed: 11}
-		cfg.defaults()
+		_, at, length := cfg.timing()
 		var lines []string
 		chaosOnGrants = func(step int, totals []int) {
 			lines = append(lines, fmt.Sprintf("step=%d totals=%v", step, totals))
@@ -49,7 +49,7 @@ func TestChaosGrantProbe(t *testing.T) {
 				i, bw.Attainment, dw.Attainment, dw.ShedPct, aw.Attainment,
 				s.ViolationRatio, s.Shed, s.Late, s.Dropped, s.Completed)
 			for _, p := range series {
-				if p.TimeSec >= cfg.FaultAtSec-5 && p.TimeSec < cfg.FaultAtSec+cfg.FaultDurSec+10 {
+				if p.TimeSec >= at-5 && p.TimeSec < at+length+10 {
 					t.Logf("    t=%2.0f arr=%3d shed=%3d viol=%3d", p.TimeSec, p.Arrivals, p.Shed, p.Violations)
 				}
 			}

@@ -202,7 +202,6 @@ func TestPolicyPluggedIntoRun(t *testing.T) {
 func TestMultiTenantContentionExperiment(t *testing.T) {
 	res, err := MultiTenant(MultiTenantConfig{
 		Servers: 20, Seed: 11, TraceSteps: 24, StepSec: 5,
-		PeakA: 350, PeakB: 250, SpikeMult: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -225,45 +225,28 @@ type CompareConfig struct {
 	SLOSec           float64
 	Seed             int64
 	TraceSteps       int
-	StepSec          float64
-	PeakQPS          float64
 }
 
 // Comparison runs Loki, InferLine-like, and Proteus-like on the same trace
 // and substrate (Figure 5 for the traffic pipeline, Figure 6 for social
 // media).
 func Comparison(cfg CompareConfig) (*ComparisonResult, error) {
-	if cfg.Servers == 0 {
-		cfg.Servers = 20
-	}
-	if cfg.SLOSec == 0 {
-		cfg.SLOSec = 0.250
-	}
 	if cfg.TraceSteps == 0 {
 		cfg.TraceSteps = 144
 	}
-	if cfg.StepSec == 0 {
-		cfg.StepSec = 10
-	}
+	const stepSec = 10
 
+	// Scale the trace so the peak lands beyond the hardware-scaling limit but
+	// within accuracy-scaling capacity — the regime where the three systems
+	// differ (the vertical lines in Figures 5 and 6). The social pipeline's
+	// variant families span a wider throughput range, so its peak sits
+	// higher.
 	g := profiles.SocialMedia()
-	tr := trace.TwitterLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec)
+	tr := trace.TwitterLike(cfg.Seed, cfg.TraceSteps, stepSec).ScaleToPeak(1600)
 	if cfg.TrafficNotSocial {
 		g = profiles.TrafficTree()
-		tr = trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec)
+		tr = trace.AzureLike(cfg.Seed, cfg.TraceSteps, stepSec).ScaleToPeak(1100)
 	}
-	if cfg.PeakQPS == 0 {
-		// Scale the trace so the peak lands beyond the hardware-scaling
-		// limit but within accuracy-scaling capacity — the regime where the
-		// three systems differ (the vertical lines in Figures 5 and 6). The
-		// social pipeline's variant families span a wider throughput range,
-		// so its peak sits higher.
-		cfg.PeakQPS = 1100
-		if !cfg.TrafficNotSocial {
-			cfg.PeakQPS = 1600
-		}
-	}
-	tr = tr.ScaleToPeak(cfg.PeakQPS)
 
 	out := &ComparisonResult{Pipeline: g.Name}
 	for _, ap := range []Approach{Loki, InferLine, Proteus} {

@@ -93,10 +93,12 @@ func fleetClasses(servers, classes int) []profiles.Class {
 // arbiter's parallel desire pass relies on tenants owning distinct solvers).
 // The controller alone is measured, so no engine is built.
 func fleetController(servers, tenants, classes int, sloSec float64, budget int) (*core.MultiController, []*core.Tenant, error) {
-	s := stack.New(RunConfig{Classes: fleetClasses(servers, classes), SolveTimeLimit: 2 * time.Second}.pool())
+	rc := RunConfig{Classes: fleetClasses(servers, classes), SLOSec: sloSec, SolveTimeLimit: 2 * time.Second}
+	rc.defaults()
+	s := stack.New(rc.pool())
 	ts := make([]*core.Tenant, tenants)
 	for i := range ts {
-		alloc, err := s.Allocator(profiles.TrafficChain(), sloSec)
+		alloc, err := s.Allocator(profiles.TrafficChain(), rc.SLOSec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -185,9 +187,6 @@ func fleetWalk(m *core.MultiController, ts []*core.Tenant, seed int64, rounds in
 // once with the greedy-replace budget covering every tenant and once with it
 // off, so the MILP-solve reduction is an apples-to-apples count.
 func Fleet(cfg FleetConfig) (*FleetResult, error) {
-	if cfg.SLOSec == 0 {
-		cfg.SLOSec = 0.250
-	}
 	if cfg.Rounds == 0 {
 		cfg.Rounds = 12
 	}

@@ -17,83 +17,39 @@ import (
 // pipeline serves a flash-crowd trace and a diurnal trace, once reactively
 // (no forecaster — today's control plane) and once per forecaster, and the
 // runs are compared on SLO attainment inside the stress window. Model-swap
-// pauses are on (SwapSec), because the cost the forecaster avoids is paying
-// those pauses at the spike crest instead of during the ramp.
+// pauses are on (forecastSwapSec), because the cost the forecaster avoids is
+// paying those pauses at the spike crest instead of during the ramp.
 type ForecastConfig struct {
 	Servers    int
 	SLOSec     float64
 	Seed       int64
 	TraceSteps int
-	StepSec    float64
-	// BaseQPS and SpikeMult shape the flash-crowd trace: a flat base with a
-	// sudden SpikeMult× burst over [SpikeStart, SpikeStart+SpikeDur) of the
-	// run (fractions).
-	BaseQPS              float64
-	SpikeMult            float64
-	SpikeStart, SpikeDur float64
-	// TroughQPS/PeakQPS/Periods shape the diurnal trace.
-	TroughQPS, PeakQPS float64
-	Periods            int
-	// Season is the Holt-Winters seasonal period, in per-second samples,
-	// used on the diurnal scenario (zero means one diurnal cycle:
-	// TraceSteps×StepSec/Periods). The flash-crowd scenario always runs
-	// season-free — a one-off burst has no cycle to learn, and a seasonal
-	// model would still be in its first-period warmup when the burst hits.
-	Season int
-	// SwapSec is the model-load pause when a worker changes variant.
-	SwapSec float64
-	// HorizonSec and Headroom configure the forecasters' envelope.
-	HorizonSec float64
-	Headroom   float64
 }
 
 func (c *ForecastConfig) defaults() {
-	if c.Servers == 0 {
-		c.Servers = 20
-	}
-	if c.SLOSec == 0 {
-		c.SLOSec = 0.250
-	}
 	if c.TraceSteps == 0 {
 		c.TraceSteps = 36
 	}
-	if c.StepSec == 0 {
-		c.StepSec = 10
-	}
-	if c.BaseQPS == 0 {
-		c.BaseQPS = 200
-	}
-	if c.SpikeMult == 0 {
-		c.SpikeMult = 3
-	}
-	if c.SpikeStart == 0 {
-		c.SpikeStart = 0.4
-	}
-	if c.SpikeDur == 0 {
-		c.SpikeDur = 0.25
-	}
-	if c.TroughQPS == 0 {
-		c.TroughQPS = 60
-	}
-	if c.PeakQPS == 0 {
-		c.PeakQPS = 520
-	}
-	if c.Periods == 0 {
-		c.Periods = 2
-	}
-	if c.SwapSec == 0 {
-		c.SwapSec = 0.5
-	}
-	if c.HorizonSec == 0 {
-		c.HorizonSec = core.DefaultForecastHorizonSec
-	}
-	if c.Headroom == 0 {
-		c.Headroom = 0.10
-	}
-	if c.Season == 0 {
-		c.Season = int(float64(c.TraceSteps) * c.StepSec / float64(c.Periods))
-	}
 }
+
+// The forecast scenarios, on traces of 10 s steps. The flash-crowd trace is a flat 200 qps with a
+// sudden 3× burst over [0.4, 0.65) of the run; the diurnal trace swings
+// between 60 and 520 qps over two periods. Workers pause half a second to
+// load a model, and every forecaster plans through an envelope of the
+// control plane's default horizon plus 10% headroom.
+const (
+	forecastStepSec    = 10
+	forecastBaseQPS    = 200
+	forecastSpikeMult  = 3
+	forecastSpikeStart = 0.4
+	forecastSpikeDur   = 0.25
+	forecastTroughQPS  = 60
+	forecastPeakQPS    = 520
+	forecastPeriods    = 2
+	forecastSwapSec    = 0.5
+	forecastHorizonSec = core.DefaultForecastHorizonSec
+	forecastHeadroom   = 0.10
+)
 
 // ForecastOutcome is one (trace, forecaster) serving run.
 type ForecastOutcome struct {
@@ -131,11 +87,11 @@ type forecasterSpec struct {
 	point func() forecast.Forecaster
 }
 
-// specs builds the forecaster roster for one scenario; season is the
+// forecasters builds the forecaster roster for one scenario; season is the
 // Holt-Winters period in samples (0 = trend-only Holt).
-func (cfg *ForecastConfig) specs(season int) []forecasterSpec {
+func forecasters(season int) []forecasterSpec {
 	envelope := func(base forecast.Forecaster) forecast.Forecaster {
-		return &forecast.Envelope{Base: base, HorizonSec: cfg.HorizonSec, Headroom: cfg.Headroom}
+		return &forecast.Envelope{Base: base, HorizonSec: forecastHorizonSec, Headroom: forecastHeadroom}
 	}
 	return []forecasterSpec{
 		{
@@ -163,10 +119,15 @@ func (cfg *ForecastConfig) specs(season int) []forecasterSpec {
 // forecast error are reported. Deterministic for a fixed seed.
 func Forecast(cfg ForecastConfig) ([]*ForecastResult, error) {
 	cfg.defaults()
-	dur := float64(cfg.TraceSteps) * cfg.StepSec
+	dur := float64(cfg.TraceSteps) * forecastStepSec
 
-	flash := trace.FlashCrowd(cfg.BaseQPS, cfg.TraceSteps, cfg.StepSec, cfg.SpikeStart, cfg.SpikeDur, cfg.SpikeMult)
-	diurnal := trace.Diurnal(cfg.TraceSteps, cfg.StepSec, cfg.TroughQPS, cfg.PeakQPS, cfg.Periods)
+	flash := trace.FlashCrowd(forecastBaseQPS, cfg.TraceSteps, forecastStepSec, forecastSpikeStart, forecastSpikeDur, forecastSpikeMult)
+	diurnal := trace.Diurnal(cfg.TraceSteps, forecastStepSec, forecastTroughQPS, forecastPeakQPS, forecastPeriods)
+	// The Holt-Winters season on the diurnal trace is one cycle, in
+	// per-second samples. The flash-crowd scenario always runs season-free —
+	// a one-off burst has no cycle to learn, and a seasonal model would still
+	// be in its first-period warmup when the burst hits.
+	season := int(dur / forecastPeriods)
 
 	scenarios := []struct {
 		name       string
@@ -181,17 +142,17 @@ func Forecast(cfg ForecastConfig) ([]*ForecastResult, error) {
 			// spans [Round(start·steps), Round(start·steps)+Round(dur·steps))
 			// — so the attainment window never misaligns with the burst for
 			// fractions whose sum rounds differently than their parts.
-			start: math.Round(cfg.SpikeStart*float64(cfg.TraceSteps)) * cfg.StepSec,
-			end: (math.Round(cfg.SpikeStart*float64(cfg.TraceSteps)) +
-				math.Round(cfg.SpikeDur*float64(cfg.TraceSteps))) * cfg.StepSec,
+			start: math.Round(forecastSpikeStart*float64(cfg.TraceSteps)) * forecastStepSec,
+			end: (math.Round(forecastSpikeStart*float64(cfg.TraceSteps)) +
+				math.Round(forecastSpikeDur*float64(cfg.TraceSteps))) * forecastStepSec,
 		},
-		{name: "diurnal", tr: diurnal, start: 0, end: dur, season: cfg.Season},
+		{name: "diurnal", tr: diurnal, start: 0, end: dur, season: season},
 	}
 
 	var out []*ForecastResult
 	for _, sc := range scenarios {
 		res := &ForecastResult{Scenario: sc.name, WindowStartSec: sc.start, WindowEndSec: sc.end}
-		for _, spec := range cfg.specs(sc.season) {
+		for _, spec := range forecasters(sc.season) {
 			sum, win, arr, err := serveWithForecaster(&cfg, sc.tr, spec.build(), sc.start, sc.end)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", sc.name, spec.name, err)
@@ -201,7 +162,7 @@ func Forecast(cfg ForecastConfig) ([]*ForecastResult, error) {
 				Summary:          sum,
 				WindowAttainment: win,
 				WindowArrivals:   arr,
-				ForecastMAE:      offlineMAE(spec.point(), sc.tr, cfg.HorizonSec),
+				ForecastMAE:      offlineMAE(spec.point(), sc.tr, forecastHorizonSec),
 			})
 		}
 		out = append(out, res)
@@ -214,11 +175,11 @@ func Forecast(cfg ForecastConfig) ([]*ForecastResult, error) {
 // summary plus SLO attainment and arrivals over [winStart, winEnd).
 func serveWithForecaster(cfg *ForecastConfig, tr *trace.Trace, fc forecast.Forecaster, winStart, winEnd float64) (metrics.Summary, float64, int, error) {
 	s, err := serve(RunConfig{
-		Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, SwapLatencySec: cfg.SwapSec,
+		Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, SwapLatencySec: forecastSwapSec,
 		// Buckets aligned to the trace step so the spike window cuts cleanly.
-		BucketSec: cfg.StepSec,
+		BucketSec: forecastStepSec,
 	}, []stack.Spec{{
-		Name: "pipeline", Graph: profiles.TrafficTree(), Forecaster: fc, HorizonSec: cfg.HorizonSec,
+		Name: "pipeline", Graph: profiles.TrafficTree(), Forecaster: fc, HorizonSec: forecastHorizonSec,
 	}}, []*trace.Trace{tr}, nil)
 	if err != nil {
 		return metrics.Summary{}, 0, 0, err

@@ -19,39 +19,18 @@ import (
 // cheap classes and the big accurate variants onto the fast ones, where the
 // homogeneous fleet has no such knob.
 type HeteroConfig struct {
-	Servers    int // ignored; the fleets define their own sizes
 	SLOSec     float64
 	Seed       int64
 	TraceSteps int
 	StepSec    float64
-	PeakQPS    float64
-	// Classes is the heterogeneous fleet. Nil means the recorded default:
-	// a100:4@2.0@3.2, v100:8@1.0@1.2, t4:12@0.5@0.55.
-	Classes []profiles.Class
 }
 
 func (c *HeteroConfig) defaults() {
-	if c.Seed == 0 {
-		c.Seed = 11
-	}
-	if c.SLOSec == 0 {
-		c.SLOSec = 0.250
-	}
 	if c.TraceSteps == 0 {
 		c.TraceSteps = 48
 	}
 	if c.StepSec == 0 {
 		c.StepSec = 10
-	}
-	if c.PeakQPS == 0 {
-		c.PeakQPS = 700
-	}
-	if c.Classes == nil {
-		c.Classes = []profiles.Class{
-			{Name: "a100", Count: 4, Speed: 2.0, CostPerHour: 3.2},
-			{Name: "v100", Count: 8, Speed: 1.0, CostPerHour: 1.2},
-			{Name: "t4", Count: 12, Speed: 0.5, CostPerHour: 0.55},
-		}
 	}
 }
 
@@ -94,11 +73,17 @@ type HeteroResult struct {
 }
 
 // Hetero runs the mixed-fleet experiment on the discrete-event simulator:
-// the traffic-analysis pipeline over an Azure-shaped diurnal trace, once on
-// the heterogeneous fleet and once on its speed-equivalent homogeneous twin.
+// the traffic-analysis pipeline over an Azure-shaped diurnal trace peaking at
+// 700 qps, once on the heterogeneous fleet (a100:4@2.0@3.2, v100:8@1.0@1.2,
+// t4:12@0.5@0.55) and once on its speed-equivalent homogeneous twin.
 func Hetero(cfg HeteroConfig) (*HeteroResult, error) {
 	cfg.defaults()
-	tr := trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(cfg.PeakQPS)
+	tr := trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(700)
+	classes := []profiles.Class{
+		{Name: "a100", Count: 4, Speed: 2.0, CostPerHour: 3.2},
+		{Name: "v100", Count: 8, Speed: 1.0, CostPerHour: 1.2},
+		{Name: "t4", Count: 12, Speed: 0.5, CostPerHour: 0.55},
+	}
 
 	run := func(name string, classes []profiles.Class) (HeteroOutcome, error) {
 		res, err := Run(RunConfig{
@@ -126,11 +111,11 @@ func Hetero(cfg HeteroConfig) (*HeteroResult, error) {
 		return out, nil
 	}
 
-	het, err := run("hetero", cfg.Classes)
+	het, err := run("hetero", classes)
 	if err != nil {
 		return nil, err
 	}
-	hom, err := run("homogeneous", HomogeneousEquivalent(cfg.Classes))
+	hom, err := run("homogeneous", HomogeneousEquivalent(classes))
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,7 @@ func TestHeteroBeatsSpeedEquivalentHomogeneous(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size serving runs; skipped with -short")
 	}
-	r, err := Hetero(HeteroConfig{TraceSteps: 24, StepSec: 5})
+	r, err := Hetero(HeteroConfig{Seed: 11, TraceSteps: 24, StepSec: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

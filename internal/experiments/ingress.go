@@ -25,34 +25,25 @@ type IngressConfig struct {
 	// Mults are the offered-load multipliers of the measured cluster
 	// capacity (MaxCapacity of the planner's own allocator).
 	Mults []float64
-	// DurSec is the seconds of load per sweep point; WarmupSec buckets at
-	// the head of each point are excluded from attainment and goodput (the
-	// fresh token bucket's burst).
-	DurSec    float64
-	WarmupSec float64
+	// DurSec is the seconds of load per sweep point.
+	DurSec float64
 }
 
 func (c *IngressConfig) defaults() {
-	if c.Servers == 0 {
-		c.Servers = 20
-	}
-	if c.SLOSec == 0 {
-		c.SLOSec = 0.250
-	}
 	if len(c.Mults) == 0 {
 		c.Mults = []float64{0.5, 1.0, 1.5, 2.0}
 	}
 	if c.DurSec == 0 {
 		c.DurSec = 20
 	}
-	if c.WarmupSec == 0 {
-		// Must outlast the fresh token bucket's burst allowance (one second of
-		// capacity) plus the drain the plan's route headroom affords — about
-		// 1/headroom seconds — or every overloaded point measures the
-		// start-up transient instead of steady state.
-		c.WarmupSec = 5
-	}
 }
+
+// ingressWarmupSec is the head of each sweep point excluded from attainment
+// and goodput. It must outlast the fresh token bucket's burst allowance (one
+// second of capacity) plus the drain the plan's route headroom affords —
+// about 1/headroom seconds — or every overloaded point measures the start-up
+// transient instead of steady state.
+const ingressWarmupSec = 5
 
 // IngressPoint is one sweep point: one offered rate served through one front
 // door configuration.
@@ -88,14 +79,16 @@ type IngressResult struct {
 // wall-clock-limited solves.
 func Ingress(cfg IngressConfig) (*IngressResult, error) {
 	cfg.defaults()
-	capacity, err := measureCapacity(RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed})
+	rc := RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, BucketSec: 1}
+	rc.defaults()
+	capacity, err := measureCapacity(rc)
 	if err != nil {
 		return nil, err
 	}
-	res := &IngressResult{CapacityQPS: capacity, SLOSec: cfg.SLOSec}
+	res := &IngressResult{CapacityQPS: capacity, SLOSec: rc.SLOSec}
 	for _, withAdmission := range []bool{false, true} {
 		for _, mult := range cfg.Mults {
-			p, err := serveIngressPoint(&cfg, capacity, capacity*mult, withAdmission)
+			p, err := serveIngressPoint(rc, cfg.DurSec, capacity, capacity*mult, withAdmission)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ingress %.2gx admission=%v: %w", mult, withAdmission, err)
 			}
@@ -122,9 +115,9 @@ func measureCapacity(rc RunConfig) (float64, error) {
 	return alloc.MaxCapacity(0, 20000), nil
 }
 
-// serveIngressPoint serves DurSec of Poisson load at the offered rate through
-// a fresh single-tenant stack, its front door open or admission-controlled,
-// and returns the point's outcome.
+// serveIngressPoint serves durSec of Poisson load at the offered rate through
+// a fresh single-tenant stack on rc's pool, its front door open or
+// admission-controlled, and returns the point's outcome.
 //
 // Both arms run the NoDrop completion policy: the baseline must actually
 // exhibit queueing-then-missing — excess arrivals rotting in the queue past
@@ -146,16 +139,16 @@ func measureCapacity(rc RunConfig) (float64, error) {
 //
 // The stack is pre-warmed at the offered rate, so the sweep measures
 // steady-state shedding, not cold-start planning lag.
-func serveIngressPoint(cfg *IngressConfig, capacity, offered float64, withAdmission bool) (IngressPoint, error) {
-	s, err := serve(RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, BucketSec: 1}, []stack.Spec{{
+func serveIngressPoint(rc RunConfig, durSec, capacity, offered float64, withAdmission bool) (IngressPoint, error) {
+	s, err := serve(rc, []stack.Spec{{
 		Name: "pipeline", Graph: profiles.TrafficTree(), Policy: policy.NoDrop{},
 		Admission: withAdmission, DemandCapQPS: capacity,
-	}}, []*trace.Trace{trace.Ramp(offered, offered, 1, cfg.DurSec)}, nil)
+	}}, []*trace.Trace{trace.Ramp(offered, offered, 1, durSec)}, nil)
 	if err != nil {
 		return IngressPoint{}, err
 	}
 	col := s.Tenants[0].Col
-	w := window(col.Series(), cfg.WarmupSec, cfg.DurSec)
+	w := window(col.Series(), ingressWarmupSec, durSec)
 	p := IngressPoint{
 		OfferedQPS: offered,
 		Admission:  withAdmission,

@@ -13,11 +13,9 @@ func TestIngressShedBeatsQueueRot(t *testing.T) {
 	r, err := Ingress(IngressConfig{
 		Seed:  11,
 		Mults: []float64{1.0, 2.0},
-		// The warmup window must outlast the fresh bucket's burst (one second
-		// of capacity) plus the drain the plan's headroom affords, or the 2x
-		// points measure the start-up transient.
-		DurSec:    8,
-		WarmupSec: 5,
+		// Eight seconds per point: the driver scores the three after its
+		// five-second warmup.
+		DurSec: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,39 +20,25 @@ type MultiTenantConfig struct {
 	Seed       int64
 	TraceSteps int
 	StepSec    float64
-	// PeakA and PeakB are the two traces' steady peaks (QPS).
-	PeakA, PeakB float64
-	// SpikeMult multiplies pipeline A's rate over the middle fifth of the
-	// run (≤ 1 disables the spike).
-	SpikeMult float64
-	// ShareA and ShareB are the guaranteed pool fractions under contention
-	// (0 = split the unreserved fraction equally).
-	ShareA, ShareB float64
 }
 
 func (c *MultiTenantConfig) defaults() {
-	if c.Servers == 0 {
-		c.Servers = 20
-	}
-	if c.SLOSec == 0 {
-		c.SLOSec = 0.250
-	}
 	if c.TraceSteps == 0 {
 		c.TraceSteps = 48
 	}
 	if c.StepSec == 0 {
 		c.StepSec = 10
 	}
-	if c.PeakA == 0 {
-		c.PeakA = 350
-	}
-	if c.PeakB == 0 {
-		c.PeakB = 250
-	}
-	if c.SpikeMult == 0 {
-		c.SpikeMult = 3
-	}
 }
+
+// The contention scenario: the traffic trace peaks at 350 qps and the social
+// trace at 250, and the traffic pipeline's rate triples over the middle fifth
+// of the run. Neither tenant reserves a share, so under contention the
+// arbiter splits the pool equally.
+const (
+	multiTenantPeakA, multiTenantPeakB = 350, 250
+	multiTenantSpikeMult               = 3
+)
 
 // TenantOutcome is one pipeline's share of a multi-tenant run.
 type TenantOutcome struct {
@@ -82,14 +68,12 @@ type MultiTenantResult struct {
 func MultiTenant(cfg MultiTenantConfig) (*MultiTenantResult, error) {
 	cfg.defaults()
 
-	trA := trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(cfg.PeakA)
-	if cfg.SpikeMult > 1 {
-		trA = trA.WithSpike(0.4, 0.2, cfg.SpikeMult)
-	}
-	trB := trace.TwitterLike(cfg.Seed+1, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(cfg.PeakB)
+	trA := trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(multiTenantPeakA).
+		WithSpike(0.4, 0.2, multiTenantSpikeMult)
+	trB := trace.TwitterLike(cfg.Seed+1, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(multiTenantPeakB)
 	tenants := []stack.Spec{
-		{Name: "traffic", Graph: profiles.TrafficTree(), Share: cfg.ShareA},
-		{Name: "social", Graph: profiles.SocialMedia(), Share: cfg.ShareB},
+		{Name: "traffic", Graph: profiles.TrafficTree()},
+		{Name: "social", Graph: profiles.SocialMedia()},
 	}
 
 	res := &MultiTenantResult{}

@@ -58,14 +58,11 @@ type RunConfig struct {
 	// derived from the class counts.
 	Classes        []profiles.Class
 	SLOSec         float64
-	NetLatencySec  float64
 	Seed           int64
 	BucketSec      float64 // metrics bucket width
 	SwapLatencySec float64 // model-load pause on reconfiguration
 	ExecJitter     float64 // relative execution-latency noise
-	Headroom       float64 // demand over-provisioning factor
 	QueueFactor    float64 // per-worker queue cap multiplier (see cluster.Options)
-	MinAccuracy    float64 // floor on end-to-end path accuracy (0 = none)
 	SolveTimeLimit time.Duration
 	// DisableStall turns off the planner's wall-clock stall cutoff so
 	// every MILP runs its full budget: the choice for experiments that
@@ -83,9 +80,6 @@ func (cfg *RunConfig) defaults() {
 	if cfg.SLOSec == 0 {
 		cfg.SLOSec = stack.DefaultSLOSec
 	}
-	if cfg.NetLatencySec == 0 {
-		cfg.NetLatencySec = stack.DefaultNetLatencySec
-	}
 	// Policy defaults inside engine.NewMulti — the one authoritative site
 	// for the engine-level knobs.
 	if cfg.BucketSec == 0 {
@@ -93,9 +87,6 @@ func (cfg *RunConfig) defaults() {
 	}
 	if cfg.SolveTimeLimit == 0 {
 		cfg.SolveTimeLimit = stack.DefaultSolveTimeLimit
-	}
-	if cfg.Headroom == 0 {
-		cfg.Headroom = stack.DefaultHeadroom
 	}
 }
 
@@ -132,14 +123,15 @@ func Run(cfg RunConfig) (*RunResult, error) {
 }
 
 // pool maps the run's pool-level knobs, defaults applied, onto the serving
-// stack's.
+// stack's. Every experiment runs at the stack's network latency and
+// planning headroom.
 func (cfg RunConfig) pool() stack.Pool {
 	cfg.defaults()
 	return stack.Pool{
 		MultiConfig: engine.MultiConfig{
 			Servers:        cfg.Servers,
 			Classes:        cfg.Classes,
-			NetLatencySec:  cfg.NetLatencySec,
+			NetLatencySec:  stack.DefaultNetLatencySec,
 			Seed:           cfg.Seed,
 			SwapLatencySec: cfg.SwapLatencySec,
 			ExecJitter:     cfg.ExecJitter,
@@ -147,8 +139,7 @@ func (cfg RunConfig) pool() stack.Pool {
 			TimeScale:      cfg.TimeScale,
 		},
 		Backend:        cfg.Backend,
-		Headroom:       cfg.Headroom,
-		MinAccuracy:    cfg.MinAccuracy,
+		Headroom:       stack.DefaultHeadroom,
 		SolveTimeLimit: cfg.SolveTimeLimit,
 		DisableStall:   cfg.DisableStall,
 		BucketSec:      cfg.BucketSec,

@@ -8,6 +8,7 @@ import (
 
 	"loki/internal/metrics"
 	"loki/internal/profiles"
+	"loki/internal/stack"
 	"loki/internal/trace"
 )
 
@@ -25,29 +26,26 @@ type ValidationResult struct {
 
 // ValidateConfig parameterizes the validation run.
 type ValidateConfig struct {
-	Servers    int
-	SLOSec     float64
 	Seed       int64
 	PeakQPS    float64
 	TraceSteps int
 	StepSec    float64
-	// TimeScale < 1 compresses the live run's wall time.
-	TimeScale float64
 }
+
+// validateTimeScale compresses the live run's wall time to half the trace's.
+// That keeps scheduler jitter and controller wall time small relative to
+// scaled time; stronger compression inflates the live engine's violations
+// artificially.
+const validateTimeScale = 0.5
 
 // Validate runs the identical trace through both engines with the same
 // controller configuration and reports the metric deltas. The paper observed
 // 1.2% / 1.8% / 1.5% average differences. Both kinds here are one serving
 // engine with the same seeds, so the deltas measure control timing alone: on
 // the wall-clock kind a plan lands as late as its solve takes in real time,
-// while the simulator solves in zero virtual time.
+// while the simulator solves in zero virtual time. Both serve the paper's
+// operating point: stack.DefaultServers servers at stack.DefaultSLOSec.
 func Validate(cfg ValidateConfig) (*ValidationResult, error) {
-	if cfg.Servers == 0 {
-		cfg.Servers = 20
-	}
-	if cfg.SLOSec == 0 {
-		cfg.SLOSec = 0.250
-	}
 	if cfg.PeakQPS == 0 {
 		cfg.PeakQPS = 450
 	}
@@ -59,9 +57,6 @@ func Validate(cfg ValidateConfig) (*ValidationResult, error) {
 	if cfg.StepSec == 0 {
 		cfg.StepSec = 5
 	}
-	if cfg.TimeScale == 0 {
-		cfg.TimeScale = 0.5
-	}
 	g := profiles.TrafficTree()
 	tr := trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(cfg.PeakQPS)
 
@@ -70,16 +65,14 @@ func Validate(cfg ValidateConfig) (*ValidationResult, error) {
 	// The two runs differ only in the engine.MultiEngine kind; every other
 	// knob is identical.
 	simRes, err := Run(RunConfig{
-		Graph: g, Trace: tr, Approach: Loki, Backend: Simulated,
-		Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed,
+		Graph: g, Trace: tr, Approach: Loki, Backend: Simulated, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 	liveRes, err := Run(RunConfig{
-		Graph: g, Trace: tr, Approach: Loki, Backend: Wallclock,
-		Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed,
-		TimeScale: cfg.TimeScale,
+		Graph: g, Trace: tr, Approach: Loki, Backend: Wallclock, Seed: cfg.Seed,
+		TimeScale: validateTimeScale,
 	})
 	if err != nil {
 		return nil, err
@@ -92,9 +85,7 @@ func Validate(cfg ValidateConfig) (*ValidationResult, error) {
 	}
 	res.AccuracyDeltaPct = 100 * math.Abs(res.Sim.MeanAccuracy-res.Live.MeanAccuracy)
 	res.ViolationDeltaPct = 100 * math.Abs(res.Sim.ViolationRatio-res.Live.ViolationRatio)
-	if cfg.Servers > 0 {
-		res.ServersDeltaPct = 100 * math.Abs(res.Sim.MeanServers-res.Live.MeanServers) / float64(cfg.Servers)
-	}
+	res.ServersDeltaPct = 100 * math.Abs(res.Sim.MeanServers-res.Live.MeanServers) / stack.DefaultServers
 	return res, nil
 }
 

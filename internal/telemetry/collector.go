@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -453,10 +452,4 @@ func (c *Collector) Snapshot() string {
 			r.Live, r.ServedTotal, r.BatchesTotal, r.SwapsTotal)
 	}
 	return b.String()
-}
-
-// SortRows orders worker rows by worker index — a helper for consumers that
-// merge rows from several collectors.
-func SortRows(rows []WorkerRow) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Worker < rows[j].Worker })
 }
