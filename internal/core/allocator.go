@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"loki/internal/lp"
@@ -72,9 +73,9 @@ type Allocator struct {
 	// pre-class objectives bit for bit.
 	priced bool
 
-	cfgs        []config  // all latency-feasible configurations
+	cfgs        []config  // every configuration the batch pruning keeps; latency is checked per path
 	byTask      [][]int   // config indices per task
-	paths       []cfgPath // all feasible root-to-sink config paths
+	paths       []cfgPath // the latency-feasible, undominated root-to-sink config paths
 	sinkOf      []int     // canonical sink index per task (index into sinks)
 	sinks       []pipeline.TaskID
 	pathsBySink [][]int // path indices grouped by terminal sink
@@ -133,25 +134,42 @@ func NewAllocator(meta *MetadataStore, opts AllocatorOptions) (*Allocator, error
 	if a.Opts.Servers <= 0 {
 		return nil, fmt.Errorf("core: allocator needs a positive cluster size, got %d", a.Opts.Servers)
 	}
+	if f := a.Opts.MinPathAccuracy; math.IsNaN(f) || math.IsInf(f, 0) {
+		return nil, fmt.Errorf("core: minimum path accuracy must be a finite number, got %v", f)
+	}
 	if err := meta.Graph().Validate(); err != nil {
 		return nil, err
 	}
-	a.build()
-	if len(a.paths) == 0 {
+	fit, bestAcc := a.build()
+	if fit == 0 {
 		return nil, fmt.Errorf("core: no configuration path fits the %.0fms SLO — even batch-1 latencies of the fastest variants exceed the compute budget", meta.SLO()*1e3)
+	}
+	if len(a.paths) == 0 {
+		return nil, fmt.Errorf("core: no configuration path reaches the minimum path accuracy %g — the most accurate of the %d paths that fit the %.0fms SLO reaches %.3f",
+			a.Opts.MinPathAccuracy, fit, meta.SLO()*1e3, bestAcc)
 	}
 	return a, nil
 }
 
-// build enumerates configurations and feasible paths.
-func (a *Allocator) build() {
+// build enumerates configurations and feasible paths. It returns how many
+// paths fit the SLO before the accuracy floor prunes any, and the best
+// accuracy among them.
+func (a *Allocator) build() (fit int, bestAcc float64) {
 	g := a.Meta.Graph()
 	classProf := a.Meta.ClassProfiles()
 
+	// A task's configurations are numbered by (variant, class, batch), so
+	// every variant's, and every (variant, class)'s, form one contiguous
+	// run: bounds[task][variant][cl] is where class cl's run starts, and
+	// the last entry is where the variant's ends.
 	a.byTask = make([][]int, len(g.Tasks))
+	bounds := make([][][]int, len(g.Tasks))
 	for i := range g.Tasks {
+		bounds[i] = make([][]int, len(g.Tasks[i].Variants))
 		for k := range g.Tasks[i].Variants {
+			bounds[i][k] = make([]int, 0, len(a.classes)+1)
 			for cl := range a.classes {
+				bounds[i][k] = append(bounds[i][k], len(a.cfgs))
 				p := &classProf[cl][i][k]
 				// Dominated-configuration pruning, per (variant, class): a
 				// larger batch size that improves throughput by under 5%
@@ -182,34 +200,33 @@ func (a *Allocator) build() {
 					})
 				}
 			}
+			bounds[i][k] = append(bounds[i][k], len(a.cfgs))
 		}
 	}
 
 	a.sinks = g.Sinks()
-	sinkIdx := map[pipeline.TaskID]int{}
+	sinkIdx := make([]int, len(g.Tasks))
 	for s, id := range a.sinks {
 		sinkIdx[id] = s
 	}
 
 	// Canonical sink per task: the first sink reachable from it. The
 	// consistency constraints make every sink's flow decomposition agree,
-	// so capacity accounting may use any one of them.
+	// so capacity accounting may use any one of them. Children come after
+	// their parent in topological order, so the reverse walk sees every
+	// child's answer before its parent needs it.
 	a.sinkOf = make([]int, len(g.Tasks))
-	var firstSink func(id pipeline.TaskID) int
-	firstSink = func(id pipeline.TaskID) int {
+	topo := g.TopoOrder()
+	for k := len(topo) - 1; k >= 0; k-- {
+		id := topo[k]
 		if g.Tasks[id].IsSink() {
-			return sinkIdx[id]
+			a.sinkOf[id] = sinkIdx[id]
+			continue
 		}
-		best := len(a.sinks)
+		a.sinkOf[id] = len(a.sinks)
 		for _, c := range g.Tasks[id].Children {
-			if s := firstSink(c.Task); s < best {
-				best = s
-			}
+			a.sinkOf[id] = min(a.sinkOf[id], a.sinkOf[c.Task])
 		}
-		return best
-	}
-	for i := range g.Tasks {
-		a.sinkOf[i] = firstSink(pipeline.TaskID(i))
 	}
 
 	// Enumerate feasible config paths for every task path. The compute
@@ -225,26 +242,35 @@ func (a *Allocator) build() {
 	// Pareto-pruned within a single sink's path family, or the families
 	// would keep disjoint config sets and consistency would force all flow
 	// to zero.
+	taskPaths := g.TaskPaths()
 	sinkCount := make([]int, len(g.Tasks))
-	for _, tp := range g.TaskPaths() {
+	for _, tp := range taskPaths {
 		for _, id := range tp.Tasks {
 			sinkCount[id]++
 		}
 	}
 
+	// Scratch reused across task paths: group holds one comparability
+	// group's feasible batch combinations and kept one variant sequence's
+	// survivors, hops configuration indices per combination; groupQPS holds
+	// each group combination's throughput at the exclusive hops; order
+	// sorts the survivors; pathCfgs and pathMults collect one task path's
+	// emitted hops before they are carved into its paths.
+	var (
+		group, kept, order, pathCfgs []int
+		groupQPS, pathMults          []float64
+	)
 	a.pathsBySink = make([][]int, len(a.sinks))
-	for _, tp := range g.TaskPaths() {
+	for _, tp := range taskPaths {
 		budget := budgetFor(len(tp.Tasks))
 		sink := sinkIdx[tp.Tasks[len(tp.Tasks)-1]]
-
-		// Configs per hop grouped by variant.
 		hops := len(tp.Tasks)
-		byVariant := make([]map[int][]int, hops)
-		for h, task := range tp.Tasks {
-			byVariant[h] = map[int][]int{}
-			for _, ci := range a.byTask[task] {
-				v := a.cfgs[ci].variant
-				byVariant[h][v] = append(byVariant[h][v], ci)
+		shared := make([]bool, hops)
+		var exclusive []int
+		for h, id := range tp.Tasks {
+			shared[h] = sinkCount[id] > 1
+			if !shared[h] {
+				exclusive = append(exclusive, h)
 			}
 		}
 
@@ -254,57 +280,53 @@ func (a *Allocator) build() {
 		// throughput matters to the LP, so a combo componentwise dominated
 		// in throughput can never improve a plan. This cuts the path set
 		// from the product of batch counts to roughly its staircase
-		// frontier.
+		// frontier. Only combos identical at every shared hop — and on the
+		// same hardware class at every exclusive hop — compete; dominance
+		// is judged on the exclusive hops' throughput alone. Cross-class
+		// combos are incomparable: each class is its own capacity pool with
+		// its own cost, so a lower-throughput combo on a cheaper or emptier
+		// class can still improve a plan. So the combos are enumerated one
+		// comparability group at a time — a fixed configuration at every
+		// shared hop and a fixed class at every exclusive one — and
+		// dominance is only ever tested inside a group.
 		variantChoice := make([]int, hops)
 		cfgChoice := make([]int, hops)
-		var combos [][]int
+		lo, hi := make([]int, hops), make([]int, hops) // the group: hop h ranges over configurations [lo[h], hi[h])
+		mf := make([]float64, hops)
 		var enumBatches func(hop int, lat float64)
 		enumBatches = func(hop int, lat float64) {
 			if hop == hops {
-				combos = append(combos, append([]int(nil), cfgChoice...))
+				group = append(group, cfgChoice...)
+				for _, h := range exclusive {
+					groupQPS = append(groupQPS, a.cfgs[cfgChoice[h]].qps)
+				}
 				return
 			}
-			for _, ci := range byVariant[hop][variantChoice[hop]] {
+			for ci := lo[hop]; ci < hi[hop]; ci++ {
 				if nl := lat + a.cfgs[ci].lat; nl <= budget {
 					cfgChoice[hop] = ci
 					enumBatches(hop+1, nl)
 				}
 			}
 		}
-		shared := make([]bool, hops)
-		for h, id := range tp.Tasks {
-			shared[h] = sinkCount[id] > 1
-		}
-		emit := func() {
-			combos = combos[:0]
+		// filter keeps the group's Pareto-maximal combos in kept; of equal
+		// ones, the first. Whether a combo is dominated does not depend on
+		// the order its rivals are tried in; later combos tend to carry
+		// larger batches, so trying them first finds a dominator sooner.
+		filter := func() {
+			group, groupQPS = group[:0], groupQPS[:0]
 			enumBatches(0, 0)
-			for i, combo := range combos {
+			n, e := len(group)/hops, len(exclusive)
+			for i := 0; i < n; i++ {
+				q := groupQPS[i*e : (i+1)*e]
 				dominated := false
-				for j, other := range combos {
-					if i == j {
+				for j := n - 1; j >= 0 && !dominated; j-- {
+					if j == i {
 						continue
 					}
-					// Only combos identical at every shared hop — and on the
-					// same hardware class at every hop — compete; dominance
-					// is judged on the exclusive hops' throughput alone.
-					// Cross-class combos are incomparable: each class is its
-					// own capacity pool with its own cost, so a
-					// lower-throughput combo on a cheaper or emptier class
-					// can still improve a plan.
-					geq, strict, comparable := true, false, true
-					for h := range combo {
-						if shared[h] {
-							if other[h] != combo[h] {
-								comparable = false
-								break
-							}
-							continue
-						}
-						if a.cfgs[other[h]].class != a.cfgs[combo[h]].class {
-							comparable = false
-							break
-						}
-						qa, qb := a.cfgs[other[h]].qps, a.cfgs[combo[h]].qps
+					geq, strict := true, false
+					for h, qa := range groupQPS[j*e : (j+1)*e] {
+						qb := q[h]
 						if qa < qb {
 							geq = false
 							break
@@ -313,29 +335,69 @@ func (a *Allocator) build() {
 							strict = true
 						}
 					}
-					if comparable && geq && (strict || j < i) { // ties: keep the first
-						dominated = true
-						break
-					}
+					dominated = geq && (strict || j < i)
 				}
-				if dominated {
-					continue
+				if !dominated {
+					kept = append(kept, group[i*hops:(i+1)*hops]...)
 				}
-				pth := cfgPath{cfgs: append([]int(nil), combo...), sink: sink}
-				pth.acc = 1
-				pth.mults = make([]float64, hops)
+			}
+		}
+		var enumGroups func(hop int)
+		enumGroups = func(hop int) {
+			if hop == hops {
+				filter()
+				return
+			}
+			b := bounds[tp.Tasks[hop]][variantChoice[hop]]
+			if shared[hop] {
+				for ci := b[0]; ci < b[len(b)-1]; ci++ {
+					lo[hop], hi[hop] = ci, ci+1
+					enumGroups(hop + 1)
+				}
+				return
+			}
+			for cl := 0; cl+1 < len(b); cl++ {
+				lo[hop], hi[hop] = b[cl], b[cl+1]
+				enumGroups(hop + 1)
+			}
+		}
+		// emit adds one variant sequence's survivors as paths, in
+		// lexicographic order of their configuration indices. Accuracy is
+		// the sequence's, so the floor keeps or drops them all.
+		emit := func() {
+			kept = kept[:0]
+			enumGroups(0)
+			n := len(kept) / hops
+			acc := 1.0
+			for h, id := range tp.Tasks {
+				acc *= g.Tasks[id].Variants[variantChoice[h]].Accuracy
+				mf[h] = a.Meta.MultFactor(id, variantChoice[h])
+			}
+			if n > 0 {
+				fit += n
+				bestAcc = max(bestAcc, acc)
+			}
+			if a.Opts.MinPathAccuracy > 0 && acc < a.Opts.MinPathAccuracy {
+				return
+			}
+			order = order[:0]
+			for k := 0; k < n; k++ {
+				order = append(order, k)
+			}
+			slices.SortFunc(order, func(x, y int) int {
+				return slices.Compare(kept[x*hops:(x+1)*hops], kept[y*hops:(y+1)*hops])
+			})
+			for _, k := range order {
+				combo := kept[k*hops : (k+1)*hops]
+				pth := cfgPath{sink: sink, acc: acc}
 				m := 1.0
 				for h, ci := range combo {
-					c := &a.cfgs[ci]
-					pth.totalLat += c.lat
+					pth.totalLat += a.cfgs[ci].lat
 					m *= tp.BranchRatios[h]
-					pth.mults[h] = m
-					m *= a.Meta.MultFactor(c.task, c.variant)
-					pth.acc *= c.acc
+					pathMults = append(pathMults, m)
+					m *= mf[h]
 				}
-				if a.Opts.MinPathAccuracy > 0 && pth.acc < a.Opts.MinPathAccuracy {
-					continue
-				}
+				pathCfgs = append(pathCfgs, combo...)
 				a.pathsBySink[sink] = append(a.pathsBySink[sink], len(a.paths))
 				a.paths = append(a.paths, pth)
 			}
@@ -351,8 +413,18 @@ func (a *Allocator) build() {
 				enumVariants(hop + 1)
 			}
 		}
+		first := len(a.paths)
+		pathCfgs, pathMults = pathCfgs[:0], pathMults[:0]
 		enumVariants(0)
+		// One allocation per task path for all its paths' hops.
+		cfgs, mults := slices.Clone(pathCfgs), slices.Clone(pathMults)
+		for k := range a.paths[first:] {
+			o := k * hops
+			a.paths[first+k].cfgs = cfgs[o : o+hops : o+hops]
+			a.paths[first+k].mults = mults[o : o+hops : o+hops]
+		}
 	}
+	return fit, bestAcc
 }
 
 // Allocate runs the Resource Manager's two-step optimization for the given

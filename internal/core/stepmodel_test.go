@@ -33,11 +33,7 @@ func pinAllocator(t testing.TB, name string) *Allocator {
 		meta = NewMetadataStore(g, (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches), 0.250, profiles.Batches)
 	case "fleet-chain":
 		g = profiles.TrafficChain()
-		classes := []profiles.Class{
-			{Name: "fast", Count: 200, Speed: 2.0},
-			{Name: "mid", Count: 400, Speed: 1.0},
-			{Name: "slow", Count: 400, Speed: 0.5},
-		}
+		classes := fleetClasses()
 		prof := (&profiles.Profiler{Seed: 11}).ProfileGraphClasses(g, profiles.Batches, classes)
 		meta = NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
 		opts.Servers = 1000

@@ -1,6 +1,7 @@
 package loki_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -140,6 +141,24 @@ func TestMinAccuracyFloorLimitsScaling(t *testing.T) {
 	}
 	if floored >= unfloored {
 		t.Fatalf("floored capacity %.0f ≥ unfloored %.0f", floored, unfloored)
+	}
+}
+
+// A floor that removes every path the SLO leaves is reported as the floor's
+// doing, with the best accuracy on offer, not blamed on the SLO.
+func TestUnreachableMinAccuracyNamesTheFloor(t *testing.T) {
+	_, err := loki.PlanFor(loki.TrafficAnalysisPipeline(), 100,
+		loki.WithSLO(45*time.Millisecond), loki.WithMinAccuracy(0.99))
+	if err == nil {
+		t.Fatal("a 0.99 floor at a 45 ms SLO must be rejected")
+	}
+	for _, want := range []string{"minimum path accuracy 0.99", "reaches 0.928"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	if strings.Contains(err.Error(), "batch-1") {
+		t.Errorf("error %q blames the SLO", err)
 	}
 }
 
