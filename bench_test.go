@@ -2,18 +2,18 @@
 // (§6). Each benchmark runs a scaled-down version of the corresponding
 // experiment per iteration and reports the headline quantities as custom
 // metrics, so `go test -bench=. -benchmem` reproduces the whole evaluation
-// in one pass. cmd/lokiexp runs the full-size versions.
+// in one pass. cmd/lokiexp runs the full-size versions; §6.5's planner and
+// router overheads come from `lokiexp -fig runtime`, and the system's own
+// speed from the lokibench workloads under bench/.
 package loki_test
 
 import (
 	"testing"
 	"time"
 
-	"loki"
 	"loki/internal/core"
 	"loki/internal/experiments"
 	"loki/internal/profiles"
-	"loki/internal/trace"
 )
 
 // BenchmarkFigure1CapacityPhases sweeps demand over the two-task traffic
@@ -142,105 +142,6 @@ func BenchmarkSimulatorValidation(b *testing.B) {
 	b.ReportMetric(last.ServersDeltaPct, "servers_delta_%")
 }
 
-// BenchmarkResourceManagerMILP measures one Resource Manager allocation
-// (§6.5; paper: ≈500 ms with Gurobi).
-func BenchmarkResourceManagerMILP(b *testing.B) {
-	g := profiles.TrafficTree()
-	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
-	meta := core.NewMetadataStore(g, prof, 0.250, profiles.Batches)
-	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers: 20, NetLatencySec: 0.002, KeepWarm: true,
-		Headroom: 0.30, SolveTimeLimit: 2 * time.Second,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	demands := []float64{300, 700, 1100}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := alloc.Allocate(demands[i%len(demands)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLoadBalancerRouting measures one MostAccurateFirst run (§6.5;
-// paper: ≈0.15 ms).
-func BenchmarkLoadBalancerRouting(b *testing.B) {
-	g := profiles.TrafficTree()
-	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
-	meta := core.NewMetadataStore(g, prof, 0.250, profiles.Batches)
-	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers: 20, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := alloc.Allocate(900)
-	if err != nil {
-		b.Fatal(err)
-	}
-	specs := core.ExpandPlan(plan)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.MostAccurateFirst(g, specs, 900, meta.MultFactor)
-	}
-}
-
-// BenchmarkEndToEndServe measures a full public-API serving run per
-// iteration (not a paper figure; tracks overall system throughput).
-func BenchmarkEndToEndServe(b *testing.B) {
-	pipe := loki.TrafficAnalysisPipeline()
-	tr := loki.AzureTrace(1, 24, 5, 800)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := loki.Serve(pipe, tr, loki.WithSeed(int64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkClusterEventThroughput measures raw simulator speed: simulated
-// requests processed per wall second at a fixed demand.
-func BenchmarkClusterEventThroughput(b *testing.B) {
-	pipe := loki.TrafficAnalysisPipeline()
-	tr := &trace.Trace{Interval: 10, QPS: []float64{500, 500, 500}}
-	b.ResetTimer()
-	total := 0.0
-	for i := 0; i < b.N; i++ {
-		rep, err := loki.Serve(pipe, tr, loki.WithSeed(int64(i)))
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += float64(rep.Arrivals)
-	}
-	b.ReportMetric(total/b.Elapsed().Seconds(), "sim_requests/s")
-}
-
-// BenchmarkMultiTenantContention runs the shared-pool contention experiment
-// per iteration (two pipelines, one pool, a mid-run spike) and reports each
-// tenant's SLO attainment plus the partition movement. The recorded baseline
-// lives in BENCH_multitenant.json.
-func BenchmarkMultiTenantContention(b *testing.B) {
-	var last *experiments.MultiTenantResult
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.MultiTenant(experiments.MultiTenantConfig{
-			Servers: 20, Seed: 11, TraceSteps: 24, StepSec: 5,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	a, s := last.Tenants[0], last.Tenants[1]
-	b.ReportMetric(a.Summary.ViolationRatio, "traffic_viol")
-	b.ReportMetric(s.Summary.ViolationRatio, "social_viol")
-	b.ReportMetric(a.Summary.MeanAccuracy, "traffic_acc")
-	b.ReportMetric(s.Summary.MeanAccuracy, "social_acc")
-	b.ReportMetric(float64(a.MaxGrant-a.MinGrant), "traffic_grant_swing")
-	b.ReportMetric(float64(last.Allocates), "milp_solves")
-}
-
 // BenchmarkHeteroAllocate measures one Resource Manager allocation on a
 // homogeneous 20-server pool versus the 3-class heterogeneous fleet of the
 // hetero experiment (24 servers, class-expanded configuration graph), over a
@@ -312,65 +213,6 @@ func BenchmarkHeteroAllocate(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetRound runs one fleet-scale planning cell per iteration —
-// 100 servers, 12 chain tenants, 3 hardware classes, 8 measured arbitration
-// rounds on a seeded ±4% demand walk, greedy-replace budget armed versus off
-// on the identical walk — and reports the greedy arm's round-latency
-// percentiles plus both arms' branch-and-bound counts. The regression
-// canaries for the planner-scaling work: round_p95_ms must stay well under
-// the 100 ms fleet target and milp_solves must stay at least 3× below
-// milp_solves_off. The recorded full-grid baseline (up to 1000 servers ×
-// 24 tenants) lives in BENCH_fleet.json.
-func BenchmarkFleetRound(b *testing.B) {
-	var last experiments.FleetCell
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fleet(experiments.FleetConfig{
-			Servers: []int{100}, Tenants: []int{12}, Classes: []int{3},
-			Rounds: 8, Seed: 11,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r.Cells[0]
-	}
-	b.ReportMetric(last.P50Millis, "round_p50_ms")
-	b.ReportMetric(last.P95Millis, "round_p95_ms")
-	b.ReportMetric(float64(last.MILPSolves), "milp_solves")
-	b.ReportMetric(float64(last.MILPSolvesNoGreedy), "milp_solves_off")
-	b.ReportMetric(last.SolveReduction, "solve_reduction_x")
-	b.ReportMetric(100*last.GreedyHitRate, "greedy_hit_%")
-	b.ReportMetric(last.AllocsPerRound, "allocs_per_round")
-}
-
-// BenchmarkIngressOverload runs the front-door overload sweep per iteration
-// (open vs admission-controlled door, 1x and 2x the measured capacity, on
-// the simulator through the HTTP path's admission controller) and reports
-// each point's attainment and goodput — the regression canaries for the
-// ingress subsystem: admitted attainment must hold at 2x while the open door
-// rots, and admission goodput at 2x must strictly beat the open door's.
-// BENCH_ingress.json records the earlier socket-based sweep; lokibench's
-// http-overload workload measures the socket path.
-func BenchmarkIngressOverload(b *testing.B) {
-	var last *experiments.IngressResult
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Ingress(experiments.IngressConfig{
-			Seed: 11, Mults: []float64{1.0, 2.0}, DurSec: 8,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = r
-	}
-	b.ReportMetric(last.CapacityQPS, "capacity_qps")
-	b.ReportMetric(last.Baseline[0].Attainment, "open_1x_slo")
-	b.ReportMetric(last.Baseline[1].Attainment, "open_2x_slo")
-	b.ReportMetric(last.Baseline[1].GoodputQPS, "open_2x_goodput")
-	b.ReportMetric(last.Admitted[0].Attainment, "adm_1x_slo")
-	b.ReportMetric(last.Admitted[1].Attainment, "adm_2x_slo")
-	b.ReportMetric(last.Admitted[1].GoodputQPS, "adm_2x_goodput")
-	b.ReportMetric(100*last.Admitted[1].ShedRate, "adm_2x_shed_%")
-}
-
 // BenchmarkChaosOutage runs the chaos grid's headline cell per iteration —
 // a whole-class spot outage with timed recovery, tiered vs untiered, on the
 // quick trace — and reports the during-fault goodput of every (arm, tenant)
@@ -402,40 +244,6 @@ func BenchmarkChaosOutage(b *testing.B) {
 				b.ReportMetric(t.After.GoodputRatio-t.OracleAfter.GoodputRatio, arm+"_"+t.Name+"_recovery_gap")
 			}
 		}
-	}
-}
-
-// BenchmarkTelemetryOverhead measures the telemetry plane's cost on the
-// simulator's hot path: the same seeded serving run with the collector,
-// registry, and request tracer fully armed ("on") versus the
-// WithTelemetry(false) escape hatch ("off"). Telemetry consumes no RNG
-// stream, so both arms serve bit-identical runs and the throughput delta is
-// pure observation overhead; the acceptance bound is a < 5% regression of
-// sim_requests/s on versus off. The recorded baseline lives in
-// BENCH_telemetry.json.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	pipe := loki.TrafficAnalysisPipeline()
-	tr := &trace.Trace{Interval: 10, QPS: []float64{500, 500, 500}}
-	arms := []struct {
-		name string
-		opts []loki.Option
-	}{
-		{"off", []loki.Option{loki.WithTelemetry(false)}},
-		{"on", nil},
-	}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
-			total := 0.0
-			for i := 0; i < b.N; i++ {
-				opts := append([]loki.Option{loki.WithSeed(int64(i))}, arm.opts...)
-				rep, err := loki.Serve(pipe, tr, opts...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				total += float64(rep.Arrivals)
-			}
-			b.ReportMetric(total/b.Elapsed().Seconds(), "sim_requests/s")
-		})
 	}
 }
 

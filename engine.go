@@ -39,5 +39,6 @@ func WithEngine(k EngineKind) Option { return func(c *config) { c.pool.Backend =
 
 // WithTimeScale compresses the Wallclock engine's real time: wall-clock
 // duration = profiled duration × scale. 1.0 runs in real time; 0.1 runs a
-// ten-minute trace in one minute. Ignored by the Simulated engine.
+// ten-minute trace in one minute. It must be finite and not negative; zero
+// means 1.0. Ignored by the Simulated engine.
 func WithTimeScale(scale float64) Option { return func(c *config) { c.pool.TimeScale = scale } }

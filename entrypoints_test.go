@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -144,5 +145,72 @@ func TestNonFiniteSpecsRejected(t *testing.T) {
 				t.Fatal("New accepted a non-finite spec")
 			}
 		})
+	}
+}
+
+// An option set outside the range its doc comment states is refused where
+// the options are resolved, with an error naming the option and the value,
+// instead of hanging the wall-clock pacer (a NaN or infinite time scale),
+// running batches in no time (jitter of 1 or more) or planning for less
+// than the demand (negative headroom). PlanFor refuses a demand no plan can
+// be sized for.
+func TestOutOfRangeOptionsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	pipe := loki.TrafficAnalysisPipeline()
+	newWith := func(opt loki.Option) error {
+		s, err := loki.New(pipe, opt)
+		if err == nil {
+			s.Stop()
+		}
+		return err
+	}
+	planFor := func(demand float64, opts ...loki.Option) error {
+		_, err := loki.PlanFor(pipe, demand, opts...)
+		return err
+	}
+	rows := []struct {
+		want string
+		err  error
+	}{
+		{"WithTimeScale(NaN)", newWith(loki.WithTimeScale(nan))},
+		{"WithTimeScale(+Inf)", newWith(loki.WithTimeScale(inf))},
+		{"WithTimeScale(-1)", newWith(loki.WithTimeScale(-1))},
+		{"WithExecutionJitter(1)", newWith(loki.WithExecutionJitter(1))},
+		{"WithExecutionJitter(NaN)", newWith(loki.WithExecutionJitter(nan))},
+		{"WithHeadroom(-1)", newWith(loki.WithHeadroom(-1))},
+		{"WithHeadroom(NaN)", newWith(loki.WithHeadroom(nan))},
+		{"WithHeadroom(+Inf)", newWith(loki.WithHeadroom(inf))},
+		{"WithSolveTimeLimit(-1s)", newWith(loki.WithSolveTimeLimit(-time.Second))},
+		{"WithNetworkLatency(-1ms)", newWith(loki.WithNetworkLatency(-time.Millisecond))},
+		{"WithSwapLatency(-1s)", newWith(loki.WithSwapLatency(-time.Second))},
+		{"WithTraceSampling(1.5)", newWith(loki.WithTraceSampling(1.5))},
+		{"WithTraceSampling(-0.1)", newWith(loki.WithTraceSampling(-0.1))},
+		{"WithWorkerMetricsLimit(-1)", newWith(loki.WithWorkerMetricsLimit(-1))},
+		{"WithHeadroom(NaN)", planFor(100, loki.WithHeadroom(nan))},
+		{"PlanFor demand NaN", planFor(nan)},
+		{"PlanFor demand +Inf", planFor(inf)},
+		{"PlanFor demand -Inf", planFor(-inf)},
+		{"PlanFor demand -5", planFor(-5)},
+	}
+	for _, row := range rows {
+		if row.err == nil || !strings.Contains(row.err.Error(), row.want) {
+			t.Errorf("want an error naming %q, got %v", row.want, row.err)
+		}
+	}
+}
+
+// The edges of each option's range are accepted, and zero keeps its default
+// meaning.
+func TestOptionRangeEdgesAccepted(t *testing.T) {
+	s, err := loki.New(loki.TrafficAnalysisPipeline(),
+		loki.WithHeadroom(0), loki.WithTimeScale(0), loki.WithExecutionJitter(0.99),
+		loki.WithTraceSampling(1), loki.WithSolveTimeLimit(0), loki.WithNetworkLatency(0),
+		loki.WithSwapLatency(0), loki.WithWorkerMetricsLimit(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Stop()
+	if _, err := loki.PlanFor(loki.TrafficAnalysisPipeline(), 0); err != nil {
+		t.Fatal(err)
 	}
 }

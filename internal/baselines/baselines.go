@@ -63,18 +63,8 @@ func (b *InferLine) Allocate(demand float64) (*core.Plan, error) {
 // multi-tenant partition (core.CappedPlanner). Homogeneous pools pass a
 // single-element vector.
 func (b *InferLine) AllocateCapped(demand float64, caps []int) (*core.Plan, error) {
-	if want := len(b.Meta.Classes()); len(caps) != want {
-		return nil, fmt.Errorf("baselines: capped allocation got %d class grants for %d hardware classes", len(caps), want)
-	}
-	total := 0
-	for _, n := range caps {
-		total += n
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("baselines: capped allocation needs a positive server budget, got %d", total)
-	}
-	if warm := len(b.Meta.Graph().Tasks); total < warm {
-		return nil, fmt.Errorf("baselines: capped allocation of %d servers cannot hold one replica of each of %d tasks", total, warm)
+	if err := b.alloc.CheckCaps(caps); err != nil {
+		return nil, err
 	}
 	return b.alloc.Capped(caps).AllocateHardwareOnly(demand)
 }

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -66,6 +67,25 @@ func TestInferLineScalesHardwareThenSaturates(t *testing.T) {
 	}
 	if high.ServedFraction >= 1 {
 		t.Fatalf("high demand: served=%g, want <1", high.ServedFraction)
+	}
+}
+
+// A capped InferLine solve validates its grant vector as the Loki allocator
+// does: a negative class grant is refused even when the total looks fine.
+func TestInferLineRejectsNegativeGrant(t *testing.T) {
+	classes := []profiles.Class{{Name: "a", Count: 10, Speed: 1}, {Name: "b", Count: 10, Speed: 1}}
+	g := profiles.TrafficTree()
+	prof := (&profiles.Profiler{}).ProfileGraphClasses(g, profiles.Batches, classes)
+	meta := core.NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
+	opts := aopts()
+	opts.Servers = 0
+	b, err := NewInferLine(meta, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := b.AllocateCapped(300, []int{-1, 21})
+	if err == nil || !strings.Contains(err.Error(), `negative grant -1 for hardware class "a"`) {
+		t.Fatalf("caps [-1 21]: got plan %v, err %v; want the negative grant refused", plan, err)
 	}
 }
 

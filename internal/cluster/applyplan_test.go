@@ -12,8 +12,8 @@ import (
 	"loki/internal/sim"
 )
 
-// driftingPublishes stands up what one tenant of the fleet cell (plan-fleet,
-// BENCH_fleet.json) publishes into: an idle traffic-chain cluster over the
+// driftingPublishes stands up what one tenant of the fleet cell (lokibench's
+// plan-fleet) publishes into: an idle traffic-chain cluster over the
 // given pool with nil telemetry, and a cycle of n plans with their routes,
 // allocated for a demand that wanders ±4 % around 16.8 qps per server of the
 // tenant's share, so consecutive plans differ by a few replicas.

@@ -505,15 +505,16 @@ func (a *Allocator) Capped(caps []int) *Allocator {
 // cover one replica per task — below that no plan can serve the pipeline at
 // all.
 func (a *Allocator) AllocateCapped(demand float64, caps []int) (*Plan, error) {
-	if err := a.checkCaps(caps); err != nil {
+	if err := a.CheckCaps(caps); err != nil {
 		return nil, err
 	}
 	return a.Capped(caps).Allocate(demand)
 }
 
-// checkCaps validates a per-class grant vector against the class set and the
-// keep-warm minimum.
-func (a *Allocator) checkCaps(caps []int) error {
+// CheckCaps validates a per-class grant vector against the class set and the
+// keep-warm minimum: one entry per class, none negative, and a total that
+// holds one replica of each task.
+func (a *Allocator) CheckCaps(caps []int) error {
 	if len(caps) != len(a.classes) {
 		return fmt.Errorf("core: capped allocation got %d class grants for %d hardware classes", len(caps), len(a.classes))
 	}

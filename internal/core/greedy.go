@@ -306,7 +306,7 @@ type GreedyPlanner interface {
 func (a *Allocator) GreedyAllocate(demand float64, caps []int) (*Plan, bool) {
 	al := a
 	if caps != nil {
-		if err := a.checkCaps(caps); err != nil {
+		if err := a.CheckCaps(caps); err != nil {
 			return nil, false
 		}
 		al = a.Capped(caps)

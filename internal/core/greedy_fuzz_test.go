@@ -30,7 +30,7 @@ func FuzzGreedySeedAgainstModel(f *testing.F) {
 		for cl, b := range []uint8{c0, c1, c2}[:len(caps)] {
 			caps[cl] = int(b) % (a.counts[cl] + 1)
 		}
-		if a.checkCaps(caps) != nil {
+		if a.CheckCaps(caps) != nil {
 			t.Skip("grant below one replica per task")
 		}
 		al := a.Capped(caps)

@@ -361,7 +361,7 @@ func TestGreedyOrderMatchesPerCallSort(t *testing.T) {
 			for cl, n := range fx.a.counts {
 				caps[cl] = rng.Intn(n + 1)
 			}
-			if fx.a.checkCaps(caps) == nil {
+			if fx.a.CheckCaps(caps) == nil {
 				views = append(views, fx.a.Capped(caps))
 			}
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // newMultiAllocCeiling bounds what building the simulated backend of the
-// fleet cell (plan-fleet, BENCH_fleet.json: 24 tenants × 1,000 workers × 3
+// fleet cell (lokibench's plan-fleet: 24 tenants × 1,000 workers × 3
 // classes) may allocate: a fixed number per tenant, none per worker. One
 // allocation per worker put it at about 25,500.
 const newMultiAllocCeiling = 2000

@@ -23,16 +23,10 @@ import (
 // cut branch-and-bound invocations at least 3× against the MILP-only arbiter
 // on the identical demand walk.
 
-// FleetConfig parameterizes the grid.
+// FleetConfig parameterizes the grid: {100, 400, 1000} servers × {4, 12, 24}
+// tenants × {1, 3} hardware classes, 12 measured arbitration rounds per cell
+// after 2 warm-up rounds that absorb the cold solves.
 type FleetConfig struct {
-	// Servers, Tenants, and Classes are the grid axes. Nil means the
-	// recorded defaults: {100, 400, 1000} × {4, 12, 24} × {1, 3}.
-	Servers []int
-	Tenants []int
-	Classes []int
-	// Rounds is the number of measured arbitration rounds per cell (after 2
-	// warm-up rounds that absorb the cold solves). Zero means 12.
-	Rounds int
 	Seed   int64
 	SLOSec float64
 	// Quick shrinks the grid to {100} × {4, 12} × {1, 3} with 6 rounds for
@@ -44,26 +38,26 @@ type FleetConfig struct {
 // the measured rounds of the greedy-enabled arm; the MILP-solve counters
 // compare the two arms over the identical demand walk.
 type FleetCell struct {
-	Servers int `json:"servers"`
-	Tenants int `json:"tenants"`
-	Classes int `json:"classes"`
-	Rounds  int `json:"rounds"`
+	Servers int
+	Tenants int
+	Classes int
+	Rounds  int
 
-	P50Millis float64 `json:"p50_ms"`
-	P95Millis float64 `json:"p95_ms"`
-	MaxMillis float64 `json:"max_ms"`
+	P50Millis float64
+	P95Millis float64
+	MaxMillis float64
 
 	// MILPSolves counts branch-and-bound invocations across the measured
 	// rounds with the greedy-replace budget armed; MILPSolvesNoGreedy the
 	// same walk with the budget off (the pre-greedy arbiter).
-	MILPSolves         int     `json:"milp_solves"`
-	MILPSolvesNoGreedy int     `json:"milp_solves_no_greedy"`
-	SolveReduction     float64 `json:"solve_reduction_x"`
+	MILPSolves         int
+	MILPSolvesNoGreedy int
+	SolveReduction     float64
 
 	// GreedyHitRate is the fraction of dirty-tenant refreshes the greedy
 	// pass served without any branch and bound.
-	GreedyHitRate  float64 `json:"greedy_hit_rate"`
-	AllocsPerRound float64 `json:"allocs_per_round"`
+	GreedyHitRate  float64
+	AllocsPerRound float64
 }
 
 // FleetResult is the full grid.
@@ -187,37 +181,22 @@ func fleetWalk(m *core.MultiController, ts []*core.Tenant, seed int64, rounds in
 // once with the greedy-replace budget covering every tenant and once with it
 // off, so the MILP-solve reduction is an apples-to-apples count.
 func Fleet(cfg FleetConfig) (*FleetResult, error) {
-	if cfg.Rounds == 0 {
-		cfg.Rounds = 12
-	}
-	if cfg.Servers == nil {
-		cfg.Servers = []int{100, 400, 1000}
-	}
-	if cfg.Tenants == nil {
-		cfg.Tenants = []int{4, 12, 24}
-	}
-	if cfg.Classes == nil {
-		cfg.Classes = []int{1, 3}
-	}
+	servers, tenants, rounds := []int{100, 400, 1000}, []int{4, 12, 24}, 12
 	if cfg.Quick {
-		cfg.Servers = []int{100}
-		cfg.Tenants = []int{4, 12}
-		if cfg.Rounds > 6 {
-			cfg.Rounds = 6
-		}
+		servers, tenants, rounds = []int{100}, []int{4, 12}, 6
 	}
 
 	res := &FleetResult{}
-	for _, s := range cfg.Servers {
-		for _, t := range cfg.Tenants {
-			for _, c := range cfg.Classes {
-				cell := FleetCell{Servers: s, Tenants: t, Classes: c, Rounds: cfg.Rounds}
+	for _, s := range servers {
+		for _, t := range tenants {
+			for _, c := range []int{1, 3} {
+				cell := FleetCell{Servers: s, Tenants: t, Classes: c, Rounds: rounds}
 
 				m, ts, err := fleetController(s, t, c, cfg.SLOSec, t)
 				if err != nil {
 					return nil, err
 				}
-				millis, solves, allocates, greedy, allocs, err := fleetWalk(m, ts, cfg.Seed, cfg.Rounds)
+				millis, solves, allocates, greedy, allocs, err := fleetWalk(m, ts, cfg.Seed, rounds)
 				if err != nil {
 					return nil, err
 				}
@@ -235,7 +214,7 @@ func Fleet(cfg FleetConfig) (*FleetResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				_, solvesOff, _, _, _, err := fleetWalk(m2, ts2, cfg.Seed, cfg.Rounds)
+				_, solvesOff, _, _, _, err := fleetWalk(m2, ts2, cfg.Seed, rounds)
 				if err != nil {
 					return nil, err
 				}

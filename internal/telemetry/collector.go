@@ -155,16 +155,23 @@ func WithWorkerMetricsLimit(n int) CollectorOption {
 	return func(c *collectorConfig) { c.workerLimit = n }
 }
 
+// WorkerMetricsLimit returns the worker limit opts set: the last
+// WithWorkerMetricsLimit among them, or DefaultWorkerMetricsLimit.
+func WorkerMetricsLimit(opts ...CollectorOption) int {
+	cfg := collectorConfig{workerLimit: DefaultWorkerMetricsLimit}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg.workerLimit
+}
+
 // NewCollector builds a collector for a pool laid out as classes in order
 // (worker indices 0..n-1 span the classes' counts, matching both engines'
 // physical numbering) and registers it with reg, which folds its rows into
 // their series at every read. reg may be nil to collect rows without
 // exposition.
 func NewCollector(reg *Registry, tenant string, classes []WorkerClass, opts ...CollectorOption) *Collector {
-	cfg := collectorConfig{workerLimit: DefaultWorkerMetricsLimit}
-	for _, o := range opts {
-		o(&cfg)
-	}
+	limit := WorkerMetricsLimit(opts...)
 	c := &Collector{tenant: tenant}
 	for _, cl := range classes {
 		for i := 0; i < cl.Count; i++ {
@@ -177,7 +184,7 @@ func NewCollector(reg *Registry, tenant string, classes []WorkerClass, opts ...C
 	if reg == nil {
 		return c
 	}
-	aggregate := cfg.workerLimit > 0 && len(c.workers) > cfg.workerLimit
+	aggregate := limit > 0 && len(c.workers) > limit
 	for _, cl := range classes {
 		if aggregate {
 			lbl := L("tenant", tenant, "class", cl.Name)

@@ -56,6 +56,7 @@ package loki
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"loki/internal/core"
@@ -233,6 +234,7 @@ func ParseHardware(spec string) ([]HardwareClass, error) { return profiles.Parse
 func WithSLO(d time.Duration) Option { return func(c *config) { c.tenant.SLOSec = d.Seconds() } }
 
 // WithNetworkLatency sets the per-hop communication latency (default 2 ms).
+// It must not be negative; zero models free hops.
 func WithNetworkLatency(d time.Duration) Option {
 	return func(c *config) { c.pool.NetLatencySec = d.Seconds() }
 }
@@ -264,22 +266,26 @@ func WithBaseline(b Baseline) Option {
 // WithHeadroom sets the capacity over-provisioning factor (default 0.30).
 // It inflates both the demand the Resource Manager plans for and the demand
 // the Load Balancer routes for, keeping batch-queue waits inside the SLO/2
-// allowance at critical load.
+// allowance at critical load. It must be finite and not negative; zero
+// keeps the default.
 func WithHeadroom(h float64) Option { return func(c *config) { c.pool.Headroom = h } }
 
-// WithSwapLatency models the model-load pause when a worker changes variant.
-// It applies to both engines.
+// WithSwapLatency models the model-load pause when a worker changes variant
+// (default zero). It applies to both engines and must not be negative.
 func WithSwapLatency(d time.Duration) Option {
 	return func(c *config) { c.pool.SwapLatencySec = d.Seconds() }
 }
 
-// WithSolveTimeLimit bounds each Resource Manager MILP solve (default 500 ms).
+// WithSolveTimeLimit bounds each Resource Manager MILP solve (default
+// 500 ms). It must not be negative; zero leaves the solver's own 2 s bound.
 func WithSolveTimeLimit(d time.Duration) Option {
 	return func(c *config) { c.pool.SolveTimeLimit = d }
 }
 
-// WithExecutionJitter adds relative noise to batch execution latencies. It
-// applies to both engines.
+// WithExecutionJitter adds relative noise to batch execution latencies: a
+// batch takes its profiled latency times 1 ± j, uniformly (default zero). It
+// applies to both engines. j must lie in [0, 1), so no batch runs in zero or
+// negative time.
 func WithExecutionJitter(j float64) Option { return func(c *config) { c.pool.ExecJitter = j } }
 
 // WithMinAccuracy sets a floor on end-to-end path accuracy: accuracy
@@ -326,8 +332,8 @@ func WithAdmission(on bool) Option { return func(c *config) { c.tenant.Admission
 // zero-overhead escape hatch for benchmarking.
 func WithTelemetry(on bool) Option { return func(c *config) { c.telemetryOff = !on } }
 
-// WithTraceSampling sets the request-tracing sample probability in [0, 1]
-// (default 1/64). Sampled requests record a span per pipeline stage — queue
+// WithTraceSampling sets the request-tracing sample probability, which must
+// lie in [0, 1] (default 1/64). Sampled requests record a span per pipeline stage — queue
 // wait, execution time, batch size, worker, and hardware class — exported as
 // JSON by MultiSystem.WriteTraces and summarized per stage in Report.Stages.
 // On the Simulated engine sampling draws from its own seeded stream, so the
@@ -338,7 +344,8 @@ func WithTraceSampling(p float64) Option {
 }
 
 // WithWorkerMetricsLimit sets the largest tenant pool that still gets
-// per-worker series on /metrics (default 256; 0 means unlimited). Bigger
+// per-worker series on /metrics (default 256; 0 means unlimited; negative
+// values are rejected). Bigger
 // pools degrade to per-class aggregate series — queue depth, in-flight
 // batches, live count, served QPS, mean occupancy and speed — which keeps
 // exposition cardinality bounded at fleet scale while Snapshot.Workers
@@ -595,9 +602,12 @@ func Serve(p *Pipeline, tr *Trace, opts ...Option) (*Report, error) {
 // WithHardware fleet (validated) or the homogeneous default of one class
 // holding all WithServers servers, with the paper's 0.30 headroom unless
 // WithHeadroom set one. Telemetry is off until the caller sets the stack's
-// Registry.
+// Registry. An option value outside its documented range is an error.
 func (c config) newStack() (*stack.Stack, error) {
 	p := c.pool
+	if err := checkRanges(p); err != nil {
+		return nil, err
+	}
 	if p.Headroom == 0 {
 		p.Headroom = stack.DefaultHeadroom
 	}
@@ -607,6 +617,34 @@ func (c config) newStack() (*stack.Stack, error) {
 		}
 	}
 	return stack.New(p), nil
+}
+
+// checkRanges rejects a pool option set outside the range its option
+// documents; the error names the option and the value.
+func checkRanges(p stack.Pool) error {
+	sec := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+	for _, o := range []struct {
+		option string
+		value  any
+		ok     bool
+		want   string
+	}{
+		{"WithHeadroom", p.Headroom, p.Headroom >= 0 && !math.IsInf(p.Headroom, 1), "[0, +Inf)"},
+		{"WithTimeScale", p.TimeScale, p.TimeScale >= 0 && !math.IsInf(p.TimeScale, 1), "[0, +Inf)"},
+		{"WithExecutionJitter", p.ExecJitter, p.ExecJitter >= 0 && p.ExecJitter < 1, "[0, 1)"},
+		{"WithTraceSampling", p.TraceProb, p.TraceProb >= 0 && p.TraceProb <= 1, "[0, 1]"},
+		{"WithNetworkLatency", sec(p.NetLatencySec), p.NetLatencySec >= 0, "[0, +Inf)"},
+		{"WithSwapLatency", sec(p.SwapLatencySec), p.SwapLatencySec >= 0, "[0, +Inf)"},
+		{"WithSolveTimeLimit", p.SolveTimeLimit, p.SolveTimeLimit >= 0, "[0, +Inf)"},
+	} {
+		if !o.ok {
+			return fmt.Errorf("loki: %s(%v) is outside %s", o.option, o.value, o.want)
+		}
+	}
+	if n := telemetry.WorkerMetricsLimit(p.CollectorOpts...); n < 0 {
+		return fmt.Errorf("loki: WithWorkerMetricsLimit(%d) is negative", n)
+	}
+	return nil
 }
 
 // allocator builds the MILP allocator the capacity-planning entry points
@@ -622,8 +660,11 @@ func allocator(p *Pipeline, opts []Option) (*core.Allocator, error) {
 
 // PlanFor runs the Resource Manager once for a demand level, returning the
 // optimal allocation plan (useful for capacity planning without a full
-// serving run).
+// serving run). The demand must be finite and not negative.
 func PlanFor(p *Pipeline, demandQPS float64, opts ...Option) (*Plan, error) {
+	if !(demandQPS >= 0) || math.IsInf(demandQPS, 1) {
+		return nil, fmt.Errorf("loki: PlanFor demand %v qps is outside [0, +Inf)", demandQPS)
+	}
 	alloc, err := allocator(p, opts)
 	if err != nil {
 		return nil, err
