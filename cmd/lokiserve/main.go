@@ -183,56 +183,42 @@ func main() {
 		}
 		// Shares are fractions of one shared pool, so unlike -peak they never
 		// fan out: a pipeline without its own entry stays unreserved (equal
-		// split of the unreserved fraction).
+		// split of the unreserved fraction). Tiers, seasons and forecasters
+		// likewise: a blank or missing entry keeps the default (untiered,
+		// non-seasonal, reactive) instead of inheriting the neighbour's.
 		var popts []loki.PipelineOption
-		shareList := strings.Split(*shares, ",")
-		if i < len(shareList) {
-			if s := strings.TrimSpace(shareList[i]); s != "" {
-				f, err := strconv.ParseFloat(s, 64)
-				if err != nil {
-					log.Fatalf("bad share %q: %v", s, err)
-				}
-				popts = append(popts, loki.WithShare(f))
+		if s := entry(*shares, i); s != "" {
+			f, err := strconv.ParseFloat(s, 64)
+			if err != nil {
+				log.Fatalf("bad share %q: %v", s, err)
 			}
+			popts = append(popts, loki.WithShare(f))
 		}
-		// Tiers likewise: a blank entry stays untiered (tier 0) instead of
-		// inheriting the neighbour's priority.
-		tierList := strings.Split(*tiers, ",")
-		if i < len(tierList) {
-			if s := strings.TrimSpace(tierList[i]); s != "" {
-				n, err := strconv.Atoi(s)
-				if err != nil || n < 0 {
-					log.Fatalf("bad tier %q: want a non-negative integer", s)
-				}
-				popts = append(popts, loki.WithTier(n, *slo))
+		if s := entry(*tiers, i); s != "" {
+			n, err := strconv.Atoi(s)
+			if err != nil || n < 0 {
+				log.Fatalf("bad tier %q: want a non-negative integer", s)
 			}
+			popts = append(popts, loki.WithTier(n, *slo))
 		}
-		// Forecasters follow the same per-pipeline convention: a blank entry
-		// keeps the pipeline reactive rather than inheriting the neighbour's.
-		seasonList := strings.Split(*seasons, ",")
 		season := 0
-		if i < len(seasonList) {
-			if s := strings.TrimSpace(seasonList[i]); s != "" {
-				n, err := strconv.Atoi(s)
-				if err != nil || n < 0 {
-					log.Fatalf("bad season %q: want a non-negative whole number of seconds", s)
-				}
-				season = n
+		if s := entry(*seasons, i); s != "" {
+			n, err := strconv.Atoi(s)
+			if err != nil || n < 0 {
+				log.Fatalf("bad season %q: want a non-negative whole number of seconds", s)
 			}
+			season = n
 		}
-		fcList := strings.Split(*forecasters, ",")
-		if i < len(fcList) {
-			if s := strings.TrimSpace(fcList[i]); s != "" {
-				kind := forecasterFor(s)
-				fopts := []loki.ForecastOption{loki.WithForecastSeason(season)}
-				// The headroom margin belongs to real forecasting only:
-				// `-forecaster last` must stay the documented exact identity
-				// to reactive serving.
-				if kind != loki.ForecastLast {
-					fopts = append(fopts, loki.WithForecastHeadroom(0.1))
-				}
-				popts = append(popts, loki.WithPipelineForecaster(kind, fopts...))
+		if s := entry(*forecasters, i); s != "" {
+			kind := forecasterFor(s)
+			fopts := []loki.ForecastOption{loki.WithForecastSeason(season)}
+			// The headroom margin belongs to real forecasting only:
+			// `-forecaster last` must stay the documented exact identity
+			// to reactive serving.
+			if kind != loki.ForecastLast {
+				fopts = append(fopts, loki.WithForecastHeadroom(0.1))
 			}
+			popts = append(popts, loki.WithPipelineForecaster(kind, fopts...))
 		}
 		if err := sys.AddPipeline(name, pipelineFor(name), popts...); err != nil {
 			log.Fatal(err)
@@ -419,6 +405,15 @@ func pick(list []string, i int, def string) string {
 		}
 	}
 	return def
+}
+
+// entry returns the i-th entry of the comma-separated list, trimmed, or ""
+// when the list has no such entry. Unlike pick it never fans out.
+func entry(list string, i int) string {
+	if l := strings.Split(list, ","); i < len(l) {
+		return strings.TrimSpace(l[i])
+	}
+	return ""
 }
 
 func pipelineFor(name string) *loki.Pipeline {

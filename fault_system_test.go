@@ -241,6 +241,18 @@ func TestParseFaultsPublic(t *testing.T) {
 	}
 }
 
+// TestProteusRefusesFaults: a faulted round plans within the servers left
+// up, which the Proteus baseline cannot, so Serve refuses the combination
+// with an error that names the baseline instead of failing mid-run.
+func TestProteusRefusesFaults(t *testing.T) {
+	_, err := loki.Serve(loki.TrafficAnalysisPipeline(), loki.RampTrace(100, 100, 4, 1),
+		loki.WithBaseline(loki.BaselineProteus),
+		loki.WithFaults(loki.FaultEvent{At: time.Second, Kind: loki.FaultCrash, N: 2}))
+	if err == nil || !strings.Contains(err.Error(), "proteus") {
+		t.Fatalf("Serve with Proteus under faults: err %v, want a refusal naming proteus", err)
+	}
+}
+
 // TestWallclockCrashRecover is the live-engine end-to-end: real goroutine
 // workers, a mid-run two-server crash with a timed recovery, and the system
 // must keep serving through it and report every server back up afterwards.

@@ -39,7 +39,7 @@ func steadyRig(tb testing.TB) (*sim.Engine, *Cluster) {
 	eng := &sim.Engine{}
 	tel := telemetry.NewCollector(telemetry.NewRegistry(), "steady", []telemetry.WorkerClass{{Name: "default", Count: 20}})
 	cl, err := New(eng, meta, policy.Opportunistic{}, metrics.NewCollector(10, 20), Options{
-		Servers: 20, SLOSec: 0.250, NetLatencySec: 0.002, Seed: 11, Telemetry: tel,
+		Classes: profiles.DefaultClasses(20), SLOSec: 0.250, NetLatencySec: 0.002, Seed: 11, Telemetry: tel,
 	})
 	if err != nil {
 		tb.Fatal(err)

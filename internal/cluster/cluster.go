@@ -25,15 +25,11 @@ import (
 
 // Options configures the simulated cluster.
 type Options struct {
-	// Servers is the number of physical workers. With Classes set it must
-	// equal (or be left zero to inherit) the classes' total count.
-	Servers int
 	// Classes partitions the workers into hardware classes: the first
 	// Classes[0].Count physical workers belong to class 0, the next to
-	// class 1, and so on. Each worker executes at its class's Speed and a
-	// plan's specs are placed only on workers of their own class (model
-	// swaps never cross classes). Nil means one "default" class holding
-	// every server at speed 1.0 — the pre-class behavior, bit for bit.
+	// class 1, and so on; their total count is the cluster's size. Each
+	// worker executes at its class's Speed and a plan's specs are placed
+	// only on workers of their own class (model swaps never cross classes).
 	Classes []profiles.Class
 	// SLOSec is the end-to-end latency SLO attached to every request.
 	SLOSec float64
@@ -179,15 +175,8 @@ type batch struct {
 
 // New creates a cluster on the given engine.
 func New(eng *sim.Engine, meta *core.MetadataStore, pol policy.Policy, col *metrics.Collector, opts Options) (*Cluster, error) {
-	if opts.Classes == nil {
-		opts.Classes = profiles.DefaultClasses(opts.Servers)
-	}
-	if total := profiles.TotalCount(opts.Classes); opts.Servers == 0 {
-		opts.Servers = total
-	} else if opts.Servers != total {
-		return nil, fmt.Errorf("cluster: Servers (%d) disagrees with the hardware classes' total count (%d)", opts.Servers, total)
-	}
-	if opts.Servers <= 0 {
+	servers := profiles.TotalCount(opts.Classes)
+	if servers <= 0 {
 		return nil, fmt.Errorf("cluster: need a positive server count")
 	}
 	if opts.QueueFactor == 0 {
@@ -204,13 +193,13 @@ func New(eng *sim.Engine, meta *core.MetadataStore, pol policy.Policy, col *metr
 		rec:     core.NewReconciler(opts.Classes),
 		names:   core.AssignedNames(meta.Graph()),
 		hop:     eng.NewLane(opts.NetLatencySec),
-		workers: make([]*worker, opts.Servers),
+		workers: make([]*worker, servers),
 	}
 	c.ctx.FindBackup = c.findBackup
 	// Physical workers are laid out class by class: the first
 	// Classes[0].Count servers belong to class 0, and so on. They live in
 	// one slab, so a large pool costs two allocations, not one per worker.
-	slab := make([]worker, opts.Servers)
+	slab := make([]worker, servers)
 	phys := 0
 	for cl, class := range opts.Classes {
 		speed := class.Speed

@@ -44,7 +44,7 @@ func newRig(t *testing.T, servers int, pol policy.Policy) *rig {
 	eng := &sim.Engine{}
 	col := metrics.NewCollector(10, servers)
 	cl, err := New(eng, meta, pol, col, Options{
-		Servers: servers, SLOSec: 0.250, NetLatencySec: 0.001, Seed: 42,
+		Classes: profiles.DefaultClasses(servers), SLOSec: 0.250, NetLatencySec: 0.001, Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +249,7 @@ func TestInteriorOutputTaskRecordsBothSinks(t *testing.T) {
 	eng := &sim.Engine{}
 	col := metrics.NewCollector(10, 4)
 	cl, err := New(eng, meta, policy.Opportunistic{}, col, Options{
-		Servers: 4, SLOSec: 0.250, NetLatencySec: 0.001, Seed: 1,
+		Classes: profiles.DefaultClasses(4), SLOSec: 0.250, NetLatencySec: 0.001, Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

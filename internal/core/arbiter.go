@@ -340,6 +340,14 @@ type MultiController struct {
 	// lock held and must not call back in.
 	OnGrants func(step int, grants []int)
 
+	// Capacity, when non-nil, reports the per-class count of servers
+	// currently up in a fresh slice, aligned with the pool's classes and
+	// each at most its class's count: the serving engine's fault record.
+	// Every Step reads it first and re-plans when the counts changed since
+	// the last read. Nil keeps the static class counts. It is called with
+	// the controller lock held.
+	Capacity func() []int
+
 	mu      sync.Mutex
 	pool    int
 	classes []profiles.Class // the shared pool's hardware classes
@@ -347,12 +355,11 @@ type MultiController struct {
 	tenants []*Tenant
 	steps   int
 
-	// live, when non-nil, is the per-class count of servers currently up
-	// (ObserveCapacity): the capacity the outer loop splits instead of the
-	// static counts. capChanged forces the next unforced Step to
-	// re-allocate even if no tenant's demand moved, so the arbiter reacts
-	// to a crash or recovery within a round instead of waiting out the RM
-	// period.
+	// live, when non-nil, is the per-class count of servers up at the last
+	// Capacity read, where it differs from the static counts: the capacity
+	// the outer loop splits instead. capChanged forces the next round even
+	// if no tenant's demand moved, so the arbiter reacts to a crash or
+	// recovery within a round instead of waiting out the RM period.
 	live       []int
 	capChanged bool
 
@@ -389,36 +396,21 @@ func (tc *tenantCounter) publish(at float64, total int) {
 	}
 }
 
-// ObserveCapacity installs the pool's current per-class up-server counts
-// (clamped to the static class sizes) and schedules a re-allocation on the
-// next controller step. The serving engines call it whenever a fault event
-// fires or recovers. Observing full capacity again drops the override, so
-// fault-free operation stays on the legacy code path.
-func (m *MultiController) ObserveCapacity(liveByClass []int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	live := make([]int, len(m.counts))
-	same := true
-	for c := range live {
-		n := m.counts[c]
-		if c < len(liveByClass) {
-			n = liveByClass[c]
-		}
-		if n < 0 {
-			n = 0
-		}
-		if n > m.counts[c] {
-			n = m.counts[c]
-		}
-		live[c] = n
-		if n != m.counts[c] {
-			same = false
-		}
+// readCapacity folds a Capacity reading into live, and marks a re-plan when
+// it differs from the last one. Full capacity drops the override, so
+// fault-free operation stays on the static-count path. The caller holds the
+// lock.
+func (m *MultiController) readCapacity() {
+	if m.Capacity == nil {
+		return
 	}
-	if same {
+	live := m.Capacity()
+	if slices.Equal(live, m.liveCountsLocked()) {
+		return
+	}
+	m.live = live
+	if slices.Equal(live, m.counts) {
 		m.live = nil
-	} else {
-		m.live = live
 	}
 	m.capChanged = true
 }
@@ -602,9 +594,10 @@ func (m *MultiController) Pool() int { return m.pool }
 // Tenants returns the number of registered tenants.
 func (m *MultiController) Tenants() int { return len(m.tenants) }
 
-// Step runs one joint Resource Manager invocation across all tenants:
-// estimate each tenant's demand, rerun the capacity-splitting outer loop if
-// forced or any tenant's demand moved past the threshold, and publish every
+// Step runs one joint Resource Manager invocation across all tenants: read
+// the pool's live capacity, estimate each tenant's demand, rerun the
+// capacity-splitting outer loop if forced, the capacity changed or any
+// tenant's demand moved past the threshold, and publish every
 // tenant's plan and routing tables. The route builds fan out across tenants
 // like the solves; the plans reach the engines afterwards, in registration
 // order (publishAll).
@@ -612,6 +605,7 @@ func (m *MultiController) Step(force bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.steps++
+	m.readCapacity()
 
 	// Per-tenant planning demand: the smoothed estimate, or the forecaster's
 	// envelope when it predicts higher — so one tenant's forecasted spike

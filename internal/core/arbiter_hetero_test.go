@@ -350,3 +350,63 @@ func TestHeteroArbiterConcurrentAccess(t *testing.T) {
 		}
 	}
 }
+
+// TestHeteroArbiterReplansOnCapacityChange drives the arbiter's fault path:
+// when Capacity reports part of a class down, the next unforced Step
+// re-plans with every class's grants within the live counts, an unchanged
+// reading does not re-plan again, and after recovery the next Step plans
+// against the static counts once more.
+func TestHeteroArbiterReplansOnCapacityChange(t *testing.T) {
+	a := heteroTenant(t, "a", 0)
+	b := heteroTenant(t, "b", 0)
+	m, err := NewMultiController(16, []*Tenant{a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := []int{4, 12}
+	m.Capacity = func() []int { return live }
+	rounds := 0
+	m.OnGrants = func(int, []int) { rounds++ }
+	// Demand past what the pool serves, so the tenants claim every class.
+	a.Meta.ObserveDemand(2000)
+	b.Meta.ObserveDemand(2000)
+	if err := m.Step(true); err != nil {
+		t.Fatal(err)
+	}
+	slowGranted := func() int {
+		cg := m.ClassGrants()
+		return cg[0][1] + cg[1][1]
+	}
+	if got := slowGranted(); got <= 6 {
+		t.Fatalf("healthy pool: slow class grants sum to %d, want more than 6 for the outage to bind", got)
+	}
+
+	live = []int{4, 6}
+	for step, wantRounds := range []int{1, 0} {
+		before := rounds
+		if err := m.Step(false); err != nil {
+			t.Fatal(err)
+		}
+		if rounds-before != wantRounds {
+			t.Fatalf("step %d after the crash ran %d rounds, want %d", step, rounds-before, wantRounds)
+		}
+		cg := m.ClassGrants()
+		for c, n := range live {
+			if cg[0][c]+cg[1][c] > n {
+				t.Fatalf("class %d granted %v with %d servers up", c, cg, n)
+			}
+		}
+	}
+
+	live = []int{4, 12}
+	before := rounds
+	if err := m.Step(false); err != nil {
+		t.Fatal(err)
+	}
+	if rounds != before+1 {
+		t.Fatalf("recovery ran %d rounds on the next Step, want 1", rounds-before)
+	}
+	if got := slowGranted(); got <= 6 {
+		t.Fatalf("after recovery the slow class grants sum to %d, want the static 12 servers back in use", got)
+	}
+}

@@ -48,10 +48,6 @@ type MetadataStore struct {
 	// workers observed while serving that variant; it starts at the
 	// profiled value and is refined by heartbeats (§4.2).
 	multFactors [][]trace.EWMA
-
-	// liveCounts, when non-nil, is the engine-reported per-class count of
-	// servers currently up (fault injection); nil means all up.
-	liveCounts []int
 }
 
 // NewMetadataStore registers a pipeline, its profiles, and the latency SLO —
@@ -107,36 +103,6 @@ func (m *MetadataStore) Classes() []profiles.Class { return m.classes }
 
 // SLO returns the end-to-end latency SLO in seconds.
 func (m *MetadataStore) SLO() float64 { return m.sloSec }
-
-// SetLiveClassCounts records the per-class count of servers currently up,
-// pushed by the serving engine whenever a fault event fires or recovers (the
-// heartbeat timeout of a real fleet). Nil clears the record, restoring the
-// static class counts.
-func (m *MetadataStore) SetLiveClassCounts(counts []int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if counts == nil {
-		m.liveCounts = nil
-		return
-	}
-	m.liveCounts = append([]int(nil), counts...)
-}
-
-// LiveClassCounts returns the per-class count of servers currently up — the
-// static class counts unless the engine has reported faults. The slice is a
-// copy, aligned with Classes.
-func (m *MetadataStore) LiveClassCounts() []int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if m.liveCounts != nil {
-		return append([]int(nil), m.liveCounts...)
-	}
-	out := make([]int, len(m.classes))
-	for i, cl := range m.classes {
-		out[i] = cl.Count
-	}
-	return out
-}
 
 // Batches returns the allowed batch sizes.
 func (m *MetadataStore) Batches() []int { return m.batches }

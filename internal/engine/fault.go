@@ -6,10 +6,11 @@ import (
 )
 
 // faultPool tracks the shared pool's fault state at the physical-server
-// level. Every tenant backend models the same physical machines (tenant
-// worker i is the same server in each engine), so victim selection happens
-// once here and the same physical ids are applied to every tenant's engine —
-// all views of the pool agree on which servers are down or slow.
+// level: the one record of which servers are up, read by LiveByClass. Every
+// tenant backend models the same physical machines (tenant worker i is the
+// same server in each engine), so victim selection happens once here and the
+// same physical ids are applied to every tenant's engine — all views of the
+// pool agree on which servers are down or slow.
 //
 // Selection is deterministic: within a class, the highest-index healthy
 // worker fails (or straggles) first, and recovery restores exactly the ids
@@ -21,17 +22,7 @@ type faultPool struct {
 	slowed  []bool
 }
 
-func newFaultPool(servers int, classes []profiles.Class) *faultPool {
-	if classes == nil {
-		classes = profiles.DefaultClasses(servers)
-	}
-	if len(classes) == 1 && classes[0].Count == 0 {
-		// Homogeneous compatibility path: a single class whose Count
-		// defers to the configured pool size.
-		cl := classes[0]
-		cl.Count = servers
-		classes = []profiles.Class{cl}
-	}
+func newFaultPool(classes []profiles.Class) *faultPool {
 	p := &faultPool{classes: classes}
 	total := 0
 	for _, cl := range classes {
@@ -109,16 +100,6 @@ func (p *faultPool) live() []int {
 		out[c] = n
 	}
 	return out
-}
-
-// anyDown reports whether some server is currently crashed.
-func (p *faultPool) anyDown() bool {
-	for _, d := range p.down {
-		if d {
-			return true
-		}
-	}
-	return false
 }
 
 // compileFaults validates a schedule against the pool's classes and returns

@@ -62,11 +62,12 @@ type TenantConfig struct {
 type MultiConfig struct {
 	// Servers is the shared pool size. Each tenant engine exposes this many
 	// physical slots; the joint controller's grants keep the sum of active
-	// workers within it.
+	// workers within it. With Classes set it must equal (or be left zero to
+	// inherit) the classes' total count.
 	Servers int
 	// Classes partitions the shared pool into hardware classes, identically
 	// for every tenant (see cluster.Options.Classes). Nil means one
-	// homogeneous "default" class.
+	// homogeneous "default" class holding all Servers workers.
 	Classes        []profiles.Class
 	NetLatencySec  float64
 	Seed           int64
@@ -81,9 +82,9 @@ type MultiConfig struct {
 	// Faults, when non-nil, is the fault schedule injected into the shared
 	// pool. Both kinds schedule it as engine events, anchored to the start of
 	// the first FeedAll on the simulator and to Start on the wall-clock
-	// backend. Every fault updates each tenant's MetadataStore live counts
-	// and, through the controller's ObserveCapacity, triggers a re-plan
-	// within a round.
+	// backend. With a schedule set, Start points the controller's Capacity
+	// at LiveByClass, so every controller step reads the live counts and a
+	// fault re-plans within a round.
 	Faults *fault.Schedule
 
 	// OnFault, when non-nil, observes every fault and recovery event with
@@ -95,7 +96,17 @@ type MultiConfig struct {
 	Tenants []TenantConfig
 }
 
+// defaults resolves the pool's hardware classes, once for every tenant's
+// cluster and the fault pool, and checks the tenants.
 func (c *MultiConfig) defaults() error {
+	if len(c.Classes) == 0 {
+		c.Classes = profiles.DefaultClasses(c.Servers)
+	}
+	if total := profiles.TotalCount(c.Classes); c.Servers == 0 {
+		c.Servers = total
+	} else if c.Servers != total {
+		return fmt.Errorf("engine: Servers (%d) disagrees with the hardware classes' total count (%d)", c.Servers, total)
+	}
 	if len(c.Tenants) == 0 {
 		return errors.New("engine: MultiConfig needs at least one tenant")
 	}
@@ -134,8 +145,9 @@ type MultiEngine interface {
 	ApplyPlan(tenant int, plan *core.Plan, routes *core.Routes)
 
 	// Start begins serving; the given controller is stepped jointly on the
-	// periodic intervals until Stop. A nil controller serves the standing
-	// plans without stepping.
+	// periodic intervals until Stop, and with a fault schedule reads the
+	// pool's live counts through LiveByClass. A nil controller serves the
+	// standing plans without stepping.
 	Start(ctrl *core.MultiController) error
 
 	// Submit admits a single request for one tenant at the backend's
@@ -165,6 +177,10 @@ type MultiEngine interface {
 	// ActiveByClass counts one tenant's workers currently hosting a model
 	// in each hardware class, in class order.
 	ActiveByClass(tenant int) []int
+
+	// LiveByClass counts the pool's servers currently up (not crashed) in
+	// each hardware class, in class order: the one record of pool health.
+	LiveByClass() []int
 }
 
 // NewMulti builds the backend of the given kind — the one constructor
@@ -183,7 +199,6 @@ func NewMulti(k Kind, cfg MultiConfig) (MultiEngine, error) {
 	m := &multi{cfg: cfg, eng: eng}
 	for i, t := range cfg.Tenants {
 		cl, err := cluster.New(eng, t.Meta, t.Policy, t.Collector, cluster.Options{
-			Servers:        cfg.Servers,
 			Classes:        cfg.Classes,
 			SLOSec:         t.SLOSec,
 			NetLatencySec:  cfg.NetLatencySec,
@@ -202,8 +217,8 @@ func NewMulti(k Kind, cfg MultiConfig) (MultiEngine, error) {
 	m.shed = make([]int64, len(cfg.Tenants))
 	m.shedFlush = make([]int64, len(cfg.Tenants))
 	m.feeds = make([]feed, len(cfg.Tenants))
+	m.fp = newFaultPool(cfg.Classes)
 	if cfg.Faults != nil {
-		m.fp = newFaultPool(cfg.Servers, cfg.Classes)
 		tl, err := compileFaults(cfg.Faults, m.fp)
 		if err != nil {
 			return nil, err
@@ -240,8 +255,9 @@ type multi struct {
 	shedFlush []int64 // shed since the last housekeeping flush (offered demand)
 	feeds     []feed  // per tenant: the trace its demand samples read
 
-	// Fault injection: the pool-level fault state, the compiled timeline,
-	// and whether it has been scheduled.
+	// Fault injection: the pool-level fault state (the only record of which
+	// servers are up), the compiled timeline, and whether it has been
+	// scheduled.
 	fp          *faultPool
 	timeline    []fault.Timed
 	faultsArmed bool
@@ -406,9 +422,9 @@ func (m *multi) keepErr(err error) {
 
 // Fail, Recover, Slow, and Restore implement fault.Target on the shared
 // pool: victims are chosen once at the pool level and applied to every
-// tenant's cluster (each models the same physical machines), then the live
-// per-class counts are pushed to the metadata stores and the controller.
-// They run as fault events, under the wall-clock kind's lock.
+// tenant's cluster (each models the same physical machines). The controller
+// reads the new live counts (LiveByClass) on its next step. They run as
+// fault events, under the wall-clock kind's lock.
 func (m *multi) Fail(class, n int) []int {
 	phys := m.fp.pickFail(class, n)
 	for _, cl := range m.cls {
@@ -416,7 +432,6 @@ func (m *multi) Fail(class, n int) []int {
 			cl.SetWorkerDown(p)
 		}
 	}
-	m.publishLive()
 	return phys
 }
 
@@ -427,7 +442,6 @@ func (m *multi) Recover(phys []int) {
 			cl.SetWorkerUp(p)
 		}
 	}
-	m.publishLive()
 }
 
 func (m *multi) Slow(class, n int, factor float64) []int {
@@ -447,21 +461,6 @@ func (m *multi) Restore(phys []int) {
 			cl.SetWorkerSpeedFactor(p, 1)
 		}
 	}
-}
-
-// publishLive pushes the pool's per-class up counts to every tenant's
-// MetadataStore (Snapshot reports them) and to the controller when it
-// re-plans against live capacity.
-func (m *multi) publishLive() {
-	live := m.fp.live()
-	var forMeta []int
-	if m.fp.anyDown() {
-		forMeta = live
-	}
-	for i := range m.cfg.Tenants {
-		m.cfg.Tenants[i].Meta.SetLiveClassCounts(forMeta)
-	}
-	m.control(func() error { m.ctrl.ObserveCapacity(live); return nil })
 }
 
 // armFaults schedules the fault timeline from start, once.
@@ -526,6 +525,9 @@ func (m *multi) Start(ctrl *core.MultiController) error {
 	}
 	m.started = true
 	m.ctrl = ctrl
+	if ctrl != nil && m.cfg.Faults != nil {
+		ctrl.Capacity = m.LiveByClass
+	}
 	m.arrRngs = make([]*rand.Rand, len(m.cls))
 	for i := range m.cls {
 		m.arrRngs[i] = rand.New(rand.NewSource(m.cfg.Seed + 2 + 2*int64(i)))
@@ -783,4 +785,10 @@ func (m *multi) ActiveByClass(tenant int) []int {
 	m.lock()
 	defer m.unlock()
 	return m.cls[tenant].ActiveByClass()
+}
+
+func (m *multi) LiveByClass() []int {
+	m.lock()
+	defer m.unlock()
+	return m.fp.live()
 }

@@ -243,8 +243,17 @@ func (s *Stack) Add(spec Spec) (*Tenant, error) {
 }
 
 // Build stands the pool-wide half up: every tenant's telemetry, the one
-// engine over the pool, and the joint controller that partitions it.
+// engine over the pool, and the joint controller that partitions it. Under
+// a fault schedule every tenant's planner must solve under server caps,
+// because a round with servers down plans against the live counts.
 func (s *Stack) Build() error {
+	if s.Faults != nil {
+		for _, t := range s.Tenants {
+			if _, ok := t.Planner.(core.CappedPlanner); !ok {
+				return fmt.Errorf("stack: tenant %q: the %s baseline cannot serve under a fault schedule: it cannot plan within the servers left up", t.Name, t.Approach)
+			}
+		}
+	}
 	mc := s.MultiConfig
 	workers := make([]telemetry.WorkerClass, len(s.Classes))
 	for i, cl := range s.Classes {

@@ -258,7 +258,7 @@ func WithPolicy(p Policy) Option { return func(c *config) { c.tenant.Policy = p 
 // policy (WithPolicy), and metrics stay identical, which is what makes the
 // §6 comparisons apples-to-apples. On a MultiSystem it is the default that
 // WithPipelineBaseline overrides per pipeline; note BaselineProteus cannot
-// share a pool (it has no capped solve).
+// share a pool or serve under WithFaults (it has no capped solve).
 func WithBaseline(b Baseline) Option {
 	return func(c *config) { c.tenant.Approach = stack.Approach(b) }
 }
@@ -277,7 +277,7 @@ func WithSwapLatency(d time.Duration) Option {
 }
 
 // WithSolveTimeLimit bounds each Resource Manager MILP solve (default
-// 500 ms). It must not be negative; zero leaves the solver's own 2 s bound.
+// 500 ms). It must not be negative; zero keeps the default.
 func WithSolveTimeLimit(d time.Duration) Option {
 	return func(c *config) { c.pool.SolveTimeLimit = d }
 }
@@ -566,10 +566,9 @@ func (r *Report) String() string {
 func buildConfig(opts []Option) config {
 	c := config{
 		pool: stack.Pool{
-			MultiConfig:    engine.MultiConfig{Servers: stack.DefaultServers, NetLatencySec: stack.DefaultNetLatencySec},
-			SolveTimeLimit: stack.DefaultSolveTimeLimit,
-			BucketSec:      stack.DefaultBucketSec,
-			TraceProb:      1.0 / 64,
+			MultiConfig: engine.MultiConfig{Servers: stack.DefaultServers, NetLatencySec: stack.DefaultNetLatencySec},
+			BucketSec:   stack.DefaultBucketSec,
+			TraceProb:   1.0 / 64,
 		},
 		tenant: pipelineConfig{Spec: stack.Spec{SLOSec: stack.DefaultSLOSec, Policy: OpportunisticPolicy}},
 	}
@@ -600,9 +599,10 @@ func Serve(p *Pipeline, tr *Trace, opts ...Option) (*Report, error) {
 
 // newStack returns an empty serving stack over the configured pool: the
 // WithHardware fleet (validated) or the homogeneous default of one class
-// holding all WithServers servers, with the paper's 0.30 headroom unless
-// WithHeadroom set one. Telemetry is off until the caller sets the stack's
-// Registry. An option value outside its documented range is an error.
+// holding all WithServers servers, with the paper's 0.30 headroom and 500 ms
+// solve limit unless WithHeadroom and WithSolveTimeLimit set them. Telemetry
+// is off until the caller sets the stack's Registry. An option value outside
+// its documented range is an error.
 func (c config) newStack() (*stack.Stack, error) {
 	p := c.pool
 	if err := checkRanges(p); err != nil {
@@ -610,6 +610,9 @@ func (c config) newStack() (*stack.Stack, error) {
 	}
 	if p.Headroom == 0 {
 		p.Headroom = stack.DefaultHeadroom
+	}
+	if p.SolveTimeLimit == 0 {
+		p.SolveTimeLimit = stack.DefaultSolveTimeLimit
 	}
 	if len(p.Classes) > 0 {
 		if err := profiles.ValidateClasses(p.Classes); err != nil {

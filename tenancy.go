@@ -371,7 +371,7 @@ func (m *MultiSystem) Snapshot(pipeline string) (Snapshot, error) {
 		snap.GrantedRateQPS = t.Adm.Rate()
 	}
 	snap.Workers = t.Tel.Rows()
-	live := t.Meta.LiveClassCounts()
+	live := m.st.Eng.LiveByClass()
 	for _, n := range live {
 		snap.LiveServers += n
 	}
