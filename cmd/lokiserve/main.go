@@ -65,11 +65,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -277,12 +278,12 @@ func main() {
 
 	fmt.Println("\nfinal state:")
 	printSnapshots(sys)
-	for _, name := range sortedKeys(traces) {
+	for _, name := range slices.Sorted(maps.Keys(traces)) {
 		if plan, err := sys.Plan(name); err == nil && plan != nil {
 			extra := ""
 			if *hardware != "" {
 				usage := plan.ClassUsage()
-				for _, cl := range sortedKeys(usage) {
+				for _, cl := range slices.Sorted(maps.Keys(usage)) {
 					extra += fmt.Sprintf(" %s:%d", cl, usage[cl])
 				}
 				extra = " (" + strings.TrimSpace(extra) + ")"
@@ -296,7 +297,7 @@ func main() {
 	}
 	fmt.Println()
 	reports := sys.Reports()
-	for _, name := range sortedKeys(reports) {
+	for _, name := range slices.Sorted(maps.Keys(reports)) {
 		fmt.Println(reports[name])
 	}
 	if len(reports) > 1 {
@@ -361,7 +362,7 @@ func serveHTTP(sys *loki.MultiSystem, addr string, monitor, drainDeadline time.D
 	printSnapshots(sys)
 	fmt.Println()
 	reports := sys.Reports()
-	for _, name := range sortedKeys(reports) {
+	for _, name := range slices.Sorted(maps.Keys(reports)) {
 		fmt.Println(reports[name])
 	}
 	if len(reports) > 1 {
@@ -462,18 +463,9 @@ func forecasterFor(name string) loki.ForecasterKind {
 	}
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 func printSnapshots(sys *loki.MultiSystem) {
 	grants := sys.Grants()
-	for _, name := range sortedKeys(grants) {
+	for _, name := range slices.Sorted(maps.Keys(grants)) {
 		s, err := sys.Snapshot(name)
 		if err != nil {
 			continue
@@ -503,7 +495,7 @@ func classOccupancy(s loki.Snapshot) string {
 		return ""
 	}
 	out := "  classes"
-	for _, name := range sortedKeys(s.ActiveServersByClass) {
+	for _, name := range slices.Sorted(maps.Keys(s.ActiveServersByClass)) {
 		out += fmt.Sprintf(" %s:%d/%d", name, s.ActiveServersByClass[name], s.GrantedServersByClass[name])
 	}
 	return out

@@ -10,7 +10,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"loki"
@@ -114,7 +115,7 @@ func main() {
 	fmt.Printf("mean latency %v, rerouted %d\n", report.MeanLatency, report.Rerouted)
 	if len(report.MeanServersByClass) > 0 {
 		fmt.Printf("mean occupancy by class:")
-		for _, name := range sortedClassNames(report.MeanServersByClass) {
+		for _, name := range slices.Sorted(maps.Keys(report.MeanServersByClass)) {
 			fmt.Printf(" %s=%.1f", name, report.MeanServersByClass[name])
 		}
 		fmt.Println()
@@ -126,15 +127,4 @@ func main() {
 				p.TimeSec, p.DemandQPS, p.Accuracy, p.Servers, p.ViolationRatio)
 		}
 	}
-}
-
-// sortedClassNames returns the map's keys in sorted order so the occupancy
-// line is stable run to run.
-func sortedClassNames(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

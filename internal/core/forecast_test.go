@@ -147,8 +147,8 @@ func TestPredictedDemandDefaultsToEstimate(t *testing.T) {
 }
 
 // The store feeds the forecaster the smoothed estimate, so a Last forecaster
-// predicts exactly the estimate (the identity guarantee), and the raw
-// history ring keeps the unsmoothed samples.
+// predicts exactly the estimate (the identity guarantee), and the last raw
+// sample stays unsmoothed.
 func TestMetadataFeedsForecasterSmoothedSignal(t *testing.T) {
 	meta := forecastMeta(t)
 	meta.SetForecaster(&forecast.Last{})
@@ -159,34 +159,7 @@ func TestMetadataFeedsForecasterSmoothedSignal(t *testing.T) {
 	if got, want := meta.PredictedDemand(10), meta.DemandEstimate(); got != want {
 		t.Fatalf("Last forecaster predicts %v, want the smoothed estimate %v", got, want)
 	}
-	hist := meta.DemandHistory(len(samples))
-	for i, q := range samples {
-		if hist[i] != q {
-			t.Fatalf("history[%d] = %v, want raw sample %v", i, hist[i], q)
-		}
-	}
 	if got := meta.LastObservedDemand(); got != 220 {
 		t.Fatalf("LastObservedDemand = %v, want 220", got)
-	}
-}
-
-// The history ring wraps without losing order.
-func TestDemandHistoryRingWraps(t *testing.T) {
-	meta := forecastMeta(t)
-	n := demandHistoryLen + 37
-	for i := 0; i < n; i++ {
-		meta.ObserveDemandAt(float64(i), float64(i))
-	}
-	hist := meta.DemandHistory(demandHistoryLen)
-	if len(hist) != demandHistoryLen {
-		t.Fatalf("history length %d, want %d", len(hist), demandHistoryLen)
-	}
-	for i, v := range hist {
-		if want := float64(n - demandHistoryLen + i); v != want {
-			t.Fatalf("history[%d] = %v, want %v", i, v, want)
-		}
-	}
-	if got := meta.DemandHistory(0); got != nil {
-		t.Fatalf("DemandHistory(0) = %v, want nil", got)
 	}
 }

@@ -10,14 +10,9 @@ import (
 	"loki/internal/trace"
 )
 
-// demandHistoryLen is how many per-second demand samples the store's ring
-// retains (about eight minutes) — the §4.2 "recent demand history" record,
-// exposed through DemandHistory for diagnostics and tests.
-const demandHistoryLen = 512
-
 // MetadataStore holds everything the Resource Manager and Load Balancer
 // consult (§3): the pipeline graph, per-variant performance profiles, the
-// latency SLO, recent demand history, and the multiplicative factors
+// latency SLO, recent demand (smoothed), and the multiplicative factors
 // observed by workers and reported through heartbeats. It is safe for
 // concurrent use — the live (wall-clock) engine shares it across goroutines.
 type MetadataStore struct {
@@ -37,10 +32,8 @@ type MetadataStore struct {
 	// reactive estimator bit for bit.
 	fc forecast.Forecaster
 
-	// hist is a ring of the raw per-second demand samples.
-	hist     []float64
-	histPos  int
-	histLen  int
+	// lastObs is the most recent raw per-second demand sample, stamped at
+	// engine time lastObsT.
 	lastObs  float64
 	lastObsT float64
 
@@ -140,14 +133,6 @@ func (m *MetadataStore) ObserveDemandAt(t, qps float64) {
 
 func (m *MetadataStore) observeLocked(t, qps float64) {
 	m.demand.Observe(qps)
-	if m.hist == nil {
-		m.hist = make([]float64, demandHistoryLen)
-	}
-	m.hist[m.histPos] = qps
-	m.histPos = (m.histPos + 1) % demandHistoryLen
-	if m.histLen < demandHistoryLen {
-		m.histLen++
-	}
 	m.lastObs = qps
 	m.lastObsT = t
 	if m.fc != nil {
@@ -189,24 +174,6 @@ func (m *MetadataStore) LastObservedDemand() float64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.lastObs
-}
-
-// DemandHistory returns up to n of the most recent raw per-second demand
-// samples in chronological order.
-func (m *MetadataStore) DemandHistory(n int) []float64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if n > m.histLen {
-		n = m.histLen
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = m.hist[((m.histPos-n+i)%demandHistoryLen+demandHistoryLen)%demandHistoryLen]
-	}
-	return out
 }
 
 // ReportMultFactor records a worker-observed multiplicative factor for a

@@ -65,6 +65,77 @@ func BenchmarkAllocate(b *testing.B) {
 	}
 }
 
+// BenchmarkHeteroAllocate measures one Resource Manager allocation on a
+// homogeneous 20-server pool versus the 3-class heterogeneous fleet of the
+// hetero experiment (24 servers, class-expanded configuration graph), over a
+// cycling demand walk. The hetero MILP carries one capacity row per class
+// and |classes|× the configurations, so its solve time bounds the cost of
+// the hardware-class refactor; milp_solves counts branch-and-bound
+// invocations per iteration. One untimed pass over the walk on a fresh
+// allocator takes the census of the plans' final solves: pivots/node (node
+// relaxations re-optimised warm cost tens of pivots, solved from scratch
+// hundreds), nodes/solve, and truncated_share, the share a resource limit
+// stopped — on the priced fleet that includes every plan the hardware step
+// returns, which is cut at its first plateau on purpose. The recorded
+// baseline lives in BENCH_hetero.json.
+func BenchmarkHeteroAllocate(b *testing.B) {
+	fleets := []struct {
+		name    string
+		classes []profiles.Class
+	}{
+		{"homogeneous", profiles.DefaultClasses(20)},
+		{"hetero3", []profiles.Class{
+			{Name: "a100", Count: 4, Speed: 2.0, CostPerHour: 3.2},
+			{Name: "v100", Count: 8, Speed: 1.0, CostPerHour: 1.2},
+			{Name: "t4", Count: 12, Speed: 0.5, CostPerHour: 0.55},
+		}},
+	}
+	demands := []float64{150, 350, 600, 250, 500}
+	for _, f := range fleets {
+		b.Run(f.name, func(b *testing.B) {
+			g := profiles.TrafficTree()
+			prof := (&profiles.Profiler{}).ProfileGraphClasses(g, profiles.Batches, f.classes)
+			meta := NewMetadataStoreHetero(g, f.classes, prof, 0.250, profiles.Batches)
+			newAlloc := func() *Allocator {
+				a, err := NewAllocator(meta, AllocatorOptions{
+					NetLatencySec: 0.002, KeepWarm: true,
+					Headroom: 0.30, SolveTimeLimit: 2 * time.Second,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return a
+			}
+			nodes, pivots, truncated := 0, 0, 0
+			census := newAlloc()
+			for _, d := range demands {
+				plan, err := census.Allocate(d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes += plan.SolveStats.Nodes
+				pivots += plan.SolveStats.LPIters
+				if plan.SolveStats.Truncated {
+					truncated++
+				}
+			}
+
+			alloc := newAlloc()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := alloc.Allocate(demands[i%len(demands)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(alloc.Perf().MILPSolves)/float64(b.N), "milp_solves")
+			b.ReportMetric(float64(pivots)/float64(nodes), "pivots/node")
+			b.ReportMetric(float64(nodes)/float64(len(demands)), "nodes/solve")
+			b.ReportMetric(float64(truncated)/float64(len(demands)), "truncated_share")
+		})
+	}
+}
+
 // BenchmarkMaxCapacity measures the admission-cap bisection a front-door
 // tenant runs at control-plane build time: traffic-analysis on 20 servers
 // with the serving options, on a fresh allocator each time, as MultiSystem

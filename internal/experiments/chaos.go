@@ -24,8 +24,9 @@ type ChaosConfig struct {
 	SLOSec float64
 	Seed   int64
 	// Faults selects which fault kinds to run (subset of "crash",
-	// "outage", "straggle"; empty = all three). The benchmark canary uses
-	// it to run the headline outage cell alone.
+	// "outage", "straggle"; empty = all three).
+	// TestChaosOutageMatchesRecordedRun uses it to run the headline outage
+	// cell alone.
 	Faults []string
 	// Quick shrinks the run for smoke passes.
 	Quick bool

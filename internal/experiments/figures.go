@@ -211,8 +211,11 @@ type ComparisonResult struct {
 	InferLine *RunResult
 	Proteus   *RunResult
 
-	// Headline numbers (paper: ≥10× fewer violations than Proteus, ≈2.67×
-	// fewer servers off-peak, 2.5-2.7× capacity vs InferLine).
+	// Headline numbers (paper: ≥10× fewer violations than Proteus, 2.5-2.7×
+	// capacity vs InferLine). ServerGainVsProteus is Proteus's MinServers
+	// over Loki's. Proteus never releases a server, so its MinServers is the
+	// whole pool, and the ratio is not the paper's off-peak server reduction
+	// (≈2.67×).
 	ViolationGainVsProteus  float64
 	ServerGainVsProteus     float64
 	CapacityGainVsInferLine float64
@@ -307,7 +310,7 @@ func FormatComparison(r *ComparisonResult) string {
 			rr.Approach.String(), s.MeanAccuracy, s.ViolationRatio, s.MeanServers, s.MinServers, rr.Rerouted)
 	}
 	fmt.Fprintf(&b, "\nSLO-violation reduction vs Proteus : %5.1f× (paper: ≥10×)\n", r.ViolationGainVsProteus)
-	fmt.Fprintf(&b, "off-peak server reduction vs Proteus: %5.2f× (paper: ≈2.67×)\n", r.ServerGainVsProteus)
+	fmt.Fprintf(&b, "min-srv ratio Proteus / Loki        : %5.2f× (Proteus holds the whole pool; paper's off-peak reduction: ≈2.67×)\n", r.ServerGainVsProteus)
 	fmt.Fprintf(&b, "capacity gain vs InferLine          : %5.2f× (paper: ≈2.5-2.7×)\n", r.CapacityGainVsInferLine)
 	for _, rr := range []*RunResult{r.Loki, r.InferLine, r.Proteus} {
 		fmt.Fprintf(&b, "\n--- %s timeseries ---\n%s", rr.Approach, metrics.FormatSeries(rr.Series))
@@ -401,7 +404,9 @@ type Fig8Row struct {
 }
 
 // Figure8 sweeps the pipeline latency SLO for the traffic-analysis pipeline
-// (paper: 200-400 ms; below 200 ms the pipeline is infeasible).
+// (paper: 200-400 ms, infeasible below 200 ms). This repo's synthetic
+// variants have shorter batch-1 latencies than the paper's models, so the
+// cliff sits near 35 ms and the default sweep's 150 ms row is served.
 func Figure8(seed int64, sloMs []float64) ([]Fig8Row, error) {
 	if len(sloMs) == 0 {
 		sloMs = []float64{150, 200, 250, 300, 350, 400}
@@ -414,9 +419,9 @@ func Figure8(seed int64, sloMs []float64) ([]Fig8Row, error) {
 			Graph: g, Trace: tr, Approach: Loki, Seed: seed, SLOSec: ms / 1000,
 		})
 		if err != nil {
-			// Below ≈200 ms even batch-1 latencies of the fastest variants
-			// exceed the halved compute budget: infeasible, as the paper
-			// reports.
+			// No config path fits: below ≈35 ms even the fastest variants'
+			// batch-1 latencies exceed the halved compute budget (the
+			// paper's cliff is at 200 ms).
 			rows = append(rows, Fig8Row{SLOMs: ms, Feasible: false})
 			continue
 		}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"loki/internal/profiles"
@@ -139,22 +141,9 @@ func FormatHetero(r *HeteroResult) string {
 	}
 	fmt.Fprintf(&b, "\nhetero cost savings per query: %.1f%%\n", r.CostSavingsPct)
 	fmt.Fprintf(&b, "hetero mean occupancy by class:")
-	for _, name := range sortedKeys(r.Hetero.ServersByClass) {
+	for _, name := range slices.Sorted(maps.Keys(r.Hetero.ServersByClass)) {
 		fmt.Fprintf(&b, " %s=%.1f", name, r.Hetero.ServersByClass[name])
 	}
 	b.WriteString("\n(the planner steers the small fast variants onto the slow cheap class and\nthe accurate heavy variants onto the fast class; the uniform fleet cannot)\n")
 	return b.String()
-}
-
-func sortedKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

@@ -4,8 +4,9 @@
 // traffic runs through serve on the one serving stack (internal/stack) that
 // the public loki package serves on, so all approaches and scenarios run on
 // the substrate lokiserve runs; they differ only in their tenants and
-// pool-level knobs. cmd/lokiexp and the benchmarks in bench_test.go drive
-// this package; lokiserve, lokisim and lokiload sit on the public package.
+// pool-level knobs. cmd/lokiexp drives this package, and its tests run the
+// paper figures' shapes; lokiserve, lokisim and lokiload sit on the public
+// package.
 package experiments
 
 import (

@@ -27,10 +27,12 @@ type ValidationResult struct {
 // ValidateConfig parameterizes the validation run.
 type ValidateConfig struct {
 	Seed       int64
-	PeakQPS    float64
 	TraceSteps int
 	StepSec    float64
 }
+
+// validatePeakQPS is the validation trace's peak demand.
+const validatePeakQPS = 450
 
 // validateTimeScale compresses the live run's wall time to half the trace's.
 // That keeps scheduler jitter and controller wall time small relative to
@@ -46,9 +48,6 @@ const validateTimeScale = 0.5
 // while the simulator solves in zero virtual time. Both serve the paper's
 // operating point: stack.DefaultServers servers at stack.DefaultSLOSec.
 func Validate(cfg ValidateConfig) (*ValidationResult, error) {
-	if cfg.PeakQPS == 0 {
-		cfg.PeakQPS = 450
-	}
 	if cfg.TraceSteps == 0 {
 		// A two-minute scaled day: long enough that controller transients
 		// do not dominate either engine's numbers.
@@ -58,7 +57,7 @@ func Validate(cfg ValidateConfig) (*ValidationResult, error) {
 		cfg.StepSec = 5
 	}
 	g := profiles.TrafficTree()
-	tr := trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(cfg.PeakQPS)
+	tr := trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(validatePeakQPS)
 
 	start := time.Now()
 

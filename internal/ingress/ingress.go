@@ -133,12 +133,6 @@ type Config struct {
 	// SLOSec is the tenant's end-to-end latency SLO, used to size the
 	// saturation limit and the saturation Retry-After hint. Required.
 	SLOSec float64
-	// SaturationFactor bounds in-flight work at factor × rate × SLOSec
-	// (default 1.0). By Little's law an in-flight population of rate × SLOSec
-	// is exactly the backlog the granted capacity can drain within one SLO —
-	// admitting beyond it guarantees the queueing delay alone exceeds the
-	// SLO, so even under-rate arrivals are shed past that point.
-	SaturationFactor float64
 	// TargetUtilization scales the granted rate handed to SetRate before it
 	// becomes the admission target (default 1.0). Granted routes carry the
 	// planner's headroom-inflated throughput ceiling; a tenant admitted at
@@ -150,9 +144,6 @@ type Config struct {
 }
 
 func (c *Config) defaults() {
-	if c.SaturationFactor == 0 {
-		c.SaturationFactor = 1.0
-	}
 	if c.TargetUtilization == 0 {
 		c.TargetUtilization = 1.0
 	}
@@ -192,8 +183,11 @@ func NewAdmission(cfg Config) *Admission {
 // SetRate retargets the controller to a new granted rate (requests per
 // second) at the given engine time: the rate is scaled by TargetUtilization,
 // the bucket refills at the result with a burstSec-deep burst allowance, and
-// the saturation limit becomes SaturationFactor × qps × SLOSec. Called on
-// every plan publication.
+// the saturation limit becomes qps × SLOSec. By Little's law that in-flight
+// population is exactly the backlog the granted capacity can drain within one
+// SLO — admitting beyond it guarantees the queueing delay alone exceeds the
+// SLO, so even under-rate arrivals are shed past that point. Called on every
+// plan publication.
 func (a *Admission) SetRate(now, qps float64) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -204,7 +198,7 @@ func (a *Admission) SetRate(now, qps float64) {
 	a.rate = qps
 	burst := math.Max(qps*burstSec, 1)
 	a.tb.SetRate(qps, burst, now)
-	a.maxInFlight = int64(math.Ceil(a.cfg.SaturationFactor * qps * a.cfg.SLOSec))
+	a.maxInFlight = int64(math.Ceil(qps * a.cfg.SLOSec))
 	if a.maxInFlight < 1 {
 		a.maxInFlight = 1
 	}

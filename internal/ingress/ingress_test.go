@@ -121,9 +121,9 @@ func TestAdmissionRateShed(t *testing.T) {
 }
 
 func TestAdmissionSaturationShed(t *testing.T) {
-	a := NewAdmission(Config{SLOSec: 0.25, SaturationFactor: 4})
-	a.SetRate(0, 100) // maxInFlight = ceil(4 × 100 × 0.25) = 100
-	ok, retry := a.Admit(0.5, 100)
+	a := NewAdmission(Config{SLOSec: 0.25})
+	a.SetRate(0, 100) // maxInFlight = ceil(100 × 0.25) = 25
+	ok, retry := a.Admit(0.5, 25)
 	if ok {
 		t.Fatal("admitted at the saturation limit")
 	}
@@ -131,7 +131,7 @@ func TestAdmissionSaturationShed(t *testing.T) {
 		t.Fatalf("saturation Retry-After %g, want SLO/2 = 0.125", retry)
 	}
 	// Under the limit, tokens still govern.
-	if ok, _ := a.Admit(0.5, 99); !ok {
+	if ok, _ := a.Admit(0.5, 24); !ok {
 		t.Fatal("refused below the saturation limit with a full bucket")
 	}
 }

@@ -52,15 +52,13 @@ func (p *Profile) MaxQPS() (float64, int) {
 
 // Profiler is Loki's Model Profiler (§3): during initial setup it measures
 // the processing time of every model variant at every allowed batch size.
-// DeviceSpeed scales all latencies (1.0 models the paper's homogeneous GTX
-// 1080 Ti cluster); on a heterogeneous fleet it is the reference speed that
-// each hardware class's own Speed multiplies. Jitter adds relative
-// measurement noise so simulator validation does not compare a model against
-// itself bit-for-bit.
+// The reference speed is 1.0 (the paper's homogeneous GTX 1080 Ti cluster);
+// each hardware class's Speed scales it. Jitter adds relative measurement
+// noise so simulator validation does not compare a model against itself
+// bit-for-bit.
 type Profiler struct {
-	DeviceSpeed float64
-	Jitter      float64 // e.g. 0.01 for ±1% multiplicative noise
-	Seed        int64
+	Jitter float64 // e.g. 0.01 for ±1% multiplicative noise
+	Seed   int64
 }
 
 // ProfileVariant measures one variant over the given batch sizes at the
@@ -70,16 +68,11 @@ func (pr *Profiler) ProfileVariant(v *pipeline.Variant, batches []int) Profile {
 }
 
 // profileVariantAt measures one variant with latencies divided by
-// classSpeed × DeviceSpeed. The jitter stream is re-seeded per variant, so
+// classSpeed. The jitter stream is re-seeded per variant, so
 // every class observes the same relative measurement noise — a slow class is
 // exactly a speed-scaled copy of the reference measurement, which is what
 // lets a Speed-1.0 class reproduce the homogeneous profiles bit for bit.
 func (pr *Profiler) profileVariantAt(v *pipeline.Variant, batches []int, classSpeed float64) Profile {
-	speed := pr.DeviceSpeed
-	if speed == 0 {
-		speed = 1.0
-	}
-	speed *= classSpeed
 	rng := rand.New(rand.NewSource(pr.Seed + int64(len(v.Name))*7919))
 	p := Profile{
 		Batches:    append([]int(nil), batches...),
@@ -87,7 +80,7 @@ func (pr *Profiler) profileVariantAt(v *pipeline.Variant, batches []int, classSp
 		QPS:        make([]float64, len(batches)),
 	}
 	for j, b := range batches {
-		lat := v.Latency(b) / speed
+		lat := v.Latency(b) / classSpeed
 		if pr.Jitter > 0 {
 			lat *= 1 + pr.Jitter*(2*rng.Float64()-1)
 		}

@@ -102,17 +102,6 @@ func TestProfilerJitterIsBounded(t *testing.T) {
 	}
 }
 
-func TestProfilerDeviceSpeedScales(t *testing.T) {
-	v := ResNet()[0]
-	slow := (&Profiler{DeviceSpeed: 0.5}).ProfileVariant(&v, Batches)
-	fast := (&Profiler{DeviceSpeed: 1.0}).ProfileVariant(&v, Batches)
-	for j := range slow.Batches {
-		if math.Abs(slow.LatencySec[j]-2*fast.LatencySec[j]) > 1e-12 {
-			t.Fatalf("device speed scaling broken at batch %d", slow.Batches[j])
-		}
-	}
-}
-
 func TestProfileGraphShape(t *testing.T) {
 	g := TrafficTree()
 	tables := (&Profiler{}).ProfileGraph(g, Batches)
