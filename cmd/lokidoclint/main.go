@@ -1,15 +1,36 @@
 // Command lokidoclint enforces godoc hygiene: every exported symbol of the
 // target packages — package clause, types, functions, methods on exported
 // types, and exported const/var declarations — must carry a doc comment.
-// The CI docs job runs it over the public package so the API reference
-// stays complete; it exits non-zero listing every undocumented symbol.
+// The CI docs job runs it over every package of the module; it exits
+// non-zero listing every undocumented symbol.
+//
+// With -unreached it is a gate on exported API that nothing needs instead.
+// It type-checks, from source and with the standard library only, every
+// package under the root directory, the nested bench/ module included, and
+// lists three kinds of exported identifier (package-level names, methods
+// and struct fields) declared under internal/:
+//
+//   - unreached: no non-test code names it. A method counts as reached when
+//     its receiver implements a loaded interface that names it.
+//   - never-set: a struct field that no non-test code writes with a
+//     composite-literal key, a positional literal, an assignment, ++/-- or
+//     &x.F.
+//   - package-local: no other package names it, in code or in tests.
+//
+// It exits non-zero if any entry is missing from cmd/lokidoclint/unreached.txt
+// or if an entry of that allowlist is no longer found, so the allowlist can
+// only shrink. Each allowlist line reads "kind name reason". It also prints
+// the count of exported identifiers under internal/ and of the root
+// module's non-test Go lines.
 //
 // Usage:
 //
 //	lokidoclint [package-dir ...]   # default: .
+//	lokidoclint -unreached [root]   # default: .
 package main
 
 import (
+	"flag"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -20,7 +41,24 @@ import (
 )
 
 func main() {
-	dirs := os.Args[1:]
+	unreached := flag.Bool("unreached", false, "list exported identifiers under internal/ that nothing needs exported, against cmd/lokidoclint/unreached.txt")
+	flag.Parse()
+	dirs := flag.Args()
+	if *unreached {
+		root := "."
+		if len(dirs) > 0 {
+			root = dirs[0]
+		}
+		ok, err := unreachedGate(root, filepath.Join(root, "cmd", "lokidoclint", "unreached.txt"), os.Stdout)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "lokidoclint: %v\n", err)
+			os.Exit(2)
+		}
+		if !ok {
+			os.Exit(1)
+		}
+		return
+	}
 	if len(dirs) == 0 {
 		dirs = []string{"."}
 	}

@@ -24,33 +24,30 @@ import (
 	"loki/internal/profiles"
 )
 
-// InferLine performs hardware scaling only (§6.1 baseline 1). It reuses
+// inferLine performs hardware scaling only (§6.1 baseline 1). It reuses
 // Loki's step-1 MILP restricted to the most accurate variants; when even the
 // full cluster cannot serve the demand at fixed accuracy, it keeps the
 // biggest feasible deployment — exactly the regime where its SLO violations
 // explode in Figures 5 and 6.
-type InferLine struct {
-	Meta *core.MetadataStore
-	Opts core.AllocatorOptions
-
+type inferLine struct {
 	alloc *core.Allocator
 }
 
 // NewInferLine builds the baseline planner.
-func NewInferLine(meta *core.MetadataStore, opts core.AllocatorOptions) (*InferLine, error) {
+func NewInferLine(meta *core.MetadataStore, opts core.AllocatorOptions) (*inferLine, error) {
 	// Restricting to the most accurate variants is done by the hardware
 	// step itself; MinPathAccuracy 0 keeps the path set unrestricted.
 	a, err := core.NewAllocator(meta, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &InferLine{Meta: meta, Opts: opts, alloc: a}, nil
+	return &inferLine{alloc: a}, nil
 }
 
 // Allocate serves the demand with the fixed most-accurate variants if
 // possible, and otherwise provisions the whole cluster for the largest
 // fraction it can sustain at fixed accuracy.
-func (b *InferLine) Allocate(demand float64) (*core.Plan, error) {
+func (b *inferLine) Allocate(demand float64) (*core.Plan, error) {
 	plan, err := b.alloc.AllocateHardwareOnly(demand)
 	if err != nil {
 		return nil, err
@@ -62,7 +59,7 @@ func (b *InferLine) Allocate(demand float64) (*core.Plan, error) {
 // bounded to caps, so an InferLine-managed pipeline can live inside a
 // multi-tenant partition (core.CappedPlanner). Homogeneous pools pass a
 // single-element vector.
-func (b *InferLine) AllocateCapped(demand float64, caps []int) (*core.Plan, error) {
+func (b *inferLine) AllocateCapped(demand float64, caps []int) (*core.Plan, error) {
 	if err := b.alloc.CheckCaps(caps); err != nil {
 		return nil, err
 	}
@@ -72,8 +69,8 @@ func (b *InferLine) AllocateCapped(demand float64, caps []int) (*core.Plan, erro
 // Proteus performs per-task accuracy scaling without pipeline awareness
 // (§6.1 baseline 2).
 type Proteus struct {
-	Meta *core.MetadataStore
-	Opts core.AllocatorOptions
+	meta *core.MetadataStore
+	opts core.AllocatorOptions
 
 	// taskShare[i] is the static number of servers dedicated to task i.
 	taskShare []int
@@ -98,8 +95,8 @@ func NewProteus(meta *core.MetadataStore, opts core.AllocatorOptions) (*Proteus,
 	g := meta.Graph()
 	n := len(g.Tasks)
 	p := &Proteus{
-		Meta:       meta,
-		Opts:       opts,
+		meta:       meta,
+		opts:       opts,
 		taskShare:  make([]int, n),
 		taskDemand: make([]float64, n),
 	}
@@ -212,7 +209,7 @@ func (p *Proteus) ObserveTaskDemand(task pipeline.TaskID, qps float64) {
 // stitches the results into a whole-cluster plan. All servers remain active:
 // Proteus performs no hardware scaling.
 func (p *Proteus) Allocate(demand float64) (*core.Plan, error) {
-	g := p.Meta.Graph()
+	g := p.meta.Graph()
 	merged := &core.Plan{
 		Mode:           core.AccuracyScaling,
 		Demand:         demand,
@@ -261,13 +258,10 @@ func (p *Proteus) Allocate(demand float64) (*core.Plan, error) {
 			}
 		}
 	}
-	merged.ServersUsed = p.Opts.Servers // no hardware scaling: all active
+	merged.ServersUsed = p.opts.Servers // no hardware scaling: all active
 	if accN > 0 {
 		merged.ExpectedAccuracy = accW / accN
 	}
 	merged.SolveStats = core.SolveStats{Step: 2}
 	return merged, nil
 }
-
-// TaskShares exposes the static partition, mostly for tests.
-func (p *Proteus) TaskShares() []int { return append([]int(nil), p.taskShare...) }

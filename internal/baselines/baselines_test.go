@@ -96,7 +96,7 @@ func TestProteusPartitionSumsToCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0
-	for _, s := range p.TaskShares() {
+	for _, s := range p.taskShare {
 		if s < 1 {
 			t.Fatalf("task share %d < 1", s)
 		}
@@ -137,7 +137,7 @@ func TestProteusRespectsPartitionBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares := p.TaskShares()
+	shares := p.taskShare
 	plan, err := p.Allocate(600)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestProteusSocialMediaPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := 0
-	for _, s := range p.TaskShares() {
+	for _, s := range p.taskShare {
 		sum += s
 	}
 	if sum != 20 {

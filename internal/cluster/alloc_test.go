@@ -77,8 +77,8 @@ func TestSteadyStateRequestsDoNotAllocate(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	injectChain(eng, cl, n)
 	runtime.ReadMemStats(&after)
-	if cl.TotalCompleted < n/2 {
-		t.Fatalf("only %d of %d requests completed; the rig is not serving", cl.TotalCompleted, cl.TotalInjected)
+	if cl.totalCompleted < n/2 {
+		t.Fatalf("only %d of %d requests completed; the rig is not serving", cl.totalCompleted, cl.totalInjected)
 	}
 	if cl.Inflight() != 0 {
 		t.Fatalf("%d requests still in flight after the drain", cl.Inflight())

@@ -60,11 +60,11 @@ type Options struct {
 // Cluster is the simulated worker pool. Drive it by scheduling
 // InjectRequest calls on its engine and applying plans from a controller.
 type Cluster struct {
-	Eng     *sim.Engine
-	Meta    *core.MetadataStore
-	Opts    Options
-	Policy  policy.Policy
-	Metrics *metrics.Collector
+	eng     *sim.Engine
+	meta    *core.MetadataStore
+	opts    Options
+	policy  policy.Policy
+	metrics *metrics.Collector
 
 	g       *pipeline.Graph
 	rng     *rand.Rand
@@ -103,18 +103,18 @@ type Cluster struct {
 	freeBatches []*batch
 
 	// Totals for invariant checks and reporting.
-	TotalInjected  int64
-	TotalCompleted int64
-	TotalDropped   int64
-	TotalRerouted  int64
-	TotalSwaps     int64
+	totalInjected  int64
+	totalCompleted int64
+	totalDropped   int64
+	totalRerouted  int64
+	totalSwaps     int64
 
 	// Drop-cause breakdown (per subrequest, not per root).
-	DropsQueueFull int64
-	DropsNoRoute   int64
-	DropsPolicy    int64
-	DropsStale     int64
-	DropsFault     int64
+	dropsQueueFull int64
+	dropsNoRoute   int64
+	dropsPolicy    int64
+	dropsStale     int64
+	dropsFault     int64
 }
 
 type worker struct {
@@ -183,11 +183,11 @@ func New(eng *sim.Engine, meta *core.MetadataStore, pol policy.Policy, col *metr
 		opts.QueueFactor = 2.0
 	}
 	c := &Cluster{
-		Eng:     eng,
-		Meta:    meta,
-		Opts:    opts,
-		Policy:  pol,
-		Metrics: col,
+		eng:     eng,
+		meta:    meta,
+		opts:    opts,
+		policy:  pol,
+		metrics: col,
 		g:       meta.Graph(),
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		rec:     core.NewReconciler(opts.Classes),
@@ -262,7 +262,7 @@ func (c *Cluster) ActiveServers() int { return c.rec.Placed() }
 // ActiveByClass returns the number of workers currently hosting a model in
 // each hardware class, in class order.
 func (c *Cluster) ActiveByClass() []int {
-	out := make([]int, len(c.Opts.Classes))
+	out := make([]int, len(c.opts.Classes))
 	for _, w := range c.workers {
 		if w.spec != nil {
 			out[w.class]++
@@ -277,7 +277,7 @@ func (c *Cluster) Inflight() int { return c.inflight }
 // Totals returns the cumulative request counters in one shot (the
 // engine-facing accessor behind engine.Stats).
 func (c *Cluster) Totals() (injected, completed, dropped, rerouted, swaps int64) {
-	return c.TotalInjected, c.TotalCompleted, c.TotalDropped, c.TotalRerouted, c.TotalSwaps
+	return c.totalInjected, c.totalCompleted, c.totalDropped, c.totalRerouted, c.totalSwaps
 }
 
 // FlushDemand returns the arrivals since the previous call (the Frontend's
@@ -307,7 +307,7 @@ func (c *Cluster) FlushTaskArrivals() []int {
 // stalls it for SwapLatencySec, and a change of task (or a shutdown) also
 // forfeits its queued requests.
 func (c *Cluster) ApplyPlan(plan *core.Plan, routes *core.Routes) {
-	now := c.Eng.Now()
+	now := c.eng.Now()
 	c.routes = routes
 	c.compileRoutes(routes)
 
@@ -318,7 +318,7 @@ func (c *Cluster) ApplyPlan(plan *core.Plan, routes *core.Routes) {
 			// vanishing worker are lost.
 			c.dropQueue(w)
 			w.spec = nil
-			c.Opts.Telemetry.SetAssigned(now, w.phys, "")
+			c.opts.Telemetry.SetAssigned(now, w.phys, "")
 			continue
 		}
 		c.logical[ns.ID] = w
@@ -327,18 +327,18 @@ func (c *Cluster) ApplyPlan(plan *core.Plan, routes *core.Routes) {
 			if w.spec != nil && w.spec.Task != ns.Task {
 				c.dropQueue(w)
 			}
-			if c.Opts.SwapLatencySec > 0 {
-				w.swapUntil = now + c.Opts.SwapLatencySec
-				c.TotalSwaps++
-				c.Opts.Telemetry.Swap(now, w.phys)
+			if c.opts.SwapLatencySec > 0 {
+				w.swapUntil = now + c.opts.SwapLatencySec
+				c.totalSwaps++
+				c.opts.Telemetry.Swap(now, w.phys)
 				wq := w
-				c.Eng.At(w.swapUntil, func() { c.tryStart(wq) })
+				c.eng.At(w.swapUntil, func() { c.tryStart(wq) })
 			}
 		}
 		w.spec = ns // same config: possibly a new ID
 		c.tryStart(w)
-		w.qcap = ns.QueueCap(c.Opts.QueueFactor, c.Opts.SLOSec)
-		c.Opts.Telemetry.SetAssigned(now, w.phys, c.names[ns.Task][ns.Variant])
+		w.qcap = ns.QueueCap(c.opts.QueueFactor, c.opts.SLOSec)
+		c.opts.Telemetry.SetAssigned(now, w.phys, c.names[ns.Task][ns.Variant])
 	}
 }
 
@@ -399,7 +399,7 @@ func (c *Cluster) dropQueue(w *worker) {
 	}
 	clear(w.queue)
 	w.queue = w.queue[:0]
-	c.Opts.Telemetry.QueueCleared(c.Eng.Now(), w.phys)
+	c.opts.Telemetry.QueueCleared(c.eng.Now(), w.phys)
 }
 
 // SetWorkerDown crashes physical worker phys: queued requests are lost, the
@@ -420,16 +420,16 @@ func (c *Cluster) SetWorkerDown(phys int) {
 	}
 	w.busy = false
 	w.swapUntil = 0
-	c.DropsFault += int64(len(w.queue))
+	c.dropsFault += int64(len(w.queue))
 	c.dropQueue(w)
-	c.Opts.Telemetry.SetDown(c.Eng.Now(), phys, true)
+	c.opts.Telemetry.SetDown(c.eng.Now(), phys, true)
 }
 
 // SetWorkerUp brings a crashed worker back as an idle server; the next
 // ApplyPlan may claim it again. Idempotent.
 func (c *Cluster) SetWorkerUp(phys int) {
 	c.rec.SetDown(phys, false)
-	c.Opts.Telemetry.SetDown(c.Eng.Now(), phys, false)
+	c.opts.Telemetry.SetDown(c.eng.Now(), phys, false)
 }
 
 // SetWorkerSpeedFactor scales a worker's execution speed relative to its
@@ -439,23 +439,23 @@ func (c *Cluster) SetWorkerUp(phys int) {
 func (c *Cluster) SetWorkerSpeedFactor(phys int, factor float64) {
 	w := c.workers[phys]
 	w.speed = w.baseSpeed * factor
-	c.Opts.Telemetry.SetSpeed(c.Eng.Now(), phys, factor)
+	c.opts.Telemetry.SetSpeed(c.eng.Now(), phys, factor)
 }
 
 // InjectRequest admits one client query at the current time.
 func (c *Cluster) InjectRequest() {
-	now := c.Eng.Now()
+	now := c.eng.Now()
 	c.arrivals++
-	c.TotalInjected++
-	if c.Metrics != nil {
-		c.Metrics.Arrival(now)
+	c.totalInjected++
+	if c.metrics != nil {
+		c.metrics.Arrival(now)
 	}
 	c.nextRootID++
 	root := c.newRoot()
 	root.id = c.nextRootID
 	root.arrived = now
-	root.deadline = now + c.Opts.SLOSec
-	root.tr = c.Opts.Tracer.Start(root.id, now)
+	root.deadline = now + c.opts.SLOSec
+	root.tr = c.opts.Tracer.Start(root.id, now)
 	c.inflight++
 
 	if c.routes == nil || len(c.routes.Frontend) == 0 {
@@ -553,26 +553,26 @@ func (c *Cluster) arrive(sub *subrequest) {
 	w := c.workerAt(sub.target)
 	if w == nil || w.spec == nil || w.spec.Task != sub.task {
 		// The worker was reassigned while the request was in flight.
-		c.DropsStale++
+		c.dropsStale++
 		c.abandon(sub)
 		return
 	}
 	if len(w.queue) >= w.qcap {
-		c.DropsQueueFull++
+		c.dropsQueueFull++
 		c.abandon(sub) // queue overflow
 		return
 	}
-	sub.enqueued = c.Eng.Now()
+	sub.enqueued = c.eng.Now()
 	c.taskArrivals[sub.task]++
 	w.queue = append(w.queue, sub)
-	c.Opts.Telemetry.Enqueue(sub.enqueued, w.phys)
+	c.opts.Telemetry.Enqueue(sub.enqueued, w.phys)
 	c.tryStart(w)
 }
 
 // tryStart begins a batch if the worker is free: a work-conserving policy
 // that takes min(queue, maxBatch) requests immediately.
 func (c *Cluster) tryStart(w *worker) {
-	now := c.Eng.Now()
+	now := c.eng.Now()
 	if w.busy || w.spec == nil || now < w.swapUntil || len(w.queue) == 0 {
 		return
 	}
@@ -588,14 +588,14 @@ func (c *Cluster) tryStart(w *worker) {
 	clear(w.queue[rest:])
 	w.queue = w.queue[:rest]
 	w.busy = true
-	c.Opts.Telemetry.BatchStart(now, w.phys, n)
+	c.opts.Telemetry.BatchStart(now, w.phys, n)
 
 	v := &c.g.Tasks[b.spec.Task].Variants[b.spec.Variant]
 	lat := v.Latency(n) / w.speed
-	if c.Opts.ExecJitter > 0 {
-		lat *= 1 + c.Opts.ExecJitter*(2*c.rng.Float64()-1)
+	if c.opts.ExecJitter > 0 {
+		lat *= 1 + c.opts.ExecJitter*(2*c.rng.Float64()-1)
 	}
-	c.Eng.After(lat, b.done)
+	c.eng.After(lat, b.done)
 }
 
 // batchDone ends a batch's execution: its requests complete and the worker
@@ -606,7 +606,7 @@ func (c *Cluster) batchDone(b *batch) {
 		// The worker crashed while this batch was executing: the results
 		// never materialize and the roots are lost. (The crash already
 		// cleared the worker's telemetry in-flight state.)
-		c.DropsFault += int64(len(b.subs))
+		c.dropsFault += int64(len(b.subs))
 		for _, sub := range b.subs {
 			c.abandon(sub)
 		}
@@ -614,15 +614,15 @@ func (c *Cluster) batchDone(b *batch) {
 		return
 	}
 	w.busy = false
-	endT := c.Eng.Now()
-	c.Opts.Telemetry.BatchEnd(endT, w.phys, len(b.subs))
-	if c.Opts.Tracer != nil {
+	endT := c.eng.Now()
+	c.opts.Telemetry.BatchEnd(endT, w.phys, len(b.subs))
+	if c.opts.Tracer != nil {
 		for _, sub := range b.subs {
 			if sub.root.tr != nil {
-				c.Opts.Tracer.AddSpan(sub.root.tr, telemetry.Span{
+				c.opts.Tracer.AddSpan(sub.root.tr, telemetry.Span{
 					Stage:       c.g.Tasks[spec.Task].Name,
 					Worker:      w.phys,
-					Class:       c.Opts.Classes[w.class].Name,
+					Class:       c.opts.Classes[w.class].Name,
 					EnqueuedSec: sub.enqueued,
 					StartSec:    b.start,
 					EndSec:      endT,
@@ -643,7 +643,7 @@ func (c *Cluster) batchDone(b *batch) {
 // multiplicative factors), run the drop policy per branch, and detect sink
 // completions. The subrequest is released afterwards.
 func (c *Cluster) completeAt(sub *subrequest, w *worker, spec *core.WorkerSpec) {
-	now := c.Eng.Now()
+	now := c.eng.Now()
 	task := &c.g.Tasks[spec.Task]
 	v := &task.Variants[spec.Variant]
 	acc := sub.acc * v.Accuracy
@@ -732,7 +732,7 @@ func (c *Cluster) forward(sub *subrequest, spec *core.WorkerSpec, childTask pipe
 		target, ok = c.anyWorkerOf(childTask)
 	}
 	if !ok {
-		c.DropsNoRoute++
+		c.dropsNoRoute++
 		sub.root.dropped = true
 		return
 	}
@@ -750,17 +750,17 @@ func (c *Cluster) forward(sub *subrequest, spec *core.WorkerSpec, childTask pipe
 	ctx.NextTask = childTask
 	ctx.NextIsSink = len(c.g.Tasks[childTask].Children) == 0
 	ctx.NextExec = nextExec
-	ctx.NetLatency = c.Opts.NetLatencySec
+	ctx.NetLatency = c.opts.NetLatencySec
 	ctx.MinTail = c.minTail[childTask]
-	d := c.Policy.OnTaskComplete(ctx)
+	d := c.policy.OnTaskComplete(ctx)
 	if d.Drop {
-		c.DropsPolicy++
+		c.dropsPolicy++
 		sub.root.dropped = true
 		return
 	}
 	if d.Reroute {
 		target = d.Alternate
-		c.TotalRerouted++
+		c.totalRerouted++
 	}
 	sub.root.outstanding++
 	c.deliver(c.newSub(sub.root, childTask, acc), target)
@@ -795,26 +795,26 @@ func (c *Cluster) abandon(sub *subrequest) {
 
 // finish closes out a root request, records its outcome and releases it.
 func (c *Cluster) finish(root *rootRequest) {
-	now := c.Eng.Now()
+	now := c.eng.Now()
 	c.inflight--
 	defer c.releaseRoot(root)
 	if root.dropped {
-		c.TotalDropped++
-		if c.Metrics != nil {
-			c.Metrics.Dropped(now, root.arrived)
+		c.totalDropped++
+		if c.metrics != nil {
+			c.metrics.Dropped(now, root.arrived)
 		}
-		c.Opts.Tracer.Finish(root.tr, now, true, false)
+		c.opts.Tracer.Finish(root.tr, now, true, false)
 		return
 	}
-	c.TotalCompleted++
+	c.totalCompleted++
 	late := now > root.deadline+1e-9
-	c.Opts.Tracer.Finish(root.tr, now, false, late)
+	c.opts.Tracer.Finish(root.tr, now, false, late)
 	accuracy := math.NaN()
 	if root.accN > 0 {
 		accuracy = root.accSum / float64(root.accN)
 	}
-	if c.Metrics != nil {
-		c.Metrics.Completed(now, late, now-root.arrived, accuracy)
+	if c.metrics != nil {
+		c.metrics.Completed(now, late, now-root.arrived, accuracy)
 	}
 }
 
@@ -877,7 +877,7 @@ func (c *Cluster) poisson(l float64) int {
 // classifier), so the raw factor is recovered by dividing the ratio sum
 // back out before reporting.
 func (c *Cluster) Heartbeat() {
-	now := c.Eng.Now()
+	now := c.eng.Now()
 	for _, w := range c.workers {
 		if w.spec == nil || w.hbIn == 0 {
 			continue
@@ -889,13 +889,13 @@ func (c *Cluster) Heartbeat() {
 		}
 		if sumRatio > 0 {
 			observed := float64(w.hbOut) / (float64(w.hbIn) * sumRatio)
-			c.Meta.ReportMultFactor(w.spec.Task, w.spec.Variant, observed)
+			c.meta.ReportMultFactor(w.spec.Task, w.spec.Variant, observed)
 		}
 		w.hbIn, w.hbOut = 0, 0
 	}
-	if c.Metrics != nil {
-		c.Metrics.SampleServers(now, c.ActiveServers())
-		c.Metrics.SampleClassServers(c.ActiveByClass())
+	if c.metrics != nil {
+		c.metrics.SampleServers(now, c.ActiveServers())
+		c.metrics.SampleClassServers(c.ActiveByClass())
 	}
-	c.Opts.Telemetry.Sample(now)
+	c.opts.Telemetry.Sample(now)
 }

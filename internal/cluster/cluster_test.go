@@ -114,11 +114,11 @@ func TestConservationInjectedEqualsCompletedPlusDropped(t *testing.T) {
 	if r.cl.Inflight() != 0 {
 		t.Fatalf("%d requests still in flight after drain", r.cl.Inflight())
 	}
-	if r.cl.TotalInjected != r.cl.TotalCompleted+r.cl.TotalDropped {
+	if r.cl.totalInjected != r.cl.totalCompleted+r.cl.totalDropped {
 		t.Fatalf("conservation broken: injected %d != completed %d + dropped %d",
-			r.cl.TotalInjected, r.cl.TotalCompleted, r.cl.TotalDropped)
+			r.cl.totalInjected, r.cl.totalCompleted, r.cl.totalDropped)
 	}
-	if r.cl.TotalDropped == 0 {
+	if r.cl.totalDropped == 0 {
 		t.Fatal("expected drops under 2.5× overload")
 	}
 }
@@ -127,8 +127,8 @@ func TestNoRoutesDropsAtIngress(t *testing.T) {
 	r := newRig(t, 4, policy.Opportunistic{})
 	r.eng.At(1, func() { r.cl.InjectRequest() })
 	r.eng.RunAll()
-	if r.cl.TotalDropped != 1 || r.cl.TotalCompleted != 0 {
-		t.Fatalf("dropped=%d completed=%d, want 1/0 before any plan", r.cl.TotalDropped, r.cl.TotalCompleted)
+	if r.cl.totalDropped != 1 || r.cl.totalCompleted != 0 {
+		t.Fatalf("dropped=%d completed=%d, want 1/0 before any plan", r.cl.totalDropped, r.cl.totalCompleted)
 	}
 }
 
@@ -140,7 +140,7 @@ func TestThroughputMatchesBatchProfile(t *testing.T) {
 	r.apply(plan2(1), 150)
 	r.injectPoisson(t, 150, 20, 3)
 	r.eng.RunAll()
-	served := float64(r.cl.TotalCompleted) / 20
+	served := float64(r.cl.totalCompleted) / 20
 	if served < 135 {
 		t.Fatalf("served %.1f qps with 160 qps capacity at offered 150", served)
 	}
@@ -148,17 +148,17 @@ func TestThroughputMatchesBatchProfile(t *testing.T) {
 
 func TestReconfigurationKeepsMatchingWorkers(t *testing.T) {
 	r := newRig(t, 8, policy.Opportunistic{})
-	r.cl.Opts.SwapLatencySec = 1.0
+	r.cl.opts.SwapLatencySec = 1.0
 	r.apply(plan2(2), 100)
-	swaps := r.cl.TotalSwaps
+	swaps := r.cl.totalSwaps
 	// Re-apply an identical plan: no worker should reload a model.
 	r.apply(plan2(2), 100)
-	if r.cl.TotalSwaps != swaps {
-		t.Fatalf("identical plan triggered %d swaps", r.cl.TotalSwaps-swaps)
+	if r.cl.totalSwaps != swaps {
+		t.Fatalf("identical plan triggered %d swaps", r.cl.totalSwaps-swaps)
 	}
 	// Growing the deployment swaps only the new workers.
 	r.apply(plan2(3), 100)
-	if got := r.cl.TotalSwaps - swaps; got != 2 {
+	if got := r.cl.totalSwaps - swaps; got != 2 {
 		t.Fatalf("grew by 2 replicas but %d swaps", got)
 	}
 }
@@ -198,7 +198,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		r.apply(plan2(2), 300)
 		r.injectPoisson(t, 300, 15, 7)
 		r.eng.RunAll()
-		return r.cl.TotalCompleted, r.cl.TotalDropped
+		return r.cl.totalCompleted, r.cl.totalDropped
 	}
 	c1, d1 := run()
 	c2, d2 := run()
@@ -222,10 +222,10 @@ func TestQueueCapBoundsQueues(t *testing.T) {
 		}
 	})
 	r.eng.RunAll()
-	if r.cl.DropsQueueFull == 0 {
+	if r.cl.dropsQueueFull == 0 {
 		t.Fatal("no queue-full drops under 10× overload")
 	}
-	cap0 := (&core.WorkerSpec{QPS: 160, MaxBatch: 4}).QueueCap(r.cl.Opts.QueueFactor, r.cl.Opts.SLOSec)
+	cap0 := (&core.WorkerSpec{QPS: 160, MaxBatch: 4}).QueueCap(r.cl.opts.QueueFactor, r.cl.opts.SLOSec)
 	if maxQ > cap0 {
 		t.Fatalf("queue grew to %d, cap %d", maxQ, cap0)
 	}

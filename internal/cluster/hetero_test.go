@@ -91,12 +91,12 @@ func TestHeteroNoCrossClassSpill(t *testing.T) {
 // models instead of silently relabeling foreign workers.
 func TestHeteroSwapStaysWithinClass(t *testing.T) {
 	r := heteroRig(t)
-	r.cl.Opts.SwapLatencySec = 1.0
+	r.cl.opts.SwapLatencySec = 1.0
 	r.apply(heteroPlan(2, 3), 100)
-	swaps := r.cl.TotalSwaps
+	swaps := r.cl.totalSwaps
 	r.apply(heteroPlan(2, 3), 100)
-	if r.cl.TotalSwaps != swaps {
-		t.Fatalf("identical hetero plan triggered %d swaps", r.cl.TotalSwaps-swaps)
+	if r.cl.totalSwaps != swaps {
+		t.Fatalf("identical hetero plan triggered %d swaps", r.cl.totalSwaps-swaps)
 	}
 
 	// Move task 0 from the fast class to the slow class (and task 1 onto
@@ -112,7 +112,7 @@ func TestHeteroSwapStaysWithinClass(t *testing.T) {
 	}
 	flip.ServersUsed = 4
 	r.apply(flip, 100)
-	if got := r.cl.TotalSwaps - swaps; got != 4 {
+	if got := r.cl.totalSwaps - swaps; got != 4 {
 		t.Fatalf("cross-class move swapped %d workers, want 4", got)
 	}
 	by := r.cl.ActiveByClass()
@@ -155,10 +155,10 @@ func TestHeteroExecutionSpeedScalesPerClass(t *testing.T) {
 		// Saturate: inject far more than capacity, run 10 simulated seconds.
 		for i := 0; i < 4000; i++ {
 			at := float64(i) * 0.0025
-			cl.Eng.At(at, cl.InjectRequest)
+			cl.eng.At(at, cl.InjectRequest)
 		}
 		eng.Run(10)
-		return cl.TotalCompleted
+		return cl.totalCompleted
 	}
 	slow := onClass(1, "slow", 1.0)
 	fast := onClass(0, "fast", 2.0)

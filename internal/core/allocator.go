@@ -61,7 +61,7 @@ type AllocatorOptions struct {
 // paths up front rather than with big-M indicator rows.
 type Allocator struct {
 	Meta *MetadataStore
-	Opts AllocatorOptions
+	opts AllocatorOptions
 
 	// classes are the cluster's hardware classes and counts their effective
 	// per-class server counts (the homogeneous path resolves the single
@@ -109,7 +109,7 @@ type cfgPath struct {
 
 // NewAllocator builds the configuration graph for the store's pipeline.
 func NewAllocator(meta *MetadataStore, opts AllocatorOptions) (*Allocator, error) {
-	a := &Allocator{Meta: meta, Opts: opts, state: newSolverState()}
+	a := &Allocator{Meta: meta, opts: opts, state: newSolverState()}
 	a.classes = meta.Classes()
 	a.counts = make([]int, len(a.classes))
 	total := 0
@@ -126,15 +126,15 @@ func NewAllocator(meta *MetadataStore, opts AllocatorOptions) (*Allocator, error
 		a.counts[0] = opts.Servers
 		total = opts.Servers
 	}
-	if a.Opts.Servers == 0 {
-		a.Opts.Servers = total
-	} else if a.Opts.Servers != total {
-		return nil, fmt.Errorf("core: Servers option (%d) disagrees with the hardware classes' total count (%d)", a.Opts.Servers, total)
+	if a.opts.Servers == 0 {
+		a.opts.Servers = total
+	} else if a.opts.Servers != total {
+		return nil, fmt.Errorf("core: Servers option (%d) disagrees with the hardware classes' total count (%d)", a.opts.Servers, total)
 	}
-	if a.Opts.Servers <= 0 {
-		return nil, fmt.Errorf("core: allocator needs a positive cluster size, got %d", a.Opts.Servers)
+	if a.opts.Servers <= 0 {
+		return nil, fmt.Errorf("core: allocator needs a positive cluster size, got %d", a.opts.Servers)
 	}
-	if f := a.Opts.MinPathAccuracy; math.IsNaN(f) || math.IsInf(f, 0) {
+	if f := a.opts.MinPathAccuracy; math.IsNaN(f) || math.IsInf(f, 0) {
 		return nil, fmt.Errorf("core: minimum path accuracy must be a finite number, got %v", f)
 	}
 	if err := meta.Graph().Validate(); err != nil {
@@ -146,7 +146,7 @@ func NewAllocator(meta *MetadataStore, opts AllocatorOptions) (*Allocator, error
 	}
 	if len(a.paths) == 0 {
 		return nil, fmt.Errorf("core: no configuration path reaches the minimum path accuracy %g — the most accurate of the %d paths that fit the %.0fms SLO reaches %.3f",
-			a.Opts.MinPathAccuracy, fit, meta.SLO()*1e3, bestAcc)
+			a.opts.MinPathAccuracy, fit, meta.SLO()*1e3, bestAcc)
 	}
 	return a, nil
 }
@@ -234,7 +234,7 @@ func (a *Allocator) build() (fit int, bestAcc float64) {
 	// (§4.1 halves the SLO to cover queueing; §4.2 subtracts
 	// communication).
 	budgetFor := func(hops int) float64 {
-		return a.Meta.SLO()/2 - float64(hops)*a.Opts.NetLatencySec
+		return a.Meta.SLO()/2 - float64(hops)*a.opts.NetLatencySec
 	}
 	// Sink count per task (over the whole graph): a task reachable by more
 	// than one sink is "shared" — its configurations participate in the
@@ -377,7 +377,7 @@ func (a *Allocator) build() (fit int, bestAcc float64) {
 				fit += n
 				bestAcc = max(bestAcc, acc)
 			}
-			if a.Opts.MinPathAccuracy > 0 && acc < a.Opts.MinPathAccuracy {
+			if a.opts.MinPathAccuracy > 0 && acc < a.opts.MinPathAccuracy {
 				return
 			}
 			order = order[:0]
@@ -461,7 +461,7 @@ func (a *Allocator) Allocate(demand float64) (*Plan, error) {
 // provisioned is the demand the allocator plans for: the estimate inflated by
 // the headroom, never negative.
 func (a *Allocator) provisioned(demand float64) float64 {
-	d := demand * (1 + a.Opts.Headroom)
+	d := demand * (1 + a.opts.Headroom)
 	if d < 0 {
 		d = 0
 	}
@@ -492,9 +492,9 @@ func (a *Allocator) servable(demand float64) (bool, error) {
 func (a *Allocator) Capped(caps []int) *Allocator {
 	b := *a
 	b.counts = append([]int(nil), caps...)
-	b.Opts.Servers = 0
+	b.opts.Servers = 0
 	for _, n := range caps {
-		b.Opts.Servers += n
+		b.opts.Servers += n
 	}
 	return &b
 }
@@ -607,7 +607,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 		// Every such point is integer-feasible for its model, which makes
 		// it the natural warm start for the next solve of the same step (it
 		// is re-verified against the new demand and cap before use).
-		if !a.Opts.DisableReuse {
+		if !a.opts.DisableReuse {
 			st.lastX[step] = append([]float64(nil), x...)
 		}
 		if goal == goalFeasible {
@@ -714,7 +714,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 	}
 
 	opts := milp.Options{
-		TimeLimit: a.Opts.SolveTimeLimit,
+		TimeLimit: a.opts.SolveTimeLimit,
 		Incumbent: seed,
 		Workspace: &st.ws,
 	}
@@ -727,7 +727,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 	// node one) or is silently dropped. A probe takes it as the search's
 	// incumbent instead: one that verifies decides the probe before the
 	// first node, exactly as it would rescue the full search at its end.
-	if wx := st.lastX[step]; wx != nil && !a.Opts.DisableReuse {
+	if wx := st.lastX[step]; wx != nil && !a.opts.DisableReuse {
 		if goal == goalFeasible {
 			opts.Incumbent = wx
 		} else {
@@ -769,7 +769,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 	// cost per query at 0.80 attainment instead of 0.89 (ARCHITECTURE.md,
 	// "Planner performance"). Counting nodes rather than milliseconds also
 	// makes these plans the same on every machine.
-	if !a.Opts.DisableReuse && !a.Opts.DisableStall {
+	if !a.opts.DisableReuse && !a.opts.DisableStall {
 		opts.StallAfter = opts.TimeLimit / 4
 		opts.StallNodes = 96
 		if step == stepHardware && a.priced {
@@ -975,7 +975,7 @@ const maxCapacityDoublings = 32
 // the ≈0.6 s traffic-analysis takes on 20 servers.
 func (a *Allocator) MaxCapacity(lo, hi float64) float64 {
 	capacity := a.bisectCapacity(lo, hi)
-	if !a.Opts.DisableReuse {
+	if !a.opts.DisableReuse {
 		d := a.provisioned(capacity)
 		for _, step := range []stepKind{stepHardware, stepAccuracy} {
 			if _, ok, err := a.solveStep(d, step, goalUncut); err != nil || ok {

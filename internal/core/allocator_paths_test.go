@@ -162,7 +162,7 @@ func referencePaths(a *Allocator) ([]cfgPath, [][]int) {
 	var paths []cfgPath
 	bySink := make([][]int, len(a.sinks))
 	for _, tp := range g.TaskPaths() {
-		budget := a.Meta.SLO()/2 - float64(len(tp.Tasks))*a.Opts.NetLatencySec
+		budget := a.Meta.SLO()/2 - float64(len(tp.Tasks))*a.opts.NetLatencySec
 		sink := sinkIdx[tp.Tasks[len(tp.Tasks)-1]]
 		hops := len(tp.Tasks)
 		byVariant := make([]map[int][]int, hops)
@@ -244,7 +244,7 @@ func referencePaths(a *Allocator) ([]cfgPath, [][]int) {
 					m *= a.Meta.MultFactor(c.task, c.variant)
 					pth.acc *= c.acc
 				}
-				if a.Opts.MinPathAccuracy > 0 && pth.acc < a.Opts.MinPathAccuracy {
+				if a.opts.MinPathAccuracy > 0 && pth.acc < a.opts.MinPathAccuracy {
 					continue
 				}
 				bySink[sink] = append(bySink[sink], len(paths))
@@ -344,7 +344,7 @@ func FuzzPathEnumeration(f *testing.F) {
 		if err != nil {
 			// An allocator that refuses must have had no path to offer:
 			// rebuild the configurations without the checks to see.
-			a = &Allocator{Meta: meta, Opts: opts, classes: classes}
+			a = &Allocator{Meta: meta, opts: opts, classes: classes}
 			a.build()
 			if want, _ := referencePaths(a); len(want) > 0 {
 				t.Fatalf("NewAllocator refused (%v) with %d paths to offer", err, len(want))

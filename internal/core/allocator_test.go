@@ -195,8 +195,12 @@ func TestPlanRespectsClusterSize(t *testing.T) {
 		if plan.ServersUsed > 20 {
 			t.Fatalf("plan uses %d servers on a 20-server cluster (demand %g)", plan.ServersUsed, d)
 		}
-		if got := plan.Replicas(); got != plan.ServersUsed {
-			t.Fatalf("Replicas() = %d, ServersUsed = %d", got, plan.ServersUsed)
+		replicas := 0
+		for _, as := range plan.Assignments {
+			replicas += as.Replicas
+		}
+		if replicas != plan.ServersUsed {
+			t.Fatalf("%d replicas, ServersUsed = %d", replicas, plan.ServersUsed)
 		}
 	}
 }
@@ -212,8 +216,12 @@ func TestPlanCapacityCoversLoad(t *testing.T) {
 			continue
 		}
 		load := expectedTaskLoad(t, a, plan, d)
+		capacity := map[pipeline.TaskID]float64{}
+		for _, as := range plan.Assignments {
+			capacity[as.Task] += float64(as.Replicas) * as.QPS
+		}
 		for task, l := range load {
-			if cap := plan.Capacity(task); cap < l*0.999 {
+			if cap := capacity[task]; cap < l*0.999 {
 				t.Fatalf("demand %g: task %d capacity %.1f < load %.1f", d, task, cap, l)
 			}
 		}
@@ -411,7 +419,7 @@ func TestCapacityProbeAgreesWithAllocate(t *testing.T) {
 		}
 		for _, f := range c.factors {
 			d := f * c.capacity
-			probeCut, fullCut := probe.Perf().Truncated, full.Perf().Truncated
+			probeCut, fullCut := probe.Perf().truncated, full.Perf().truncated
 			got, err := view.servable(d)
 			if err != nil {
 				t.Fatal(err)
@@ -426,8 +434,8 @@ func TestCapacityProbeAgreesWithAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := plan.Mode != Saturated
-			probeCut = probe.Perf().Truncated - probeCut
-			fullCut = full.Perf().Truncated - fullCut
+			probeCut = probe.Perf().truncated - probeCut
+			fullCut = full.Perf().truncated - fullCut
 			if plan.SolveStats.Step == int(stepSaturation) && plan.SolveStats.Truncated {
 				fullCut--
 			}

@@ -282,7 +282,7 @@ const DefaultForecastHorizonSec = 10
 // cluster). Without a forecaster PredictedDemand returns the estimate and
 // this is exactly the reactive demand, bit for bit.
 func (t *Tenant) planningDemand() float64 {
-	est := t.Meta.DemandEstimate()
+	est := t.Meta.demandEstimate()
 	h := t.ForecastHorizonSec
 	if h == 0 {
 		h = DefaultForecastHorizonSec
@@ -350,8 +350,7 @@ type MultiController struct {
 
 	mu      sync.Mutex
 	pool    int
-	classes []profiles.Class // the shared pool's hardware classes
-	counts  []int            // resolved per-class server counts
+	counts  []int // resolved per-class server counts
 	tenants []*Tenant
 	steps   int
 
@@ -565,7 +564,7 @@ func NewMultiController(pool int, tenants []*Tenant) (*MultiController, error) {
 			return nil, fmt.Errorf("core: contention floors need %d servers of class %q (shares plus keep-warm minimums) but it holds %d", floorTotal[c], classes[c].Name, counts[c])
 		}
 	}
-	return &MultiController{pool: pool, classes: classes, counts: counts, tenants: tenants}, nil
+	return &MultiController{pool: pool, counts: counts, tenants: tenants}, nil
 }
 
 // shareFloor resolves a tenant's contention floor per class. WithShare
@@ -590,9 +589,6 @@ func shareFloor(share float64, counts, order []int, warm int) []int {
 
 // Pool returns the shared pool size.
 func (m *MultiController) Pool() int { return m.pool }
-
-// Tenants returns the number of registered tenants.
-func (m *MultiController) Tenants() int { return len(m.tenants) }
 
 // Step runs one joint Resource Manager invocation across all tenants: read
 // the pool's live capacity, estimate each tenant's demand, rerun the
@@ -1351,27 +1347,6 @@ func (m *MultiController) ClassGrants() [][]int {
 	out := make([][]int, len(m.tenants))
 	for i, t := range m.tenants {
 		out[i] = append([]int(nil), t.grant...)
-	}
-	return out
-}
-
-// Classes returns the shared pool's hardware classes with resolved counts.
-func (m *MultiController) Classes() []profiles.Class {
-	out := append([]profiles.Class(nil), m.classes...)
-	for i := range out {
-		out[i].Count = m.counts[i]
-	}
-	return out
-}
-
-// Floors returns each tenant's resolved contention guarantee in servers
-// (summed over hardware classes).
-func (m *MultiController) Floors() []int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int, len(m.tenants))
-	for i, t := range m.tenants {
-		out[i] = sumInts(t.floorByClass)
 	}
 	return out
 }

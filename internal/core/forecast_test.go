@@ -63,9 +63,9 @@ func TestControllerPlansAgainstPrediction(t *testing.T) {
 	if err := c.Step(true); err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.demands[len(rec.demands)-1]; got != meta.DemandEstimate() {
+	if got := rec.demands[len(rec.demands)-1]; got != meta.demandEstimate() {
 		t.Fatalf("planned for %v, want the smoothed estimate %v (scale-down hysteresis)",
-			got, meta.DemandEstimate())
+			got, meta.demandEstimate())
 	}
 }
 
@@ -128,8 +128,8 @@ func TestArbiterDesirePassUsesPrediction(t *testing.T) {
 	if got := recA.demands[len(recA.demands)-1]; got != 800 {
 		t.Fatalf("tenant a desire pass planned for %v, want the 800 QPS prediction", got)
 	}
-	if got := recB.demands[len(recB.demands)-1]; got != b.Meta.DemandEstimate() {
-		t.Fatalf("tenant b desire pass planned for %v, want its own estimate %v", got, b.Meta.DemandEstimate())
+	if got := recB.demands[len(recB.demands)-1]; got != b.Meta.demandEstimate() {
+		t.Fatalf("tenant b desire pass planned for %v, want its own estimate %v", got, b.Meta.demandEstimate())
 	}
 }
 
@@ -140,7 +140,7 @@ func TestPredictedDemandDefaultsToEstimate(t *testing.T) {
 	meta := forecastMeta(t)
 	for _, q := range []float64{100, 180, 90, 260.5} {
 		meta.ObserveDemand(q)
-		if got, want := meta.PredictedDemand(10), meta.DemandEstimate(); got != want {
+		if got, want := meta.PredictedDemand(10), meta.demandEstimate(); got != want {
 			t.Fatalf("PredictedDemand = %v, want estimate %v", got, want)
 		}
 	}
@@ -156,7 +156,7 @@ func TestMetadataFeedsForecasterSmoothedSignal(t *testing.T) {
 	for i, q := range samples {
 		meta.ObserveDemandAt(float64(i+1), q)
 	}
-	if got, want := meta.PredictedDemand(10), meta.DemandEstimate(); got != want {
+	if got, want := meta.PredictedDemand(10), meta.demandEstimate(); got != want {
 		t.Fatalf("Last forecaster predicts %v, want the smoothed estimate %v", got, want)
 	}
 	if got := meta.LastObservedDemand(); got != 220 {

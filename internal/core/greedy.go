@@ -207,7 +207,7 @@ func (a *Allocator) greedyAssemble(demand float64, step stepKind, m *stepModel, 
 	// Keep-warm coverage for tasks on no chosen path (side branches of a
 	// sink served through a different task path): one replica of the task's
 	// first usable config idles there.
-	if a.Opts.KeepWarm {
+	if a.opts.KeepWarm {
 		for t := range a.byTask {
 			if onPath[t] {
 				continue
@@ -231,7 +231,7 @@ func (a *Allocator) greedyAssemble(demand float64, step stepKind, m *stepModel, 
 			u := &used[i]
 			c := &a.cfgs[u.ci]
 			u.n = int(math.Ceil(f*u.load/c.qps - 1e-9))
-			if u.n < 1 && a.Opts.KeepWarm {
+			if u.n < 1 && a.opts.KeepWarm {
 				u.n = 1
 			}
 			if u.n < 0 {

@@ -248,8 +248,8 @@ func TestArbiterGreedyReplaceBudget(t *testing.T) {
 		pool := 40
 		a := arbiterTenant(t, "a", pool, 0)
 		b := arbiterTenant(t, "b", pool, 0)
-		a.Alloc.(*Allocator).Opts.SolveTimeLimit = 2 * time.Second
-		b.Alloc.(*Allocator).Opts.SolveTimeLimit = 2 * time.Second
+		a.Alloc.(*Allocator).opts.SolveTimeLimit = 2 * time.Second
+		b.Alloc.(*Allocator).opts.SolveTimeLimit = 2 * time.Second
 		m, err := NewMultiController(pool, []*Tenant{a, b})
 		if err != nil {
 			t.Fatal(err)
@@ -275,7 +275,7 @@ func TestArbiterGreedyReplaceBudget(t *testing.T) {
 		t.Fatal("positive budget never replaced a plan greedily")
 	}
 	perf := t1[0].Alloc.(*Allocator).Perf()
-	if perf.GreedyPlans == 0 && t1[1].Alloc.(*Allocator).Perf().GreedyPlans == 0 {
+	if perf.greedyPlans == 0 && t1[1].Alloc.(*Allocator).Perf().greedyPlans == 0 {
 		t.Fatal("GreedyReplaced > 0 but no allocator counted a greedy plan")
 	}
 }

@@ -140,8 +140,8 @@ func (m *MetadataStore) observeLocked(t, qps float64) {
 	}
 }
 
-// DemandEstimate returns the smoothed demand estimate.
-func (m *MetadataStore) DemandEstimate() float64 {
+// demandEstimate returns the smoothed demand estimate.
+func (m *MetadataStore) demandEstimate() float64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.demand.Value()

@@ -137,27 +137,6 @@ func idlePlan(demand float64) *Plan {
 	return &Plan{Mode: Saturated, Demand: demand}
 }
 
-// Replicas returns the total replica count of the plan.
-func (p *Plan) Replicas() int {
-	n := 0
-	for _, a := range p.Assignments {
-		n += a.Replicas
-	}
-	return n
-}
-
-// Capacity returns the plan's aggregate throughput for a task (replicas ×
-// per-replica QPS summed over the task's assignments).
-func (p *Plan) Capacity(task pipeline.TaskID) float64 {
-	c := 0.0
-	for _, a := range p.Assignments {
-		if a.Task == task {
-			c += float64(a.Replicas) * a.QPS
-		}
-	}
-	return c
-}
-
 // ClassUsage returns the replicas the plan hosts on each hardware class,
 // keyed by class name, by summing the assignments (hand-built plans without
 // class labels report under "default").

@@ -151,7 +151,7 @@ func BenchmarkMaxCapacity(b *testing.B) {
 		a.MaxCapacity(0, 20000)
 		p := a.Perf()
 		solves += p.MILPSolves
-		nodes += p.Nodes
+		nodes += p.nodes
 	}
 	b.ReportMetric(float64(solves)/float64(b.N), "milp_solves/op")
 	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")

@@ -39,17 +39,17 @@ func newSolverState() *solverState {
 
 // SolverPerf aggregates the allocator's solver-level effort counters.
 type SolverPerf struct {
-	// MILPSolves counts branch-and-bound invocations, Nodes the nodes they
-	// explored, and Truncated those a resource limit (wall clock, node
+	// MILPSolves counts branch-and-bound invocations, nodes the nodes they
+	// explored, and truncated those a resource limit (wall clock, node
 	// budget, stall cutoff) stopped before a deterministic end.
-	MILPSolves, Nodes, Truncated int
+	MILPSolves, nodes, truncated int
 	// ModelBuilds counts step-model constructions — in steady state one per
 	// optimization step the allocator has ever solved — and ModelReuses the
 	// solves and greedy passes that found their step's model already built.
 	ModelBuilds, ModelReuses int
-	// GreedyPlans counts plans served by the greedy pass alone (no branch
+	// greedyPlans counts plans served by the greedy pass alone (no branch
 	// and bound at all) through GreedyAllocate.
-	GreedyPlans int
+	greedyPlans int
 }
 
 // Perf returns the allocator's accumulated solver effort counters.
@@ -59,11 +59,11 @@ func (a *Allocator) Perf() SolverPerf {
 	defer st.mu.Unlock()
 	return SolverPerf{
 		MILPSolves:  st.milpSolves,
-		Nodes:       st.nodes,
-		Truncated:   st.truncated,
+		nodes:       st.nodes,
+		truncated:   st.truncated,
 		ModelBuilds: st.modelBuilds,
 		ModelReuses: st.modelReuses,
-		GreedyPlans: st.greedyPlans,
+		greedyPlans: st.greedyPlans,
 	}
 }
 
@@ -79,7 +79,7 @@ func (a *Allocator) modelFor(step stepKind) *stepModel {
 	}
 	m := a.buildStepModel(step)
 	st.modelBuilds++
-	if !a.Opts.DisableReuse {
+	if !a.opts.DisableReuse {
 		st.models[step] = m
 	}
 	return m

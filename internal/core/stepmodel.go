@@ -275,7 +275,7 @@ func (a *Allocator) buildStepModel(step stepKind) *stepModel {
 	}
 
 	// Keep-warm: at least one replica per task.
-	if a.Opts.KeepWarm {
+	if a.opts.KeepWarm {
 		for i := range g.Tasks {
 			var terms []lp.Term
 			for _, ci := range a.byTask[i] {

@@ -271,7 +271,7 @@ func TestMaxCapacityLeavesOptimalWarmStart(t *testing.T) {
 	a := capacityAllocator(t, "traffic-analysis", 20, 0)
 	capacity := a.MaxCapacity(0, 20000)
 	ref := capacityAllocator(t, "traffic-analysis", 20, 0)
-	ref.Opts.DisableStall = true
+	ref.opts.DisableStall = true
 	plan, err := ref.Allocate(capacity)
 	if err != nil {
 		t.Fatal(err)
@@ -297,8 +297,8 @@ func TestMaxCapacityLeavesOptimalWarmStart(t *testing.T) {
 func TestStepModelsBuiltOnce(t *testing.T) {
 	for _, name := range []string{"traffic-analysis", "fleet-chain"} {
 		a := pinAllocator(t, name)
-		a.Opts.SolveTimeLimit = 500 * time.Millisecond
-		a.Opts.DisableStall = false
+		a.opts.SolveTimeLimit = 500 * time.Millisecond
+		a.opts.DisableStall = false
 		full := append([]int(nil), a.counts...)
 		// First use of every step: hardware scaling, accuracy scaling,
 		// saturation (a pool one server above the keep-warm minimum).

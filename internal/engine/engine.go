@@ -31,14 +31,16 @@ type Stats struct {
 
 // Lifecycle errors shared by both backends.
 var (
-	ErrNotStarted = errors.New("engine: not started")
-	ErrStopped    = errors.New("engine: stopped")
+	errNotStarted = errors.New("engine: not started")
+	errStopped    = errors.New("engine: stopped")
 )
 
 // Kind selects a backend implementation.
 type Kind int
 
 const (
+	// KindSimulated runs the discrete-event simulator in virtual time.
 	KindSimulated Kind = iota
+	// KindWallclock runs the same simulator paced by the wall clock.
 	KindWallclock
 )

@@ -167,10 +167,10 @@ func TestLifecycleErrors(t *testing.T) {
 		t.Run(kindName(kind), func(t *testing.T) {
 			h := newHarness(t, kind, 2)
 			eng := h.eng
-			if err := eng.Submit(0); !errors.Is(err, ErrNotStarted) {
+			if err := eng.Submit(0); !errors.Is(err, errNotStarted) {
 				t.Fatalf("Submit before Start = %v", err)
 			}
-			if err := eng.FeedAll([]*trace.Trace{trace.Ramp(10, 20, 2, 1)}); !errors.Is(err, ErrNotStarted) {
+			if err := eng.FeedAll([]*trace.Trace{trace.Ramp(10, 20, 2, 1)}); !errors.Is(err, errNotStarted) {
 				t.Fatalf("FeedAll before Start = %v", err)
 			}
 			if err := eng.Start(h.ctrl); err != nil {
@@ -185,10 +185,10 @@ func TestLifecycleErrors(t *testing.T) {
 			if err := eng.Stop(); err != nil {
 				t.Fatalf("Stop must be idempotent, got %v", err)
 			}
-			if err := eng.Submit(0); !errors.Is(err, ErrStopped) {
+			if err := eng.Submit(0); !errors.Is(err, errStopped) {
 				t.Fatalf("Submit after Stop = %v", err)
 			}
-			if err := eng.FeedAll([]*trace.Trace{trace.Ramp(10, 20, 2, 1)}); !errors.Is(err, ErrStopped) {
+			if err := eng.FeedAll([]*trace.Trace{trace.Ramp(10, 20, 2, 1)}); !errors.Is(err, errStopped) {
 				t.Fatalf("FeedAll after Stop = %v", err)
 			}
 			st := eng.Stats(0)

@@ -420,7 +420,7 @@ func (m *multi) keepErr(err error) {
 	}
 }
 
-// Fail, Recover, Slow, and Restore implement fault.Target on the shared
+// Fail, Recover, Slow, and Restore are fault.Compile's target on the shared
 // pool: victims are chosen once at the pool level and applied to every
 // tenant's cluster (each models the same physical machines). The controller
 // reads the new live counts (LiveByClass) on its next step. They run as
@@ -547,10 +547,10 @@ func (m *multi) Submit(tenant int) error {
 	m.lock()
 	defer m.unlock()
 	if !m.started {
-		return ErrNotStarted
+		return errNotStarted
 	}
 	if m.stopped {
-		return ErrStopped
+		return errStopped
 	}
 	if ok, retry := m.admit(tenant); !ok {
 		return &ingress.ShedError{RetryAfterSec: retry, Tier: m.cfg.Tenants[tenant].Tier}
@@ -593,10 +593,10 @@ func (m *multi) FeedAll(traces []*trace.Trace) error {
 // It returns the end of the longest trace.
 func (m *multi) feed(traces []*trace.Trace) (end float64, err error) {
 	if !m.started {
-		return 0, ErrNotStarted
+		return 0, errNotStarted
 	}
 	if m.stopped {
-		return 0, ErrStopped
+		return 0, errStopped
 	}
 	if len(traces) != len(m.cls) {
 		return 0, fmt.Errorf("engine: FeedAll got %d traces for %d tenants", len(traces), len(m.cls))

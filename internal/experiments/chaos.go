@@ -74,38 +74,37 @@ func (c *ChaosConfig) windows() (b0, b1, d0, d1, a0, a1 float64) {
 		at + length + round, dur
 }
 
-// ChaosWindow is one tenant's score over one window. Attainment is the SLO
-// attainment of the admitted population; GoodputRatio divides on-time
+// chaosWindow is one tenant's score over one window. attainment is the SLO
+// attainment of the admitted population; goodputRatio divides on-time
 // completions by the offered load (admitted + shed), so front-door shedding
-// — invisible to Attainment, since shed requests never arrive — still
-// counts as degradation; ShedPct is the shed share of offered load.
-type ChaosWindow struct {
-	Attainment   float64
-	GoodputRatio float64
-	ShedPct      float64
+// — invisible to attainment, since shed requests never arrive — still
+// counts as degradation; shedPct is the shed share of offered load.
+type chaosWindow struct {
+	attainment   float64
+	goodputRatio float64
+	shedPct      float64
 }
 
-// ChaosTenant is one pipeline's outcome across the three windows of one
+// chaosTenant is one pipeline's outcome across the three windows of one
 // cell, alongside the oracle's score for the during and after windows.
-type ChaosTenant struct {
-	Name                      string
-	Tier                      int
-	Before, During, After     ChaosWindow
-	OracleDuring, OracleAfter ChaosWindow
-	Summary                   metrics.Summary
+type chaosTenant struct {
+	name                      string
+	tier                      int
+	before, during, after     chaosWindow
+	oracleDuring, oracleAfter chaosWindow
 }
 
-// ChaosCell is one grid cell: a fault kind served with or without tiers.
-type ChaosCell struct {
-	Fault   string
-	Tiered  bool
-	Events  []string
-	Tenants []ChaosTenant
+// chaosCell is one grid cell: a fault kind served with or without tiers.
+type chaosCell struct {
+	fault   string
+	tiered  bool
+	events  []string
+	tenants []chaosTenant
 }
 
-// ChaosResult is the full grid.
-type ChaosResult struct {
-	Cells []ChaosCell
+// chaosResult is the full grid.
+type chaosResult struct {
+	cells []chaosCell
 }
 
 // chaosFaults returns the cell's fault schedule. permanent anchors the
@@ -138,10 +137,10 @@ func (c *ChaosConfig) run() RunConfig {
 			{Name: "res", Count: chaosReserved, Speed: 1.0},
 			{Name: "spot", Count: chaosSpot, Speed: 1.0},
 		},
-		SLOSec: c.SLOSec,
+		sloSec: c.SLOSec,
 		Seed:   c.Seed,
 		// One-second buckets: the windows are scored at fault granularity.
-		BucketSec: 1,
+		bucketSec: 1,
 	}
 }
 
@@ -178,13 +177,13 @@ func chaosRun(cfg ChaosConfig, tiered bool, sched *fault.Schedule) ([]*metrics.C
 	return cols, events, nil
 }
 
-// score is the window as a ChaosWindow: attainment, goodput ratio and shed
+// score is the window as a chaosWindow: attainment, goodput ratio and shed
 // share of the offered load.
-func (w windowSum) score() ChaosWindow {
-	c := ChaosWindow{Attainment: w.attainment(), GoodputRatio: 1}
+func (w windowSum) score() chaosWindow {
+	c := chaosWindow{attainment: w.attainment(), goodputRatio: 1}
 	if offered := w.arrivals + w.shed; offered > 0 {
-		c.GoodputRatio = float64(w.arrivals-w.violations) / float64(offered)
-		c.ShedPct = 100 * float64(w.shed) / float64(offered)
+		c.goodputRatio = float64(w.arrivals-w.violations) / float64(offered)
+		c.shedPct = 100 * float64(w.shed) / float64(offered)
 	}
 	return c
 }
@@ -192,7 +191,7 @@ func (w windowSum) score() ChaosWindow {
 // Chaos runs the full fault × tiering grid on the simulator. Every cell
 // serves the same full-load scenario; its oracle arms share the cell's
 // seed, so main-vs-oracle gaps measure adaptation lag, not workload noise.
-func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
+func Chaos(cfg ChaosConfig) (*chaosResult, error) {
 	// One capacity measurement serves the whole grid (each tenant measuring
 	// its own would cost a MaxCapacity solve per tenant per run).
 	var err error
@@ -200,7 +199,7 @@ func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
 		return nil, err
 	}
 	b0, b1, d0, d1, a0, a1 := cfg.windows()
-	res := &ChaosResult{}
+	res := &chaosResult{}
 	kinds := cfg.Faults
 	if len(kinds) == 0 {
 		kinds = []string{"crash", "outage", "straggle"}
@@ -223,25 +222,24 @@ func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			cell := ChaosCell{Fault: kind, Tiered: tiered, Events: events}
+			cell := chaosCell{fault: kind, tiered: tiered, events: events}
 			tiers := []int{0, 0}
 			if tiered {
 				tiers[0] = 1
 			}
 			for i, name := range []string{"gold", "free"} {
 				s := cols[i].Series()
-				cell.Tenants = append(cell.Tenants, ChaosTenant{
-					Name:         name,
-					Tier:         tiers[i],
-					Before:       window(s, b0, b1).score(),
-					During:       window(s, d0, d1).score(),
-					After:        window(s, a0, a1).score(),
-					OracleDuring: window(oCols[i].Series(), d0, d1).score(),
-					OracleAfter:  window(cCols[i].Series(), a0, a1).score(),
-					Summary:      cols[i].Summarize(),
+				cell.tenants = append(cell.tenants, chaosTenant{
+					name:         name,
+					tier:         tiers[i],
+					before:       window(s, b0, b1).score(),
+					during:       window(s, d0, d1).score(),
+					after:        window(s, a0, a1).score(),
+					oracleDuring: window(oCols[i].Series(), d0, d1).score(),
+					oracleAfter:  window(cCols[i].Series(), a0, a1).score(),
 				})
 			}
-			res.Cells = append(res.Cells, cell)
+			res.cells = append(res.cells, cell)
 		}
 	}
 	return res, nil
@@ -250,30 +248,30 @@ func Chaos(cfg ChaosConfig) (*ChaosResult, error) {
 // FormatChaos renders the grid: one row per (fault, arm, tenant) with the
 // three windows' goodput ratio (and attainment), the oracle's during/after
 // scores, and the recovery gap.
-func FormatChaos(r *ChaosResult) string {
+func FormatChaos(r *chaosResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-9s %-9s %-5s %-5s %8s %8s %8s %9s %9s %8s %8s\n",
 		"fault", "arm", "tenant", "tier", "before", "during", "after", "oracle-d", "oracle-a", "shed%%d", "att-d")
-	for _, c := range r.Cells {
+	for _, c := range r.cells {
 		arm := "untiered"
-		if c.Tiered {
+		if c.tiered {
 			arm = "tiered"
 		}
-		for _, t := range c.Tenants {
+		for _, t := range c.tenants {
 			fmt.Fprintf(&b, "%-9s %-9s %-5s %5d %8.4f %8.4f %8.4f %9.4f %9.4f %8.1f %8.4f\n",
-				c.Fault, arm, t.Name, t.Tier,
-				t.Before.GoodputRatio, t.During.GoodputRatio, t.After.GoodputRatio,
-				t.OracleDuring.GoodputRatio, t.OracleAfter.GoodputRatio,
-				t.During.ShedPct, t.During.Attainment)
+				c.fault, arm, t.name, t.tier,
+				t.before.goodputRatio, t.during.goodputRatio, t.after.goodputRatio,
+				t.oracleDuring.goodputRatio, t.oracleAfter.goodputRatio,
+				t.during.shedPct, t.during.attainment)
 		}
 	}
 	b.WriteString("\ngoodput ratio = on-time completions / offered load (admitted + shed);\n")
 	b.WriteString("att-d = SLO attainment of the admitted population during the fault;\n")
 	b.WriteString("oracle-d reruns the cell with the fault active from t=0 (instant replan),\n")
 	b.WriteString("oracle-a is a fault-free run scored in the after window.\n")
-	for _, c := range r.Cells {
-		if c.Tiered {
-			fmt.Fprintf(&b, "%s events: %s\n", c.Fault, strings.Join(c.Events, "; "))
+	for _, c := range r.cells {
+		if c.tiered {
+			fmt.Fprintf(&b, "%s events: %s\n", c.fault, strings.Join(c.events, "; "))
 		}
 	}
 	return b.String()

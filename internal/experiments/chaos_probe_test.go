@@ -46,7 +46,7 @@ func TestChaosGrantProbe(t *testing.T) {
 			dw := window(series, d0, d1).score()
 			aw := window(series, a0, a1).score()
 			t.Logf("  tenant=%d before=%.4f during=%.4f(shed%%=%.1f) after=%.4f | viol=%.4f shed=%d late=%d dropped=%d completed=%d",
-				i, bw.Attainment, dw.Attainment, dw.ShedPct, aw.Attainment,
+				i, bw.attainment, dw.attainment, dw.shedPct, aw.attainment,
 				s.ViolationRatio, s.Shed, s.Late, s.Dropped, s.Completed)
 			for _, p := range series {
 				if p.TimeSec >= at-5 && p.TimeSec < at+length+10 {

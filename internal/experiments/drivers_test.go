@@ -30,14 +30,14 @@ func TestMultiTenantMatchesRecordedRun(t *testing.T) {
 		"traffic": {Arrivals: 69563, MinGrant: 3, MaxGrant: 14},
 		"social":  {Arrivals: 24166, Completed: 22387, Late: 1561, Dropped: 218, MinGrant: 2, MaxGrant: 8},
 	}
-	for _, tn := range res.Tenants {
-		s := tn.Summary
-		got := tenantPin{s.Arrivals, s.Completed, s.Late, s.Dropped, tn.MinGrant, tn.MaxGrant}
-		if tn.Name == "traffic" {
+	for _, tn := range res.tenants {
+		s := tn.summary
+		got := tenantPin{s.Arrivals, s.Completed, s.Late, s.Dropped, tn.minGrant, tn.maxGrant}
+		if tn.name == "traffic" {
 			got.Completed, got.Late, got.Dropped = 0, 0, 0
 		}
-		if got != want[tn.Name] {
-			t.Errorf("%s: got %#v, want %#v", tn.Name, got, want[tn.Name])
+		if got != want[tn.name] {
+			t.Errorf("%s: got %#v, want %#v", tn.name, got, want[tn.name])
 		}
 	}
 }
@@ -55,7 +55,7 @@ func TestChaosOutageMatchesRecordedRun(t *testing.T) {
 	}
 	// Per cell (tiered first), per tenant (gold, free): before, during and
 	// after as attainment, goodput ratio, shed percentage.
-	want := [][][3]ChaosWindow{
+	want := [][][3]chaosWindow{
 		{ // tiered
 			{{0.990371991247, 0.990371991247, 0}, {0.983059962355, 0.983059962355, 0}, {0.987996688742, 0.987996688742, 0}},
 			{{0.997116968699, 0.997116968699, 0}, {0.438657407407, 0.193022663611, 55.9969442322}, {0.999164926931, 0.999164926931, 0}},
@@ -66,21 +66,21 @@ func TestChaosOutageMatchesRecordedRun(t *testing.T) {
 		},
 	}
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-11*math.Max(math.Abs(a), 1) }
-	same := func(a, b ChaosWindow) bool {
-		return near(a.Attainment, b.Attainment) && near(a.GoodputRatio, b.GoodputRatio) && near(a.ShedPct, b.ShedPct)
+	same := func(a, b chaosWindow) bool {
+		return near(a.attainment, b.attainment) && near(a.goodputRatio, b.goodputRatio) && near(a.shedPct, b.shedPct)
 	}
-	if len(res.Cells) != len(want) {
-		t.Fatalf("%d cells, want %d", len(res.Cells), len(want))
+	if len(res.cells) != len(want) {
+		t.Fatalf("%d cells, want %d", len(res.cells), len(want))
 	}
-	for c, cell := range res.Cells {
-		if len(cell.Tenants) != len(want[c]) {
-			t.Fatalf("tiered=%v: %d tenants, want %d", cell.Tiered, len(cell.Tenants), len(want[c]))
+	for c, cell := range res.cells {
+		if len(cell.tenants) != len(want[c]) {
+			t.Fatalf("tiered=%v: %d tenants, want %d", cell.tiered, len(cell.tenants), len(want[c]))
 		}
-		for i, tn := range cell.Tenants {
-			got := [3]ChaosWindow{tn.Before, tn.During, tn.After}
+		for i, tn := range cell.tenants {
+			got := [3]chaosWindow{tn.before, tn.during, tn.after}
 			for w := range got {
 				if !same(got[w], want[c][i][w]) {
-					t.Errorf("tiered=%v %s window %d: got %#v, want %#v", cell.Tiered, tn.Name, w, got[w], want[c][i][w])
+					t.Errorf("tiered=%v %s window %d: got %#v, want %#v", cell.tiered, tn.name, w, got[w], want[c][i][w])
 				}
 			}
 		}

@@ -33,7 +33,7 @@ func TestRunLokiBasicInvariants(t *testing.T) {
 	if s.ViolationRatio < 0 || s.ViolationRatio > 0.3 {
 		t.Fatalf("violations = %g, want small at 600 qps peak", s.ViolationRatio)
 	}
-	if res.Allocates == 0 {
+	if res.allocates == 0 {
 		t.Fatal("controller never allocated")
 	}
 }
@@ -54,7 +54,7 @@ func TestRunIsDeterministicPerSeed(t *testing.T) {
 }
 
 func TestRunBaselinesShareSubstrate(t *testing.T) {
-	for _, ap := range []Approach{InferLine, Proteus} {
+	for _, ap := range []approach{inferLine, proteus} {
 		res, err := Run(RunConfig{
 			Graph: profiles.TrafficTree(), Trace: shortTrace(500),
 			Approach: ap, Seed: 2,
@@ -73,16 +73,16 @@ func TestLokiBeatsBaselinesUnderPressure(t *testing.T) {
 		t.Skip("multi-run comparison")
 	}
 	tr := shortTrace(1100)
-	viol := map[Approach]float64{}
-	for _, ap := range []Approach{Loki, InferLine, Proteus} {
+	viol := map[approach]float64{}
+	for _, ap := range []approach{Loki, inferLine, proteus} {
 		res, err := Run(RunConfig{Graph: profiles.TrafficTree(), Trace: tr, Approach: ap, Seed: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		viol[ap] = res.Summary.ViolationRatio
 	}
-	if viol[Loki] >= viol[InferLine] || viol[Loki] >= viol[Proteus] {
-		t.Fatalf("Loki %0.4f vs InferLine %.4f, Proteus %.4f — Loki must win", viol[Loki], viol[InferLine], viol[Proteus])
+	if viol[Loki] >= viol[inferLine] || viol[Loki] >= viol[proteus] {
+		t.Fatalf("Loki %0.4f vs InferLine %.4f, Proteus %.4f — Loki must win", viol[Loki], viol[inferLine], viol[proteus])
 	}
 }
 
@@ -91,19 +91,19 @@ func TestFigure1ShapeMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.HardwareLimitQPS <= 0 || r.Phase2LimitQPS <= r.HardwareLimitQPS {
-		t.Fatalf("phase boundaries: hw=%g p2=%g", r.HardwareLimitQPS, r.Phase2LimitQPS)
+	if r.hardwareLimitQPS <= 0 || r.phase2LimitQPS <= r.hardwareLimitQPS {
+		t.Fatalf("phase boundaries: hw=%g p2=%g", r.hardwareLimitQPS, r.phase2LimitQPS)
 	}
-	if r.Phase2CapacityGain < 2.0 || r.Phase2CapacityGain > 4.0 {
-		t.Fatalf("phase-2 gain %.2f×, paper ≈2.7×", r.Phase2CapacityGain)
+	if r.phase2CapacityGain < 2.0 || r.phase2CapacityGain > 4.0 {
+		t.Fatalf("phase-2 gain %.2f×, paper ≈2.7×", r.phase2CapacityGain)
 	}
-	drop := 1 - r.AccuracyAtPhase2
+	drop := 1 - r.accuracyAtPhase2
 	if drop < 0.05 || drop > 0.2 {
 		t.Fatalf("phase-2 accuracy drop %.1f%%, paper ≈13%%", 100*drop)
 	}
 	// Phase 2 must degrade task 2 before task 1 (the figure's key insight).
-	for _, p := range r.Points {
-		if p.Phase == 2 && p.Task2Acc > p.Task1Acc {
+	for _, p := range r.points {
+		if p.phase == 2 && p.task2Acc > p.task1Acc {
 			t.Fatalf("phase 2 point degrades task 1 first: %+v", p)
 		}
 	}
@@ -115,10 +115,10 @@ func TestFigure3TradeoffShape(t *testing.T) {
 		t.Fatalf("got %d rows, want 8 EfficientNet variants", len(rows))
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i].Accuracy <= rows[i-1].Accuracy {
+		if rows[i].accuracy <= rows[i-1].accuracy {
 			t.Fatal("accuracy not increasing along family")
 		}
-		if rows[i].MaxQPS >= rows[i-1].MaxQPS {
+		if rows[i].maxQPS >= rows[i-1].maxQPS {
 			t.Fatal("throughput not decreasing along family")
 		}
 	}
@@ -136,15 +136,15 @@ func TestFigure7OpportunisticWins(t *testing.T) {
 		t.Fatalf("got %d arms", len(rows))
 	}
 	opp := rows[3]
-	if opp.Policy != "opportunistic-rerouting" {
+	if opp.policy != "opportunistic-rerouting" {
 		t.Fatalf("unexpected order: %+v", rows)
 	}
 	for _, r := range rows[:3] {
-		if opp.ViolationRatio > r.ViolationRatio+1e-9 {
-			t.Fatalf("opportunistic (%.4f) lost to %s (%.4f)", opp.ViolationRatio, r.Policy, r.ViolationRatio)
+		if opp.violationRatio > r.violationRatio+1e-9 {
+			t.Fatalf("opportunistic (%.4f) lost to %s (%.4f)", opp.violationRatio, r.policy, r.violationRatio)
 		}
 	}
-	if opp.Rerouted == 0 {
+	if opp.rerouted == 0 {
 		t.Fatal("opportunistic rerouting never rerouted")
 	}
 }
@@ -162,10 +162,10 @@ func TestFigure8TightSLOInfeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].Feasible {
+	if rows[0].feasible {
 		t.Fatal("30 ms SLO should be infeasible (below the fastest path)")
 	}
-	if !rows[1].Feasible {
+	if !rows[1].feasible {
 		t.Fatal("250 ms SLO must be feasible")
 	}
 }
@@ -175,18 +175,18 @@ func TestRuntimeOverheadMeasured(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.MILPMeanMillis <= 0 {
+	if r.milpMeanMillis <= 0 {
 		t.Fatal("no MILP timing")
 	}
-	if r.LBMeanMicros <= 0 || r.LBMeanMicros > 10_000 {
-		t.Fatalf("LB mean %.1fµs, want fast (paper ≈150µs)", r.LBMeanMicros)
+	if r.lbMeanMicros <= 0 || r.lbMeanMicros > 10_000 {
+		t.Fatalf("LB mean %.1fµs, want fast (paper ≈150µs)", r.lbMeanMicros)
 	}
 }
 
 func TestPolicyPluggedIntoRun(t *testing.T) {
 	res, err := Run(RunConfig{
 		Graph: profiles.TrafficChain(), Trace: shortTrace(400),
-		Approach: Loki, Seed: 5, Policy: policy.NoDrop{},
+		Approach: Loki, Seed: 5, policy: policy.NoDrop{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,28 +206,28 @@ func TestMultiTenantContentionExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Tenants) != 2 {
-		t.Fatalf("want 2 tenants, got %d", len(res.Tenants))
+	if len(res.tenants) != 2 {
+		t.Fatalf("want 2 tenants, got %d", len(res.tenants))
 	}
-	for _, tn := range res.Tenants {
-		if tn.Summary.Arrivals == 0 || tn.Summary.Completed == 0 {
-			t.Fatalf("tenant %q served nothing: %+v", tn.Name, tn.Summary)
+	for _, tn := range res.tenants {
+		if tn.summary.Arrivals == 0 || tn.summary.Completed == 0 {
+			t.Fatalf("tenant %q served nothing: %+v", tn.name, tn.summary)
 		}
-		if tn.Summary.ViolationRatio > 0.5 {
-			t.Fatalf("tenant %q lost most of its SLO under contention: %+v", tn.Name, tn.Summary)
+		if tn.summary.ViolationRatio > 0.5 {
+			t.Fatalf("tenant %q lost most of its SLO under contention: %+v", tn.name, tn.summary)
 		}
 	}
-	if len(res.GrantHistory) == 0 {
+	if len(res.grantHistory) == 0 {
 		t.Fatal("no joint allocations recorded")
 	}
-	for _, row := range res.GrantHistory {
+	for _, row := range res.grantHistory {
 		if row[0]+row[1] > 20 {
 			t.Fatalf("grant row %v oversubscribes the pool", row)
 		}
 	}
 	// The spike must move the partition: traffic's grant varies across the run.
-	a := res.Tenants[0]
-	if a.MaxGrant <= a.MinGrant {
-		t.Fatalf("traffic grant never moved: min %d max %d", a.MinGrant, a.MaxGrant)
+	a := res.tenants[0]
+	if a.maxGrant <= a.minGrant {
+		t.Fatalf("traffic grant never moved: min %d max %d", a.minGrant, a.maxGrant)
 	}
 }

@@ -34,35 +34,34 @@ type FleetConfig struct {
 	Quick bool
 }
 
-// FleetCell is one grid point's measurements. The latency percentiles cover
+// fleetCell is one grid point's measurements. The latency percentiles cover
 // the measured rounds of the greedy-enabled arm; the MILP-solve counters
 // compare the two arms over the identical demand walk.
-type FleetCell struct {
-	Servers int
-	Tenants int
-	Classes int
-	Rounds  int
+type fleetCell struct {
+	servers int
+	tenants int
+	classes int
 
-	P50Millis float64
-	P95Millis float64
-	MaxMillis float64
+	p50Millis float64
+	p95Millis float64
+	maxMillis float64
 
-	// MILPSolves counts branch-and-bound invocations across the measured
-	// rounds with the greedy-replace budget armed; MILPSolvesNoGreedy the
+	// milpSolves counts branch-and-bound invocations across the measured
+	// rounds with the greedy-replace budget armed; milpSolvesNoGreedy the
 	// same walk with the budget off (the pre-greedy arbiter).
-	MILPSolves         int
-	MILPSolvesNoGreedy int
-	SolveReduction     float64
+	milpSolves         int
+	milpSolvesNoGreedy int
+	solveReduction     float64
 
-	// GreedyHitRate is the fraction of dirty-tenant refreshes the greedy
+	// greedyHitRate is the fraction of dirty-tenant refreshes the greedy
 	// pass served without any branch and bound.
-	GreedyHitRate  float64
-	AllocsPerRound float64
+	greedyHitRate  float64
+	allocsPerRound float64
 }
 
-// FleetResult is the full grid.
-type FleetResult struct {
-	Cells []FleetCell
+// fleetResult is the full grid.
+type fleetResult struct {
+	cells []fleetCell
 }
 
 // fleetClasses builds a cell's hardware classes: one uniform class, or a
@@ -87,12 +86,12 @@ func fleetClasses(servers, classes int) []profiles.Class {
 // arbiter's parallel desire pass relies on tenants owning distinct solvers).
 // The controller alone is measured, so no engine is built.
 func fleetController(servers, tenants, classes int, sloSec float64, budget int) (*core.MultiController, []*core.Tenant, error) {
-	rc := RunConfig{Classes: fleetClasses(servers, classes), SLOSec: sloSec, SolveTimeLimit: 2 * time.Second}
+	rc := RunConfig{Classes: fleetClasses(servers, classes), sloSec: sloSec, solveTimeLimit: 2 * time.Second}
 	rc.defaults()
 	s := stack.New(rc.pool())
 	ts := make([]*core.Tenant, tenants)
 	for i := range ts {
-		alloc, err := s.Allocator(profiles.TrafficChain(), rc.SLOSec)
+		alloc, err := s.Allocator(profiles.TrafficChain(), rc.sloSec)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -180,17 +179,17 @@ func fleetWalk(m *core.MultiController, ts []*core.Tenant, seed int64, rounds in
 // Fleet runs the grid. Each cell runs the identical seeded demand walk twice:
 // once with the greedy-replace budget covering every tenant and once with it
 // off, so the MILP-solve reduction is an apples-to-apples count.
-func Fleet(cfg FleetConfig) (*FleetResult, error) {
+func Fleet(cfg FleetConfig) (*fleetResult, error) {
 	servers, tenants, rounds := []int{100, 400, 1000}, []int{4, 12, 24}, 12
 	if cfg.Quick {
 		servers, tenants, rounds = []int{100}, []int{4, 12}, 6
 	}
 
-	res := &FleetResult{}
+	res := &fleetResult{}
 	for _, s := range servers {
 		for _, t := range tenants {
 			for _, c := range []int{1, 3} {
-				cell := FleetCell{Servers: s, Tenants: t, Classes: c, Rounds: rounds}
+				cell := fleetCell{servers: s, tenants: t, classes: c}
 
 				m, ts, err := fleetController(s, t, c, cfg.SLOSec, t)
 				if err != nil {
@@ -201,13 +200,13 @@ func Fleet(cfg FleetConfig) (*FleetResult, error) {
 					return nil, err
 				}
 				sort.Float64s(millis)
-				cell.P50Millis = percentile(millis, 0.50)
-				cell.P95Millis = percentile(millis, 0.95)
-				cell.MaxMillis = millis[len(millis)-1]
-				cell.MILPSolves = solves
-				cell.AllocsPerRound = allocs
+				cell.p50Millis = percentile(millis, 0.50)
+				cell.p95Millis = percentile(millis, 0.95)
+				cell.maxMillis = millis[len(millis)-1]
+				cell.milpSolves = solves
+				cell.allocsPerRound = allocs
 				if refreshed := allocates + greedy; refreshed > 0 {
-					cell.GreedyHitRate = float64(greedy) / float64(refreshed)
+					cell.greedyHitRate = float64(greedy) / float64(refreshed)
 				}
 
 				m2, ts2, err := fleetController(s, t, c, cfg.SLOSec, 0)
@@ -218,19 +217,19 @@ func Fleet(cfg FleetConfig) (*FleetResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				cell.MILPSolvesNoGreedy = solvesOff
+				cell.milpSolvesNoGreedy = solvesOff
 				switch {
 				case solves > 0:
-					cell.SolveReduction = float64(solvesOff) / float64(solves)
+					cell.solveReduction = float64(solvesOff) / float64(solves)
 				case solvesOff > 0:
 					// Greedy arm needed no MILP at all: report the count it
 					// saved as the ratio floor.
-					cell.SolveReduction = float64(solvesOff)
+					cell.solveReduction = float64(solvesOff)
 				default:
-					cell.SolveReduction = 1
+					cell.solveReduction = 1
 				}
 
-				res.Cells = append(res.Cells, cell)
+				res.cells = append(res.cells, cell)
 			}
 		}
 	}
@@ -253,32 +252,32 @@ func percentile(sorted []float64, p float64) float64 {
 }
 
 // FormatFleet renders the grid.
-func FormatFleet(r *FleetResult) string {
+func FormatFleet(r *fleetResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%8s %8s %8s %9s %9s %9s %7s %9s %9s %11s %10s\n",
 		"servers", "tenants", "classes", "p50(ms)", "p95(ms)", "max(ms)",
 		"milp", "milp-off", "reduce(x)", "greedy-hit", "allocs/rd")
-	for _, c := range r.Cells {
+	for _, c := range r.cells {
 		fmt.Fprintf(&b, "%8d %8d %8d %9.2f %9.2f %9.2f %7d %9d %9.1f %10.0f%% %10.0f\n",
-			c.Servers, c.Tenants, c.Classes, c.P50Millis, c.P95Millis, c.MaxMillis,
-			c.MILPSolves, c.MILPSolvesNoGreedy, c.SolveReduction,
-			100*c.GreedyHitRate, c.AllocsPerRound)
+			c.servers, c.tenants, c.classes, c.p50Millis, c.p95Millis, c.maxMillis,
+			c.milpSolves, c.milpSolvesNoGreedy, c.solveReduction,
+			100*c.greedyHitRate, c.allocsPerRound)
 	}
 	worst := worstCell(r)
 	if worst != nil {
 		fmt.Fprintf(&b, "\nlargest cell (%d×%d×%d): round p95 %.2f ms (target < 100 ms), MILP solves %d vs %d greedy-disabled (%.1f×)\n",
-			worst.Servers, worst.Tenants, worst.Classes,
-			worst.P95Millis, worst.MILPSolves, worst.MILPSolvesNoGreedy, worst.SolveReduction)
+			worst.servers, worst.tenants, worst.classes,
+			worst.p95Millis, worst.milpSolves, worst.milpSolvesNoGreedy, worst.solveReduction)
 	}
 	return b.String()
 }
 
 // worstCell returns the grid's largest cell (the acceptance target).
-func worstCell(r *FleetResult) *FleetCell {
-	var w *FleetCell
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if w == nil || c.Servers*c.Tenants*c.Classes > w.Servers*w.Tenants*w.Classes {
+func worstCell(r *fleetResult) *fleetCell {
+	var w *fleetCell
+	for i := range r.cells {
+		c := &r.cells[i]
+		if w == nil || c.servers*c.tenants*c.classes > w.servers*w.tenants*w.classes {
 			w = c
 		}
 	}

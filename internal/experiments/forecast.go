@@ -51,27 +51,27 @@ const (
 	forecastHeadroom   = 0.10
 )
 
-// ForecastOutcome is one (trace, forecaster) serving run.
-type ForecastOutcome struct {
-	Name    string // reactive, trend, holtwinters
-	Summary metrics.Summary
-	// WindowAttainment is the SLO attainment (1 - violation ratio) over the
+// forecastOutcome is one (trace, forecaster) serving run.
+type forecastOutcome struct {
+	name    string // reactive, trend, holtwinters
+	summary metrics.Summary
+	// windowAttainment is the SLO attainment (1 - violation ratio) over the
 	// stress window only: the burst steps of the flash-crowd trace, the
 	// whole run for the diurnal trace.
-	WindowAttainment float64
-	// WindowArrivals counts requests arriving inside the window.
-	WindowArrivals int
-	// ForecastMAE is the offline mean absolute error of the forecaster's
+	windowAttainment float64
+	// windowArrivals counts requests arriving inside the window.
+	windowArrivals int
+	// forecastMAE is the offline mean absolute error of the forecaster's
 	// horizon-ahead predictions against the trace's true rates, over the
 	// whole trace (persistence error for the reactive baseline).
-	ForecastMAE float64
+	forecastMAE float64
 }
 
-// ForecastResult is one scenario (trace shape) of the experiment.
-type ForecastResult struct {
-	Scenario                     string // flash-crowd or diurnal
-	WindowStartSec, WindowEndSec float64
-	Outcomes                     []ForecastOutcome
+// forecastResult is one scenario (trace shape) of the experiment.
+type forecastResult struct {
+	scenario                     string // flash-crowd or diurnal
+	windowStartSec, windowEndSec float64
+	outcomes                     []forecastOutcome
 }
 
 // forecasterSpec names one forecaster under test. build constructs the
@@ -117,7 +117,7 @@ func forecasters(season int) []forecasterSpec {
 // forecaster (the reactive baseline is a nil forecaster — the unchanged
 // control plane), and SLO attainment inside the stress window plus offline
 // forecast error are reported. Deterministic for a fixed seed.
-func Forecast(cfg ForecastConfig) ([]*ForecastResult, error) {
+func Forecast(cfg ForecastConfig) ([]*forecastResult, error) {
 	cfg.defaults()
 	dur := float64(cfg.TraceSteps) * forecastStepSec
 
@@ -149,20 +149,20 @@ func Forecast(cfg ForecastConfig) ([]*ForecastResult, error) {
 		{name: "diurnal", tr: diurnal, start: 0, end: dur, season: season},
 	}
 
-	var out []*ForecastResult
+	var out []*forecastResult
 	for _, sc := range scenarios {
-		res := &ForecastResult{Scenario: sc.name, WindowStartSec: sc.start, WindowEndSec: sc.end}
+		res := &forecastResult{scenario: sc.name, windowStartSec: sc.start, windowEndSec: sc.end}
 		for _, spec := range forecasters(sc.season) {
 			sum, win, arr, err := serveWithForecaster(&cfg, sc.tr, spec.build(), sc.start, sc.end)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", sc.name, spec.name, err)
 			}
-			res.Outcomes = append(res.Outcomes, ForecastOutcome{
-				Name:             spec.name,
-				Summary:          sum,
-				WindowAttainment: win,
-				WindowArrivals:   arr,
-				ForecastMAE:      offlineMAE(spec.point(), sc.tr, forecastHorizonSec),
+			res.outcomes = append(res.outcomes, forecastOutcome{
+				name:             spec.name,
+				summary:          sum,
+				windowAttainment: win,
+				windowArrivals:   arr,
+				forecastMAE:      offlineMAE(spec.point(), sc.tr, forecastHorizonSec),
 			})
 		}
 		out = append(out, res)
@@ -175,9 +175,9 @@ func Forecast(cfg ForecastConfig) ([]*ForecastResult, error) {
 // summary plus SLO attainment and arrivals over [winStart, winEnd).
 func serveWithForecaster(cfg *ForecastConfig, tr *trace.Trace, fc forecast.Forecaster, winStart, winEnd float64) (metrics.Summary, float64, int, error) {
 	s, err := serve(RunConfig{
-		Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, SwapLatencySec: forecastSwapSec,
+		Servers: cfg.Servers, sloSec: cfg.SLOSec, Seed: cfg.Seed, swapLatencySec: forecastSwapSec,
 		// Buckets aligned to the trace step so the spike window cuts cleanly.
-		BucketSec: forecastStepSec,
+		bucketSec: forecastStepSec,
 	}, []stack.Spec{{
 		Name: "pipeline", Graph: profiles.TrafficTree(), Forecaster: fc, HorizonSec: forecastHorizonSec,
 	}}, []*trace.Trace{tr}, nil)
@@ -213,22 +213,22 @@ func offlineMAE(fc forecast.Forecaster, tr *trace.Trace, horizonSec float64) flo
 // FormatForecast renders the experiment: one table per scenario comparing
 // reactive and proactive runs on window attainment, whole-run violations,
 // accuracy, servers, and offline forecast error.
-func FormatForecast(results []*ForecastResult) string {
+func FormatForecast(results []*forecastResult) string {
 	var b strings.Builder
 	for _, r := range results {
-		fmt.Fprintf(&b, "%s (stress window %.0fs-%.0fs):\n", r.Scenario, r.WindowStartSec, r.WindowEndSec)
+		fmt.Fprintf(&b, "%s (stress window %.0fs-%.0fs):\n", r.scenario, r.windowStartSec, r.windowEndSec)
 		fmt.Fprintf(&b, "  %-12s %12s %12s %10s %10s %8s %12s\n",
 			"forecaster", "window-slo", "window-arr", "run-viol", "accuracy", "servers", "forecast-mae")
-		for _, o := range r.Outcomes {
+		for _, o := range r.outcomes {
 			fmt.Fprintf(&b, "  %-12s %12.4f %12d %10.4f %10.4f %8.1f %12.1f\n",
-				o.Name, o.WindowAttainment, o.WindowArrivals,
-				o.Summary.ViolationRatio, o.Summary.MeanAccuracy, o.Summary.MeanServers, o.ForecastMAE)
+				o.name, o.windowAttainment, o.windowArrivals,
+				o.summary.ViolationRatio, o.summary.MeanAccuracy, o.summary.MeanServers, o.forecastMAE)
 		}
-		base := r.Outcomes[0]
-		for _, o := range r.Outcomes[1:] {
+		base := r.outcomes[0]
+		for _, o := range r.outcomes[1:] {
 			fmt.Fprintf(&b, "  %s vs %s: window SLO %.4f -> %.4f (%+.4f)\n",
-				o.Name, base.Name, base.WindowAttainment, o.WindowAttainment,
-				o.WindowAttainment-base.WindowAttainment)
+				o.name, base.name, base.windowAttainment, o.windowAttainment,
+				o.windowAttainment-base.windowAttainment)
 		}
 		b.WriteString("\n")
 	}

@@ -14,18 +14,18 @@ func TestForecastProactiveBeatsReactiveOnFlashCrowd(t *testing.T) {
 	}
 	t.Logf("\n%s", FormatForecast(results))
 
-	byName := func(r *ForecastResult, name string) ForecastOutcome {
-		for _, o := range r.Outcomes {
-			if o.Name == name {
+	byName := func(r *forecastResult, name string) forecastOutcome {
+		for _, o := range r.outcomes {
+			if o.name == name {
 				return o
 			}
 		}
-		t.Fatalf("scenario %s has no %q outcome", r.Scenario, name)
-		return ForecastOutcome{}
+		t.Fatalf("scenario %s has no %q outcome", r.scenario, name)
+		return forecastOutcome{}
 	}
-	var flash, diurnal *ForecastResult
+	var flash, diurnal *forecastResult
 	for _, r := range results {
-		switch r.Scenario {
+		switch r.scenario {
 		case "flash-crowd":
 			flash = r
 		case "diurnal":
@@ -38,20 +38,20 @@ func TestForecastProactiveBeatsReactiveOnFlashCrowd(t *testing.T) {
 
 	reactive := byName(flash, "reactive")
 	hw := byName(flash, "holtwinters")
-	if reactive.WindowArrivals == 0 || hw.WindowArrivals == 0 {
+	if reactive.windowArrivals == 0 || hw.windowArrivals == 0 {
 		t.Fatal("spike window saw no arrivals; window misaligned with the trace")
 	}
-	if hw.WindowAttainment <= reactive.WindowAttainment {
+	if hw.windowAttainment <= reactive.windowAttainment {
 		t.Fatalf("proactive holtwinters spike-window SLO %.4f is not strictly above reactive %.4f",
-			hw.WindowAttainment, reactive.WindowAttainment)
+			hw.windowAttainment, reactive.windowAttainment)
 	}
 
 	// Forecast accuracy: on the smooth diurnal trace the learned models
 	// must beat the persistence error the reactive plane implies.
 	dReactive := byName(diurnal, "reactive")
 	for _, name := range []string{"trend", "holtwinters"} {
-		if o := byName(diurnal, name); o.ForecastMAE >= dReactive.ForecastMAE {
-			t.Errorf("%s diurnal MAE %.1f is not below persistence %.1f", name, o.ForecastMAE, dReactive.ForecastMAE)
+		if o := byName(diurnal, name); o.forecastMAE >= dReactive.forecastMAE {
+			t.Errorf("%s diurnal MAE %.1f is not below persistence %.1f", name, o.forecastMAE, dReactive.forecastMAE)
 		}
 	}
 }

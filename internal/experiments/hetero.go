@@ -36,10 +36,10 @@ func (c *HeteroConfig) defaults() {
 	}
 }
 
-// HomogeneousEquivalent returns the speed- and budget-equivalent homogeneous
+// homogeneousEquivalent returns the speed- and budget-equivalent homogeneous
 // fleet of a class set: the same number of servers, each at the fleet's mean
 // speed and mean cost per hour.
-func HomogeneousEquivalent(classes []profiles.Class) []profiles.Class {
+func homogeneousEquivalent(classes []profiles.Class) []profiles.Class {
 	n := profiles.TotalCount(classes)
 	speed, cost := 0.0, 0.0
 	for _, cl := range classes {
@@ -54,31 +54,31 @@ func HomogeneousEquivalent(classes []profiles.Class) []profiles.Class {
 	}}
 }
 
-// HeteroOutcome is one fleet's serving run.
-type HeteroOutcome struct {
-	Name string // hetero or homogeneous
-	Run  *RunResult
-	// SLOAttainment is 1 - violation ratio.
-	SLOAttainment float64
-	// CostPerQuery is accrued server dollars per answered request.
-	CostPerQuery float64
-	// ServersByClass is the mean active servers per class name.
-	ServersByClass map[string]float64
+// heteroOutcome is one fleet's serving run.
+type heteroOutcome struct {
+	name string // hetero or homogeneous
+	run  *runResult
+	// sloAttainment is 1 - violation ratio.
+	sloAttainment float64
+	// costPerQuery is accrued server dollars per answered request.
+	costPerQuery float64
+	// serversByClass is the mean active servers per class name.
+	serversByClass map[string]float64
 }
 
-// HeteroResult aggregates the mixed-fleet experiment.
-type HeteroResult struct {
-	Hetero, Homogeneous HeteroOutcome
-	// CostSavingsPct is how much cheaper per query the heterogeneous fleet
+// heteroResult aggregates the mixed-fleet experiment.
+type heteroResult struct {
+	hetero, homogeneous heteroOutcome
+	// costSavingsPct is how much cheaper per query the heterogeneous fleet
 	// served the identical workload (positive = hetero cheaper).
-	CostSavingsPct float64
+	costSavingsPct float64
 }
 
 // Hetero runs the mixed-fleet experiment on the discrete-event simulator:
 // the traffic-analysis pipeline over an Azure-shaped diurnal trace peaking at
 // 700 qps, once on the heterogeneous fleet (a100:4@2.0@3.2, v100:8@1.0@1.2,
 // t4:12@0.5@0.55) and once on its speed-equivalent homogeneous twin.
-func Hetero(cfg HeteroConfig) (*HeteroResult, error) {
+func Hetero(cfg HeteroConfig) (*heteroResult, error) {
 	cfg.defaults()
 	tr := trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(700)
 	classes := []profiles.Class{
@@ -87,28 +87,28 @@ func Hetero(cfg HeteroConfig) (*HeteroResult, error) {
 		{Name: "t4", Count: 12, Speed: 0.5, CostPerHour: 0.55},
 	}
 
-	run := func(name string, classes []profiles.Class) (HeteroOutcome, error) {
+	run := func(name string, classes []profiles.Class) (heteroOutcome, error) {
 		res, err := Run(RunConfig{
 			Graph:   profiles.TrafficTree(),
 			Trace:   tr,
 			Classes: classes,
-			SLOSec:  cfg.SLOSec,
+			sloSec:  cfg.SLOSec,
 			Seed:    cfg.Seed,
 		})
 		if err != nil {
-			return HeteroOutcome{}, fmt.Errorf("experiments: %s fleet: %w", name, err)
+			return heteroOutcome{}, fmt.Errorf("experiments: %s fleet: %w", name, err)
 		}
-		out := HeteroOutcome{
-			Name:           name,
-			Run:            res,
-			SLOAttainment:  1 - res.Summary.ViolationRatio,
-			ServersByClass: map[string]float64{},
+		out := heteroOutcome{
+			name:           name,
+			run:            res,
+			sloAttainment:  1 - res.Summary.ViolationRatio,
+			serversByClass: map[string]float64{},
 		}
 		for i, n := range res.Summary.ClassNames {
-			out.ServersByClass[n] = res.Summary.MeanServersByClass[i]
+			out.serversByClass[n] = res.Summary.MeanServersByClass[i]
 		}
 		if answered := res.Summary.Completed + res.Summary.Late; answered > 0 {
-			out.CostPerQuery = res.Summary.CostHours / float64(answered)
+			out.costPerQuery = res.Summary.CostHours / float64(answered)
 		}
 		return out, nil
 	}
@@ -117,32 +117,32 @@ func Hetero(cfg HeteroConfig) (*HeteroResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	hom, err := run("homogeneous", HomogeneousEquivalent(classes))
+	hom, err := run("homogeneous", homogeneousEquivalent(classes))
 	if err != nil {
 		return nil, err
 	}
-	r := &HeteroResult{Hetero: het, Homogeneous: hom}
-	if hom.CostPerQuery > 0 {
-		r.CostSavingsPct = 100 * (1 - het.CostPerQuery/hom.CostPerQuery)
+	r := &heteroResult{hetero: het, homogeneous: hom}
+	if hom.costPerQuery > 0 {
+		r.costSavingsPct = 100 * (1 - het.costPerQuery/hom.costPerQuery)
 	}
 	return r, nil
 }
 
 // FormatHetero renders the mixed-fleet experiment as a comparison table plus
 // the per-class occupancy of the heterogeneous run.
-func FormatHetero(r *HeteroResult) string {
+func FormatHetero(r *heteroResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %12s %10s %12s %14s %8s\n",
 		"fleet", "slo-attain", "accuracy", "cost($)", "cost/query($)", "servers")
-	for _, o := range []HeteroOutcome{r.Hetero, r.Homogeneous} {
+	for _, o := range []heteroOutcome{r.hetero, r.homogeneous} {
 		fmt.Fprintf(&b, "%-12s %12.4f %10.4f %12.3f %14.7f %8.1f\n",
-			o.Name, o.SLOAttainment, o.Run.Summary.MeanAccuracy,
-			o.Run.Summary.CostHours, o.CostPerQuery, o.Run.Summary.MeanServers)
+			o.name, o.sloAttainment, o.run.Summary.MeanAccuracy,
+			o.run.Summary.CostHours, o.costPerQuery, o.run.Summary.MeanServers)
 	}
-	fmt.Fprintf(&b, "\nhetero cost savings per query: %.1f%%\n", r.CostSavingsPct)
+	fmt.Fprintf(&b, "\nhetero cost savings per query: %.1f%%\n", r.costSavingsPct)
 	fmt.Fprintf(&b, "hetero mean occupancy by class:")
-	for _, name := range slices.Sorted(maps.Keys(r.Hetero.ServersByClass)) {
-		fmt.Fprintf(&b, " %s=%.1f", name, r.Hetero.ServersByClass[name])
+	for _, name := range slices.Sorted(maps.Keys(r.hetero.serversByClass)) {
+		fmt.Fprintf(&b, " %s=%.1f", name, r.hetero.serversByClass[name])
 	}
 	b.WriteString("\n(the planner steers the small fast variants onto the slow cheap class and\nthe accurate heavy variants onto the fast class; the uniform fleet cannot)\n")
 	return b.String()

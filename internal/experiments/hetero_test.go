@@ -16,21 +16,21 @@ func TestHeteroBeatsSpeedEquivalentHomogeneous(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", FormatHetero(r))
-	if r.Hetero.SLOAttainment < r.Homogeneous.SLOAttainment {
+	if r.hetero.sloAttainment < r.homogeneous.sloAttainment {
 		t.Errorf("hetero SLO attainment %.4f below the homogeneous baseline %.4f",
-			r.Hetero.SLOAttainment, r.Homogeneous.SLOAttainment)
+			r.hetero.sloAttainment, r.homogeneous.sloAttainment)
 	}
-	if r.Hetero.CostPerQuery >= r.Homogeneous.CostPerQuery {
+	if r.hetero.costPerQuery >= r.homogeneous.costPerQuery {
 		t.Errorf("hetero cost/query %.8f not strictly below homogeneous %.8f",
-			r.Hetero.CostPerQuery, r.Homogeneous.CostPerQuery)
+			r.hetero.costPerQuery, r.homogeneous.costPerQuery)
 	}
 	used := 0
-	for _, mean := range r.Hetero.ServersByClass {
+	for _, mean := range r.hetero.serversByClass {
 		if mean > 0.5 {
 			used++
 		}
 	}
 	if used < 2 {
-		t.Errorf("hetero plan collapsed onto %d hardware class(es): %v", used, r.Hetero.ServersByClass)
+		t.Errorf("hetero plan collapsed onto %d hardware class(es): %v", used, r.hetero.serversByClass)
 	}
 }

@@ -45,58 +45,57 @@ func (c *IngressConfig) defaults() {
 // transient instead of steady state.
 const ingressWarmupSec = 5
 
-// IngressPoint is one sweep point: one offered rate served through one front
+// ingressPoint is one sweep point: one offered rate served through one front
 // door configuration.
-type IngressPoint struct {
-	Mult       float64
-	OfferedQPS float64
-	Admission  bool
-	// Attainment is the SLO attainment of admitted requests after warmup —
+type ingressPoint struct {
+	mult       float64
+	offeredQPS float64
+	// attainment is the SLO attainment of admitted requests after warmup —
 	// with admission off every request is admitted, so this is the
 	// all-requests attainment the no-front-door system delivers.
-	Attainment float64
-	// GoodputQPS is the mean rate of on-time completions after warmup.
-	GoodputQPS float64
-	// ShedRate is the shed fraction of the offered load (Summary.Shed over
+	attainment float64
+	// goodputQPS is the mean rate of on-time completions after warmup.
+	goodputQPS float64
+	// shedRate is the shed fraction of the offered load (Summary.Shed over
 	// Summary.Arrivals plus Summary.Shed).
-	ShedRate float64
-	Summary  metrics.Summary
+	shedRate float64
+	summary  metrics.Summary
 }
 
-// IngressResult is the full sweep: capacity-normalised points with and
+// ingressResult is the full sweep: capacity-normalised points with and
 // without admission control, pairwise comparable by index.
-type IngressResult struct {
-	CapacityQPS float64
-	SLOSec      float64
-	// Baseline is the open front door (no admission); Admitted is the same
+type ingressResult struct {
+	capacityQPS float64
+	sloSec      float64
+	// baseline is the open front door (no admission); admitted is the same
 	// sweep with admission control armed. Same Mults order as the config.
-	Baseline []IngressPoint
-	Admitted []IngressPoint
+	baseline []ingressPoint
+	admitted []ingressPoint
 }
 
 // Ingress runs the overload sweep on the simulator: no sockets and no wall
 // clock, so the points do not depend on host load beyond the planner's
 // wall-clock-limited solves.
-func Ingress(cfg IngressConfig) (*IngressResult, error) {
+func Ingress(cfg IngressConfig) (*ingressResult, error) {
 	cfg.defaults()
-	rc := RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed, BucketSec: 1}
+	rc := RunConfig{Servers: cfg.Servers, sloSec: cfg.SLOSec, Seed: cfg.Seed, bucketSec: 1}
 	rc.defaults()
 	capacity, err := measureCapacity(rc)
 	if err != nil {
 		return nil, err
 	}
-	res := &IngressResult{CapacityQPS: capacity, SLOSec: rc.SLOSec}
+	res := &ingressResult{capacityQPS: capacity, sloSec: rc.sloSec}
 	for _, withAdmission := range []bool{false, true} {
 		for _, mult := range cfg.Mults {
 			p, err := serveIngressPoint(rc, cfg.DurSec, capacity, capacity*mult, withAdmission)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: ingress %.2gx admission=%v: %w", mult, withAdmission, err)
 			}
-			p.Mult = mult
+			p.mult = mult
 			if withAdmission {
-				res.Admitted = append(res.Admitted, p)
+				res.admitted = append(res.admitted, p)
 			} else {
-				res.Baseline = append(res.Baseline, p)
+				res.baseline = append(res.baseline, p)
 			}
 		}
 	}
@@ -108,7 +107,7 @@ func Ingress(cfg IngressConfig) (*IngressResult, error) {
 // the ingress sweep, and the chaos grid's demand cap.
 func measureCapacity(rc RunConfig) (float64, error) {
 	rc.defaults()
-	alloc, err := stack.New(rc.pool()).Allocator(profiles.TrafficTree(), rc.SLOSec)
+	alloc, err := stack.New(rc.pool()).Allocator(profiles.TrafficTree(), rc.sloSec)
 	if err != nil {
 		return 0, err
 	}
@@ -139,25 +138,24 @@ func measureCapacity(rc RunConfig) (float64, error) {
 //
 // The stack is pre-warmed at the offered rate, so the sweep measures
 // steady-state shedding, not cold-start planning lag.
-func serveIngressPoint(rc RunConfig, durSec, capacity, offered float64, withAdmission bool) (IngressPoint, error) {
+func serveIngressPoint(rc RunConfig, durSec, capacity, offered float64, withAdmission bool) (ingressPoint, error) {
 	s, err := serve(rc, []stack.Spec{{
 		Name: "pipeline", Graph: profiles.TrafficTree(), Policy: policy.NoDrop{},
 		Admission: withAdmission, DemandCapQPS: capacity,
 	}}, []*trace.Trace{trace.Ramp(offered, offered, 1, durSec)}, nil)
 	if err != nil {
-		return IngressPoint{}, err
+		return ingressPoint{}, err
 	}
 	col := s.Tenants[0].Col
 	w := window(col.Series(), ingressWarmupSec, durSec)
-	p := IngressPoint{
-		OfferedQPS: offered,
-		Admission:  withAdmission,
-		Attainment: w.attainment(),
-		GoodputQPS: w.meanGoodput(),
-		Summary:    col.Summarize(),
+	p := ingressPoint{
+		offeredQPS: offered,
+		attainment: w.attainment(),
+		goodputQPS: w.meanGoodput(),
+		summary:    col.Summarize(),
 	}
-	if n := p.Summary.Arrivals + p.Summary.Shed; n > 0 {
-		p.ShedRate = float64(p.Summary.Shed) / float64(n)
+	if n := p.summary.Arrivals + p.summary.Shed; n > 0 {
+		p.shedRate = float64(p.summary.Shed) / float64(n)
 	}
 	return p, nil
 }
@@ -165,28 +163,28 @@ func serveIngressPoint(rc RunConfig, durSec, capacity, offered float64, withAdmi
 // FormatIngress renders the sweep: one row per (mode, multiplier) with the
 // offered and shed counts and the attainment/goodput after warmup, then the
 // pairwise admission-vs-baseline deltas the experiment exists to show.
-func FormatIngress(r *IngressResult) string {
+func FormatIngress(r *ingressResult) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "measured capacity %.0f qps, SLO %.0f ms\n", r.CapacityQPS, r.SLOSec*1000)
+	fmt.Fprintf(&b, "measured capacity %.0f qps, SLO %.0f ms\n", r.capacityQPS, r.sloSec*1000)
 	fmt.Fprintf(&b, "  %-10s %6s %9s %8s %8s %7s %10s %10s\n",
 		"front door", "mult", "offered", "sent", "shed", "shed-%", "attainment", "goodput")
-	rows := func(name string, pts []IngressPoint) {
+	rows := func(name string, pts []ingressPoint) {
 		for _, p := range pts {
 			fmt.Fprintf(&b, "  %-10s %5.2gx %7.0f/s %8d %8d %6.1f%% %10.4f %8.0f/s\n",
-				name, p.Mult, p.OfferedQPS, p.Summary.Arrivals+p.Summary.Shed, p.Summary.Shed, 100*p.ShedRate,
-				p.Attainment, p.GoodputQPS)
+				name, p.mult, p.offeredQPS, p.summary.Arrivals+p.summary.Shed, p.summary.Shed, 100*p.shedRate,
+				p.attainment, p.goodputQPS)
 		}
 	}
-	rows("open", r.Baseline)
-	rows("admission", r.Admitted)
-	for i := range r.Admitted {
-		if i >= len(r.Baseline) {
+	rows("open", r.baseline)
+	rows("admission", r.admitted)
+	for i := range r.admitted {
+		if i >= len(r.baseline) {
 			break
 		}
-		base, adm := r.Baseline[i], r.Admitted[i]
+		base, adm := r.baseline[i], r.admitted[i]
 		fmt.Fprintf(&b, "  %.2gx: attainment %.4f -> %.4f (%+.4f), goodput %.0f -> %.0f qps (%+.0f)\n",
-			adm.Mult, base.Attainment, adm.Attainment, adm.Attainment-base.Attainment,
-			base.GoodputQPS, adm.GoodputQPS, adm.GoodputQPS-base.GoodputQPS)
+			adm.mult, base.attainment, adm.attainment, adm.attainment-base.attainment,
+			base.goodputQPS, adm.goodputQPS, adm.goodputQPS-base.goodputQPS)
 	}
 	return b.String()
 }

@@ -40,23 +40,23 @@ const (
 	multiTenantSpikeMult               = 3
 )
 
-// TenantOutcome is one pipeline's share of a multi-tenant run.
-type TenantOutcome struct {
-	Name    string
-	Summary metrics.Summary
-	// MinGrant/MaxGrant bound the servers the joint allocator granted this
-	// pipeline across adaptation rounds; FinalGrant is the standing grant.
-	MinGrant, MaxGrant, FinalGrant int
+// tenantOutcome is one pipeline's share of a multi-tenant run.
+type tenantOutcome struct {
+	name    string
+	summary metrics.Summary
+	// minGrant/maxGrant bound the servers the joint allocator granted this
+	// pipeline across adaptation rounds; finalGrant is the standing grant.
+	minGrant, maxGrant, finalGrant int
 }
 
-// MultiTenantResult aggregates the contention experiment.
-type MultiTenantResult struct {
-	Tenants []TenantOutcome
-	// GrantHistory is the per-allocation grant vector (one row per joint
+// multiTenantResult aggregates the contention experiment.
+type multiTenantResult struct {
+	tenants []tenantOutcome
+	// grantHistory is the per-allocation grant vector (one row per joint
 	// allocation, in step order).
-	GrantHistory [][]int
-	// Allocates counts MILP invocations across both tenants.
-	Allocates int
+	grantHistory [][]int
+	// allocates counts MILP invocations across both tenants.
+	allocates int
 }
 
 // MultiTenant runs the shared-pool contention experiment on the
@@ -65,7 +65,7 @@ type MultiTenantResult struct {
 // adaptation round. It reports the SLO attainment each tenant keeps while
 // the pool is contended — the multi-tenant analogue of the paper's Figure
 // 5/6 serving runs.
-func MultiTenant(cfg MultiTenantConfig) (*MultiTenantResult, error) {
+func MultiTenant(cfg MultiTenantConfig) (*multiTenantResult, error) {
 	cfg.defaults()
 
 	trA := trace.AzureLike(cfg.Seed, cfg.TraceSteps, cfg.StepSec).ScaleToPeak(multiTenantPeakA).
@@ -76,10 +76,10 @@ func MultiTenant(cfg MultiTenantConfig) (*MultiTenantResult, error) {
 		{Name: "social", Graph: profiles.SocialMedia()},
 	}
 
-	res := &MultiTenantResult{}
-	s, err := serve(RunConfig{Servers: cfg.Servers, SLOSec: cfg.SLOSec, Seed: cfg.Seed}, tenants, []*trace.Trace{trA, trB},
+	res := &multiTenantResult{}
+	s, err := serve(RunConfig{Servers: cfg.Servers, sloSec: cfg.SLOSec, Seed: cfg.Seed}, tenants, []*trace.Trace{trA, trB},
 		func(p *stack.Pool) {
-			p.OnGrants = func(step int, grants []int) { res.GrantHistory = append(res.GrantHistory, grants) }
+			p.OnGrants = func(step int, grants []int) { res.grantHistory = append(res.grantHistory, grants) }
 		})
 	if err != nil {
 		return nil, err
@@ -87,40 +87,40 @@ func MultiTenant(cfg MultiTenantConfig) (*MultiTenantResult, error) {
 
 	final := s.Ctrl.Grants()
 	for i, t := range s.Tenants {
-		out := TenantOutcome{
-			Name:       t.Name,
-			Summary:    t.Col.Summarize(),
-			FinalGrant: final[i],
+		out := tenantOutcome{
+			name:       t.Name,
+			summary:    t.Col.Summarize(),
+			finalGrant: final[i],
 		}
-		for _, row := range res.GrantHistory {
+		for _, row := range res.grantHistory {
 			g := row[i]
-			if out.MinGrant == 0 || g < out.MinGrant {
-				out.MinGrant = g
+			if out.minGrant == 0 || g < out.minGrant {
+				out.minGrant = g
 			}
-			if g > out.MaxGrant {
-				out.MaxGrant = g
+			if g > out.maxGrant {
+				out.maxGrant = g
 			}
 		}
-		res.Tenants = append(res.Tenants, out)
+		res.tenants = append(res.tenants, out)
 	}
-	res.Allocates = s.Ctrl.Allocates()
+	res.allocates = s.Ctrl.Allocates()
 	return res, nil
 }
 
 // FormatMultiTenant renders the contention experiment as a per-tenant
 // table plus the grant timeline.
-func FormatMultiTenant(r *MultiTenantResult) string {
+func FormatMultiTenant(r *multiTenantResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-10s %10s %10s %10s %10s %8s %18s\n",
 		"pipeline", "arrivals", "completed", "slo-viol", "accuracy", "servers", "grant min/max/end")
-	for _, t := range r.Tenants {
+	for _, t := range r.tenants {
 		fmt.Fprintf(&b, "%-10s %10d %10d %10.4f %10.4f %8.1f %12d/%d/%d\n",
-			t.Name, t.Summary.Arrivals, t.Summary.Completed+t.Summary.Late,
-			t.Summary.ViolationRatio, t.Summary.MeanAccuracy, t.Summary.MeanServers,
-			t.MinGrant, t.MaxGrant, t.FinalGrant)
+			t.name, t.summary.Arrivals, t.summary.Completed+t.summary.Late,
+			t.summary.ViolationRatio, t.summary.MeanAccuracy, t.summary.MeanServers,
+			t.minGrant, t.maxGrant, t.finalGrant)
 	}
-	fmt.Fprintf(&b, "\njoint allocations: %d (MILP solves %d)\ngrant timeline:", len(r.GrantHistory), r.Allocates)
-	for _, row := range r.GrantHistory {
+	fmt.Fprintf(&b, "\njoint allocations: %d (MILP solves %d)\ngrant timeline:", len(r.grantHistory), r.allocates)
+	for _, row := range r.grantHistory {
 		fmt.Fprintf(&b, " %v", row)
 	}
 	b.WriteString("\n")

@@ -22,55 +22,55 @@ import (
 	"loki/internal/trace"
 )
 
-// Approach selects the resource-management strategy under test.
-type Approach = stack.Approach
+// approach selects the resource-management strategy under test.
+type approach = stack.Approach
 
 // The three systems compared in §6.2.
 const (
 	Loki      = stack.Loki      // hardware + pipeline-aware accuracy scaling
-	InferLine = stack.InferLine // hardware scaling only (fixed variants)
-	Proteus   = stack.Proteus   // pipeline-agnostic per-task accuracy scaling
+	inferLine = stack.InferLine // hardware scaling only (fixed variants)
+	proteus   = stack.Proteus   // pipeline-agnostic per-task accuracy scaling
 )
 
-// Backend selects the serving substrate a run executes on. Both are
+// backend selects the serving substrate a run executes on. Both are
 // engine.MultiEngine kinds; the run wiring is identical.
-type Backend = engine.Kind
+type backend = engine.Kind
 
 const (
-	// Simulated runs on the discrete-event simulator in virtual time
+	// simulated runs on the discrete-event simulator in virtual time
 	// (the default, and what every figure experiment uses).
-	Simulated = engine.KindSimulated
-	// Wallclock runs the same simulator paced by the wall clock, taking
+	simulated = engine.KindSimulated
+	// wallclock runs the same simulator paced by the wall clock, taking
 	// TimeScale × trace-duration of wall time.
-	Wallclock = engine.KindWallclock
+	wallclock = engine.KindWallclock
 )
 
 // RunConfig describes one end-to-end serving run.
 type RunConfig struct {
 	Graph    *pipeline.Graph
 	Trace    *trace.Trace
-	Approach Approach
-	Backend  Backend
-	Policy   policy.Policy // nil means opportunistic rerouting (Loki default)
+	Approach approach
+	backend  backend
+	policy   policy.Policy // nil means opportunistic rerouting (Loki default)
 
 	Servers int
 	// Classes partitions the cluster into hardware classes (nil = one
 	// homogeneous "default" class of Servers workers); when set, Servers is
 	// derived from the class counts.
 	Classes        []profiles.Class
-	SLOSec         float64
+	sloSec         float64
 	Seed           int64
-	BucketSec      float64 // metrics bucket width
-	SwapLatencySec float64 // model-load pause on reconfiguration
+	bucketSec      float64 // metrics bucket width
+	swapLatencySec float64 // model-load pause on reconfiguration
 	ExecJitter     float64 // relative execution-latency noise
-	QueueFactor    float64 // per-worker queue cap multiplier (see cluster.Options)
-	SolveTimeLimit time.Duration
-	// DisableStall turns off the planner's wall-clock stall cutoff so
+	queueFactor    float64 // per-worker queue cap multiplier (see cluster.Options)
+	solveTimeLimit time.Duration
+	// disableStall turns off the planner's wall-clock stall cutoff so
 	// every MILP runs its full budget: the choice for experiments that
 	// pick a roomy SolveTimeLimit precisely so results do not depend on
 	// machine load.
-	DisableStall bool
-	TimeScale    float64 // wall-time compression (Wallclock backend only)
+	disableStall bool
+	timeScale    float64 // wall-time compression (Wallclock backend only)
 }
 
 func (cfg *RunConfig) defaults() {
@@ -78,26 +78,25 @@ func (cfg *RunConfig) defaults() {
 	if cfg.Servers == 0 {
 		cfg.Servers = stack.DefaultServers
 	}
-	if cfg.SLOSec == 0 {
-		cfg.SLOSec = stack.DefaultSLOSec
+	if cfg.sloSec == 0 {
+		cfg.sloSec = stack.DefaultSLOSec
 	}
 	// Policy defaults inside engine.NewMulti — the one authoritative site
 	// for the engine-level knobs.
-	if cfg.BucketSec == 0 {
-		cfg.BucketSec = stack.DefaultBucketSec
+	if cfg.bucketSec == 0 {
+		cfg.bucketSec = stack.DefaultBucketSec
 	}
-	if cfg.SolveTimeLimit == 0 {
-		cfg.SolveTimeLimit = stack.DefaultSolveTimeLimit
+	if cfg.solveTimeLimit == 0 {
+		cfg.solveTimeLimit = stack.DefaultSolveTimeLimit
 	}
 }
 
-// RunResult is the outcome of one run.
-type RunResult struct {
-	Name      string
-	Approach  Approach
+// runResult is the outcome of one run.
+type runResult struct {
+	approach  approach
 	Summary   metrics.Summary
-	Series    []metrics.Point
-	Allocates int // MILP invocations (plan-cache misses)
+	series    []metrics.Point
+	allocates int // MILP invocations (plan-cache misses)
 	// Stats are the engine's request totals.
 	engine.Stats
 }
@@ -107,18 +106,17 @@ type RunResult struct {
 // prototype. The pipeline is the one tenant of the stack serve builds, the
 // same stack loki.System serves on; only the engine kind differs between the
 // backends.
-func Run(cfg RunConfig) (*RunResult, error) {
-	s, err := serve(cfg, []stack.Spec{{Name: cfg.Graph.Name, Graph: cfg.Graph, Approach: cfg.Approach, Policy: cfg.Policy}},
+func Run(cfg RunConfig) (*runResult, error) {
+	s, err := serve(cfg, []stack.Spec{{Name: cfg.Graph.Name, Graph: cfg.Graph, Approach: cfg.Approach, Policy: cfg.policy}},
 		[]*trace.Trace{cfg.Trace}, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &RunResult{
-		Name:      fmt.Sprintf("%s/%s", cfg.Graph.Name, cfg.Approach),
-		Approach:  cfg.Approach,
+	return &runResult{
+		approach:  cfg.Approach,
 		Summary:   s.Tenants[0].Col.Summarize(),
-		Series:    s.Tenants[0].Col.Series(),
-		Allocates: s.Ctrl.Allocates(),
+		series:    s.Tenants[0].Col.Series(),
+		allocates: s.Ctrl.Allocates(),
 		Stats:     s.Eng.Stats(0),
 	}, nil
 }
@@ -134,16 +132,16 @@ func (cfg RunConfig) pool() stack.Pool {
 			Classes:        cfg.Classes,
 			NetLatencySec:  stack.DefaultNetLatencySec,
 			Seed:           cfg.Seed,
-			SwapLatencySec: cfg.SwapLatencySec,
+			SwapLatencySec: cfg.swapLatencySec,
 			ExecJitter:     cfg.ExecJitter,
-			QueueFactor:    cfg.QueueFactor,
-			TimeScale:      cfg.TimeScale,
+			QueueFactor:    cfg.queueFactor,
+			TimeScale:      cfg.timeScale,
 		},
-		Backend:        cfg.Backend,
+		Backend:        cfg.backend,
 		Headroom:       stack.DefaultHeadroom,
-		SolveTimeLimit: cfg.SolveTimeLimit,
-		DisableStall:   cfg.DisableStall,
-		BucketSec:      cfg.BucketSec,
+		SolveTimeLimit: cfg.solveTimeLimit,
+		DisableStall:   cfg.disableStall,
+		BucketSec:      cfg.bucketSec,
 	}
 }
 
@@ -161,7 +159,7 @@ func serve(cfg RunConfig, specs []stack.Spec, traces []*trace.Trace, hooks func(
 	}
 	open := make([]float64, len(specs))
 	for i, spec := range specs {
-		spec.SLOSec = cfg.SLOSec
+		spec.SLOSec = cfg.sloSec
 		if _, err := s.Add(spec); err != nil {
 			return nil, fmt.Errorf("experiments: tenant %q: %w", spec.Name, err)
 		}

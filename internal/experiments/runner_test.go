@@ -10,16 +10,16 @@ import (
 	"loki/internal/trace"
 )
 
-// runPin is the part of a RunResult pinned to recorded values.
+// runPin is the part of a runResult pinned to recorded values.
 type runPin struct {
 	Injected, Completed, Dropped, Rerouted, Swaps int64
 	Allocates                                     int
 	Accuracy, Violation, Servers, P99             float64
 }
 
-func pinRun(r *RunResult) runPin {
+func pinRun(r *runResult) runPin {
 	s := r.Summary
-	return runPin{r.Injected, r.Completed, r.Dropped, r.Rerouted, r.Swaps, r.Allocates,
+	return runPin{r.Injected, r.Completed, r.Dropped, r.Rerouted, r.Swaps, r.allocates,
 		s.MeanAccuracy, s.ViolationRatio, s.MeanServers, s.LatencyP99}
 }
 
@@ -46,13 +46,13 @@ func TestRunMatchesRecordedRuns(t *testing.T) {
 		want runPin
 	}{
 		{"loki/tree",
-			RunConfig{Graph: profiles.TrafficTree(), Approach: Loki, SwapLatencySec: 0.2, ExecJitter: 0.05},
+			RunConfig{Graph: profiles.TrafficTree(), Approach: Loki, swapLatencySec: 0.2, ExecJitter: 0.05},
 			runPin{58425, 56558, 1867, 563, 116, 25, 0.964491752352, 0.142832691485, 12.6317241379, 0.595436337625}},
 		{"inferline/tree",
-			RunConfig{Graph: profiles.TrafficTree(), Approach: InferLine},
+			RunConfig{Graph: profiles.TrafficTree(), Approach: inferLine},
 			runPin{58425, 40786, 17639, 14, 0, 25, 1, 0.491296534018, 12.7183908046, 0.963473043167}},
 		{"proteus/tree",
-			RunConfig{Graph: profiles.TrafficTree(), Approach: Proteus},
+			RunConfig{Graph: profiles.TrafficTree(), Approach: proteus},
 			runPin{58425, 46327, 12098, 59, 0, 25, 0.80508830234, 0.265896448438, 20, 0.473052055206}},
 		{"loki/chain",
 			RunConfig{Graph: profiles.TrafficChain(), Approach: Loki},
@@ -61,7 +61,7 @@ func TestRunMatchesRecordedRuns(t *testing.T) {
 			RunConfig{Graph: profiles.SocialMedia(), Approach: Loki},
 			runPin{58425, 57444, 981, 48, 0, 25, 0.993052790753, 0.105827984596, 11.2124137931, 0.737937956204}},
 		{"loki/chain/nodrop",
-			RunConfig{Graph: profiles.TrafficChain(), Approach: Loki, Policy: policy.NoDrop{}},
+			RunConfig{Graph: profiles.TrafficChain(), Approach: Loki, policy: policy.NoDrop{}},
 			runPin{58425, 57401, 1024, 0, 0, 25, 0.975520115092, 0.11917843389, 11.716091954, 0.811180921053}},
 		{"loki/chain/3-class",
 			RunConfig{Graph: profiles.TrafficChain(), Approach: Loki, Classes: []profiles.Class{
@@ -73,7 +73,7 @@ func TestRunMatchesRecordedRuns(t *testing.T) {
 	} {
 		cfg := tc.cfg
 		cfg.Trace, cfg.Seed = tr, 7
-		cfg.SolveTimeLimit, cfg.DisableStall = 10*time.Second, true
+		cfg.solveTimeLimit, cfg.disableStall = 10*time.Second, true
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -90,7 +90,7 @@ func TestRunMatchesRecordedRuns(t *testing.T) {
 func TestRunWallclockConserves(t *testing.T) {
 	res, err := Run(RunConfig{
 		Graph: profiles.TrafficChain(), Trace: trace.Ramp(100, 200, 3, 3),
-		Approach: Loki, Backend: Wallclock, Seed: 3, TimeScale: 0.25,
+		Approach: Loki, backend: wallclock, Seed: 3, timeScale: 0.25,
 	})
 	if err != nil {
 		t.Fatal(err)

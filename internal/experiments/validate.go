@@ -12,16 +12,16 @@ import (
 	"loki/internal/trace"
 )
 
-// ValidationResult compares the discrete-event simulator against the
+// validationResult compares the discrete-event simulator against the
 // wall-clock engine on the same workload (§6.2's "validating the simulator").
-type ValidationResult struct {
-	Sim  metrics.Summary
-	Live metrics.Summary
+type validationResult struct {
+	sim  metrics.Summary
+	live metrics.Summary
 
-	AccuracyDeltaPct  float64 // |sim − live| accuracy, percent
-	ViolationDeltaPct float64 // |sim − live| violation ratio, percentage points
-	ServersDeltaPct   float64 // |sim − live| mean servers, percent of cluster
-	WallTime          time.Duration
+	accuracyDeltaPct  float64 // |sim − live| accuracy, percent
+	violationDeltaPct float64 // |sim − live| violation ratio, percentage points
+	serversDeltaPct   float64 // |sim − live| mean servers, percent of cluster
+	wallTime          time.Duration
 }
 
 // ValidateConfig parameterizes the validation run.
@@ -47,7 +47,7 @@ const validateTimeScale = 0.5
 // the wall-clock kind a plan lands as late as its solve takes in real time,
 // while the simulator solves in zero virtual time. Both serve the paper's
 // operating point: stack.DefaultServers servers at stack.DefaultSLOSec.
-func Validate(cfg ValidateConfig) (*ValidationResult, error) {
+func Validate(cfg ValidateConfig) (*validationResult, error) {
 	if cfg.TraceSteps == 0 {
 		// A two-minute scaled day: long enough that controller transients
 		// do not dominate either engine's numbers.
@@ -64,39 +64,39 @@ func Validate(cfg ValidateConfig) (*ValidationResult, error) {
 	// The two runs differ only in the engine.MultiEngine kind; every other
 	// knob is identical.
 	simRes, err := Run(RunConfig{
-		Graph: g, Trace: tr, Approach: Loki, Backend: Simulated, Seed: cfg.Seed,
+		Graph: g, Trace: tr, Approach: Loki, backend: simulated, Seed: cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
 	liveRes, err := Run(RunConfig{
-		Graph: g, Trace: tr, Approach: Loki, Backend: Wallclock, Seed: cfg.Seed,
-		TimeScale: validateTimeScale,
+		Graph: g, Trace: tr, Approach: Loki, backend: wallclock, Seed: cfg.Seed,
+		timeScale: validateTimeScale,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	res := &ValidationResult{
-		Sim:      simRes.Summary,
-		Live:     liveRes.Summary,
-		WallTime: time.Since(start),
+	res := &validationResult{
+		sim:      simRes.Summary,
+		live:     liveRes.Summary,
+		wallTime: time.Since(start),
 	}
-	res.AccuracyDeltaPct = 100 * math.Abs(res.Sim.MeanAccuracy-res.Live.MeanAccuracy)
-	res.ViolationDeltaPct = 100 * math.Abs(res.Sim.ViolationRatio-res.Live.ViolationRatio)
-	res.ServersDeltaPct = 100 * math.Abs(res.Sim.MeanServers-res.Live.MeanServers) / stack.DefaultServers
+	res.accuracyDeltaPct = 100 * math.Abs(res.sim.MeanAccuracy-res.live.MeanAccuracy)
+	res.violationDeltaPct = 100 * math.Abs(res.sim.ViolationRatio-res.live.ViolationRatio)
+	res.serversDeltaPct = 100 * math.Abs(res.sim.MeanServers-res.live.MeanServers) / stack.DefaultServers
 	return res, nil
 }
 
 // FormatValidation renders the §6.2 comparison.
-func FormatValidation(r *ValidationResult) string {
+func FormatValidation(r *validationResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-22s %12s %12s\n", "metric", "simulator", "prototype")
-	fmt.Fprintf(&b, "%-22s %12.4f %12.4f\n", "system accuracy", r.Sim.MeanAccuracy, r.Live.MeanAccuracy)
-	fmt.Fprintf(&b, "%-22s %12.4f %12.4f\n", "slo violation ratio", r.Sim.ViolationRatio, r.Live.ViolationRatio)
-	fmt.Fprintf(&b, "%-22s %12.1f %12.1f\n", "mean active servers", r.Sim.MeanServers, r.Live.MeanServers)
+	fmt.Fprintf(&b, "%-22s %12.4f %12.4f\n", "system accuracy", r.sim.MeanAccuracy, r.live.MeanAccuracy)
+	fmt.Fprintf(&b, "%-22s %12.4f %12.4f\n", "slo violation ratio", r.sim.ViolationRatio, r.live.ViolationRatio)
+	fmt.Fprintf(&b, "%-22s %12.1f %12.1f\n", "mean active servers", r.sim.MeanServers, r.live.MeanServers)
 	fmt.Fprintf(&b, "\ndeltas: accuracy %.2f%% (paper 1.2%%), violations %.2fpp (paper 1.8%%), servers %.2f%% (paper 1.5%%)\n",
-		r.AccuracyDeltaPct, r.ViolationDeltaPct, r.ServersDeltaPct)
-	fmt.Fprintf(&b, "wall time: %v\n", r.WallTime)
+		r.accuracyDeltaPct, r.violationDeltaPct, r.serversDeltaPct)
+	fmt.Fprintf(&b, "wall time: %v\n", r.wallTime)
 	return b.String()
 }

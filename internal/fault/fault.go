@@ -120,8 +120,8 @@ type Schedule struct {
 	Events []Event
 }
 
-// Validate checks every event for well-formedness.
-func (s *Schedule) Validate() error {
+// validate checks every event for well-formedness.
+func (s *Schedule) validate() error {
 	if s == nil {
 		return nil
 	}
@@ -171,7 +171,7 @@ func Parse(spec string) (*Schedule, error) {
 		}
 		s.Events = append(s.Events, ev)
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return &s, nil
@@ -247,11 +247,11 @@ func parseSeconds(s string) (float64, error) {
 	return d.Seconds(), err
 }
 
-// Target is the engine-side surface the compiled schedule drives. Fail and
+// target is the engine-side surface the compiled schedule drives. Fail and
 // Slow pick their victims (deterministically, highest healthy index first)
 // and return the affected physical worker ids so the matching recovery can
 // restore exactly those; n <= 0 means the whole class.
-type Target interface {
+type target interface {
 	Fail(class, n int) []int
 	Recover(phys []int)
 	Slow(class, n int, factor float64) []int
@@ -262,7 +262,7 @@ type Target interface {
 // the target and returns a human-readable description for status logging.
 type Timed struct {
 	At   float64
-	Fire func(Target) string
+	Fire func(target) string
 }
 
 // Compile turns a schedule into timeline actions, resolving class names via
@@ -273,7 +273,7 @@ func Compile(s *Schedule, classIndex func(name string) (int, bool)) ([]Timed, er
 	if s == nil || len(s.Events) == 0 {
 		return nil, nil
 	}
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	var out []Timed
@@ -298,23 +298,23 @@ func Compile(s *Schedule, classIndex func(name string) (int, bool)) ([]Timed, er
 			if e.Kind == Outage {
 				n = 0 // whole class
 			}
-			out = append(out, Timed{At: e.At, Fire: func(t Target) string {
+			out = append(out, Timed{At: e.At, Fire: func(t target) string {
 				affected = t.Fail(ci, n)
 				return fmt.Sprintf("%s %s: %d server(s) down %v", e.Kind, label, len(affected), affected)
 			}})
 			if e.RecoverAfter > 0 {
-				out = append(out, Timed{At: e.At + e.RecoverAfter, Fire: func(t Target) string {
+				out = append(out, Timed{At: e.At + e.RecoverAfter, Fire: func(t target) string {
 					t.Recover(affected)
 					return fmt.Sprintf("recover %s: %d server(s) back %v", label, len(affected), affected)
 				}})
 			}
 		case Straggler:
-			out = append(out, Timed{At: e.At, Fire: func(t Target) string {
+			out = append(out, Timed{At: e.At, Fire: func(t target) string {
 				affected = t.Slow(ci, e.N, e.Factor)
 				return fmt.Sprintf("straggle %s: %d server(s) at %gx %v", label, len(affected), e.Factor, affected)
 			}})
 			if e.RecoverAfter > 0 {
-				out = append(out, Timed{At: e.At + e.RecoverAfter, Fire: func(t Target) string {
+				out = append(out, Timed{At: e.At + e.RecoverAfter, Fire: func(t target) string {
 					t.Restore(affected)
 					return fmt.Sprintf("restore %s: %d server(s) full speed %v", label, len(affected), affected)
 				}})

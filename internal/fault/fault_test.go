@@ -161,7 +161,7 @@ func FuzzParse(f *testing.F) {
 		if err != nil || s == nil {
 			return
 		}
-		if err := s.Validate(); err != nil {
+		if err := s.validate(); err != nil {
 			t.Fatalf("Parse(%q) accepted a schedule that does not validate: %v", spec, err)
 		}
 		for _, e := range s.Events {

@@ -46,11 +46,11 @@ func (l *Last) Observe(t, rate float64) { l.val = rate }
 // Predict returns the last observed rate unchanged, whatever the horizon.
 func (l *Last) Predict(horizon float64) float64 { return l.val }
 
-// DefaultTrendWindow is the sliding-window length (in samples) a Trend
+// defaultTrendWindow is the sliding-window length (in samples) a Trend
 // forecaster uses when Window is zero. With per-second observations it spans
 // half a minute — long enough to average sampling noise, short enough that a
 // flash crowd dominates the fit within a few seconds.
-const DefaultTrendWindow = 30
+const defaultTrendWindow = 30
 
 // Trend predicts by least-squares linear regression over a sliding window of
 // recent samples: the fitted line is extrapolated to the prediction instant.
@@ -59,7 +59,7 @@ const DefaultTrendWindow = 30
 // makes it useful as a cheap spike detector.
 type Trend struct {
 	// Window is the number of recent samples regressed over (0 means
-	// DefaultTrendWindow).
+	// defaultTrendWindow).
 	Window int
 
 	ts, xs []float64
@@ -70,7 +70,7 @@ type Trend struct {
 func (tr *Trend) Observe(t, rate float64) {
 	w := tr.Window
 	if w <= 0 {
-		w = DefaultTrendWindow
+		w = defaultTrendWindow
 	}
 	if len(tr.ts) >= w {
 		n := copy(tr.ts, tr.ts[len(tr.ts)-w+1:])
@@ -122,13 +122,14 @@ func (tr *Trend) Predict(horizon float64) float64 {
 	return math.Max(0, tr.a+tr.b*(tr.ts[len(tr.ts)-1]+horizon))
 }
 
-// Default Holt-Winters gains: a fast level (spikes move the forecast within
-// a couple of samples), a moderately damped trend, and a slow seasonal
-// update (each season slot is revisited only once per period).
+// The Holt-Winters gains: a fast level (spikes move the forecast within a
+// couple of samples), a moderately damped trend, and a slow seasonal update
+// (each season slot is revisited only once per period). They are typed so
+// that 1-hwAlpha rounds as the float64 subtraction does.
 const (
-	DefaultHWAlpha = 0.45
-	DefaultHWBeta  = 0.25
-	DefaultHWGamma = 0.15
+	hwAlpha float64 = 0.45
+	hwBeta  float64 = 0.25
+	hwGamma float64 = 0.15
 )
 
 // HoltWinters is double exponential smoothing (Holt's level + trend method),
@@ -136,11 +137,10 @@ const (
 // model then also learns a repeating seasonal profile of Period samples,
 // which fits diurnal traces once a full day of history has streamed in.
 // Samples are treated as evenly spaced; the observed spacing is smoothed and
-// used to convert Predict's horizon from seconds into sample steps.
+// used to convert Predict's horizon from seconds into sample steps. The
+// level, trend and season gains are the constants hwAlpha, hwBeta and
+// hwGamma: 0.45, 0.25 and 0.15.
 type HoltWinters struct {
-	// Alpha, Beta, Gamma are the level, trend, and season gains in (0,1];
-	// zero selects the package defaults.
-	Alpha, Beta, Gamma float64
 	// Period is the season length in samples; 0 disables seasonality
 	// (plain Holt's method).
 	Period int
@@ -201,16 +201,6 @@ func (h *HoltWinters) Observe(t, rate float64) {
 		return
 	}
 
-	alpha, beta, gamma := h.Alpha, h.Beta, h.Gamma
-	if alpha == 0 {
-		alpha = DefaultHWAlpha
-	}
-	if beta == 0 {
-		beta = DefaultHWBeta
-	}
-	if gamma == 0 {
-		gamma = DefaultHWGamma
-	}
 	s := 0.0
 	si := 0
 	if h.season != nil {
@@ -218,10 +208,10 @@ func (h *HoltWinters) Observe(t, rate float64) {
 		s = h.season[si]
 	}
 	prev := h.level
-	h.level = alpha*(rate-s) + (1-alpha)*(h.level+h.trend)
-	h.trend = beta*(h.level-prev) + (1-beta)*h.trend
+	h.level = hwAlpha*(rate-s) + (1-hwAlpha)*(h.level+h.trend)
+	h.trend = hwBeta*(h.level-prev) + (1-hwBeta)*h.trend
 	if h.season != nil {
-		h.season[si] = gamma*(rate-h.level) + (1-gamma)*s
+		h.season[si] = hwGamma*(rate-h.level) + (1-hwGamma)*s
 	}
 	h.n++
 }
@@ -247,17 +237,17 @@ func (h *HoltWinters) Predict(horizon float64) float64 {
 	return math.Max(0, out)
 }
 
-// Envelope default geometry: the planning horizon matches the Resource
+// Envelope geometry: the default planning horizon matches the Resource
 // Manager's 10-second periodic interval, sampled at the per-second
 // housekeeping cadence.
 const (
-	DefaultEnvelopeHorizonSec = 10
-	DefaultEnvelopeStepSec    = 1
+	defaultEnvelopeHorizonSec = 10
+	envelopeStepSec           = 1
 )
 
 // Envelope wraps a base forecaster InferLine-style: instead of the point
 // prediction at the horizon, Predict returns the *maximum* base prediction
-// over the whole window from now to the horizon (sampled every StepSec),
+// over the whole window from now to the horizon (sampled every second),
 // inflated by the Headroom factor. Planning against the envelope provisions
 // for the worst moment of the next planning period, not just its endpoint —
 // a prediction that demand ramps up and back down within one period still
@@ -269,12 +259,9 @@ type Envelope struct {
 	// Base supplies the point predictions.
 	Base Forecaster
 	// HorizonSec is the minimum window the max is taken over (0 means
-	// DefaultEnvelopeHorizonSec). Predict extends it when asked for a longer
-	// horizon.
+	// defaultEnvelopeHorizonSec). Predict extends it when asked for a
+	// longer horizon.
 	HorizonSec float64
-	// StepSec is the sampling granularity within the window (0 means
-	// DefaultEnvelopeStepSec).
-	StepSec float64
 	// Headroom inflates the enveloped prediction by 1+Headroom, the
 	// InferLine-style provisioning margin for forecast error.
 	Headroom float64
@@ -284,23 +271,19 @@ type Envelope struct {
 func (e *Envelope) Observe(t, rate float64) { e.Base.Observe(t, rate) }
 
 // Predict returns (1+Headroom) × max of the base prediction over
-// [0, max(horizon, HorizonSec)] sampled every StepSec, always including both
+// [0, max(horizon, HorizonSec)] sampled every second, always including both
 // endpoints.
 func (e *Envelope) Predict(horizon float64) float64 {
 	window := e.HorizonSec
 	if window <= 0 {
-		window = DefaultEnvelopeHorizonSec
+		window = defaultEnvelopeHorizonSec
 	}
 	if horizon > window {
 		window = horizon
 	}
-	step := e.StepSec
-	if step <= 0 {
-		step = DefaultEnvelopeStepSec
-	}
 	m := e.Base.Predict(0)
 	for i := 1; ; i++ {
-		s := float64(i) * step
+		s := float64(i) * envelopeStepSec
 		if s > window {
 			s = window
 		}

@@ -55,38 +55,38 @@ func (e *ShedError) Error() string {
 // Unwrap ties ShedError to the ErrShed sentinel for errors.Is.
 func (e *ShedError) Unwrap() error { return ErrShed }
 
-// TokenBucket is a refill-on-demand token bucket over an external clock (the
+// tokenBucket is a refill-on-demand token bucket over an external clock (the
 // engines' scaled seconds, so admission math is identical on virtual and
 // wall time). Allow refills rate×elapsed tokens capped at the burst depth
 // and admits by consuming one.
-type TokenBucket struct {
+type tokenBucket struct {
 	rate   float64 // tokens (requests) per second
 	burst  float64 // bucket depth
 	tokens float64
 	last   float64
 }
 
-// NewTokenBucket returns a bucket that starts full (a fresh tenant may burst
+// newTokenBucket returns a bucket that starts full (a fresh tenant may burst
 // up to its depth immediately).
-func NewTokenBucket(rate, burst, now float64) *TokenBucket {
-	return &TokenBucket{rate: rate, burst: burst, tokens: burst, last: now}
+func newTokenBucket(rate, burst, now float64) *tokenBucket {
+	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: now}
 }
 
 // refill advances the bucket to now at the current rate.
-func (b *TokenBucket) refill(now float64) {
+func (b *tokenBucket) refill(now float64) {
 	if now > b.last {
 		b.tokens = math.Min(b.burst, b.tokens+(now-b.last)*b.rate)
 		b.last = now
 	}
 }
 
-// SetRate retargets the bucket. The elapsed interval is refilled at the old
+// setRate retargets the bucket. The elapsed interval is refilled at the old
 // rate first; a deeper bucket is topped up by the depth increase (a freshly
 // granted tenant may burst immediately), a shallower one is clipped (a
 // shrinking grant takes effect immediately). A refresh to the same rate and
 // depth — the steady state, since grants are re-published every adaptation
 // round — changes nothing.
-func (b *TokenBucket) SetRate(rate, burst, now float64) {
+func (b *tokenBucket) setRate(rate, burst, now float64) {
 	b.refill(now)
 	if burst > b.burst {
 		b.tokens += burst - b.burst
@@ -98,9 +98,9 @@ func (b *TokenBucket) SetRate(rate, burst, now float64) {
 	}
 }
 
-// Allow consumes one token if available. On refusal it returns the time
+// allow consumes one token if available. On refusal it returns the time
 // until the next token refills (infinite while the rate is zero).
-func (b *TokenBucket) Allow(now float64) (ok bool, waitSec float64) {
+func (b *tokenBucket) allow(now float64) (ok bool, waitSec float64) {
 	b.refill(now)
 	if b.tokens >= 1 {
 		b.tokens--
@@ -110,13 +110,6 @@ func (b *TokenBucket) Allow(now float64) (ok bool, waitSec float64) {
 		return false, math.Inf(1)
 	}
 	return false, (1 - b.tokens) / b.rate
-}
-
-// Tokens reports the level the bucket would hold at now (for tests and
-// introspection; nothing is consumed).
-func (b *TokenBucket) Tokens(now float64) float64 {
-	b.refill(now)
-	return b.tokens
 }
 
 // rateWindowSec is the trailing window the admitted/shed QPS gauges average
@@ -163,11 +156,9 @@ type rateSlot struct {
 type Admission struct {
 	mu          sync.Mutex
 	cfg         Config
-	tb          *TokenBucket
+	tb          *tokenBucket
 	rate        float64
 	maxInFlight int64
-	admitted    int64
-	shed        int64
 	slots       [rateWindowSec + 1]rateSlot
 }
 
@@ -177,7 +168,7 @@ type Admission struct {
 // empty).
 func NewAdmission(cfg Config) *Admission {
 	cfg.defaults()
-	return &Admission{cfg: cfg, tb: NewTokenBucket(0, 0, 0)}
+	return &Admission{cfg: cfg, tb: newTokenBucket(0, 0, 0)}
 }
 
 // SetRate retargets the controller to a new granted rate (requests per
@@ -197,7 +188,7 @@ func (a *Admission) SetRate(now, qps float64) {
 	}
 	a.rate = qps
 	burst := math.Max(qps*burstSec, 1)
-	a.tb.SetRate(qps, burst, now)
+	a.tb.setRate(qps, burst, now)
 	a.maxInFlight = int64(math.Ceil(qps * a.cfg.SLOSec))
 	if a.maxInFlight < 1 {
 		a.maxInFlight = 1
@@ -225,7 +216,7 @@ func (a *Admission) Admit(now float64, inFlight int64) (ok bool, retryAfterSec f
 		a.record(now, false)
 		return false, math.Max(a.cfg.SLOSec/2, 0.001)
 	}
-	ok, wait := a.tb.Allow(now)
+	ok, wait := a.tb.allow(now)
 	a.record(now, ok)
 	if ok {
 		return true, 0
@@ -236,7 +227,7 @@ func (a *Admission) Admit(now float64, inFlight int64) (ok bool, retryAfterSec f
 	return false, math.Max(wait, 0.001)
 }
 
-// record updates the totals and the trailing per-second gauge window.
+// record updates the trailing per-second gauge window.
 // Callers hold a.mu.
 func (a *Admission) record(now float64, admitted bool) {
 	sec := int64(now)
@@ -248,19 +239,10 @@ func (a *Admission) record(now float64, admitted bool) {
 		*s = rateSlot{sec: sec}
 	}
 	if admitted {
-		a.admitted++
 		s.admitted++
 	} else {
-		a.shed++
 		s.shed++
 	}
-}
-
-// Totals returns the cumulative admitted and shed counts.
-func (a *Admission) Totals() (admitted, shed int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.admitted, a.shed
 }
 
 // Rates returns the admitted and shed request rates averaged over the

@@ -8,14 +8,20 @@ import (
 	"loki/internal/core"
 )
 
+// tokensAt is the level the bucket holds at now, refilled but not consumed.
+func tokensAt(b *tokenBucket, now float64) float64 {
+	b.refill(now)
+	return b.tokens
+}
+
 func TestTokenBucketRefillMath(t *testing.T) {
-	b := NewTokenBucket(10, 5, 0) // 10 tokens/s, depth 5, starts full
+	b := newTokenBucket(10, 5, 0) // 10 tokens/s, depth 5, starts full
 	for i := 0; i < 5; i++ {
-		if ok, _ := b.Allow(0); !ok {
+		if ok, _ := b.allow(0); !ok {
 			t.Fatalf("token %d of the initial burst refused", i)
 		}
 	}
-	ok, wait := b.Allow(0)
+	ok, wait := b.allow(0)
 	if ok {
 		t.Fatal("6th token admitted from a depth-5 bucket")
 	}
@@ -23,15 +29,15 @@ func TestTokenBucketRefillMath(t *testing.T) {
 		t.Fatalf("empty bucket at 10 qps should refill a token in 0.1s, got %g", wait)
 	}
 	// 0.35s refills 3.5 tokens: three admits, then a refusal 0.05s short.
-	if got := b.Tokens(0.35); math.Abs(got-3.5) > 1e-9 {
+	if got := tokensAt(b, 0.35); math.Abs(got-3.5) > 1e-9 {
 		t.Fatalf("tokens at t=0.35 = %g, want 3.5", got)
 	}
 	for i := 0; i < 3; i++ {
-		if ok, _ := b.Allow(0.35); !ok {
+		if ok, _ := b.allow(0.35); !ok {
 			t.Fatalf("refill admit %d refused", i)
 		}
 	}
-	ok, wait = b.Allow(0.35)
+	ok, wait = b.allow(0.35)
 	if ok {
 		t.Fatal("admitted with only 0.5 tokens")
 	}
@@ -41,14 +47,14 @@ func TestTokenBucketRefillMath(t *testing.T) {
 }
 
 func TestTokenBucketBurstCap(t *testing.T) {
-	b := NewTokenBucket(100, 8, 0)
+	b := newTokenBucket(100, 8, 0)
 	// A long idle period must not accumulate beyond the depth.
-	if got := b.Tokens(60); got != 8 {
+	if got := tokensAt(b, 60); got != 8 {
 		t.Fatalf("tokens after a minute idle = %g, want the burst cap 8", got)
 	}
 	n := 0
 	for {
-		ok, _ := b.Allow(60)
+		ok, _ := b.allow(60)
 		if !ok {
 			break
 		}
@@ -63,27 +69,27 @@ func TestTokenBucketBurstCap(t *testing.T) {
 }
 
 func TestTokenBucketSetRateRefillsAtOldRateFirst(t *testing.T) {
-	b := NewTokenBucket(10, 10, 0)
+	b := newTokenBucket(10, 10, 0)
 	for i := 0; i < 10; i++ {
-		b.Allow(0)
+		b.allow(0)
 	}
 	// One second at the old 10 qps refills 10 tokens; the new depth 4 clips
 	// them, and the new rate governs from here on.
-	b.SetRate(2, 4, 1)
-	if got := b.Tokens(1); got != 4 {
+	b.setRate(2, 4, 1)
+	if got := tokensAt(b, 1); got != 4 {
 		t.Fatalf("tokens after shrink = %g, want clipped to 4", got)
 	}
 	for i := 0; i < 4; i++ {
-		b.Allow(1)
+		b.allow(1)
 	}
-	if ok, wait := b.Allow(1); ok || math.Abs(wait-0.5) > 1e-9 {
+	if ok, wait := b.allow(1); ok || math.Abs(wait-0.5) > 1e-9 {
 		t.Fatalf("after shrink want refusal with 0.5s wait at 2 qps, got ok=%v wait=%g", ok, wait)
 	}
 }
 
 func TestTokenBucketZeroRate(t *testing.T) {
-	b := NewTokenBucket(0, 0, 0)
-	if ok, wait := b.Allow(5); ok || !math.IsInf(wait, 1) {
+	b := newTokenBucket(0, 0, 0)
+	if ok, wait := b.allow(5); ok || !math.IsInf(wait, 1) {
 		t.Fatalf("zero-rate bucket: ok=%v wait=%g, want refusal with infinite wait", ok, wait)
 	}
 }
@@ -113,10 +119,6 @@ func TestAdmissionRateShed(t *testing.T) {
 	}
 	if retry <= 0 || retry > 1 {
 		t.Fatalf("rate-shed Retry-After %g, want a positive sub-second refill hint", retry)
-	}
-	gotA, gotS := a.Totals()
-	if gotA != int64(admitted) || gotS != int64(shed) {
-		t.Fatalf("Totals = (%d, %d), want (%d, %d)", gotA, gotS, admitted, shed)
 	}
 }
 

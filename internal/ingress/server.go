@@ -9,7 +9,6 @@ import (
 	"log"
 	"math"
 	"net/http"
-	"sync/atomic"
 )
 
 // maxBodyBytes bounds an infer request's JSON body; the serving engines carry
@@ -50,10 +49,9 @@ type ServerConfig struct {
 //	GET  /metrics                 Prometheus text exposition (when wired)
 //	GET  /healthz                 200 while serving, 503 while draining
 type Server struct {
-	cfg    ServerConfig
-	known  map[string]bool
-	mux    *http.ServeMux
-	panics atomic.Int64
+	cfg   ServerConfig
+	known map[string]bool
+	mux   *http.ServeMux
 }
 
 // NewServer builds the front door over the given system hooks.
@@ -71,13 +69,10 @@ func NewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// Panics returns how many handler panics the recovery middleware has caught.
-func (s *Server) Panics() int64 { return s.panics.Load() }
-
 // recovered wraps a handler so a panic in the serving hooks (Submit and
 // Snapshot run arbitrary system code) downgrades to a 500 on that one
-// request instead of killing the whole front door: the panic is counted,
-// logged, and the connection closed, but the listener keeps serving.
+// request instead of killing the whole front door: the panic is logged and
+// the connection closed, but the listener keeps serving.
 func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -85,7 +80,6 @@ func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
 			if rec == nil {
 				return
 			}
-			s.panics.Add(1)
 			log.Printf("ingress: panic serving %s %s: %v", r.Method, r.URL.Path, rec)
 			// Best effort: if the handler already wrote a status line this
 			// write is a no-op error, and the closed connection signals the

@@ -113,19 +113,19 @@ func (p *Problem) Clone() *Problem {
 	return q
 }
 
-// Status reports the outcome of a solve.
-type Status int8
+// status reports the outcome of a solve.
+type status int8
 
 // Solve outcomes.
 const (
-	Optimal    Status = iota // an optimal basic feasible solution was found
+	Optimal    status = iota // an optimal basic feasible solution was found
 	Infeasible               // the constraints admit no solution
 	Unbounded                // the objective is unbounded over the feasible set
 	IterLimit                // the iteration budget was exhausted
 )
 
 // String names the status.
-func (s Status) String() string {
+func (s status) String() string {
 	switch s {
 	case Optimal:
 		return "optimal"
@@ -142,7 +142,7 @@ func (s Status) String() string {
 
 // Solution is the result of a solve.
 type Solution struct {
-	Status    Status
+	Status    status
 	X         []float64 // primal values, len NumVars (valid when Status == Optimal)
 	Objective float64   // objective value in the problem's own direction
 	Iters     int       // simplex pivots performed across both phases
@@ -162,22 +162,22 @@ type Options struct {
 // tol is the solver's feasibility and optimality tolerance.
 const tol = 1e-9
 
-// ErrBadProblem reports a structurally invalid problem (e.g. a term indexing
+// errBadProblem reports a structurally invalid problem (e.g. a term indexing
 // a variable outside [0, NumVars)).
-var ErrBadProblem = errors.New("lp: malformed problem")
+var errBadProblem = errors.New("lp: malformed problem")
 
 // Solve solves the problem with default options.
 func Solve(p *Problem) (*Solution, error) {
-	return SolveWithOptions(p, Options{})
+	return solveWithOptions(p, Options{})
 }
 
-// SolveWithOptions solves the problem.
-func SolveWithOptions(p *Problem, opt Options) (*Solution, error) {
+// solveWithOptions solves the problem.
+func solveWithOptions(p *Problem, opt Options) (*Solution, error) {
 	return SolveWS(p, opt, nil)
 }
 
 // SolveWS solves the problem using the given Workspace for the solver's
-// working state. It runs the exact same pivot sequence as SolveWithOptions —
+// working state. It runs the exact same pivot sequence as solveWithOptions —
 // the workspace only recycles buffers — so results are bit-identical. When
 // ws is non-nil the returned Solution's X slice is owned by the workspace
 // and is only valid until the next solve through it; callers that keep the
@@ -233,22 +233,22 @@ func SolveWS(p *Problem, opt Options, ws *Workspace) (*Solution, error) {
 
 func validate(p *Problem) error {
 	if p.NumVars < 0 {
-		return fmt.Errorf("%w: negative NumVars", ErrBadProblem)
+		return fmt.Errorf("%w: negative NumVars", errBadProblem)
 	}
 	if p.Obj != nil && len(p.Obj) != p.NumVars {
-		return fmt.Errorf("%w: objective has %d coefficients for %d variables", ErrBadProblem, len(p.Obj), p.NumVars)
+		return fmt.Errorf("%w: objective has %d coefficients for %d variables", errBadProblem, len(p.Obj), p.NumVars)
 	}
 	for i, c := range p.Cons {
 		for _, t := range c.Terms {
 			if t.Var < 0 || t.Var >= p.NumVars {
-				return fmt.Errorf("%w: constraint %d references variable %d (have %d)", ErrBadProblem, i, t.Var, p.NumVars)
+				return fmt.Errorf("%w: constraint %d references variable %d (have %d)", errBadProblem, i, t.Var, p.NumVars)
 			}
 			if math.IsNaN(t.Coef) || math.IsInf(t.Coef, 0) {
-				return fmt.Errorf("%w: constraint %d has non-finite coefficient", ErrBadProblem, i)
+				return fmt.Errorf("%w: constraint %d has non-finite coefficient", errBadProblem, i)
 			}
 		}
 		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
-			return fmt.Errorf("%w: constraint %d has non-finite RHS", ErrBadProblem, i)
+			return fmt.Errorf("%w: constraint %d has non-finite RHS", errBadProblem, i)
 		}
 	}
 	return nil

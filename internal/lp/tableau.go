@@ -23,7 +23,6 @@ import "math"
 type tableau struct {
 	tableauBufs
 	m, n    int // constraint rows, structural variables
-	nslack  int
 	nart    int
 	ncols   int
 	objShif float64
@@ -131,7 +130,6 @@ func newTableau(p *Problem, ws *Workspace) *tableau {
 		tableauBufs: t.tableauBufs,
 		m:           m,
 		n:           n,
-		nslack:      nslack,
 		nart:        nart,
 		ncols:       n + nslack + nart,
 		artStart:    n + nslack,

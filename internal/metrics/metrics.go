@@ -16,8 +16,8 @@ import (
 // All methods are safe for concurrent use, so live readers (System.Report
 // on the wall-clock engine) may summarize while the engine records.
 type Collector struct {
-	BucketSec float64
-	Servers   int // cluster size, for utilization
+	bucketSec float64
+	servers   int // cluster size, for utilization
 
 	mu      sync.Mutex
 	buckets []bucket
@@ -31,17 +31,17 @@ type Collector struct {
 	classN     int
 	costHours  float64 // accrued dollars (cost/hour × hours)
 
-	// latHist counts answered requests per latency bucket (LatencyBounds
+	// latHist counts answered requests per latency bucket (latencyBounds
 	// upper bounds plus a +Inf overflow bucket), feeding the summary's
 	// latency quantiles.
 	latHist []int64
 }
 
-// LatencyBounds are the upper bounds (seconds) of the response-time
+// latencyBounds are the upper bounds (seconds) of the response-time
 // histogram every collector records in Completed; the histogram has one
 // extra +Inf bucket past the last bound. Fixed bounds keep per-tenant
 // histograms mergeable elementwise (see Merge).
-var LatencyBounds = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+var latencyBounds = []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 type bucket struct {
 	arrivals    int
@@ -63,11 +63,11 @@ type bucket struct {
 
 // NewCollector creates a collector with the given bucket width.
 func NewCollector(bucketSec float64, servers int) *Collector {
-	return &Collector{BucketSec: bucketSec, Servers: servers}
+	return &Collector{bucketSec: bucketSec, servers: servers}
 }
 
 func (c *Collector) at(t float64) *bucket {
-	i := int(t / c.BucketSec)
+	i := int(t / c.bucketSec)
 	if i < 0 {
 		i = 0
 	}
@@ -126,10 +126,10 @@ func (c *Collector) Completed(t float64, late bool, latency, accuracy float64) {
 		b.latencyMax = latency
 	}
 	if c.latHist == nil {
-		c.latHist = make([]int64, len(LatencyBounds)+1)
+		c.latHist = make([]int64, len(latencyBounds)+1)
 	}
 	i := 0
-	for i < len(LatencyBounds) && latency > LatencyBounds[i] {
+	for i < len(latencyBounds) && latency > latencyBounds[i] {
 		i++
 	}
 	c.latHist[i]++
@@ -225,12 +225,12 @@ func (c *Collector) Series() []Point {
 	defer c.mu.Unlock()
 	out := make([]Point, len(c.buckets))
 	for i, b := range c.buckets {
-		p := Point{TimeSec: float64(i) * c.BucketSec, Arrivals: b.arrivals, Shed: b.shed, Violations: b.violByArr}
+		p := Point{TimeSec: float64(i) * c.bucketSec, Arrivals: b.arrivals, Shed: b.shed, Violations: b.violByArr}
 		if b.demandN > 0 {
 			p.DemandQPS = b.demandSum / float64(b.demandN)
 		}
-		p.ServedQPS = float64(b.completed+b.late) / c.BucketSec
-		p.GoodputQPS = float64(b.completed) / c.BucketSec
+		p.ServedQPS = float64(b.completed+b.late) / c.bucketSec
+		p.GoodputQPS = float64(b.completed) / c.bucketSec
 		if b.accuracyN > 0 {
 			p.Accuracy = b.accuracySum / float64(b.accuracyN)
 		}
@@ -239,8 +239,8 @@ func (c *Collector) Series() []Point {
 		}
 		if b.serversN > 0 {
 			p.Servers = b.serversSum / float64(b.serversN)
-			if c.Servers > 0 {
-				p.Utilization = p.Servers / float64(c.Servers)
+			if c.servers > 0 {
+				p.Utilization = p.Servers / float64(c.servers)
 			}
 		}
 		out[i] = p
@@ -260,11 +260,11 @@ type Summary struct {
 	MeanAccuracy   float64 // over answered requests
 	MinAccuracy    float64 // lowest bucket mean (the "max accuracy drop" metric)
 	MeanLatency    float64 // over answered requests (seconds)
-	MaxLatency     float64
+	maxLatency     float64
 	MeanServers    float64
 	MinServers     float64
 	MaxServers     float64
-	MeanUtiliz     float64
+	meanUtiliz     float64
 
 	// Hardware-class accounting (nil/zero unless the collector's SetClasses
 	// armed it): mean active servers per class, the class names, and the
@@ -273,16 +273,16 @@ type Summary struct {
 	MeanServersByClass []float64
 	CostHours          float64
 
-	// LatencyHistogram counts answered requests per LatencyBounds bucket
+	// latencyHistogram counts answered requests per latencyBounds bucket
 	// (plus the final +Inf bucket); LatencyP50 and LatencyP99 are response
 	// -time quantiles interpolated from it (seconds). Nil/zero before the
 	// first answer.
-	LatencyHistogram []int64
+	latencyHistogram []int64
 	LatencyP50       float64
 	LatencyP99       float64
 }
 
-// histogramQuantile interpolates the q-quantile from a LatencyBounds-shaped
+// histogramQuantile interpolates the q-quantile from a latencyBounds-shaped
 // bucket histogram, Prometheus histogram_quantile style: the target rank is
 // located in its bucket and placed linearly between the bucket's bounds. A
 // rank landing in the +Inf bucket reports the last finite bound.
@@ -299,14 +299,14 @@ func histogramQuantile(hist []int64, q float64) float64 {
 	for i, n := range hist {
 		cum += n
 		if float64(cum) >= rank {
-			if i >= len(LatencyBounds) {
-				return LatencyBounds[len(LatencyBounds)-1]
+			if i >= len(latencyBounds) {
+				return latencyBounds[len(latencyBounds)-1]
 			}
 			lo := 0.0
 			if i > 0 {
-				lo = LatencyBounds[i-1]
+				lo = latencyBounds[i-1]
 			}
-			hi := LatencyBounds[i]
+			hi := latencyBounds[i]
 			if n == 0 {
 				return hi
 			}
@@ -314,7 +314,7 @@ func histogramQuantile(hist []int64, q float64) float64 {
 			return lo + (hi-lo)*frac
 		}
 	}
-	return LatencyBounds[len(LatencyBounds)-1]
+	return latencyBounds[len(latencyBounds)-1]
 }
 
 // Summarize aggregates the whole run.
@@ -338,8 +338,8 @@ func (c *Collector) Summarize() Summary {
 		accSum += b.accuracySum
 		accN += b.accuracyN
 		latSum += b.latencySum
-		if b.latencyMax > s.MaxLatency {
-			s.MaxLatency = b.latencyMax
+		if b.latencyMax > s.maxLatency {
+			s.maxLatency = b.latencyMax
 		}
 		if b.accuracyN > 0 {
 			if m := b.accuracySum / float64(b.accuracyN); m < s.MinAccuracy {
@@ -369,8 +369,8 @@ func (c *Collector) Summarize() Summary {
 	}
 	if srvN > 0 {
 		s.MeanServers = srvSum / float64(srvN)
-		if c.Servers > 0 {
-			s.MeanUtiliz = s.MeanServers / float64(c.Servers)
+		if c.servers > 0 {
+			s.meanUtiliz = s.MeanServers / float64(c.servers)
 		}
 	}
 	if math.IsInf(s.MinAccuracy, 1) {
@@ -388,7 +388,7 @@ func (c *Collector) Summarize() Summary {
 		s.CostHours = c.costHours
 	}
 	if c.latHist != nil {
-		s.LatencyHistogram = append([]int64(nil), c.latHist...)
+		s.latencyHistogram = append([]int64(nil), c.latHist...)
 		s.LatencyP50 = histogramQuantile(c.latHist, 0.50)
 		s.LatencyP99 = histogramQuantile(c.latHist, 0.99)
 	}
@@ -401,7 +401,7 @@ func (c *Collector) Summarize() Summary {
 // requests; the server columns add across summaries (tenants partition one
 // pool, so the sum is the pool's activity — Min/Max sums are bounds, not
 // exact joint extrema, since the per-tenant extremes need not coincide in
-// time). MeanUtiliz is left zero: the per-tenant utilizations already share
+// time). meanUtiliz is left zero: the per-tenant utilizations already share
 // the pool denominator, so an aggregate would double-count.
 func Merge(sums ...Summary) Summary {
 	var out Summary
@@ -418,8 +418,8 @@ func Merge(sums ...Summary) Summary {
 		accSum += s.MeanAccuracy * float64(n)
 		latSum += s.MeanLatency * float64(n)
 		answered += n
-		if s.MaxLatency > out.MaxLatency {
-			out.MaxLatency = s.MaxLatency
+		if s.maxLatency > out.maxLatency {
+			out.maxLatency = s.maxLatency
 		}
 		out.MeanServers += s.MeanServers
 		out.MinServers += s.MinServers
@@ -438,23 +438,23 @@ func Merge(sums ...Summary) Summary {
 				}
 			}
 		}
-		// Latency histograms share the fixed LatencyBounds layout, so they
+		// Latency histograms share the fixed latencyBounds layout, so they
 		// merge by elementwise sum; the quantiles are recomputed below from
 		// the pooled population.
-		if len(s.LatencyHistogram) > 0 {
-			if out.LatencyHistogram == nil {
-				out.LatencyHistogram = make([]int64, len(s.LatencyHistogram))
+		if len(s.latencyHistogram) > 0 {
+			if out.latencyHistogram == nil {
+				out.latencyHistogram = make([]int64, len(s.latencyHistogram))
 			}
-			if len(s.LatencyHistogram) == len(out.LatencyHistogram) {
-				for i, v := range s.LatencyHistogram {
-					out.LatencyHistogram[i] += v
+			if len(s.latencyHistogram) == len(out.latencyHistogram) {
+				for i, v := range s.latencyHistogram {
+					out.latencyHistogram[i] += v
 				}
 			}
 		}
 	}
-	if out.LatencyHistogram != nil {
-		out.LatencyP50 = histogramQuantile(out.LatencyHistogram, 0.50)
-		out.LatencyP99 = histogramQuantile(out.LatencyHistogram, 0.99)
+	if out.latencyHistogram != nil {
+		out.LatencyP50 = histogramQuantile(out.latencyHistogram, 0.50)
+		out.LatencyP99 = histogramQuantile(out.latencyHistogram, 0.99)
 	}
 	if out.Arrivals > 0 {
 		out.ViolationRatio = float64(out.Late+out.Dropped) / float64(out.Arrivals)
@@ -473,12 +473,6 @@ func Merge(sums ...Summary) Summary {
 		out.MinAccuracy = minAcc
 	}
 	return out
-}
-
-// String renders the summary in one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("arrivals=%d completed=%d late=%d dropped=%d viol=%.4f acc=%.4f servers=%.1f util=%.2f",
-		s.Arrivals, s.Completed, s.Late, s.Dropped, s.ViolationRatio, s.MeanAccuracy, s.MeanServers, s.MeanUtiliz)
 }
 
 // FormatSeries renders series points as an aligned table, one row per

@@ -86,8 +86,8 @@ func TestUtilizationFromServerSamples(t *testing.T) {
 	c.SampleServers(1, 10)
 	c.SampleServers(2, 10)
 	s := c.Summarize()
-	if math.Abs(s.MeanUtiliz-0.5) > 1e-12 {
-		t.Fatalf("utilization = %g, want 0.5", s.MeanUtiliz)
+	if math.Abs(s.meanUtiliz-0.5) > 1e-12 {
+		t.Fatalf("utilization = %g, want 0.5", s.meanUtiliz)
 	}
 }
 
@@ -182,13 +182,13 @@ func TestMergeSummaries(t *testing.T) {
 	a := Summary{
 		Arrivals: 100, Completed: 80, Late: 10, Dropped: 10,
 		ViolationRatio: 0.2, MeanAccuracy: 0.9, MinAccuracy: 0.85,
-		MeanLatency: 0.1, MaxLatency: 0.3,
+		MeanLatency: 0.1, maxLatency: 0.3,
 		MeanServers: 6, MinServers: 4, MaxServers: 8,
 	}
 	b := Summary{
 		Arrivals: 300, Completed: 270, Late: 0, Dropped: 30,
 		ViolationRatio: 0.1, MeanAccuracy: 0.8, MinAccuracy: 0.7,
-		MeanLatency: 0.2, MaxLatency: 0.25,
+		MeanLatency: 0.2, maxLatency: 0.25,
 		MeanServers: 10, MinServers: 9, MaxServers: 12,
 	}
 	m := Merge(a, b)
@@ -205,7 +205,7 @@ func TestMergeSummaries(t *testing.T) {
 	if want := (90*0.1 + 270*0.2) / 360; math.Abs(m.MeanLatency-want) > 1e-12 {
 		t.Fatalf("MeanLatency = %v, want %v", m.MeanLatency, want)
 	}
-	if m.MinAccuracy != 0.7 || m.MaxLatency != 0.3 {
+	if m.MinAccuracy != 0.7 || m.maxLatency != 0.3 {
 		t.Fatalf("extrema wrong: %+v", m)
 	}
 	if m.MeanServers != 16 || m.MinServers != 13 || m.MaxServers != 20 {
@@ -264,11 +264,11 @@ func TestMergeLatencyHistogram(t *testing.T) {
 		t.Fatalf("per-tenant LatencyP50 = %g, want in (0.01, 0.025]", sa.LatencyP50)
 	}
 	m := Merge(sa, sb)
-	if len(m.LatencyHistogram) != len(LatencyBounds)+1 {
-		t.Fatalf("merged histogram has %d buckets, want %d", len(m.LatencyHistogram), len(LatencyBounds)+1)
+	if len(m.latencyHistogram) != len(latencyBounds)+1 {
+		t.Fatalf("merged histogram has %d buckets, want %d", len(m.latencyHistogram), len(latencyBounds)+1)
 	}
 	var total int64
-	for _, n := range m.LatencyHistogram {
+	for _, n := range m.latencyHistogram {
 		total += n
 	}
 	if total != 100 {

@@ -20,7 +20,6 @@
 package milp
 
 import (
-	"container/heap"
 	"errors"
 	"math"
 	"time"
@@ -40,41 +39,23 @@ type Problem struct {
 	Root *lp.Solution
 }
 
-// Status reports the outcome of a solve.
-type Status int8
+// status reports the outcome of a solve.
+type status int8
 
 // Solve outcomes.
 const (
 	// Optimal means the incumbent is proven optimal.
-	Optimal Status = iota
+	Optimal status = iota
 	// Feasible means an integer-feasible incumbent was found but a limit
 	// (time or nodes) stopped the proof of optimality.
 	Feasible
 	// Infeasible means no integer-feasible point exists.
 	Infeasible
-	// Unbounded means the LP relaxation is unbounded.
-	Unbounded
-	// NoSolution means a limit was hit before any incumbent was found.
-	NoSolution
+	// unbounded means the LP relaxation is unbounded.
+	unbounded
+	// noSolution means a limit was hit before any incumbent was found.
+	noSolution
 )
-
-// String names the status.
-func (s Status) String() string {
-	switch s {
-	case Optimal:
-		return "optimal"
-	case Feasible:
-		return "feasible"
-	case Infeasible:
-		return "infeasible"
-	case Unbounded:
-		return "unbounded"
-	case NoSolution:
-		return "no-solution"
-	default:
-		return "unknown"
-	}
-}
 
 // Options tunes the branch-and-bound search.
 type Options struct {
@@ -137,12 +118,11 @@ type Options struct {
 	LPOptions lp.Options
 }
 
-// Result is the outcome of a solve.
-type Result struct {
-	Status    Status
+// result is the outcome of a solve.
+type result struct {
+	Status    status
 	X         []float64 // incumbent (valid for Optimal/Feasible)
 	Objective float64   // incumbent objective in the problem's direction
-	BestBound float64   // proven bound on the optimum
 	Nodes     int       // branch-and-bound nodes explored
 	LPIters   int       // total simplex pivots across all nodes
 	// Truncated reports that a resource limit (wall clock, node budget,
@@ -158,24 +138,8 @@ type Result struct {
 	coldBranchings int
 }
 
-// Gap returns the relative optimality gap of the result, 0 for a proven
-// optimum and +Inf when no incumbent exists.
-func (r *Result) Gap() float64 {
-	if r.Status == Optimal {
-		return 0
-	}
-	if r.X == nil {
-		return math.Inf(1)
-	}
-	denom := math.Abs(r.Objective)
-	if denom < 1e-12 {
-		denom = 1e-12
-	}
-	return math.Abs(r.BestBound-r.Objective) / denom
-}
-
-// ErrBadProblem reports a malformed problem.
-var ErrBadProblem = errors.New("milp: malformed problem")
+// errBadProblem reports a malformed problem.
+var errBadProblem = errors.New("milp: malformed problem")
 
 // node is one branch-and-bound subproblem, defined by a chain of variable
 // bound overrides hanging off the root relaxation.
@@ -192,38 +156,61 @@ type node struct {
 
 // nodeHeap is a max-heap on relaxation bound with LIFO tie-breaking so the
 // search dives for early incumbents while still expanding best-bound first.
+// push and pop sift with the comparisons container/heap makes, so nodes come
+// off in the order a container/heap queue would give them.
 type nodeHeap []*node
 
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(i, j int) bool {
+func (h nodeHeap) less(i, j int) bool {
 	if h[i].bound != h[j].bound {
 		return h[i].bound > h[j].bound
 	}
 	return h[i].order > h[j].order
 }
-func (h nodeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(*node)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return it
+
+func (h *nodeHeap) push(nd *node) {
+	*h = append(*h, nd)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
 }
 
-// Solve runs branch and bound with default options.
-func Solve(p *Problem) (*Result, error) {
-	return SolveWithOptions(p, Options{})
+func (h *nodeHeap) pop() *node {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s.less(j2, j) {
+			j = j2
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	nd := s[n]
+	s[n] = nil
+	*h = s[:n]
+	return nd
 }
 
 // SolveWithOptions runs branch and bound.
-func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
+func SolveWithOptions(p *Problem, opt Options) (*result, error) {
 	if p.LP == nil {
-		return nil, ErrBadProblem
+		return nil, errBadProblem
 	}
 	if p.Integer != nil && len(p.Integer) != p.LP.NumVars {
-		return nil, ErrBadProblem
+		return nil, errBadProblem
 	}
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
@@ -255,7 +242,7 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 	s.cons = append(make([]lp.Constraint, 0, len(p.LP.Cons)+16), p.LP.Cons...)
 	s.nodeProb = lp.Problem{NumVars: p.LP.NumVars, Maximize: p.LP.Maximize, Obj: p.LP.Obj}
 
-	res := &Result{Status: NoSolution, BestBound: math.Inf(1)}
+	res := &result{Status: noSolution}
 
 	incumbentVal := math.Inf(-1) // maximize-normalized incumbent objective
 	var incumbentX []float64
@@ -304,11 +291,11 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 		// A warm start or seed that passed the feasibility check while the
 		// relaxation is infeasible would be numerically contradictory;
 		// trust the relaxation.
-		return &Result{Status: Infeasible, Nodes: 1, LPIters: res.LPIters}, nil
+		return &result{Status: Infeasible, Nodes: 1, LPIters: res.LPIters}, nil
 	case lp.Unbounded:
-		return &Result{Status: Unbounded, Nodes: 1, LPIters: res.LPIters}, nil
+		return &result{Status: unbounded, Nodes: 1, LPIters: res.LPIters}, nil
 	case lp.IterLimit:
-		return &Result{Status: NoSolution, Nodes: 1, LPIters: res.LPIters, Truncated: true}, nil
+		return &result{Status: noSolution, Nodes: 1, LPIters: res.LPIters, Truncated: true}, nil
 	}
 	root.bound = s.sign * sol.Objective
 
@@ -400,7 +387,7 @@ func SolveWithOptions(p *Problem, opt Options) (*Result, error) {
 	push := func(nd *node) {
 		order++
 		nd.order = order
-		heap.Push(&h, nd)
+		h.push(nd)
 	}
 
 search:
@@ -408,7 +395,7 @@ search:
 		if outOfBudget() {
 			break
 		}
-		nd := heap.Pop(&h).(*node)
+		nd := h.pop()
 		if prunable(nd.bound) {
 			continue // pruned by bound, by the warm-start floor, or within the gap
 		}
@@ -428,7 +415,7 @@ search:
 		case lp.Unbounded:
 			// A child cannot be unbounded if the root was bounded, but be
 			// conservative.
-			return &Result{Status: Unbounded, Nodes: nodes, LPIters: res.LPIters}, nil
+			return &result{Status: unbounded, Nodes: nodes, LPIters: res.LPIters}, nil
 		case lp.IterLimit:
 			// The subtree is dropped unexplored: a resource limit, not a proof.
 			provenOptimal = false
@@ -552,30 +539,19 @@ search:
 		incumbentVal = warmVal
 	}
 
-	// Best remaining bound over open nodes.
-	best := incumbentVal
-	for _, nd := range h {
-		if nd.bound > best {
-			best = nd.bound
-		}
-	}
-
 	res.Nodes = nodes
 	if incumbentX == nil {
 		if len(h) == 0 && provenOptimal {
 			res.Status = Infeasible
 		} else {
-			res.Status = NoSolution
+			res.Status = noSolution
 		}
-		res.BestBound = s.sign * best
 		return res, nil
 	}
 	res.X = incumbentX
 	res.Objective = s.sign * incumbentVal
-	res.BestBound = s.sign * best
 	if len(h) == 0 && provenOptimal {
 		res.Status = Optimal
-		res.BestBound = res.Objective
 	} else {
 		res.Status = Feasible
 	}

@@ -36,7 +36,7 @@ func TestWarmStartPreservesProvenResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 30; trial++ {
 		p := hardKnapsack(rng, 10+rng.Intn(6))
-		cold, err := Solve(p)
+		cold, err := SolveWithOptions(p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestWarmStartPreservesProvenResults(t *testing.T) {
 func TestWarmStartSurfacesOnTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := hardKnapsack(rng, 26)
-	full, err := Solve(p)
+	full, err := SolveWithOptions(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestWarmStartSurfacesOnTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bare.Status != NoSolution {
+	if bare.Status != noSolution {
 		t.Fatalf("truncated bare solve: got %v, want NoSolution", bare.Status)
 	}
 }
@@ -144,7 +144,7 @@ func TestStallCutoffStopsPlateauedSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	p := hardKnapsack(rng, 24)
 
-	full, err := Solve(p)
+	full, err := SolveWithOptions(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,21 +181,21 @@ func TestStallCutoffStopsPlateauedSearch(t *testing.T) {
 func BenchmarkMILPSolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(12))
 	p := hardKnapsack(rng, 18)
-	full, err := Solve(p)
+	full, err := SolveWithOptions(p, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	// pivots/node and nodes/solve are counts, not timings: the instance is
 	// proof-terminated, so they repeat exactly from run to run.
-	effort := func(b *testing.B, r *Result) {
+	effort := func(b *testing.B, r *result) {
 		b.ReportMetric(float64(r.LPIters)/float64(r.Nodes), "pivots/node")
 		b.ReportMetric(float64(r.Nodes), "nodes/solve")
 	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
-		var r *Result
+		var r *result
 		for i := 0; i < b.N; i++ {
-			if r, err = Solve(p); err != nil {
+			if r, err = SolveWithOptions(p, Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -204,7 +204,7 @@ func BenchmarkMILPSolve(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		opts := Options{WarmStarts: [][]float64{full.X}}
 		b.ReportAllocs()
-		var r *Result
+		var r *result
 		for i := 0; i < b.N; i++ {
 			if r, err = SolveWithOptions(p, opts); err != nil {
 				b.Fatal(err)

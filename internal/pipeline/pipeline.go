@@ -8,7 +8,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // TaskID identifies a task within a Graph (its index in Graph.Tasks).
@@ -42,16 +41,6 @@ type Variant struct {
 // Latency returns the batch processing latency in seconds for batch size b.
 func (v *Variant) Latency(b int) float64 {
 	return v.Alpha + v.Beta*float64(b)
-}
-
-// Throughput returns the steady-state queries/second one replica sustains at
-// batch size b.
-func (v *Variant) Throughput(b int) float64 {
-	l := v.Latency(b)
-	if l <= 0 {
-		return math.Inf(1)
-	}
-	return float64(b) / l
 }
 
 // Child is a directed edge from a task to one of its children.
@@ -102,53 +91,53 @@ type Graph struct {
 
 // Errors returned by Validate.
 var (
-	ErrEmpty     = errors.New("pipeline: graph has no tasks")
-	ErrNotATree  = errors.New("pipeline: graph is not a rooted tree")
-	ErrBadDef    = errors.New("pipeline: malformed definition")
-	ErrNoVariant = errors.New("pipeline: task has no variants")
+	errEmpty     = errors.New("pipeline: graph has no tasks")
+	errNotATree  = errors.New("pipeline: graph is not a rooted tree")
+	errBadDef    = errors.New("pipeline: malformed definition")
+	errNoVariant = errors.New("pipeline: task has no variants")
 )
 
 // Validate checks that the graph is a well-formed rooted tree with sane
 // variant profiles.
 func (g *Graph) Validate() error {
 	if len(g.Tasks) == 0 {
-		return ErrEmpty
+		return errEmpty
 	}
 	indeg := make([]int, len(g.Tasks))
 	for i, t := range g.Tasks {
 		if t.ID != TaskID(i) {
-			return fmt.Errorf("%w: task %d has ID %d", ErrBadDef, i, t.ID)
+			return fmt.Errorf("%w: task %d has ID %d", errBadDef, i, t.ID)
 		}
 		if len(t.Variants) == 0 {
-			return fmt.Errorf("%w: task %q", ErrNoVariant, t.Name)
+			return fmt.Errorf("%w: task %q", errNoVariant, t.Name)
 		}
 		for _, v := range t.Variants {
 			if v.Accuracy <= 0 || v.Accuracy > 1+1e-9 {
-				return fmt.Errorf("%w: variant %q accuracy %g outside (0,1]", ErrBadDef, v.Name, v.Accuracy)
+				return fmt.Errorf("%w: variant %q accuracy %g outside (0,1]", errBadDef, v.Name, v.Accuracy)
 			}
 			if v.Alpha < 0 || v.Beta <= 0 {
-				return fmt.Errorf("%w: variant %q latency profile (α=%g, β=%g)", ErrBadDef, v.Name, v.Alpha, v.Beta)
+				return fmt.Errorf("%w: variant %q latency profile (α=%g, β=%g)", errBadDef, v.Name, v.Alpha, v.Beta)
 			}
 			if v.MultFactor < 0 {
-				return fmt.Errorf("%w: variant %q negative multiplicative factor", ErrBadDef, v.Name)
+				return fmt.Errorf("%w: variant %q negative multiplicative factor", errBadDef, v.Name)
 			}
 		}
 		for _, c := range t.Children {
 			if c.Task <= 0 || int(c.Task) >= len(g.Tasks) {
-				return fmt.Errorf("%w: task %q has child %d", ErrBadDef, t.Name, c.Task)
+				return fmt.Errorf("%w: task %q has child %d", errBadDef, t.Name, c.Task)
 			}
 			if c.BranchRatio <= 0 || c.BranchRatio > 1+1e-9 {
-				return fmt.Errorf("%w: edge %q→%d branch ratio %g outside (0,1]", ErrBadDef, t.Name, c.Task, c.BranchRatio)
+				return fmt.Errorf("%w: edge %q→%d branch ratio %g outside (0,1]", errBadDef, t.Name, c.Task, c.BranchRatio)
 			}
 			indeg[c.Task]++
 		}
 	}
 	if indeg[0] != 0 {
-		return fmt.Errorf("%w: root has incoming edges", ErrNotATree)
+		return fmt.Errorf("%w: root has incoming edges", errNotATree)
 	}
 	for i := 1; i < len(g.Tasks); i++ {
 		if indeg[i] != 1 {
-			return fmt.Errorf("%w: task %q has in-degree %d", ErrNotATree, g.Tasks[i].Name, indeg[i])
+			return fmt.Errorf("%w: task %q has in-degree %d", errNotATree, g.Tasks[i].Name, indeg[i])
 		}
 	}
 	// Reachability from the root guarantees connectedness (with the
@@ -168,11 +157,11 @@ func (g *Graph) Validate() error {
 		return true
 	}
 	if !walk(0) {
-		return fmt.Errorf("%w: cycle reachable from root", ErrNotATree)
+		return fmt.Errorf("%w: cycle reachable from root", errNotATree)
 	}
 	for i, s := range seen {
 		if !s {
-			return fmt.Errorf("%w: task %q unreachable from root", ErrNotATree, g.Tasks[i].Name)
+			return fmt.Errorf("%w: task %q unreachable from root", errNotATree, g.Tasks[i].Name)
 		}
 	}
 	return nil
@@ -252,65 +241,6 @@ func (g *Graph) TaskPaths() []TaskPath {
 	return out
 }
 
-// VariantPath is a root-to-sink path through the augmented graph (§4.1):
-// a task path with a concrete variant chosen at every hop.
-type VariantPath struct {
-	TaskPath
-	Variants []int // Variants[i] indexes Tasks[i]'s variant list
-}
-
-// Accuracy returns the end-to-end accuracy Â(p) of the path: the product of
-// the normalized accuracies of its variants. It is monotone in every
-// single-model accuracy, the property §5.1 relies on.
-func (g *Graph) Accuracy(p VariantPath) float64 {
-	acc := 1.0
-	for i, t := range p.Tasks {
-		acc *= g.Tasks[t].Variants[p.Variants[i]].Accuracy
-	}
-	return acc
-}
-
-// Multiplier returns m(p, hop): the expected number of requests reaching
-// hop h of the path per request entering the pipeline — the product of the
-// multiplicative factors of the variants before h and the branch ratios up
-// to and including h (Eq. 1 of the paper).
-func (g *Graph) Multiplier(p VariantPath, hop int) float64 {
-	m := 1.0
-	for i := 0; i <= hop; i++ {
-		m *= p.BranchRatios[i]
-		if i < hop {
-			v := g.Tasks[p.Tasks[i]].Variants[p.Variants[i]]
-			m *= v.MultFactor
-		}
-	}
-	return m
-}
-
-// VariantPaths enumerates every root-to-sink path of the augmented graph:
-// the Cartesian product of variant choices along every task path.
-func (g *Graph) VariantPaths() []VariantPath {
-	var out []VariantPath
-	for _, tp := range g.TaskPaths() {
-		choice := make([]int, len(tp.Tasks))
-		var rec func(i int)
-		rec = func(i int) {
-			if i == len(tp.Tasks) {
-				out = append(out, VariantPath{
-					TaskPath: tp,
-					Variants: append([]int(nil), choice...),
-				})
-				return
-			}
-			for k := range g.Tasks[tp.Tasks[i]].Variants {
-				choice[i] = k
-				rec(i + 1)
-			}
-		}
-		rec(0)
-	}
-	return out
-}
-
 // MaxAccuracy returns the end-to-end pipeline accuracy when every task uses
 // its most accurate variant, averaged over all root-to-sink paths (the
 // paper's definition of pipeline accuracy in §2.1).
@@ -327,12 +257,3 @@ func (g *Graph) MaxAccuracy() float64 {
 	}
 	return sum / float64(len(paths))
 }
-
-// VariantRef names one variant of one task.
-type VariantRef struct {
-	Task    TaskID
-	Variant int
-}
-
-// String renders the reference using graph naming.
-func (r VariantRef) String() string { return fmt.Sprintf("t%d/v%d", r.Task, r.Variant) }

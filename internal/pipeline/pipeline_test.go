@@ -104,7 +104,7 @@ func TestVariantThroughputMonotoneInBatch(t *testing.T) {
 	v := Variant{Alpha: 0.01, Beta: 0.002}
 	prev := 0.0
 	for _, b := range []int{1, 2, 4, 8, 16, 32} {
-		q := v.Throughput(b)
+		q := float64(b) / v.Latency(b)
 		if q <= prev {
 			t.Fatalf("throughput not increasing at batch %d: %g <= %g", b, q, prev)
 		}
@@ -167,41 +167,6 @@ func TestTaskPathsWithInteriorOutput(t *testing.T) {
 	}
 	if len(paths[0].Tasks) != 1 || len(paths[1].Tasks) != 2 {
 		t.Fatalf("unexpected path lengths %+v", paths)
-	}
-}
-
-func TestVariantPathCount(t *testing.T) {
-	g := twoSinkTree()
-	// det(2) × car(2) + det(2) × face(1) = 6 paths.
-	if n := len(g.VariantPaths()); n != 6 {
-		t.Fatalf("got %d variant paths, want 6", n)
-	}
-}
-
-func TestAccuracyIsProductAlongPath(t *testing.T) {
-	g := twoSinkTree()
-	vp := VariantPath{
-		TaskPath: TaskPath{Tasks: []TaskID{0, 1}, BranchRatios: []float64{1, 0.7}},
-		Variants: []int{0, 0},
-	}
-	if got, want := g.Accuracy(vp), 0.8*0.9; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("accuracy = %g, want %g", got, want)
-	}
-}
-
-func TestMultiplierAppliesFactorsAndRatios(t *testing.T) {
-	g := twoSinkTree()
-	vp := VariantPath{
-		TaskPath: TaskPath{Tasks: []TaskID{0, 1}, BranchRatios: []float64{1, 0.7}},
-		Variants: []int{1, 0}, // det variant d1 has mult 2.5
-	}
-	// Hop 0 (root): branch ratio 1 → m = 1.
-	if got := g.Multiplier(vp, 0); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("m(root) = %g, want 1", got)
-	}
-	// Hop 1: 2.5 objects/frame × 0.7 cars → 1.75 requests per query.
-	if got, want := g.Multiplier(vp, 1), 2.5*0.7; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("m(hop1) = %g, want %g", got, want)
 	}
 }
 
@@ -293,52 +258,6 @@ func TestRandomTreesValidateAndEnumerate(t *testing.T) {
 				if !found {
 					return false
 				}
-			}
-		}
-		// Variant-path count is the sum over task paths of the product of
-		// variant counts.
-		want := 0
-		for _, p := range paths {
-			prod := 1
-			for _, id := range p.Tasks {
-				prod *= len(g.Tasks[id].Variants)
-			}
-			want += prod
-		}
-		if got := len(g.VariantPaths()); got != want {
-			t.Logf("seed %d: %d variant paths, want %d", seed, got, want)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAccuracyMonotoneInVariantAccuracy verifies the monotonicity property
-// §5.1's optimality argument relies on: raising any single variant's
-// accuracy cannot lower any path accuracy.
-func TestAccuracyMonotoneInVariantAccuracy(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := randomTree(rng, 1+rng.Intn(5))
-		paths := g.VariantPaths()
-		if len(paths) == 0 {
-			return true
-		}
-		before := make([]float64, len(paths))
-		for i, p := range paths {
-			before[i] = g.Accuracy(p)
-		}
-		// Raise one random variant's accuracy.
-		ti := rng.Intn(len(g.Tasks))
-		vi := rng.Intn(len(g.Tasks[ti].Variants))
-		va := &g.Tasks[ti].Variants[vi]
-		va.Accuracy = math.Min(1, va.Accuracy*(1+0.3*rng.Float64()))
-		for i, p := range paths {
-			if g.Accuracy(p) < before[i]-1e-12 {
-				return false
 			}
 		}
 		return true

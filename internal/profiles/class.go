@@ -5,8 +5,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"loki/internal/pipeline"
 )
 
 // Class describes one hardware class of a heterogeneous cluster: Count
@@ -24,18 +22,6 @@ type Class struct {
 
 // DefaultClassName names the implicit single class of a homogeneous cluster.
 const DefaultClassName = "default"
-
-// Latency returns the variant's batch latency on this class: the analytic
-// curve scaled by the class speed — the per-class latency curve that
-// replaces the profiler's old single device-speed scalar. A zero Speed is
-// treated as 1.0.
-func (c Class) Latency(v *pipeline.Variant, b int) float64 {
-	speed := c.Speed
-	if speed == 0 {
-		speed = 1.0
-	}
-	return v.Latency(b) / speed
-}
 
 // DefaultClasses returns the homogeneous fleet every pre-hetero entry point
 // implies: one class named "default" holding all servers at Speed 1.0 and

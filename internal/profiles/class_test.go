@@ -7,34 +7,29 @@ import (
 )
 
 // A single speed-1.0 class reproduces the homogeneous profiler bit for bit —
-// the profile-layer half of the hardware-class parity contract — including
-// under measurement jitter (the per-variant jitter stream is re-seeded per
-// class).
+// the profile-layer half of the hardware-class parity contract.
 func TestProfileGraphClassesSpeedOneParity(t *testing.T) {
 	g := TrafficTree()
-	for _, jitter := range []float64{0, 0.02} {
-		pr := &Profiler{Seed: 9, Jitter: jitter}
-		ref := pr.ProfileGraph(g, Batches)
-		got := pr.ProfileGraphClasses(g, Batches, DefaultClasses(20))
-		if len(got) != 1 {
-			t.Fatalf("jitter %g: %d class tables, want 1", jitter, len(got))
-		}
-		if !reflect.DeepEqual(ref, got[0]) {
-			t.Fatalf("jitter %g: speed-1.0 class diverged from the homogeneous profiler", jitter)
-		}
+	pr := &Profiler{}
+	ref := pr.ProfileGraph(g, Batches)
+	got := pr.ProfileGraphClasses(g, Batches, DefaultClasses(20))
+	if len(got) != 1 {
+		t.Fatalf("%d class tables, want 1", len(got))
+	}
+	if !reflect.DeepEqual(ref, got[0]) {
+		t.Fatal("speed-1.0 class diverged from the homogeneous profiler")
 	}
 }
 
 // Per-class tables are the reference measurement scaled by the class speed:
-// latency divides, throughput multiplies, and the jitter pattern is shared.
+// latency divides, throughput multiplies.
 func TestProfileGraphClassesSpeedScaling(t *testing.T) {
 	g := TrafficChain()
 	classes := []Class{
 		{Name: "fast", Count: 2, Speed: 2.0},
 		{Name: "ref", Count: 2, Speed: 1.0},
 	}
-	pr := &Profiler{Seed: 3, Jitter: 0.01}
-	tabs := pr.ProfileGraphClasses(g, Batches, classes)
+	tabs := (&Profiler{}).ProfileGraphClasses(g, Batches, classes)
 	for i := range g.Tasks {
 		for k := range g.Tasks[i].Variants {
 			for j := range Batches {
@@ -47,16 +42,17 @@ func TestProfileGraphClassesSpeedScaling(t *testing.T) {
 	}
 }
 
-// Class.Latency is the analytic curve divided by the class speed.
+// A class's latency curve is the analytic curve divided by the class
+// speed; a zero Speed counts as 1.0.
 func TestClassLatency(t *testing.T) {
-	v := YOLOv5()[0]
-	fast := Class{Name: "fast", Speed: 2.0}
-	if got, want := fast.Latency(&v, 8), v.Latency(8)/2; got != want {
-		t.Fatalf("fast.Latency = %g, want %g", got, want)
+	g := TrafficChain()
+	v := g.Tasks[0].Variants[0]
+	tabs := (&Profiler{}).ProfileGraphClasses(g, []int{8}, []Class{{Name: "fast", Speed: 2.0}, {Name: "z"}})
+	if got, want := tabs[0][0][0].LatencySec[0], v.Latency(8)/2; got != want {
+		t.Fatalf("fast class latency = %g, want %g", got, want)
 	}
-	zero := Class{Name: "z"}
-	if got, want := zero.Latency(&v, 8), v.Latency(8); got != want {
-		t.Fatalf("zero-speed class Latency = %g, want the reference %g", got, want)
+	if got, want := tabs[1][0][0].LatencySec[0], v.Latency(8); got != want {
+		t.Fatalf("zero-speed class latency = %g, want the reference %g", got, want)
 	}
 }
 

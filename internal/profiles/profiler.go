@@ -2,7 +2,6 @@ package profiles
 
 import (
 	"fmt"
-	"math/rand"
 
 	"loki/internal/pipeline"
 )
@@ -29,16 +28,6 @@ func (p *Profile) Latency(b int) (float64, bool) {
 	return 0, false
 }
 
-// Throughput returns the profiled throughput for batch size b.
-func (p *Profile) Throughput(b int) (float64, bool) {
-	for j, pb := range p.Batches {
-		if pb == b {
-			return p.QPS[j], true
-		}
-	}
-	return 0, false
-}
-
 // MaxQPS returns the largest profiled throughput and its batch size.
 func (p *Profile) MaxQPS() (float64, int) {
 	best, bestB := 0.0, 0
@@ -53,12 +42,12 @@ func (p *Profile) MaxQPS() (float64, int) {
 // Profiler is Loki's Model Profiler (§3): during initial setup it measures
 // the processing time of every model variant at every allowed batch size.
 // The reference speed is 1.0 (the paper's homogeneous GTX 1080 Ti cluster);
-// each hardware class's Speed scales it. Jitter adds relative measurement
-// noise so simulator validation does not compare a model against itself
-// bit-for-bit.
+// each hardware class's Speed scales it. A measurement is the variant's
+// analytic latency curve exactly: the profiler adds no noise.
 type Profiler struct {
-	Jitter float64 // e.g. 0.01 for ±1% multiplicative noise
-	Seed   int64
+	// Seed seeds nothing. It stays only because the benchmark in bench/
+	// sets it.
+	Seed int64
 }
 
 // ProfileVariant measures one variant over the given batch sizes at the
@@ -68,12 +57,9 @@ func (pr *Profiler) ProfileVariant(v *pipeline.Variant, batches []int) Profile {
 }
 
 // profileVariantAt measures one variant with latencies divided by
-// classSpeed. The jitter stream is re-seeded per variant, so
-// every class observes the same relative measurement noise — a slow class is
-// exactly a speed-scaled copy of the reference measurement, which is what
-// lets a Speed-1.0 class reproduce the homogeneous profiles bit for bit.
+// classSpeed, so a Speed-1.0 class reproduces the homogeneous profiles bit
+// for bit.
 func (pr *Profiler) profileVariantAt(v *pipeline.Variant, batches []int, classSpeed float64) Profile {
-	rng := rand.New(rand.NewSource(pr.Seed + int64(len(v.Name))*7919))
 	p := Profile{
 		Batches:    append([]int(nil), batches...),
 		LatencySec: make([]float64, len(batches)),
@@ -81,9 +67,6 @@ func (pr *Profiler) profileVariantAt(v *pipeline.Variant, batches []int, classSp
 	}
 	for j, b := range batches {
 		lat := v.Latency(b) / classSpeed
-		if pr.Jitter > 0 {
-			lat *= 1 + pr.Jitter*(2*rng.Float64()-1)
-		}
 		p.LatencySec[j] = lat
 		p.QPS[j] = float64(b) / lat
 	}

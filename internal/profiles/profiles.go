@@ -2,8 +2,8 @@
 // definitions used throughout the reproduction, plus the Model Profiler
 // component of Loki's Controller (§3).
 //
-// The paper evaluates 32 model variants from five families (YOLOv5,
-// EfficientNet, VGG, ResNet, CLIP-ViT) profiled on NVIDIA GTX 1080 Ti GPUs.
+// The paper evaluates 32 model variants from five families (yolov5,
+// EfficientNet, vgg, resNet, CLIP-ViT) profiled on NVIDIA GTX 1080 Ti GPUs.
 // We have no GPUs, so each variant here is a synthetic profile
 // latency(b) = α + β·b whose constants are calibrated so that the published
 // macro results hold: the accuracy spread within each family matches the
@@ -31,13 +31,13 @@ func v(name string, accNorm, accRaw, alpha, beta, mult float64) pipeline.Variant
 	}
 }
 
-// YOLOv5 returns the object-detection family (5 variants, n→x). Accuracy is
+// yolov5 returns the object-detection family (5 variants, n→x). Accuracy is
 // COCO mAP50-95 normalized by YOLOv5x. The multiplicative factor is the mean
 // number of objects each variant detects per frame: more accurate detectors
 // find more objects (§4.2's workload-multiplication effect). Throughput
 // spread within the family is narrow — calibrated so the phase-3 capacity
 // bump in Figure 1 stays small relative to phase 2, as published.
-func YOLOv5() []pipeline.Variant {
+func yolov5() []pipeline.Variant {
 	return []pipeline.Variant{
 		v("yolov5n", 0.552, 28.0, 0.0032, 0.00672, 1.57),
 		v("yolov5s", 0.738, 37.4, 0.0040, 0.00688, 1.71),
@@ -66,9 +66,9 @@ func EfficientNet() []pipeline.Variant {
 	return out
 }
 
-// VGG returns the facial-recognition family (6 variants). Accuracy is LFW
+// vgg returns the facial-recognition family (6 variants). Accuracy is LFW
 // verification accuracy normalized by the best fine-tuned variant.
-func VGG() []pipeline.Variant {
+func vgg() []pipeline.Variant {
 	names := []string{"vgg11-face", "vgg13-face", "vgg16-face", "vgg19-face", "vggface-m", "vggface-l"}
 	accs := []float64{0.905, 0.928, 0.950, 0.966, 0.984, 1.000}
 	qs := []float64{388, 319, 256, 206, 156, 119}
@@ -79,10 +79,10 @@ func VGG() []pipeline.Variant {
 	return out
 }
 
-// ResNet returns the image-classification family for the social-media
+// resNet returns the image-classification family for the social-media
 // pipeline (6 variants). Accuracy is ImageNet top-1 normalized by the widest
 // variant.
-func ResNet() []pipeline.Variant {
+func resNet() []pipeline.Variant {
 	names := []string{"resnet18", "resnet34", "resnet50", "resnet101", "resnet152", "wide-resnet101"}
 	accs := []float64{0.885, 0.929, 0.965, 0.981, 0.993, 1.000}
 	qs := []float64{650, 481, 350, 231, 169, 131}
@@ -97,9 +97,9 @@ func ResNet() []pipeline.Variant {
 	return out
 }
 
-// CLIPViT returns the image-captioning family (7 variants). Accuracy is
+// clipViT returns the image-captioning family (7 variants). Accuracy is
 // CIDEr-proxy normalized by the largest variant.
-func CLIPViT() []pipeline.Variant {
+func clipViT() []pipeline.Variant {
 	names := []string{"clip-rn50", "clip-rn101", "clip-vit-b32", "clip-vit-b16",
 		"clip-rn50x4", "clip-vit-l14", "clip-vit-l14-336"}
 	accs := []float64{0.872, 0.894, 0.918, 0.944, 0.962, 0.986, 1.000}
@@ -111,21 +111,15 @@ func CLIPViT() []pipeline.Variant {
 	return out
 }
 
-// TotalVariants returns the number of variants across all families (the
-// paper uses 32 across its two pipelines; we define 32 as well).
-func TotalVariants() int {
-	return len(YOLOv5()) + len(EfficientNet()) + len(VGG()) + len(ResNet()) + len(CLIPViT())
-}
-
 // Families returns the built-in variant families keyed by registry name.
 // Each call returns fresh slices, so callers may mutate them freely.
 func Families() map[string][]pipeline.Variant {
 	return map[string][]pipeline.Variant{
-		"yolov5":       YOLOv5(),
+		"yolov5":       yolov5(),
 		"efficientnet": EfficientNet(),
-		"vgg":          VGG(),
-		"resnet":       ResNet(),
-		"clip-vit":     CLIPViT(),
+		"vgg":          vgg(),
+		"resnet":       resNet(),
+		"clip-vit":     clipViT(),
 	}
 }
 
@@ -136,7 +130,7 @@ func TrafficChain() *pipeline.Graph {
 	return &pipeline.Graph{
 		Name: "traffic-chain",
 		Tasks: []pipeline.Task{
-			{ID: 0, Name: "object-detection", Variants: YOLOv5(),
+			{ID: 0, Name: "object-detection", Variants: yolov5(),
 				Children: []pipeline.Child{{Task: 1, BranchRatio: 0.70}}},
 			{ID: 1, Name: "car-classification", Variants: EfficientNet()},
 		},
@@ -150,13 +144,13 @@ func TrafficTree() *pipeline.Graph {
 	return &pipeline.Graph{
 		Name: "traffic-analysis",
 		Tasks: []pipeline.Task{
-			{ID: 0, Name: "object-detection", Variants: YOLOv5(),
+			{ID: 0, Name: "object-detection", Variants: yolov5(),
 				Children: []pipeline.Child{
 					{Task: 1, BranchRatio: 0.70},
 					{Task: 2, BranchRatio: 0.30},
 				}},
 			{ID: 1, Name: "car-classification", Variants: EfficientNet()},
-			{ID: 2, Name: "facial-recognition", Variants: VGG()},
+			{ID: 2, Name: "facial-recognition", Variants: vgg()},
 		},
 	}
 }
@@ -169,9 +163,9 @@ func SocialMedia() *pipeline.Graph {
 	return &pipeline.Graph{
 		Name: "social-media",
 		Tasks: []pipeline.Task{
-			{ID: 0, Name: "image-classification", Variants: ResNet(), Output: true,
+			{ID: 0, Name: "image-classification", Variants: resNet(), Output: true,
 				Children: []pipeline.Child{{Task: 1, BranchRatio: 0.90}}},
-			{ID: 1, Name: "image-captioning", Variants: CLIPViT()},
+			{ID: 1, Name: "image-captioning", Variants: clipViT()},
 		},
 	}
 }

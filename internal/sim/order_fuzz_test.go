@@ -11,11 +11,10 @@ import (
 // reference its typed heap and lanes must agree with event for event. A lane
 // event is an ordinary After on it, so its one heap holds every event.
 type refEngine struct {
-	h       refHeap
-	now     float64
-	seq     uint64
-	stopped bool
-	events  uint64
+	h      refHeap
+	now    float64
+	seq    uint64
+	events uint64
 }
 
 type refHeap []event
@@ -38,10 +37,9 @@ func (h *refHeap) Pop() any {
 	return it
 }
 
-func (e *refEngine) Now() float64   { return e.now }
-func (e *refEngine) Events() uint64 { return e.events }
-func (e *refEngine) Pending() int   { return len(e.h) }
-func (e *refEngine) Stop()          { e.stopped = true }
+func (e *refEngine) Now() float64  { return e.now }
+func (e *refEngine) fired() uint64 { return e.events }
+func (e *refEngine) queued() int   { return len(e.h) }
 
 func (e *refEngine) NextAt() (float64, bool) {
 	if len(e.h) == 0 {
@@ -70,8 +68,7 @@ func (e *refEngine) lane(delay float64) func(fn func()) {
 }
 
 func (e *refEngine) Run(until float64) {
-	e.stopped = false
-	for len(e.h) > 0 && !e.stopped {
+	for len(e.h) > 0 {
 		if e.h[0].at > until {
 			break
 		}
@@ -86,8 +83,7 @@ func (e *refEngine) Run(until float64) {
 }
 
 func (e *refEngine) RunAll() {
-	e.stopped = false
-	for len(e.h) > 0 && !e.stopped {
+	for len(e.h) > 0 {
 		ev := heap.Pop(&e.h).(event)
 		e.now = ev.at
 		e.events++
@@ -103,10 +99,9 @@ type scheduler interface {
 	lane(delay float64) func(fn func())
 	Run(until float64)
 	RunAll()
-	Stop()
 	Now() float64
-	Events() uint64
-	Pending() int
+	fired() uint64
+	queued() int
 	NextAt() (float64, bool)
 }
 
@@ -187,8 +182,6 @@ func play(script []byte, e scheduler) []step {
 			case 2: // two children at the same instant
 				schedule(false, offset(b>>3))
 				schedule(true, offset(b>>3))
-			case 3:
-				e.Stop()
 			case 4: // a child on an open lane
 				onLane(int(b >> 3))
 			case 5: // a lane opened mid-run, and a child on it
@@ -218,7 +211,7 @@ func play(script []byte, e scheduler) []step {
 		lanes[k%len(lanes)](fire(scheduled))
 	}
 	report := func(kind byte) {
-		log = append(log, step{kind: kind, now: e.Now(), pending: e.Pending(), events: e.Events()})
+		log = append(log, step{kind: kind, now: e.Now(), pending: e.queued(), events: e.fired()})
 	}
 	for {
 		b, ok := next()
@@ -256,9 +249,9 @@ func play(script []byte, e scheduler) []step {
 			}
 		case 9:
 			at, ok := e.NextAt()
-			log = append(log, step{kind: 'n', now: at, pending: e.Pending()})
-			if ok != (e.Pending() > 0) {
-				log = append(log, step{kind: 'x', now: at, pending: e.Pending()})
+			log = append(log, step{kind: 'n', now: at, pending: e.queued()})
+			if ok != (e.queued() > 0) {
+				log = append(log, step{kind: 'x', now: at, pending: e.queued()})
 			}
 			peeking, peekAt = ok, at
 		}
@@ -279,7 +272,7 @@ func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte{7, 0, 7, 1, 8, 0, 8, 0, 2, 1, 5, 0})                          // lanes for -0.25 and 0: one lane
 	f.Add([]byte{7, 2, 0, 1, 8, 32, 3, 1, 8, 0, 4, 1, 7, 3, 8, 1, 4, 0, 5, 0}) // lane and heap events tied at 0.25
 	f.Add([]byte{7, 4, 8, 0, 8, 0, 0, 0, 4, 0, 4, 2, 8, 17, 4, 4, 5, 0})       // Run(until) short of queued lane events
-	f.Add([]byte{7, 2, 0, 0, 8, 0, 4, 1, 0, 4, 0, 37, 0, 45, 5, 0})            // fired events open lanes and Stop
+	f.Add([]byte{7, 2, 0, 0, 8, 0, 4, 1, 0, 4, 0, 37, 0, 45, 5, 0})            // fired events open lanes
 	f.Add([]byte{9, 0, 7, 2, 0, 3, 8, 0, 9, 0, 4, 4, 9, 0, 5, 0, 9, 0})        // peeks at heap and lane heads, and at nothing
 	for i := 0; i < 16; i++ {
 		rng := rand.New(rand.NewSource(int64(i)))

@@ -32,17 +32,16 @@ func (a *event) before(b *event) bool {
 // the earliest of the heap's top and the lanes' heads, so events fire in the
 // one order a single heap holding all of them would fire them in.
 type Engine struct {
-	h       []event
-	lanes   []*Lane
-	now     float64
-	seq     uint64
-	stopped bool
-	events  uint64 // executed events, for instrumentation
+	h      []event
+	lanes  []*Lane
+	now    float64
+	seq    uint64
+	events uint64 // executed events
 }
 
 // Lane is the engine's FIFO for events that fire a fixed delay after they
-// are scheduled, such as network hops. While the clock moves forward each
-// event lands at or after the one before it, so the lane is sorted by (time,
+// are scheduled, such as network hops. The clock never moves back, so each
+// event lands at or after the one before it and the lane is sorted by (time,
 // scheduling order) without a heap push.
 type Lane struct {
 	e     *Engine
@@ -55,8 +54,8 @@ type Lane struct {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// Events returns the number of events executed so far.
-func (e *Engine) Events() uint64 { return e.events }
+// fired returns the number of events executed so far.
+func (e *Engine) fired() uint64 { return e.events }
 
 // At schedules fn at absolute virtual time t. Scheduling in the past is a
 // programming error and panics, because it would silently corrupt causality.
@@ -99,12 +98,6 @@ func (l *Lane) After(fn func()) {
 	e := l.e
 	e.seq++
 	ev := event{at: e.now + l.delay, seq: e.seq, fn: fn}
-	if l.n > 0 && ev.at < l.buf[(l.head+l.n-1)&(len(l.buf)-1)].at {
-		// The clock fell back: a Run ended by Stop set it to its horizon and
-		// a later event before the horizon fired since. Keep the lane sorted.
-		e.push(ev)
-		return
-	}
 	if l.n == len(l.buf) {
 		l.grow()
 	}
@@ -129,16 +122,11 @@ func (l *Lane) pop() event {
 	return ev
 }
 
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events in order until the queue empties, Stop is called, or
-// the next event lies strictly beyond until. The clock then reads until
-// unless it already read later. That holds when Stop ended the run with
-// earlier events still pending too, and firing those moves the clock back.
+// Run executes events in order until the queue empties or the next event
+// lies strictly beyond until. The clock then reads until unless it already
+// read later.
 func (e *Engine) Run(until float64) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		ev, from := e.next()
 		if ev == nil || ev.at > until {
 			break
@@ -153,8 +141,7 @@ func (e *Engine) Run(until float64) {
 // RunAll executes every pending event (including ones scheduled while
 // running) until the queue is empty.
 func (e *Engine) RunAll() {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		ev, from := e.next()
 		if ev == nil {
 			break
@@ -163,8 +150,8 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// Pending returns the number of queued events, in the heap and the lanes.
-func (e *Engine) Pending() int {
+// queued returns the number of queued events, in the heap and the lanes.
+func (e *Engine) queued() int {
 	n := len(e.h)
 	for _, l := range e.lanes {
 		n += l.n

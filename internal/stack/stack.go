@@ -121,7 +121,7 @@ type Spec struct {
 type Tenant struct {
 	Spec
 	Meta    *core.MetadataStore
-	Planner core.Planner
+	planner core.Planner
 	Col     *metrics.Collector
 	Adm     *ingress.Admission // nil unless Spec.Admission
 	// Tel and Tracer are the tenant's telemetry collector and request
@@ -152,12 +152,12 @@ func New(p Pool) *Stack {
 	return &Stack{Pool: p}
 }
 
-// Planner profiles g on every hardware class of the pool and builds its
+// planner profiles g on every hardware class of the pool and builds its
 // Metadata Store and the approach's planner: Loki's MILP allocator or one of
 // the baselines. The returned Proteus pointer is non-nil only for the
 // Proteus approach, whose planner additionally needs per-task demand
 // observations (wired to the engine's OnTaskDemand hook by Add).
-func (s *Stack) Planner(g *pipeline.Graph, sloSec float64, ap Approach) (*core.MetadataStore, core.Planner, *baselines.Proteus, error) {
+func (s *Stack) planner(g *pipeline.Graph, sloSec float64, ap Approach) (*core.MetadataStore, core.Planner, *baselines.Proteus, error) {
 	prof := (&profiles.Profiler{}).ProfileGraphClasses(g, profiles.Batches, s.Classes)
 	meta := core.NewMetadataStoreHetero(g, s.Classes, prof, sloSec, profiles.Batches)
 	opts := core.AllocatorOptions{
@@ -193,7 +193,7 @@ func (s *Stack) Planner(g *pipeline.Graph, sloSec float64, ap Approach) (*core.M
 // Allocator is Planner for Loki's MILP allocator alone, as the
 // capacity-planning entry points use it.
 func (s *Stack) Allocator(g *pipeline.Graph, sloSec float64) (*core.Allocator, error) {
-	_, planner, _, err := s.Planner(g, sloSec, Loki)
+	_, planner, _, err := s.planner(g, sloSec, Loki)
 	alloc, _ := planner.(*core.Allocator)
 	return alloc, err
 }
@@ -206,7 +206,7 @@ func (s *Stack) Add(spec Spec) (*Tenant, error) {
 	if err := spec.Graph.Validate(); err != nil {
 		return nil, err
 	}
-	meta, planner, proteus, err := s.Planner(spec.Graph, spec.SLOSec, spec.Approach)
+	meta, planner, proteus, err := s.planner(spec.Graph, spec.SLOSec, spec.Approach)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +225,7 @@ func (s *Stack) Add(spec Spec) (*Tenant, error) {
 		}
 		col.SetClasses(names, costs)
 	}
-	t := &Tenant{Spec: spec, Meta: meta, Planner: planner, Col: col}
+	t := &Tenant{Spec: spec, Meta: meta, planner: planner, Col: col}
 	t.ecfg = engine.TenantConfig{Meta: meta, Policy: spec.Policy, Collector: col, SLOSec: spec.SLOSec, Tier: spec.Tier}
 	// Proteus's pipeline-agnostic per-task scaling is only legal on a pool
 	// nobody shares; the joint controller rejects it otherwise.
@@ -249,7 +249,7 @@ func (s *Stack) Add(spec Spec) (*Tenant, error) {
 func (s *Stack) Build() error {
 	if s.Faults != nil {
 		for _, t := range s.Tenants {
-			if _, ok := t.Planner.(core.CappedPlanner); !ok {
+			if _, ok := t.planner.(core.CappedPlanner); !ok {
 				return fmt.Errorf("stack: tenant %q: the %s baseline cannot serve under a fault schedule: it cannot plan within the servers left up", t.Name, t.Approach)
 			}
 		}
@@ -291,11 +291,11 @@ func (s *Stack) Build() error {
 		// itself in full for the warm start this tenant's first plans fall
 		// back on (≈0.6 s in all for traffic-analysis); it runs once, here.
 		demandCap := t.DemandCapQPS
-		if alloc, ok := t.Planner.(*core.Allocator); ok && demandCap == 0 && t.Adm != nil {
+		if alloc, ok := t.planner.(*core.Allocator); ok && demandCap == 0 && t.Adm != nil {
 			demandCap = alloc.MaxCapacity(0, 20000)
 		}
 		ctenants[i] = &core.Tenant{
-			Name: t.Name, Tier: t.Tier, Meta: t.Meta, Alloc: t.Planner, MinShare: t.Share,
+			Name: t.Name, Tier: t.Tier, Meta: t.Meta, Alloc: t.planner, MinShare: t.Share,
 			RouteHeadroom: s.Headroom, ForecastHorizonSec: t.HorizonSec, DemandCapQPS: demandCap,
 			CacheDisabled: s.CacheOff,
 			// The engine retargets the admission controller on every

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -132,12 +130,12 @@ var foldedSeries = [nSeries]struct {
 		"loki_class_swaps_total", "Model swaps, summed over the class's workers."},
 }
 
-// DefaultWorkerMetricsLimit is the pool size past which a collector stops
+// defaultWorkerMetricsLimit is the pool size past which a collector stops
 // registering per-worker series and degrades to per-class aggregates. At
 // fleet scale (1,000+ workers × ~9 series each, per tenant) unbounded
 // per-worker cardinality would dominate /metrics; 256 keeps the paper-scale
 // testbeds fully visible while capping the fleet regime.
-const DefaultWorkerMetricsLimit = 256
+const defaultWorkerMetricsLimit = 256
 
 // CollectorOption configures NewCollector.
 type CollectorOption func(*collectorConfig)
@@ -150,15 +148,15 @@ type collectorConfig struct {
 // registry series; bigger pools degrade to per-class aggregate series
 // (loki_class_*) while Rows and Snapshot keep full per-worker detail.
 // 0 means unlimited (always per-worker); the default is
-// DefaultWorkerMetricsLimit.
+// defaultWorkerMetricsLimit.
 func WithWorkerMetricsLimit(n int) CollectorOption {
 	return func(c *collectorConfig) { c.workerLimit = n }
 }
 
 // WorkerMetricsLimit returns the worker limit opts set: the last
-// WithWorkerMetricsLimit among them, or DefaultWorkerMetricsLimit.
+// WithWorkerMetricsLimit among them, or defaultWorkerMetricsLimit.
 func WorkerMetricsLimit(opts ...CollectorOption) int {
-	cfg := collectorConfig{workerLimit: DefaultWorkerMetricsLimit}
+	cfg := collectorConfig{workerLimit: defaultWorkerMetricsLimit}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -440,23 +438,4 @@ func (c *Collector) Rows() []WorkerRow {
 		out[i] = c.workers[i].row
 	}
 	return out
-}
-
-// Snapshot renders the collector's full state as a deterministic multi-line
-// string, one worker per line — the unit the determinism test compares
-// byte-for-byte across identically-seeded runs.
-func (c *Collector) Snapshot() string {
-	if c == nil {
-		return ""
-	}
-	rows := c.Rows()
-	var b strings.Builder
-	fmt.Fprintf(&b, "tenant=%s workers=%d\n", c.tenant, len(rows))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "w%d class=%s assigned=%q q=%d inflight=%d occ=%s qps=%s speed=%s live=%t served=%d batches=%d swaps=%d\n",
-			r.Worker, r.Class, r.Assigned, r.QueueDepth, r.InFlightBatch,
-			fmtFloat(r.Occupancy), fmtFloat(r.ServedQPS), fmtFloat(r.SpeedFactor),
-			r.Live, r.ServedTotal, r.BatchesTotal, r.SwapsTotal)
-	}
-	return b.String()
 }

@@ -34,6 +34,7 @@ const (
 	KindHistogram
 )
 
+// String returns the kind's Prometheus TYPE keyword.
 func (k Kind) String() string {
 	switch k {
 	case KindCounter:

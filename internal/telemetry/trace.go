@@ -176,8 +176,8 @@ func (tr *Tracer) Finish(rt *ReqTrace, now float64, dropped, late bool) {
 	tr.mu.Unlock()
 }
 
-// Traces returns deep copies of the retained span trees in sampling order.
-func (tr *Tracer) Traces() []ReqTrace {
+// copyTraces returns deep copies of the retained span trees in sampling order.
+func (tr *Tracer) copyTraces() []ReqTrace {
 	if tr == nil {
 		return nil
 	}
@@ -227,7 +227,7 @@ func (tr *Tracer) ExportJSON() ([]byte, error) {
 		Tenant string      `json:"tenant"`
 		Stages []StageStat `json:"stages"`
 		Traces []ReqTrace  `json:"traces"`
-	}{Tenant: tr.tenant, Stages: tr.StageSummary(), Traces: tr.Traces()}
+	}{Tenant: tr.tenant, Stages: tr.StageSummary(), Traces: tr.copyTraces()}
 	return json.MarshalIndent(payload, "", "  ")
 }
 

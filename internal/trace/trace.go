@@ -38,8 +38,8 @@ func (t *Trace) Peak() float64 {
 	return p
 }
 
-// Min returns the minimum rate in the trace.
-func (t *Trace) Min() float64 {
+// min returns the minimum rate in the trace.
+func (t *Trace) min() float64 {
 	if len(t.QPS) == 0 {
 		return 0
 	}
@@ -80,15 +80,6 @@ func (t *Trace) ScaleToPeak(peak float64) *Trace {
 	f := peak / cur
 	for i, q := range t.QPS {
 		out.QPS[i] = q * f
-	}
-	return out
-}
-
-// Clip returns a copy whose rates are clamped to [lo, hi].
-func (t *Trace) Clip(lo, hi float64) *Trace {
-	out := &Trace{Interval: t.Interval, QPS: make([]float64, len(t.QPS))}
-	for i, q := range t.QPS {
-		out.QPS[i] = math.Min(hi, math.Max(lo, q))
 	}
 	return out
 }
@@ -273,6 +264,3 @@ func (e *EWMA) Observe(x float64) {
 
 // Value returns the current estimate (zero before any observation).
 func (e *EWMA) Value() float64 { return e.val }
-
-// Initialized reports whether at least one observation was folded in.
-func (e *EWMA) Initialized() bool { return e.init }

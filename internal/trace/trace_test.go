@@ -43,7 +43,7 @@ func TestScaleToPeak(t *testing.T) {
 
 func TestAzureLikeHasDiurnalSwing(t *testing.T) {
 	tr := AzureLike(7, 288, 300).ScaleToPeak(1000)
-	ratio := tr.Peak() / tr.Min()
+	ratio := tr.Peak() / tr.min()
 	if ratio < 3 {
 		t.Fatalf("peak/trough = %.2f, want a pronounced diurnal swing (>3)", ratio)
 	}
@@ -51,7 +51,7 @@ func TestAzureLikeHasDiurnalSwing(t *testing.T) {
 
 func TestTwitterLikeHasDiurnalSwing(t *testing.T) {
 	tr := TwitterLike(7, 288, 300).ScaleToPeak(1000)
-	if ratio := tr.Peak() / tr.Min(); ratio < 3 {
+	if ratio := tr.Peak() / tr.min(); ratio < 3 {
 		t.Fatalf("peak/trough = %.2f, want > 3", ratio)
 	}
 }
@@ -89,10 +89,10 @@ func TestDiurnalShape(t *testing.T) {
 	if len(tr.QPS) != steps || tr.Interval != 10 {
 		t.Fatalf("got %d steps interval %g", len(tr.QPS), tr.Interval)
 	}
-	if math.Abs(tr.Min()-trough) > 1e-9 || math.Abs(tr.Peak()-peak) > 1e-9 {
-		t.Fatalf("range [%g, %g], want [%g, %g]", tr.Min(), tr.Peak(), trough, peak)
+	if math.Abs(tr.min()-trough) > 1e-9 || math.Abs(tr.Peak()-peak) > 1e-9 {
+		t.Fatalf("range [%g, %g], want [%g, %g]", tr.min(), tr.Peak(), trough, peak)
 	}
-	if ratio := tr.Peak() / tr.Min(); math.Abs(ratio-peak/trough) > 1e-9 {
+	if ratio := tr.Peak() / tr.min(); math.Abs(ratio-peak/trough) > 1e-9 {
 		t.Fatalf("peak/trough = %g, want %g", ratio, peak/trough)
 	}
 	// Period: a crest sits at the midpoint of each cycle (steps/periods
@@ -151,13 +151,6 @@ func TestRateAtClamps(t *testing.T) {
 	}
 }
 
-func TestClip(t *testing.T) {
-	tr := Ramp(0, 100, 11, 1).Clip(10, 90)
-	if tr.Min() < 10 || tr.Peak() > 90 {
-		t.Fatalf("clip failed: min %g peak %g", tr.Min(), tr.Peak())
-	}
-}
-
 // TestArrivalsMatchRate checks the Poisson sampler: empirical rate within a
 // few percent of the configured rate over a long window, and timestamps
 // strictly inside the trace and sorted.
@@ -201,11 +194,11 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 
 func TestEWMAFirstObservationInitializes(t *testing.T) {
 	e := EWMA{Alpha: 0.1}
-	if e.Initialized() {
+	if e.init {
 		t.Fatal("initialized before any observation")
 	}
 	e.Observe(10)
-	if !e.Initialized() || e.Value() != 10 {
+	if !e.init || e.Value() != 10 {
 		t.Fatalf("after first obs: %g", e.Value())
 	}
 }
