@@ -583,9 +583,11 @@ const (
 	// returns no plan.
 	goalFeasible
 	// goalUncut searches as goalOptimize does but without the wall-clock
-	// stall cutoff, so that, short of the time limit, the point it records
-	// as the step's warm start does not depend on the host's speed. (The
-	// priced hardware step keeps its cutoff, which counts nodes only.)
+	// stall cutoff, so that, short of the time limit, its plan and the warm
+	// start it leaves do not depend on the host's speed. (The priced
+	// hardware step keeps its cutoff, which counts nodes only.) solveStep
+	// turns the first step-1 or step-2 goalOptimize search at the demand
+	// MaxCapacity owes into this goal.
 	goalUncut
 )
 
@@ -596,6 +598,9 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 	st := a.state
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if goal == goalOptimize && step <= stepAccuracy && demand > 0 && demand == st.owed {
+		goal = goalUncut
+	}
 
 	m := a.modelFor(step)
 	m.set(demand, a.counts)
@@ -609,6 +614,9 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 		// is re-verified against the new demand and cap before use).
 		if !a.opts.DisableReuse {
 			st.lastX[step] = append([]float64(nil), x...)
+		}
+		if goal == goalUncut {
+			st.owed = 0
 		}
 		if goal == goalFeasible {
 			return nil, true, nil
@@ -965,24 +973,16 @@ const maxCapacityDoublings = 32
 // a capacity below the starting hi is found as before.
 //
 // A probe's point is only a first integer point, often a rounded seed from a
-// lower demand, and it stays behind as the step's warm start. The plan at the
-// capacity itself is a search that finds its own first incumbent only about
-// when the stall cutoff arms, so from such a warm start that plan would turn
-// on the host's speed. MaxCapacity therefore ends with one full solve at the
-// capacity it returns, without the stall cutoff, and leaves its optimum as
-// the warm start instead, as the bisection over full Allocate calls used to.
-// That solve is bounded by SolveTimeLimit like any other: about 0.2 s of
-// the ≈0.6 s traffic-analysis takes on 20 servers.
+// lower demand, and it stays behind as the step's warm start. From there a
+// search at the capacity itself finds its own first incumbent only about
+// when the stall cutoff arms, so its plan would turn on the host's speed.
+// The capacity is therefore left owed: the first step-1 or step-2 search
+// that plans at exactly it runs as goalUncut, when a tenant first gets there.
 func (a *Allocator) MaxCapacity(lo, hi float64) float64 {
 	capacity := a.bisectCapacity(lo, hi)
-	if !a.opts.DisableReuse {
-		d := a.provisioned(capacity)
-		for _, step := range []stepKind{stepHardware, stepAccuracy} {
-			if _, ok, err := a.solveStep(d, step, goalUncut); err != nil || ok {
-				break
-			}
-		}
-	}
+	a.state.mu.Lock()
+	defer a.state.mu.Unlock()
+	a.state.owed = a.provisioned(capacity)
 	return capacity
 }
 

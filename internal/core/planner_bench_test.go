@@ -140,7 +140,8 @@ func BenchmarkHeteroAllocate(b *testing.B) {
 // tenant runs at control-plane build time: traffic-analysis on 20 servers
 // with the serving options, on a fresh allocator each time, as MultiSystem
 // builds one. Besides the time it reports the branch-and-bound solves and
-// nodes the probes and the closing solve at the cap spent.
+// nodes the probes spent; the solve at the cap itself is left to the
+// tenant's first plan there.
 func BenchmarkMaxCapacity(b *testing.B) {
 	solves, nodes := 0, 0
 	b.ReportAllocs()

@@ -12,7 +12,8 @@ import (
 // model per optimization step, built the first time the step is solved and
 // from then on patched in place for each solve's demand and class counts;
 // the last solution per step, as a warm start for the next adaptation
-// round; and the LP tableau buffers, recycled across every solve.
+// round; the admission cap still owed its uncut solve; and the LP tableau
+// buffers, recycled across every solve.
 //
 // All access is serialized by mu, which makes an Allocator (and its capped
 // views) safe for concurrent use — and is what lets a solve rewrite the
@@ -24,6 +25,9 @@ type solverState struct {
 	ws     lp.Workspace
 	models [stepHardwareSat + 1]*stepModel // by stepKind; nil until first use
 	lastX  map[stepKind][]float64
+	// owed is the provisioned demand of the capacity MaxCapacity returned
+	// and no search has yet planned at (zero: none); see goalUncut.
+	owed float64
 
 	milpSolves  int
 	nodes       int

@@ -133,18 +133,6 @@ func (s *Schedule) validate() error {
 	return nil
 }
 
-// String renders the schedule in the comma-separated spec grammar.
-func (s *Schedule) String() string {
-	if s == nil || len(s.Events) == 0 {
-		return ""
-	}
-	parts := make([]string, len(s.Events))
-	for i, e := range s.Events {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, ",")
-}
-
 // Parse reads the CLI spec grammar: comma-separated events of the form
 //
 //	kind@time[:key=value]...

@@ -6,6 +6,19 @@ import (
 	"testing"
 )
 
+// String renders the schedule in the comma-separated spec grammar, so the
+// round-trip tests can hand Parse its own output.
+func (s *Schedule) String() string {
+	if s == nil || len(s.Events) == 0 {
+		return ""
+	}
+	parts := make([]string, len(s.Events))
+	for i, e := range s.Events {
+		parts[i] = e.String()
+	}
+	return strings.Join(parts, ",")
+}
+
 func TestParseRoundTrip(t *testing.T) {
 	spec := "crash@30s:class=a100:n=2:recover=20s,outage@60s:class=spot:recover=30s,straggle@10s:class=spot:n=4:factor=0.25"
 	s, err := Parse(spec)

@@ -287,9 +287,9 @@ func (s *Stack) Build() error {
 		// arrivals into such a plan only starves its batches. MaxCapacity
 		// bisects with feasibility probes, about 16 on a 20-server pool, most
 		// decided by one LP relaxation and a few by a branch and bound
-		// stopped at its first integer point, then solves the capacity
-		// itself in full for the warm start this tenant's first plans fall
-		// back on (≈0.6 s in all for traffic-analysis); it runs once, here.
+		// stopped at its first integer point (≈0.4 s for traffic-analysis);
+		// it runs once, here. The full solve at the capacity itself waits
+		// for the tenant's first plan there, if demand ever reaches it.
 		demandCap := t.DemandCapQPS
 		if alloc, ok := t.planner.(*core.Allocator); ok && demandCap == 0 && t.Adm != nil {
 			demandCap = alloc.MaxCapacity(0, 20000)
