@@ -29,8 +29,6 @@ var figures = []figure{
 	{"7", "Figure 7: early-dropping ablation", figure7},
 	{"8", "Figure 8: SLO sensitivity", figure8},
 	{"hetero", "Hetero: mixed accelerator fleet vs speed-equivalent uniform", hetero},
-	{"fleet", "Fleet: planning rounds at 100-1000 servers, greedy vs MILP-only", fleet},
-	{"multitenant", "Multi-tenant: shared-pool contention", multitenant},
 	{"forecast", "Forecast: reactive vs proactive provisioning", forecastFig},
 	{"ingress", "Ingress: admission control under overload", ingressFig},
 	{"chaos", "Chaos: fault injection, tiers, and degradation order", chaos},
@@ -160,29 +158,4 @@ func chaos(o options) (string, error) {
 		return "", err
 	}
 	return experiments.FormatChaos(r), nil
-}
-
-func fleet(o options) (string, error) {
-	r, err := experiments.Fleet(experiments.FleetConfig{
-		SLOSec: o.sloSec, Seed: o.seed, Quick: o.quick,
-	})
-	if err != nil {
-		return "", err
-	}
-	return experiments.FormatFleet(r), nil
-}
-
-func multitenant(o options) (string, error) {
-	steps := 48
-	if o.quick {
-		steps = 24
-	}
-	r, err := experiments.MultiTenant(experiments.MultiTenantConfig{
-		Servers: o.servers, SLOSec: o.sloSec, Seed: o.seed,
-		TraceSteps: steps, StepSec: 10,
-	})
-	if err != nil {
-		return "", err
-	}
-	return experiments.FormatMultiTenant(r), nil
 }

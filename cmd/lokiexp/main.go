@@ -10,9 +10,7 @@
 //	lokiexp -fig 6          # social-media end-to-end comparison (Figure 6)
 //	lokiexp -fig 7          # early-dropping ablation (Figure 7)
 //	lokiexp -fig 8          # SLO sensitivity (Figure 8)
-//	lokiexp -fig hetero      # mixed accelerator fleet vs uniform fleet
-//	lokiexp -fig multitenant # shared-pool contention across two pipelines
-//	lokiexp -fig fleet       # planning-round latency at 100-1000 servers
+//	lokiexp -fig hetero     # mixed accelerator fleet vs uniform fleet
 //	lokiexp -fig forecast   # reactive vs proactive (forecast-driven) serving
 //	lokiexp -fig ingress    # HTTP front door: admission control under overload
 //	lokiexp -fig chaos      # fault injection: crash/outage/straggler × tiers
@@ -22,7 +20,7 @@
 //
 // Performance work attaches pprof evidence with the profiling flags, e.g.
 //
-//	lokiexp -fig multitenant -cpuprofile cpu.prof -memprofile mem.prof
+//	lokiexp -fig 5 -quick -cpuprofile cpu.prof -memprofile mem.prof
 //	go tool pprof -top cpu.prof
 package main
 

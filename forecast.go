@@ -159,5 +159,5 @@ func (fc forecastConfig) build() forecast.Forecaster {
 	if fc.envelopeOff {
 		return base
 	}
-	return &forecast.Envelope{Base: base, HorizonSec: fc.horizonSec(), Headroom: fc.headroom}
+	return &forecast.Envelope{Base: base, Headroom: fc.headroom}
 }

@@ -349,7 +349,6 @@ type MultiController struct {
 	Capacity func() []int
 
 	mu      sync.Mutex
-	pool    int
 	counts  []int // resolved per-class server counts
 	tenants []*Tenant
 	steps   int
@@ -564,7 +563,7 @@ func NewMultiController(pool int, tenants []*Tenant) (*MultiController, error) {
 			return nil, fmt.Errorf("core: contention floors need %d servers of class %q (shares plus keep-warm minimums) but it holds %d", floorTotal[c], classes[c].Name, counts[c])
 		}
 	}
-	return &MultiController{pool: pool, counts: counts, tenants: tenants}, nil
+	return &MultiController{counts: counts, tenants: tenants}, nil
 }
 
 // shareFloor resolves a tenant's contention floor per class. WithShare
@@ -586,9 +585,6 @@ func shareFloor(share float64, counts, order []int, warm int) []int {
 	}
 	return floor
 }
-
-// Pool returns the shared pool size.
-func (m *MultiController) Pool() int { return m.pool }
 
 // Step runs one joint Resource Manager invocation across all tenants: read
 // the pool's live capacity, estimate each tenant's demand, rerun the

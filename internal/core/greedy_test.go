@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 
 	"loki/internal/lp"
 	"loki/internal/milp"
+	"loki/internal/profiles"
 )
 
 // greedySeedFor sets the step's model for the demand and runs the greedy
@@ -211,54 +213,68 @@ func TestGreedyPlanNeverBeatsMILP(t *testing.T) {
 	}
 }
 
-// The arbiter's greedy-replace budget: zero (the default) must keep the
-// arbiter fully MILP-driven — bit-identical to the pre-greedy behavior —
-// while a positive budget replaces some barely-moved dirty tenants with
-// greedy plans that still respect their grants.
+// The arbiter's greedy-replace budget, on a fleet cell: 12 chain tenants on
+// 100 servers of 20/40/40 fast/mid/slow classes, each demand drifting ±4 % a
+// round around 60 % of an even split — inside the 20 % move window, across
+// cache buckets. Zero (the default) must keep the arbiter fully MILP-driven —
+// bit-identical to the pre-greedy behavior — while a budget of one per
+// tenant replaces barely-moved dirty tenants with greedy plans that still
+// respect their grants, and over the six rounds after two warm-up ones runs
+// at most a third of the MILP solves.
 func TestArbiterGreedyReplaceBudget(t *testing.T) {
-	drive := func(m *MultiController, tenants []*Tenant) {
-		t.Helper()
-		d := 100.0
-		for round := 0; round < 16; round++ {
-			for _, tn := range tenants {
-				for i := 0; i < 12; i++ {
-					tn.Meta.ObserveDemand(d)
+	g := profiles.TrafficChain()
+	classes := []profiles.Class{{Name: "fast", Count: 20, Speed: 2}, {Name: "mid", Count: 40, Speed: 1}, {Name: "slow", Count: 40, Speed: 0.5}}
+	prof := (&profiles.Profiler{}).ProfileGraphClasses(g, profiles.Batches, classes)
+	// walk arbitrates the cell's eight rounds under the budget and returns
+	// the MILP solves of the last six.
+	walk := func(budget int) (m *MultiController, ts []*Tenant, solves int) {
+		ts, level := make([]*Tenant, 12), make([]float64, 12)
+		for i := range ts {
+			meta := NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
+			alloc, err := NewAllocator(meta, AllocatorOptions{Servers: 100, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30, SolveTimeLimit: 2 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts[i], level[i] = &Tenant{Name: fmt.Sprint(i), Meta: meta, Alloc: alloc, RouteHeadroom: 0.30}, 16.8*100/12
+		}
+		m, err := NewMultiController(100, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.GreedyReplaceBudget = budget
+		rng := rand.New(rand.NewSource(11))
+		for round := 0; round < 8; round++ {
+			for i, tn := range ts {
+				if round == 2 {
+					solves -= tn.Alloc.(*Allocator).Perf().MILPSolves
 				}
+				for k := 0; k < 8; k++ {
+					tn.Meta.ObserveDemand(level[i])
+				}
+				level[i] *= 1 + 0.08*rng.Float64() - 0.04
 			}
 			if err := m.Step(true); err != nil {
 				t.Fatal(err)
 			}
 			grants := m.Grants()
-			for i, tn := range tenants {
+			for i, tn := range ts {
 				plan := m.PlanOf(i)
 				if plan == nil {
-					t.Fatalf("round %d: tenant %s has no plan", round, tn.Name)
+					t.Fatalf("budget %d, round %d: tenant %s has no plan", budget, round, tn.Name)
 				}
 				if plan.ServersUsed > grants[i] {
-					t.Fatalf("round %d: tenant %s plan uses %d servers, grant %d",
-						round, tn.Name, plan.ServersUsed, grants[i])
+					t.Fatalf("budget %d, round %d: tenant %s plan uses %d servers, grant %d",
+						budget, round, tn.Name, plan.ServersUsed, grants[i])
 				}
 			}
-			d *= 1.05 // 5% drift: inside the 20% move window, across cache buckets
 		}
+		for _, tn := range ts {
+			solves += tn.Alloc.(*Allocator).Perf().MILPSolves
+		}
+		return m, ts, solves
 	}
 
-	mk := func() (*MultiController, []*Tenant) {
-		t.Helper()
-		pool := 40
-		a := arbiterTenant(t, "a", pool, 0)
-		b := arbiterTenant(t, "b", pool, 0)
-		a.Alloc.(*Allocator).opts.SolveTimeLimit = 2 * time.Second
-		b.Alloc.(*Allocator).opts.SolveTimeLimit = 2 * time.Second
-		m, err := NewMultiController(pool, []*Tenant{a, b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, []*Tenant{a, b}
-	}
-
-	m0, t0 := mk()
-	drive(m0, t0)
+	m0, t0, off := walk(0)
 	if n := m0.GreedyReplaced(); n != 0 {
 		t.Fatalf("budget 0 produced %d greedy replacements, want none", n)
 	}
@@ -268,15 +284,19 @@ func TestArbiterGreedyReplaceBudget(t *testing.T) {
 		}
 	}
 
-	m1, t1 := mk()
-	m1.GreedyReplaceBudget = 2
-	drive(m1, t1)
+	m1, t1, on := walk(12)
 	if n := m1.GreedyReplaced(); n == 0 {
 		t.Fatal("positive budget never replaced a plan greedily")
 	}
-	perf := t1[0].Alloc.(*Allocator).Perf()
-	if perf.greedyPlans == 0 && t1[1].Alloc.(*Allocator).Perf().greedyPlans == 0 {
+	greedyPlans := 0
+	for _, tn := range t1 {
+		greedyPlans += tn.Alloc.(*Allocator).Perf().greedyPlans
+	}
+	if greedyPlans == 0 {
 		t.Fatal("GreedyReplaced > 0 but no allocator counted a greedy plan")
+	}
+	if off == 0 || 3*on > off {
+		t.Fatalf("%d MILP solves with a budget of one per tenant, %d with none; want at least one and a third or fewer", on, off)
 	}
 }
 

@@ -290,7 +290,7 @@ func TestMaxCapacityOwesOneUncutSolve(t *testing.T) {
 	}
 
 	ref := capacityAllocator(t, "traffic-analysis", 20, 0)
-	ref.opts.DisableStall = true
+	ref.opts.DisableStall, ref.opts.SolveTimeLimit = true, 30*time.Second // pinAllocator's limit
 	for _, alloc := range []*Allocator{a, ref} {
 		plan, err := alloc.Allocate(capacity)
 		if err != nil {

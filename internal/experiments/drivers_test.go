@@ -1,3 +1,5 @@
+//go:build !race
+
 package experiments
 
 import (
@@ -5,50 +7,12 @@ import (
 	"testing"
 )
 
-// tenantPin is the part of one MultiTenant tenant outcome pinned to
-// recorded values.
-type tenantPin struct {
-	Arrivals, Completed, Late, Dropped int
-	MinGrant, MaxGrant                 int
-}
-
-// TestMultiTenantMatchesRecordedRun pins the shared-pool contention driver
-// on its quick configuration (the one `lokiexp -fig multitenant -quick`
-// runs) to the counts it produced before the drivers shared one assembly.
-// The traffic tenant's completed, late and dropped counts and the MILP solve
-// count are left out: some of its spike-time solves stop at the wall-clock
-// limit, so those vary from run to run of one build.
-func TestMultiTenantMatchesRecordedRun(t *testing.T) {
-	if raceEnabled {
-		t.Skip("recorded run; skipped in race builds")
-	}
-	res, err := MultiTenant(MultiTenantConfig{Servers: 20, SLOSec: 0.25, Seed: 11, TraceSteps: 24, StepSec: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]tenantPin{
-		"traffic": {Arrivals: 69563, MinGrant: 3, MaxGrant: 14},
-		"social":  {Arrivals: 24166, Completed: 22387, Late: 1561, Dropped: 218, MinGrant: 2, MaxGrant: 8},
-	}
-	for _, tn := range res.tenants {
-		s := tn.summary
-		got := tenantPin{s.Arrivals, s.Completed, s.Late, s.Dropped, tn.minGrant, tn.maxGrant}
-		if tn.name == "traffic" {
-			got.Completed, got.Late, got.Dropped = 0, 0, 0
-		}
-		if got != want[tn.name] {
-			t.Errorf("%s: got %#v, want %#v", tn.name, got, want[tn.name])
-		}
-	}
-}
-
 // TestChaosOutageMatchesRecordedRun pins every tenant's before, during and
 // after window scores of the chaos grid's outage cells, both arms, to the
-// values recorded before the drivers shared one assembly.
+// values recorded before the drivers shared one assembly. The race
+// detector's slowdown lets the wall-clock solve limit cut searches that
+// finish in time otherwise, so race builds leave this file out.
 func TestChaosOutageMatchesRecordedRun(t *testing.T) {
-	if raceEnabled {
-		t.Skip("recorded run; skipped in race builds")
-	}
 	res, err := Chaos(ChaosConfig{Seed: 11, Quick: true, Faults: []string{"outage"}})
 	if err != nil {
 		t.Fatal(err)

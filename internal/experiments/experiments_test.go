@@ -195,39 +195,3 @@ func TestPolicyPluggedIntoRun(t *testing.T) {
 		t.Fatalf("NoDrop rerouted %d requests", res.Rerouted)
 	}
 }
-
-// The multi-tenant contention experiment: both tenants keep serving while
-// the pool is shared, the grant history shows the spike-driven
-// re-partitioning, and grants never oversubscribe the pool.
-func TestMultiTenantContentionExperiment(t *testing.T) {
-	res, err := MultiTenant(MultiTenantConfig{
-		Servers: 20, Seed: 11, TraceSteps: 24, StepSec: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.tenants) != 2 {
-		t.Fatalf("want 2 tenants, got %d", len(res.tenants))
-	}
-	for _, tn := range res.tenants {
-		if tn.summary.Arrivals == 0 || tn.summary.Completed == 0 {
-			t.Fatalf("tenant %q served nothing: %+v", tn.name, tn.summary)
-		}
-		if tn.summary.ViolationRatio > 0.5 {
-			t.Fatalf("tenant %q lost most of its SLO under contention: %+v", tn.name, tn.summary)
-		}
-	}
-	if len(res.grantHistory) == 0 {
-		t.Fatal("no joint allocations recorded")
-	}
-	for _, row := range res.grantHistory {
-		if row[0]+row[1] > 20 {
-			t.Fatalf("grant row %v oversubscribes the pool", row)
-		}
-	}
-	// The spike must move the partition: traffic's grant varies across the run.
-	a := res.tenants[0]
-	if a.maxGrant <= a.minGrant {
-		t.Fatalf("traffic grant never moved: min %d max %d", a.minGrant, a.maxGrant)
-	}
-}

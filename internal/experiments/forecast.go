@@ -91,7 +91,7 @@ type forecasterSpec struct {
 // Holt-Winters period in samples (0 = trend-only Holt).
 func forecasters(season int) []forecasterSpec {
 	envelope := func(base forecast.Forecaster) forecast.Forecaster {
-		return &forecast.Envelope{Base: base, HorizonSec: forecastHorizonSec, Headroom: forecastHeadroom}
+		return &forecast.Envelope{Base: base, Headroom: forecastHeadroom}
 	}
 	return []forecasterSpec{
 		{

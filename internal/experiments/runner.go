@@ -1,12 +1,11 @@
 // Package experiments holds the runs that regenerate every table and figure
-// of the paper's evaluation (§6), and the hetero, multi-tenant, forecast,
-// ingress, chaos and fleet experiments. Every experiment that serves
-// traffic runs through serve on the one serving stack (internal/stack) that
-// the public loki package serves on, so all approaches and scenarios run on
-// the substrate lokiserve runs; they differ only in their tenants and
-// pool-level knobs. cmd/lokiexp drives this package, and its tests run the
-// paper figures' shapes; lokiserve, lokisim and lokiload sit on the public
-// package.
+// of the paper's evaluation (§6), and the hetero, forecast, ingress and
+// chaos experiments. Every experiment that serves traffic runs through serve
+// on the one serving stack (internal/stack) that the public loki package
+// serves on, so all approaches and scenarios run on the substrate lokiserve
+// runs; they differ only in their tenants and pool-level knobs. cmd/lokiexp
+// drives this package, and its tests run the paper figures' shapes;
+// lokiserve, lokisim and lokiload sit on the public package.
 package experiments
 
 import (

@@ -237,13 +237,9 @@ func (h *HoltWinters) Predict(horizon float64) float64 {
 	return math.Max(0, out)
 }
 
-// Envelope geometry: the default planning horizon matches the Resource
-// Manager's 10-second periodic interval, sampled at the per-second
+// envelopeStepSec is the Envelope's sampling step: the per-second
 // housekeeping cadence.
-const (
-	defaultEnvelopeHorizonSec = 10
-	envelopeStepSec           = 1
-)
+const envelopeStepSec = 1
 
 // Envelope wraps a base forecaster InferLine-style: instead of the point
 // prediction at the horizon, Predict returns the *maximum* base prediction
@@ -258,10 +254,6 @@ const (
 type Envelope struct {
 	// Base supplies the point predictions.
 	Base Forecaster
-	// HorizonSec is the minimum window the max is taken over (0 means
-	// defaultEnvelopeHorizonSec). Predict extends it when asked for a
-	// longer horizon.
-	HorizonSec float64
 	// Headroom inflates the enveloped prediction by 1+Headroom, the
 	// InferLine-style provisioning margin for forecast error.
 	Headroom float64
@@ -271,27 +263,13 @@ type Envelope struct {
 func (e *Envelope) Observe(t, rate float64) { e.Base.Observe(t, rate) }
 
 // Predict returns (1+Headroom) × max of the base prediction over
-// [0, max(horizon, HorizonSec)] sampled every second, always including both
-// endpoints.
+// [0, horizon] sampled every second, always including both endpoints.
 func (e *Envelope) Predict(horizon float64) float64 {
-	window := e.HorizonSec
-	if window <= 0 {
-		window = defaultEnvelopeHorizonSec
-	}
-	if horizon > window {
-		window = horizon
-	}
 	m := e.Base.Predict(0)
-	for i := 1; ; i++ {
-		s := float64(i) * envelopeStepSec
-		if s > window {
-			s = window
-		}
+	for s := 0.0; s < horizon; {
+		s = min(s+envelopeStepSec, horizon)
 		if p := e.Base.Predict(s); p > m {
 			m = p
-		}
-		if s >= window {
-			break
 		}
 	}
 	return (1 + e.Headroom) * m

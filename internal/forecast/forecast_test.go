@@ -117,7 +117,7 @@ func TestEnvelopeHeadroomMonotone(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			base.Observe(float64(i), 50+10*float64(i))
 		}
-		return &Envelope{Base: base, HorizonSec: 10, Headroom: head}
+		return &Envelope{Base: base, Headroom: head}
 	}
 	prev := -1.0
 	for _, head := range []float64{0, 0.05, 0.1, 0.3, 1.0} {
@@ -140,7 +140,7 @@ func TestEnvelopeTakesWindowMax(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		base.Observe(float64(i), 500-50*float64(i))
 	}
-	env := &Envelope{Base: base, HorizonSec: 10}
+	env := &Envelope{Base: base}
 	if got, now := env.Predict(10), base.Predict(0); got < now {
 		t.Fatalf("envelope %v below current level %v: window max must include now", got, now)
 	}

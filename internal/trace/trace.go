@@ -86,9 +86,9 @@ func (t *Trace) ScaleToPeak(peak float64) *Trace {
 
 // WithSpike returns a copy with a multiplicative burst overlaid: rates in
 // the window [startFrac, startFrac+durFrac) of the trace (fractions of its
-// duration, clamped to [0,1]) are multiplied by mult. It synthesizes the
-// flash-crowd contention scenarios of the multi-tenant experiments — one
-// pipeline spikes while its neighbours' demand stays put.
+// duration, clamped to [0,1]) are multiplied by mult. It synthesizes
+// flash-crowd contention scenarios on a shared pool: one pipeline spikes
+// while its neighbours' demand stays put.
 func (t *Trace) WithSpike(startFrac, durFrac, mult float64) *Trace {
 	clamp := func(x float64) float64 { return math.Min(1, math.Max(0, x)) }
 	startFrac = clamp(startFrac)
