@@ -298,3 +298,91 @@ func TestWallclockCrashRecover(t *testing.T) {
 		t.Errorf("system served nothing through the crash: %+v", rep)
 	}
 }
+
+// Every Snapshot on the wall-clock engine describes one instant. A goroutine
+// snapshots in a loop while the pacer serves a ramp that forces re-plans on a
+// two-class pool and a crash takes two servers down and brings them back;
+// each snapshot's request totals, per-class active counts, live counts and
+// worker rows must agree with one another.
+func TestWallclockSnapshotIsOneInstant(t *testing.T) {
+	var log eventLog
+	sys, err := loki.New(loki.TrafficAnalysisPipeline(),
+		loki.WithSeed(4),
+		loki.WithHardware(
+			loki.HardwareClass{Name: "fast", Count: 4, Speed: 1.5},
+			loki.HardwareClass{Name: "slow", Count: 6, Speed: 1.0},
+		),
+		loki.WithEngine(loki.Wallclock),
+		loki.WithTimeScale(0.05),
+		loki.WithFaults(loki.FaultEvent{
+			At: 2 * time.Second, Kind: loki.FaultCrash, Class: "slow", N: 2, RecoverAfter: 3 * time.Second,
+		}),
+		loki.WithFaultObserver(log.observe),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(s loki.Snapshot) bool {
+		byClass := 0
+		for _, n := range s.ActiveServersByClass {
+			byClass += n
+		}
+		assigned := 0
+		for _, w := range s.Workers {
+			if w.Assigned != "" {
+				assigned++
+			}
+		}
+		if s.InFlight != s.Arrivals-s.Completed-s.Dropped || s.InFlight < 0 ||
+			s.ActiveServers != byClass || s.ActiveServers > s.LiveServers || assigned != s.ActiveServers {
+			t.Errorf("snapshot at t=%.3f disagrees with itself: in flight %d of %d arrivals (%d completed, %d dropped); "+
+				"active %d, by class %v, live %d; %d worker rows assigned",
+				s.TimeSec, s.InFlight, s.Arrivals, s.Completed, s.Dropped,
+				s.ActiveServers, s.ActiveServersByClass, s.LiveServers, assigned)
+			return false
+		}
+		return true
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var snaps, degraded int
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			s := sys.Snapshot()
+			if !check(s) {
+				return
+			}
+			snaps++
+			if s.LiveServers < 10 {
+				degraded++
+			}
+		}
+	}()
+	if err := sys.Feed(loki.RampTrace(40, 400, 8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for len(log.snapshot()) < 2 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	close(done)
+	wg.Wait()
+	if err := sys.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	check(sys.Snapshot())
+	if events := log.snapshot(); len(events) != 2 {
+		t.Fatalf("want crash then recover, got %v", events)
+	}
+	if degraded == 0 {
+		t.Errorf("none of %d snapshots saw the crash", snaps)
+	}
+	t.Logf("%d snapshots, %d during the crash, %d allocations", snaps, degraded, sys.Snapshot().Allocates)
+}

@@ -300,12 +300,11 @@ func (c *Cluster) FlushTaskArrivals() []int {
 
 // ApplyPlan reconfigures the cluster to a new plan and routing tables (the
 // Resource Manager adjusting worker↔variant assignments, §3). Placement is
-// core.Reconciler's (shared with the wall-clock engine): workers that keep
-// their exact configuration are untouched and unchanged replicas keep serving
-// through the reconfiguration. What is simulated here is the effect on each
-// worker that held or receives a spec: a change of variant or batch size
-// stalls it for SwapLatencySec, and a change of task (or a shutdown) also
-// forfeits its queued requests.
+// core.Reconciler's: workers that keep their exact configuration are
+// untouched and unchanged replicas keep serving through the reconfiguration.
+// What is simulated here is the effect on each worker that held or receives a
+// spec: a change of variant or batch size stalls it for SwapLatencySec, and a
+// change of task (or a shutdown) also forfeits its queued requests.
 func (c *Cluster) ApplyPlan(plan *core.Plan, routes *core.Routes) {
 	now := c.eng.Now()
 	c.routes = routes

@@ -322,16 +322,20 @@ func (t *Tenant) planningDemand() float64 {
 // The sum of grants never exceeds the pool, so the per-tenant engines'
 // active workers always fit the shared cluster.
 type MultiController struct {
-	// GreedyReplaceBudget, when positive, lets up to that many MILP solves
-	// per round be replaced by the planner's greedy first pass. Eligible are
-	// tenants that need a fresh solve (plan-cache miss: a bucket boundary
-	// crossed, a changed grant) but whose demand moved less than one cache
-	// bucket since their standing plan — the solves most likely to return a
-	// near-identical plan at full branch-and-bound price. Replacements are
-	// deterministic (registration order) and greedy plans are provisional:
-	// they are never cached, and demand drifting a fine bucket re-solves
-	// them properly. Zero (the default) keeps every solve on the MILP,
-	// bit-identical to the pre-greedy arbiter.
+	// GreedyReplaceBudget, when positive, lets up to that many tenants per
+	// round take the planner's greedy first pass instead of their MILP
+	// solves (the desire solve and, if cut, the capped re-solve). Eligible
+	// are dirty tenants that hold a standing plan and whose demand moved less
+	// than one cache bucket since it. A tenant is dirty when its desire key —
+	// the quantized demand plus the desire caps, never a grant — changed since
+	// its last desire solve, when that solve's plan is provisional and demand
+	// left its fine bucket, or when its cache is off. The pick is made before
+	// any cache lookup, so a replacement can buy a greedy plan where the
+	// cache already holds one for the new key. Replacements are deterministic
+	// (registration order) and greedy plans are provisional: they are never
+	// cached, and demand drifting a fine bucket re-solves them properly. Zero
+	// (the default) keeps every solve on the MILP, bit-identical to the
+	// pre-greedy arbiter.
 	GreedyReplaceBudget int
 
 	// OnGrants, when non-nil, observes every joint allocation: the step
@@ -927,9 +931,13 @@ func (r *round) resolve() error {
 			return nil
 		}
 		// Clean tenant, same grant as last round, standing plan already
-		// solved inside it: reuse verbatim. (The cache would return the
-		// identical plan; this skips the lookups and the dropFragment
-		// retry.)
+		// solved inside it: reuse it verbatim, skipping the lookups and the
+		// dropFragment retry. This is not the cache's rule. "Clean" judges
+		// the desire plan, so a provisional capped plan is kept here after
+		// demand leaves its fine bucket, where the cache would re-solve it.
+		// The chaos golden (TestChaosOutageMatchesRecordedRun) rests on this:
+		// without the shortcut its untiered gold tenant's before-fault
+		// attainment falls from 0.997 to 0.848 (ROADMAP item 20).
 		if !r.dirty[i] && t.cappedPlan && t.plan != nil && slices.Equal(r.grants[i], t.grant) {
 			r.plans[i] = t.plan
 			return nil

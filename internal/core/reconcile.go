@@ -22,8 +22,9 @@ func SameConfig(a, b *WorkerSpec) bool { return hostKeyOf(a) == hostKeyOf(b) }
 
 // Reconciler places a plan's specs on a fixed pool of physical workers laid
 // out class by class, and remembers the placement and which workers are down
-// between publishes. Both serving engines own one and apply their own effects
-// (queues, swaps, wake-ups) to the workers Reconcile returns. The rule: a spec
+// between publishes. Each tenant's cluster in the serving engine owns one and
+// applies its effects (queues, swaps, wake-ups) to the workers Reconcile
+// returns. The rule: a spec
 // first keeps the lowest up worker already hosting its exact configuration;
 // the specs left over then take, in spec order, the lowest unclaimed up worker
 // of their class. Swaps never cross classes, and a spec whose class has no

@@ -43,7 +43,7 @@ func TestNewMultiAllocatesPerTenantNotPerWorker(t *testing.T) {
 	if got > newMultiAllocCeiling {
 		t.Fatalf("NewMulti allocates %.0f times on the fleet cell, ceiling %d", got, newMultiAllocCeiling)
 	}
-	if n := len(m.ActiveByClass(tenants - 1)); n != len(classes) {
+	if n := len(m.Observe(tenants - 1).ActiveByClass); n != len(classes) {
 		t.Fatalf("tenant %d reports %d classes, want %d", tenants-1, n, len(classes))
 	}
 }

@@ -13,7 +13,11 @@
 // above this package is backend-agnostic.
 package engine
 
-import "errors"
+import (
+	"errors"
+
+	"loki/internal/telemetry"
+)
 
 // Stats are cumulative request totals of a backend. Injected counts root
 // requests admitted; every injected request eventually lands in exactly one
@@ -29,7 +33,23 @@ type Stats struct {
 	Shed      int64
 }
 
-// Lifecycle errors shared by both backends.
+// Observation is one tenant and the pool at one engine instant
+// (MultiEngine.Observe).
+type Observation struct {
+	TimeSec float64 // the backend's shared time in seconds since Start
+	Stats   Stats
+	// Active counts the tenant's workers hosting a model; ActiveByClass
+	// splits them by hardware class, in class order.
+	Active        int
+	ActiveByClass []int
+	// LiveByClass counts the pool's servers up (not crashed) per class.
+	LiveByClass []int
+	// Workers are the tenant's per-worker telemetry rows, nil with
+	// telemetry off.
+	Workers []telemetry.WorkerRow
+}
+
+// Lifecycle errors of the backend, on both kinds.
 var (
 	errNotStarted = errors.New("engine: not started")
 	errStopped    = errors.New("engine: stopped")

@@ -94,7 +94,7 @@ func runOnce(t *testing.T, seed int64) Stats {
 	if err := eng.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	return eng.Stats(0)
+	return eng.Observe(0).Stats
 }
 
 func TestSimulatedConservation(t *testing.T) {
@@ -148,7 +148,7 @@ func TestStragglerRecoveryRestoresSpeed(t *testing.T) {
 			t.Fatalf("worker %d reads speed factor %g after the recovery, want 1", r.Worker, r.SpeedFactor)
 		}
 	}
-	if st := h.eng.Stats(0); st.Injected == 0 || st.Injected != st.Completed+st.Dropped {
+	if st := h.eng.Observe(0).Stats; st.Injected == 0 || st.Injected != st.Completed+st.Dropped {
 		t.Fatalf("conservation: injected %d, completed %d, dropped %d", st.Injected, st.Completed, st.Dropped)
 	}
 }
@@ -191,7 +191,7 @@ func TestLifecycleErrors(t *testing.T) {
 			if err := eng.FeedAll([]*trace.Trace{trace.Ramp(10, 20, 2, 1)}); !errors.Is(err, errStopped) {
 				t.Fatalf("FeedAll after Stop = %v", err)
 			}
-			st := eng.Stats(0)
+			st := eng.Observe(0).Stats
 			if st.Injected != 1 || st.Completed+st.Dropped != 1 {
 				t.Fatalf("submitted request not drained by Stop: %+v", st)
 			}
@@ -212,7 +212,7 @@ func TestSwapLatencyAppliesToBothKinds(t *testing.T) {
 			if err := h.eng.Start(h.ctrl); err != nil {
 				t.Fatal(err)
 			}
-			before := h.eng.Stats(0).Swaps
+			before := h.eng.Observe(0).Stats.Swaps
 			h.meta.ObserveDemand(400)
 			if err := h.ctrl.Step(true); err != nil {
 				t.Fatal(err)
@@ -220,7 +220,7 @@ func TestSwapLatencyAppliesToBothKinds(t *testing.T) {
 			if err := h.eng.Stop(); err != nil {
 				t.Fatal(err)
 			}
-			if after := h.eng.Stats(0).Swaps; after <= before {
+			if after := h.eng.Observe(0).Stats.Swaps; after <= before {
 				t.Fatalf("re-plan for 4x the demand counted no swap: %d before, %d after", before, after)
 			}
 		})
@@ -241,7 +241,7 @@ func TestSubmitOnlyDrainsAtStop(t *testing.T) {
 	if err := eng.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats(0)
+	st := eng.Observe(0).Stats
 	if st.Injected != 25 || st.Completed == 0 {
 		t.Fatalf("stats after drain: %+v", st)
 	}
@@ -324,11 +324,11 @@ func TestRepublishWhileServing(t *testing.T) {
 	if err := eng.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats(0)
+	st := eng.Observe(0).Stats
 	if st.Injected == 0 || st.Injected != st.Completed+st.Dropped {
 		t.Fatalf("conservation: %+v", st)
 	}
-	if got, want := eng.ActiveServers(0), len(routes[0].Specs); got != want {
+	if got, want := eng.Observe(0).Active, len(routes[0].Specs); got != want {
 		t.Fatalf("%d servers active after the last publish, plan has %d replicas", got, want)
 	}
 }

@@ -6,11 +6,15 @@ import (
 )
 
 // faultPool tracks the shared pool's fault state at the physical-server
-// level: the one record of which servers are up, read by LiveByClass. Every
-// tenant backend models the same physical machines (tenant worker i is the
-// same server in each engine), so victim selection happens once here and the
-// same physical ids are applied to every tenant's engine — all views of the
-// pool agree on which servers are down or slow.
+// level: the one record of which servers are up, read by liveByClass and
+// Observe. Every tenant's cluster numbers the same physical machines (worker
+// i is server i for every tenant), so victim selection happens once here and
+// the same physical ids are applied to every tenant's cluster — all views of
+// the pool agree on which servers are down or slow. Placement does not share
+// that view: each tenant's core.Reconciler places replicas from the lowest
+// free id of a class regardless of the other tenants, so tenants can hold
+// the same ids while higher ones sit idle, and a crash can then down only
+// idle servers.
 //
 // Selection is deterministic: within a class, the highest-index healthy
 // worker fails (or straggles) first, and recovery restores exactly the ids

@@ -83,8 +83,8 @@ type MultiConfig struct {
 	// pool. Both kinds schedule it as engine events, anchored to the start of
 	// the first FeedAll on the simulator and to Start on the wall-clock
 	// backend. With a schedule set, Start points the controller's Capacity
-	// at LiveByClass, so every controller step reads the live counts and a
-	// fault re-plans within a round.
+	// at the pool's live counts, read under the backend's lock, so every
+	// controller step reads them and a fault re-plans within a round.
 	Faults *fault.Schedule
 
 	// OnFault, when non-nil, observes every fault and recovery event with
@@ -125,12 +125,9 @@ func (c *MultiConfig) defaults() error {
 	return nil
 }
 
-// The Resource Manager re-plans every rmIntervalSec (the paper's 10 s) and
-// the Load Balancer refreshes its routes every lbIntervalSec.
-const (
-	rmIntervalSec = 10
-	lbIntervalSec = 1
-)
+// The Resource Manager re-plans on every rmIntervalSec-th housekeeping tick
+// (the paper's 10 s); the Load Balancer refreshes its routes on every tick.
+const rmIntervalSec = 10
 
 // MultiEngine is a serving backend hosting one or more pipelines on one
 // shared pool and clock. Tenants are addressed by their index in
@@ -144,10 +141,10 @@ type MultiEngine interface {
 	// per-tenant publish target).
 	ApplyPlan(tenant int, plan *core.Plan, routes *core.Routes)
 
-	// Start begins serving; the given controller is stepped jointly on the
-	// periodic intervals until Stop, and with a fault schedule reads the
-	// pool's live counts through LiveByClass. A nil controller serves the
-	// standing plans without stepping.
+	// Start begins serving; the given controller is stepped jointly by the
+	// housekeeping tick until Stop, and with a fault schedule reads the
+	// pool's live counts at every step. A nil controller serves the standing
+	// plans without stepping.
 	Start(ctrl *core.MultiController) error
 
 	// Submit admits a single request for one tenant at the backend's
@@ -165,22 +162,9 @@ type MultiEngine interface {
 	// shuts the backend down.
 	Stop() error
 
-	// Stats returns one tenant's cumulative request totals.
-	Stats(tenant int) Stats
-
-	// Now returns the backend's shared time in seconds since Start.
-	Now() float64
-
-	// ActiveServers counts one tenant's workers currently hosting a model.
-	ActiveServers(tenant int) int
-
-	// ActiveByClass counts one tenant's workers currently hosting a model
-	// in each hardware class, in class order.
-	ActiveByClass(tenant int) []int
-
-	// LiveByClass counts the pool's servers currently up (not crashed) in
-	// each hardware class, in class order: the one record of pool health.
-	LiveByClass() []int
+	// Observe reads one tenant and the pool at one instant, in one hold of
+	// the backend's lock.
+	Observe(tenant int) Observation
 }
 
 // NewMulti builds the backend of the given kind — the one constructor
@@ -356,7 +340,7 @@ func (m *multi) pace() {
 			w.mu.Unlock()
 			return
 		}
-		// The ticks reschedule themselves without end, so an event is
+		// The tick reschedules itself without end, so an event is
 		// always pending.
 		w.sleepAt, _ = m.eng.NextAt()
 		w.mu.Unlock()
@@ -423,7 +407,7 @@ func (m *multi) keepErr(err error) {
 // Fail, Recover, Slow, and Restore are fault.Compile's target on the shared
 // pool: victims are chosen once at the pool level and applied to every
 // tenant's cluster (each models the same physical machines). The controller
-// reads the new live counts (LiveByClass) on its next step. They run as
+// reads the new live counts (liveByClass) on its next step. They run as
 // fault events, under the wall-clock kind's lock.
 func (m *multi) Fail(class, n int) []int {
 	phys := m.fp.pickFail(class, n)
@@ -489,8 +473,7 @@ func (m *multi) admit(i int) (ok bool, retryAfterSec float64) {
 		return true, 0
 	}
 	now := m.eng.Now()
-	inj, comp, drop, _, _ := m.cls[i].Totals()
-	ok, retry := t.Admission.Admit(now, inj-comp-drop)
+	ok, retry := t.Admission.Admit(now, int64(m.cls[i].Inflight()))
 	if ok {
 		t.Collector.Admitted(now)
 		return true, 0
@@ -526,7 +509,7 @@ func (m *multi) Start(ctrl *core.MultiController) error {
 	m.started = true
 	m.ctrl = ctrl
 	if ctrl != nil && m.cfg.Faults != nil {
-		ctrl.Capacity = m.LiveByClass
+		ctrl.Capacity = m.liveByClass
 	}
 	m.arrRngs = make([]*rand.Rand, len(m.cls))
 	for i := range m.cls {
@@ -667,18 +650,21 @@ func chainArrivals(eng *sim.Engine, start float64, arrivals []float64, inject fu
 	scheduleNext()
 }
 
-// startTicks schedules the shared housekeeping as engine events: every
-// second each tenant's demand report, heartbeat and demand sample, then one
-// joint reactive controller step; a Load Balancer refresh every
-// lbIntervalSec; a Resource Manager step every rmIntervalSec. No tick is
-// scheduled past end.
+// startTicks schedules the shared housekeeping as one engine event a second,
+// none past end. Every rmIntervalSec-th tick first makes the Resource
+// Manager's periodic step; every tick then takes each tenant's demand report,
+// heartbeat and demand sample, makes one joint reactive step and refreshes the
+// Load Balancer's routes.
 func (m *multi) startTicks(end float64) {
-	reactive := func() error { return m.ctrl.Step(false) }
 	periodic := func() error { return m.ctrl.Step(true) }
+	reactive := func() error { return m.ctrl.Step(false) }
 	rebalance := func() error { m.ctrl.Rebalance(); return nil }
-
-	var secTick func()
-	secTick = func() {
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n%rmIntervalSec == 0 {
+			m.control(periodic)
+		}
 		now := m.eng.Now()
 		for i := range m.cls {
 			rate := 0.0
@@ -688,29 +674,12 @@ func (m *multi) startTicks(end float64) {
 			m.housekeepTenant(i, now, rate)
 		}
 		m.control(reactive)
-		if now+1 <= end {
-			m.eng.After(1, secTick)
-		}
-	}
-	m.eng.After(1, secTick)
-
-	var lbTick func()
-	lbTick = func() {
 		m.control(rebalance)
-		if m.eng.Now()+lbIntervalSec <= end {
-			m.eng.After(lbIntervalSec, lbTick)
+		if now+1 <= end {
+			m.eng.After(1, tick)
 		}
 	}
-	m.eng.After(lbIntervalSec, lbTick)
-
-	var rmTick func()
-	rmTick = func() {
-		m.control(periodic)
-		if m.eng.Now()+rmIntervalSec <= end {
-			m.eng.After(rmIntervalSec, rmTick)
-		}
-	}
-	m.eng.After(rmIntervalSec, rmTick)
+	m.eng.After(1, tick)
 }
 
 func (m *multi) housekeepTenant(i int, now, rateQPS float64) {
@@ -755,39 +724,31 @@ func (m *multi) Stop() error {
 	return m.stepErr
 }
 
-func (m *multi) Stats(tenant int) Stats {
+func (m *multi) Observe(tenant int) Observation {
 	m.lock()
 	defer m.unlock()
-	injected, completed, dropped, rerouted, swaps := m.cls[tenant].Totals()
-	return Stats{
-		Injected:  injected,
-		Completed: completed,
-		Dropped:   dropped,
-		Rerouted:  rerouted,
-		Swaps:     swaps,
-		Shed:      m.shed[tenant],
+	cl := m.cls[tenant]
+	injected, completed, dropped, rerouted, swaps := cl.Totals()
+	return Observation{
+		TimeSec: m.eng.Now(),
+		Stats: Stats{
+			Injected:  injected,
+			Completed: completed,
+			Dropped:   dropped,
+			Rerouted:  rerouted,
+			Swaps:     swaps,
+			Shed:      m.shed[tenant],
+		},
+		Active:        cl.ActiveServers(),
+		ActiveByClass: cl.ActiveByClass(),
+		LiveByClass:   m.fp.live(),
+		Workers:       m.cfg.Tenants[tenant].Telemetry.Rows(),
 	}
 }
 
-func (m *multi) Now() float64 {
-	m.lock()
-	defer m.unlock()
-	return m.eng.Now()
-}
-
-func (m *multi) ActiveServers(tenant int) int {
-	m.lock()
-	defer m.unlock()
-	return m.cls[tenant].ActiveServers()
-}
-
-func (m *multi) ActiveByClass(tenant int) []int {
-	m.lock()
-	defer m.unlock()
-	return m.cls[tenant].ActiveByClass()
-}
-
-func (m *multi) LiveByClass() []int {
+// liveByClass counts the pool's servers currently up (not crashed) in each
+// hardware class, in class order: the controller's read of pool health.
+func (m *multi) liveByClass() []int {
 	m.lock()
 	defer m.unlock()
 	return m.fp.live()

@@ -116,7 +116,7 @@ func Run(cfg RunConfig) (*runResult, error) {
 		Summary:   s.Tenants[0].Col.Summarize(),
 		series:    s.Tenants[0].Col.Series(),
 		allocates: s.Ctrl.Allocates(),
-		Stats:     s.Eng.Stats(0),
+		Stats:     s.Eng.Observe(0).Stats,
 	}, nil
 }
 

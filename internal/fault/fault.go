@@ -1,8 +1,8 @@
 // Package fault is the deterministic fault injector behind the chaos
 // experiments and the -fault CLI flags. A Schedule is a list of timed events
 // — single-server crashes, whole-class outages, slow-node stragglers, and
-// their timed recoveries — that both serving backends (the discrete-event
-// simulator and the wall-clock prototype) consume. The package itself holds
+// their timed recoveries — that the serving engine consumes, on the
+// simulated and the wall-clock kind alike. The package itself holds
 // no clock and no randomness: Compile turns a Schedule into (time, action)
 // pairs and the engine schedules them on its own timeline, so the same seed
 // and the same schedule reproduce the same run bit for bit.

@@ -54,7 +54,6 @@ type bucket struct {
 	accuracySum float64
 	accuracyN   int
 	latencySum  float64
-	latencyMax  float64
 	demandSum   float64 // integral of offered demand (QPS × samples)
 	demandN     int
 	serversSum  float64
@@ -122,9 +121,6 @@ func (c *Collector) Completed(t float64, late bool, latency, accuracy float64) {
 		b.completed++
 	}
 	b.latencySum += latency
-	if latency > b.latencyMax {
-		b.latencyMax = latency
-	}
 	if c.latHist == nil {
 		c.latHist = make([]int64, len(latencyBounds)+1)
 	}
@@ -260,11 +256,9 @@ type Summary struct {
 	MeanAccuracy   float64 // over answered requests
 	MinAccuracy    float64 // lowest bucket mean (the "max accuracy drop" metric)
 	MeanLatency    float64 // over answered requests (seconds)
-	maxLatency     float64
 	MeanServers    float64
 	MinServers     float64
 	MaxServers     float64
-	meanUtiliz     float64
 
 	// Hardware-class accounting (nil/zero unless the collector's SetClasses
 	// armed it): mean active servers per class, the class names, and the
@@ -338,9 +332,6 @@ func (c *Collector) Summarize() Summary {
 		accSum += b.accuracySum
 		accN += b.accuracyN
 		latSum += b.latencySum
-		if b.latencyMax > s.maxLatency {
-			s.maxLatency = b.latencyMax
-		}
 		if b.accuracyN > 0 {
 			if m := b.accuracySum / float64(b.accuracyN); m < s.MinAccuracy {
 				s.MinAccuracy = m
@@ -369,9 +360,6 @@ func (c *Collector) Summarize() Summary {
 	}
 	if srvN > 0 {
 		s.MeanServers = srvSum / float64(srvN)
-		if c.servers > 0 {
-			s.meanUtiliz = s.MeanServers / float64(c.servers)
-		}
 	}
 	if math.IsInf(s.MinAccuracy, 1) {
 		s.MinAccuracy = 0
@@ -401,8 +389,7 @@ func (c *Collector) Summarize() Summary {
 // requests; the server columns add across summaries (tenants partition one
 // pool, so the sum is the pool's activity — Min/Max sums are bounds, not
 // exact joint extrema, since the per-tenant extremes need not coincide in
-// time). meanUtiliz is left zero: the per-tenant utilizations already share
-// the pool denominator, so an aggregate would double-count.
+// time).
 func Merge(sums ...Summary) Summary {
 	var out Summary
 	accSum, latSum := 0.0, 0.0
@@ -418,9 +405,6 @@ func Merge(sums ...Summary) Summary {
 		accSum += s.MeanAccuracy * float64(n)
 		latSum += s.MeanLatency * float64(n)
 		answered += n
-		if s.maxLatency > out.maxLatency {
-			out.maxLatency = s.maxLatency
-		}
 		out.MeanServers += s.MeanServers
 		out.MinServers += s.MinServers
 		out.MaxServers += s.MaxServers

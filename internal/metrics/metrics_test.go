@@ -85,9 +85,8 @@ func TestUtilizationFromServerSamples(t *testing.T) {
 	c := NewCollector(10, 20)
 	c.SampleServers(1, 10)
 	c.SampleServers(2, 10)
-	s := c.Summarize()
-	if math.Abs(s.meanUtiliz-0.5) > 1e-12 {
-		t.Fatalf("utilization = %g, want 0.5", s.meanUtiliz)
+	if p := c.Series()[0]; math.Abs(p.Utilization-0.5) > 1e-12 {
+		t.Fatalf("utilization = %g, want 0.5", p.Utilization)
 	}
 }
 
@@ -182,13 +181,13 @@ func TestMergeSummaries(t *testing.T) {
 	a := Summary{
 		Arrivals: 100, Completed: 80, Late: 10, Dropped: 10,
 		ViolationRatio: 0.2, MeanAccuracy: 0.9, MinAccuracy: 0.85,
-		MeanLatency: 0.1, maxLatency: 0.3,
+		MeanLatency: 0.1,
 		MeanServers: 6, MinServers: 4, MaxServers: 8,
 	}
 	b := Summary{
 		Arrivals: 300, Completed: 270, Late: 0, Dropped: 30,
 		ViolationRatio: 0.1, MeanAccuracy: 0.8, MinAccuracy: 0.7,
-		MeanLatency: 0.2, maxLatency: 0.25,
+		MeanLatency: 0.2,
 		MeanServers: 10, MinServers: 9, MaxServers: 12,
 	}
 	m := Merge(a, b)
@@ -205,7 +204,7 @@ func TestMergeSummaries(t *testing.T) {
 	if want := (90*0.1 + 270*0.2) / 360; math.Abs(m.MeanLatency-want) > 1e-12 {
 		t.Fatalf("MeanLatency = %v, want %v", m.MeanLatency, want)
 	}
-	if m.MinAccuracy != 0.7 || m.maxLatency != 0.3 {
+	if m.MinAccuracy != 0.7 {
 		t.Fatalf("extrema wrong: %+v", m)
 	}
 	if m.MeanServers != 16 || m.MinServers != 13 || m.MaxServers != 20 {

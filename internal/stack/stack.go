@@ -124,10 +124,9 @@ type Tenant struct {
 	planner core.Planner
 	Col     *metrics.Collector
 	Adm     *ingress.Admission // nil unless Spec.Admission
-	// Tel and Tracer are the tenant's telemetry collector and request
-	// tracer, built by Build (nil with telemetry off; Tracer also nil at
-	// sample probability zero).
-	Tel    *telemetry.Collector
+	// Tracer is the tenant's request tracer, built by Build with its
+	// telemetry collector (ecfg.Telemetry; both nil with telemetry off,
+	// Tracer also nil at sample probability zero).
 	Tracer *telemetry.Tracer
 	ecfg   engine.TenantConfig
 }
@@ -266,9 +265,9 @@ func (s *Stack) Build() error {
 			// own seeded stream, disjoint from the per-tenant cluster
 			// (seed+1+2i) and arrival (seed+2+2i) streams, so telemetry
 			// never perturbs serving.
-			t.Tel = telemetry.NewCollector(s.Registry, t.Name, workers, s.CollectorOpts...)
+			t.ecfg.Telemetry = telemetry.NewCollector(s.Registry, t.Name, workers, s.CollectorOpts...)
 			t.Tracer = telemetry.NewTracer(t.Name, s.TraceProb, s.Seed+9001+2*int64(i))
-			t.ecfg.Telemetry, t.ecfg.Tracer = t.Tel, t.Tracer
+			t.ecfg.Tracer = t.Tracer
 		}
 		mc.Tenants = append(mc.Tenants, t.ecfg)
 	}

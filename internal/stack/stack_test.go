@@ -49,7 +49,7 @@ func TestWallclockStackConserves(t *testing.T) {
 	if err := s.Build(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Tenants[0].Tel == nil || s.Tenants[0].Tracer == nil {
+	if s.Tenants[0].ecfg.Telemetry == nil || s.Tenants[0].Tracer == nil {
 		t.Fatal("a registry was set but the tenants got no telemetry")
 	}
 	if err := s.Prime([]float64{50, 50}); err != nil {
@@ -76,7 +76,7 @@ func TestWallclockStackConserves(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range s.Tenants {
-		st := s.Eng.Stats(i)
+		st := s.Eng.Observe(i).Stats
 		if st.Injected+st.Shed != 100 || st.Completed+st.Dropped != st.Injected {
 			t.Errorf("tenant %d: %+v, want 100 offered and every admitted request resolved", i, st)
 		}

@@ -164,7 +164,7 @@ func WorkerMetricsLimit(opts ...CollectorOption) int {
 }
 
 // NewCollector builds a collector for a pool laid out as classes in order
-// (worker indices 0..n-1 span the classes' counts, matching both engines'
+// (worker indices 0..n-1 span the classes' counts, matching the engine's
 // physical numbering) and registers it with reg, which folds its rows into
 // their series at every read. reg may be nil to collect rows without
 // exposition.

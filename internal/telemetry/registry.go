@@ -1,6 +1,6 @@
 // Package telemetry is the serving system's observability plane: a registry
 // of typed counters, gauges, and histograms stamped with engine-clock
-// timestamps; a per-worker collector both engines feed on
+// timestamps; a per-worker collector the serving engine feeds on
 // enqueue/dequeue/batch/swap/fault events (queue depth, occupancy, in-flight
 // batch size, served QPS, effective speed factor — the signals a
 // saturation-driven fast loop needs between MILP rounds); and a sampled

@@ -351,34 +351,34 @@ func (m *MultiSystem) Snapshot(pipeline string) (Snapshot, error) {
 	if err != nil || !built {
 		return Snapshot{}, err
 	}
-	st := m.st.Eng.Stats(i)
+	obs := m.st.Eng.Observe(i)
+	st := obs.Stats
 	snap := Snapshot{
-		TimeSec:         m.st.Eng.Now(),
+		TimeSec:         obs.TimeSec,
 		Arrivals:        st.Injected,
 		Completed:       st.Completed,
 		Dropped:         st.Dropped,
 		Rerouted:        st.Rerouted,
 		Shed:            st.Shed,
 		InFlight:        st.Injected - st.Completed - st.Dropped,
-		ActiveServers:   m.st.Eng.ActiveServers(i),
+		ActiveServers:   obs.Active,
 		GrantedServers:  m.st.Ctrl.Grants()[i],
 		Allocates:       m.st.Ctrl.AllocatesOf(i),
 		ObservedDemand:  t.Meta.LastObservedDemand(),
 		PredictedDemand: t.Meta.PredictedDemand(t.HorizonSec),
+		Workers:         obs.Workers,
 	}
 	if t.Adm != nil {
 		snap.AdmittedQPS, snap.ShedQPS = t.Adm.Rates(snap.TimeSec)
 		snap.GrantedRateQPS = t.Adm.Rate()
 	}
-	snap.Workers = t.Tel.Rows()
-	live := m.st.Eng.LiveByClass()
-	for _, n := range live {
+	for _, n := range obs.LiveByClass {
 		snap.LiveServers += n
 	}
 	if classes := t.Meta.Classes(); len(classes) > 1 {
-		snap.ActiveServersByClass = byClass(classes, m.st.Eng.ActiveByClass(i))
+		snap.ActiveServersByClass = byClass(classes, obs.ActiveByClass)
 		snap.GrantedServersByClass = byClass(classes, m.st.Ctrl.ClassGrants()[i])
-		snap.LiveServersByClass = byClass(classes, live)
+		snap.LiveServersByClass = byClass(classes, obs.LiveByClass)
 	}
 	return snap, nil
 }
@@ -504,7 +504,7 @@ func (m *MultiSystem) reportOf(i int) *Report {
 	sum := t.Col.Summarize()
 	var rerouted int64
 	if eng != nil {
-		rerouted = eng.Stats(i).Rerouted
+		rerouted = eng.Observe(i).Stats.Rerouted
 	}
 	r := summaryToReport(sum, rerouted)
 	r.Pipeline = t.Name
@@ -575,7 +575,7 @@ func (m *MultiSystem) AggregateReport() *Report {
 	for i, t := range tenants {
 		sums[i] = t.Col.Summarize()
 		if eng != nil {
-			rerouted += eng.Stats(i).Rerouted
+			rerouted += eng.Observe(i).Stats.Rerouted
 		}
 	}
 	r := summaryToReport(metrics.Merge(sums...), rerouted)
