@@ -33,7 +33,6 @@ var figures = []figure{
 	{"ingress", "Ingress: admission control under overload", ingressFig},
 	{"chaos", "Chaos: fault injection, tiers, and degradation order", chaos},
 	{"validate", "§6.2: simulator validation", validate},
-	{"runtime", "§6.5: runtime overhead", runtime},
 }
 
 func figure1(o options) (string, error) {
@@ -97,14 +96,6 @@ func validate(o options) (string, error) {
 		return "", err
 	}
 	return experiments.FormatValidation(r), nil
-}
-
-func runtime(o options) (string, error) {
-	r, err := experiments.Runtime(o.servers, o.sloSec)
-	if err != nil {
-		return "", err
-	}
-	return experiments.FormatRuntime(r), nil
 }
 
 func forecastFig(o options) (string, error) {

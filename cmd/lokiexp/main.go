@@ -15,7 +15,6 @@
 //	lokiexp -fig ingress    # HTTP front door: admission control under overload
 //	lokiexp -fig chaos      # fault injection: crash/outage/straggler × tiers
 //	lokiexp -fig validate   # simulator-vs-prototype validation (§6.2)
-//	lokiexp -fig runtime    # Resource Manager / Load Balancer overhead (§6.5)
 //	lokiexp -fig all        # everything
 //
 // Performance work attaches pprof evidence with the profiling flags, e.g.

@@ -234,7 +234,7 @@ func TestParseFaultsPublic(t *testing.T) {
 	if evs, err := loki.ParseFaults(""); err != nil || evs != nil {
 		t.Errorf("empty spec should be (nil, nil), got (%v, %v)", evs, err)
 	}
-	for _, bad := range []string{"meteor@10s", "crash@-5s", "crash@10s:n=zero"} {
+	for _, bad := range []string{"meteor@10s", "crash@-5s", "crash@10s:n=zero", "crash@1e11:n=1", "crash@1e300", "crash@10s:recover=1e11"} {
 		if _, err := loki.ParseFaults(bad); err == nil {
 			t.Errorf("ParseFaults(%q) should fail", bad)
 		}
@@ -327,6 +327,10 @@ func TestWallclockSnapshotIsOneInstant(t *testing.T) {
 		for _, n := range s.ActiveServersByClass {
 			byClass += n
 		}
+		granted := 0
+		for _, n := range s.GrantedServersByClass {
+			granted += n
+		}
 		assigned := 0
 		for _, w := range s.Workers {
 			if w.Assigned != "" {
@@ -334,11 +338,13 @@ func TestWallclockSnapshotIsOneInstant(t *testing.T) {
 			}
 		}
 		if s.InFlight != s.Arrivals-s.Completed-s.Dropped || s.InFlight < 0 ||
-			s.ActiveServers != byClass || s.ActiveServers > s.LiveServers || assigned != s.ActiveServers {
+			s.ActiveServers != byClass || s.ActiveServers > s.LiveServers || assigned != s.ActiveServers ||
+			s.GrantedServers != granted {
 			t.Errorf("snapshot at t=%.3f disagrees with itself: in flight %d of %d arrivals (%d completed, %d dropped); "+
-				"active %d, by class %v, live %d; %d worker rows assigned",
+				"active %d, by class %v, live %d; %d worker rows assigned; granted %d, by class %v",
 				s.TimeSec, s.InFlight, s.Arrivals, s.Completed, s.Dropped,
-				s.ActiveServers, s.ActiveServersByClass, s.LiveServers, assigned)
+				s.ActiveServers, s.ActiveServersByClass, s.LiveServers, assigned,
+				s.GrantedServers, s.GrantedServersByClass)
 			return false
 		}
 		return true

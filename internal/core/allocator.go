@@ -60,7 +60,7 @@ type AllocatorOptions struct {
 // latency SLO (Constraints 4-7) is enforced exactly by pruning infeasible
 // paths up front rather than with big-M indicator rows.
 type Allocator struct {
-	Meta *MetadataStore
+	meta *MetadataStore
 	opts AllocatorOptions
 
 	// classes are the cluster's hardware classes and counts their effective
@@ -109,7 +109,7 @@ type cfgPath struct {
 
 // NewAllocator builds the configuration graph for the store's pipeline.
 func NewAllocator(meta *MetadataStore, opts AllocatorOptions) (*Allocator, error) {
-	a := &Allocator{Meta: meta, opts: opts, state: newSolverState()}
+	a := &Allocator{meta: meta, opts: opts, state: newSolverState()}
 	a.classes = meta.Classes()
 	a.counts = make([]int, len(a.classes))
 	total := 0
@@ -155,8 +155,8 @@ func NewAllocator(meta *MetadataStore, opts AllocatorOptions) (*Allocator, error
 // paths fit the SLO before the accuracy floor prunes any, and the best
 // accuracy among them.
 func (a *Allocator) build() (fit int, bestAcc float64) {
-	g := a.Meta.Graph()
-	classProf := a.Meta.ClassProfiles()
+	g := a.meta.Graph()
+	classProf := a.meta.ClassProfiles()
 
 	// A task's configurations are numbered by (variant, class, batch), so
 	// every variant's, and every (variant, class)'s, form one contiguous
@@ -234,7 +234,7 @@ func (a *Allocator) build() (fit int, bestAcc float64) {
 	// (§4.1 halves the SLO to cover queueing; §4.2 subtracts
 	// communication).
 	budgetFor := func(hops int) float64 {
-		return a.Meta.SLO()/2 - float64(hops)*a.opts.NetLatencySec
+		return a.meta.SLO()/2 - float64(hops)*a.opts.NetLatencySec
 	}
 	// Sink count per task (over the whole graph): a task reachable by more
 	// than one sink is "shared" — its configurations participate in the
@@ -371,7 +371,7 @@ func (a *Allocator) build() (fit int, bestAcc float64) {
 			acc := 1.0
 			for h, id := range tp.Tasks {
 				acc *= g.Tasks[id].Variants[variantChoice[h]].Accuracy
-				mf[h] = a.Meta.MultFactor(id, variantChoice[h])
+				mf[h] = a.meta.MultFactor(id, variantChoice[h])
 			}
 			if n > 0 {
 				fit += n
@@ -528,7 +528,7 @@ func (a *Allocator) CheckCaps(caps []int) error {
 	if total <= 0 {
 		return fmt.Errorf("core: capped allocation needs a positive server budget, got %d", total)
 	}
-	if warm := len(a.Meta.Graph().Tasks); total < warm {
+	if warm := len(a.meta.Graph().Tasks); total < warm {
 		return fmt.Errorf("core: capped allocation of %d servers cannot hold one replica of each of %d tasks", total, warm)
 	}
 	return nil
@@ -623,7 +623,6 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 		}
 		plan := a.extractPlan(x, m, demand, step)
 		stats.Step = int(step)
-		stats.Paths = len(a.paths)
 		stats.Vars = prob.NumVars
 		stats.Constraints = len(prob.Cons)
 		plan.SolveStats = stats
@@ -917,7 +916,7 @@ func (a *Allocator) extractPlan(x []float64, m *stepModel, demand float64, step 
 		plan.CostPerHour += float64(n) * a.classes[c.class].CostPerHour
 	}
 
-	g := a.Meta.Graph()
+	g := a.meta.Graph()
 	accSum, flowSum := 0.0, 0.0
 	for pi, pth := range a.paths {
 		vi := m.pathVar[pi]

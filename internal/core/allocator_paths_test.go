@@ -126,7 +126,7 @@ func BenchmarkNewAllocator(b *testing.B) {
 		{"chain-3class", profiles.TrafficChain(), true},
 		{"traffic-3class", profiles.TrafficTree(), true},
 	} {
-		meta := pathSetAllocator(b, c.g, c.fleet, 0).Meta
+		meta := pathSetAllocator(b, c.g, c.fleet, 0).meta
 		opts := AllocatorOptions{Servers: 20, NetLatencySec: 0.002}
 		if c.fleet {
 			opts.Servers = 1000
@@ -148,7 +148,7 @@ func BenchmarkNewAllocator(b *testing.B) {
 // checked pair by pair. It reads a's configurations and returns the path set
 // build must have produced from them.
 func referencePaths(a *Allocator) ([]cfgPath, [][]int) {
-	g := a.Meta.Graph()
+	g := a.meta.Graph()
 	sinkIdx := map[pipeline.TaskID]int{}
 	for s, id := range a.sinks {
 		sinkIdx[id] = s
@@ -162,7 +162,7 @@ func referencePaths(a *Allocator) ([]cfgPath, [][]int) {
 	var paths []cfgPath
 	bySink := make([][]int, len(a.sinks))
 	for _, tp := range g.TaskPaths() {
-		budget := a.Meta.SLO()/2 - float64(len(tp.Tasks))*a.opts.NetLatencySec
+		budget := a.meta.SLO()/2 - float64(len(tp.Tasks))*a.opts.NetLatencySec
 		sink := sinkIdx[tp.Tasks[len(tp.Tasks)-1]]
 		hops := len(tp.Tasks)
 		byVariant := make([]map[int][]int, hops)
@@ -241,7 +241,7 @@ func referencePaths(a *Allocator) ([]cfgPath, [][]int) {
 					pth.totalLat += c.lat
 					m *= tp.BranchRatios[h]
 					pth.mults[h] = m
-					m *= a.Meta.MultFactor(c.task, c.variant)
+					m *= a.meta.MultFactor(c.task, c.variant)
 					pth.acc *= c.acc
 				}
 				if a.opts.MinPathAccuracy > 0 && pth.acc < a.opts.MinPathAccuracy {
@@ -344,7 +344,7 @@ func FuzzPathEnumeration(f *testing.F) {
 		if err != nil {
 			// An allocator that refuses must have had no path to offer:
 			// rebuild the configurations without the checks to see.
-			a = &Allocator{Meta: meta, opts: opts, classes: classes}
+			a = &Allocator{meta: meta, opts: opts, classes: classes}
 			a.build()
 			if want, _ := referencePaths(a); len(want) > 0 {
 				t.Fatalf("NewAllocator refused (%v) with %d paths to offer", err, len(want))

@@ -46,7 +46,7 @@ func treeAllocator(t *testing.T, servers int, sloSec float64) *Allocator {
 // factors, for feasibility checking.
 func expectedTaskLoad(t *testing.T, a *Allocator, plan *Plan, demand float64) map[pipeline.TaskID]float64 {
 	t.Helper()
-	g := a.Meta.Graph()
+	g := a.meta.Graph()
 	load := map[pipeline.TaskID]float64{}
 	sinks := g.Sinks()
 	sinkOf := map[pipeline.TaskID]bool{}
@@ -98,7 +98,7 @@ func TestHardwareScalingAtLowDemand(t *testing.T) {
 		t.Fatalf("hardware scaling must keep max accuracy, got %g", plan.ExpectedAccuracy)
 	}
 	// Only most accurate variants hosted.
-	g := a.Meta.Graph()
+	g := a.meta.Graph()
 	for _, as := range plan.Assignments {
 		if as.Variant != g.Tasks[as.Task].MostAccurate() {
 			t.Fatalf("hardware scaling hosted non-best variant %d of task %d", as.Variant, as.Task)
@@ -116,7 +116,7 @@ func TestKeepWarmAtZeroDemand(t *testing.T) {
 	for _, as := range plan.Assignments {
 		perTask[as.Task] += as.Replicas
 	}
-	for i := range a.Meta.Graph().Tasks {
+	for i := range a.meta.Graph().Tasks {
 		if perTask[pipeline.TaskID(i)] < 1 {
 			t.Fatalf("task %d has no warm replica", i)
 		}
@@ -234,7 +234,7 @@ func TestPathFlowsRespectSLOBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := a.Meta.Profiles()
+	prof := a.meta.Profiles()
 	for _, pf := range plan.PathFlows {
 		lat := 0.0
 		for h, task := range pf.Tasks {

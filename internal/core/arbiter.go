@@ -1342,19 +1342,6 @@ func (m *MultiController) Grants() []int {
 	return out
 }
 
-// ClassGrants returns each tenant's standing grant vector (servers per
-// hardware class, in class order), in registration order. Per class, the
-// column sums never exceed that class's server count.
-func (m *MultiController) ClassGrants() [][]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([][]int, len(m.tenants))
-	for i, t := range m.tenants {
-		out[i] = append([]int(nil), t.grant...)
-	}
-	return out
-}
-
 // Allocates returns the total number of MILP invocations (plan-cache
 // misses) across all tenants.
 func (m *MultiController) Allocates() int {
@@ -1386,9 +1373,12 @@ func (m *MultiController) total(count func(*Tenant) int) int {
 	return n
 }
 
-// AllocatesOf returns tenant i's MILP invocations.
-func (m *MultiController) AllocatesOf(i int) int {
+// Standing returns tenant i's standing grant vector (servers per hardware
+// class, in class order) and its MILP invocations, read in one hold of the
+// controller lock so both describe the same round.
+func (m *MultiController) Standing(i int) (grant []int, allocates int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.tenants[i].allocates
+	t := m.tenants[i]
+	return slices.Clone(t.grant), t.allocates
 }

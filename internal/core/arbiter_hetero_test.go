@@ -56,9 +56,9 @@ func TestHeteroFloorsAndClassGrants(t *testing.T) {
 	if err := m.Step(true); err != nil {
 		t.Fatal(err)
 	}
-	cg := m.ClassGrants()
+	cg := m.classGrants()
 	if len(cg) != 2 || len(cg[0]) != 2 {
-		t.Fatalf("ClassGrants = %v, want 2 tenants × 2 classes", cg)
+		t.Fatalf("classGrants = %v, want 2 tenants × 2 classes", cg)
 	}
 	for c := 0; c < 2; c++ {
 		if cg[0][c]+cg[1][c] > m.counts[c] {
@@ -67,7 +67,7 @@ func TestHeteroFloorsAndClassGrants(t *testing.T) {
 	}
 	total := m.Grants()
 	if total[0] != sumInts(cg[0]) || total[1] != sumInts(cg[1]) {
-		t.Fatalf("Grants %v disagree with ClassGrants %v", total, cg)
+		t.Fatalf("Grants %v disagree with classGrants %v", total, cg)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestHeteroContentionSplitsVectors(t *testing.T) {
 	if err := m.Step(true); err != nil {
 		t.Fatal(err)
 	}
-	cg := m.ClassGrants()
+	cg := m.classGrants()
 	for c := 0; c < 2; c++ {
 		if cg[0][c]+cg[1][c] > m.counts[c] {
 			t.Fatalf("class %d oversubscribed under contention: %v (counts %v)", c, cg, m.counts)
@@ -126,9 +126,9 @@ func TestHeteroIdleClassCapacityIsLent(t *testing.T) {
 	}
 	grants := m.Grants()
 	if grants[0] <= 8 {
-		t.Fatalf("hungry tenant stuck at its floor: grants %v (class grants %v)", grants, m.ClassGrants())
+		t.Fatalf("hungry tenant stuck at its floor: grants %v (class grants %v)", grants, m.classGrants())
 	}
-	for c, cg := 0, m.ClassGrants(); c < 2; c++ {
+	for c, cg := 0, m.classGrants(); c < 2; c++ {
 		if cg[0][c]+cg[1][c] > m.counts[c] {
 			t.Fatalf("class %d oversubscribed: %v", c, cg)
 		}
@@ -155,7 +155,7 @@ func TestHeteroParallelMatchesSequential(t *testing.T) {
 		if err := m.Step(true); err != nil {
 			t.Fatal(err)
 		}
-		return m.ClassGrants()
+		return m.classGrants()
 	}
 	par := run(max(runtime.GOMAXPROCS(0), 2))
 	seq := run(1)
@@ -207,7 +207,7 @@ func TestHeteroKeepWarmSurvivesClassContention(t *testing.T) {
 	if err := m.Step(true); err != nil {
 		t.Fatalf("joint step failed under class contention: %v", err)
 	}
-	cg := m.ClassGrants()
+	cg := m.classGrants()
 	for i, g := range cg {
 		if sumInts(g) < 2 {
 			t.Fatalf("tenant %d grant %v below its keep-warm minimum (grants %v)", i, g, cg)
@@ -338,13 +338,13 @@ func TestHeteroArbiterConcurrentAccess(t *testing.T) {
 					return
 				}
 				_ = m.Grants()
-				_ = m.ClassGrants()
+				_ = m.classGrants()
 				_ = m.PlanOf(i % 2)
 			}
 		}(i)
 	}
 	wg.Wait()
-	for c, cg := 0, m.ClassGrants(); c < 2; c++ {
+	for c, cg := 0, m.classGrants(); c < 2; c++ {
 		if cg[0][c]+cg[1][c] > m.counts[c] {
 			t.Fatalf("class %d oversubscribed after concurrent stepping: %v", c, cg)
 		}
@@ -374,7 +374,7 @@ func TestHeteroArbiterReplansOnCapacityChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	slowGranted := func() int {
-		cg := m.ClassGrants()
+		cg := m.classGrants()
 		return cg[0][1] + cg[1][1]
 	}
 	if got := slowGranted(); got <= 6 {
@@ -390,7 +390,7 @@ func TestHeteroArbiterReplansOnCapacityChange(t *testing.T) {
 		if rounds-before != wantRounds {
 			t.Fatalf("step %d after the crash ran %d rounds, want %d", step, rounds-before, wantRounds)
 		}
-		cg := m.ClassGrants()
+		cg := m.classGrants()
 		for c, n := range live {
 			if cg[0][c]+cg[1][c] > n {
 				t.Fatalf("class %d granted %v with %d servers up", c, cg, n)
@@ -409,4 +409,17 @@ func TestHeteroArbiterReplansOnCapacityChange(t *testing.T) {
 	if got := slowGranted(); got <= 6 {
 		t.Fatalf("after recovery the slow class grants sum to %d, want the static 12 servers back in use", got)
 	}
+}
+
+// classGrants returns each tenant's standing grant vector (servers per
+// hardware class, in class order), in registration order. Per class, the
+// column sums never exceed that class's server count.
+func (m *MultiController) classGrants() [][]int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([][]int, len(m.tenants))
+	for i, t := range m.tenants {
+		out[i] = append([]int(nil), t.grant...)
+	}
+	return out
 }

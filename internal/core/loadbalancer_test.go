@@ -256,10 +256,10 @@ func fleetChainPlan(t *testing.T, demand float64) (*Allocator, *Plan) {
 func TestMostAccurateFirstTablesAreSubDistributions(t *testing.T) {
 	for _, demand := range []float64{400, 2500} {
 		a, plan := fleetChainPlan(t, demand)
-		g := a.Meta.Graph()
+		g := a.meta.Graph()
 		specs := ExpandPlan(plan)
 		for _, routed := range []float64{demand * 1.3, demand * 4, 0} {
-			routes := MostAccurateFirst(g, specs, routed, a.Meta.MultFactor)
+			routes := MostAccurateFirst(g, specs, routed, a.meta.MultFactor)
 			check := func(what string, task pipeline.TaskID, entries []RouteEntry) {
 				t.Helper()
 				seen := map[WorkerID]bool{}
@@ -297,7 +297,7 @@ func TestMostAccurateFirstTablesAreSubDistributions(t *testing.T) {
 // the plan (26 when each call costed and sorted every candidate path).
 func TestFleetRoundAllocs(t *testing.T) {
 	a, plan := fleetChainPlan(t, 400)
-	g := a.Meta.Graph()
+	g := a.meta.Graph()
 	specs := ExpandPlan(plan)
 	if len(specs) != 8 {
 		t.Fatalf("fixture plan has %d workers, want 8", len(specs))
@@ -310,7 +310,7 @@ func TestFleetRoundAllocs(t *testing.T) {
 		ceiling float64
 		fn      func()
 	}{
-		{"MostAccurateFirst", 22, func() { MostAccurateFirst(g, specs, 400*1.3, a.Meta.MultFactor) }},
+		{"MostAccurateFirst", 22, func() { MostAccurateFirst(g, specs, 400*1.3, a.meta.MultFactor) }},
 		{"GreedyAllocate", 17, func() { a.GreedyAllocate(400, nil) }},
 	} {
 		if got := testing.AllocsPerRun(50, c.fn); got > c.ceiling {

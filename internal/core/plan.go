@@ -104,16 +104,16 @@ type Plan struct {
 	ExpectedAccuracy float64
 	Assignments      []Assignment
 	PathFlows        []PathFlow
-	// SolveStats records how the MILP solve went, for §6.5-style reporting.
+	// SolveStats records how the MILP solve went.
 	SolveStats SolveStats
 }
 
-// SolveStats captures optimizer effort for the runtime-overhead experiment.
+// SolveStats captures optimizer effort: lokibench's plan-* workloads report
+// it, and the tenant plan cache reads Truncated.
 type SolveStats struct {
 	Step        int // 1 = hardware scaling, 2 = accuracy scaling, 3 = saturation
 	Nodes       int
 	LPIters     int
-	Paths       int // config paths after pruning
 	Vars        int
 	Constraints int
 	Proven      bool // solved to proven optimality

@@ -62,7 +62,7 @@ func (m *stepModel) budget(counts []int) {
 // buildStepModel constructs the model of one step, with zero demand and no
 // class budgets; see stepModel.set.
 func (a *Allocator) buildStepModel(step stepKind) *stepModel {
-	g := a.Meta.Graph()
+	g := a.meta.Graph()
 
 	// Step 1 admits only each task's most accurate variant (Eq. 8-10).
 	bestVariant := make([]int, len(g.Tasks))

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"testing"
+	"time"
 
 	"loki/internal/core"
 	"loki/internal/fault"
@@ -69,7 +70,7 @@ func TestNewMultiRejectsBadConfig(t *testing.T) {
 		}},
 		{"fault on an unknown class", MultiConfig{
 			Servers: 10, Tenants: []TenantConfig{tenant},
-			Faults: &fault.Schedule{Events: []fault.Event{{At: 1, Kind: fault.Crash, Class: "nope", N: 1}}},
+			Faults: []fault.Event{{At: time.Second, Kind: fault.Crash, Class: "nope", N: 1}},
 		}},
 	}
 	for _, kind := range kinds {

@@ -116,7 +116,7 @@ func TestStragglerRecoveryRestoresSpeed(t *testing.T) {
 	var slowed int
 	h := newHarness(t, KindSimulated, 4, func(c *MultiConfig) {
 		c.Tenants[0].Telemetry = tel
-		c.Faults = &fault.Schedule{Events: []fault.Event{{At: 3, Kind: fault.Straggler, N: 3, Factor: 0.25, RecoverAfter: 6}}}
+		c.Faults = []fault.Event{{At: 3 * time.Second, Kind: fault.Straggler, N: 3, Factor: 0.25, RecoverAfter: 6 * time.Second}}
 		c.OnFault = func(_ float64, desc string) {
 			faults = append(faults, desc)
 			if len(faults) == 1 {
@@ -273,7 +273,6 @@ func TestRepublishWhileServing(t *testing.T) {
 	}
 	eng, err := NewMulti(KindWallclock, MultiConfig{
 		Servers: 12, NetLatencySec: 0.002, Seed: 3, TimeScale: 0.02,
-		Faults: &fault.Schedule{}, // no timeline: the test crashes workers itself
 		Tenants: []TenantConfig{{
 			Meta: meta, Policy: policy.Opportunistic{}, Collector: metrics.NewCollector(5, 12), SLOSec: 0.250,
 		}},
@@ -310,11 +309,11 @@ func TestRepublishWhileServing(t *testing.T) {
 		switch i % 10 {
 		case 3:
 			m.lock()
-			down = m.Fail(0, 1+i/10%3)
+			down = m.fail(0, 1+i/10%3)
 			m.unlock()
 		case 7:
 			m.lock()
-			m.Recover(down)
+			m.recover(down)
 			m.unlock()
 		}
 		time.Sleep(100 * time.Microsecond)

@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"loki/internal/fault"
-	"loki/internal/profiles"
-)
+import "loki/internal/profiles"
 
 // faultPool tracks the shared pool's fault state at the physical-server
 // level: the one record of which servers are up, read by liveByClass and
@@ -38,8 +35,12 @@ func newFaultPool(classes []profiles.Class) *faultPool {
 	return p
 }
 
-// classIndex resolves a class name for fault.Compile.
+// classIndex resolves a fault event's class name; the empty name is the
+// pool's first class.
 func (p *faultPool) classIndex(name string) (int, bool) {
+	if name == "" {
+		return 0, true
+	}
 	for i, cl := range p.classes {
 		if cl.Name == name {
 			return i, true
@@ -104,10 +105,4 @@ func (p *faultPool) live() []int {
 		out[c] = n
 	}
 	return out
-}
-
-// compileFaults validates a schedule against the pool's classes and returns
-// the engine-timeline actions.
-func compileFaults(sched *fault.Schedule, p *faultPool) ([]fault.Timed, error) {
-	return fault.Compile(sched, p.classIndex)
 }

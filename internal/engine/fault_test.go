@@ -1,12 +1,79 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"loki/internal/core"
 	"loki/internal/fault"
+	"loki/internal/metrics"
+	"loki/internal/profiles"
+	"loki/internal/trace"
 )
+
+// TestFaultTimeline runs a fault schedule through the simulator: the
+// events fire sorted by time, whatever their order in the schedule; every
+// recovery fires after its fault and restores exactly the servers that fault
+// hit; and OnFault sees each action at its time with its description.
+func TestFaultTimeline(t *testing.T) {
+	g := profiles.TrafficChain()
+	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
+	var m *multi
+	var got []string
+	eng, err := NewMulti(KindSimulated, MultiConfig{
+		Classes: []profiles.Class{{Name: "res", Count: 6, Speed: 1}, {Name: "spot", Count: 4, Speed: 1}},
+		Faults: []fault.Event{
+			{At: 40 * time.Second, Kind: fault.Outage, Class: "spot", RecoverAfter: 20 * time.Second},
+			{At: 10 * time.Second, Kind: fault.Straggler, Class: "spot", N: 1, Factor: 0.5, RecoverAfter: 5 * time.Second},
+		},
+		// Each action also records the servers down and slowed after it.
+		OnFault: func(timeSec float64, desc string) {
+			got = append(got, fmt.Sprintf("t=%g %s | down %v slow %v", timeSec, desc, marked(m.fp.down), marked(m.fp.slowed)))
+		},
+		Tenants: []TenantConfig{{
+			Meta:      core.NewMetadataStore(g, prof, 0.250, profiles.Batches),
+			Collector: metrics.NewCollector(10, 10),
+			SLOSec:    0.250,
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m = eng.(*multi)
+	if err := eng.Start(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.FeedAll([]*trace.Trace{trace.Ramp(1, 1, 14, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"t=10 straggle spot: 1 server(s) at 0.5x [9] | down [] slow [9]",
+		"t=15 restore spot: 1 server(s) full speed [9] | down [] slow []",
+		"t=40 outage spot: 4 server(s) down [9 8 7 6] | down [6 7 8 9] slow []",
+		"t=60 recover spot: 4 server(s) back [9 8 7 6] | down [] slow []",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fault timeline:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// marked lists the indices set in a fault pool's mark.
+func marked(mark []bool) []int {
+	out := []int{}
+	for i, b := range mark {
+		if b {
+			out = append(out, i)
+		}
+	}
+	return out
+}
 
 // constForecast predicts the same demand at every horizon.
 type constForecast float64
@@ -21,7 +88,6 @@ func (f constForecast) Predict(float64) float64 { return float64(f) }
 // CI's race job runs it under the detector.
 func TestWallclockCrashReachesBusyController(t *testing.T) {
 	h := newHarness(t, KindWallclock, 1, func(c *MultiConfig) {
-		c.Faults = &fault.Schedule{} // no timeline: the test crashes workers itself
 		c.TimeScale = 0.01
 	})
 	m := h.eng.(*multi)
@@ -63,7 +129,7 @@ func TestWallclockCrashReachesBusyController(t *testing.T) {
 		}
 	}
 	m.lock() // faults fire as engine events, under the lock
-	down := m.Fail(0, 5)
+	down := m.fail(0, 5)
 	m.unlock()
 	unblock.Do(func() { close(release) })
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"time"
 
@@ -79,13 +80,13 @@ type MultiConfig struct {
 	// TimeScale wall seconds (zero means 1). Ignored by the simulator.
 	TimeScale float64
 
-	// Faults, when non-nil, is the fault schedule injected into the shared
-	// pool. Both kinds schedule it as engine events, anchored to the start of
-	// the first FeedAll on the simulator and to Start on the wall-clock
-	// backend. With a schedule set, Start points the controller's Capacity
-	// at the pool's live counts, read under the backend's lock, so every
-	// controller step reads them and a fault re-plans within a round.
-	Faults *fault.Schedule
+	// Faults are injected into the shared pool. Both kinds schedule each
+	// event and its recovery as engine events, anchored to the start of the
+	// first FeedAll on the simulator and to Start on the wall-clock backend.
+	// Start points the controller's Capacity at the pool's live counts, read
+	// under the backend's lock, so every controller step reads them and a
+	// fault re-plans within a round.
+	Faults []fault.Event
 
 	// OnFault, when non-nil, observes every fault and recovery event with
 	// the backend's time and a human-readable description (the lokiserve
@@ -142,9 +143,9 @@ type MultiEngine interface {
 	ApplyPlan(tenant int, plan *core.Plan, routes *core.Routes)
 
 	// Start begins serving; the given controller is stepped jointly by the
-	// housekeeping tick until Stop, and with a fault schedule reads the
-	// pool's live counts at every step. A nil controller serves the standing
-	// plans without stepping.
+	// housekeeping tick until Stop, and reads the pool's live counts at
+	// every step. A nil controller serves the standing plans without
+	// stepping.
 	Start(ctrl *core.MultiController) error
 
 	// Submit admits a single request for one tenant at the backend's
@@ -202,12 +203,13 @@ func NewMulti(k Kind, cfg MultiConfig) (MultiEngine, error) {
 	m.shedFlush = make([]int64, len(cfg.Tenants))
 	m.feeds = make([]feed, len(cfg.Tenants))
 	m.fp = newFaultPool(cfg.Classes)
-	if cfg.Faults != nil {
-		tl, err := compileFaults(cfg.Faults, m.fp)
-		if err != nil {
+	for _, e := range cfg.Faults {
+		if err := e.Validate(); err != nil {
 			return nil, err
 		}
-		m.timeline = tl
+		if _, ok := m.fp.classIndex(e.Class); !ok {
+			return nil, fmt.Errorf("fault: unknown class %q in %q", e.Class, e.String())
+		}
 	}
 	if k == KindWallclock {
 		m.wall = newWall(cfg.TimeScale)
@@ -240,10 +242,8 @@ type multi struct {
 	feeds     []feed  // per tenant: the trace its demand samples read
 
 	// Fault injection: the pool-level fault state (the only record of which
-	// servers are up), the compiled timeline, and whether it has been
-	// scheduled.
+	// servers are up), and whether cfg.Faults has been scheduled.
 	fp          *faultPool
-	timeline    []fault.Timed
 	faultsArmed bool
 
 	wall *wall // nil on the simulator
@@ -404,12 +404,14 @@ func (m *multi) keepErr(err error) {
 	}
 }
 
-// Fail, Recover, Slow, and Restore are fault.Compile's target on the shared
-// pool: victims are chosen once at the pool level and applied to every
-// tenant's cluster (each models the same physical machines). The controller
-// reads the new live counts (liveByClass) on its next step. They run as
-// fault events, under the wall-clock kind's lock.
-func (m *multi) Fail(class, n int) []int {
+// fail, recover, slow, and restore act on the shared pool: victims are
+// chosen once at the pool level and applied to every tenant's cluster (each
+// models the same physical machines). The controller reads the new live
+// counts (liveByClass) on its next step. They run as fault events, under the
+// wall-clock kind's lock. fail and slow take up to n servers of the class
+// (fail: n <= 0 is the whole class) and return their physical ids, which the
+// matching recover or restore hands back.
+func (m *multi) fail(class, n int) []int {
 	phys := m.fp.pickFail(class, n)
 	for _, cl := range m.cls {
 		for _, p := range phys {
@@ -419,7 +421,7 @@ func (m *multi) Fail(class, n int) []int {
 	return phys
 }
 
-func (m *multi) Recover(phys []int) {
+func (m *multi) recover(phys []int) {
 	m.fp.recover(phys)
 	for _, cl := range m.cls {
 		for _, p := range phys {
@@ -428,7 +430,7 @@ func (m *multi) Recover(phys []int) {
 	}
 }
 
-func (m *multi) Slow(class, n int, factor float64) []int {
+func (m *multi) slow(class, n int, factor float64) []int {
 	phys := m.fp.pickSlow(class, n)
 	for _, cl := range m.cls {
 		for _, p := range phys {
@@ -438,7 +440,7 @@ func (m *multi) Slow(class, n int, factor float64) []int {
 	return phys
 }
 
-func (m *multi) Restore(phys []int) {
+func (m *multi) restore(phys []int) {
 	m.fp.restore(phys)
 	for _, cl := range m.cls {
 		for _, p := range phys {
@@ -447,15 +449,62 @@ func (m *multi) Restore(phys []int) {
 	}
 }
 
-// armFaults schedules the fault timeline from start, once.
+// armFaults schedules every fault event and its recovery from start, once.
+// The actions go on the timeline sorted by offset, ties in event order with
+// a fault before its recovery, because the simulator fires equal times in
+// the order they were scheduled. A recovery restores exactly the servers its
+// fault hit. Each action reports its description to OnFault.
 func (m *multi) armFaults(start float64) {
-	if len(m.timeline) == 0 || m.faultsArmed {
+	if m.faultsArmed {
 		return
 	}
 	m.faultsArmed = true
-	for _, tc := range m.timeline {
-		m.eng.At(start+tc.At, func() {
-			desc := tc.Fire(m)
+	type action struct {
+		at   float64 // seconds after start
+		fire func() string
+	}
+	var acts []action
+	for _, e := range m.cfg.Faults {
+		ci, _ := m.fp.classIndex(e.Class)
+		label := e.Class
+		if label == "" {
+			label = "class0"
+		}
+		at, back := e.At.Seconds(), e.At.Seconds()+e.RecoverAfter.Seconds()
+		var hit []int
+		switch e.Kind {
+		case fault.Crash, fault.Outage:
+			n := e.N
+			if e.Kind == fault.Outage {
+				n = 0 // whole class
+			}
+			acts = append(acts, action{at, func() string {
+				hit = m.fail(ci, n)
+				return fmt.Sprintf("%s %s: %d server(s) down %v", e.Kind, label, len(hit), hit)
+			}})
+			if e.RecoverAfter > 0 {
+				acts = append(acts, action{back, func() string {
+					m.recover(hit)
+					return fmt.Sprintf("recover %s: %d server(s) back %v", label, len(hit), hit)
+				}})
+			}
+		case fault.Straggler:
+			acts = append(acts, action{at, func() string {
+				hit = m.slow(ci, e.N, e.Factor)
+				return fmt.Sprintf("straggle %s: %d server(s) at %gx %v", label, len(hit), e.Factor, hit)
+			}})
+			if e.RecoverAfter > 0 {
+				acts = append(acts, action{back, func() string {
+					m.restore(hit)
+					return fmt.Sprintf("restore %s: %d server(s) full speed %v", label, len(hit), hit)
+				}})
+			}
+		}
+	}
+	sort.SliceStable(acts, func(i, j int) bool { return acts[i].at < acts[j].at })
+	for _, a := range acts {
+		m.eng.At(start+a.at, func() {
+			desc := a.fire()
 			if m.cfg.OnFault != nil {
 				m.cfg.OnFault(m.eng.Now(), desc)
 			}
@@ -508,7 +557,7 @@ func (m *multi) Start(ctrl *core.MultiController) error {
 	}
 	m.started = true
 	m.ctrl = ctrl
-	if ctrl != nil && m.cfg.Faults != nil {
+	if ctrl != nil {
 		ctrl.Capacity = m.liveByClass
 	}
 	m.arrRngs = make([]*rand.Rand, len(m.cls))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"loki/internal/fault"
 	"loki/internal/metrics"
@@ -110,12 +111,16 @@ type chaosResult struct {
 // chaosFaults returns the cell's fault schedule. permanent anchors the
 // fault at the start of the run with no recovery — the oracle arm, whose
 // control plane never holds state from a healthier pool.
-func (c *ChaosConfig) chaosFaults(kind string, permanent bool) *fault.Schedule {
+func (c *ChaosConfig) chaosFaults(kind string, permanent bool) []fault.Event {
 	_, at, rec := c.timing()
 	if permanent {
 		at, rec = 0, 0
 	}
-	ev := fault.Event{At: at, Class: "spot", RecoverAfter: rec}
+	ev := fault.Event{
+		At:           time.Duration(at * float64(time.Second)),
+		Class:        "spot",
+		RecoverAfter: time.Duration(rec * float64(time.Second)),
+	}
 	switch kind {
 	case "crash":
 		ev.Kind = fault.Crash
@@ -127,7 +132,7 @@ func (c *ChaosConfig) chaosFaults(kind string, permanent bool) *fault.Schedule {
 		ev.N = chaosStraggleN
 		ev.Factor = chaosStraggleFactor
 	}
-	return &fault.Schedule{Events: []fault.Event{ev}}
+	return []fault.Event{ev}
 }
 
 // run is the pool every run of the grid serves on: reserved plus spot.
@@ -150,7 +155,7 @@ var chaosOnGrants func(step int, totals []int)
 
 // chaosRun serves the two-pipeline scenario once on the simulator and
 // returns each tenant's collector plus the fault events observed.
-func chaosRun(cfg ChaosConfig, tiered bool, sched *fault.Schedule) ([]*metrics.Collector, []string, error) {
+func chaosRun(cfg ChaosConfig, tiered bool, faults []fault.Event) ([]*metrics.Collector, []string, error) {
 	dur, _, _ := cfg.timing()
 	tr := trace.Ramp(chaosQPS, chaosQPS, int(dur/4), 4)
 	var tenants []stack.Spec
@@ -162,7 +167,7 @@ func chaosRun(cfg ChaosConfig, tiered bool, sched *fault.Schedule) ([]*metrics.C
 	}
 	var events []string
 	s, err := serve(cfg.run(), tenants, []*trace.Trace{tr, tr}, func(p *stack.Pool) {
-		p.Faults, p.OnGrants = sched, chaosOnGrants
+		p.Faults, p.OnGrants = faults, chaosOnGrants
 		p.OnFault = func(timeSec float64, desc string) {
 			events = append(events, fmt.Sprintf("t=%.0fs %s", timeSec, desc))
 		}

@@ -170,19 +170,6 @@ func TestFigure8TightSLOInfeasible(t *testing.T) {
 	}
 }
 
-func TestRuntimeOverheadMeasured(t *testing.T) {
-	r, err := Runtime(20, 0.250)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.milpMeanMillis <= 0 {
-		t.Fatal("no MILP timing")
-	}
-	if r.lbMeanMicros <= 0 || r.lbMeanMicros > 10_000 {
-		t.Fatalf("LB mean %.1fµs, want fast (paper ≈150µs)", r.lbMeanMicros)
-	}
-}
-
 func TestPolicyPluggedIntoRun(t *testing.T) {
 	res, err := Run(RunConfig{
 		Graph: profiles.TrafficChain(), Trace: shortTrace(400),

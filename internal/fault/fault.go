@@ -1,11 +1,10 @@
 // Package fault is the deterministic fault injector behind the chaos
-// experiments and the -fault CLI flags. A Schedule is a list of timed events
-// — single-server crashes, whole-class outages, slow-node stragglers, and
-// their timed recoveries — that the serving engine consumes, on the
-// simulated and the wall-clock kind alike. The package itself holds
-// no clock and no randomness: Compile turns a Schedule into (time, action)
-// pairs and the engine schedules them on its own timeline, so the same seed
-// and the same schedule reproduce the same run bit for bit.
+// experiments and the -fault CLI flags. An Event is one timed fault — a
+// single-server crash, a whole-class outage or a slow-node straggler — with
+// an optional timed recovery; the serving engine schedules a list of them on
+// its own timeline, on the simulated and the wall-clock kind alike. The
+// package itself holds no clock and no randomness, so the same seed and the
+// same events reproduce the same run bit for bit.
 //
 // Target selection is deterministic too: within a class, the highest-index
 // healthy workers fail first and recover in the same order, so every
@@ -14,9 +13,9 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -50,26 +49,26 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one scheduled fault. At is seconds after serving begins (the
-// engines anchor it to the first FeedAll). Class selects the hardware class
-// by name; empty means the pool's first class. N bounds how many servers are
-// hit (ignored by Outage, which always takes the whole class). Factor is the
-// straggler speed multiplier. RecoverAfter, when positive, schedules the
-// inverse event that many seconds after the fault fires; zero means the
-// fault is permanent.
+// Event is one scheduled fault. At is measured from the start of serving
+// (the engines anchor it to the first FeedAll on the simulator and to Start
+// on the wall-clock kind). Class selects the hardware class by name; empty
+// means the pool's first class. N bounds how many servers are hit (ignored
+// by Outage, which always takes the whole class). Factor is the straggler
+// speed multiplier. RecoverAfter, when positive, schedules the inverse event
+// that long after the fault fires; zero means the fault is permanent.
 type Event struct {
-	At           float64
+	At           time.Duration
 	Kind         Kind
 	Class        string
 	N            int
 	Factor       float64
-	RecoverAfter float64
+	RecoverAfter time.Duration
 }
 
 // String renders the event in the spec grammar accepted by Parse.
 func (e Event) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s@%gs", e.Kind, e.At)
+	fmt.Fprintf(&b, "%s@%v", e.Kind, e.At)
 	if e.Class != "" {
 		fmt.Fprintf(&b, ":class=%s", e.Class)
 	}
@@ -80,16 +79,16 @@ func (e Event) String() string {
 		fmt.Fprintf(&b, ":factor=%g", e.Factor)
 	}
 	if e.RecoverAfter > 0 {
-		fmt.Fprintf(&b, ":recover=%gs", e.RecoverAfter)
+		fmt.Fprintf(&b, ":recover=%v", e.RecoverAfter)
 	}
 	return b.String()
 }
 
-func (e Event) validate() error {
-	for _, x := range []float64{e.At, e.Factor, e.RecoverAfter} {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("fault: event %q: times and factor must be finite", e.String())
-		}
+// Validate checks the event for well-formedness; class names are resolved
+// by the engine, which knows the pool.
+func (e Event) Validate() error {
+	if math.IsNaN(e.Factor) || math.IsInf(e.Factor, 0) {
+		return fmt.Errorf("fault: event %q: factor must be finite", e.String())
 	}
 	if e.At < 0 {
 		return fmt.Errorf("fault: event %q: negative time", e.String())
@@ -113,26 +112,6 @@ func (e Event) validate() error {
 	return nil
 }
 
-// Schedule is an ordered set of fault events. The zero value (or nil) means
-// no faults, and every engine hook is bypassed so fault-free runs stay
-// bit-identical with the pre-fault code paths.
-type Schedule struct {
-	Events []Event
-}
-
-// validate checks every event for well-formedness.
-func (s *Schedule) validate() error {
-	if s == nil {
-		return nil
-	}
-	for _, e := range s.Events {
-		if err := e.validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Parse reads the CLI spec grammar: comma-separated events of the form
 //
 //	kind@time[:key=value]...
@@ -142,12 +121,10 @@ func (s *Schedule) validate() error {
 // factor=<mult>, and recover=<duration>. Example:
 //
 //	crash@30s:class=a100:n=2:recover=20s,outage@60s:class=spot:recover=30s
-func Parse(spec string) (*Schedule, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return nil, nil
-	}
-	var s Schedule
+//
+// An empty spec returns (nil, nil).
+func Parse(spec string) ([]Event, error) {
+	var out []Event
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -157,12 +134,9 @@ func Parse(spec string) (*Schedule, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Events = append(s.Events, ev)
+		out = append(out, ev)
 	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	return out, nil
 }
 
 func parseEvent(part string) (Event, error) {
@@ -186,7 +160,7 @@ func parseEvent(part string) (Event, error) {
 	default:
 		return Event{}, fmt.Errorf("fault: %q: unknown kind %q", part, kindStr)
 	}
-	at, err := parseSeconds(atStr)
+	at, err := parseDuration(atStr)
 	if err != nil {
 		return Event{}, fmt.Errorf("fault: %q: bad time %q: %v", part, atStr, err)
 	}
@@ -212,7 +186,7 @@ func parseEvent(part string) (Event, error) {
 			}
 			ev.Factor = x
 		case "recover":
-			d, err := parseSeconds(val)
+			d, err := parseDuration(val)
 			if err != nil {
 				return Event{}, fmt.Errorf("fault: %q: bad recover %q: %v", part, val, err)
 			}
@@ -221,94 +195,25 @@ func parseEvent(part string) (Event, error) {
 			return Event{}, fmt.Errorf("fault: %q: unknown key %q", part, key)
 		}
 	}
-	return ev, ev.validate()
+	return ev, ev.Validate()
 }
 
-// parseSeconds reads plain seconds, with or without an "s" suffix and in
-// any form strconv.ParseFloat accepts ("30", "1e-07s", as Event.String
-// renders them), or else a Go duration ("1m30s", "500ms").
-func parseSeconds(s string) (float64, error) {
-	if x, err := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64); err == nil {
-		return x, nil
-	}
+// parseDuration reads a Go duration ("1m30s", "500ms", as Event.String
+// renders them) or else plain seconds, with or without an "s" suffix and in
+// any form strconv.ParseFloat accepts ("30", "1e-07s"). Seconds beyond
+// time.Duration's range (about 292 years) are an error.
+func parseDuration(s string) (time.Duration, error) {
 	d, err := time.ParseDuration(s)
-	return d.Seconds(), err
-}
-
-// target is the engine-side surface the compiled schedule drives. Fail and
-// Slow pick their victims (deterministically, highest healthy index first)
-// and return the affected physical worker ids so the matching recovery can
-// restore exactly those; n <= 0 means the whole class.
-type target interface {
-	Fail(class, n int) []int
-	Recover(phys []int)
-	Slow(class, n int, factor float64) []int
-	Restore(phys []int)
-}
-
-// Timed is one compiled action on the engine's timeline. Fire applies it to
-// the target and returns a human-readable description for status logging.
-type Timed struct {
-	At   float64
-	Fire func(target) string
-}
-
-// Compile turns a schedule into timeline actions, resolving class names via
-// classIndex (empty name resolves to class 0). Recovery events share state
-// with their fault so exactly the affected workers are restored. The result
-// is sorted by time, ties in schedule order.
-func Compile(s *Schedule, classIndex func(name string) (int, bool)) ([]Timed, error) {
-	if s == nil || len(s.Events) == 0 {
-		return nil, nil
+	if err == nil {
+		return d, nil
 	}
-	if err := s.validate(); err != nil {
-		return nil, err
+	x, ferr := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64)
+	if ferr != nil {
+		return 0, err
 	}
-	var out []Timed
-	for _, e := range s.Events {
-		e := e
-		ci := 0
-		if e.Class != "" {
-			idx, ok := classIndex(e.Class)
-			if !ok {
-				return nil, fmt.Errorf("fault: unknown class %q in %q", e.Class, e.String())
-			}
-			ci = idx
-		}
-		var affected []int
-		label := e.Class
-		if label == "" {
-			label = "class0"
-		}
-		switch e.Kind {
-		case Crash, Outage:
-			n := e.N
-			if e.Kind == Outage {
-				n = 0 // whole class
-			}
-			out = append(out, Timed{At: e.At, Fire: func(t target) string {
-				affected = t.Fail(ci, n)
-				return fmt.Sprintf("%s %s: %d server(s) down %v", e.Kind, label, len(affected), affected)
-			}})
-			if e.RecoverAfter > 0 {
-				out = append(out, Timed{At: e.At + e.RecoverAfter, Fire: func(t target) string {
-					t.Recover(affected)
-					return fmt.Sprintf("recover %s: %d server(s) back %v", label, len(affected), affected)
-				}})
-			}
-		case Straggler:
-			out = append(out, Timed{At: e.At, Fire: func(t target) string {
-				affected = t.Slow(ci, e.N, e.Factor)
-				return fmt.Sprintf("straggle %s: %d server(s) at %gx %v", label, len(affected), e.Factor, affected)
-			}})
-			if e.RecoverAfter > 0 {
-				out = append(out, Timed{At: e.At + e.RecoverAfter, Fire: func(t target) string {
-					t.Restore(affected)
-					return fmt.Sprintf("restore %s: %d server(s) full speed %v", label, len(affected), affected)
-				}})
-			}
-		}
+	ns := x * float64(time.Second)
+	if !(math.Abs(ns) < math.MaxInt64) { // also NaN and ±Inf
+		return 0, errors.New("out of range")
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out, nil
+	return time.Duration(ns), nil
 }

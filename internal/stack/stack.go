@@ -246,7 +246,7 @@ func (s *Stack) Add(spec Spec) (*Tenant, error) {
 // a fault schedule every tenant's planner must solve under server caps,
 // because a round with servers down plans against the live counts.
 func (s *Stack) Build() error {
-	if s.Faults != nil {
+	if len(s.Faults) > 0 {
 		for _, t := range s.Tenants {
 			if _, ok := t.planner.(core.CappedPlanner); !ok {
 				return fmt.Errorf("stack: tenant %q: the %s baseline cannot serve under a fault schedule: it cannot plan within the servers left up", t.Name, t.Approach)

@@ -386,33 +386,27 @@ type TelemetryRegistry = telemetry.Registry
 type MetricPoint = telemetry.Point
 
 // FaultKind enumerates the failure modes the fault injector can produce.
-type FaultKind int
+type FaultKind = fault.Kind
 
 const (
 	// FaultCrash takes N servers of a hardware class down; their queued
 	// and in-flight work is lost.
-	FaultCrash FaultKind = iota
+	FaultCrash = fault.Crash
 	// FaultOutage takes a whole hardware class down at once (the spot pool
 	// vanishes).
-	FaultOutage
+	FaultOutage = fault.Outage
 	// FaultStraggler multiplies the execution speed of N servers by Factor
 	// (0.25 = four times slower) without dropping their work.
-	FaultStraggler
+	FaultStraggler = fault.Straggler
 )
 
 // FaultEvent is one scheduled fault. At is measured from the start of
 // serving. Class names the hardware class hit (empty = the pool's first
 // class); N bounds how many servers are affected (ignored by FaultOutage);
 // Factor is the straggler speed multiplier; RecoverAfter, when positive,
-// undoes the fault that long after it fires (zero = permanent).
-type FaultEvent struct {
-	At           time.Duration
-	Kind         FaultKind
-	Class        string
-	N            int
-	Factor       float64
-	RecoverAfter time.Duration
-}
+// undoes the fault that long after it fires (zero = permanent). String
+// renders it in the grammar ParseFaults reads.
+type FaultEvent = fault.Event
 
 // WithFaults installs a deterministic fault schedule into the serving
 // engines (default none). A crashed worker drops its queued and in-flight
@@ -428,7 +422,7 @@ type FaultEvent struct {
 //	    At: 30 * time.Second, Kind: loki.FaultOutage,
 //	    Class: "spot", RecoverAfter: 20 * time.Second})
 func WithFaults(events ...FaultEvent) Option {
-	return func(c *config) { c.pool.Faults = faultSchedule(events) }
+	return func(c *config) { c.pool.Faults = append([]FaultEvent(nil), events...) }
 }
 
 // ParseFaults parses the CLI fault grammar accepted by the serving CLIs'
@@ -438,24 +432,10 @@ func WithFaults(events ...FaultEvent) Option {
 //
 //	crash@30s:class=a100:n=2:recover=20s,outage@60s:class=spot:recover=30s
 //
-// An empty spec returns nil (no faults).
+// An empty spec returns nil (no faults). A time beyond time.Duration's
+// range (about 292 years) is an error.
 func ParseFaults(spec string) ([]FaultEvent, error) {
-	sched, err := fault.Parse(spec)
-	if err != nil || sched == nil {
-		return nil, err
-	}
-	out := make([]FaultEvent, len(sched.Events))
-	for i, e := range sched.Events {
-		out[i] = FaultEvent{
-			At:           time.Duration(e.At * float64(time.Second)),
-			Kind:         FaultKind(e.Kind),
-			Class:        e.Class,
-			N:            e.N,
-			Factor:       e.Factor,
-			RecoverAfter: time.Duration(e.RecoverAfter * float64(time.Second)),
-		}
-	}
-	return out, nil
+	return fault.Parse(spec)
 }
 
 // WithFaultObserver registers a callback invoked on every fault and recovery
@@ -464,25 +444,6 @@ func ParseFaults(spec string) ([]FaultEvent, error) {
 // from an engine goroutine; it must not call back into the system.
 func WithFaultObserver(fn func(timeSec float64, event string)) Option {
 	return func(c *config) { c.pool.OnFault = fn }
-}
-
-// faultSchedule converts public fault events to the internal schedule.
-func faultSchedule(events []FaultEvent) *fault.Schedule {
-	if len(events) == 0 {
-		return nil
-	}
-	s := &fault.Schedule{}
-	for _, e := range events {
-		s.Events = append(s.Events, fault.Event{
-			At:           e.At.Seconds(),
-			Kind:         fault.Kind(e.Kind),
-			Class:        e.Class,
-			N:            e.N,
-			Factor:       e.Factor,
-			RecoverAfter: e.RecoverAfter.Seconds(),
-		})
-	}
-	return s
 }
 
 // Report is the outcome of a serving run.

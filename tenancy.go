@@ -352,6 +352,7 @@ func (m *MultiSystem) Snapshot(pipeline string) (Snapshot, error) {
 		return Snapshot{}, err
 	}
 	obs := m.st.Eng.Observe(i)
+	grant, allocates := m.st.Ctrl.Standing(i)
 	st := obs.Stats
 	snap := Snapshot{
 		TimeSec:         obs.TimeSec,
@@ -362,8 +363,7 @@ func (m *MultiSystem) Snapshot(pipeline string) (Snapshot, error) {
 		Shed:            st.Shed,
 		InFlight:        st.Injected - st.Completed - st.Dropped,
 		ActiveServers:   obs.Active,
-		GrantedServers:  m.st.Ctrl.Grants()[i],
-		Allocates:       m.st.Ctrl.AllocatesOf(i),
+		Allocates:       allocates,
 		ObservedDemand:  t.Meta.LastObservedDemand(),
 		PredictedDemand: t.Meta.PredictedDemand(t.HorizonSec),
 		Workers:         obs.Workers,
@@ -375,9 +375,12 @@ func (m *MultiSystem) Snapshot(pipeline string) (Snapshot, error) {
 	for _, n := range obs.LiveByClass {
 		snap.LiveServers += n
 	}
+	for _, n := range grant {
+		snap.GrantedServers += n
+	}
 	if classes := t.Meta.Classes(); len(classes) > 1 {
 		snap.ActiveServersByClass = byClass(classes, obs.ActiveByClass)
-		snap.GrantedServersByClass = byClass(classes, m.st.Ctrl.ClassGrants()[i])
+		snap.GrantedServersByClass = byClass(classes, grant)
 		snap.LiveServersByClass = byClass(classes, obs.LiveByClass)
 	}
 	return snap, nil
