@@ -68,10 +68,6 @@ func TestNewMultiRejectsBadConfig(t *testing.T) {
 		{"servers disagree with classes", MultiConfig{
 			Servers: 10, Classes: []profiles.Class{{Name: "a", Count: 4, Speed: 1}}, Tenants: []TenantConfig{tenant},
 		}},
-		{"fault on an unknown class", MultiConfig{
-			Servers: 10, Tenants: []TenantConfig{tenant},
-			Faults: []fault.Event{{At: time.Second, Kind: fault.Crash, Class: "nope", N: 1}},
-		}},
 	}
 	for _, kind := range kinds {
 		for _, tc := range cases {
@@ -82,5 +78,24 @@ func TestNewMultiRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := NewMulti(Kind(7), MultiConfig{Servers: 10, Tenants: []TenantConfig{tenant}}); err == nil {
 		t.Error("unknown kind accepted")
+	}
+}
+
+// TestNewMultiRejectsFaultOnUnknownClass checks that both kinds resolve each
+// fault's class name at construction and refuse one naming no class of the
+// pool, rather than failing when the fault fires mid-run.
+func TestNewMultiRejectsFaultOnUnknownClass(t *testing.T) {
+	g := profiles.TrafficChain()
+	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
+	meta := core.NewMetadataStore(g, prof, 0.250, profiles.Batches)
+	cfg := MultiConfig{
+		Servers: 10,
+		Tenants: []TenantConfig{{Meta: meta, Collector: metrics.NewCollector(5, 10), SLOSec: 0.250}},
+		Faults:  []fault.Event{{At: time.Second, Kind: fault.Crash, Class: "nope", N: 1}},
+	}
+	for _, kind := range kinds {
+		if _, err := NewMulti(kind, cfg); err == nil {
+			t.Errorf("%s accepted a fault on an unknown class", kindName(kind))
+		}
 	}
 }
