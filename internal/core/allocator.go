@@ -579,7 +579,9 @@ const (
 	// and stops as soon as that is known: at an infeasible relaxation, at a
 	// rounded seed (which guarantees a plan), or at the first integer point
 	// of a branch and bound that, up to that point, visits the same nodes
-	// in the same order under the same limits as the full search. It
+	// in the same order under the same limits as the full search would
+	// without column groups — the hardware step's full search exactly; the
+	// accuracy step's branches on replica totals too (stepModel.groups). It
 	// returns no plan.
 	goalFeasible
 	// goalUncut searches as goalOptimize does but without the wall-clock
@@ -810,7 +812,13 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 	}
 
 	st.milpSolves++
-	res, err := milp.SolveWithOptions(&milp.Problem{LP: prob, Integer: m.integer, Root: relax}, opts)
+	// A probe branches on single configs only: with the groups, the caps
+	// MaxCapacity bisects to move (ARCHITECTURE.md, "Ingress layer").
+	mp := milp.Problem{LP: prob, Integer: m.integer, Root: relax}
+	if goal != goalFeasible {
+		mp.Groups = m.groups
+	}
+	res, err := milp.SolveWithOptions(&mp, opts)
 	if err != nil {
 		return nil, false, err
 	}

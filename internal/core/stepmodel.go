@@ -27,6 +27,10 @@ type stepModel struct {
 	cfgVar  []int  // column of each config's replica count; -1: on no usable path
 	fVar    int    // column of the served fraction
 	integer []bool // per column: a replica count
+	// groups are the replica columns of each (task, class) with more than
+	// one, for the accuracy-scaling and saturation searches to branch on
+	// (milp.Problem.Groups); nil in the hardware steps.
+	groups [][]lp.Term
 
 	clusterRows []int // per-class capacity rows, in class order
 	demandTerms []demandTerm
@@ -111,6 +115,32 @@ func (a *Allocator) buildStepModel(step stepKind) *stepModel {
 	for _, vi := range m.cfgVar {
 		if vi >= 0 {
 			m.integer[vi] = true
+		}
+	}
+	// A task's replica total on a class is integral in every plan, and in
+	// the accuracy-scaling steps dozens of near-symmetric configs (variant ×
+	// batch) share it: bounding the total splits the search evenly where
+	// bounding one config does not. The hardware steps keep branching on
+	// single configs: their searches close fast anyway, and the fault
+	// scenarios' tier ordering rests on the plans they return (ROADMAP item
+	// 7). Every replica column is in one group at most, so one backing array
+	// holds them all.
+	if step == stepAccuracy || step == stepSaturation {
+		terms := make([]lp.Term, 0, nvars-m.fVar-1)
+		for i := range g.Tasks {
+			for cl := range a.classes {
+				start := len(terms)
+				for _, ci := range a.byTask[i] {
+					if useCfg[ci] && a.cfgs[ci].class == cl {
+						terms = append(terms, lp.Term{Var: m.cfgVar[ci], Coef: 1})
+					}
+				}
+				if len(terms)-start > 1 {
+					m.groups = append(m.groups, terms[start:len(terms):len(terms)])
+				} else {
+					terms = terms[:start]
+				}
+			}
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -318,6 +319,53 @@ func TestMaxCapacityOwesOneUncutSolve(t *testing.T) {
 	}
 	if again.ExpectedAccuracy != first {
 		t.Fatalf("second plan at %.2f qps has accuracy %.4f, the first %.4f", capacity, again.ExpectedAccuracy, first)
+	}
+}
+
+// The accuracy-scaling and saturation models hand branch and bound one group
+// per (task, class) with more than one replica column; the hardware steps
+// hand it none.
+func TestStepModelGroupsAreTaskClassTotals(t *testing.T) {
+	for _, name := range []string{"traffic-analysis", "fleet-chain"} {
+		a := pinAllocator(t, name)
+		for _, step := range []stepKind{stepHardware, stepHardwareSat, stepAccuracy, stepSaturation} {
+			m := a.buildStepModel(step)
+			want := map[[2]int]int{} // (task, class) → replica columns
+			for ci, vi := range m.cfgVar {
+				if vi >= 0 {
+					want[[2]int{int(a.cfgs[ci].task), a.cfgs[ci].class}]++
+				}
+			}
+			seen := map[int]bool{}
+			for _, g := range m.groups {
+				ci0 := slices.Index(m.cfgVar, g[0].Var)
+				key := [2]int{int(a.cfgs[ci0].task), a.cfgs[ci0].class}
+				if len(g) != want[key] {
+					t.Errorf("%s step %d: group of %v has %d columns, want %d", name, step, key, len(g), want[key])
+				}
+				delete(want, key)
+				for _, tm := range g {
+					ci := slices.Index(m.cfgVar, tm.Var)
+					if ci < 0 || !m.integer[tm.Var] || tm.Coef != 1 || seen[tm.Var] ||
+						int(a.cfgs[ci].task) != key[0] || a.cfgs[ci].class != key[1] {
+						t.Fatalf("%s step %d: term %+v does not belong to the group of %v", name, step, tm, key)
+					}
+					seen[tm.Var] = true
+				}
+			}
+			grouped := step == stepAccuracy || step == stepSaturation
+			for key, n := range want {
+				if grouped && n > 1 {
+					t.Errorf("%s step %d: no group for %v's %d columns", name, step, key, n)
+				}
+			}
+			if !grouped && len(m.groups) > 0 {
+				t.Errorf("%s step %d: %d groups on a hardware step", name, step, len(m.groups))
+			}
+			if grouped && len(m.groups) == 0 {
+				t.Errorf("%s step %d: no groups", name, step)
+			}
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ func FuzzStepModelWarmBounds(f *testing.F) {
 		a := allocs[int(pipe)%len(allocs)]
 		m := a.buildStepModel(steps[int(step)%len(steps)])
 		m.set(float64(demand), a.counts)
-		if err := lptest.CheckWarm(m.prob, script); err != nil {
+		if err := lptest.CheckWarm(m.prob, m.groups, script); err != nil {
 			t.Fatalf("pipeline %d step %d demand %d: %v", int(pipe)%len(allocs), int(step)%len(steps), demand, err)
 		}
 	})

@@ -19,14 +19,22 @@ func TestChaosOutageMatchesRecordedRun(t *testing.T) {
 	}
 	// Per cell (tiered first), per tenant (gold, free): before, during and
 	// after as attainment, goodput ratio, shed percentage.
+	//
+	// Re-recorded once when the accuracy-scaling search began branching on
+	// per-(task, class) replica totals. During the outage the untiered gold
+	// tenant's searches now find plans that serve all of its demand where
+	// they used to be cut empty-handed and fall through to saturation (gold
+	// window 1 0.920 → 0.993). After recovery the tiered free tenant's two
+	// searches on its 6 + 4 grant are stall-cut at less accurate incumbents
+	// where they used to close by proof or gap (free window 2 0.999 → 0.985).
 	want := [][][3]chaosWindow{
 		{ // tiered
-			{{0.990371991247, 0.990371991247, 0}, {0.983059962355, 0.983059962355, 0}, {0.987996688742, 0.987996688742, 0}},
-			{{0.997116968699, 0.997116968699, 0}, {0.438657407407, 0.193022663611, 55.9969442322}, {0.999164926931, 0.999164926931, 0}},
+			{{0.989934354486, 0.989934354486, 0}, {0.989244420543, 0.989244420543, 0}, {0.985513245033, 0.985513245033, 0}},
+			{{0.992586490939, 0.992586490939, 0}, {0.445023148148, 0.195823784059, 55.9969442322}, {0.984551148225, 0.984551148225, 0}},
 		},
 		{ // untiered
-			{{0.997374179431, 0.997374179431, 0}, {0.920068027211, 0.872815272923, 5.13578919064}, {0.988391376451, 0.986754966887, 0.165562913907}},
-			{{0.997940691928, 0.997940691928, 0}, {0.871867881549, 0.779730073848, 10.567863509}, {0.988308977035, 0.988308977035, 0}},
+			{{0.996498905908, 0.996498905908, 0}, {0.993277762839, 0.993277762839, 0}, {1, 1, 0}},
+			{{0.997940691928, 0.997940691928, 0}, {0.871013667426, 0.778966131907, 10.567863509}, {1, 1, 0}},
 		},
 	}
 	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-11*math.Max(math.Abs(a), 1) }

@@ -69,7 +69,10 @@ func TestRunMatchesRecordedRuns(t *testing.T) {
 				{Name: "v100", Count: 8, Speed: 1.0, CostPerHour: 1.2},
 				{Name: "t4", Count: 12, Speed: 0.5, CostPerHour: 0.55},
 			}},
-			runPin{58425, 56002, 2423, 617, 0, 25, 0.981243935522, 0.153016688062, 14.9836781609, 0.676289017341}},
+			// Re-recorded once when the accuracy-scaling search began
+			// branching on per-(task, class) replica totals: its searches
+			// stop at different plans inside the 1% gap.
+			runPin{58425, 55889, 2536, 684, 0, 25, 0.983160362538, 0.131399229782, 14.9836781609, 0.494457426376}},
 	} {
 		cfg := tc.cfg
 		cfg.Trace, cfg.Seed = tr, 7

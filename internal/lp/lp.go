@@ -16,12 +16,12 @@
 // guarantees termination.
 //
 // A solve through a Workspace leaves its optimal tableau behind, with spare
-// rows and columns. A neighbouring problem — one more variable bound
-// (Workspace.Bound), or different right-hand sides (Workspace.SetRHS) — is
-// then not solved again: the change is written into the tableau in its
-// current basis, which stays dual feasible, and the dual simplex pivots until
-// the right-hand sides are non-negative again, typically a handful of pivots
-// where a fresh solve takes hundreds. Branch and bound (internal/milp)
+// rows and columns. A neighbouring problem — one more bound on a variable or
+// on a sum of variables (Workspace.Bound), or different right-hand sides
+// (Workspace.SetRHS) — is then not solved again: the change is written into
+// the tableau in its current basis, which stays dual feasible, and the dual
+// simplex pivots until the right-hand sides are non-negative again, typically
+// a handful of pivots where a fresh solve takes hundreds. Branch and bound (internal/milp)
 // evaluates its child nodes this way and solves from scratch only to restart.
 package lp
 

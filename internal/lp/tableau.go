@@ -16,10 +16,11 @@ import "math"
 // always minimizes).
 //
 // A tableau built through a Workspace reserves spareBounds extra rows and
-// columns behind the model: an optimal tableau can then take a variable
-// bound as one more row written in its current basis (addBound) and win
-// primal feasibility back with the dual simplex (dualIterate), instead of
-// being rebuilt and re-solved from the slack/artificial basis.
+// columns behind the model: an optimal tableau can then take a bound on a
+// variable, or on a sum of variables, as one more row written in its current
+// basis (addBound) and win primal feasibility back with the dual simplex
+// (dualIterate), instead of being rebuilt and re-solved from the
+// slack/artificial basis.
 type tableau struct {
 	tableauBufs
 	m, n    int // constraint rows, structural variables
@@ -431,13 +432,13 @@ func (t *tableau) copyFrom(src *tableau) {
 	t.meta = t.meta[:copy(t.meta, src.meta)]
 }
 
-// addBound appends the bound x_v ≤ bound (LE) or x_v ≥ bound (GE) to an
-// optimal tableau as one row expressed in the current basis, with a fresh
-// slack column basic in it. Reduced costs are untouched, so the basis stays
-// dual feasible; the new right-hand side is negative exactly when the current
-// point violates the bound, which dualIterate then repairs. The caller has
-// checked t.spare > 0.
-func (t *tableau) addBound(v int, sense Sense, bound float64) {
+// addBound appends the bound Σ coef·x ≤ bound (LE) or ≥ bound (GE) over
+// terms to an optimal tableau as one row expressed in the current basis, with
+// a fresh slack column basic in it. Reduced costs are untouched, so the basis
+// stays dual feasible; the new right-hand side is negative exactly when the
+// current point violates the bound, which dualIterate then repairs. The
+// caller has checked t.spare > 0.
+func (t *tableau) addBound(terms []Term, sense Sense, bound float64) {
 	r, c := t.m, t.ncols
 	t.m++
 	t.ncols++
@@ -447,30 +448,34 @@ func (t *tableau) addBound(v int, sense Sense, bound float64) {
 	clear(row)
 	row = row[:t.ncols]
 
-	// Substitute the basic variable out: if x_v is basic in row k, then
+	// The row in slack form is sgn·Σ coef·x + s = sgn·bound. Each basic x_v
+	// is substituted out: if x_v is basic in row k, then
 	// x_v = rhs[k] - Σ_j rows[k][j]·x_j over the nonbasic j.
-	sgn := 1.0 // coefficient of x_v in the slack form: x_v + s = b or -x_v + s = -b
+	sgn := 1.0
 	if sense == GE {
 		sgn = -1.0
 	}
-	k := -1
-	for i, bv := range t.basis[:r] {
-		if bv == v {
-			k = i
-			break
-		}
-	}
-	if k < 0 {
-		row[v] = sgn
-		t.rhs[r] = sgn * bound
-	} else {
-		for j, a := range t.rows[k][:c] {
-			if a != 0 {
-				row[j] = -sgn * a
+	t.rhs[r] = sgn * bound
+	for _, tm := range terms {
+		a := sgn * tm.Coef
+		k := -1
+		for i, bv := range t.basis[:r] {
+			if bv == tm.Var {
+				k = i
+				break
 			}
 		}
-		row[v] = 0 // exact
-		t.rhs[r] = sgn * (bound - t.rhs[k])
+		if k < 0 {
+			row[tm.Var] += a
+			continue
+		}
+		for j, v := range t.rows[k][:c] {
+			if v != 0 {
+				row[j] -= a * v
+			}
+		}
+		row[tm.Var] = 0 // exact: a basic column cancels
+		t.rhs[r] -= a * t.rhs[k]
 	}
 	row[c] = 1
 	t.basis[r] = c

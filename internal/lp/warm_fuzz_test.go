@@ -34,7 +34,7 @@ func FuzzWarmBounds(f *testing.F) {
 			r := rand.New(rand.NewSource(int64(problem)))
 			p = lp.RandomProblem(r, 2+r.Intn(10), 1+r.Intn(8))
 		}
-		if err := lptest.CheckWarm(p, script); err != nil {
+		if err := lptest.CheckWarm(p, nil, script); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -8,8 +8,8 @@ package lp
 //
 // A solve that ends Optimal also leaves its final tableau behind — the
 // retained tableau — and the workspace can re-optimise it in place instead
-// of solving a neighbouring problem from scratch: Bound adds one variable
-// bound, SetRHS moves right-hand sides, and both restore feasibility with
+// of solving a neighbouring problem from scratch: Bound adds one bound row
+// over a variable or a sum of them, SetRHS moves right-hand sides, and both restore feasibility with
 // dual simplex pivots from the retained basis. Fork saves a copy of the
 // retained tableau to the side and Swap exchanges the two, which is how a
 // caller evaluates several neighbours of one solved problem.
@@ -81,19 +81,25 @@ func (w *Workspace) Swap() {
 	w.cur, w.alt = w.alt, w.cur
 }
 
-// Bound adds the bound x_v ≤ bound (sense LE) or x_v ≥ bound (sense GE) to
+// Bound adds the bound Σ coef·x ≤ bound (sense LE) or ≥ bound (sense GE)
+// over terms — one variable, or a sum such as a group of replica counts — to
 // the retained tableau and re-optimises it with the dual simplex: the result
-// is that of solving the retained problem plus the bound from scratch, for
-// the few pivots it takes to repair one violated row. Bounds accumulate. The
-// second result is false — and nothing happens — unless Warm, v is a variable
-// of the retained problem and sense is LE or GE. A result other than Optimal
-// drops the retained tableau. The returned X is owned by the workspace, as
-// with SolveWS.
-func (w *Workspace) Bound(v int, sense Sense, bound float64, opt Options) (Solution, bool) {
-	if !w.Warm() || v < 0 || v >= w.cur.n || sense == EQ {
+// is that of solving the retained problem plus the bound row from scratch,
+// for the few pivots it takes to repair one violated row. Bounds accumulate.
+// The second result is false — and nothing happens — unless Warm, terms is
+// non-empty over variables of the retained problem and sense is LE or GE. A
+// result other than Optimal drops the retained tableau. The returned X is
+// owned by the workspace, as with SolveWS.
+func (w *Workspace) Bound(terms []Term, sense Sense, bound float64, opt Options) (Solution, bool) {
+	if !w.Warm() || len(terms) == 0 || sense == EQ {
 		return Solution{}, false
 	}
-	w.cur.addBound(v, sense, bound)
+	for _, tm := range terms {
+		if tm.Var < 0 || tm.Var >= w.cur.n {
+			return Solution{}, false
+		}
+	}
+	w.cur.addBound(terms, sense, bound)
 	return w.reoptimize(opt), true
 }
 

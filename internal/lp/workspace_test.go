@@ -133,14 +133,15 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 			v, at = j, x
 		}
 	}
+	unit := []Term{{Var: v, Coef: 1}}
 	children := func() {
 		ws.Fork()
-		if _, ok := ws.Bound(v, GE, at/2+1, Options{}); !ok {
+		if _, ok := ws.Bound(unit, GE, at/2+1, Options{}); !ok {
 			t.Fatal("Bound refused on a warm workspace")
 		}
 		ws.Swap()
 		ws.Fork()
-		if _, ok := ws.Bound(v, LE, at/2, Options{}); !ok {
+		if _, ok := ws.Bound(unit, LE, at/2, Options{}); !ok {
 			t.Fatal("Bound refused on a warm workspace")
 		}
 		ws.Swap()

@@ -16,7 +16,14 @@
 // fresh two-phase solve — continuing with one child and parking the other on
 // the heap under its own bound. The from-scratch node solve remains what a
 // popped node, a plunge deeper than the tableau's spare rows and a warm
-// result that fails its residual check fall back to.
+// result that fails its residual check or its pivot cap fall back to.
+//
+// A node branches on the most fractional column group first — a set of
+// integer columns whose sum is integral, such as one task's replica counts —
+// and on the most fractional single column only once every group sum is
+// integral. Where many near-symmetric columns share one total, a bound on the
+// total splits the tree evenly where a bound on one column barely moves the
+// relaxation. The bound row of either kind is one lp.Workspace.Bound.
 package milp
 
 import (
@@ -28,9 +35,17 @@ import (
 )
 
 // Problem is a linear program plus integrality marks.
+//
+// Groups optionally lists column groups: term lists over integer columns with
+// integer coefficients, whose sum is therefore integral on every
+// integer-feasible point. The search branches on the most fractional group
+// sum before it branches on any single column; with no groups it branches on
+// the most fractional column. The term lists are read, never copied or
+// changed, so a caller that solves one model many times builds them once.
 type Problem struct {
 	LP      *lp.Problem
 	Integer []bool // len LP.NumVars; true marks an integer-constrained variable
+	Groups  [][]lp.Term
 	// Root optionally hands over the LP relaxation of LP when the caller has
 	// already solved it through Options.Workspace. If the workspace still
 	// holds that solve's tableau (lp.Workspace.Holds) the search takes Root
@@ -133,24 +148,27 @@ type result struct {
 	Truncated bool
 
 	// coldBranchings counts branchings that found no spare bound row in the
-	// tableau and parked both children for cold solves (tests read it to see
-	// the restart path run).
+	// tableau and parked both children for cold solves, and warmRetries warm
+	// child evaluations handed back to a cold solve (tests read both to see
+	// those paths run).
 	coldBranchings int
+	warmRetries    int
 }
 
 // errBadProblem reports a malformed problem.
 var errBadProblem = errors.New("milp: malformed problem")
 
-// node is one branch-and-bound subproblem, defined by a chain of variable
-// bound overrides hanging off the root relaxation.
+// node is one branch-and-bound subproblem, defined by a chain of bound
+// overrides hanging off the root relaxation. A branch names a column j as j
+// and column group g as NumVars+g.
 type node struct {
 	parent *node
-	branch int     // variable the parent branched on (-1 at root)
-	lo, hi float64 // bound override for the branch variable
+	branch int     // column or group the parent branched on (-1 at root)
+	lo, hi float64 // bound override for the branch's value
 	// bound is the node's LP relaxation objective (maximize-normalized) once
 	// it has been evaluated, and its parent's until then.
 	bound float64
-	frac  int   // variable to branch on next (evaluated, fractional nodes)
+	frac  int   // column or group to branch on next (evaluated, fractional nodes)
 	order int64 // LIFO tie-break: newer nodes first → diving behaviour
 }
 
@@ -204,13 +222,33 @@ func (h *nodeHeap) pop() *node {
 	return nd
 }
 
+// warmMaxIter caps the dual simplex pivots of one warm child evaluation. A
+// child that needs more is solved cold instead: a warm re-optimisation that
+// runs long has lost its way in a degenerate stretch, and the deadline is
+// only checked between LPs. A single-column bound takes a few hundred pivots
+// at most on the planner's models; a group bound can take thousands.
+const warmMaxIter = 2000
+
 // SolveWithOptions runs branch and bound.
 func SolveWithOptions(p *Problem, opt Options) (*result, error) {
+	return solve(p, opt, warmMaxIter)
+}
+
+// solve runs branch and bound with warm child evaluations capped at warmIters
+// pivots (or LPOptions.MaxIter, when that is lower).
+func solve(p *Problem, opt Options, warmIters int) (*result, error) {
 	if p.LP == nil {
 		return nil, errBadProblem
 	}
 	if p.Integer != nil && len(p.Integer) != p.LP.NumVars {
 		return nil, errBadProblem
+	}
+	for _, g := range p.Groups {
+		for _, tm := range g {
+			if tm.Var < 0 || tm.Var >= p.LP.NumVars || p.Integer == nil || !p.Integer[tm.Var] || tm.Coef != math.Trunc(tm.Coef) {
+				return nil, errBadProblem
+			}
+		}
 	}
 	maxNodes := opt.MaxNodes
 	if maxNodes == 0 {
@@ -222,11 +260,15 @@ func SolveWithOptions(p *Problem, opt Options) (*result, error) {
 	}
 
 	s := &search{
-		p:     p,
-		lpOpt: opt.LPOptions,
-		ws:    opt.Workspace,
+		p:       p,
+		lpOpt:   opt.LPOptions,
+		warmOpt: opt.LPOptions,
+		ws:      opt.Workspace,
 		// Normalize to maximization internally.
 		sign: 1.0,
+	}
+	if s.warmOpt.MaxIter == 0 || s.warmOpt.MaxIter > warmIters {
+		s.warmOpt.MaxIter = warmIters
 	}
 	if !p.LP.Maximize {
 		s.sign = -1.0
@@ -366,7 +408,7 @@ func SolveWithOptions(p *Problem, opt Options) (*result, error) {
 		if bound <= math.Max(incumbentVal, pruneFloor)+1e-9 {
 			return false
 		}
-		if nd.frac = s.mostFractional(x); nd.frac >= 0 {
+		if nd.frac = s.branchOn(x); nd.frac >= 0 {
 			return true
 		}
 		if bound > incumbentVal {
@@ -446,9 +488,9 @@ search:
 				}
 			}
 
-			lo := math.Floor(x[nd.frac])
+			lo := math.Floor(s.value(x, nd.frac))
 			up := &node{parent: nd, branch: nd.frac, lo: lo + 1, hi: math.Inf(1), bound: nd.bound}
-			down := &node{parent: nd, branch: nd.frac, lo: 0, hi: lo, bound: nd.bound}
+			down := &node{parent: nd, branch: nd.frac, lo: math.Inf(-1), hi: lo, bound: nd.bound}
 			if !s.ws.Warm() {
 				// No bound row left in the tableau: park both children under
 				// the parent's bound; popping one solves it cold, which
@@ -491,13 +533,14 @@ search:
 				if k == 1 {
 					sense, val = lp.LE, child.hi
 				}
-				csol, ok := s.ws.Bound(child.branch, sense, val, s.lpOpt)
+				csol, ok := s.ws.Bound(s.branchTerms(child.branch), sense, val, s.warmOpt)
 				res.LPIters += csol.Iters
 				switch {
 				case !ok || csol.Status == lp.IterLimit || (csol.Status == lp.Optimal && !s.satisfies(csol.X, child)):
-					// The warm path gave no usable answer (iteration limit,
-					// or a point that drifted off the original rows): let a
-					// cold solve have the final word.
+					// The warm path gave no usable answer (pivot cap, or a
+					// point that drifted off the original rows): let a cold
+					// solve have the final word.
+					res.warmRetries++
 					push(child)
 				case csol.Status == lp.Optimal && settle(child, csol.Objective, csol.X):
 					open[k] = child
@@ -563,9 +606,10 @@ search:
 const intTol = 1e-6
 
 type search struct {
-	p     *Problem
-	lpOpt lp.Options
-	sign  float64 // +1 maximize, -1 minimize (normalizes bounds)
+	p       *Problem
+	lpOpt   lp.Options
+	warmOpt lp.Options // lpOpt with the warm child evaluations' pivot cap
+	sign    float64    // +1 maximize, -1 minimize (normalizes bounds)
 
 	// Shared node model: cons holds the base rows once, each node appends
 	// its bound rows behind them and truncates back after the solve, and
@@ -576,23 +620,49 @@ type search struct {
 	nodeProb lp.Problem
 	bvars    []varBound
 	terms    []lp.Term
+	unit     [1]lp.Term // a single column's warm bound row
 	// childX keeps the relaxation points of the two children of a branching
 	// (the workspace's own buffer is overwritten by the next LP).
 	childX [2][]float64
 }
 
-// varBound is one collapsed branching interval lo ≤ x_v ≤ hi.
+// varBound is one collapsed branching interval lo ≤ value ≤ hi of a column
+// or group v (numbered as node.branch).
 type varBound struct {
 	v      int
 	lo, hi float64
 }
 
+// branchTerms returns the bound row's terms for branch b: the group's own
+// term list, or the column alone in a scratch slice valid until the next call.
+func (s *search) branchTerms(b int) []lp.Term {
+	if n := s.p.LP.NumVars; b >= n {
+		return s.p.Groups[b-n]
+	}
+	s.unit[0] = lp.Term{Var: b, Coef: 1}
+	return s.unit[:]
+}
+
+// value is the value at x of column or group b.
+func (s *search) value(x []float64, b int) float64 {
+	n := s.p.LP.NumVars
+	if b < n {
+		return x[b]
+	}
+	v := 0.0
+	for _, tm := range s.p.Groups[b-n] {
+		v += tm.Coef * x[tm.Var]
+	}
+	return v
+}
+
 // solveNode materializes the node's bound chain as extra rows on the shared
-// model and solves the relaxation. Bound rows are emitted in ascending
-// variable order (lower bounds first), so the row layout — and therefore the
-// pivot sequence — is deterministic for a given node.
+// model and solves the relaxation. Bound rows are emitted in ascending branch
+// order — columns, then groups — with lower bounds first, so the row layout
+// — and therefore the pivot sequence — is deterministic for a given node.
 func (s *search) solveNode(nd *node) (*lp.Solution, error) {
-	// Collapse the bound chain: the tightest interval per variable wins.
+	// Collapse the bound chain: the tightest interval per column or group
+	// wins.
 	s.bvars = s.bvars[:0]
 	for n := nd; n != nil && n.branch >= 0; n = n.parent {
 		at := -1
@@ -625,37 +695,62 @@ func (s *search) solveNode(nd *node) (*lp.Solution, error) {
 	}
 	s.terms = s.terms[:0]
 	for _, b := range s.bvars {
-		if b.lo > 0 {
-			s.terms = append(s.terms, lp.Term{Var: b.v, Coef: 1})
-			s.cons = append(s.cons, lp.Constraint{Terms: s.terms[len(s.terms)-1 : len(s.terms)], Sense: lp.GE, RHS: b.lo})
+		if !math.IsInf(b.lo, -1) {
+			s.cons = append(s.cons, lp.Constraint{Terms: s.rowTerms(b.v), Sense: lp.GE, RHS: b.lo})
 		}
 	}
 	for _, b := range s.bvars {
 		if !math.IsInf(b.hi, 1) {
-			s.terms = append(s.terms, lp.Term{Var: b.v, Coef: 1})
-			s.cons = append(s.cons, lp.Constraint{Terms: s.terms[len(s.terms)-1 : len(s.terms)], Sense: lp.LE, RHS: b.hi})
+			s.cons = append(s.cons, lp.Constraint{Terms: s.rowTerms(b.v), Sense: lp.LE, RHS: b.hi})
 		}
 	}
 	s.nodeProb.Cons = s.cons
 	return lp.SolveWS(&s.nodeProb, s.lpOpt, s.ws)
 }
 
-// mostFractional returns the integer variable whose relaxation value is
-// farthest from integral, or -1 if all are integral within tolerance.
-func (s *search) mostFractional(x []float64) int {
+// rowTerms returns a cold bound row's terms for branch b: the group's own
+// term list, or the column alone in the next slot of the scratch terms
+// buffer, which solveNode has sized for every row.
+func (s *search) rowTerms(b int) []lp.Term {
+	if n := s.p.LP.NumVars; b >= n {
+		return s.p.Groups[b-n]
+	}
+	s.terms = append(s.terms, lp.Term{Var: b, Coef: 1})
+	return s.terms[len(s.terms)-1:]
+}
+
+// branchOn returns what to branch on at relaxation point x: the column group
+// whose sum is farthest from integral, or when every group sum is integral
+// the integer column farthest from integral (see node.branch for the
+// numbering), or -1 if all are integral within tolerance.
+func (s *search) branchOn(x []float64) int {
 	best, bestDist := -1, intTol
+	n := s.p.LP.NumVars
+	for g := range s.p.Groups {
+		if d := fracDist(s.value(x, n+g)); d > bestDist {
+			bestDist = d
+			best = n + g
+		}
+	}
+	if best >= 0 {
+		return best
+	}
 	for j, isInt := range s.p.Integer {
 		if !isInt {
 			continue
 		}
-		f := x[j] - math.Floor(x[j])
-		d := math.Min(f, 1-f)
-		if d > bestDist {
+		if d := fracDist(x[j]); d > bestDist {
 			bestDist = d
 			best = j
 		}
 	}
 	return best
+}
+
+// fracDist is v's distance from the nearest integer.
+func fracDist(v float64) float64 {
+	f := v - math.Floor(v)
+	return math.Min(f, 1-f)
 }
 
 // checkFeasible verifies a candidate point against all constraints and
@@ -728,7 +823,7 @@ func (s *search) satisfies(x []float64, nd *node) bool {
 		}
 	}
 	for n := nd; n.branch >= 0; n = n.parent {
-		if v := x[n.branch]; v < n.lo-tol || v > n.hi+tol {
+		if v := s.value(x, n.branch); v < n.lo-tol || v > n.hi+tol {
 			return false
 		}
 	}

@@ -294,10 +294,27 @@ func bruteForceILP(p *lp.Problem, ub int) (float64, bool) {
 	return best, found
 }
 
+// randomGroups draws one to three column groups over p's variables: each
+// two or more distinct variables with integer coefficients in [-2, 2] \ {0}.
+func randomGroups(rng *rand.Rand, p *lp.Problem) [][]lp.Term {
+	groups := make([][]lp.Term, 1+rng.Intn(3))
+	for g := range groups {
+		for _, v := range rng.Perm(p.NumVars)[:2+rng.Intn(p.NumVars-1)] {
+			c := float64(1 + rng.Intn(2))
+			if rng.Intn(3) == 0 {
+				c = -c
+			}
+			groups[g] = append(groups[g], lp.Term{Var: v, Coef: c})
+		}
+	}
+	return groups
+}
+
 // agreesWithBruteForce solves the pure-integer program p, whose variables
-// are bounded by ub, and compares the outcome with exhaustive enumeration.
-func agreesWithBruteForce(t *testing.T, seed int64, p *lp.Problem, ub int) (*result, bool) {
-	r, err := SolveWithOptions(&Problem{LP: p, Integer: allInt(p.NumVars)}, Options{})
+// are bounded by ub, branching on groups first, and compares the outcome with
+// exhaustive enumeration.
+func agreesWithBruteForce(t *testing.T, seed int64, p *lp.Problem, groups [][]lp.Term, ub int) (*result, bool) {
+	r, err := SolveWithOptions(&Problem{LP: p, Integer: allInt(p.NumVars), Groups: groups}, Options{})
 	if err != nil {
 		t.Logf("seed %d: %v", seed, err)
 		return nil, false
@@ -326,7 +343,8 @@ func agreesWithBruteForce(t *testing.T, seed int64, p *lp.Problem, ub int) (*res
 }
 
 // TestAgainstBruteForceILP cross-checks branch and bound against exhaustive
-// enumeration on random small pure-integer programs.
+// enumeration on random small pure-integer programs, each solved once
+// branching on columns only and once with random column groups.
 func TestAgainstBruteForceILP(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 200}
 	f := func(seed int64) bool {
@@ -355,8 +373,15 @@ func TestAgainstBruteForceILP(t *testing.T) {
 			}
 			p.AddConstraint(terms, lp.Sense(rng.Intn(3)), float64(rng.Intn(17)-4))
 		}
-		_, ok := agreesWithBruteForce(t, seed, p, ub)
-		return ok
+		if _, ok := agreesWithBruteForce(t, seed, p, nil, ub); !ok {
+			return false
+		}
+		groups := randomGroups(rand.New(rand.NewSource(^seed)), p)
+		if _, ok := agreesWithBruteForce(t, seed, p, groups, ub); !ok {
+			t.Logf("seed %d: with groups %v", seed, groups)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
@@ -368,7 +393,7 @@ func TestAgainstBruteForceILP(t *testing.T) {
 	// row is hit by few integer points, so plunges run past the sixteen bound
 	// rows a tableau can absorb and the search has to restart from cold node
 	// solves — the path the small instances above never reach.
-	restarts := 0
+	restarts, groupRestarts := 0, 0
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n, ub := 6, 7
@@ -384,14 +409,76 @@ func TestAgainstBruteForceILP(t *testing.T) {
 			p.AddConstraint([]lp.Term{{Var: j, Coef: 1}}, lp.LE, float64(ub))
 		}
 		p.AddConstraint(terms, lp.EQ, math.Floor(sum/2)+1)
-		r, ok := agreesWithBruteForce(t, seed, p, ub)
+		r, ok := agreesWithBruteForce(t, seed, p, nil, ub)
 		if !ok {
 			t.Fatalf("deep instance %d disagrees with brute force", seed)
 		}
 		restarts += r.coldBranchings
+		groups := randomGroups(rand.New(rand.NewSource(^seed)), p)
+		if r, ok = agreesWithBruteForce(t, seed, p, groups, ub); !ok {
+			t.Fatalf("deep instance %d with groups %v disagrees with brute force", seed, groups)
+		}
+		groupRestarts += r.coldBranchings
 	}
-	if restarts == 0 {
-		t.Fatal("no deep instance exhausted the tableau's spare bound rows; the cold-restart path went untested")
+	if restarts == 0 || groupRestarts == 0 {
+		t.Fatalf("cold restarts %d without groups, %d with: a deep instance should exhaust the tableau's spare bound rows either way", restarts, groupRestarts)
+	}
+}
+
+// TestWarmPivotCapFallsBackToColdSolves: with warm child evaluations capped
+// at one pivot, every child that needs more is handed back to a cold solve,
+// and the search still proves the optimum the uncapped search proves.
+func TestWarmPivotCapFallsBackToColdSolves(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	retries := 0
+	for trial := 0; trial < 10; trial++ {
+		p := hardKnapsack(rng, 12+rng.Intn(8))
+		if trial%2 == 1 {
+			p.Groups = randomGroups(rng, p.LP)
+			for _, g := range p.Groups {
+				for k := range g {
+					g[k].Coef = 1
+				}
+			}
+		}
+		full, err := SolveWithOptions(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		capped, err := solve(p, Options{}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Status != Optimal || capped.Status != Optimal || capped.Truncated {
+			t.Fatalf("trial %d: uncapped %v, capped %v truncated=%v; want both optimal", trial, full.Status, capped.Status, capped.Truncated)
+		}
+		if math.Abs(capped.Objective-full.Objective) > 1e-9 {
+			t.Fatalf("trial %d: capped objective %v, uncapped %v", trial, capped.Objective, full.Objective)
+		}
+		retries += capped.warmRetries
+	}
+	if retries == 0 {
+		t.Fatal("no warm child hit the one-pivot cap")
+	}
+}
+
+// TestGroupsMustBeIntegral: a group over a continuous column, or with a
+// fractional coefficient, has no integral sum to branch on.
+func TestGroupsMustBeIntegral(t *testing.T) {
+	p := lp.NewProblem(2)
+	p.Maximize = true
+	p.Obj = []float64{1, 1}
+	p.AddConstraint([]lp.Term{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}, lp.LE, 2.5)
+	for _, g := range [][]lp.Term{
+		{{Var: 0, Coef: 1}, {Var: 1, Coef: 0.5}},
+		{{Var: 0, Coef: 1}, {Var: 2, Coef: 1}},
+	} {
+		if _, err := SolveWithOptions(&Problem{LP: p, Integer: allInt(2), Groups: [][]lp.Term{g}}, Options{}); err == nil {
+			t.Errorf("group %v accepted", g)
+		}
+	}
+	if _, err := SolveWithOptions(&Problem{LP: p, Integer: []bool{true, false}, Groups: [][]lp.Term{{{Var: 0, Coef: 1}, {Var: 1, Coef: 1}}}}, Options{}); err == nil {
+		t.Error("group over a continuous column accepted")
 	}
 }
 

@@ -51,15 +51,22 @@ func TestSinglePipelineParityWithSeedBehavior(t *testing.T) {
 			tr:   loki.RampTrace(100, 900, 16, 5),
 			opts: []loki.Option{loki.WithServers(10), loki.WithSeed(7), loki.WithPolicy(loki.PerTaskPolicy),
 				loki.WithSolveTimeLimit(10 * time.Second)},
-			// Re-recorded once when branch and bound began re-optimising node
-			// relaxations from the parent's basis: the accuracy-scaling
-			// searches stop at a different, equally valid plan inside their
-			// 1% gap (accuracy 0.92674 → 0.92624, violations 0.09053 →
-			// 0.08570, both within 0.01 of the previous recording).
-			accuracy: 0.9262447672072975, viol: 0.08569640845951695,
+			// Re-recorded when branch and bound began re-optimising node
+			// relaxations from the parent's basis (accuracy 0.92674 →
+			// 0.92624, violations 0.09053 → 0.08570), and again when the
+			// accuracy-scaling search began branching on per-(task, class)
+			// replica totals (accuracy 0.92624 → 0.92712, violations
+			// 0.08570 → 0.09844): each time the searches stop at a
+			// different plan inside their 1% gap. The second violation move
+			// is all in the 30-60 s window (724 → 1184 late or dropped),
+			// where the plans at 605-735 qps are now the more accurate ones
+			// (0.9495, 0.9265, 0.9276 against 0.9463, 0.9242, 0.9241) and
+			// load task 1's batch-8 and batch-16 configs at 0.95-1.0 of
+			// their profiled peak rate, which Eq. 2 counts as feasible.
+			accuracy: 0.9271221902684782, viol: 0.0984357402077337,
 			meanSrv: 9.080459770114942, minSrv: 7.241379310344827, maxSrv: 10,
-			meanLat: 86589981 * time.Nanosecond,
-			arr:     39955, comp: 36531, late: 449, drop: 2975, rer: 0,
+			meanLat: 92762714 * time.Nanosecond,
+			arr:     39955, comp: 36022, late: 781, drop: 3152, rer: 0,
 		},
 	}
 	for _, c := range cases {
