@@ -55,10 +55,9 @@ func chaosRun(t *testing.T, seed int64, tiered bool, faults ...loki.FaultEvent) 
 		),
 		loki.WithAdmission(true),
 		// The InferLine baseline skips the MILP MaxCapacity bisection at
-		// build time (7–34 s per tenant at this solve limit on a 2-vCPU
-		// Xeon: near capacity the stall cutoff decides some probes, and
-		// with them the cap); tiers, live-count re-planning, and admission
-		// shedding are arbiter-level and identical under it.
+		// build time (≈1 s per tenant on a 2-vCPU Xeon); tiers, live-count
+		// re-planning, and admission shedding are arbiter-level and
+		// identical under it.
 		loki.WithBaseline(loki.BaselineInferLine),
 		loki.WithSolveTimeLimit(10*time.Second),
 		loki.WithFaults(faults...),

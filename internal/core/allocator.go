@@ -51,6 +51,8 @@ type AllocatorOptions struct {
 	// limit itself are wall-clock sensitive with the cutoff on; offline
 	// experiment drivers that pick generous budgets precisely to get
 	// reproducible, exhaustive solves set this. Implied by DisableReuse.
+	// MaxCapacity's probes have no stall cutoff either way: they end on a
+	// pivot budget.
 	DisableStall bool
 }
 
@@ -579,19 +581,23 @@ const (
 	// and stops as soon as that is known: at an infeasible relaxation, at a
 	// rounded seed (which guarantees a plan), or at the first integer point
 	// of a branch and bound that, up to that point, visits the same nodes
-	// in the same order under the same limits as the full search would
-	// without column groups — the hardware step's full search exactly; the
-	// accuracy step's branches on replica totals too (stepModel.groups). It
-	// returns no plan.
+	// in the same order as the full search would without column groups —
+	// the hardware step's full search exactly; the accuracy step's branches
+	// on replica totals too (stepModel.groups). The branch and bound runs
+	// under probeLPIters pivots instead of the stall cutoff, and a probe
+	// that spends them without an integer point says no. It returns no
+	// plan.
 	goalFeasible
-	// goalUncut searches as goalOptimize does but without the wall-clock
-	// stall cutoff, so that, short of the time limit, its plan and the warm
-	// start it leaves do not depend on the host's speed. (The priced
-	// hardware step keeps its cutoff, which counts nodes only.) solveStep
-	// turns the first step-1 or step-2 goalOptimize search at the demand
-	// MaxCapacity owes into this goal.
-	goalUncut
 )
+
+// probeLPIters is a goalFeasible branch and bound's pivot budget. Pivots do
+// not depend on the host, so below SolveTimeLimit, which stays as a safety
+// ceiling, a probe's verdict is a function of its inputs. On the
+// TestMaxCapacityPinned pools the latest first integer point of a probe that
+// finds one comes at 3,611 pivots (social-media, 20 servers); every budget
+// from 4,000 to 8,000 returns the same caps below 300 servers, and 3,000
+// moves two of them.
+const probeLPIters = 4000
 
 // solveStep solves one of the step MILPs on the allocator's step model (see
 // stepModel for the variable layout), patched for this demand and this
@@ -600,9 +606,6 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 	st := a.state
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if goal == goalOptimize && step <= stepAccuracy && demand > 0 && demand == st.owed {
-		goal = goalUncut
-	}
 
 	m := a.modelFor(step)
 	m.set(demand, a.counts)
@@ -616,9 +619,6 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 		// is re-verified against the new demand and cap before use).
 		if !a.opts.DisableReuse {
 			st.lastX[step] = append([]float64(nil), x...)
-		}
-		if goal == goalUncut {
-			st.owed = 0
 		}
 		if goal == goalFeasible {
 			return nil, true, nil
@@ -778,13 +778,17 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 	// cost per query at 0.80 attainment instead of 0.89 (ARCHITECTURE.md,
 	// "Planner performance"). Counting nodes rather than milliseconds also
 	// makes these plans the same on every machine.
-	if !a.opts.DisableReuse && !a.opts.DisableStall {
+	//
+	// A probe has no stall cutoff. It stops at its first integer point or
+	// after probeLPIters pivots, whichever comes first, under every option,
+	// so that its verdict does not depend on the host.
+	if goal == goalFeasible {
+		opts.MaxLPIters = probeLPIters
+	} else if !a.opts.DisableReuse && !a.opts.DisableStall {
 		opts.StallAfter = opts.TimeLimit / 4
 		opts.StallNodes = 96
 		if step == stepHardware && a.priced {
 			opts.StallAfter = 0
-		} else if goal == goalUncut {
-			opts.StallNodes = 0
 		}
 	}
 	if step == stepHardware && !a.priced {
@@ -823,6 +827,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 		return nil, false, err
 	}
 	st.nodes += res.Nodes
+	st.lpIters += res.LPIters
 	if res.Truncated {
 		st.truncated++
 	}
@@ -968,33 +973,19 @@ const maxCapacityDoublings = 32
 // and each probe decides only that: step 1, then step 2, each stopped at
 // whatever settles it — an infeasible relaxation, a rounded seed, or the
 // first integer point of a branch and bound that walks the full search's
-// nodes in its order under its limits. The saturation step never runs: when
-// steps 1 and 2 find no plan the verdict is "saturated" whatever step 3
-// would return. The probes run one at a time, so a verdict never depends on
-// another probe's CPU use through the stall clock.
+// nodes in its order, within probeLPIters pivots. The saturation step never
+// runs: when steps 1 and 2 find no plan the verdict is "saturated" whatever
+// step 3 would return. A probe counts pivots, not milliseconds, so as long
+// as none reaches SolveTimeLimit, the safety ceiling, a verdict — and the
+// capacity — is a function of the inputs, the same on every host and under
+// any load.
 //
 // hi is where the bisection starts, not a ceiling. When every probe succeeds
 // and hi itself is servable, the bisection continues on [hi, 2·hi] — the
 // probes a plain bisection of [lo, 2·hi] would make after its first. Once
 // any probe fails the sequence is exactly a plain bisection of [lo, hi], so
 // a capacity below the starting hi is found as before.
-//
-// A probe's point is only a first integer point, often a rounded seed from a
-// lower demand, and it stays behind as the step's warm start. From there a
-// search at the capacity itself finds its own first incumbent only about
-// when the stall cutoff arms, so its plan would turn on the host's speed.
-// The capacity is therefore left owed: the first step-1 or step-2 search
-// that plans at exactly it runs as goalUncut, when a tenant first gets there.
 func (a *Allocator) MaxCapacity(lo, hi float64) float64 {
-	capacity := a.bisectCapacity(lo, hi)
-	a.state.mu.Lock()
-	defer a.state.mu.Unlock()
-	a.state.owed = a.provisioned(capacity)
-	return capacity
-}
-
-// bisectCapacity is MaxCapacity's bisection over feasibility probes.
-func (a *Allocator) bisectCapacity(lo, hi float64) float64 {
 	for doublings := 0; ; doublings++ {
 		probes, capped := 0, false
 		for ; probes < 24 && hi-lo > 0.5; probes++ {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -137,25 +138,31 @@ func BenchmarkHeteroAllocate(b *testing.B) {
 }
 
 // BenchmarkMaxCapacity measures the admission-cap bisection a front-door
-// tenant runs at control-plane build time: traffic-analysis on 20 servers
-// with the serving options, on a fresh allocator each time, as MultiSystem
-// builds one. Besides the time it reports the branch-and-bound solves and
-// nodes the probes spent; the solve at the cap itself is left to the
-// tenant's first plan there.
+// tenant runs at control-plane build time: traffic-analysis on 20 and on 100
+// servers with the serving options, on a fresh allocator each time, as
+// MultiSystem builds one. Besides the time it reports the branch-and-bound
+// solves, nodes and simplex pivots the probes spent; the solve at the cap
+// itself is left to the tenant's first plan there.
 func BenchmarkMaxCapacity(b *testing.B) {
-	solves, nodes := 0, 0
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		a := capacityAllocator(b, "traffic-analysis", 20, 0)
-		b.StartTimer()
-		a.MaxCapacity(0, 20000)
-		p := a.Perf()
-		solves += p.MILPSolves
-		nodes += p.nodes
+	for _, servers := range []int{20, 100} {
+		b.Run(fmt.Sprintf("traffic-analysis-%d", servers), func(b *testing.B) {
+			solves, nodes, pivots := 0, 0, 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				a := capacityAllocator(b, "traffic-analysis", servers, 0)
+				b.StartTimer()
+				a.MaxCapacity(0, 20000)
+				p := a.Perf()
+				solves += p.MILPSolves
+				nodes += p.nodes
+				pivots += p.lpIters
+			}
+			b.ReportMetric(float64(solves)/float64(b.N), "milp_solves/op")
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(pivots)/float64(b.N), "lp_iters/op")
+		})
 	}
-	b.ReportMetric(float64(solves)/float64(b.N), "milp_solves/op")
-	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 }
 
 // The tenant plan cache key is a value type packing up to maxKeyClasses

@@ -12,8 +12,7 @@ import (
 // model per optimization step, built the first time the step is solved and
 // from then on patched in place for each solve's demand and class counts;
 // the last solution per step, as a warm start for the next adaptation
-// round; the admission cap still owed its uncut solve; and the LP tableau
-// buffers, recycled across every solve.
+// round; and the LP tableau buffers, recycled across every solve.
 //
 // All access is serialized by mu, which makes an Allocator (and its capped
 // views) safe for concurrent use — and is what lets a solve rewrite the
@@ -25,12 +24,10 @@ type solverState struct {
 	ws     lp.Workspace
 	models [stepHardwareSat + 1]*stepModel // by stepKind; nil until first use
 	lastX  map[stepKind][]float64
-	// owed is the provisioned demand of the capacity MaxCapacity returned
-	// and no search has yet planned at (zero: none); see goalUncut.
-	owed float64
 
 	milpSolves  int
 	nodes       int
+	lpIters     int
 	truncated   int
 	modelBuilds int
 	modelReuses int
@@ -44,9 +41,10 @@ func newSolverState() *solverState {
 // SolverPerf aggregates the allocator's solver-level effort counters.
 type SolverPerf struct {
 	// MILPSolves counts branch-and-bound invocations, nodes the nodes they
-	// explored, and truncated those a resource limit (wall clock, node
+	// explored, lpIters their simplex pivots (root relaxations included),
+	// and truncated those a resource limit (wall clock, node or pivot
 	// budget, stall cutoff) stopped before a deterministic end.
-	MILPSolves, nodes, truncated int
+	MILPSolves, nodes, lpIters, truncated int
 	// ModelBuilds counts step-model constructions — in steady state one per
 	// optimization step the allocator has ever solved — and ModelReuses the
 	// solves and greedy passes that found their step's model already built.
@@ -64,6 +62,7 @@ func (a *Allocator) Perf() SolverPerf {
 	return SolverPerf{
 		MILPSolves:  st.milpSolves,
 		nodes:       st.nodes,
+		lpIters:     st.lpIters,
 		truncated:   st.truncated,
 		ModelBuilds: st.modelBuilds,
 		ModelReuses: st.modelReuses,

@@ -62,7 +62,7 @@ const (
 	// Optimal means the incumbent is proven optimal.
 	Optimal status = iota
 	// Feasible means an integer-feasible incumbent was found but a limit
-	// (time or nodes) stopped the proof of optimality.
+	// (time, nodes or pivots) stopped the proof of optimality.
 	Feasible
 	// Infeasible means no integer-feasible point exists.
 	Infeasible
@@ -80,6 +80,13 @@ type Options struct {
 	// MaxNodes bounds the number of branch-and-bound nodes. Zero means
 	// 200 000.
 	MaxNodes int
+	// MaxLPIters bounds the simplex pivots of the whole search, the root
+	// relaxation's included: once the running count reaches it, the search
+	// stops before its next LP evaluation and is marked truncated. Pivots,
+	// unlike milliseconds, do not depend on the host, so a search that ends
+	// on this budget ends at the same node on every machine. Zero means no
+	// budget.
+	MaxLPIters int
 	// RelGap stops the search once (bestBound-incumbent)/|incumbent| falls
 	// below this value. Zero means prove optimality exactly (up to the
 	// integrality tolerance intTol).
@@ -140,11 +147,11 @@ type result struct {
 	Objective float64   // incumbent objective in the problem's direction
 	Nodes     int       // branch-and-bound nodes explored
 	LPIters   int       // total simplex pivots across all nodes
-	// Truncated reports that a resource limit (wall clock, node budget,
-	// stall cutoff) stopped the search, as opposed to a deterministic end
-	// (optimality proof or gap test). Truncated results are
-	// timing-dependent; callers that memoize solutions should treat them
-	// as provisional.
+	// Truncated reports that a resource limit (wall clock, node or pivot
+	// budget, stall cutoff) stopped the search, as opposed to a
+	// deterministic end (optimality proof or gap test). Truncated results
+	// can be timing-dependent; callers that memoize solutions should treat
+	// them as provisional.
 	Truncated bool
 
 	// coldBranchings counts branchings that found no spare bound row in the
@@ -359,7 +366,8 @@ func solve(p *Problem, opt Options, warmIters int) (*result, error) {
 	// re-optimisation of a child — and marks the result truncated when a
 	// resource limit says stop.
 	outOfBudget := func() bool {
-		stop := nodes >= maxNodes || (!deadline.IsZero() && time.Now().After(deadline))
+		stop := nodes >= maxNodes || (opt.MaxLPIters > 0 && res.LPIters >= opt.MaxLPIters) ||
+			(!deadline.IsZero() && time.Now().After(deadline))
 		// Stall cutoff: past the arming delay, a search that has explored
 		// StallNodes nodes without improving its best solution — and whose
 		// plateau dominates its whole history (≥ half of all explored

@@ -3,6 +3,7 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -218,6 +219,37 @@ func TestIterLimitIsTruncation(t *testing.T) {
 	}
 }
 
+// TestPivotBudgetTruncates: a search that spends its MaxLPIters pivots
+// before it finds an integer point stops with no solution, marked truncated,
+// after at least the budget's pivots; unbudgeted, the same search proves the
+// problem integer-infeasible.
+func TestPivotBudgetTruncates(t *testing.T) {
+	// 2x + 2y + 2z = 13 has no integer point, but every relaxation with a
+	// free column does, so only the whole tree proves it.
+	p := lp.NewProblem(3)
+	for j := 0; j < 3; j++ {
+		p.AddConstraint([]lp.Term{{Var: j, Coef: 1}}, lp.LE, 7)
+	}
+	p.AddConstraint([]lp.Term{{Var: 0, Coef: 2}, {Var: 1, Coef: 2}, {Var: 2, Coef: 2}}, lp.EQ, 13)
+	prob := &Problem{LP: p, Integer: allInt(3)}
+	full, err := SolveWithOptions(prob, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Status != Infeasible || full.Truncated {
+		t.Fatalf("unbudgeted: got %v truncated=%v, want integer-infeasible", full.Status, full.Truncated)
+	}
+	budget := full.LPIters / 2
+	r, err := SolveWithOptions(prob, Options{MaxLPIters: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Status != noSolution || !r.Truncated || r.LPIters < budget {
+		t.Fatalf("budget of %d pivots (the proof takes %d): got %v truncated=%v after %d pivots, want no solution, truncated, at least %d pivots",
+			budget, full.LPIters, r.Status, r.Truncated, r.LPIters, budget)
+	}
+}
+
 func TestTimeLimitHonored(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 24
@@ -314,10 +346,17 @@ func randomGroups(rng *rand.Rand, p *lp.Problem) [][]lp.Term {
 // are bounded by ub, branching on groups first, and compares the outcome with
 // exhaustive enumeration.
 func agreesWithBruteForce(t *testing.T, seed int64, p *lp.Problem, groups [][]lp.Term, ub int) (*result, bool) {
-	r, err := SolveWithOptions(&Problem{LP: p, Integer: allInt(p.NumVars), Groups: groups}, Options{})
+	prob := &Problem{LP: p, Integer: allInt(p.NumVars), Groups: groups}
+	r, err := SolveWithOptions(prob, Options{})
 	if err != nil {
 		t.Logf("seed %d: %v", seed, err)
 		return nil, false
+	}
+	// A pivot budget one above what the search spends never stops it: the
+	// budgeted search is the same search, bit for bit.
+	if b, err := SolveWithOptions(prob, Options{MaxLPIters: r.LPIters + 1}); err != nil || !reflect.DeepEqual(b, r) {
+		t.Logf("seed %d: with a budget of %d pivots got %+v (%v), unbudgeted %+v", seed, r.LPIters+1, b, err, r)
+		return r, false
 	}
 	want, found := bruteForceILP(p, ub)
 	switch r.Status {
