@@ -180,7 +180,6 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 		{"WithHeadroom(-1)", newWith(loki.WithHeadroom(-1))},
 		{"WithHeadroom(NaN)", newWith(loki.WithHeadroom(nan))},
 		{"WithHeadroom(+Inf)", newWith(loki.WithHeadroom(inf))},
-		{"WithSolveTimeLimit(-1s)", newWith(loki.WithSolveTimeLimit(-time.Second))},
 		{"WithNetworkLatency(-1ms)", newWith(loki.WithNetworkLatency(-time.Millisecond))},
 		{"WithSwapLatency(-1s)", newWith(loki.WithSwapLatency(-time.Second))},
 		{"WithTraceSampling(1.5)", newWith(loki.WithTraceSampling(1.5))},
@@ -204,7 +203,7 @@ func TestOutOfRangeOptionsRejected(t *testing.T) {
 func TestOptionRangeEdgesAccepted(t *testing.T) {
 	s, err := loki.New(loki.TrafficAnalysisPipeline(),
 		loki.WithHeadroom(0), loki.WithTimeScale(0), loki.WithExecutionJitter(0.99),
-		loki.WithTraceSampling(1), loki.WithSolveTimeLimit(0), loki.WithNetworkLatency(0),
+		loki.WithTraceSampling(1), loki.WithNetworkLatency(0),
 		loki.WithSwapLatency(0), loki.WithWorkerMetricsLimit(0))
 	if err != nil {
 		t.Fatal(err)

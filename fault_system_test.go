@@ -59,7 +59,6 @@ func chaosRun(t *testing.T, seed int64, tiered bool, faults ...loki.FaultEvent) 
 		// re-planning, and admission shedding are arbiter-level and
 		// identical under it.
 		loki.WithBaseline(loki.BaselineInferLine),
-		loki.WithSolveTimeLimit(10*time.Second),
 		loki.WithFaults(faults...),
 		loki.WithFaultObserver(log.observe),
 	)

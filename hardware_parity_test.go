@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"loki"
 )
@@ -25,20 +24,15 @@ func TestHardwareSingleClassParity(t *testing.T) {
 		servers int
 		opts    []loki.Option
 	}{
-		// The roomy solve limit keeps every MILP in its deterministic
-		// regime on loaded machines (never binding on idle ones), so the
-		// two Serve runs below cannot drift apart via wall-clock-truncated
-		// incumbents.
 		{
 			name: "traffic-azure", pipe: loki.TrafficAnalysisPipeline(),
 			tr: loki.AzureTrace(1, 24, 5, 450), servers: 20,
-			opts: []loki.Option{loki.WithSeed(3), loki.WithSolveTimeLimit(10 * time.Second)},
+			opts: []loki.Option{loki.WithSeed(3)},
 		},
 		{
 			name: "chain-ramp-pertask", pipe: loki.TrafficChainPipeline(),
 			tr: loki.RampTrace(100, 900, 16, 5), servers: 10,
-			opts: []loki.Option{loki.WithSeed(7), loki.WithPolicy(loki.PerTaskPolicy),
-				loki.WithSolveTimeLimit(10 * time.Second)},
+			opts: []loki.Option{loki.WithSeed(7), loki.WithPolicy(loki.PerTaskPolicy)},
 		},
 	}
 	for _, c := range cases {

@@ -3,7 +3,6 @@ package baselines
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"loki/internal/core"
 	"loki/internal/profiles"
@@ -12,7 +11,7 @@ import (
 func aopts() core.AllocatorOptions {
 	return core.AllocatorOptions{
 		Servers: 20, NetLatencySec: 0.002, KeepWarm: true,
-		Headroom: 0.30, SolveTimeLimit: 2 * time.Second,
+		Headroom: 0.30,
 	}
 }
 

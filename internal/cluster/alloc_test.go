@@ -3,7 +3,6 @@ package cluster
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"loki/internal/core"
 	"loki/internal/metrics"
@@ -27,7 +26,7 @@ func steadyRig(tb testing.TB) (*sim.Engine, *Cluster) {
 	prof := (&profiles.Profiler{Seed: 11}).ProfileGraph(g, profiles.Batches)
 	meta := core.NewMetadataStore(g, prof, 0.250, profiles.Batches)
 	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers: 20, NetLatencySec: 0.002, SolveTimeLimit: 2 * time.Second,
+		Servers: 20, NetLatencySec: 0.002,
 	})
 	if err != nil {
 		tb.Fatal(err)

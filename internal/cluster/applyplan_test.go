@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"loki/internal/core"
 	"loki/internal/policy"
@@ -24,7 +23,7 @@ func driftingPublishes(tb testing.TB, classes []profiles.Class, share float64, n
 	meta := core.NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
 	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
 		Servers: profiles.TotalCount(classes), NetLatencySec: 0.002, KeepWarm: true,
-		Headroom: 0.30, SolveTimeLimit: 2 * time.Second,
+		Headroom: 0.30,
 	})
 	if err != nil {
 		tb.Fatal(err)

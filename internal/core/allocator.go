@@ -32,28 +32,23 @@ type AllocatorOptions struct {
 	// KeepWarm keeps at least one replica per task even at zero demand so
 	// the pipeline never goes cold.
 	KeepWarm bool
-	// SolveTimeLimit bounds each MILP solve; zero means 2s. The solver is
-	// anytime, so hitting the limit degrades optimality, not correctness.
+	// SolveTimeLimit is a wall-clock safety ceiling on each MILP search,
+	// zero meaning 2s. Searches stop on counted work (searchWork) well below
+	// it; SolverPerf counts any search it stops.
 	SolveTimeLimit time.Duration
 	// DisableReuse turns off the planner's cross-solve memory: every solve
 	// builds its step model afresh instead of patching the allocator's
 	// standing one, and no warm-start seed is carried from one adaptation
-	// round to the next. Solves whose searches terminate deterministically
-	// (optimality proof or gap test) return identical plans either way —
-	// reuse only changes how fast they get there and which incumbent a
-	// time-limited search has in hand when truncated. The escape hatch
-	// exists for A/B measurement and for the public WithPlannerCache(false)
-	// option.
+	// round to the next. Solves whose searches terminate by proof or gap
+	// test return identical plans either way — reuse only changes how fast
+	// they get there and which incumbent a budget-cut search has in hand.
+	// The escape hatch exists for A/B measurement and for the public
+	// WithPlannerCache(false) option.
 	DisableReuse bool
-	// DisableStall turns off the wall-clock stall cutoff, letting every
-	// search run its full time budget. Solves whose natural duration falls
-	// between the stall arming delay (a quarter of SolveTimeLimit) and the
-	// limit itself are wall-clock sensitive with the cutoff on; offline
-	// experiment drivers that pick generous budgets precisely to get
-	// reproducible, exhaustive solves set this. Implied by DisableReuse.
-	// MaxCapacity's probes have no stall cutoff either way: they end on a
-	// pivot budget.
-	DisableStall bool
+
+	// work, set by this package's tests, replaces searchWork: +Inf lifts
+	// every limit for reference solves that must run to proof.
+	work float64
 }
 
 // Allocator is the Resource Manager's optimization engine. It owns the
@@ -435,28 +430,28 @@ func (a *Allocator) build() (fit int, bestAcc float64) {
 // possible fraction of demand when even full accuracy scaling cannot keep
 // up. When the saturation search finds no point either, the plan is idle.
 func (a *Allocator) Allocate(demand float64) (*Plan, error) {
-	d := a.provisioned(demand)
+	return a.firstPlan(a.provisioned(demand), stepHardware, stepAccuracy, stepSaturation)
+}
 
-	// Step 1: hardware scaling with the most accurate variants only.
-	if plan, ok, err := a.solveStep(d, stepHardware, goalOptimize); err != nil {
-		return nil, err
-	} else if ok {
-		return plan, nil
+// firstPlan solves the steps in order and returns the first one's plan, or
+// the idle plan when none has one. The plan is marked truncated when a
+// resource limit cut any search on the way to it, so a step cut before its
+// first integer point still marks the plan of the step it fell through to.
+func (a *Allocator) firstPlan(d float64, steps ...stepKind) (*Plan, error) {
+	cut := false
+	for _, step := range steps {
+		plan, ok, stepCut, err := a.solveStep(d, step, goalOptimize)
+		if err != nil {
+			return nil, err
+		}
+		cut = cut || stepCut
+		if ok {
+			plan.SolveStats.Truncated = cut
+			return plan, nil
+		}
 	}
-	// Step 2: accuracy scaling across the whole cluster.
-	if plan, ok, err := a.solveStep(d, stepAccuracy, goalOptimize); err != nil {
-		return nil, err
-	} else if ok {
-		return plan, nil
-	}
-	// Step 3: saturation — maximize the served fraction.
-	plan, ok, err := a.solveStep(d, stepSaturation, goalOptimize)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return idlePlan(d), nil
-	}
+	plan := idlePlan(d)
+	plan.SolveStats.Truncated = cut
 	return plan, nil
 }
 
@@ -476,7 +471,7 @@ func (a *Allocator) provisioned(demand float64) float64 {
 func (a *Allocator) servable(demand float64) (bool, error) {
 	d := a.provisioned(demand)
 	for _, step := range []stepKind{stepHardware, stepAccuracy} {
-		if _, ok, err := a.solveStep(d, step, goalFeasible); err != nil || ok {
+		if _, ok, _, err := a.solveStep(d, step, goalFeasible); err != nil || ok {
 			return ok, err
 		}
 	}
@@ -542,20 +537,7 @@ func (a *Allocator) CheckCaps(caps []int) error {
 // fraction at fixed accuracy using the whole cluster, or the idle plan when
 // that finds no point. Loki itself never calls this; internal/baselines does.
 func (a *Allocator) AllocateHardwareOnly(demand float64) (*Plan, error) {
-	d := a.provisioned(demand)
-	if plan, ok, err := a.solveStep(d, stepHardware, goalOptimize); err != nil {
-		return nil, err
-	} else if ok {
-		return plan, nil
-	}
-	plan, ok, err := a.solveStep(d, stepHardwareSat, goalOptimize)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return idlePlan(d), nil
-	}
-	return plan, nil
+	return a.firstPlan(a.provisioned(demand), stepHardware, stepHardwareSat)
 }
 
 type stepKind int8
@@ -591,18 +573,26 @@ const (
 )
 
 // probeLPIters is a goalFeasible branch and bound's pivot budget. Pivots do
-// not depend on the host, so below SolveTimeLimit, which stays as a safety
-// ceiling, a probe's verdict is a function of its inputs. On the
-// TestMaxCapacityPinned pools the latest first integer point of a probe that
-// finds one comes at 3,611 pivots (social-media, 20 servers); every budget
-// from 4,000 to 8,000 returns the same caps below 300 servers, and 3,000
-// moves two of them.
+// not depend on the host, so a probe's verdict is a function of its inputs.
+// On the TestMaxCapacityPinned pools the latest first integer point of a
+// probe that finds one comes at 3,611 pivots (social-media, 20 servers);
+// every budget from 4,000 to 8,000 returns the same caps below 300 servers,
+// and 3,000 moves two of them.
 const probeLPIters = 4000
+
+// searchWork is a goalOptimize search's budget in pivots × model columns ×
+// model rows: on an n × m model it stops after searchWork/(n·m) pivots. A
+// pivot's cost grows with the tableau, so this is about the same time on
+// every step model (0.2–0.5 ns a unit from 258 × 74 up on a 2-vCPU x86
+// host), and unlike milliseconds it ends a search at the same node on every
+// host. CHANGES.md records the calibration sweep.
+const searchWork = 1e9
 
 // solveStep solves one of the step MILPs on the allocator's step model (see
 // stepModel for the variable layout), patched for this demand and this
-// view's class counts.
-func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*Plan, bool, error) {
+// view's class counts. ok reports a plan (or, probing, a yes); cut reports
+// that a resource limit stopped the search, with a plan or without one.
+func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (plan *Plan, ok, cut bool, err error) {
 	st := a.state
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -613,7 +603,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 
 	// found returns an integer-feasible point the step settled on: as a plan
 	// when optimizing, as a bare verdict when probing.
-	found := func(x []float64, stats SolveStats) (*Plan, bool, error) {
+	found := func(x []float64, stats SolveStats) (*Plan, bool, bool, error) {
 		// Every such point is integer-feasible for its model, which makes
 		// it the natural warm start for the next solve of the same step (it
 		// is re-verified against the new demand and cap before use).
@@ -621,22 +611,22 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 			st.lastX[step] = append([]float64(nil), x...)
 		}
 		if goal == goalFeasible {
-			return nil, true, nil
+			return nil, true, stats.Truncated, nil
 		}
 		plan := a.extractPlan(x, m, demand, step)
 		stats.Step = int(step)
 		stats.Vars = prob.NumVars
 		stats.Constraints = len(prob.Cons)
 		plan.SolveStats = stats
-		return plan, true, nil
+		return plan, true, stats.Truncated, nil
 	}
 
 	relax, err := lp.SolveWS(prob, lp.Options{}, &st.ws)
 	if err != nil {
-		return nil, false, err
+		return nil, false, false, err
 	}
 	if relax.Status == lp.Infeasible {
-		return nil, false, nil
+		return nil, false, false, nil
 	}
 
 	// Ceil heuristic: round every replica count up. Capacity rows only get
@@ -757,38 +747,38 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 			opts.WarmStarts = append(opts.WarmStarts, gx)
 		}
 	}
-	// Stall cutoff: once a quarter of the budget is burned, a search whose
-	// best solution has not improved for ~a hundred nodes — and whose
-	// plateau spans at least half its explored tree — is returning
-	// diminishing bounds only; stop it and keep the incumbent (or fall
-	// through to the next regime) instead of burning the rest of the
-	// control period. Solves that finish inside the arming delay — all the
-	// reproducibility-sensitive ones — never reach it, and searches that
-	// keep improving are never cut however slow the host. DisableStall
-	// opts out explicitly, and DisableReuse turns the cutoff off with the
-	// rest of the fast path, so the escape hatch recovers the exhaustive
-	// (full-budget) solver exactly.
+	// Every limit that can end a search counts work, so a plan is a
+	// function of its inputs; SolveTimeLimit is only a ceiling. A search
+	// stops after searchWork's pivots for its model size, and its stall
+	// cutoff arms after a quarter of them: from there a search whose best
+	// solution has not improved for 96 nodes, a plateau spanning at least
+	// half its tree, stops with its incumbent or falls through.
 	//
 	// The cost-minimizing hardware step (priced fleets) is cut at its first
-	// such plateau, with no arming delay: its dollar objective has no
+	// such plateau, armed from the start: its dollar objective has no
 	// integral bound to close the gap with, so it always ends on the cutoff,
 	// and the mixed-fleet experiment's threshold rests on what the search
-	// holds there. Run until the clock arms, a model this small reaches the
-	// dollar optimum, whose slow-class small-batch packing serves the same
-	// cost per query at 0.80 attainment instead of 0.89 (ARCHITECTURE.md,
-	// "Planner performance"). Counting nodes rather than milliseconds also
-	// makes these plans the same on every machine.
+	// holds there. Run on, a model this small reaches the dollar optimum,
+	// whose slow-class small-batch packing serves the same cost per query
+	// at 0.80 attainment instead of 0.89 (ARCHITECTURE.md, "Planner
+	// performance").
 	//
 	// A probe has no stall cutoff. It stops at its first integer point or
-	// after probeLPIters pivots, whichever comes first, under every option,
-	// so that its verdict does not depend on the host.
-	if goal == goalFeasible {
+	// after probeLPIters pivots, whichever comes first.
+	work := a.opts.work
+	if work == 0 {
+		work = searchWork
+	}
+	switch {
+	case goal == goalFeasible:
 		opts.MaxLPIters = probeLPIters
-	} else if !a.opts.DisableReuse && !a.opts.DisableStall {
-		opts.StallAfter = opts.TimeLimit / 4
+	case math.IsInf(work, 1):
+		opts.TimeLimit = 0
+	default:
+		opts.MaxLPIters = max(1, int(work/float64(prob.NumVars*len(prob.Cons))))
 		opts.StallNodes = 96
-		if step == stepHardware && a.priced {
-			opts.StallAfter = 0
+		if step != stepHardware || !a.priced {
+			opts.StallAfterIters = opts.MaxLPIters / 4
 		}
 	}
 	if step == stepHardware && !a.priced {
@@ -824,20 +814,23 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 	}
 	res, err := milp.SolveWithOptions(&mp, opts)
 	if err != nil {
-		return nil, false, err
+		return nil, false, false, err
 	}
 	st.nodes += res.Nodes
 	st.lpIters += res.LPIters
-	if res.Truncated {
+	if res.Truncated() {
 		st.truncated++
+	}
+	if res.HitCeiling() {
+		st.ceilings++
 	}
 	switch res.Status {
 	case milp.Infeasible:
-		return nil, false, nil
+		return nil, false, false, nil
 	case milp.Optimal, milp.Feasible:
 		return found(res.X, SolveStats{
 			Nodes: res.Nodes, LPIters: res.LPIters,
-			Proven: res.Status == milp.Optimal, Truncated: res.Truncated,
+			Proven: res.Status == milp.Optimal, Truncated: res.Truncated(),
 		})
 	default:
 		// Search budget exhausted without an incumbent. Fall back to the
@@ -846,7 +839,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (*P
 		if seed != nil {
 			return found(seed, SolveStats{Nodes: res.Nodes, LPIters: res.LPIters, Truncated: true})
 		}
-		return nil, false, nil
+		return nil, false, res.Truncated(), nil
 	}
 }
 

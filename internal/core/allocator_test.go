@@ -3,10 +3,10 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
 	"loki/internal/pipeline"
 	"loki/internal/profiles"
+	"loki/internal/telemetry"
 )
 
 func chainAllocator(t *testing.T, servers int, sloSec float64) *Allocator {
@@ -16,8 +16,7 @@ func chainAllocator(t *testing.T, servers int, sloSec float64) *Allocator {
 	meta := NewMetadataStore(g, prof, sloSec, profiles.Batches)
 	a, err := NewAllocator(meta, AllocatorOptions{
 		Servers: servers, NetLatencySec: 0.002, KeepWarm: true,
-		Headroom:       0.30, // the serving default; see experiments.RunConfig
-		SolveTimeLimit: 2 * time.Second,
+		Headroom: 0.30, // the serving default; see experiments.RunConfig
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,8 +31,7 @@ func treeAllocator(t *testing.T, servers int, sloSec float64) *Allocator {
 	meta := NewMetadataStore(g, prof, sloSec, profiles.Batches)
 	a, err := NewAllocator(meta, AllocatorOptions{
 		Servers: servers, NetLatencySec: 0.002, KeepWarm: true,
-		Headroom:       0.30,
-		SolveTimeLimit: 2 * time.Second,
+		Headroom: 0.30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -451,5 +449,60 @@ func TestCapacityProbeAgreesWithAllocate(t *testing.T) {
 	}
 	if decided < 12 {
 		t.Fatalf("only %d demands were decided without truncation, want at least 12", decided)
+	}
+}
+
+// A step-2 search cut before its first integer point falls through to
+// saturation, and the saturation plan it ends on says that a limit had a
+// hand in it: on the plan, in the allocator's and the arbiter's counters and
+// in loki_planner_truncated_solves_total. Traffic-analysis on 10 servers at
+// 736.5 qps proves a step-2 plan after 1,182 pivots; a work budget of 1e7
+// leaves its 319 × 65 model 482, where the search holds no integer point
+// and the rounded relaxation does not fit, and the saturation search that
+// follows proves its own plan.
+func TestCutStepMarksFallThroughPlanTruncated(t *testing.T) {
+	const demand = 736.5
+	cut := func() *Allocator {
+		a := capacityAllocator(t, "traffic-analysis", 10, 0)
+		a.opts.work = 1e7
+		return a
+	}
+	a := cut()
+	plan, err := a.Allocate(demand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := plan.SolveStats; s.Step != int(stepSaturation) || !s.Proven || !s.Truncated {
+		t.Fatalf("plan at %.1f qps: step %d, proven %v, truncated %v; want a proven saturation plan marked truncated",
+			demand, s.Step, s.Proven, s.Truncated)
+	}
+	if p := a.Perf(); p.MILPSolves != 2 || p.truncated != 1 || p.ceilings != 0 {
+		t.Fatalf("%d searches, %d truncated, %d on the ceiling; want the step-2 search alone cut, by its budget",
+			p.MILPSolves, p.truncated, p.ceilings)
+	}
+
+	b := cut()
+	tenant := &Tenant{Name: "t", Meta: b.meta, Alloc: b, RouteHeadroom: 0.30}
+	m, err := NewMultiController(10, []*Tenant{tenant})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	m.SetTelemetry(reg)
+	b.meta.ObserveDemand(demand)
+	if err := m.Step(true); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.TruncatedSolves(); got != 1 {
+		t.Errorf("TruncatedSolves = %d after one round that fell through a cut search, want 1", got)
+	}
+	counted := 0.0
+	for _, p := range reg.Gather() {
+		if p.Name == "loki_planner_truncated_solves_total" {
+			counted += p.Value
+		}
+	}
+	if counted != 1 {
+		t.Errorf("loki_planner_truncated_solves_total = %v, want 1", counted)
 	}
 }

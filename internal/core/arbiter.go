@@ -1051,8 +1051,8 @@ func sumInts(xs []int) int {
 }
 
 // forEachTenant runs fn once per tenant. Unless the host has a single
-// execution slot (where fanning out only adds scheduling noise to
-// wall-clock-budgeted solves) or there is one tenant, calls run concurrently
+// execution slot (where fanning out only adds scheduling overhead) or there
+// is one tenant, calls run concurrently
 // on bounded goroutines — one in flight per tenant, at most GOMAXPROCS at
 // once. The grant split is deterministic either way: results are assembled
 // in registration order. fn receives a distinct tenant per call, so

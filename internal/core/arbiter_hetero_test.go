@@ -22,12 +22,14 @@ func heteroTenant(t *testing.T, name string, minShare float64) *Tenant {
 	classes := heteroClasses()
 	prof := (&profiles.Profiler{}).ProfileGraphClasses(g, profiles.Batches, classes)
 	meta := NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
-	alloc, err := NewAllocator(meta, AllocatorOptions{
-		NetLatencySec:  0.002,
-		KeepWarm:       true,
-		Headroom:       0.30,
-		SolveTimeLimit: 2 * time.Second,
-	})
+	opts := AllocatorOptions{NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30}
+	if raceEnabled {
+		// Under the detector a stall-cut step-2 search here (447 nodes,
+		// ≈0.1 s without it) runs past the 2 s default ceiling, which would
+		// let the clock decide TestHeteroParallelMatchesSequential's plans.
+		opts.SolveTimeLimit = time.Minute
+	}
+	alloc, err := NewAllocator(meta, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +187,6 @@ func TestHeteroKeepWarmSurvivesClassContention(t *testing.T) {
 		meta := NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
 		alloc, err := NewAllocator(meta, AllocatorOptions{
 			NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
-			SolveTimeLimit: 2 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -239,7 +240,6 @@ func TestHeteroKeepWarmFloorsAvoidScarceClass(t *testing.T) {
 		meta := NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
 		alloc, err := NewAllocator(meta, AllocatorOptions{
 			NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
-			SolveTimeLimit: 2 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -279,7 +279,6 @@ func TestSaturationMissServesIdlePlan(t *testing.T) {
 	meta := NewMetadataStoreHetero(g, classes, prof, slo, profiles.Batches)
 	a, err := NewAllocator(meta, AllocatorOptions{
 		NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
-		SolveTimeLimit: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

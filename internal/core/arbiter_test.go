@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"loki/internal/profiles"
 )
@@ -19,11 +18,10 @@ func arbiterTenant(t *testing.T, name string, pool int, minShare float64) *Tenan
 	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
 	meta := NewMetadataStore(g, prof, 0.250, profiles.Batches)
 	alloc, err := NewAllocator(meta, AllocatorOptions{
-		Servers:        pool,
-		NetLatencySec:  0.002,
-		KeepWarm:       true,
-		Headroom:       0.30,
-		SolveTimeLimit: 500 * time.Millisecond,
+		Servers:       pool,
+		NetLatencySec: 0.002,
+		KeepWarm:      true,
+		Headroom:      0.30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +313,6 @@ func TestSharedGraphRoundMatchesSequential(t *testing.T) {
 			meta := NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
 			alloc, err := NewAllocator(meta, AllocatorOptions{
 				NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
-				SolveTimeLimit: 30 * time.Second, DisableStall: true,
 			})
 			if err != nil {
 				t.Fatal(err)

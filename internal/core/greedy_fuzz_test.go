@@ -43,7 +43,7 @@ func FuzzGreedySeedAgainstModel(f *testing.F) {
 			return
 		}
 		res, err := milp.SolveWithOptions(&milp.Problem{LP: m.prob, Integer: m.integer},
-			milp.Options{ObjIntegral: true, TimeLimit: al.opts.SolveTimeLimit})
+			milp.Options{ObjIntegral: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sort"
 	"testing"
-	"time"
 
 	"loki/internal/lp"
 	"loki/internal/milp"
@@ -231,7 +230,7 @@ func TestArbiterGreedyReplaceBudget(t *testing.T) {
 		ts, level := make([]*Tenant, 12), make([]float64, 12)
 		for i := range ts {
 			meta := NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
-			alloc, err := NewAllocator(meta, AllocatorOptions{Servers: 100, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30, SolveTimeLimit: 2 * time.Second})
+			alloc, err := NewAllocator(meta, AllocatorOptions{Servers: 100, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30})
 			if err != nil {
 				t.Fatal(err)
 			}

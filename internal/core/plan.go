@@ -117,10 +117,12 @@ type SolveStats struct {
 	Vars        int
 	Constraints int
 	Proven      bool // solved to proven optimality
-	// Truncated marks a plan whose search was cut by a resource limit
-	// (wall clock, node budget, stall) rather than ending deterministically.
-	// Such plans are timing-dependent; the tenant plan cache treats them as
-	// provisional and retries them at fine demand granularity.
+	// Truncated marks a plan a resource limit (stall cutoff, pivot or node
+	// budget, wall-clock ceiling) had a hand in: its own search was cut, or
+	// an earlier step's was cut before its first integer point and the
+	// allocator fell through to this one. Such a plan is not optimal within
+	// the gap; the tenant plan cache treats it as provisional and retries
+	// it at fine demand granularity.
 	Truncated bool
 	// Greedy marks a plan produced by the greedy first pass alone — feasible
 	// by construction but never proven optimal. Only the arbiter's

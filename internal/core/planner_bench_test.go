@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"loki/internal/profiles"
 )
@@ -17,7 +16,7 @@ func benchAllocator(b *testing.B, disableReuse bool) *Allocator {
 	meta := NewMetadataStore(g, prof, 0.250, profiles.Batches)
 	a, err := NewAllocator(meta, AllocatorOptions{
 		Servers: 20, NetLatencySec: 0.002, KeepWarm: true,
-		Headroom: 0.30, SolveTimeLimit: 2 * time.Second,
+		Headroom:     0.30,
 		DisableReuse: disableReuse,
 	})
 	if err != nil {
@@ -100,7 +99,7 @@ func BenchmarkHeteroAllocate(b *testing.B) {
 			newAlloc := func() *Allocator {
 				a, err := NewAllocator(meta, AllocatorOptions{
 					NetLatencySec: 0.002, KeepWarm: true,
-					Headroom: 0.30, SolveTimeLimit: 2 * time.Second,
+					Headroom: 0.30,
 				})
 				if err != nil {
 					b.Fatal(err)

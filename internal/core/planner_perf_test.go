@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"loki/internal/pipeline"
 	"loki/internal/profiles"
 )
 
@@ -20,7 +22,7 @@ func coldTreeAllocator(t *testing.T, servers int) *Allocator {
 	meta := NewMetadataStore(g, prof, 0.250, profiles.Batches)
 	a, err := NewAllocator(meta, AllocatorOptions{
 		Servers: servers, NetLatencySec: 0.002, KeepWarm: true,
-		Headroom: 0.30, SolveTimeLimit: 30 * time.Second,
+		Headroom:     0.30,
 		DisableReuse: true,
 	})
 	if err != nil {
@@ -61,7 +63,7 @@ func TestReusePreservesPlans(t *testing.T) {
 	meta := NewMetadataStore(g, prof, 0.250, profiles.Batches)
 	fast, err := NewAllocator(meta, AllocatorOptions{
 		Servers: 20, NetLatencySec: 0.002, KeepWarm: true,
-		Headroom: 0.30, SolveTimeLimit: 30 * time.Second,
+		Headroom: 0.30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +163,7 @@ func TestParallelPlanningMatchesSequential(t *testing.T) {
 			meta := NewMetadataStore(g, prof, 0.250, profiles.Batches)
 			alloc, err := NewAllocator(meta, AllocatorOptions{
 				Servers: 10, NetLatencySec: 0.002, KeepWarm: true,
-				Headroom: 0.30, SolveTimeLimit: 30 * time.Second,
+				Headroom: 0.30,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -200,6 +202,110 @@ func TestParallelPlanningMatchesSequential(t *testing.T) {
 		}
 		for i := range par.tenants {
 			comparePlans(t, par.tenants[i].Name, d0, par.PlanOf(i), seq.PlanOf(i))
+		}
+	}
+}
+
+// TestPlansIgnoreTheClock: every planner search stops on counted work, so a
+// seeded demand walk publishes the same plans on an idle host and beside
+// busy-looping goroutines. The walk is lokibench's plan-milp
+// period at seed 11, under its 500 ms ceiling: the traffic tree and social
+// media sharing 20 servers with the plan cache off, the tenants a quarter of
+// a ±50 % sinusoid apart, over the first 20 of its 45 rounds. Its slowest
+// search proves a step-2 plan after 311 nodes, about 70 ms on an idle 2-vCPU host, which a loaded host used to
+// carry past a stall cutoff armed on the clock at 125 ms.
+func TestPlansIgnoreTheClock(t *testing.T) {
+	const period, rounds = 45, 20 // the slowest search comes in round 18
+	means := []float64{530, 305}
+	rng := rand.New(rand.NewSource(1))
+	levels := make([][]float64, period)
+	for k := range levels {
+		for i, mean := range means {
+			phase := 2*math.Pi*float64(k)/period + float64(i)*math.Pi/2
+			levels[k] = append(levels[k], mean*(1+0.5*math.Sin(phase))*(1+0.1*rng.Float64()-0.05))
+		}
+	}
+	walk := func() ([]*Plan, SolverPerf) {
+		var tenants []*Tenant
+		var allocs []*Allocator
+		for _, g := range []*pipeline.Graph{profiles.TrafficTree(), profiles.SocialMedia()} {
+			classes := profiles.DefaultClasses(20)
+			prof := (&profiles.Profiler{Seed: 11}).ProfileGraphClasses(g, profiles.Batches, classes)
+			meta := NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
+			alloc, err := NewAllocator(meta, AllocatorOptions{
+				Servers: 20, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30, SolveTimeLimit: 500 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs = append(allocs, alloc)
+			tenants = append(tenants, &Tenant{Name: g.Name, Meta: meta, Alloc: alloc, RouteHeadroom: 0.30, CacheDisabled: true})
+		}
+		m, err := NewMultiController(20, tenants)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plans []*Plan
+		for r := 0; r < rounds; r++ {
+			for i, tn := range tenants {
+				for k := 0; k < 8; k++ {
+					tn.Meta.ObserveDemand(levels[(r+2)%period][i])
+				}
+			}
+			if err := m.Step(true); err != nil {
+				t.Fatal(err)
+			}
+			for i := range tenants {
+				plans = append(plans, m.PlanOf(i))
+			}
+		}
+		var perf SolverPerf
+		for _, a := range allocs {
+			p := a.Perf()
+			perf.MILPSolves += p.MILPSolves
+			perf.truncated += p.truncated
+			perf.ceilings += p.ceilings
+		}
+		return plans, perf
+	}
+
+	idle, perf := walk()
+	longest := 0
+	for _, p := range idle {
+		longest = max(longest, p.SolveStats.Nodes)
+	}
+	t.Logf("%d searches, longest plan search %d nodes, %d truncated", perf.MILPSolves, longest, perf.truncated)
+	if longest < 300 || perf.ceilings != 0 {
+		t.Fatalf("longest plan search %d nodes, %d ceiling stops: the walk no longer holds the search it was chosen for", longest, perf.ceilings)
+	}
+
+	// Two spinners per execution slot leave each solve about a third of a
+	// core: enough to carry the 70 ms search past 125 ms on every run.
+	stop := make(chan struct{})
+	var spinning sync.WaitGroup
+	for i := 0; i < 2*runtime.GOMAXPROCS(0); i++ {
+		spinning.Add(1)
+		go func() {
+			defer spinning.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	busy, busyPerf := walk()
+	close(stop)
+	spinning.Wait()
+	if busyPerf.ceilings != 0 {
+		t.Fatalf("%d searches reached the wall-clock ceiling beside the busy goroutines", busyPerf.ceilings)
+	}
+	for i := range idle {
+		if !reflect.DeepEqual(idle[i], busy[i]) {
+			t.Fatalf("round %d tenant %d: the plan published beside busy goroutines differs from the idle run's\nidle: %+v\nbusy: %+v",
+				i/2, i%2, idle[i].SolveStats, busy[i].SolveStats)
 		}
 	}
 }

@@ -29,6 +29,7 @@ type solverState struct {
 	nodes       int
 	lpIters     int
 	truncated   int
+	ceilings    int
 	modelBuilds int
 	modelReuses int
 	greedyPlans int
@@ -42,9 +43,11 @@ func newSolverState() *solverState {
 type SolverPerf struct {
 	// MILPSolves counts branch-and-bound invocations, nodes the nodes they
 	// explored, lpIters their simplex pivots (root relaxations included),
-	// and truncated those a resource limit (wall clock, node or pivot
-	// budget, stall cutoff) stopped before a deterministic end.
-	MILPSolves, nodes, lpIters, truncated int
+	// truncated those a resource limit (stall cutoff, pivot or node budget,
+	// wall-clock ceiling) stopped before a deterministic end, and ceilings
+	// those the wall-clock ceiling stopped — the only stops that can
+	// depend on the host, zero whenever the counted budgets are calibrated.
+	MILPSolves, nodes, lpIters, truncated, ceilings int
 	// ModelBuilds counts step-model constructions — in steady state one per
 	// optimization step the allocator has ever solved — and ModelReuses the
 	// solves and greedy passes that found their step's model already built.
@@ -64,6 +67,7 @@ func (a *Allocator) Perf() SolverPerf {
 		nodes:       st.nodes,
 		lpIters:     st.lpIters,
 		truncated:   st.truncated,
+		ceilings:    st.ceilings,
 		ModelBuilds: st.modelBuilds,
 		ModelReuses: st.modelReuses,
 		greedyPlans: st.greedyPlans,

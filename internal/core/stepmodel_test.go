@@ -15,14 +15,10 @@ import (
 
 // pinAllocator is the fixture of the pin tests below: one of the two paper
 // pipelines on 20 homogeneous servers, or the plan-fleet cell's 3-class
-// traffic chain on 1,000. Solve limits are generous and the stall cutoff is
-// off, so every step-1 search ends by proof.
+// traffic chain on 1,000.
 func pinAllocator(t testing.TB, name string) *Allocator {
 	t.Helper()
-	opts := AllocatorOptions{
-		Servers: 20, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
-		SolveTimeLimit: 30 * time.Second, DisableStall: true,
-	}
+	opts := AllocatorOptions{Servers: 20, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30}
 	var g *pipeline.Graph
 	var meta *MetadataStore
 	switch name {
@@ -167,7 +163,7 @@ func TestHardwareOptimumMatchesRecorded(t *testing.T) {
 		a := pinAllocator(t, p.name)
 		for i, want := range p.servers {
 			d := p.lo + (p.hi-p.lo)*float64(i)/39
-			plan, ok, err := a.solveStep(d, stepHardware, goalOptimize)
+			plan, ok, _, err := a.solveStep(d, stepHardware, goalOptimize)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,14 +186,18 @@ func TestHardwareOptimumMatchesRecorded(t *testing.T) {
 }
 
 // capacityAllocator builds an allocator with tenancy.go's serving options
-// (500 ms solve limit, stall cutoff on) for one of the paper pipelines on a
-// homogeneous pool, or for the traffic chain on a 3-class fleet of fast 12,
-// mid 24 and slow 24 servers (servers 60).
+// (under the race detector, whose slowdown the 2 s default ceiling could
+// cut, a 60 s ceiling) for one of the paper pipelines on a homogeneous pool,
+// or for the traffic chain on a 3-class fleet of fast 12, mid 24 and slow 24
+// servers (servers 60).
 func capacityAllocator(t testing.TB, name string, servers int, minAcc float64) *Allocator {
 	t.Helper()
 	opts := AllocatorOptions{
 		Servers: servers, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
-		SolveTimeLimit: 500 * time.Millisecond, MinPathAccuracy: minAcc,
+		MinPathAccuracy: minAcc,
+	}
+	if raceEnabled {
+		opts.SolveTimeLimit = time.Minute
 	}
 	var meta *MetadataStore
 	switch name {
@@ -234,7 +234,7 @@ func capacityAllocator(t testing.TB, name string, servers int, minAcc float64) *
 // 300-server pool is past the 20,000 qps the old bisection could report; it
 // read 25,234–25,253 qps under the stall clock and reads 25,151.06 under the
 // budget. Every probe of every row ends on its first integer point, an
-// infeasible relaxation or the pivot budget, none on the 500 ms solve limit,
+// infeasible relaxation or the pivot budget, none on the wall-clock ceiling,
 // so the caps are functions of the inputs and are pinned to the bisection's
 // own resolution.
 func TestMaxCapacityPinned(t *testing.T) {
@@ -272,15 +272,15 @@ func TestFirstPlanAtMaxCapacityIsNearOptimal(t *testing.T) {
 	a := capacityAllocator(t, "traffic-analysis", 20, 0)
 	capacity := a.MaxCapacity(0, 20000)
 	ref := capacityAllocator(t, "traffic-analysis", 20, 0)
-	ref.opts.DisableStall, ref.opts.SolveTimeLimit = true, 30*time.Second // pinAllocator's limit
+	ref.opts.work = math.Inf(1)
 	for _, alloc := range []*Allocator{a, ref} {
 		plan, err := alloc.Allocate(capacity)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if plan.SolveStats.Step != int(stepAccuracy) || plan.SolveStats.Truncated {
-			t.Fatalf("plan at %.2f qps (stall cutoff off: %v): step %d, truncated %v; want an untruncated step-2 plan",
-				capacity, alloc.opts.DisableStall, plan.SolveStats.Step, plan.SolveStats.Truncated)
+			t.Fatalf("plan at %.2f qps (work %g): step %d, truncated %v; want an untruncated step-2 plan",
+				capacity, alloc.opts.work, plan.SolveStats.Step, plan.SolveStats.Truncated)
 		}
 	}
 	objective := func(a *Allocator) float64 {
@@ -377,8 +377,6 @@ func TestStepModelGroupsAreTaskClassTotals(t *testing.T) {
 func TestStepModelsBuiltOnce(t *testing.T) {
 	for _, name := range []string{"traffic-analysis", "fleet-chain"} {
 		a := pinAllocator(t, name)
-		a.opts.SolveTimeLimit = 500 * time.Millisecond
-		a.opts.DisableStall = false
 		full := append([]int(nil), a.counts...)
 		// First use of every step: hardware scaling, accuracy scaling,
 		// saturation (a pool one server above the keep-warm minimum).

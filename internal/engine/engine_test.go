@@ -258,7 +258,7 @@ func TestRepublishWhileServing(t *testing.T) {
 	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
 	meta := core.NewMetadataStore(g, prof, 0.250, profiles.Batches)
 	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers: 12, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30, SolveTimeLimit: time.Second,
+		Servers: 12, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,7 +372,7 @@ func TestApplyPlanRetargetsAdmission(t *testing.T) {
 	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
 	meta := core.NewMetadataStore(g, prof, 0.250, profiles.Batches)
 	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers: 12, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30, SolveTimeLimit: time.Second,
+		Servers: 12, NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"os"
 	"testing"
-	"time"
 
 	"loki/internal/core"
 	"loki/internal/ingress"
@@ -38,11 +37,10 @@ func TestCappedClaimProbe(t *testing.T) {
 	meta := core.NewMetadataStoreHetero(g, classes,
 		prof.ProfileGraphClasses(g, profiles.Batches, classes), 0.25, profiles.Batches)
 	alloc, err := core.NewAllocator(meta, core.AllocatorOptions{
-		Servers:        20,
-		NetLatencySec:  0.002,
-		KeepWarm:       true,
-		Headroom:       0.30,
-		SolveTimeLimit: 500 * time.Millisecond,
+		Servers:       20,
+		NetLatencySec: 0.002,
+		KeepWarm:      true,
+		Headroom:      0.30,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"loki/internal/core"
 	"loki/internal/metrics"
@@ -48,8 +47,7 @@ type fig1Result struct {
 // phases of Figure 1.
 func Figure1(servers int, sloSec float64, steps int) (*fig1Result, error) {
 	g := profiles.TrafficChain()
-	// Capacity probes prefer exhaustive solves: no stall cutoff.
-	pool := RunConfig{Servers: servers, solveTimeLimit: time.Second, disableStall: true}.pool()
+	pool := RunConfig{Servers: servers}.pool()
 	alloc, err := stack.New(pool).Allocator(g, sloSec)
 	if err != nil {
 		return nil, err
@@ -353,13 +351,6 @@ func Figure7(seed int64) ([]fig7Row, error) {
 			// queues the overflow cap acts as an implicit dropper and
 			// masks the no-early-dropping arm's cost.
 			queueFactor: 8,
-			// The four arms differ by fractions of a percent; a roomy solve
-			// budget (with the stall cutoff off, so no wall-clock boundary
-			// can cut a solve short under load) lets every MILP reach its
-			// incumbent regardless of machine speed, keeping the
-			// comparison deterministic.
-			solveTimeLimit: 2 * time.Second,
-			disableStall:   true,
 		})
 		if err != nil {
 			return nil, err

@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"loki/internal/engine"
 	"loki/internal/metrics"
@@ -63,13 +62,7 @@ type RunConfig struct {
 	swapLatencySec float64 // model-load pause on reconfiguration
 	ExecJitter     float64 // relative execution-latency noise
 	queueFactor    float64 // per-worker queue cap multiplier (see cluster.Options)
-	solveTimeLimit time.Duration
-	// disableStall turns off the planner's wall-clock stall cutoff so
-	// every MILP runs its full budget: the choice for experiments that
-	// pick a roomy SolveTimeLimit precisely so results do not depend on
-	// machine load.
-	disableStall bool
-	timeScale    float64 // wall-time compression (Wallclock backend only)
+	timeScale      float64 // wall-time compression (Wallclock backend only)
 }
 
 func (cfg *RunConfig) defaults() {
@@ -84,9 +77,6 @@ func (cfg *RunConfig) defaults() {
 	// for the engine-level knobs.
 	if cfg.bucketSec == 0 {
 		cfg.bucketSec = stack.DefaultBucketSec
-	}
-	if cfg.solveTimeLimit == 0 {
-		cfg.solveTimeLimit = stack.DefaultSolveTimeLimit
 	}
 }
 
@@ -136,11 +126,9 @@ func (cfg RunConfig) pool() stack.Pool {
 			QueueFactor:    cfg.queueFactor,
 			TimeScale:      cfg.timeScale,
 		},
-		Backend:        cfg.backend,
-		Headroom:       stack.DefaultHeadroom,
-		SolveTimeLimit: cfg.solveTimeLimit,
-		DisableStall:   cfg.disableStall,
-		BucketSec:      cfg.bucketSec,
+		Backend:   cfg.backend,
+		Headroom:  stack.DefaultHeadroom,
+		BucketSec: cfg.bucketSec,
 	}
 }
 

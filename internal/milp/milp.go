@@ -4,10 +4,11 @@
 // It plays the role Gurobi plays in the Loki paper: the Resource Manager
 // formulates hardware-scaling and accuracy-scaling allocations as MILPs and
 // needs proven-optimal solutions on problems with a few hundred integer
-// variables. The solver is anytime — give it a time limit and it returns the
-// best incumbent found with a bound on the remaining gap, mirroring how a
+// variables. The solver is anytime — give it a budget of simplex pivots and
+// it returns the best incumbent found with a bound on the remaining gap, as a
 // production controller invokes a commercial solver on a fixed control
-// period.
+// period. Every limit but the TimeLimit safety ceiling counts work (nodes,
+// pivots), not time, so a search stops at the same node on every host.
 //
 // The search is best-bound with plunging. The best open node is popped and
 // its relaxation solved from scratch; from there the search branches in
@@ -62,7 +63,7 @@ const (
 	// Optimal means the incumbent is proven optimal.
 	Optimal status = iota
 	// Feasible means an integer-feasible incumbent was found but a limit
-	// (time, nodes or pivots) stopped the proof of optimality.
+	// or the gap test stopped the proof of optimality.
 	Feasible
 	// Infeasible means no integer-feasible point exists.
 	Infeasible
@@ -72,10 +73,25 @@ const (
 	noSolution
 )
 
+// stopReason records why a search ended. The first three are deterministic
+// ends; the rest are resource limits, which mark the result truncated.
+type stopReason int8
+
+const (
+	stopProof      stopReason = iota // tree exhausted: incumbent optimal, or relaxation unbounded
+	stopGap                          // the relative gap test closed the search
+	stopInfeasible                   // no integer-feasible point exists
+	stopStall                        // the armed stall cutoff fired
+	stopBudget                       // MaxLPIters spent, or a subtree dropped on an LP's pivot cap
+	stopNodes                        // MaxNodes explored
+	stopCeiling                      // the TimeLimit ceiling, the one stop that depends on the host
+)
+
 // Options tunes the branch-and-bound search.
 type Options struct {
-	// TimeLimit stops the search after the given wall-clock duration.
-	// Zero means no limit.
+	// TimeLimit is a wall-clock safety ceiling, the only limit whose outcome
+	// depends on the host; callers size the counted limits to stop well
+	// below it. Zero means no ceiling.
 	TimeLimit time.Duration
 	// MaxNodes bounds the number of branch-and-bound nodes. Zero means
 	// 200 000.
@@ -114,23 +130,23 @@ type Options struct {
 	// observe); there the warm start acts purely as an incumbent fallback:
 	// it is returned only when it strictly beats whatever the search found
 	// before stopping, which on a gap-terminated run means an improvement
-	// inside the gap tolerance and on a truncated run (time, nodes, stall)
+	// inside the gap tolerance and on a truncated run (stall, budget, nodes)
 	// can mean rescuing a search that found nothing at all.
 	WarmStarts [][]float64
-	// StallNodes, together with StallAfter, bounds unproductive tail
-	// exploration on hard instances: once StallAfter wall-clock time has
-	// elapsed, the search stops as soon as StallNodes consecutive nodes —
-	// and at least half of all explored nodes, so a steadily improving
-	// search is never cut however slow the host — have been explored
-	// without improving the best known solution (search-found or warm
-	// start), returning it as Feasible. Zero disables stalling. A search
-	// that reaches its deterministic end before StallAfter elapses is
-	// unaffected, which keeps fast solves reproducible; only searches
-	// already deep into their wall-clock budget — whose outcome is
-	// timing-dependent anyway — stop early.
+	// StallNodes, together with StallAfterIters, bounds unproductive tail
+	// exploration on hard instances: once the search has spent
+	// StallAfterIters simplex pivots, it stops as soon as StallNodes
+	// consecutive nodes — and at least half of all explored nodes, so a
+	// steadily improving search is never cut — have been explored without
+	// improving the best known solution (search-found or warm start),
+	// returning it as Feasible. Zero StallNodes disables stalling. Both
+	// counts are work, not time, so a stall-cut search stops at the same
+	// node on every host, and a search that reaches its deterministic end
+	// within StallAfterIters pivots is unaffected.
 	StallNodes int
-	// StallAfter is the wall-clock delay before StallNodes arms.
-	StallAfter time.Duration
+	// StallAfterIters is the pivot count at which StallNodes arms; zero
+	// arms it from the start.
+	StallAfterIters int
 	// Workspace optionally supplies a reusable LP workspace for the node
 	// relaxations, letting a caller that solves many MILPs share one set
 	// of tableau buffers. Nil makes the search use a private workspace
@@ -147,12 +163,7 @@ type result struct {
 	Objective float64   // incumbent objective in the problem's direction
 	Nodes     int       // branch-and-bound nodes explored
 	LPIters   int       // total simplex pivots across all nodes
-	// Truncated reports that a resource limit (wall clock, node or pivot
-	// budget, stall cutoff) stopped the search, as opposed to a
-	// deterministic end (optimality proof or gap test). Truncated results
-	// can be timing-dependent; callers that memoize solutions should treat
-	// them as provisional.
-	Truncated bool
+	stop      stopReason
 
 	// coldBranchings counts branchings that found no spare bound row in the
 	// tableau and parked both children for cold solves, and warmRetries warm
@@ -161,6 +172,14 @@ type result struct {
 	coldBranchings int
 	warmRetries    int
 }
+
+// Truncated reports that a resource limit, not a proof, gap test or
+// infeasibility, ended the search: its result is not optimal within the gap,
+// and callers that memoize solutions treat it as provisional.
+func (r *result) Truncated() bool { return r.stop >= stopStall }
+
+// HitCeiling reports that the TimeLimit ceiling, not counted work, ended it.
+func (r *result) HitCeiling() bool { return r.stop == stopCeiling }
 
 // errBadProblem reports a malformed problem.
 var errBadProblem = errors.New("milp: malformed problem")
@@ -231,9 +250,9 @@ func (h *nodeHeap) pop() *node {
 
 // warmMaxIter caps the dual simplex pivots of one warm child evaluation. A
 // child that needs more is solved cold instead: a warm re-optimisation that
-// runs long has lost its way in a degenerate stretch, and the deadline is
-// only checked between LPs. A single-column bound takes a few hundred pivots
-// at most on the planner's models; a group bound can take thousands.
+// runs long has lost its way in a degenerate stretch, and the search's limits
+// are only checked between LPs. A single-column bound takes a few hundred
+// pivots at most on the planner's models; a group bound can take thousands.
 const warmMaxIter = 2000
 
 // SolveWithOptions runs branch and bound.
@@ -340,54 +359,57 @@ func solve(p *Problem, opt Options, warmIters int) (*result, error) {
 		// A warm start or seed that passed the feasibility check while the
 		// relaxation is infeasible would be numerically contradictory;
 		// trust the relaxation.
-		return &result{Status: Infeasible, Nodes: 1, LPIters: res.LPIters}, nil
+		return &result{Status: Infeasible, Nodes: 1, LPIters: res.LPIters, stop: stopInfeasible}, nil
 	case lp.Unbounded:
 		return &result{Status: unbounded, Nodes: 1, LPIters: res.LPIters}, nil
 	case lp.IterLimit:
-		return &result{Status: noSolution, Nodes: 1, LPIters: res.LPIters, Truncated: true}, nil
+		return &result{Status: noSolution, Nodes: 1, LPIters: res.LPIters, stop: stopBudget}, nil
 	}
 	root.bound = s.sign * sol.Objective
 
 	var order int64
 	h := nodeHeap{root}
 	nodes := 0
-	provenOptimal := true
+	// stop is why the search ended: stopProof until a limit or the gap test
+	// ends it early. dropped records a subtree dropped on an LP's pivot cap,
+	// which turns an exhausted tree into a budget stop.
+	stop := stopProof
+	dropped := false
 
 	// Stall tracking: bestKnown is the best returnable value (search
 	// incumbent or warm start); lastImprove the node count when it last
-	// rose. The stall cutoff arms only after StallAfter wall-clock time.
-	start := time.Now()
+	// rose.
 	bestKnown := math.Max(incumbentVal, warmVal)
 	lastImprove := 0
-	stallArmed := false
 
 	// outOfBudget is consulted before every LP evaluation — a node is one LP
 	// evaluation, whether a cold solve of a popped node or a warm
-	// re-optimisation of a child — and marks the result truncated when a
-	// resource limit says stop.
+	// re-optimisation of a child — and records which limit, if any, says
+	// stop. The counted limits are checked before the clock, so a search
+	// that reaches one of them stops for the same reason on every host.
 	outOfBudget := func() bool {
-		stop := nodes >= maxNodes || (opt.MaxLPIters > 0 && res.LPIters >= opt.MaxLPIters) ||
-			(!deadline.IsZero() && time.Now().After(deadline))
-		// Stall cutoff: past the arming delay, a search that has explored
+		switch {
+		case nodes >= maxNodes:
+			stop = stopNodes
+		case opt.MaxLPIters > 0 && res.LPIters >= opt.MaxLPIters:
+			stop = stopBudget
+		// Stall cutoff: past its arming point, a search that has explored
 		// StallNodes nodes without improving its best solution — and whose
 		// plateau dominates its whole history (≥ half of all explored
-		// nodes, so steadily-improving searches are never cut no matter
-		// how slow the host) — is spending the rest of its budget on
-		// bound-tightening only; stop it. With no incumbent at all the
-		// same plateau means the step is (near-)integer-infeasible, and
-		// stopping lets the caller fall through to its next regime instead
-		// of burning the whole control period.
-		if !stop && opt.StallNodes > 0 && nodes-lastImprove >= opt.StallNodes && nodes-lastImprove >= nodes/2 {
-			if !stallArmed && time.Since(start) >= opt.StallAfter {
-				stallArmed = true
-			}
-			stop = stallArmed
+		// nodes, so steadily-improving searches are never cut) — is
+		// spending the rest of its budget on bound-tightening only; stop
+		// it. With no incumbent at all the same plateau means the step is
+		// (near-)integer-infeasible, and stopping lets the caller fall
+		// through to its next regime instead of spending the whole budget.
+		case opt.StallNodes > 0 && res.LPIters >= opt.StallAfterIters &&
+			nodes-lastImprove >= opt.StallNodes && nodes-lastImprove >= nodes/2:
+			stop = stopStall
+		case !deadline.IsZero() && time.Now().After(deadline):
+			stop = stopCeiling
+		default:
+			return false
 		}
-		if stop {
-			provenOptimal = false
-			res.Truncated = true
-		}
-		return stop
+		return true
 	}
 	// prunable reports whether a node with the given bound cannot improve
 	// the incumbent enough to matter: by bound (or the warm-start floor), or
@@ -468,8 +490,7 @@ search:
 			return &result{Status: unbounded, Nodes: nodes, LPIters: res.LPIters}, nil
 		case lp.IterLimit:
 			// The subtree is dropped unexplored: a resource limit, not a proof.
-			provenOptimal = false
-			res.Truncated = true
+			dropped = true
 			continue
 		}
 		if !settle(nd, sol.Objective, sol.X) {
@@ -488,7 +509,7 @@ search:
 				}
 				denom := math.Max(math.Abs(incumbentVal), 1e-12)
 				if (top-incumbentVal)/denom <= opt.RelGap {
-					provenOptimal = false
+					stop = stopGap
 					break search
 				}
 				if prunable(nd.bound) {
@@ -591,9 +612,13 @@ search:
 	}
 
 	res.Nodes = nodes
+	if stop == stopProof && dropped {
+		stop = stopBudget
+	}
+	res.stop = stop
 	if incumbentX == nil {
-		if len(h) == 0 && provenOptimal {
-			res.Status = Infeasible
+		if stop == stopProof {
+			res.Status, res.stop = Infeasible, stopInfeasible
 		} else {
 			res.Status = noSolution
 		}
@@ -601,7 +626,7 @@ search:
 	}
 	res.X = incumbentX
 	res.Objective = s.sign * incumbentVal
-	if len(h) == 0 && provenOptimal {
+	if stop == stopProof {
 		res.Status = Optimal
 	} else {
 		res.Status = Feasible

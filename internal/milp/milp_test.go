@@ -206,16 +206,16 @@ func TestIterLimitIsTruncation(t *testing.T) {
 		return r
 	}
 
-	if r := solve(1); r.Status != noSolution || !r.Truncated {
-		t.Fatalf("root hit the iteration limit: got %v truncated=%v, want no-solution truncated", r.Status, r.Truncated)
+	if r := solve(1); r.Status != noSolution || !r.Truncated() {
+		t.Fatalf("root hit the iteration limit: got %v truncated=%v, want no-solution truncated", r.Status, r.Truncated())
 	}
 	// One pivot more than the root needs lets the root through and stops
 	// the cold solves of deeper nodes, which carry more rows.
-	if r := solve(root.Iters + 1); r.Status == Optimal || !r.Truncated {
-		t.Fatalf("deeper nodes hit the iteration limit: got %v truncated=%v, want an unproven truncated result", r.Status, r.Truncated)
+	if r := solve(root.Iters + 1); r.Status == Optimal || !r.Truncated() {
+		t.Fatalf("deeper nodes hit the iteration limit: got %v truncated=%v, want an unproven truncated result", r.Status, r.Truncated())
 	}
-	if r := solve(0); r.Status != Optimal || r.Truncated {
-		t.Fatalf("default iteration budget: got %v truncated=%v, want optimal", r.Status, r.Truncated)
+	if r := solve(0); r.Status != Optimal || r.Truncated() {
+		t.Fatalf("default iteration budget: got %v truncated=%v, want optimal", r.Status, r.Truncated())
 	}
 }
 
@@ -236,17 +236,17 @@ func TestPivotBudgetTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Status != Infeasible || full.Truncated {
-		t.Fatalf("unbudgeted: got %v truncated=%v, want integer-infeasible", full.Status, full.Truncated)
+	if full.Status != Infeasible || full.Truncated() {
+		t.Fatalf("unbudgeted: got %v truncated=%v, want integer-infeasible", full.Status, full.Truncated())
 	}
 	budget := full.LPIters / 2
 	r, err := SolveWithOptions(prob, Options{MaxLPIters: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Status != noSolution || !r.Truncated || r.LPIters < budget {
+	if r.Status != noSolution || !r.Truncated() || r.LPIters < budget {
 		t.Fatalf("budget of %d pivots (the proof takes %d): got %v truncated=%v after %d pivots, want no solution, truncated, at least %d pivots",
-			budget, full.LPIters, r.Status, r.Truncated, r.LPIters, budget)
+			budget, full.LPIters, r.Status, r.Truncated(), r.LPIters, budget)
 	}
 }
 
@@ -488,8 +488,8 @@ func TestWarmPivotCapFallsBackToColdSolves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if full.Status != Optimal || capped.Status != Optimal || capped.Truncated {
-			t.Fatalf("trial %d: uncapped %v, capped %v truncated=%v; want both optimal", trial, full.Status, capped.Status, capped.Truncated)
+		if full.Status != Optimal || capped.Status != Optimal || capped.Truncated() {
+			t.Fatalf("trial %d: uncapped %v, capped %v truncated=%v; want both optimal", trial, full.Status, capped.Status, capped.Truncated())
 		}
 		if math.Abs(capped.Objective-full.Objective) > 1e-9 {
 			t.Fatalf("trial %d: capped objective %v, uncapped %v", trial, capped.Objective, full.Objective)

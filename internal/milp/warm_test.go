@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"loki/internal/lp"
 )
@@ -137,9 +136,11 @@ func TestWarmStartRejectsBadSeeds(t *testing.T) {
 	}
 }
 
-// TestStallCutoffStopsPlateauedSearch: with the stall armed from the start
-// and a one-node plateau window, a hard instance stops almost immediately
-// and reports Feasible with whatever incumbent it has.
+// TestStallCutoffStopsPlateauedSearch: with the stall armed after a few
+// pivots and a one-node plateau window, a hard instance stops almost
+// immediately and reports Feasible with whatever incumbent it has, for the
+// stall and at the same node every time: the arming point is counted work,
+// not time.
 func TestStallCutoffStopsPlateauedSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	p := hardKnapsack(rng, 24)
@@ -149,28 +150,36 @@ func TestStallCutoffStopsPlateauedSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	zero := make([]float64, p.LP.NumVars)
-	stalled, err := SolveWithOptions(p, Options{
-		WarmStarts: [][]float64{zero},
-		StallNodes: 1,
-		StallAfter: time.Nanosecond,
-	})
+	opts := Options{WarmStarts: [][]float64{zero}, StallNodes: 1, StallAfterIters: 50}
+	stalled, err := SolveWithOptions(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stalled.Status != Feasible {
-		t.Fatalf("stalled solve: got %v, want Feasible", stalled.Status)
+	if stalled.Status != Feasible || stalled.stop != stopStall {
+		t.Fatalf("stalled solve: got %v stopped by %v, want Feasible stopped by the stall", stalled.Status, stalled.stop)
 	}
-	if stalled.Nodes >= full.Nodes {
-		t.Fatalf("stall did not cut the search: %d nodes vs full %d", stalled.Nodes, full.Nodes)
+	if stalled.Nodes >= full.Nodes || stalled.LPIters < opts.StallAfterIters {
+		t.Fatalf("stall did not cut the search at its arming point: %d nodes, %d pivots vs full %d nodes (armed at %d pivots)",
+			stalled.Nodes, stalled.LPIters, full.Nodes, opts.StallAfterIters)
+	}
+	for i := 0; i < 3; i++ {
+		again, err := SolveWithOptions(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Nodes != stalled.Nodes || again.LPIters != stalled.LPIters || again.stop != stopStall {
+			t.Fatalf("repeat %d: stopped at %d nodes, %d pivots (%v), the first run at %d nodes, %d pivots",
+				i, again.Nodes, again.LPIters, again.stop, stalled.Nodes, stalled.LPIters)
+		}
 	}
 
 	// Zero StallNodes disables the cutoff entirely.
-	off, err := SolveWithOptions(p, Options{StallAfter: time.Nanosecond})
+	off, err := SolveWithOptions(p, Options{StallAfterIters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Status != Optimal {
-		t.Fatalf("stall-disabled solve: got %v, want Optimal", off.Status)
+	if off.Status != Optimal || off.stop != stopProof {
+		t.Fatalf("stall-disabled solve: got %v stopped by %v, want Optimal by proof", off.Status, off.stop)
 	}
 }
 

@@ -9,7 +9,6 @@ package stack
 
 import (
 	"fmt"
-	"time"
 
 	"loki/internal/baselines"
 	"loki/internal/core"
@@ -44,16 +43,14 @@ func (a Approach) String() string {
 }
 
 // The paper's operating point (§6.1): 20 servers, a 250 ms SLO, 2 ms per
-// network hop, 30-second metric buckets, a 500 ms MILP solve limit and 30 %
-// provisioning headroom. Callers that take a zero value to mean "the paper's
-// setting" fill it from here; each keeps its own rule for which zeros those
-// are.
+// network hop, 30-second metric buckets and 30 % provisioning headroom.
+// Callers that take a zero value to mean "the paper's setting" fill it from
+// here; each keeps its own rule for which zeros those are.
 const (
-	DefaultServers        = 20
-	DefaultSLOSec         = 0.250
-	DefaultNetLatencySec  = 0.002
-	DefaultBucketSec      = 30
-	DefaultSolveTimeLimit = 500 * time.Millisecond
+	DefaultServers       = 20
+	DefaultSLOSec        = 0.250
+	DefaultNetLatencySec = 0.002
+	DefaultBucketSec     = 30
 	// DefaultHeadroom keeps per-worker utilization near 0.77, where
 	// batch-queue waits stay inside the SLO/2 allowance. With the
 	// calibrated profiles it also puts the hardware-scaling limit of the
@@ -75,11 +72,9 @@ type Pool struct {
 	// tenant's route headroom, and an admission controller admits at
 	// 1/(1+Headroom) of the granted rate. CacheOff turns the planner's plan
 	// cache, model reuse and warm starts off.
-	Headroom       float64
-	MinAccuracy    float64
-	SolveTimeLimit time.Duration
-	DisableStall   bool
-	CacheOff       bool
+	Headroom    float64
+	MinAccuracy float64
+	CacheOff    bool
 
 	// OnGrants observes every joint allocation (see core.MultiController).
 	OnGrants func(step int, grants []int)
@@ -165,8 +160,6 @@ func (s *Stack) planner(g *pipeline.Graph, sloSec float64, ap Approach) (*core.M
 		KeepWarm:        true,
 		Headroom:        s.Headroom,
 		MinPathAccuracy: s.MinAccuracy,
-		SolveTimeLimit:  s.SolveTimeLimit,
-		DisableStall:    s.DisableStall,
 		DisableReuse:    s.CacheOff,
 	}
 	var planner core.Planner

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"loki/internal/engine"
 	"loki/internal/ingress"
@@ -14,10 +13,9 @@ import (
 
 func testPool() Pool {
 	return Pool{
-		MultiConfig:    engine.MultiConfig{Servers: 8, NetLatencySec: 0.002, Seed: 1},
-		Headroom:       0.30,
-		SolveTimeLimit: 500 * time.Millisecond,
-		BucketSec:      30,
+		MultiConfig: engine.MultiConfig{Servers: 8, NetLatencySec: 0.002, Seed: 1},
+		Headroom:    0.30,
+		BucketSec:   30,
 	}
 }
 

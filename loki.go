@@ -276,12 +276,6 @@ func WithSwapLatency(d time.Duration) Option {
 	return func(c *config) { c.pool.SwapLatencySec = d.Seconds() }
 }
 
-// WithSolveTimeLimit bounds each Resource Manager MILP solve (default
-// 500 ms). It must not be negative; zero keeps the default.
-func WithSolveTimeLimit(d time.Duration) Option {
-	return func(c *config) { c.pool.SolveTimeLimit = d }
-}
-
 // WithExecutionJitter adds relative noise to batch execution latencies: a
 // batch takes its profiled latency times 1 ± j, uniformly (default zero). It
 // applies to both engines. j must lie in [0, 1), so no batch runs in zero or
@@ -298,13 +292,14 @@ func WithMinAccuracy(a float64) Option { return func(c *config) { c.pool.MinAccu
 // WithPlannerCache toggles the Resource Manager's fast planning path
 // (default on): the per-pipeline plan cache over quantized demand levels,
 // the step models every solve of a pipeline patches instead of rebuilding,
-// the warm-start seeds carried from one adaptation round to the next, and
-// the stall cutoff on wall-clock-budgeted searches. Proof-terminated
-// solves return identical plans either way; gap-terminated solves follow
-// the identical search and may only be upgraded, within the gap tolerance,
-// by a verified warm start; wall-clock-truncated solves are anytime and
-// timing-dependent in both modes. WithPlannerCache(false) is the
-// from-scratch, full-budget escape hatch for measurement and debugging.
+// and the warm-start seeds carried from one adaptation round to the next.
+// Proof-terminated solves return identical plans either way; gap-terminated
+// solves follow the identical search and may only be upgraded, within the
+// gap tolerance, by a verified warm start; a search cut by its counted
+// budget or stall cutoff keeps whichever incumbent it holds there, so its
+// plan may differ between the modes but not between runs.
+// WithPlannerCache(false) is the from-scratch escape hatch for measurement
+// and debugging.
 func WithPlannerCache(on bool) Option {
 	return func(c *config) { c.pool.CacheOff = !on }
 }
@@ -560,10 +555,9 @@ func Serve(p *Pipeline, tr *Trace, opts ...Option) (*Report, error) {
 
 // newStack returns an empty serving stack over the configured pool: the
 // WithHardware fleet (validated) or the homogeneous default of one class
-// holding all WithServers servers, with the paper's 0.30 headroom and 500 ms
-// solve limit unless WithHeadroom and WithSolveTimeLimit set them. Telemetry
-// is off until the caller sets the stack's Registry. An option value outside
-// its documented range is an error.
+// holding all WithServers servers, with the paper's 0.30 headroom unless
+// WithHeadroom sets it. Telemetry is off until the caller sets the stack's
+// Registry. An option value outside its documented range is an error.
 func (c config) newStack() (*stack.Stack, error) {
 	p := c.pool
 	if err := checkRanges(p); err != nil {
@@ -571,9 +565,6 @@ func (c config) newStack() (*stack.Stack, error) {
 	}
 	if p.Headroom == 0 {
 		p.Headroom = stack.DefaultHeadroom
-	}
-	if p.SolveTimeLimit == 0 {
-		p.SolveTimeLimit = stack.DefaultSolveTimeLimit
 	}
 	if len(p.Classes) > 0 {
 		if err := profiles.ValidateClasses(p.Classes); err != nil {
@@ -599,7 +590,6 @@ func checkRanges(p stack.Pool) error {
 		{"WithTraceSampling", p.TraceProb, p.TraceProb >= 0 && p.TraceProb <= 1, "[0, 1]"},
 		{"WithNetworkLatency", sec(p.NetLatencySec), p.NetLatencySec >= 0, "[0, +Inf)"},
 		{"WithSwapLatency", sec(p.SwapLatencySec), p.SwapLatencySec >= 0, "[0, +Inf)"},
-		{"WithSolveTimeLimit", p.SolveTimeLimit, p.SolveTimeLimit >= 0, "[0, +Inf)"},
 	} {
 		if !o.ok {
 			return fmt.Errorf("loki: %s(%v) is outside %s", o.option, o.value, o.want)

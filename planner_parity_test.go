@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
 	"loki"
 )
@@ -24,24 +23,17 @@ func TestPlannerFastPathParity(t *testing.T) {
 		tr   *loki.Trace
 		opts []loki.Option
 	}{
-		// The roomy solve limit keeps every MILP deterministic (proof- or
-		// gap-terminated) even on a loaded machine; it never binds on an
-		// idle one. Without it the chain ramp's saturated tail can truncate
-		// on the wall clock under CPU contention, where the two compared
-		// runs may legitimately hold different incumbents.
 		{
 			name: "traffic-azure",
 			pipe: loki.TrafficAnalysisPipeline(),
 			tr:   loki.AzureTrace(1, 24, 5, 450),
-			opts: []loki.Option{loki.WithServers(20), loki.WithSeed(3),
-				loki.WithSolveTimeLimit(10 * time.Second)},
+			opts: []loki.Option{loki.WithServers(20), loki.WithSeed(3)},
 		},
 		{
 			name: "chain-ramp-pertask",
 			pipe: loki.TrafficChainPipeline(),
 			tr:   loki.RampTrace(100, 900, 16, 5),
-			opts: []loki.Option{loki.WithServers(10), loki.WithSeed(7), loki.WithPolicy(loki.PerTaskPolicy),
-				loki.WithSolveTimeLimit(10 * time.Second)},
+			opts: []loki.Option{loki.WithServers(10), loki.WithSeed(7), loki.WithPolicy(loki.PerTaskPolicy)},
 		},
 	}
 	for _, c := range cases {
@@ -80,7 +72,6 @@ func TestPlannerFastPathParityMultiTenant(t *testing.T) {
 		sys, err := loki.NewMulti(
 			loki.WithServers(20),
 			loki.WithSeed(11),
-			loki.WithSolveTimeLimit(10*time.Second),
 		)
 		if err != nil {
 			t.Fatal(err)

@@ -26,20 +26,11 @@ func TestSinglePipelineParityWithSeedBehavior(t *testing.T) {
 		arr, comp, late, drop, rer int64
 	}
 	cases := []golden{
-		// The configs stay in regimes whose MILPs terminate by optimality
-		// proof or gap test, not by the wall-clock solve limit — a solve
-		// that runs out of clock returns whatever incumbent it has, which
-		// varies with machine load and would make bit-exact goldens flaky.
-		// The roomy WithSolveTimeLimit keeps that true even on a loaded
-		// machine (the chain ramp's saturated tail can outlive the default
-		// 500 ms budget under CPU contention); on an idle machine the limit
-		// never binds, so the recorded numbers are unchanged.
 		{
-			name: "traffic-azure",
-			pipe: loki.TrafficAnalysisPipeline(),
-			tr:   loki.AzureTrace(1, 24, 5, 450),
-			opts: []loki.Option{loki.WithServers(20), loki.WithSeed(3),
-				loki.WithSolveTimeLimit(10 * time.Second)},
+			name:     "traffic-azure",
+			pipe:     loki.TrafficAnalysisPipeline(),
+			tr:       loki.AzureTrace(1, 24, 5, 450),
+			opts:     []loki.Option{loki.WithServers(20), loki.WithSeed(3)},
 			accuracy: 1, viol: 0.12064040889957907,
 			meanSrv: 9, minSrv: 3, maxSrv: 17,
 			meanLat: 135222678 * time.Nanosecond,
@@ -49,8 +40,7 @@ func TestSinglePipelineParityWithSeedBehavior(t *testing.T) {
 			name: "chain-ramp-pertask",
 			pipe: loki.TrafficChainPipeline(),
 			tr:   loki.RampTrace(100, 900, 16, 5),
-			opts: []loki.Option{loki.WithServers(10), loki.WithSeed(7), loki.WithPolicy(loki.PerTaskPolicy),
-				loki.WithSolveTimeLimit(10 * time.Second)},
+			opts: []loki.Option{loki.WithServers(10), loki.WithSeed(7), loki.WithPolicy(loki.PerTaskPolicy)},
 			// Re-recorded when branch and bound began re-optimising node
 			// relaxations from the parent's basis (accuracy 0.92674 →
 			// 0.92624, violations 0.09053 → 0.08570), and again when the
