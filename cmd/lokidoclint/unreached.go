@@ -60,6 +60,14 @@ func unreachedGate(root, allowPath string, w io.Writer) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	return checkAllowlist(findings, exported, lines, allow, allowPath, w), nil
+}
+
+// checkAllowlist writes the findings list by list and the counts to w,
+// marking every finding allow lacks and every entry of allow (read from
+// allowPath) that no finding matches, and reports whether it marked none.
+// It deletes the matched entries from allow.
+func checkAllowlist(findings []finding, exported, lines int, allow map[finding]bool, allowPath string, w io.Writer) bool {
 	ok := true
 	for _, kind := range kinds {
 		fmt.Fprintf(w, "%s:\n", kind)
@@ -88,7 +96,7 @@ func unreachedGate(root, allowPath string, w io.Writer) (bool, error) {
 	if !ok {
 		fmt.Fprintf(w, "delete or unexport what is marked !, or add it to %s with a reason; remove stale entries\n", allowPath)
 	}
-	return ok, nil
+	return ok
 }
 
 // readAllowlist parses "kind name reason..." lines, skipping blank lines

@@ -5,16 +5,32 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// fixtureScan is what findUnreached returns for testdata/fixture.
+type fixtureScan struct {
+	findings        []finding
+	exported, lines int
+}
+
+// scanFixture scans the fixture module once per test binary: type-checking
+// it and the standard library from source is most of this package's test
+// time.
+var scanFixture = sync.OnceValues(func() (fixtureScan, error) {
+	findings, exported, lines, err := findUnreached("testdata/fixture")
+	return fixtureScan{findings, exported, lines}, err
+})
 
 // The fixture module declares one identifier for each list, a method
 // reached only through an interface, and a JSON-tagged field.
 func TestUnreachedFixtureFindings(t *testing.T) {
-	findings, exported, _, err := findUnreached("testdata/fixture")
+	scan, err := scanFixture()
 	if err != nil {
 		t.Fatal(err)
 	}
+	findings, exported := scan.findings, scan.exported
 	want := []finding{
 		{"never-set", "internal/a.Box.Depth"},
 		{"never-set", "internal/a.Box.Seen"},
@@ -34,6 +50,10 @@ func TestUnreachedFixtureFindings(t *testing.T) {
 // The gate passes on a complete allowlist, and fails on a finding the
 // allowlist lacks and on an entry it no longer finds.
 func TestUnreachedGateAllowlist(t *testing.T) {
+	scan, err := scanFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
 	complete := []string{
 		"unreached internal/a.Uncalled only a test calls it",
 		"never-set internal/a.Box.Depth read as zero",
@@ -55,11 +75,12 @@ func TestUnreachedGateAllowlist(t *testing.T) {
 			if err := os.WriteFile(allow, []byte(strings.Join(tc.allow, "\n")+"\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			var out strings.Builder
-			ok, err := unreachedGate("testdata/fixture", allow, &out)
+			entries, err := readAllowlist(allow)
 			if err != nil {
 				t.Fatal(err)
 			}
+			var out strings.Builder
+			ok := checkAllowlist(scan.findings, scan.exported, scan.lines, entries, allow, &out)
 			if ok != tc.ok || !strings.Contains(out.String(), tc.wantOut) {
 				t.Fatalf("ok = %v, want %v; output:\n%s", ok, tc.ok, out.String())
 			}

@@ -36,15 +36,6 @@ type AllocatorOptions struct {
 	// zero meaning 2s. Searches stop on counted work (searchWork) well below
 	// it; SolverPerf counts any search it stops.
 	SolveTimeLimit time.Duration
-	// DisableReuse turns off the planner's cross-solve memory: every solve
-	// builds its step model afresh instead of patching the allocator's
-	// standing one, and no warm-start seed is carried from one adaptation
-	// round to the next. Solves whose searches terminate by proof or gap
-	// test return identical plans either way — reuse only changes how fast
-	// they get there and which incumbent a budget-cut search has in hand.
-	// The escape hatch exists for A/B measurement and for the public
-	// WithPlannerCache(false) option.
-	DisableReuse bool
 
 	// work, set by this package's tests, replaces searchWork: +Inf lifts
 	// every limit for reference solves that must run to proof.
@@ -607,9 +598,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (pl
 		// Every such point is integer-feasible for its model, which makes
 		// it the natural warm start for the next solve of the same step (it
 		// is re-verified against the new demand and cap before use).
-		if !a.opts.DisableReuse {
-			st.lastX[step] = append([]float64(nil), x...)
-		}
+		st.lastX[step] = append([]float64(nil), x...)
 		if goal == goalFeasible {
 			return nil, true, stats.Truncated, nil
 		}
@@ -726,7 +715,7 @@ func (a *Allocator) solveStep(demand float64, step stepKind, goal solveGoal) (pl
 	// node one) or is silently dropped. A probe takes it as the search's
 	// incumbent instead: one that verifies decides the probe before the
 	// first node, exactly as it would rescue the full search at its end.
-	if wx := st.lastX[step]; wx != nil && !a.opts.DisableReuse {
+	if wx := st.lastX[step]; wx != nil {
 		if goal == goalFeasible {
 			opts.Incumbent = wx
 		} else {

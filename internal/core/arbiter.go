@@ -87,8 +87,10 @@ type Tenant struct {
 	Tier int
 
 	// CacheDisabled turns the tenant's plan cache off: every solve call
-	// reaches the planner. The escape hatch behind the public
-	// WithPlannerCache(false) option.
+	// reaches the planner, which still patches its standing step models and
+	// carries its warm starts, and the tenant is dirty every round, so no
+	// clean-tenant reuse applies either. lokibench's plan-milp workload sets
+	// it so that every round solves.
 	CacheDisabled bool
 
 	// floorByClass is the resolved per-tenant contention guarantee in whole
@@ -223,7 +225,7 @@ func demandBucket(d, ratio float64) int {
 // at the given geometric ratio. A nil caps vector solves at the planner's
 // own full cluster size; a non-nil per-class grant vector requires the
 // CappedPlanner solve. When CacheDisabled is set nothing enters the cache,
-// so every call solves fresh. Safe for concurrent use across distinct
+// so every call reaches the planner. Safe for concurrent use across distinct
 // tenants (each tenant owns its cache); callers serialize calls for the same
 // tenant.
 func (t *Tenant) solve(demand float64, caps []int, ratio float64) (*Plan, error) {

@@ -9,15 +9,14 @@ import (
 
 // benchAllocator builds the traffic-analysis allocator the planner
 // benchmarks solve against.
-func benchAllocator(b *testing.B, disableReuse bool) *Allocator {
+func benchAllocator(b *testing.B) *Allocator {
 	b.Helper()
 	g := profiles.TrafficTree()
 	prof := (&profiles.Profiler{}).ProfileGraph(g, profiles.Batches)
 	meta := NewMetadataStore(g, prof, 0.250, profiles.Batches)
 	a, err := NewAllocator(meta, AllocatorOptions{
 		Servers: 20, NetLatencySec: 0.002, KeepWarm: true,
-		Headroom:     0.30,
-		DisableReuse: disableReuse,
+		Headroom: 0.30,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -25,24 +24,34 @@ func benchAllocator(b *testing.B, disableReuse bool) *Allocator {
 	return a
 }
 
+// solveModes are the planner benchmarks' two regimes: reuse, the allocator's
+// own, which patches its standing step models and carries warm starts from
+// solve to solve, and cold, which gives the allocator fresh solver state
+// before every solve, so each one builds its step model, runs without a
+// warm start and allocates its LP buffers anew.
+var solveModes = []struct {
+	name string
+	cold bool
+}{{"reuse", false}, {"cold", true}}
+
 // BenchmarkAllocate measures one uncapped Resource Manager solve over a
-// cycling demand walk — the desire-pass workload — with the planner's
-// cross-solve memory on (the default) and off. Besides the timings it reports
-// the search effort of one untimed pass over the walk on a fresh allocator,
-// as simplex pivots per branch-and-bound node and nodes per solve: the walk's
-// solves are proof-terminated, so these are counts that repeat exactly
-// whatever b.N is, and CI's node-LP cost gate holds the first under a third
-// of 17.5556, its value when every node was solved from scratch.
+// cycling demand walk — the desire-pass workload — in both solveModes.
+// Besides the timings it reports the search effort of one untimed pass over
+// the walk on a fresh allocator in the same mode, as simplex pivots per
+// branch-and-bound node and nodes per solve: the walk's solves are
+// proof-terminated, so these are counts that repeat exactly whatever b.N
+// is, and CI's node-LP cost gate holds the first of every mode under a
+// third of 17.5556, its value when every node was solved from scratch.
 func BenchmarkAllocate(b *testing.B) {
 	demands := []float64{110, 230, 180, 320, 140, 280}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"reuse", false}, {"cold", true}} {
+	for _, mode := range solveModes {
 		b.Run(mode.name, func(b *testing.B) {
-			census := benchAllocator(b, mode.disable)
+			census := benchAllocator(b)
 			nodes, pivots := 0, 0
 			for _, d := range demands {
+				if mode.cold {
+					census.state = newSolverState()
+				}
 				plan, err := census.Allocate(d)
 				if err != nil {
 					b.Fatal(err)
@@ -51,10 +60,13 @@ func BenchmarkAllocate(b *testing.B) {
 				pivots += plan.SolveStats.LPIters
 			}
 
-			a := benchAllocator(b, mode.disable)
+			a := benchAllocator(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if mode.cold {
+					a.state = newSolverState()
+				}
 				if _, err := a.Allocate(demands[i%len(demands)]); err != nil {
 					b.Fatal(err)
 				}
@@ -223,19 +235,19 @@ func TestTenantCacheHitNoAlloc(t *testing.T) {
 
 // BenchmarkAllocateCapped measures capped re-solves at a fixed demand over
 // cycling server budgets — the contention workload the arbiter generates —
-// where only the cluster row's RHS changes between iterations on the reuse
-// path, while the cold path builds a step model per solve.
+// where only the cluster row's RHS changes between iterations in the reuse
+// mode, while the cold mode builds a step model per solve (see solveModes).
 func BenchmarkAllocateCapped(b *testing.B) {
 	caps := []int{12, 14, 10, 16, 13}
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"reuse", false}, {"cold", true}} {
+	for _, mode := range solveModes {
 		b.Run(mode.name, func(b *testing.B) {
-			a := benchAllocator(b, mode.disable)
+			a := benchAllocator(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if mode.cold {
+					a.state = newSolverState()
+				}
 				if _, err := a.AllocateCapped(210, []int{caps[i%len(caps)]}); err != nil {
 					b.Fatal(err)
 				}

@@ -74,10 +74,9 @@ func (a *Allocator) Perf() SolverPerf {
 	}
 }
 
-// modelFor returns the step's model, building it on first use (or on every
-// call under DisableReuse). The model's demand coefficients and class
-// budgets are whatever the last solve left; callers that hand it to a solver
-// call set first. Callers hold st.mu.
+// modelFor returns the step's model, building it on first use. The model's
+// demand coefficients and class budgets are whatever the last solve left;
+// callers that hand it to a solver call set first. Callers hold st.mu.
 func (a *Allocator) modelFor(step stepKind) *stepModel {
 	st := a.state
 	if m := st.models[step]; m != nil {
@@ -86,8 +85,6 @@ func (a *Allocator) modelFor(step stepKind) *stepModel {
 	}
 	m := a.buildStepModel(step)
 	st.modelBuilds++
-	if !a.opts.DisableReuse {
-		st.models[step] = m
-	}
+	st.models[step] = m
 	return m
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
+
+	"loki/internal/profiles"
 )
 
 func TestSplitPoolTieredUniformDelegates(t *testing.T) {
@@ -119,5 +122,46 @@ func TestDropFragmentPrefersBetterPlan(t *testing.T) {
 	sat := &Plan{ServedFraction: 0.5}
 	if got := tn.dropFragment(sat, 240, []int{0, 6}, 1.04); got != sat {
 		t.Fatalf("single-class grant should not be retried")
+	}
+
+	// An under-serving plan on a grant that spans two classes is retried
+	// without the smaller one, and the better plan wins. On traffic analysis
+	// at 600 qps, the [1 10] solve's steps 2 and 3 are both cut before
+	// their first integer point, so it falls through to the idle plan; the
+	// [0 10] retry serves everything.
+	classes := []profiles.Class{{Name: "fast", Count: 8, Speed: 1.5}, {Name: "slow", Count: 12, Speed: 1.0}}
+	g := profiles.TrafficTree()
+	prof := (&profiles.Profiler{Seed: 11}).ProfileGraphClasses(g, profiles.Batches, classes)
+	meta := NewMetadataStoreHetero(g, classes, prof, 0.250, profiles.Batches)
+	opts := AllocatorOptions{NetLatencySec: 0.002, KeepWarm: true, Headroom: 0.30}
+	if raceEnabled {
+		// The detector carries the retry's step-2 search past the 2 s
+		// default ceiling, which would let the clock decide its plan.
+		opts.SolveTimeLimit = time.Minute
+	}
+	alloc, err := NewAllocator(meta, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn = &Tenant{Name: "fragment", Meta: meta, Alloc: alloc}
+	capped, err := tn.solve(600, []int{1, 10}, 1.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.ServedFraction != 0 || !capped.SolveStats.Truncated {
+		t.Fatalf("the [1 10] plan serves %.3f (truncated %v), want the idle plan of a cut search: the case no longer needs the retry",
+			capped.ServedFraction, capped.SolveStats.Truncated)
+	}
+	got := tn.dropFragment(capped, 600, []int{1, 10}, 1.04)
+	if tn.allocates != 2 {
+		t.Fatalf("%d solves, want the capped one and the retry", tn.allocates)
+	}
+	// The retry's plan is cached: solving at [0 10] again returns it.
+	retry, err := tn.solve(600, []int{0, 10}, 1.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != retry || got.ServedFraction < 0.999 {
+		t.Fatalf("dropFragment returned a plan serving %.3f, want the [0 10] retry's, serving %.3f", got.ServedFraction, retry.ServedFraction)
 	}
 }

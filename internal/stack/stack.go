@@ -70,11 +70,9 @@ type Pool struct {
 
 	// Planner knobs (see core.AllocatorOptions). Headroom is also every
 	// tenant's route headroom, and an admission controller admits at
-	// 1/(1+Headroom) of the granted rate. CacheOff turns the planner's plan
-	// cache, model reuse and warm starts off.
+	// 1/(1+Headroom) of the granted rate.
 	Headroom    float64
 	MinAccuracy float64
-	CacheOff    bool
 
 	// OnGrants observes every joint allocation (see core.MultiController).
 	OnGrants func(step int, grants []int)
@@ -160,7 +158,6 @@ func (s *Stack) planner(g *pipeline.Graph, sloSec float64, ap Approach) (*core.M
 		KeepWarm:        true,
 		Headroom:        s.Headroom,
 		MinPathAccuracy: s.MinAccuracy,
-		DisableReuse:    s.CacheOff,
 	}
 	var planner core.Planner
 	var proteus *baselines.Proteus
@@ -290,7 +287,6 @@ func (s *Stack) Build() error {
 		ctenants[i] = &core.Tenant{
 			Name: t.Name, Tier: t.Tier, Meta: t.Meta, Alloc: t.planner, MinShare: t.Share,
 			RouteHeadroom: s.Headroom, ForecastHorizonSec: t.HorizonSec, DemandCapQPS: demandCap,
-			CacheDisabled: s.CacheOff,
 			// The engine retargets the admission controller on every
 			// publication.
 			Publish: func(plan *core.Plan, routes *core.Routes) { eng.ApplyPlan(i, plan, routes) },

@@ -289,21 +289,6 @@ func WithExecutionJitter(j float64) Option { return func(c *config) { c.pool.Exe
 // capacity is shed instead.
 func WithMinAccuracy(a float64) Option { return func(c *config) { c.pool.MinAccuracy = a } }
 
-// WithPlannerCache toggles the Resource Manager's fast planning path
-// (default on): the per-pipeline plan cache over quantized demand levels,
-// the step models every solve of a pipeline patches instead of rebuilding,
-// and the warm-start seeds carried from one adaptation round to the next.
-// Proof-terminated solves return identical plans either way; gap-terminated
-// solves follow the identical search and may only be upgraded, within the
-// gap tolerance, by a verified warm start; a search cut by its counted
-// budget or stall cutoff keeps whichever incumbent it holds there, so its
-// plan may differ between the modes but not between runs.
-// WithPlannerCache(false) is the from-scratch escape hatch for measurement
-// and debugging.
-func WithPlannerCache(on bool) Option {
-	return func(c *config) { c.pool.CacheOff = !on }
-}
-
 // WithAdmission arms per-pipeline admission control and load shedding
 // (default off). Each pipeline gets a token-bucket admission controller in
 // front of its queues whose target rate follows the capacity the joint
